@@ -408,8 +408,6 @@ def cmd_verify_quillen_a(args):
 
 def cmd_verify_tau(args):
     cat = _load(args.input, category_from_json)
-    ner = nerve(cat, args.D)
-    tau_chain_map(ner, args.N, args.D)
     rep = pi_tau_homology_check(cat, args.N, args.D, args.d)
     payload = {
         "ok": rep.ok,

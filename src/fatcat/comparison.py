@@ -226,13 +226,9 @@ def pi_tau_homology_check(c: FinCategory, N: int, D: int, d: int) -> QuasiIsoRep
     class of the fat nerve in degrees <= d."""
     if d + 1 > D:
         raise StructureError("truncation too small: need d + 1 <= D")
-    ner = nerve(c, D)
-    tau = tau_chain_map(ner, N, D)
-    s = s_semisimplicial(N, D)
-    prod = product_with_S(ner, s)
-    maps = [{cell: cell[0] for cell in prod.cells[k]} for k in range(D + 1)]
-    pi = induced_map(SimplicialMap(prod, ner, maps))
-    composite = pi.compose(tau)
+    proj = projection_map(c, N, D)
+    tau = tau_chain_map(proj.target, N, D)
+    composite = induced_map(proj).compose(tau)
     return identity_on_homology_through(composite, d)
 
 

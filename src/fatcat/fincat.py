@@ -47,9 +47,6 @@ class FinCategory:
     def is_identity(self, m):
         return self.identity.get(self.src.get(m)) == m
 
-    def morphisms_from(self, x):
-        return tuple(m for m, s, _ in self.morphisms if s == x)
-
     def __eq__(self, other):
         return (
             isinstance(other, FinCategory)

@@ -40,6 +40,16 @@ def z2_groupoid() -> FinGroupoid:
     return FinGroupoid(base, {e: e, s: s})
 
 
+def cyclic_groupoid(n) -> FinGroupoid:
+    """The cyclic group Z/n as a one-object groupoid; morphism k is the
+    residue k, composed by addition mod n."""
+    obj = "*"
+    mor = [(obj, obj, k) for k in range(n)]
+    compose = {(f, g): mor[(f[2] + g[2]) % n] for f in mor for g in mor}
+    base = FinCategory([obj], [(m, obj, obj) for m in mor], {obj: mor[0]}, compose)
+    return FinGroupoid(base, {m: mor[-m[2] % n] for m in mor})
+
+
 def pair_groupoid(objects=("a", "b")) -> FinGroupoid:
     """Exactly one morphism between every ordered pair of objects."""
     objs = list(objects)

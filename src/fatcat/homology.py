@@ -38,7 +38,7 @@ class IntegerChainComplex:
             if mat.nrows != len(self.basis[k - 1]) or mat.ncols != len(self.basis[k]):
                 raise StructureError(f"boundary {k} has wrong shape")
         for k in range(2, D + 1):
-            if not boundary[k - 1].mul(boundary[k]).is_zero():
+            if not boundary[k - 1].annihilates(boundary[k]):
                 raise StructureError(f"dd != 0 between degrees {k} and {k - 2}")
 
     def rank(self, k):

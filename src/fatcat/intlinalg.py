@@ -1,13 +1,31 @@
 """Exact integer matrix arithmetic.
 
 Everything runs on arbitrary-precision Python integers; there is no floating
-point anywhere.  Smith normal form uses minimal-absolute-value pivoting with
-row-major tie breaking, so results and transforms are deterministic.
+point anywhere.  Smith normal form runs in two stages:
+
+1. Unit pivots are eliminated on a sparse copy of the matrix.  The pivot
+   column is the live column with the fewest nonzeros that holds a +-1
+   entry; the pivot row is the row with the fewest nonzeros among those
+   holding a unit in that column; ties go to the lower index.
+2. The remaining Schur complement, which holds no unit, is cut down to its
+   nonzero rows and columns and eliminated densely with
+   minimal-absolute-value pivoting and row-major tie breaking.
+
+The transforms of both stages are composed at the end.  Nothing is random,
+so results and transforms are deterministic.
 """
 
 from dataclasses import dataclass
 
 from .errors import StructureError
+
+
+def _nonzero_rows(rows, ncols):
+    """Per row, the {column: value} of its nonzero entries."""
+    from itertools import compress
+
+    cols = range(ncols)
+    return [{j: r[j] for j in compress(cols, r)} for r in rows]
 
 
 class IntMatrix:
@@ -29,8 +47,15 @@ class IntMatrix:
             self.ncols = ncols
 
     @classmethod
+    def _wrap(cls, rows, ncols):
+        """Adopt freshly built rows of equal length, without copying."""
+        m = cls.__new__(cls)
+        m.rows, m.nrows, m.ncols = rows, len(rows), ncols
+        return m
+
+    @classmethod
     def zeros(cls, nrows, ncols):
-        return cls([[0] * ncols for _ in range(nrows)], ncols=ncols)
+        return cls._wrap([[0] * ncols for _ in range(nrows)], ncols)
 
     @classmethod
     def identity(cls, n):
@@ -51,47 +76,33 @@ class IntMatrix:
     def shape(self):
         return (self.nrows, self.ncols)
 
-    def copy(self):
-        return IntMatrix([list(r) for r in self.rows], ncols=self.ncols)
-
     def column(self, j):
         return [r[j] for r in self.rows]
-
-    def columns(self):
-        return [self.column(j) for j in range(self.ncols)]
 
     def submatrix_cols(self, start, stop=None):
         stop = self.ncols if stop is None else stop
         return IntMatrix([r[start:stop] for r in self.rows], ncols=stop - start)
 
-    def hstack(self, other):
-        if other.nrows != self.nrows:
-            raise StructureError("hstack: row count mismatch")
-        return IntMatrix(
-            [a + b for a, b in zip(self.rows, other.rows)],
-            ncols=self.ncols + other.ncols,
-        )
-
-    def transpose(self):
-        return IntMatrix(
-            [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-            ncols=self.nrows,
-        )
-
-    def mul(self, other):
-        """Matrix product, skipping zero entries of self (rows are often sparse)."""
+    def _product_rows(self, other):
+        """Rows of self * other as {column: value}, one at a time."""
         if self.ncols != other.nrows:
             raise StructureError("matrix product: shape mismatch")
-        out = []
-        brows = other.rows
-        for row in self.rows:
-            acc = [0] * other.ncols
-            for k, v in enumerate(row):
-                if v:
-                    br = brows[k]
-                    acc = [a + v * b for a, b in zip(acc, br)]
-            out.append(acc)
-        return IntMatrix(out, ncols=other.ncols)
+        right = _nonzero_rows(other.rows, other.ncols)
+        for row in _nonzero_rows(self.rows, self.ncols):
+            acc = {}
+            for k, v in row.items():
+                for j, w in right[k].items():
+                    acc[j] = acc.get(j, 0) + v * w
+            yield acc
+
+    def mul(self, other):
+        """Matrix product, looping over the nonzeros of both factors."""
+        rows = [_dense(acc, other.ncols) for acc in self._product_rows(other)]
+        return IntMatrix._wrap(rows, other.ncols)
+
+    def annihilates(self, other):
+        """Is self * other zero?  Decided without forming the product."""
+        return not any(any(acc.values()) for acc in self._product_rows(other))
 
     def mulvec(self, vec):
         if len(vec) != self.ncols:
@@ -117,9 +128,6 @@ class IntMatrix:
 
     def __repr__(self):
         return f"IntMatrix({self.nrows}x{self.ncols})"
-
-    def to_json(self):
-        return {"nrows": self.nrows, "ncols": self.ncols, "entries": self.rows}
 
 
 @dataclass
@@ -164,7 +172,165 @@ def _find_pivot(rows, t, nrows, ncols):
 
 
 def smith(A, want_u=False, want_uinv=False, want_v=False, want_vinv=False):
-    """Smith normal form over the integers.
+    """Smith normal form over the integers, in the two stages described in
+    the module docstring.
+
+    Each unit step clears the pivot column with row operations and drops
+    the pivot row and column; the column operations that would clear the
+    pivot row touch only V and Vinv.  The inverses need no accumulation:
+    each step's column of Uinv is the pivot column as it stood at that
+    step, and its row of Vinv is the pivot row with the pivot made +1.
+    What is left goes to :func:`_dense_smith`.
+    """
+    from heapq import heapify, heappop, heappush
+
+    nrows, ncols = A.nrows, A.ncols
+    rows = _nonzero_rows(A.rows, ncols)
+    cols = [set() for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j in row:
+            cols[j].add(i)
+    urows = [{i: 1} for i in range(nrows)] if want_u else None
+    vcols = [{j: 1} for j in range(ncols)] if want_v else None
+    pivot_rows, pivot_cols = [], []
+    uinv_cols, vinv_rows = [], []
+
+    # Heap of (column length, column); an entry whose length is stale is
+    # skipped, and every column an elimination touches is pushed afresh.
+    heap = [(len(c), j) for j, c in enumerate(cols) if c]
+    heapify(heap)
+    while heap:
+        size, q = heappop(heap)
+        col = cols[q]
+        if len(col) != size:
+            continue
+        units = [i for i in col if rows[i][q] in (1, -1)]
+        if not units:
+            continue
+        p = min(units, key=lambda i: (len(rows[i]), i))
+        if want_uinv:
+            uinv_cols.append({i: rows[i][q] for i in col})
+        prow = rows[p]
+        if prow[q] == -1:
+            prow = {j: -v for j, v in prow.items()}
+            if want_u:
+                urows[p] = {k: -v for k, v in urows[p].items()}
+        rows[p] = None
+        for j in prow:
+            cols[j].discard(p)
+        for i in list(col):
+            row = rows[i]
+            c = row[q]
+            for j, v in prow.items():
+                new = row.get(j, 0) - c * v
+                if new:
+                    if j not in row:
+                        cols[j].add(i)
+                    row[j] = new
+                else:
+                    del row[j]
+                    cols[j].discard(i)
+            if want_u:
+                _axpy(urows[i], -c, urows[p])
+        if want_v:
+            vq = vcols[q]
+            for j, v in prow.items():
+                if j != q:
+                    _axpy(vcols[j], -v, vq)
+        for j in prow:
+            if cols[j]:
+                heappush(heap, (len(cols[j]), j))
+        pivot_rows.append(p)
+        pivot_cols.append(q)
+        if want_vinv:
+            vinv_rows.append(prow)
+
+    live_rows = [i for i in range(nrows) if rows[i] is not None]
+    dense_rows = [i for i in live_rows if rows[i]]
+    zero_rows = [i for i in live_rows if not rows[i]]
+    dense_cols = [j for j in range(ncols) if cols[j]]
+    dead = set(pivot_cols)
+    zero_cols = [j for j in range(ncols) if not cols[j] and j not in dead]
+    residual = IntMatrix(
+        [[rows[i].get(j, 0) for j in dense_cols] for i in dense_rows],
+        ncols=len(dense_cols),
+    )
+    form = _dense_smith(residual, want_u, want_uinv, want_v, want_vinv)
+
+    # Rows of U and Vinv, and columns of Uinv and V, come in the order
+    # (unit pivots, dense residual, zero rows or columns).
+    U = Uinv = V = Vinv = None
+    if want_u:
+        U = _compose(
+            [urows[p] for p in pivot_rows], form.U.rows,
+            [urows[i] for i in dense_rows], [urows[i] for i in zero_rows], nrows,
+        )
+    if want_uinv:
+        Uinv = _transposed(_compose(
+            uinv_cols, zip(*form.Uinv.rows),
+            [{i: 1} for i in dense_rows], [{i: 1} for i in zero_rows], nrows,
+        ))
+    if want_v:
+        V = _transposed(_compose(
+            [vcols[q] for q in pivot_cols], zip(*form.V.rows),
+            [vcols[j] for j in dense_cols], [vcols[j] for j in zero_cols], ncols,
+        ))
+    if want_vinv:
+        Vinv = _compose(
+            vinv_rows, form.Vinv.rows,
+            [{j: 1} for j in dense_cols], [{j: 1} for j in zero_cols], ncols,
+        )
+
+    return SmithForm(
+        factors=[1] * len(pivot_rows) + form.factors,
+        rank=len(pivot_rows) + form.rank,
+        nrows=nrows,
+        ncols=ncols,
+        U=U,
+        Uinv=Uinv,
+        V=V,
+        Vinv=Vinv,
+    )
+
+
+def _axpy(target, q, source):
+    """target += q * source, for sparse vectors stored as dicts."""
+    for k, v in source.items():
+        new = target.get(k, 0) + q * v
+        if new:
+            target[k] = new
+        else:
+            del target[k]
+
+
+def _compose(lead, mix, vecs, tail, n):
+    """Square matrix whose rows are the sparse vectors of ``lead``, then
+    sum_b m[b] * vecs[b] for each row m of ``mix``, then those of ``tail``."""
+    out = [_dense(v, n) for v in lead]
+    for m in mix:
+        acc = [0] * n
+        for s, vec in zip(m, vecs):
+            if s:
+                for k, v in vec.items():
+                    acc[k] += s * v
+        out.append(acc)
+    out.extend(_dense(v, n) for v in tail)
+    return IntMatrix._wrap(out, n)
+
+
+def _transposed(m):
+    return IntMatrix._wrap([list(c) for c in zip(*m.rows)], m.nrows)
+
+
+def _dense(vec, n):
+    out = [0] * n
+    for k, v in vec.items():
+        out[k] = v
+    return out
+
+
+def _dense_smith(A, want_u, want_uinv, want_v, want_vinv):
+    """Dense Smith normal form, the second stage of :func:`smith`.
 
     Elimination picks the minimal-absolute-value pivot, clears its row and
     column with Euclidean steps, then forces the pivot to divide the whole
@@ -269,7 +435,10 @@ def smith(A, want_u=False, want_uinv=False, want_v=False, want_vinv=False):
                 swap_cols(t, found[1])
                 continue
             # Pivot must divide the trailing submatrix for the divisibility
-            # chain; merging an offending row restarts the reduction.
+            # chain; merging an offending row restarts the reduction.  A
+            # pivot of 1 divides everything.
+            if pivot == 1:
+                break
             offender = None
             for i in range(t + 1, nrows):
                 row = M[i]

@@ -32,3 +32,13 @@ def oracle_homology(cx, k):
                 torsion.append(d)
     torsion.sort()
     return betti, tuple(torsion)
+
+
+def oracle_invariant_factors(mat):
+    """Sorted nonzero invariant factors of an IntMatrix, by sympy."""
+    if mat.nrows == 0 or mat.ncols == 0:
+        return []
+    snf = smith_normal_form(Matrix(mat.rows), domain=ZZ)
+    return sorted(
+        abs(int(snf[i, i])) for i in range(min(snf.rows, snf.cols)) if snf[i, i] != 0
+    )

@@ -1,10 +1,17 @@
+import json
 import random
 
 import pytest
 
 from fatcat.errors import StructureError
 from fatcat.fincat import ordinal
-from fatcat.fixtures import pair_groupoid, terminal_category, z2_groupoid
+from fatcat.fixtures import (
+    cyclic_groupoid,
+    pair_groupoid,
+    standard_categories,
+    terminal_category,
+    z2_groupoid,
+)
 from fatcat.homology import (
     ChainMap,
     HomologyClasses,
@@ -18,10 +25,10 @@ from fatcat.homology import (
     normalization_projection,
     quasi_iso_through,
 )
-from fatcat.intlinalg import IntMatrix, kernel_basis, smith
+from fatcat.intlinalg import IntMatrix, _dense_smith, kernel_basis, smith
 from fatcat.simpset import SimplicialMap, nerve, product_with_S, s_semisimplicial
 
-from oracles import oracle_homology
+from oracles import oracle_homology, oracle_invariant_factors
 
 
 def reference_flip_complex(D):
@@ -283,25 +290,154 @@ def test_identity_check_rejects_sign_flip():
     assert not rep.ok
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_smith_matches_oracle_on_random_matrices(seed):
-    from sympy import Matrix, ZZ
-    from sympy.matrices.normalforms import smith_normal_form
+# ---------------------------------------------------------------------------
+# Two-stage smith against the dense eliminator and sympy
 
-    rng = random.Random(seed)
-    rows = rng.randint(1, 6)
-    cols = rng.randint(1, 6)
-    entries = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-    a = IntMatrix(entries)
-    form = smith(a, want_u=True, want_v=True)
-    diag = IntMatrix.zeros(rows, cols)
+
+def assert_smith_form(a):
+    """Full transforms are valid and inverse, partial requests give the same
+    matrices, and the factors match the dense eliminator and sympy."""
+    form = smith(a, want_u=True, want_uinv=True, want_v=True, want_vinv=True)
+    diag = IntMatrix.zeros(a.nrows, a.ncols)
     for i, d in enumerate(form.factors):
         diag.rows[i][i] = d
     assert form.U.mul(a).mul(form.V) == diag
-    reference = smith_normal_form(Matrix(entries), domain=ZZ)
-    ref_factors = sorted(
-        abs(int(reference[i, i]))
-        for i in range(min(rows, cols))
-        if reference[i, i] != 0
+    assert form.U.mul(form.Uinv) == IntMatrix.identity(a.nrows)
+    assert form.V.mul(form.Vinv) == IntMatrix.identity(a.ncols)
+    assert form.rank == len(form.factors)
+    assert all(d > 0 for d in form.factors)
+    assert all(e % d == 0 for d, e in zip(form.factors, form.factors[1:]))
+    assert smith(a, want_u=True, want_uinv=True).U == form.U
+    assert smith(a, want_v=True, want_vinv=True).Vinv == form.Vinv
+    assert smith(a).factors == form.factors
+    dense = _dense_smith(a, False, False, False, False)
+    assert form.factors == dense.factors
+    assert form.factors == oracle_invariant_factors(a)
+
+
+def random_matrix(rng, rows, cols, values, density):
+    return IntMatrix(
+        [
+            [rng.choice(values) if rng.random() < density else 0 for _ in range(cols)]
+            for _ in range(rows)
+        ],
+        ncols=cols,
     )
-    assert sorted(form.factors) == ref_factors
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_smith_differential_sparse_units(seed):
+    rng = random.Random(100 + seed)
+    a = random_matrix(rng, rng.randint(4, 12), rng.randint(4, 12), (1, -1, 1, -1, 2), 0.3)
+    assert_smith_form(a)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_smith_matches_oracle_on_random_matrices(seed):
+    rng = random.Random(seed)
+    rows = rng.randint(1, 6)
+    cols = rng.randint(1, 6)
+    a = IntMatrix([[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)])
+    assert_smith_form(a)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0), (2, 3)])
+def test_smith_differential_empty_and_zero(shape):
+    a = IntMatrix.zeros(*shape)
+    assert_smith_form(a)
+    assert smith(a).rank == 0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_smith_differential_unit_block_with_residual(seed):
+    """A unimodular mix of I_k and a unit-free residual: the sparse stage
+    must hand the residual's torsion on intact."""
+    rng = random.Random(300 + seed)
+    k = rng.randint(1, 4)
+    res = [[rng.choice((0, 2, 3, 4, 6, -4)) for _ in range(3)] for _ in range(3)]
+    n, m = k + 3, k + 4
+    block = IntMatrix.zeros(n, m)
+    for i in range(k):
+        block.rows[i][i] = 1
+    for i in range(3):
+        block.rows[k + i][k : k + 3] = res[i]
+    left = IntMatrix.identity(n)
+    right = IntMatrix.identity(m)
+    for _ in range(6):
+        i, j = rng.sample(range(n), 2)
+        left.rows[i] = [x + rng.choice((-1, 1)) * y for x, y in zip(left.rows[i], left.rows[j])]
+        i, j = rng.sample(range(m), 2)
+        for row in right.rows:
+            row[i] += row[j]
+    a = left.mul(block).mul(right)
+    assert_smith_form(a)
+    assert smith(a).factors[:k] == [1] * k
+
+
+def test_smith_unit_pivot_rule():
+    """Column 0 is shortest but holds no unit, so column 2 (length 2) goes
+    first; then column 1 at row 2; the residual -6 goes to the dense stage.
+    Uinv's columns are the pivot columns as they stood, Vinv's rows the
+    pivot rows."""
+    a = IntMatrix([[2, 1, 1], [0, -1, 3], [0, 1, 0]])
+    form = smith(a, want_uinv=True, want_vinv=True)
+    assert form.factors == [1, 1, 6]
+    assert form.Uinv.rows == [[1, 0, 0], [3, -4, -1], [0, 1, 0]]
+    assert form.Vinv.rows == [[2, 1, 1], [0, 1, 0], [1, 0, 0]]
+    assert_smith_form(a)
+
+
+def fixture_complexes():
+    from fatcat.cocycle import CoveredComplex, base_chain_complex, blowup
+    from fatcat.comparison import flag_chain_complex, simplex_chain_complex
+    from fatcat.fixtures import (
+        circle_star_cover,
+        edge_star_cover,
+        hemisphere_cover,
+        random_two_complex,
+    )
+
+    out = {}
+    for name, cat in standard_categories().items():
+        out[f"fat-{name}"] = fat_chains(nerve(cat, 3))
+        out[f"geometric-{name}"] = geometric_chains(nerve(cat, 3))
+    out["fat-z3"] = fat_chains(nerve(cyclic_groupoid(3).base, 3))
+    out["stage-product"] = fat_chains(product_with_S(nerve(z2_groupoid().base, 2), s_semisimplicial(3, 2)))
+    out["blowup-edge-stars"] = blowup(edge_star_cover()).total
+    out["blowup-vertex-stars"] = blowup(circle_star_cover()).total
+    out["blowup-hemispheres"] = blowup(hemisphere_cover()).total
+    faces = random_two_complex()
+    out["random-two-complex"] = base_chain_complex(CoveredComplex(faces, [faces]))
+    out["flags-2"] = flag_chain_complex(2)
+    out["simplex-3"] = simplex_chain_complex(3)
+    return out
+
+
+def test_smith_differential_fixture_boundaries():
+    for name, cx in fixture_complexes().items():
+        for k in range(1, cx.D + 1):
+            assert_smith_form(cx.boundary[k])
+
+
+# ---------------------------------------------------------------------------
+# Closed form: H_k(BZ/n) is Z, then Z/n in odd and 0 in even degrees
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_cyclic_group_homology_closed_form(n):
+    cx = fat_chains(nerve(cyclic_groupoid(n).base, 5))
+    assert homology(cx, 0).group() == (1, ())
+    for k in range(1, 5):
+        assert homology(cx, k).group() == ((0, (n,)) if k % 2 else (0, ()))
+
+
+def test_tom_dieck_on_z3(tmp_path, capsys):
+    from fatcat.cli import main
+    from fatcat.fincat import groupoid_to_json
+
+    path = tmp_path / "z3.json"
+    path.write_text(json.dumps(groupoid_to_json(cyclic_groupoid(3))))
+    code = main(["verify", "tom-dieck", "--input", str(path), "--N", "4", "--D", "3", "--d", "2"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0 and payload["ok"]
+    assert [d["target"]["torsion"] for d in payload["degrees"]] == [[], [3], []]
