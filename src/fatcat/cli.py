@@ -46,6 +46,9 @@ from . import fixtures
 
 PASS, FAIL, BAD_INPUT = 0, 1, 2
 
+# fewest (point, time) pairs the partition grid must check to count
+MIN_PARTITION_PAIRS = 100
+
 
 def _emit(payload, out_path=None, timing=None):
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -61,6 +64,19 @@ def _emit(payload, out_path=None, timing=None):
 
 def _witnesses(violations):
     return [v.to_json() for v in violations]
+
+
+def _degrees(rep):
+    """Per-degree homology comparison of a quasi-isomorphism report."""
+    return [
+        {
+            "degree": c.degree,
+            "source": c.source.to_json(),
+            "target": c.target.to_json(),
+            "isomorphism": c.isomorphism,
+        }
+        for c in rep.degrees
+    ]
 
 
 def _load(path, loader):
@@ -213,7 +229,7 @@ def _claim_classifying_pullback(params):
 def _claim_partition(params):
     pairs, violations = check_partition_grid()
     witnesses = _witnesses(violations)
-    if pairs < 100:
+    if pairs < MIN_PARTITION_PAIRS:
         witnesses.append({"missing": f"grid too small: {pairs}"})
     return witnesses
 
@@ -306,7 +322,7 @@ CLAIMS = [
     {
         "id": "partition-homotopy",
         "statement": "the partition deformation is exact: unit sum, identity at time zero, truncated support at time one",
-        "parameters": {"grid": ">=100 pairs"},
+        "parameters": {"grid": f">={MIN_PARTITION_PAIRS} pairs"},
         "run": _claim_partition,
     },
 ]
@@ -378,15 +394,7 @@ def cmd_verify_tom_dieck(args):
     rep = quasi_iso_through(pi, args.d)
     payload = {
         "ok": rep.ok,
-        "degrees": [
-            {
-                "degree": c.degree,
-                "source": c.source.to_json(),
-                "target": c.target.to_json(),
-                "isomorphism": c.isomorphism,
-            }
-            for c in rep.degrees
-        ],
+        "degrees": _degrees(rep),
         "witnesses": _witnesses(rep.violations),
     }
     _emit(payload, args.out)
@@ -442,15 +450,7 @@ def cmd_verify_blowup(args):
     rep = blowup_vs_base(base, args.d)
     payload = {
         "ok": rep.ok,
-        "degrees": [
-            {
-                "degree": c.degree,
-                "source": c.source.to_json(),
-                "target": c.target.to_json(),
-                "isomorphism": c.isomorphism,
-            }
-            for c in rep.degrees
-        ],
+        "degrees": _degrees(rep),
         "witnesses": _witnesses(rep.violations),
     }
     _emit(payload, args.out)
@@ -467,7 +467,7 @@ def cmd_verify_universal(args):
 def cmd_verify_partition(args):
     pairs, violations = check_partition_grid()
     payload = {
-        "ok": not violations and pairs >= 100,
+        "ok": not violations and pairs >= MIN_PARTITION_PAIRS,
         "pairs": pairs,
         "witnesses": _witnesses(violations),
     }

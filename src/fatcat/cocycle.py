@@ -18,9 +18,17 @@ from itertools import combinations
 
 from .errors import StructureError, Violation, check_budget
 from .fincat import FinGroupoid, groupoid_from_json, groupoid_to_json
-from .homology import ChainMap, IntegerChainComplex, QuasiIsoReport, geometric_chains, quasi_iso_through
+from .homology import (
+    ChainMap,
+    IntegerChainComplex,
+    QuasiIsoReport,
+    cellular_map,
+    complex_from_terms,
+    deletion_complex,
+    geometric_chains,
+    quasi_iso_through,
+)
 from .ids import decode_id, encode_id, sort_key
-from .intlinalg import IntMatrix
 from .simpset import TruncatedSimplicialSet, nerve, unravel_simplicial
 
 
@@ -720,28 +728,32 @@ class BlowupComplex:
 
 def base_chain_complex(cc: CoveredComplex, D=None) -> IntegerChainComplex:
     """Ordered simplicial chains of the underlying complex, padded to D."""
-    dim = cc.dimension()
-    D = dim if D is None else D
-    basis = []
-    for k in range(D + 1):
-        basis.append(sorted((f for f in cc.faces if len(f) == k + 1), key=sort_key))
-    boundary = {}
-    for k in range(1, D + 1):
-        idx = {cell: i for i, cell in enumerate(basis[k - 1])}
-        mat = IntMatrix.zeros(len(basis[k - 1]), len(basis[k]))
-        for j, cell in enumerate(basis[k]):
-            sign = 1
-            for i in range(k + 1):
-                mat.rows[idx[cell[:i] + cell[i + 1:]]][j] += sign
-                sign = -sign
-        boundary[k] = mat
-    return IntegerChainComplex(D, basis, boundary)
+    D = cc.dimension() if D is None else D
+    return deletion_complex(
+        [sorted((f for f in cc.faces if len(f) == k + 1), key=sort_key) for k in range(D + 1)]
+    )
+
+
+def _blowup_boundary(k, cell):
+    """Index-deleting sum plus the signed face sum of one generator."""
+    idx, face = cell
+    p = len(idx) - 1
+    if p:
+        for r in range(p + 1):
+            yield (idx[:r] + idx[r + 1:], face), -1 if r % 2 else 1
+    if len(face) > 1:
+        for r in range(len(face)):
+            yield (idx, face[:r] + face[r + 1:]), -1 if (p + r) % 2 else 1
+
+
+def _collapse(k, cell):
+    idx, face = cell
+    return ((face, 1),) if len(idx) == 1 else ()
 
 
 def blowup(base: CoveredComplex, D=None) -> BlowupComplex:
     """Build the blowup and its collapse onto the underlying complex."""
     n = len(base.cover)
-    dim = base.dimension()
     tuples = []
     for p in range(n):
         for idx in combinations(range(n), p + 1):
@@ -766,36 +778,8 @@ def blowup(base: CoveredComplex, D=None) -> BlowupComplex:
         level.sort(key=sort_key)
         basis.append(level)
     check_budget(sum(len(b) for b in basis), "blowup total complex")
-    boundary = {}
-    for k in range(1, D + 1):
-        idx_map = {cell: i for i, cell in enumerate(basis[k - 1])}
-        mat = IntMatrix.zeros(len(basis[k - 1]), len(basis[k]))
-        for j, (idx, face) in enumerate(basis[k]):
-            p = len(idx) - 1
-            if p:
-                sign = 1
-                for r in range(p + 1):
-                    child = (idx[:r] + idx[r + 1:], face)
-                    mat.rows[idx_map[child]][j] += sign
-                    sign = -sign
-            if len(face) > 1:
-                sign = 1 if p % 2 == 0 else -1
-                for r in range(len(face)):
-                    child = (idx, face[:r] + face[r + 1:])
-                    mat.rows[idx_map[child]][j] += sign
-                    sign = -sign
-        boundary[k] = mat
-    total = IntegerChainComplex(D, basis, boundary)
-    target = base_chain_complex(base, D)
-    mats = []
-    for k in range(D + 1):
-        tgt_idx = target.index(k)
-        mat = IntMatrix.zeros(target.rank(k), total.rank(k))
-        for j, (idx, face) in enumerate(basis[k]):
-            if len(idx) == 1:
-                mat.rows[tgt_idx[face]][j] = 1
-        mats.append(mat)
-    projection = ChainMap(total, target, mats)
+    total = complex_from_terms(D, basis, _blowup_boundary)
+    projection = cellular_map(total, base_chain_complex(base, D), _collapse)
     return BlowupComplex(base, bigraded, total, projection)
 
 
@@ -817,6 +801,14 @@ class ClassifyingMap:
     chain_map: ChainMap
 
 
+def _classifying_cell(u: GCocycle, seq, vertex):
+    """Cell of the classifying complex labelled by the transitions of u at
+    a vertex of the overlap of the cover sets in seq."""
+    if len(seq) == 1:
+        return (seq, u.object_at(seq[0], vertex))
+    return (seq, tuple(u.transition(a, b, vertex) for a, b in zip(seq, seq[1:])))
+
+
 def classifying_chain_map(u: GCocycle, N: int, D: int) -> ClassifyingMap:
     """Chain map from the blowup into the normalized classifying chains.
 
@@ -830,26 +822,12 @@ def classifying_chain_map(u: GCocycle, N: int, D: int) -> ClassifyingMap:
     bg = bg_complex(u.groupoid, N, D)
     target = geometric_chains(bg.space)
     blow = blowup(u.base, D=max(D, u.base.dimension()))
-    source = blow.total
-    mats = []
-    for k in range(min(D, source.D) + 1):
-        tgt_idx = target.index(k)
-        mat = IntMatrix.zeros(target.rank(k), source.rank(k))
-        for j, (idx, face) in enumerate(source.basis[k]):
-            if len(face) != 1:
-                continue
-            seq = idx
-            if len(seq) == 1:
-                cell = (seq, u.object_at(seq[0], face))
-            else:
-                arrows = tuple(
-                    u.transition(seq[r], seq[r + 1], face)
-                    for r in range(len(seq) - 1)
-                )
-                cell = (seq, arrows)
-            mat.rows[tgt_idx[cell]][j] = 1
-        mats.append(mat)
-    chain_map = ChainMap(source, target, mats)
+
+    def terms(k, cell):
+        seq, face = cell
+        return ((_classifying_cell(u, seq, face), 1),) if len(face) == 1 else ()
+
+    chain_map = cellular_map(blow.total, target, terms)
     return ClassifyingMap(u, bg, blow, chain_map)
 
 
@@ -867,15 +845,7 @@ def pullback_is_restriction(u: GCocycle, N: int, D: int):
                 continue
             for comp in u.base.components_of_overlap(seq):
                 face = comp[:1]
-                if len(seq) == 1:
-                    cell = (seq, u.object_at(seq[0], face))
-                else:
-                    arrows = tuple(
-                        u.transition(seq[r], seq[r + 1], face)
-                        for r in range(len(seq) - 1)
-                    )
-                    cell = (seq, arrows)
-                gamma = _gamma_for_cell(g, cell)
+                gamma = _gamma_for_cell(g, _classifying_cell(u, seq, face))
                 for a in seq:
                     for b in seq:
                         expected = u.transition(a, b, face)

@@ -16,7 +16,7 @@ boundary identity holds already for the interval.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .errors import StructureError, Violation
 from .fincat import FinCategory, ordinal, unravel
@@ -24,6 +24,9 @@ from .homology import (
     ChainMap,
     IntegerChainComplex,
     QuasiIsoReport,
+    cell_matrix,
+    cellular_map,
+    deletion_complex,
     fat_chains,
     geometric_chains,
     homology,
@@ -34,9 +37,11 @@ from .intlinalg import IntMatrix
 from .simpset import (
     SimplicialMap,
     TruncatedSimplicialSet,
+    maximal_flags,
     nerve,
     product_with_S,
     s_semisimplicial,
+    sd_flags,
 )
 
 
@@ -72,79 +77,36 @@ def flag_chain_complex(n: int) -> IntegerChainComplex:
     A k-cell is a strict chain of k+1 nonempty subsets of {0..n}; the face
     d_i deletes the i-th subset.
     """
-    from .simpset import sd_flags
-
-    basis = []
-    for k in range(n + 1):
-        basis.append([_flag_id(f.chain) for f in sd_flags(n, k)])
-    boundary = {}
-    for k in range(1, n + 1):
-        idx = {cell: i for i, cell in enumerate(basis[k - 1])}
-        mat = IntMatrix.zeros(len(basis[k - 1]), len(basis[k]))
-        for j, cell in enumerate(basis[k]):
-            sign = 1
-            for i in range(k + 1):
-                face = cell[:i] + cell[i + 1:]
-                mat.rows[idx[face]][j] += sign
-                sign = -sign
-        boundary[k] = mat
-    return IntegerChainComplex(n, basis, boundary)
+    return deletion_complex(
+        [[_flag_id(f.chain) for f in sd_flags(n, k)] for k in range(n + 1)]
+    )
 
 
 def simplex_chain_complex(n: int) -> IntegerChainComplex:
     """Simplicial chains of the n-simplex; k-cells are (k+1)-subsets."""
-    basis = [list(combinations(range(n + 1), k + 1)) for k in range(n + 1)]
-    boundary = {}
-    for k in range(1, n + 1):
-        idx = {cell: i for i, cell in enumerate(basis[k - 1])}
-        mat = IntMatrix.zeros(len(basis[k - 1]), len(basis[k]))
-        for j, cell in enumerate(basis[k]):
-            sign = 1
-            for i in range(k + 1):
-                mat.rows[idx[cell[:i] + cell[i + 1:]]][j] += sign
-                sign = -sign
-        boundary[k] = mat
-    return IntegerChainComplex(n, basis, boundary)
-
-
-def _signed_maximal_flags(vertices):
-    """Maximal flags of the simplex on the given vertices, with parity signs."""
-    verts = sorted(vertices)
-    out = []
-    for pi in permutations(range(len(verts))):
-        chain = []
-        acc = []
-        for p in pi:
-            acc.append(verts[p])
-            chain.append(tuple(sorted(acc)))
-        inversions = sum(
-            1
-            for a in range(len(pi))
-            for b in range(a + 1, len(pi))
-            if pi[a] > pi[b]
-        )
-        out.append((tuple(chain), -1 if inversions % 2 else 1))
-    return out
+    return deletion_complex(
+        [list(combinations(range(n + 1), k + 1)) for k in range(n + 1)]
+    )
 
 
 def subdivision_chain_operator(n: int):
     """Per-degree matrices of the subdivision operator Sd on the n-simplex.
 
     Sd sends a k-face to the signed sum of the (k+1)! maximal flags of that
-    face; the degree-k matrix maps simplex chains to flag chains.
+    face, the maximal flags of {0..k} relabelled by the face's vertices;
+    the degree-k matrix maps simplex chains to flag chains.
     """
     if n < 0:
         raise StructureError("n must be >= 0")
     flags = flag_chain_complex(n)
     simp = simplex_chain_complex(n)
-    mats = []
-    for k in range(n + 1):
-        idx = flags.index(k)
-        mat = IntMatrix.zeros(flags.rank(k), simp.rank(k))
-        for j, cell in enumerate(simp.basis[k]):
-            for chain, sign in _signed_maximal_flags(cell):
-                mat.rows[idx[chain]][j] += sign
-        mats.append(mat)
+    top = [maximal_flags(k) for k in range(n + 1)]
+
+    def terms(cell):
+        for flag, sign in top[len(cell) - 1]:
+            yield _flag_id([cell[v] for v in part] for part in flag.chain), sign
+
+    mats = [cell_matrix(simp.basis[k], flags.basis[k], terms) for k in range(n + 1)]
     return simp, flags, mats
 
 
@@ -203,22 +165,18 @@ def tau_chain_map(x: TruncatedSimplicialSet, N: int, D: int) -> ChainMap:
         raise StructureError("D must match the truncation of x")
     if N < D + 1:
         raise StructureError("need N >= D + 1 so stage labels 1..D+1 exist")
-    s = s_semisimplicial(N, D)
-    prod = product_with_S(x, s)
-    src = fat_chains(x)
-    tgt = fat_chains(prod)
-    mats = []
-    for n in range(D + 1):
-        idx = tgt.index(n)
-        mat = IntMatrix.zeros(tgt.rank(n), src.rank(n))
+    pullbacks = [
+        [(tuple(max(part) for part in flag.chain), sign) for flag, sign in maximal_flags(n)]
+        for n in range(D + 1)
+    ]
+
+    def terms(n, cell):
         stage = tuple(range(1, n + 2))
-        for j, cell in enumerate(src.basis[n]):
-            for chain, sign in _signed_maximal_flags(range(n + 1)):
-                u = tuple(max(part) for part in chain)
-                image = (apply_operator(x, n, cell, u), stage)
-                mat.rows[idx[image]][j] += sign
-        mats.append(mat)
-    return ChainMap(src, tgt, mats)
+        for u, sign in pullbacks[n]:
+            yield (apply_operator(x, n, cell, u), stage), sign
+
+    prod = product_with_S(x, s_semisimplicial(N, D))
+    return cellular_map(fat_chains(x), fat_chains(prod), terms)
 
 
 def pi_tau_homology_check(c: FinCategory, N: int, D: int, d: int) -> QuasiIsoReport:

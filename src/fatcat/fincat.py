@@ -93,12 +93,9 @@ class FinGroupoid:
         return self.base.compose(g, f)
 
 
-def check_category(c: FinCategory):
-    """Exhaustive law audit.  Empty report means c is a category.
-
-    Raises StructureError on dangling identifiers or missing identity
-    entries; equational failures are reported, not raised.
-    """
+def _check_ids(c: FinCategory):
+    """Raise StructureError on dangling identifiers or missing identity
+    entries."""
     objset = set(c.objects)
     morset = set(c.src)
     for m, s, t in c.morphisms:
@@ -113,6 +110,22 @@ def check_category(c: FinCategory):
         if f not in morset or g not in morset or h not in morset:
             raise StructureError(f"composition entry has dangling id: {(f, g, h)}")
 
+
+def _composable_pairs(c: FinCategory):
+    """Every (f, g) with target(f) = source(g), in morphism order."""
+    starting = {x: [] for x in c.objects}
+    for m, s, _ in c.morphisms:
+        starting[s].append(m)
+    return [(f, g) for f in c.morphism_ids() for g in starting[c.tgt[f]]]
+
+
+def check_category(c: FinCategory):
+    """Exhaustive law audit.  Empty report means c is a category.
+
+    Raises StructureError on dangling identifiers or missing identity
+    entries; equational failures are reported, not raised.
+    """
+    _check_ids(c)
     violations = []
 
     for x in c.objects:
@@ -123,11 +136,7 @@ def check_category(c: FinCategory):
             )
 
     mids = c.morphism_ids()
-    composable = []
-    for f in mids:
-        for g in mids:
-            if c.tgt[f] == c.src[g]:
-                composable.append((f, g))
+    composable = _composable_pairs(c)
     comp_set = set(composable)
     for pair in composable:
         if pair not in c.table:
@@ -173,16 +182,22 @@ def check_category(c: FinCategory):
     return violations
 
 
-def check_groupoid(g: FinGroupoid):
-    """Category audit plus endpoint-swap and two-sided inverse laws."""
-    violations = check_category(g.base)
-    c = g.base
-    morset = set(c.src)
+def _check_inverse_ids(g: FinGroupoid):
+    """Raise StructureError unless the inverse map is a total map from
+    morphisms to morphisms."""
+    morset = set(g.base.src)
     if set(g.inverse) != morset:
         raise StructureError("inverse map is not total on morphisms")
     for m, inv in g.inverse.items():
         if inv not in morset:
             raise StructureError(f"inverse of {m} is not a morphism: {inv}")
+
+
+def check_groupoid(g: FinGroupoid):
+    """Category audit plus endpoint-swap and two-sided inverse laws."""
+    violations = check_category(g.base)
+    c = g.base
+    _check_inverse_ids(g)
     for m in c.morphism_ids():
         inv = g.inverse[m]
         if c.src[inv] != c.tgt[m] or c.tgt[inv] != c.src[m]:
@@ -496,7 +511,12 @@ def category_from_json(doc: dict) -> FinCategory:
         }
     except (KeyError, TypeError) as exc:
         raise StructureError(f"malformed category document: {exc}")
-    return FinCategory(objects, morphisms, identity, compose)
+    c = FinCategory(objects, morphisms, identity, compose)
+    _check_ids(c)
+    for pair in _composable_pairs(c):
+        if pair not in c.table:
+            raise StructureError(f"composable pair missing from the composition table: {pair}")
+    return c
 
 
 def groupoid_to_json(g: FinGroupoid) -> dict:
@@ -517,4 +537,6 @@ def groupoid_from_json(doc: dict) -> FinGroupoid:
         inverse = {mor_by_key[k]: decode_id(v) for k, v in doc["inverse"].items()}
     except KeyError as exc:
         raise StructureError(f"inverse table names unknown morphism: {exc}")
-    return FinGroupoid(base, inverse)
+    g = FinGroupoid(base, inverse)
+    _check_inverse_ids(g)
+    return g

@@ -7,9 +7,15 @@ computed in fat chains and then projected by killing degenerate cells.
 Homology is exact (Smith normal form over the integers); a degree k is
 reliable only when k + 1 is still below the truncation cutoff, since the
 truncation removes boundaries from above.
+
+Every boundary and every cellular chain map in the package is laid out by
+one builder, :func:`cell_matrix`, through :func:`complex_from_terms` and
+:func:`cellular_map`.  Simplicial objects are audited once, when they are
+built, and are immutable, so nothing here audits them again.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import StructureError, Violation
 from .intlinalg import (
@@ -142,46 +148,72 @@ class ChainMap:
         }
 
 
+def cell_matrix(source_cells, target_cells, terms) -> IntMatrix:
+    """The one place where cells are laid out as an integer matrix.
+
+    Column j belongs to ``source_cells[j]`` and row i to ``target_cells[i]``;
+    ``terms(cell)`` yields ``(target_cell, coeff)`` pairs, and coefficients
+    landing on the same entry add up.
+    """
+    row_of = {cell: i for i, cell in enumerate(target_cells)}
+    mat = IntMatrix.zeros(len(target_cells), len(source_cells))
+    rows = mat.rows
+    for j, cell in enumerate(source_cells):
+        for target, coeff in terms(cell):
+            rows[row_of[target]][j] += coeff
+    return mat
+
+
+def complex_from_terms(D, basis, terms) -> IntegerChainComplex:
+    """Chain complex whose boundary of a k-cell is ``terms(k, cell)``."""
+    boundary = {
+        k: cell_matrix(basis[k], basis[k - 1], partial(terms, k))
+        for k in range(1, D + 1)
+    }
+    return IntegerChainComplex(D, basis, boundary)
+
+
+def cellular_map(source, target, terms) -> ChainMap:
+    """Chain map sending a k-cell of source to ``terms(k, cell)`` in target."""
+    matrices = [
+        cell_matrix(source.basis[k], target.basis[k], partial(terms, k))
+        for k in range(min(source.D, target.D) + 1)
+    ]
+    return ChainMap(source, target, matrices)
+
+
+def deletion_complex(basis) -> IntegerChainComplex:
+    """Chains on tuple cells whose face d_i deletes entry i."""
+
+    def terms(k, cell):
+        for i in range(k + 1):
+            yield cell[:i] + cell[i + 1:], -1 if i % 2 else 1
+
+    return complex_from_terms(len(basis) - 1, basis, terms)
+
+
 def fat_chains(x) -> IntegerChainComplex:
     """Unnormalized cellular chains: every simplex contributes a generator."""
-    bad = x.audit()
-    if bad:
-        raise StructureError(f"input fails its identity audit: {bad[0]}")
-    basis = [x.cells[k] for k in range(x.D + 1)]
-    boundary = {}
-    for k in range(1, x.D + 1):
-        idx = {cell: i for i, cell in enumerate(basis[k - 1])}
-        mat = IntMatrix.zeros(len(basis[k - 1]), len(basis[k]))
-        for j, cell in enumerate(basis[k]):
-            sign = 1
-            for i in range(k + 1):
-                mat.rows[idx[x.face(k, i, cell)]][j] += sign
-                sign = -sign
-        boundary[k] = mat
-    return IntegerChainComplex(x.D, basis, boundary)
+
+    def terms(k, cell):
+        for i in range(k + 1):
+            yield x.face(k, i, cell), -1 if i % 2 else 1
+
+    return complex_from_terms(x.D, x.cells, terms)
 
 
 def geometric_chains(x) -> IntegerChainComplex:
     """Normalized chains: nondegenerate cells only, boundary projected."""
     if not x.has_degeneracies:
         raise StructureError("geometric chains need degeneracy maps")
-    bad = x.audit()
-    if bad:
-        raise StructureError(f"input fails its identity audit: {bad[0]}")
-    basis = [x.nondegenerate(k) for k in range(x.D + 1)]
-    boundary = {}
-    for k in range(1, x.D + 1):
-        idx = {cell: i for i, cell in enumerate(basis[k - 1])}
-        mat = IntMatrix.zeros(len(basis[k - 1]), len(basis[k]))
-        for j, cell in enumerate(basis[k]):
-            sign = 1
-            for i in range(k + 1):
-                f = x.face(k, i, cell)
-                if f in idx:
-                    mat.rows[idx[f]][j] += sign
-                sign = -sign
-        boundary[k] = mat
-    return IntegerChainComplex(x.D, basis, boundary)
+
+    def terms(k, cell):
+        for i in range(k + 1):
+            face = x.face(k, i, cell)
+            if not x.is_degenerate(k - 1, face):
+                yield face, -1 if i % 2 else 1
+
+    return complex_from_terms(x.D, [x.nondegenerate(k) for k in range(x.D + 1)], terms)
 
 
 def homology(cx: IntegerChainComplex, k: int) -> HomologyGroup:
@@ -240,33 +272,20 @@ def induced_map(f, chains="fat") -> ChainMap:
     """Chain map induced by a simplicial map on unnormalized chains."""
     if chains != "fat":
         raise StructureError("only fat chains are supported here")
-    src = fat_chains(f.source)
-    tgt = fat_chains(f.target)
-    mats = []
-    for k in range(src.D + 1):
-        idx = tgt.index(k)
-        m = IntMatrix.zeros(tgt.rank(k), src.rank(k))
-        for j, cell in enumerate(src.basis[k]):
-            m.rows[idx[f.apply(k, cell)]][j] = 1
-        mats.append(m)
-    return ChainMap(src, tgt, mats)
+    return cellular_map(
+        fat_chains(f.source), fat_chains(f.target), lambda k, cell: ((f.apply(k, cell), 1),)
+    )
 
 
 def normalization_projection(x) -> ChainMap:
     """Projection from fat chains onto geometric chains, killing the
     degenerate generators.  A classical quasi-isomorphism, used as an
     internal oracle."""
-    fat = fat_chains(x)
-    geo = geometric_chains(x)
-    mats = []
-    for k in range(x.D + 1):
-        idx = geo.index(k)
-        m = IntMatrix.zeros(geo.rank(k), fat.rank(k))
-        for j, cell in enumerate(fat.basis[k]):
-            if cell in idx:
-                m.rows[idx[cell]][j] = 1
-        mats.append(m)
-    return ChainMap(fat, geo, mats)
+
+    def terms(k, cell):
+        return () if x.is_degenerate(k, cell) else ((cell, 1),)
+
+    return cellular_map(fat_chains(x), geometric_chains(x), terms)
 
 
 @dataclass

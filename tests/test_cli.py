@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -176,3 +177,53 @@ def test_report_all_is_deterministic(capsys, tmp_path):
     ids = [c["id"] for c in canonical["claims"]]
     assert len(ids) == len(set(ids))
     assert all(c["result"] == "pass" for c in canonical["claims"])
+
+
+def test_report_all_stdout_is_pinned(capsys):
+    assert main(["report", "all"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "e03d7fc3ac5c4d98e1f3c62fdc9f2be91bcb0e21184597469bea3ade6728bea3"
+
+
+def expect_bad_input(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "error" in json.loads(captured.err)
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nerve", "--D", "2"],
+        ["homology", "--D", "3", "--k", "1"],
+        ["verify", "tom-dieck", "--N", "4", "--D", "3", "--d", "1"],
+        ["verify", "universal-cocycle", "--N", "3", "--D", "2"],
+    ],
+)
+def test_missing_composite_exits_2(capsys, tmp_path, argv):
+    doc = groupoid_to_json(z2_groupoid())
+    s = ["*", "*", "s"]
+    doc["compose"] = [e for e in doc["compose"] if e[:2] != [s, s]]
+    bad = tmp_path / "partial.json"
+    bad.write_text(json.dumps(doc))
+    expect_bad_input(capsys, argv + ["--input", str(bad)])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nerve", "--D", "2"],
+        ["verify", "lemma42", "--N", "2", "--D", "2"],
+        ["verify", "quillen-a", "--N", "2", "--D", "2"],
+    ],
+)
+def test_dangling_endpoint_exits_2(capsys, tmp_path, argv):
+    doc = category_to_json(standard_categories()["ordinal-1"])
+    for m in doc["morphisms"]:
+        if m["src"] != m["tgt"]:
+            m["src"] = "zz"
+    bad = tmp_path / "dangling.json"
+    bad.write_text(json.dumps(doc))
+    expect_bad_input(capsys, argv + ["--input", str(bad)])

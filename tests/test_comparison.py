@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,12 @@ from fatcat.errors import StructureError
 from fatcat.fincat import ordinal, truncated_nat, unravel
 from fatcat.fixtures import pair_groupoid, terminal_category, z2_groupoid
 from fatcat.homology import geometric_chains, homology, quasi_iso_through
-from fatcat.simpset import nerve
+from fatcat.simpset import (
+    SemiSimplicialSet,
+    SimplicialMap,
+    TruncatedSimplicialSet,
+    nerve,
+)
 
 from oracles import oracle_homology
 
@@ -119,6 +125,24 @@ def test_pi_tau_fixes_homology_flip_group():
     rep = pi_tau_homology_check(z2_groupoid().base, 6, 4, 2)
     assert rep.ok
     assert [c.source.group() for c in rep.degrees] == [(1, ()), (0, (2,)), (0, ())]
+
+
+def test_pi_tau_audits_each_object_once(monkeypatch):
+    calls = Counter()
+    audited = []  # keeps every audited object alive, so ids stay distinct
+    for cls in (SemiSimplicialSet, TruncatedSimplicialSet, SimplicialMap):
+        original = vars(cls)["audit"]
+
+        def audit(self, original=original, name=cls.__name__):
+            audited.append(self)
+            calls[(id(self), name)] += 1
+            return original(self)
+
+        monkeypatch.setattr(cls, "audit", audit)
+    rep = pi_tau_homology_check(z2_groupoid().base, 4, 3, 1)
+    assert rep.ok
+    assert len({obj for obj, _ in calls}) >= 4
+    assert set(calls.values()) == {1}
 
 
 def test_rho_evaluate_matches_closed_forms():

@@ -86,6 +86,16 @@ def test_check_category_structural_error_on_dangling_ids():
         check_category(broken)
 
 
+def test_missing_composite_is_reported_in_memory_and_refused_on_load():
+    c = ordinal(1)
+    pair = ((0, 0, "le"), (0, 1, "le"))
+    table = {k: v for k, v in c.table.items() if k != pair}
+    partial = FinCategory(c.objects, c.morphisms, c.identity, table)
+    assert [(v.law, v.witness) for v in check_category(partial)] == [("compose-total", pair)]
+    with pytest.raises(StructureError):
+        category_from_json(category_to_json(partial))
+
+
 def test_check_groupoid_fixtures():
     assert check_groupoid(z2_groupoid()) == []
     assert check_groupoid(pair_groupoid()) == []
