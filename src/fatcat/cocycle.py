@@ -23,6 +23,7 @@ from .homology import (
     IntegerChainComplex,
     QuasiIsoReport,
     cellular_map,
+    check_degree_range,
     complex_from_terms,
     deletion_complex,
     geometric_chains,
@@ -785,7 +786,9 @@ def blowup(base: CoveredComplex, D=None) -> BlowupComplex:
 
 def blowup_vs_base(base: CoveredComplex, d: int) -> QuasiIsoReport:
     """The collapse must be a homology isomorphism in degrees <= d."""
-    blow = blowup(base, D=max(d + 1, base.dimension()))
+    D = max(d + 1, base.dimension())
+    check_degree_range(d, D)
+    blow = blowup(base, D=D)
     return quasi_iso_through(blow.projection, d)
 
 

@@ -26,6 +26,7 @@ from .homology import (
     QuasiIsoReport,
     cell_matrix,
     cellular_map,
+    check_degree_range,
     deletion_complex,
     fat_chains,
     geometric_chains,
@@ -182,8 +183,7 @@ def tau_chain_map(x: TruncatedSimplicialSet, N: int, D: int) -> ChainMap:
 def pi_tau_homology_check(c: FinCategory, N: int, D: int, d: int) -> QuasiIsoReport:
     """The collapse-after-subdivision composite must fix every homology
     class of the fat nerve in degrees <= d."""
-    if d + 1 > D:
-        raise StructureError("truncation too small: need d + 1 <= D")
+    check_degree_range(d, D)
     proj = projection_map(c, N, D)
     tau = tau_chain_map(proj.target, N, D)
     composite = induced_map(proj).compose(tau)
@@ -368,7 +368,9 @@ def _nondegenerate_factorization(c: FinCategory, k: int, cell):
     return tuple(objects), arrows
 
 
-def quillen_fiber(c: FinCategory, N: int, D: int, y_cell, y_degree: int) -> CommaFiber:
+def quillen_fiber(
+    c: FinCategory, N: int, D: int, y_cell, y_degree: int, target=None
+) -> CommaFiber:
     """Comma fiber of a nerve simplex.
 
     Degenerate simplices are factored through their nondegenerate core
@@ -376,6 +378,12 @@ def quillen_fiber(c: FinCategory, N: int, D: int, y_cell, y_degree: int) -> Comm
     is a pair of weakly increasing tuples (vertices of the core simplex,
     stage labels) where equal consecutive stages force the corresponding
     core arrow to be an identity.
+
+    ``target`` is ``nerve(unravel(c, N), D)``, the codomain of the
+    ``to_unraveled`` leg; it is built here when omitted, and a caller that
+    builds many fibers of one category passes it to share it.  A target
+    that misses an image of that leg, or has another D, fails the leg's
+    audit with :class:`StructureError`.
     """
     objects, arrows = _nondegenerate_factorization(c, y_degree, y_cell)
     m = len(objects) - 1
@@ -434,8 +442,8 @@ def quillen_fiber(c: FinCategory, N: int, D: int, y_cell, y_degree: int) -> Comm
     fiber = TruncatedSimplicialSet(D, cells, face, degeneracy)
 
     simplex = nerve(ordinal(m), D)
-    cN = unravel(c, N)
-    target = nerve(cN, D)
+    if target is None:
+        target = nerve(unravel(c, N), D)
 
     left_maps = []
     right_maps = []
@@ -484,8 +492,7 @@ class ContractibilityReport:
 
 def contractibility_report(fiber: CommaFiber, d: int) -> ContractibilityReport:
     """Reduced homology of the fiber must vanish in degrees <= d."""
-    if d > fiber.fiber.D:
-        raise StructureError("truncation too small for the requested range")
+    check_degree_range(d, fiber.fiber.D)
     chains = geometric_chains(fiber.fiber)
     degrees = []
     violations = []
@@ -505,18 +512,31 @@ def contractibility_report(fiber: CommaFiber, d: int) -> ContractibilityReport:
 
 
 def all_fibers_contractible(c: FinCategory, N: int, D: int, d: int = None):
-    """Run the fiber check over every simplex of the truncated nerve."""
+    """Run the fiber check over every simplex of the truncated nerve.
+
+    The fiber of a cell depends only on its nondegenerate core, so each
+    distinct core's fiber is built, audited and checked once, and every
+    cell with that core gets the core's violations under its own
+    ``(k, cell)`` prefix; only the reports are kept, not the fibers.  All
+    fibers share one ``nerve(unravel(c, N), D)``.  Returns the number of
+    nerve cells checked and the violations in cell order.
+    """
     if d is None:
         d = D - 1
+    check_degree_range(d, D)
     ner = nerve(c, D)
+    target = nerve(unravel(c, N), D)
+    reports = {}
     violations = []
     checked = 0
     for k in range(D + 1):
         for cell in ner.cells[k]:
-            fib = quillen_fiber(c, N, D, cell, k)
-            rep = contractibility_report(fib, d)
+            core = _nondegenerate_factorization(c, k, cell)
+            if core not in reports:
+                fib = quillen_fiber(c, N, D, cell, k, target)
+                reports[core] = contractibility_report(fib, d)
             checked += 1
-            for v in rep.violations:
+            for v in reports[core].violations:
                 violations.append(
                     Violation(v.law, (k, cell) + v.witness, v.detail)
                 )

@@ -307,6 +307,16 @@ class QuasiIsoReport:
         return not self.violations
 
 
+def check_degree_range(d: int, D: int) -> None:
+    """Refuse a homology check through degree d on complexes truncated at D
+    unless 0 <= d and d + 1 <= D: below 0 there is nothing to check, and
+    H_D of a complex truncated at D is ker d_D, not homology."""
+    if d < 0:
+        raise StructureError(f"need d >= 0, got d = {d}")
+    if d + 1 > D:
+        raise StructureError(f"truncation too small: need d + 1 <= D, got d = {d}, D = {D}")
+
+
 def quasi_iso_through(F: ChainMap, d: int) -> QuasiIsoReport:
     """Check that a chain map is a homology isomorphism in degrees <= d.
 
@@ -314,8 +324,7 @@ def quasi_iso_through(F: ChainMap, d: int) -> QuasiIsoReport:
     on homology generators must be invertible; for finitely generated
     groups with equal invariants this is equivalent to surjectivity.
     """
-    if d + 1 > F.source.D or d + 1 > F.target.D:
-        raise StructureError("truncation too small for the requested range")
+    check_degree_range(d, min(F.source.D, F.target.D))
     degrees = []
     violations = []
     for k in range(d + 1):
@@ -345,8 +354,7 @@ def identity_on_homology_through(F: ChainMap, d: int) -> QuasiIsoReport:
     """Check that a chain endomap induces the identity on H_k for k <= d."""
     if F.source.basis != F.target.basis:
         raise StructureError("identity check needs an endomap")
-    if d + 1 > F.source.D:
-        raise StructureError("truncation too small for the requested range")
+    check_degree_range(d, F.source.D)
     degrees = []
     violations = []
     for k in range(d + 1):

@@ -207,12 +207,20 @@ def nerve(c: FinCategory, D: int) -> TruncatedSimplicialSet:
     """Nerve of a finite category, truncated at degree D.
 
     k-cells are composable chains; the 0-cells are the objects themselves.
+    The cells are counted and budgeted before any of them is built.
     """
     if D < 0:
         raise StructureError("truncation degree must be >= 0")
     from_obj = {x: [] for x in c.objects}
     for m, s, _ in c.morphisms:
         from_obj[s].append(m)
+    # chains[x]: composable k-chains starting at x, by recurrence on k
+    chains = {x: 1 for x in c.objects}
+    total = len(chains)
+    for _ in range(D):
+        chains = {x: sum(chains[c.tgt[m]] for m in from_obj[x]) for x in c.objects}
+        total += sum(chains.values())
+    check_budget(total, TruncatedSimplicialSet.__name__)
     cells = [list(c.objects)]
     for k in range(1, D + 1):
         nxt = []

@@ -227,3 +227,20 @@ def test_dangling_endpoint_exits_2(capsys, tmp_path, argv):
     bad = tmp_path / "dangling.json"
     bad.write_text(json.dumps(doc))
     expect_bad_input(capsys, argv + ["--input", str(bad)])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "quillen-a", "--input", "ord1.json", "--N", "3", "--D", "3", "--d", "-1"],
+        ["verify", "quillen-a", "--input", "ord1.json", "--N", "2", "--D", "2", "--d", "2"],
+        ["verify", "quillen-a", "--input", "ord1.json", "--N", "2", "--D", "0"],
+        ["verify", "tom-dieck", "--input", "bz2.json", "--N", "4", "--D", "3", "--d", "-1"],
+        ["verify", "tau", "--input", "bz2.json", "--N", "4", "--D", "3", "--d", "-1"],
+        ["verify", "tau", "--input", "bz2.json", "--N", "4", "--D", "3", "--d", "3"],
+        ["verify", "blowup", "--input", "circle.json", "--d", "-1"],
+    ],
+)
+def test_degree_out_of_range_exits_2(capsys, inputs, argv):
+    # d < 0 checks nothing, and H_D of a complex truncated at D is ker d_D
+    expect_bad_input(capsys, [inputs.get(a, a) for a in argv])

@@ -1,8 +1,10 @@
+import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import fatcat.comparison as comparison
 from fatcat.comparison import (
     BarycentricPoint,
     all_fibers_contractible,
@@ -20,9 +22,15 @@ from fatcat.comparison import (
     subdivision_operator,
     tau_chain_map,
 )
-from fatcat.errors import StructureError
-from fatcat.fincat import ordinal, truncated_nat, unravel
-from fatcat.fixtures import pair_groupoid, terminal_category, z2_groupoid
+from fatcat.errors import StructureError, Violation
+from fatcat.fincat import FinCategory, ordinal, truncated_nat, unravel
+from fatcat.fixtures import (
+    cyclic_groupoid,
+    idempotent_monoid_category,
+    pair_groupoid,
+    terminal_category,
+    z2_groupoid,
+)
 from fatcat.homology import geometric_chains, homology, quasi_iso_through
 from fatcat.simpset import (
     SemiSimplicialSet,
@@ -127,7 +135,8 @@ def test_pi_tau_fixes_homology_flip_group():
     assert [c.source.group() for c in rep.degrees] == [(1, ()), (0, (2,)), (0, ())]
 
 
-def test_pi_tau_audits_each_object_once(monkeypatch):
+def count_audits(monkeypatch):
+    """Counter of audit calls per (object id, class name)."""
     calls = Counter()
     audited = []  # keeps every audited object alive, so ids stay distinct
     for cls in (SemiSimplicialSet, TruncatedSimplicialSet, SimplicialMap):
@@ -139,10 +148,42 @@ def test_pi_tau_audits_each_object_once(monkeypatch):
             return original(self)
 
         monkeypatch.setattr(cls, "audit", audit)
+    return calls
+
+
+def test_pi_tau_audits_each_object_once(monkeypatch):
+    calls = count_audits(monkeypatch)
     rep = pi_tau_homology_check(z2_groupoid().base, 4, 3, 1)
     assert rep.ok
     assert len({obj for obj, _ in calls}) >= 4
     assert set(calls.values()) == {1}
+
+
+@pytest.mark.parametrize(
+    "cat, cells, cores",
+    [(ordinal(2), 34, 7), (cyclic_groupoid(3).base, 40, 15)],
+    ids=["ordinal-2", "z3"],
+)
+def test_fiber_sweep_builds_once_per_core(monkeypatch, cat, cells, cores):
+    # a core is a nondegenerate cell, and Z/3 has two edges on one object pair
+    assert sum(len(nerve(cat, 3).nondegenerate(k)) for k in range(4)) == cores
+    audits = count_audits(monkeypatch)
+    calls = Counter()
+    for name in ("unravel", "quillen_fiber"):
+        original = getattr(comparison, name)
+
+        def counted(*args, original=original, name=name):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(comparison, name, counted)
+    checked, violations = all_fibers_contractible(cat, 3, 3)
+    assert (checked, violations) == (cells, [])
+    assert calls == {"unravel": 1, "quillen_fiber": cores}
+    # the nerve, the shared target, and per core a fiber, its simplex and
+    # both legs, each audited exactly once
+    assert len({obj for obj, _ in audits}) == 2 + cores * 4
+    assert set(audits.values()) == {1}
 
 
 def test_rho_evaluate_matches_closed_forms():
@@ -211,6 +252,16 @@ def test_fiber_over_interval_simplex():
         assert oracle_homology(chains, k) == homology(chains, k).group()
 
 
+def test_fiber_refuses_a_wrong_target():
+    c = ordinal(1)
+    edge = ((0, 1, "le"),)
+    shared = nerve(unravel(c, 3), 2)
+    assert quillen_fiber(c, 3, 2, edge, 1, shared).to_unraveled.target is shared
+    for wrong in (nerve(unravel(c, 2), 2), nerve(unravel(c, 3), 3)):
+        with pytest.raises(StructureError):
+            quillen_fiber(c, 3, 2, edge, 1, wrong)
+
+
 def test_fiber_of_degenerate_simplex_factors():
     c = z2_groupoid().base
     ident = ("*", "*", "e")
@@ -233,6 +284,82 @@ def test_all_fibers_interval():
     checked, violations = all_fibers_contractible(ordinal(1), 3, 3)
     assert checked == 14
     assert violations == []
+
+
+def per_cell_sweep(c, N, D, d):
+    """The fiber sweep without reuse: one fiber, target and report per cell."""
+    ner = nerve(c, D)
+    violations = []
+    checked = 0
+    for k in range(D + 1):
+        for cell in ner.cells[k]:
+            fib = comparison.quillen_fiber(c, N, D, cell, k)
+            rep = comparison.contractibility_report(fib, d)
+            checked += 1
+            for v in rep.violations:
+                violations.append(Violation(v.law, (k, cell) + v.witness, v.detail))
+    return checked, violations
+
+
+def random_poset(seed, n):
+    """Transitive closure of a seeded random DAG on 0..n-1."""
+    rng = random.Random(seed)
+    above = {x: {x} | {y for y in range(x + 1, n) if rng.random() < 0.5} for x in range(n)}
+    for y in reversed(range(n)):
+        for x in range(y):
+            if y in above[x]:
+                above[x] |= above[y]
+    mor = {(x, y): (x, y, "le") for x in range(n) for y in above[x]}
+    compose = {(mor[(x, y)], mor[(y, z)]): mor[(x, z)] for (x, y) in mor for z in above[y]}
+    return FinCategory(
+        range(n),
+        [(m, x, y) for (x, y), m in mor.items()],
+        {x: mor[(x, x)] for x in range(n)},
+        compose,
+    )
+
+
+SWEEP_CASES = {
+    "ordinal-1": ordinal(1),
+    "ordinal-2": ordinal(2),
+    "z2": z2_groupoid().base,
+    "idempotent-monoid": idempotent_monoid_category(),
+    "poset-seed-0": random_poset(0, 4),
+    "poset-seed-1": random_poset(1, 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_CASES))
+def test_fiber_sweep_matches_per_cell_reference(name):
+    cat = SWEEP_CASES[name]
+    assert all_fibers_contractible(cat, 2, 3) == per_cell_sweep(cat, 2, 3, 2)
+
+
+@pytest.mark.parametrize("name", ["ordinal-2", "z2", "idempotent-monoid"])
+def test_fiber_sweep_repeats_core_witness_on_every_cell(monkeypatch, name):
+    cat = SWEEP_CASES[name]
+    original = comparison.contractibility_report
+
+    def fails_on_edges(fiber, d):
+        rep = original(fiber, d)
+        if fiber.degree == 1:
+            rep.violations.append(Violation("fiber-contractible", (1,), "forced"))
+        return rep
+
+    monkeypatch.setattr(comparison, "contractibility_report", fails_on_edges)
+    ner = nerve(cat, 3)
+    edge_cells = [
+        (k, cell)
+        for k in range(4)
+        for cell in ner.cells[k]
+        if k > 0 and sum(not cat.is_identity(f) for f in cell) == 1
+    ]
+    checked, violations = all_fibers_contractible(cat, 2, 3)
+    assert edge_cells
+    assert [v for v in violations if v.detail == "forced"] == [
+        Violation("fiber-contractible", (k, cell, 1), "forced") for k, cell in edge_cells
+    ]
+    assert (checked, violations) == per_cell_sweep(cat, 2, 3, 2)
 
 
 def test_tau_point_hits_stage_one():

@@ -3,11 +3,12 @@ from itertools import combinations
 
 import pytest
 
-from fatcat.errors import StructureError
+from fatcat.errors import EnumerationLimitError, StructureError
 from fatcat.fincat import ordinal, unravel
 from fatcat.fixtures import pair_groupoid, terminal_category, z2_groupoid
 from fatcat.simpset import (
     BarycentricFlag,
+    TruncatedSimplicialSet,
     lemma42_bijection,
     maximal_flags,
     nerve,
@@ -48,6 +49,40 @@ def test_nerve_counts_flip_group():
     ner = nerve(z2_groupoid().base, 3)
     assert [ner.n_cells(k) for k in range(4)] == [1, 2, 4, 8]
     assert [len(ner.nondegenerate(k)) for k in range(4)] == [1, 1, 1, 1]
+
+
+def record_builds(monkeypatch):
+    """List that every TruncatedSimplicialSet built from now on joins."""
+    built = []
+    original = TruncatedSimplicialSet.__init__
+
+    def init(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(TruncatedSimplicialSet, "__init__", init)
+    return built
+
+
+def test_nerve_is_refused_before_any_cell_is_built(monkeypatch):
+    built = record_builds(monkeypatch)
+    monkeypatch.delenv("FATCAT_MAX_CELLS", raising=False)
+    ten = pair_groupoid(tuple("abcdefghij")).base
+    with pytest.raises(EnumerationLimitError, match="needs 111110 cells"):
+        nerve(ten, 4)
+    assert built == []
+
+
+@pytest.mark.parametrize("cat", [ordinal(2), z2_groupoid().base, pair_groupoid().base])
+def test_nerve_budget_counts_every_cell(monkeypatch, cat):
+    total = sum(nerve(cat, 3).n_cells(k) for k in range(4))
+    built = record_builds(monkeypatch)
+    monkeypatch.setenv("FATCAT_MAX_CELLS", str(total))
+    nerve(cat, 3)
+    monkeypatch.setenv("FATCAT_MAX_CELLS", str(total - 1))
+    with pytest.raises(EnumerationLimitError, match=f"needs {total} cells"):
+        nerve(cat, 3)
+    assert len(built) == 1
 
 
 def test_nerve_terminal_is_a_point():
