@@ -14,6 +14,8 @@ import argparse
 import json
 import sys
 import time
+from collections import namedtuple
+from functools import partial
 
 from .errors import EnumerationLimitError, StructureError
 from .fincat import (
@@ -21,8 +23,17 @@ from .fincat import (
     check_category,
     check_groupoid,
     groupoid_from_json,
+    ordinal,
+    ordinal_unravel_equivalences,
+    unravel,
 )
-from .homology import fat_chains, geometric_chains, homology, quasi_iso_through
+from .homology import (
+    check_degree_range,
+    fat_chains,
+    geometric_chains,
+    homology,
+    quasi_iso_through,
+)
 from .comparison import (
     all_fibers_contractible,
     pi_tau_homology_check,
@@ -59,24 +70,10 @@ def _emit(payload, out_path=None, timing=None):
             full["timing_ms"] = timing
         with open(out_path, "w", encoding="utf-8") as fh:
             json.dump(full, fh, sort_keys=True, indent=2)
-    return payload
 
 
 def _witnesses(violations):
     return [v.to_json() for v in violations]
-
-
-def _degrees(rep):
-    """Per-degree homology comparison of a quasi-isomorphism report."""
-    return [
-        {
-            "degree": c.degree,
-            "source": c.source.to_json(),
-            "target": c.target.to_json(),
-            "isomorphism": c.isomorphism,
-        }
-        for c in rep.degrees
-    ]
 
 
 def _load(path, loader):
@@ -89,7 +86,123 @@ def _load(path, loader):
 
 
 # ---------------------------------------------------------------------------
+# Suites.  Each is one function, run by `verify <suite>` (or `counterexample
+# rho`) on a loaded input and by its `report all` claim on fixtures.  It
+# takes its input (None when it reads none) and its parameters and returns
+# (ok, payload); the payload is what the command prints.
+
+
+def _result(ok, violations, **fields):
+    return ok, {"ok": ok, "witnesses": _witnesses(violations), **fields}
+
+
+def _quasi_iso_result(rep):
+    """Result of a quasi-isomorphism report, with its per-degree homology."""
+    degrees = [
+        {
+            "degree": c.degree,
+            "source": c.source.to_json(),
+            "target": c.target.to_json(),
+            "isomorphism": c.isomorphism,
+        }
+        for c in rep.degrees
+    ]
+    return _result(rep.ok, rep.violations, degrees=degrees)
+
+
+def suite_lemma42(cat, N, D):
+    rep = lemma42_bijection(cat, N, D)
+    return _result(
+        rep.ok,
+        rep.violations,
+        product_counts=list(rep.product_counts),
+        nondegenerate_counts=list(rep.nondegenerate_counts),
+    )
+
+
+def suite_tom_dieck(cat, N, D, d):
+    return _quasi_iso_result(quasi_iso_through(projection_pi(cat, N, D), d))
+
+
+def suite_quillen_a(cat, N, D, d=None):
+    d = D - 1 if d is None else d
+    check_degree_range(d, D)
+    # below N = d + 1 the stage cutoff cuts comma fibers short, and they
+    # show homology up to degree d that is an artifact of the cutoff
+    if N < d + 1:
+        raise StructureError(f"too few stages: need N >= d + 1, got N = {N}, d = {d}")
+    checked, violations = all_fibers_contractible(cat, N, D, d)
+    return _result(not violations, violations, fibers_checked=checked)
+
+
+def suite_tau(cat, N, D, d):
+    rep = pi_tau_homology_check(cat, N, D, d)
+    return _result(rep.ok, rep.violations, boundary_identity="exact")
+
+
+def suite_cocycle(coc):
+    violations = check_cocycle(coc)
+    return _result(not violations, violations)
+
+
+def suite_blowup(base, d):
+    return _quasi_iso_result(blowup_vs_base(base, d))
+
+
+def suite_universal_cocycle(g, N, D):
+    rep = universal_cocycle(g, N, D)
+    return _result(rep.ok, rep.report)
+
+
+def suite_partition(_):
+    pairs, violations = check_partition_grid()
+    return _result(not violations and pairs >= MIN_PARTITION_PAIRS, violations, pairs=pairs)
+
+
+def suite_rho(_, n, convention="both"):
+    conventions = ["zero-based", "literal"] if convention == "both" else [convention]
+    found = {c: [w.to_json() for w in rho_witnesses(n, c)] for c in conventions}
+    return all(found.values()), {"n": n, "witnesses": found}
+
+
+# suite, JSON loader of its --input (None: it takes none), and its
+# required and optional integer options
+Suite = namedtuple("Suite", "run loader required optional", defaults=((), ()))
+
+SUITES = {
+    "lemma42": Suite(suite_lemma42, category_from_json, ("N", "D")),
+    "tom-dieck": Suite(suite_tom_dieck, category_from_json, ("N", "D", "d")),
+    "quillen-a": Suite(suite_quillen_a, category_from_json, ("N", "D"), ("d",)),
+    "tau": Suite(suite_tau, category_from_json, ("N", "D", "d")),
+    "cocycle": Suite(suite_cocycle, cocycle_from_json),
+    "blowup": Suite(suite_blowup, covered_complex_from_json, ("d",)),
+    "universal-cocycle": Suite(suite_universal_cocycle, groupoid_from_json, ("N", "D")),
+    "partition": Suite(suite_partition, None),
+}
+RHO = Suite(suite_rho, None, ("n",), ("convention",))
+
+
+def run_suite(suite, args):
+    source = _load(args.input, suite.loader) if suite.loader else None
+    params = {k: getattr(args, k) for k in suite.required + suite.optional}
+    ok, payload = suite.run(source, **params)
+    _emit(payload, args.out)
+    return PASS if ok else FAIL
+
+
+# ---------------------------------------------------------------------------
 # Claim registry for `report all`
+
+
+def _claim_witnesses(result, **tags):
+    """Witnesses of one suite run.  A run that fails without naming any
+    still fails, with the rest of its payload as the witness."""
+    ok, payload = result
+    witnesses = [{**tags, **w} for w in payload["witnesses"]]
+    if not ok and not witnesses:
+        rest = {k: v for k, v in payload.items() if k not in ("ok", "witnesses")}
+        witnesses.append({**tags, **rest, "missing": "ok"})
+    return witnesses
 
 
 def _claim_category_laws(params):
@@ -115,8 +228,6 @@ def _claim_groupoid_laws(params):
 
 
 def _claim_unraveled_laws(params):
-    from .fincat import ordinal, unravel
-
     witnesses = []
     for n in range(params["max_n"] + 1):
         report = check_category(unravel(ordinal(n), params["N"]))
@@ -128,8 +239,6 @@ def _claim_unraveled_laws(params):
 
 
 def _claim_ordinal_equivalences(params):
-    from .fincat import ordinal_unravel_equivalences
-
     witnesses = []
     for n, N in params["cases"]:
         bundle = ordinal_unravel_equivalences(n, N)
@@ -138,27 +247,19 @@ def _claim_ordinal_equivalences(params):
 
 
 def _claim_cell_bijection(params):
+    cats = fixtures.standard_categories()
     witnesses = []
-    cats = {"ordinal-1": fixtures.standard_categories()["ordinal-1"],
-            "z2": fixtures.z2_groupoid().base}
     for name, (N, D) in params["cases"].items():
-        rep = lemma42_bijection(cats[name], N, D)
-        if not rep.ok:
-            witnesses.extend(_witnesses(rep.violations))
+        witnesses += _claim_witnesses(suite_lemma42(cats[name], N, D), fixture=name)
     return witnesses
 
 
 def _claim_projection_quasi_iso(params):
-    pi = projection_pi(fixtures.z2_groupoid().base, params["N"], params["D"])
-    rep = quasi_iso_through(pi, params["d"])
-    return _witnesses(rep.violations)
+    return _claim_witnesses(suite_tom_dieck(fixtures.z2_groupoid().base, **params))
 
 
 def _claim_comma_fibers(params):
-    from .fincat import ordinal
-
-    _, violations = all_fibers_contractible(ordinal(1), params["N"], params["D"])
-    return _witnesses(violations)
+    return _claim_witnesses(suite_quillen_a(ordinal(1), **params))
 
 
 def _claim_subdivision_boundary(params):
@@ -170,50 +271,38 @@ def _claim_subdivision_boundary(params):
 
 
 def _claim_section_homology(params):
-    rep = pi_tau_homology_check(
-        fixtures.z2_groupoid().base, params["N"], params["D"], params["d"]
-    )
-    return _witnesses(rep.violations)
+    return _claim_witnesses(suite_tau(fixtures.z2_groupoid().base, **params))
 
 
 def _claim_sorting_ill_defined(params):
     witnesses = []
-    for n in (1, 2):
-        for convention in ("zero-based", "literal"):
-            found = rho_witnesses(n, convention)
+    for n in params["n"]:
+        _, payload = suite_rho(None, n)
+        for convention, found in payload["witnesses"].items():
             if not found:
-                witnesses.append(
-                    {"n": n, "convention": convention, "missing": "witness"}
-                )
+                witnesses.append({"n": n, "convention": convention, "missing": "witness"})
     return witnesses
 
 
 def _claim_cocycle_laws(params):
     witnesses = []
     for name, coc in fixtures.bundled_cocycles().items():
-        for v in check_cocycle(coc):
-            witnesses.append({"fixture": name, **v.to_json()})
-    broken = check_cocycle(fixtures.broken_circle_cocycle())
-    if not any(v.law == "cocycle-law" for v in broken):
+        witnesses += _claim_witnesses(suite_cocycle(coc), fixture=name)
+    _, broken = suite_cocycle(fixtures.broken_circle_cocycle())
+    if not any(w["law"] == "cocycle-law" for w in broken["witnesses"]):
         witnesses.append({"fixture": "broken-cocycle", "missing": "cocycle-law"})
     return witnesses
 
 
 def _claim_blowup_collapse(params):
-    witnesses = []
-    rep = blowup_vs_base(fixtures.circle_star_cover(), 1)
-    witnesses.extend(_witnesses(rep.violations))
-    rep = blowup_vs_base(fixtures.hemisphere_cover(), 2)
-    witnesses.extend(_witnesses(rep.violations))
-    return witnesses
+    witnesses = _claim_witnesses(suite_blowup(fixtures.circle_star_cover(), 1))
+    return witnesses + _claim_witnesses(suite_blowup(fixtures.hemisphere_cover(), 2))
 
 
 def _claim_universal_cocycle(params):
     witnesses = []
     for name, g in fixtures.standard_groupoids().items():
-        rep = universal_cocycle(g, params["N"], params["D"])
-        for v in rep.report:
-            witnesses.append({"groupoid": name, **v.to_json()})
+        witnesses += _claim_witnesses(suite_universal_cocycle(g, **params), groupoid=name)
     return witnesses
 
 
@@ -227,11 +316,7 @@ def _claim_classifying_pullback(params):
 
 
 def _claim_partition(params):
-    pairs, violations = check_partition_grid()
-    witnesses = _witnesses(violations)
-    if pairs < MIN_PARTITION_PAIRS:
-        witnesses.append({"missing": f"grid too small: {pairs}"})
-    return witnesses
+    return _claim_witnesses(suite_partition(None))
 
 
 CLAIMS = [
@@ -375,112 +460,6 @@ def cmd_homology(args):
     return PASS
 
 
-def cmd_verify_lemma42(args):
-    cat = _load(args.input, category_from_json)
-    rep = lemma42_bijection(cat, args.N, args.D)
-    payload = {
-        "ok": rep.ok,
-        "product_counts": list(rep.product_counts),
-        "nondegenerate_counts": list(rep.nondegenerate_counts),
-        "witnesses": _witnesses(rep.violations),
-    }
-    _emit(payload, args.out)
-    return PASS if rep.ok else FAIL
-
-
-def cmd_verify_tom_dieck(args):
-    cat = _load(args.input, category_from_json)
-    pi = projection_pi(cat, args.N, args.D)
-    rep = quasi_iso_through(pi, args.d)
-    payload = {
-        "ok": rep.ok,
-        "degrees": _degrees(rep),
-        "witnesses": _witnesses(rep.violations),
-    }
-    _emit(payload, args.out)
-    return PASS if rep.ok else FAIL
-
-
-def cmd_verify_quillen_a(args):
-    cat = _load(args.input, category_from_json)
-    d = args.d if args.d is not None else args.D - 1
-    checked, violations = all_fibers_contractible(cat, args.N, args.D, d)
-    payload = {
-        "ok": not violations,
-        "fibers_checked": checked,
-        "witnesses": _witnesses(violations),
-    }
-    _emit(payload, args.out)
-    return PASS if not violations else FAIL
-
-
-def cmd_verify_tau(args):
-    cat = _load(args.input, category_from_json)
-    rep = pi_tau_homology_check(cat, args.N, args.D, args.d)
-    payload = {
-        "ok": rep.ok,
-        "boundary_identity": "exact",
-        "witnesses": _witnesses(rep.violations),
-    }
-    _emit(payload, args.out)
-    return PASS if rep.ok else FAIL
-
-
-def cmd_counterexample_rho(args):
-    conventions = (
-        ["zero-based", "literal"] if args.convention == "both" else [args.convention]
-    )
-    found = {}
-    for convention in conventions:
-        found[convention] = [w.to_json() for w in rho_witnesses(args.n, convention)]
-    ok = all(found[c] for c in conventions)
-    _emit({"n": args.n, "witnesses": found}, args.out)
-    return PASS if ok else FAIL
-
-
-def cmd_verify_cocycle(args):
-    coc = _load(args.input, cocycle_from_json)
-    violations = check_cocycle(coc)
-    _emit({"ok": not violations, "witnesses": _witnesses(violations)}, args.out)
-    return PASS if not violations else FAIL
-
-
-def cmd_verify_blowup(args):
-    base = _load(args.input, covered_complex_from_json)
-    rep = blowup_vs_base(base, args.d)
-    payload = {
-        "ok": rep.ok,
-        "degrees": _degrees(rep),
-        "witnesses": _witnesses(rep.violations),
-    }
-    _emit(payload, args.out)
-    return PASS if rep.ok else FAIL
-
-
-def cmd_verify_universal(args):
-    g = _load(args.input, groupoid_from_json)
-    rep = universal_cocycle(g, args.N, args.D)
-    _emit({"ok": rep.ok, "witnesses": _witnesses(rep.report)}, args.out)
-    return PASS if rep.ok else FAIL
-
-
-def cmd_verify_partition(args):
-    pairs, violations = check_partition_grid()
-    payload = {
-        "ok": not violations and pairs >= MIN_PARTITION_PAIRS,
-        "pairs": pairs,
-        "witnesses": _witnesses(violations),
-    }
-    _emit(payload, args.out)
-    return PASS if payload["ok"] else FAIL
-
-
-def cmd_report(args):
-    if args.what != "all":
-        raise StructureError(f"unknown report: {args.what}")
-    return run_report_all(args.out)
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="fatcat",
@@ -488,23 +467,16 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, n=False, big_d=False, small_d=False, needs_input=True):
-        if needs_input:
-            p.add_argument("--input", "--category", dest="input", required=True)
-        if n:
-            p.add_argument("--N", type=int, required=True)
-        if big_d:
-            p.add_argument("--D", type=int, required=True)
-        if small_d:
-            p.add_argument("--d", type=int, required=True)
-        p.add_argument("--out", default=None)
-
     p = sub.add_parser("nerve", help="cell counts of a truncated nerve")
-    common(p, big_d=True)
+    p.add_argument("--input", "--category", dest="input", required=True)
+    p.add_argument("--D", type=int, required=True)
+    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_nerve)
 
     p = sub.add_parser("homology", help="one homology group of a nerve")
-    common(p, big_d=True)
+    p.add_argument("--input", "--category", dest="input", required=True)
+    p.add_argument("--D", type=int, required=True)
+    p.add_argument("--out", default=None)
     p.add_argument("--k", type=int, required=True)
     style = p.add_mutually_exclusive_group()
     style.add_argument("--fat", action="store_true", default=True)
@@ -513,39 +485,16 @@ def build_parser():
 
     verify = sub.add_parser("verify", help="run one verification suite")
     vs = verify.add_subparsers(dest="suite", required=True)
-
-    p = vs.add_parser("lemma42")
-    common(p, n=True, big_d=True)
-    p.set_defaults(func=cmd_verify_lemma42)
-
-    p = vs.add_parser("tom-dieck")
-    common(p, n=True, big_d=True, small_d=True)
-    p.set_defaults(func=cmd_verify_tom_dieck)
-
-    p = vs.add_parser("quillen-a")
-    common(p, n=True, big_d=True)
-    p.add_argument("--d", type=int, default=None)
-    p.set_defaults(func=cmd_verify_quillen_a)
-
-    p = vs.add_parser("tau")
-    common(p, n=True, big_d=True, small_d=True)
-    p.set_defaults(func=cmd_verify_tau)
-
-    p = vs.add_parser("cocycle")
-    common(p)
-    p.set_defaults(func=cmd_verify_cocycle)
-
-    p = vs.add_parser("blowup")
-    common(p, small_d=True)
-    p.set_defaults(func=cmd_verify_blowup)
-
-    p = vs.add_parser("universal-cocycle")
-    common(p, n=True, big_d=True)
-    p.set_defaults(func=cmd_verify_universal)
-
-    p = vs.add_parser("partition")
-    common(p, needs_input=False)
-    p.set_defaults(func=cmd_verify_partition)
+    for name, suite in SUITES.items():
+        p = vs.add_parser(name)
+        if suite.loader:
+            p.add_argument("--input", "--category", dest="input", required=True)
+        for option in suite.required:
+            p.add_argument(f"--{option}", type=int, required=True)
+        p.add_argument("--out", default=None)
+        for option in suite.optional:
+            p.add_argument(f"--{option}", type=int, default=None)
+        p.set_defaults(func=partial(run_suite, suite))
 
     counter = sub.add_parser("counterexample", help="search for a witness")
     cs = counter.add_subparsers(dest="target", required=True)
@@ -557,12 +506,12 @@ def build_parser():
         default="both",
     )
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_counterexample_rho)
+    p.set_defaults(func=partial(run_suite, RHO))
 
     p = sub.add_parser("report", help="run the full claim registry")
     p.add_argument("what", choices=["all"])
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_report)
+    p.set_defaults(func=lambda args: run_report_all(args.out))
 
     return parser
 

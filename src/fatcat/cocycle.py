@@ -30,7 +30,7 @@ from .homology import (
     quasi_iso_through,
 )
 from .ids import decode_id, encode_id, sort_key
-from .simpset import TruncatedSimplicialSet, nerve, unravel_simplicial
+from .simpset import TruncatedSimplicialSet, chain_objects, nerve, unravel_simplicial
 
 
 # ---------------------------------------------------------------------------
@@ -540,31 +540,20 @@ def bg_complex(g: FinGroupoid, N: int, D: int) -> ClassifyingComplex:
     return ClassifyingComplex(g, N, space, cover)
 
 
-def _cell_objects_and_arrows(cat, cell):
-    """Vertex objects and arrows of one classifying cell (seq, z)."""
-    seq, z = cell
-    l = len(set(seq))
-    if l == 1:
-        return (z,), ()
-    objects = [cat.src[z[0]]]
-    for arrow in z:
-        objects.append(cat.tgt[arrow])
-    return tuple(objects), tuple(z)
-
-
 def _gamma_for_cell(g: FinGroupoid, cell):
     """Canonical transition assignment on one cell, keyed by stage pairs."""
     cat = g.base
-    seq, _ = cell
+    seq, z = cell
     values = sorted(set(seq))
-    objects, arrows = _cell_objects_and_arrows(cat, cell)
+    objects = chain_objects(cat, len(values) - 1, z)
     gamma = {}
     for a in range(len(values)):
         gamma[(values[a], values[a])] = cat.identity[objects[a]]
+        # with two or more stages z is the chain of arrows between them
         for b in range(a + 1, len(values)):
-            acc = arrows[a]
+            acc = z[a]
             for step in range(a + 1, b):
-                acc = cat.table[(acc, arrows[step])]
+                acc = cat.table[(acc, z[step])]
             gamma[(values[a], values[b])] = acc
             gamma[(values[b], values[a])] = g.inverse[acc]
     return gamma

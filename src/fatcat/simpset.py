@@ -22,6 +22,7 @@ Conventions used throughout:
 
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
+from math import comb
 
 from .errors import StructureError, Violation, check_budget
 from .fincat import FinCategory, unravel
@@ -203,6 +204,14 @@ class SimplicialMap:
         return violations
 
 
+def chain_objects(c: FinCategory, k: int, chain) -> tuple:
+    """Objects at the vertices 0..k of a degree-k nerve cell (a 0-cell is
+    its object)."""
+    if k == 0:
+        return (chain,)
+    return (c.src[chain[0]],) + tuple(c.tgt[f] for f in chain)
+
+
 def nerve(c: FinCategory, D: int) -> TruncatedSimplicialSet:
     """Nerve of a finite category, truncated at degree D.
 
@@ -235,14 +244,6 @@ def nerve(c: FinCategory, D: int) -> TruncatedSimplicialSet:
                     nxt.append(chain + (m,))
         cells.append(nxt)
 
-    def chain_object(k, chain, vertex):
-        # object sitting at a vertex of a degree-k chain cell
-        if k == 0:
-            return chain
-        if vertex == 0:
-            return c.src[chain[0]]
-        return c.tgt[chain[vertex - 1]]
-
     face = [None]
     for k in range(1, D + 1):
         tables = []
@@ -263,16 +264,11 @@ def nerve(c: FinCategory, D: int) -> TruncatedSimplicialSet:
 
     degeneracy = []
     for k in range(D):
-        tables = []
-        for i in range(k + 1):
-            table = {}
-            for chain in cells[k]:
-                ident = c.identity[chain_object(k, chain, i)]
-                if k == 0:
-                    table[chain] = (ident,)
-                else:
-                    table[chain] = chain[:i] + (ident,) + chain[i:]
-            tables.append(table)
+        tables = [{} for _ in range(k + 1)]
+        for chain in cells[k]:
+            for i, obj in enumerate(chain_objects(c, k, chain)):
+                ident = c.identity[obj]
+                tables[i][chain] = (ident,) if k == 0 else chain[:i] + (ident,) + chain[i:]
         degeneracy.append(tables)
     return TruncatedSimplicialSet(D, cells, face, degeneracy)
 
@@ -295,10 +291,13 @@ def product_with_S(x, s: SemiSimplicialSet) -> SemiSimplicialSet:
     """Degreewise product with diagonal faces.
 
     Every cell of x appears, degenerate or not; the product forgets x's
-    degeneracies and is only semi-simplicial.
+    degeneracies and is only semi-simplicial.  The cells are counted and
+    budgeted before any of them is built.
     """
     if x.D != s.D:
         raise StructureError("truncation degrees differ")
+    total = sum(x.n_cells(k) * s.n_cells(k) for k in range(x.D + 1))
+    check_budget(total, SemiSimplicialSet.__name__)
     cells = [
         [(a, b) for a in x.cells[k] for b in s.cells[k]] for k in range(x.D + 1)
     ]
@@ -331,11 +330,20 @@ def unravel_simplicial(y: TruncatedSimplicialSet, N: int) -> TruncatedSimplicial
 
     n-cells are pairs (k_0 <= ... <= k_n, z) with z a cell of y in degree
     l - 1, l the number of distinct stages.  For y a nerve this reproduces
-    the nerve of the unraveled category cell for cell.
+    the nerve of the unraveled category cell for cell.  The cells are
+    counted and budgeted before any of them is built.
     """
     if N < 0:
         raise StructureError("N must be >= 0")
     D = y.D
+    # weakly increasing (n+1)-tuples over N+1 stages with l distinct values:
+    # choose the values, then cut the tuple into l nonempty runs
+    total = sum(
+        comb(N + 1, l) * comb(n, l - 1) * y.n_cells(l - 1)
+        for n in range(D + 1)
+        for l in range(1, n + 2)
+    )
+    check_budget(total, TruncatedSimplicialSet.__name__)
     cells = []
     for n in range(D + 1):
         level = []
@@ -378,19 +386,11 @@ def interleave_cell(c: FinCategory, k, chain, seq):
     with a strictly increasing stage tuple of the same degree."""
     if k == 0:
         return (chain, seq[0])
-
-    def obj_at(pos):
-        if pos == 0:
-            return c.src[chain[0]]
-        return c.tgt[chain[pos - 1]]
-
-    arrows = []
-    for i in range(1, k + 1):
-        f = chain[i - 1]
-        arrows.append(
-            ((obj_at(i - 1), seq[i - 1]), (obj_at(i), seq[i]), f)
-        )
-    return tuple(arrows)
+    objects = chain_objects(c, k, chain)
+    return tuple(
+        ((objects[i - 1], seq[i - 1]), (objects[i], seq[i]), chain[i - 1])
+        for i in range(1, k + 1)
+    )
 
 
 @dataclass
@@ -452,13 +452,6 @@ def unravel_nerve_isomorphism(c: FinCategory, N: int, D: int) -> SimplicialMap:
     cN = unravel(c, N)
     right = nerve(cN, D)
 
-    def obj_at(zdeg, z, pos):
-        if zdeg == 0:
-            return z
-        if pos == 0:
-            return c.src[z[0]]
-        return c.tgt[z[pos - 1]]
-
     maps = []
     for n in range(D + 1):
         table = {}
@@ -466,21 +459,21 @@ def unravel_nerve_isomorphism(c: FinCategory, N: int, D: int) -> SimplicialMap:
             if n == 0:
                 table[(seq, z)] = (z, seq[0])
                 continue
-            zdeg = len(set(seq)) - 1
+            objects = chain_objects(c, len(set(seq)) - 1, z)
             arrows = []
             for i in range(1, n + 1):
                 gi_prev = _group_index(seq, i - 1)
                 gi = _group_index(seq, i)
                 if seq[i - 1] == seq[i]:
-                    obj = obj_at(zdeg, z, gi)
+                    obj = objects[gi]
                     arrows.append(
                         ((obj, seq[i]), (obj, seq[i]), c.identity[obj])
                     )
                 else:
                     arrows.append(
                         (
-                            (obj_at(zdeg, z, gi_prev), seq[i - 1]),
-                            (obj_at(zdeg, z, gi), seq[i]),
+                            (objects[gi_prev], seq[i - 1]),
+                            (objects[gi], seq[i]),
                             z[gi_prev],
                         )
                     )

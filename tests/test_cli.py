@@ -1,18 +1,24 @@
 import hashlib
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from fatcat.cli import main
+from fatcat import cli
+from fatcat.cli import build_parser, main
 from fatcat.cocycle import cocycle_to_json, covered_complex_to_json
 from fatcat.fincat import category_to_json, groupoid_to_json
 from fatcat.fixtures import (
     broken_circle_cocycle,
     circle_star_cover,
+    hemisphere_cover,
     mobius_cocycle,
+    pair_groupoid,
     standard_categories,
     z2_groupoid,
 )
+from fatcat.simpset import BijectionReport
 
 
 @pytest.fixture
@@ -26,7 +32,10 @@ def inputs(tmp_path):
 
     write("bz2.json", groupoid_to_json(z2_groupoid()))
     write("ord1.json", category_to_json(standard_categories()["ordinal-1"]))
+    write("ord2.json", category_to_json(standard_categories()["ordinal-2"]))
+    write("pair.json", groupoid_to_json(pair_groupoid()))
     write("circle.json", covered_complex_to_json(circle_star_cover()))
+    write("hemisphere.json", covered_complex_to_json(hemisphere_cover()))
     write("mobius.json", cocycle_to_json(mobius_cocycle()))
     write("broken.json", cocycle_to_json(broken_circle_cocycle()))
     return paths
@@ -239,8 +248,87 @@ def test_dangling_endpoint_exits_2(capsys, tmp_path, argv):
         ["verify", "tau", "--input", "bz2.json", "--N", "4", "--D", "3", "--d", "-1"],
         ["verify", "tau", "--input", "bz2.json", "--N", "4", "--D", "3", "--d", "3"],
         ["verify", "blowup", "--input", "circle.json", "--d", "-1"],
+        ["verify", "quillen-a", "--input", "bz2.json", "--N", "2", "--D", "3"],
     ],
 )
 def test_degree_out_of_range_exits_2(capsys, inputs, argv):
-    # d < 0 checks nothing, and H_D of a complex truncated at D is ker d_D
+    # d < 0 checks nothing, H_D of a complex truncated at D is ker d_D, and
+    # fewer than d + 1 stages cut a comma fiber short
     expect_bad_input(capsys, [inputs.get(a, a) for a in argv])
+
+
+# sha256 of stdout and the exit code of every suite, pinned so that a
+# refactor of the command line cannot change a byte of what it prints
+GOLDEN = [
+    ("verify lemma42 --category ord1.json --N 2 --D 2", 0,
+     "b895bb16ab52fd9bcb11134cf10c7bf1cb3d88dfe0806856e277a943357a1e3e"),
+    ("verify lemma42 --input bz2.json --N 3 --D 3", 0,
+     "cefded666986012ca3fe621655e48674c6fc0296c22e58f1be35490cf3715880"),
+    ("verify tom-dieck --input bz2.json --N 5 --D 3 --d 1", 0,
+     "067f5b0308d38561f55e27ab7a7a4a68788f40e48ce4c45331620ee4ce943474"),
+    ("verify tom-dieck --input ord2.json --N 4 --D 3 --d 2", 0,
+     "e3d2d37db86d69f4121a3b51acb33ead1303d1c229f9f9f15d66636bf3bbcfd2"),
+    ("verify quillen-a --input ord1.json --N 3 --D 3", 0,
+     "17aa98ed13886b724fa3afdf89f6fd4237aeaca30374eb4c933e08e108f69861"),
+    ("verify quillen-a --input bz2.json --N 3 --D 3 --d 1", 0,
+     "6d483553856d75d9a3e0319b4db4f6af51a423cadf0637a1730d5b105f3450b2"),
+    ("verify tau --input bz2.json --N 4 --D 3 --d 1", 0,
+     "3a1322fc1b9a0621558fa0da4037ddc9d129472718ffe9054c58f0da4eaad852"),
+    ("verify cocycle --input mobius.json", 0,
+     "33772fdee1771a3f5d18612b9230e599e2931d560d6864c16b85503c76b1652e"),
+    ("verify cocycle --input broken.json", 1,
+     "530863ce22f3e3d6799416557ade571771d384e056cee54ad2310194cfc3969d"),
+    ("verify blowup --input circle.json --d 1", 0,
+     "009a79ef01d6c5b361d60dd0d0d70fb75f7cad98153043e0afeb8a42a6b5c536"),
+    ("verify blowup --input hemisphere.json --d 2", 0,
+     "38be4f7619b8faf1391be4e654ee545cd39083cd397ef0e89e64afe455289d35"),
+    ("verify universal-cocycle --input bz2.json --N 3 --D 2", 0,
+     "33772fdee1771a3f5d18612b9230e599e2931d560d6864c16b85503c76b1652e"),
+    ("verify universal-cocycle --input pair.json --N 2 --D 2", 0,
+     "33772fdee1771a3f5d18612b9230e599e2931d560d6864c16b85503c76b1652e"),
+    ("verify partition", 0,
+     "7b0971023ffc0e1b62b9f6712cb734ce362978dc77c6cf8fe2b771086ea4d3ce"),
+    ("counterexample rho --n 1", 0,
+     "458a1881ee7785b655b9d794e52166319cb6feb7a37f544daa3b78b368b43a16"),
+    ("counterexample rho --n 2 --convention literal", 0,
+     "f265784007dee2f2bed9665a21ff836eaf15a9f3b7d621f2ccbcacaf38c39e18"),
+    ("counterexample rho --n 2 --convention zero-based", 0,
+     "d701c2d47a245b285b367b159349ff212e7899c975b16660a3f0c7acfa2d414d"),
+]
+
+
+@pytest.mark.parametrize("line,code,digest", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_suite_stdout_is_pinned(capsys, inputs, line, code, digest):
+    argv = [inputs.get(a, a) for a in line.split()]
+    assert main(argv) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_failed_suite_without_witnesses_fails_its_claim(capsys, monkeypatch):
+    # a cell-count mismatch is a failure even when no cell is named
+    monkeypatch.setattr(
+        cli, "lemma42_bijection", lambda c, N, D: BijectionReport([], (1, 2), (1, 3))
+    )
+    assert main(["report", "all"]) == 1
+    claims = {c["id"]: c for c in json.loads(capsys.readouterr().out)["claims"]}
+    claim = claims["cell-bijection"]
+    assert claim["result"] == "fail"
+    assert [w["missing"] for w in claim["witnesses"]] == ["ok", "ok"]
+    assert claim["witnesses"][0]["nondegenerate_counts"] == [1, 3]
+    assert all(c["result"] == "pass" for i, c in claims.items() if i != "cell-bijection")
+
+
+def readme_command_lines():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    return [line for line in block.splitlines() if line.startswith("fatcat ")]
+
+
+def test_readme_command_lines_parse():
+    lines = readme_command_lines()
+    assert len(lines) >= 12
+    parser = build_parser()
+    for line in lines:
+        # "[--out report.json]" marks an optional flag
+        argv = shlex.split(line.replace("[", "").replace("]", ""))[1:]
+        assert parser.parse_args(argv).func, line

@@ -8,6 +8,7 @@ from fatcat.fincat import ordinal, unravel
 from fatcat.fixtures import pair_groupoid, terminal_category, z2_groupoid
 from fatcat.simpset import (
     BarycentricFlag,
+    SemiSimplicialSet,
     TruncatedSimplicialSet,
     lemma42_bijection,
     maximal_flags,
@@ -51,16 +52,17 @@ def test_nerve_counts_flip_group():
     assert [len(ner.nondegenerate(k)) for k in range(4)] == [1, 1, 1, 1]
 
 
-def record_builds(monkeypatch):
-    """List that every TruncatedSimplicialSet built from now on joins."""
+def record_builds(monkeypatch, cls=TruncatedSimplicialSet):
+    """List that every cls (by default TruncatedSimplicialSet) built from
+    now on joins."""
     built = []
-    original = TruncatedSimplicialSet.__init__
+    original = cls.__init__
 
     def init(self, *args, **kwargs):
         built.append(self)
         original(self, *args, **kwargs)
 
-    monkeypatch.setattr(TruncatedSimplicialSet, "__init__", init)
+    monkeypatch.setattr(cls, "__init__", init)
     return built
 
 
@@ -82,6 +84,40 @@ def test_nerve_budget_counts_every_cell(monkeypatch, cat):
     monkeypatch.setenv("FATCAT_MAX_CELLS", str(total - 1))
     with pytest.raises(EnumerationLimitError, match=f"needs {total} cells"):
         nerve(cat, 3)
+    assert len(built) == 1
+
+
+def test_product_and_unraveling_are_refused_before_any_cell_is_built(monkeypatch):
+    y = nerve(z2_groupoid().base, 3)
+    s = s_semisimplicial(20, 3)
+    # every SemiSimplicialSet, TruncatedSimplicialSet included, joins
+    built = record_builds(monkeypatch, SemiSimplicialSet)
+    monkeypatch.delenv("FATCAT_MAX_CELLS", raising=False)
+    with pytest.raises(EnumerationLimitError, match="^SemiSimplicialSet needs 53641 cells"):
+        product_with_S(y, s)
+    with pytest.raises(
+        EnumerationLimitError, match="^TruncatedSimplicialSet needs 71764 cells"
+    ):
+        unravel_simplicial(y, 20)
+    assert built == []
+
+
+@pytest.mark.parametrize("cat", [ordinal(2), z2_groupoid().base, pair_groupoid().base])
+@pytest.mark.parametrize("build", ["product", "unravel"])
+def test_product_and_unraveling_budget_count_every_cell(monkeypatch, cat, build):
+    y = nerve(cat, 3)
+    s = s_semisimplicial(4, 3)
+    make = {
+        "product": lambda: product_with_S(y, s),
+        "unravel": lambda: unravel_simplicial(y, 4),
+    }
+    total = sum(make[build]().n_cells(k) for k in range(4))
+    built = record_builds(monkeypatch, SemiSimplicialSet)
+    monkeypatch.setenv("FATCAT_MAX_CELLS", str(total))
+    make[build]()
+    monkeypatch.setenv("FATCAT_MAX_CELLS", str(total - 1))
+    with pytest.raises(EnumerationLimitError, match=f"needs {total} cells"):
+        make[build]()
     assert len(built) == 1
 
 
