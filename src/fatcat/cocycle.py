@@ -30,7 +30,13 @@ from .homology import (
     quasi_iso_through,
 )
 from .ids import decode_id, encode_id, sort_key
-from .simpset import TruncatedSimplicialSet, chain_objects, nerve, unravel_simplicial
+from .simpset import (
+    TruncatedSimplicialSet,
+    chain_composites,
+    chain_objects,
+    nerve,
+    unravel_simplicial,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -547,15 +553,11 @@ def _gamma_for_cell(g: FinGroupoid, cell):
     values = sorted(set(seq))
     objects = chain_objects(cat, len(values) - 1, z)
     gamma = {}
-    for a in range(len(values)):
-        gamma[(values[a], values[a])] = cat.identity[objects[a]]
-        # with two or more stages z is the chain of arrows between them
-        for b in range(a + 1, len(values)):
-            acc = z[a]
-            for step in range(a + 1, b):
-                acc = cat.table[(acc, z[step])]
-            gamma[(values[a], values[b])] = acc
-            gamma[(values[b], values[a])] = g.inverse[acc]
+    # with two or more stages z is the chain of arrows between them
+    for (a, b), f in chain_composites(cat, objects, z).items():
+        gamma[(values[a], values[b])] = f
+        if a < b:
+            gamma[(values[b], values[a])] = g.inverse[f]
     return gamma
 
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import StructureError, Violation
-from .fincat import FinCategory, ordinal, unravel
+from .errors import StructureError, Violation, check_budget
+from .fincat import FinCategory, mid, ordinal, unravel
 from .homology import (
     ChainMap,
     IntegerChainComplex,
@@ -38,11 +38,14 @@ from .intlinalg import IntMatrix
 from .simpset import (
     SimplicialMap,
     TruncatedSimplicialSet,
+    chain_composites,
     maximal_flags,
     nerve,
     product_with_S,
     s_semisimplicial,
     sd_flags,
+    simplicial_map,
+    simplicial_set,
 )
 
 
@@ -55,8 +58,7 @@ def projection_map(c: FinCategory, N: int, D: int) -> SimplicialMap:
     ner = nerve(c, D)
     s = s_semisimplicial(N, D)
     prod = product_with_S(ner, s)
-    maps = [{cell: cell[0] for cell in prod.cells[k]} for k in range(D + 1)]
-    return SimplicialMap(prod, ner, maps)
+    return simplicial_map(prod, ner, lambda k, cell: cell[0])
 
 
 def projection_pi(c: FinCategory, N: int, D: int) -> ChainMap:
@@ -387,87 +389,61 @@ def quillen_fiber(
     """
     objects, arrows = _nondegenerate_factorization(c, y_degree, y_cell)
     m = len(objects) - 1
+    composite = chain_composites(c, objects, arrows)
+    vertices = [(a, l) for a in range(m + 1) for l in range(N + 1)]
 
-    composite = {}
-    for i in range(m + 1):
-        composite[(i, i)] = c.identity[objects[i]]
-        for j in range(i + 1, m + 1):
-            acc = arrows[i]
-            for step in range(i + 1, j):
-                acc = c.table[(acc, arrows[step])]
-            composite[(i, j)] = acc
+    def step_ok(v0, v1):
+        (a0, l0), (a1, l1) = v0, v1
+        if a0 > a1 or l0 > l1:
+            return False
+        return l0 < l1 or c.is_identity(composite[(a0, a1)])
 
-    def step_ok(a0, a1, l0, l1):
-        if l0 == l1:
-            return c.is_identity(composite[(a0, a1)])
-        return True
-
-    cells = []
-    for k in range(D + 1):
-        level = []
-        stack = [((a,), (l,)) for a in range(m + 1) for l in range(N + 1)]
-        for _ in range(k):
-            nxt = []
-            for avec, lvec in stack:
-                for a in range(avec[-1], m + 1):
-                    for l in range(lvec[-1], N + 1):
-                        if step_ok(avec[-1], a, lvec[-1], l):
-                            nxt.append((avec + (a,), lvec + (l,)))
-            stack = nxt
-        level = sorted(stack)
-        cells.append(level)
-
-    face = [None]
+    # ends[v]: k-cells ending at vertex v, by recurrence on k
+    ends = dict.fromkeys(vertices, 1)
+    total = len(ends)
+    for _ in range(D):
+        ends = {v: sum(n for u, n in ends.items() if step_ok(u, v)) for v in vertices}
+        total += sum(ends.values())
+    check_budget(total, TruncatedSimplicialSet.__name__)
+    cells = [[((a,), (l,)) for a, l in vertices]]
     for k in range(1, D + 1):
-        tables = []
-        for i in range(k + 1):
-            tables.append(
-                {
-                    (a, l): (a[:i] + a[i + 1:], l[:i] + l[i + 1:])
-                    for a, l in cells[k]
-                }
+        cells.append(
+            sorted(
+                (avec + (a,), lvec + (l,))
+                for avec, lvec in cells[k - 1]
+                for a, l in vertices
+                if step_ok((avec[-1], lvec[-1]), (a, l))
             )
-        face.append(tables)
-    degeneracy = []
-    for k in range(D):
-        tables = []
-        for i in range(k + 1):
-            tables.append(
-                {
-                    (a, l): (a[: i + 1] + a[i:], l[: i + 1] + l[i:])
-                    for a, l in cells[k]
-                }
-            )
-        degeneracy.append(tables)
-    fiber = TruncatedSimplicialSet(D, cells, face, degeneracy)
+        )
+
+    def face(k, i, cell):
+        avec, lvec = cell
+        return avec[:i] + avec[i + 1:], lvec[:i] + lvec[i + 1:]
+
+    def degeneracy(k, i, cell):
+        avec, lvec = cell
+        return avec[: i + 1] + avec[i:], lvec[: i + 1] + lvec[i:]
+
+    fiber = simplicial_set(D, cells, face, degeneracy)
 
     simplex = nerve(ordinal(m), D)
     if target is None:
         target = nerve(unravel(c, N), D)
 
-    left_maps = []
-    right_maps = []
-    for k in range(D + 1):
-        lt = {}
-        rt = {}
-        for avec, lvec in cells[k]:
-            if k == 0:
-                lt[(avec, lvec)] = avec[0]
-                rt[(avec, lvec)] = (objects[avec[0]], lvec[0])
-                continue
-            lt[(avec, lvec)] = tuple(
-                (avec[i - 1], avec[i], "le") for i in range(1, k + 1)
-            )
-            rt[(avec, lvec)] = tuple(
-                (
-                    (objects[avec[i - 1]], lvec[i - 1]),
-                    (objects[avec[i]], lvec[i]),
-                    composite[(avec[i - 1], avec[i])],
-                )
-                for i in range(1, k + 1)
-            )
-        left_maps.append(lt)
-        right_maps.append(rt)
+    def to_simplex(k, cell):
+        avec = cell[0]
+        if k == 0:
+            return avec[0]
+        return tuple((a0, a1, "le") for a0, a1 in zip(avec, avec[1:]))
+
+    def to_unraveled(k, cell):
+        avec, lvec = cell
+        if k == 0:
+            return (objects[avec[0]], lvec[0])
+        return tuple(
+            mid(c, composite[(avec[i - 1], avec[i])], lvec[i - 1], lvec[i])
+            for i in range(1, k + 1)
+        )
 
     return CommaFiber(
         category=c,
@@ -475,8 +451,8 @@ def quillen_fiber(
         degree=m,
         vertex_objects=objects,
         fiber=fiber,
-        to_simplex=SimplicialMap(fiber, simplex, left_maps),
-        to_unraveled=SimplicialMap(fiber, target, right_maps),
+        to_simplex=simplicial_map(fiber, simplex, to_simplex),
+        to_unraveled=simplicial_map(fiber, target, to_unraveled),
     )
 
 

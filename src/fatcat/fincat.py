@@ -235,6 +235,11 @@ def truncated_nat(N: int) -> FinCategory:
     return ordinal(N)
 
 
+def mid(c: FinCategory, f, i: int, j: int):
+    """Identifier of the unraveled arrow that lifts f from stage i to stage j."""
+    return ((c.src[f], i), (c.tgt[f], j), f)
+
+
 def unravel(c: FinCategory, N: int) -> UnraveledCategory:
     """Unraveled category over stages {0..N}.
 
@@ -246,26 +251,23 @@ def unravel(c: FinCategory, N: int) -> UnraveledCategory:
     stages = range(N + 1)
     objects = [(x, i) for x in c.objects for i in stages]
 
-    def mid(f, i, j):
-        return ((c.src[f], i), (c.tgt[f], j), f)
-
     morphisms = []
     for x in c.objects:
         for i in stages:
-            morphisms.append((mid(c.identity[x], i, i), (x, i), (x, i)))
+            morphisms.append((mid(c, c.identity[x], i, i), (x, i), (x, i)))
     for f in c.morphism_ids():
         for i in stages:
             for j in range(i + 1, N + 1):
-                morphisms.append((mid(f, i, j), (c.src[f], i), (c.tgt[f], j)))
+                morphisms.append((mid(c, f, i, j), (c.src[f], i), (c.tgt[f], j)))
 
-    identity = {(x, i): mid(c.identity[x], i, i) for x in c.objects for i in stages}
+    identity = {(x, i): mid(c, c.identity[x], i, i) for x in c.objects for i in stages}
     compose = {}
     for m1, s1, t1 in morphisms:
         for m2, s2, t2 in morphisms:
             if t1 != s2:
                 continue
             f1, f2 = m1[2], m2[2]
-            compose[(m1, m2)] = mid(c.table[(f1, f2)], s1[1], t2[1])
+            compose[(m1, m2)] = mid(c, c.table[(f1, f2)], s1[1], t2[1])
     return UnraveledCategory(objects, morphisms, identity, compose, base=c, stages=N)
 
 

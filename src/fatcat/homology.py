@@ -71,17 +71,6 @@ class IntegerChainComplex:
     def index(self, k):
         return {cell: i for i, cell in enumerate(self.basis[k])}
 
-    def to_json(self):
-        from .ids import encode_id
-
-        return {
-            "D": self.D,
-            "basis": [[encode_id(c) for c in self.basis[k]] for k in range(self.D + 1)],
-            "boundary": {
-                str(k): self.boundary[k].rows for k in range(1, self.D + 1)
-            },
-        }
-
 
 @dataclass(frozen=True)
 class HomologyGroup:
@@ -138,14 +127,6 @@ class ChainMap:
         D = min(self.target.D, other.source.D)
         mats = [self.matrices[k].mul(other.matrices[k]) for k in range(D + 1)]
         return ChainMap(other.source, self.target, mats)
-
-    def to_json(self):
-        D = min(self.source.D, self.target.D)
-        return {
-            "source": self.source.to_json(),
-            "target": self.target.to_json(),
-            "matrices": [self.matrices[k].rows for k in range(D + 1)],
-        }
 
 
 def cell_matrix(source_cells, target_cells, terms) -> IntMatrix:

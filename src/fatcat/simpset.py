@@ -3,7 +3,10 @@
 Cells are canonical identifiers (objects, morphism chains, index tuples and
 pairs of these), face and degeneracy maps are explicit tables, and the
 simplicial identities are audited exhaustively on construction, scoped to
-the degrees that exist below the truncation cutoff D.
+the degrees that exist below the truncation cutoff D.  The package builds
+every object with :func:`simplicial_set` and every map with
+:func:`simplicial_map`, which lay out the tables from per-cell rules, so the
+table layout is decided in one place.
 
 Conventions used throughout:
 
@@ -25,8 +28,8 @@ from itertools import combinations, combinations_with_replacement
 from math import comb
 
 from .errors import StructureError, Violation, check_budget
-from .fincat import FinCategory, unravel
-from .ids import decode_id, encode_id, sort_key
+from .fincat import FinCategory, mid, unravel
+from .ids import sort_key
 
 
 class SemiSimplicialSet:
@@ -204,12 +207,56 @@ class SimplicialMap:
         return violations
 
 
+def simplicial_set(D, cells, face, degeneracy=None):
+    """The one place where face and degeneracy tables are laid out.
+
+    ``cells[k]`` lists the k-cells in order; ``face(k, i, cell)`` is d_i of
+    a k-cell (1 <= k <= D) and ``degeneracy(k, i, cell)`` is s_i of a
+    k-cell (k < D).  Without ``degeneracy`` the result is semi-simplicial.
+    """
+    faces = [None] + [
+        [{cell: face(k, i, cell) for cell in cells[k]} for i in range(k + 1)]
+        for k in range(1, D + 1)
+    ]
+    # cells stays positional: bench/tracer.py reads it as the constructor's args[2]
+    if degeneracy is None:
+        return SemiSimplicialSet(D, cells, faces)
+    degeneracies = [
+        [{cell: degeneracy(k, i, cell) for cell in cells[k]} for i in range(k + 1)]
+        for k in range(D)
+    ]
+    return TruncatedSimplicialSet(D, cells, faces, degeneracies)
+
+
+def simplicial_map(source, target, image) -> SimplicialMap:
+    """The one place where a simplicial map's tables are laid out:
+    ``image(k, cell)`` is the image of a k-cell of ``source``."""
+    maps = [
+        {cell: image(k, cell) for cell in source.cells[k]}
+        for k in range(source.D + 1)
+    ]
+    return SimplicialMap(source, target, maps)
+
+
 def chain_objects(c: FinCategory, k: int, chain) -> tuple:
     """Objects at the vertices 0..k of a degree-k nerve cell (a 0-cell is
     its object)."""
     if k == 0:
         return (chain,)
     return (c.src[chain[0]],) + tuple(c.tgt[f] for f in chain)
+
+
+def chain_composites(c: FinCategory, objects, arrows) -> dict:
+    """Composites along a chain of arrows through ``objects``: entry
+    (a, b), a <= b, is the arrow from vertex a to vertex b, the identity
+    when a == b."""
+    out = {}
+    for a, x in enumerate(objects):
+        out[(a, a)] = c.identity[x]
+        for b in range(a + 1, len(objects)):
+            f = arrows[b - 1]
+            out[(a, b)] = f if b == a + 1 else c.table[(out[(a, b - 1)], f)]
+    return out
 
 
 def nerve(c: FinCategory, D: int) -> TruncatedSimplicialSet:
@@ -231,46 +278,27 @@ def nerve(c: FinCategory, D: int) -> TruncatedSimplicialSet:
         total += sum(chains.values())
     check_budget(total, TruncatedSimplicialSet.__name__)
     cells = [list(c.objects)]
-    for k in range(1, D + 1):
-        nxt = []
-        for chain in cells[k - 1]:
-            if k == 1:
-                start = chain
-                for m in from_obj[start]:
-                    nxt.append((m,))
-            else:
-                last = chain[-1]
-                for m in from_obj[c.tgt[last]]:
-                    nxt.append(chain + (m,))
-        cells.append(nxt)
+    if D:
+        cells.append([(m,) for x in c.objects for m in from_obj[x]])
+    for k in range(2, D + 1):
+        cells.append(
+            [chain + (m,) for chain in cells[k - 1] for m in from_obj[c.tgt[chain[-1]]]]
+        )
 
-    face = [None]
-    for k in range(1, D + 1):
-        tables = []
-        for i in range(k + 1):
-            table = {}
-            for chain in cells[k]:
-                if k == 1:
-                    table[chain] = c.tgt[chain[0]] if i == 0 else c.src[chain[0]]
-                elif i == 0:
-                    table[chain] = chain[1:]
-                elif i == k:
-                    table[chain] = chain[:-1]
-                else:
-                    merged = c.table[(chain[i - 1], chain[i])]
-                    table[chain] = chain[: i - 1] + (merged,) + chain[i + 1:]
-            tables.append(table)
-        face.append(tables)
+    def face(k, i, chain):
+        if k == 1:
+            return c.tgt[chain[0]] if i == 0 else c.src[chain[0]]
+        if i == 0:
+            return chain[1:]
+        if i == k:
+            return chain[:-1]
+        return chain[: i - 1] + (c.table[(chain[i - 1], chain[i])],) + chain[i + 1:]
 
-    degeneracy = []
-    for k in range(D):
-        tables = [{} for _ in range(k + 1)]
-        for chain in cells[k]:
-            for i, obj in enumerate(chain_objects(c, k, chain)):
-                ident = c.identity[obj]
-                tables[i][chain] = (ident,) if k == 0 else chain[:i] + (ident,) + chain[i:]
-        degeneracy.append(tables)
-    return TruncatedSimplicialSet(D, cells, face, degeneracy)
+    def degeneracy(k, i, chain):
+        ident = c.identity[chain_objects(c, k, chain)[i]]
+        return (ident,) if k == 0 else chain[:i] + (ident,) + chain[i:]
+
+    return simplicial_set(D, cells, face, degeneracy)
 
 
 def s_semisimplicial(N: int, D: int) -> SemiSimplicialSet:
@@ -278,13 +306,7 @@ def s_semisimplicial(N: int, D: int) -> SemiSimplicialSet:
     if N < 0 or D < 0:
         raise StructureError("N and D must be >= 0")
     cells = [list(combinations(range(N + 1), k + 1)) for k in range(D + 1)]
-    face = [None]
-    for k in range(1, D + 1):
-        tables = []
-        for i in range(k + 1):
-            tables.append({c: c[:i] + c[i + 1:] for c in cells[k]})
-        face.append(tables)
-    return SemiSimplicialSet(D, cells, face)
+    return simplicial_set(D, cells, lambda k, i, seq: seq[:i] + seq[i + 1:])
 
 
 def product_with_S(x, s: SemiSimplicialSet) -> SemiSimplicialSet:
@@ -301,18 +323,9 @@ def product_with_S(x, s: SemiSimplicialSet) -> SemiSimplicialSet:
     cells = [
         [(a, b) for a in x.cells[k] for b in s.cells[k]] for k in range(x.D + 1)
     ]
-    face = [None]
-    for k in range(1, x.D + 1):
-        tables = []
-        for i in range(k + 1):
-            tables.append(
-                {
-                    (a, b): (x.face(k, i, a), s.face(k, i, b))
-                    for a, b in cells[k]
-                }
-            )
-        face.append(tables)
-    return SemiSimplicialSet(x.D, cells, face)
+    return simplicial_set(
+        x.D, cells, lambda k, i, cell: (x.face(k, i, cell[0]), s.face(k, i, cell[1]))
+    )
 
 
 def _group_index(seq, pos):
@@ -353,32 +366,18 @@ def unravel_simplicial(y: TruncatedSimplicialSet, N: int) -> TruncatedSimplicial
                 level.append((seq, z))
         cells.append(level)
 
-    face = [None]
-    for n in range(1, D + 1):
-        tables = []
-        for i in range(n + 1):
-            table = {}
-            for seq, z in cells[n]:
-                rest = seq[:i] + seq[i + 1:]
-                if _in_multi_group(seq, i):
-                    table[(seq, z)] = (rest, z)
-                else:
-                    l = len(set(seq))
-                    j = _group_index(seq, i)
-                    table[(seq, z)] = (rest, y.face(l - 1, j, z))
-            tables.append(table)
-        face.append(tables)
+    def face(n, i, cell):
+        seq, z = cell
+        rest = seq[:i] + seq[i + 1:]
+        if _in_multi_group(seq, i):
+            return rest, z
+        return rest, y.face(len(set(seq)) - 1, _group_index(seq, i), z)
 
-    degeneracy = []
-    for n in range(D):
-        tables = []
-        for i in range(n + 1):
-            table = {}
-            for seq, z in cells[n]:
-                table[(seq, z)] = (seq[: i + 1] + seq[i:], z)
-            tables.append(table)
-        degeneracy.append(tables)
-    return TruncatedSimplicialSet(D, cells, face, degeneracy)
+    def degeneracy(n, i, cell):
+        seq, z = cell
+        return seq[: i + 1] + seq[i:], z
+
+    return simplicial_set(D, cells, face, degeneracy)
 
 
 def interleave_cell(c: FinCategory, k, chain, seq):
@@ -386,11 +385,7 @@ def interleave_cell(c: FinCategory, k, chain, seq):
     with a strictly increasing stage tuple of the same degree."""
     if k == 0:
         return (chain, seq[0])
-    objects = chain_objects(c, k, chain)
-    return tuple(
-        ((objects[i - 1], seq[i - 1]), (objects[i], seq[i]), chain[i - 1])
-        for i in range(1, k + 1)
-    )
+    return tuple(mid(c, f, a, b) for f, a, b in zip(chain, seq, seq[1:]))
 
 
 @dataclass
@@ -417,9 +412,7 @@ def lemma42_bijection(c: FinCategory, N: int, D: int) -> BijectionReport:
     violations = []
     maps = []
     for k in range(D + 1):
-        table = {}
-        for chain, seq in prod.cells[k]:
-            table[(chain, seq)] = interleave_cell(c, k, chain, seq)
+        table = {cell: interleave_cell(c, k, *cell) for cell in prod.cells[k]}
         maps.append(table)
         images = list(table.values())
         image_set = set(images)
@@ -452,36 +445,21 @@ def unravel_nerve_isomorphism(c: FinCategory, N: int, D: int) -> SimplicialMap:
     cN = unravel(c, N)
     right = nerve(cN, D)
 
-    maps = []
+    def image(n, cell):
+        seq, z = cell
+        if n == 0:
+            return (z, seq[0])
+        objects = chain_objects(c, len(set(seq)) - 1, z)
+        arrows = []
+        for i in range(1, n + 1):
+            g = _group_index(seq, i)
+            f = c.identity[objects[g]] if seq[i - 1] == seq[i] else z[g - 1]
+            arrows.append(mid(c, f, seq[i - 1], seq[i]))
+        return tuple(arrows)
+
+    iso = simplicial_map(left, right, image)
     for n in range(D + 1):
-        table = {}
-        for seq, z in left.cells[n]:
-            if n == 0:
-                table[(seq, z)] = (z, seq[0])
-                continue
-            objects = chain_objects(c, len(set(seq)) - 1, z)
-            arrows = []
-            for i in range(1, n + 1):
-                gi_prev = _group_index(seq, i - 1)
-                gi = _group_index(seq, i)
-                if seq[i - 1] == seq[i]:
-                    obj = objects[gi]
-                    arrows.append(
-                        ((obj, seq[i]), (obj, seq[i]), c.identity[obj])
-                    )
-                else:
-                    arrows.append(
-                        (
-                            (objects[gi_prev], seq[i - 1]),
-                            (objects[gi], seq[i]),
-                            z[gi_prev],
-                        )
-                    )
-            table[(seq, z)] = tuple(arrows)
-        maps.append(table)
-    iso = SimplicialMap(left, right, maps)
-    for n in range(D + 1):
-        if len(set(maps[n].values())) != left.n_cells(n) or left.n_cells(
+        if len(set(iso.maps[n].values())) != left.n_cells(n) or left.n_cells(
             n
         ) != right.n_cells(n):
             raise StructureError(f"cell counts differ in degree {n}")
@@ -555,57 +533,3 @@ def maximal_flags(n: int):
         out.append((BarycentricFlag(n, chain), -1 if inversions % 2 else 1))
     return out
 
-
-def simplicial_set_to_json(x) -> dict:
-    index = [
-        {cell: i for i, cell in enumerate(x.cells[k])} for k in range(x.D + 1)
-    ]
-    doc = {
-        "D": x.D,
-        "cells": [[encode_id(c) for c in x.cells[k]] for k in range(x.D + 1)],
-        "face": [
-            [
-                [index[k - 1][x.face(k, i, c)] for c in x.cells[k]]
-                for i in range(k + 1)
-            ]
-            for k in range(1, x.D + 1)
-        ],
-    }
-    if x.has_degeneracies:
-        doc["degeneracy"] = [
-            [
-                [index[k + 1][x.degeneracy(k, i, c)] for c in x.cells[k]]
-                for i in range(k + 1)
-            ]
-            for k in range(x.D)
-        ]
-    return doc
-
-
-def simplicial_set_from_json(doc: dict):
-    try:
-        D = doc["D"]
-        cells = [[decode_id(c) for c in level] for level in doc["cells"]]
-        face = [None]
-        for k in range(1, D + 1):
-            tables = []
-            for i in range(k + 1):
-                raw = doc["face"][k - 1][i]
-                tables.append(
-                    {cells[k][j]: cells[k - 1][raw[j]] for j in range(len(raw))}
-                )
-            face.append(tables)
-        if "degeneracy" not in doc:
-            return SemiSimplicialSet(D, cells, face)
-        degeneracy = []
-        for k in range(D):
-            tables = []
-            for i in range(k + 1):
-                raw = doc["degeneracy"][k][i]
-                tables.append(
-                    {cells[k][j]: cells[k + 1][raw[j]] for j in range(len(raw))}
-                )
-            degeneracy.append(tables)
-        return TruncatedSimplicialSet(D, cells, face, degeneracy)
-    except (KeyError, IndexError, TypeError) as exc:
-        raise StructureError(f"malformed simplicial set document: {exc}")

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -22,8 +23,15 @@ from fatcat.comparison import (
     subdivision_operator,
     tau_chain_map,
 )
-from fatcat.errors import StructureError, Violation
-from fatcat.fincat import FinCategory, ordinal, truncated_nat, unravel
+from fatcat.errors import EnumerationLimitError, StructureError, Violation
+from fatcat.fincat import (
+    FinCategory,
+    FinGroupoid,
+    check_groupoid,
+    ordinal,
+    truncated_nat,
+    unravel,
+)
 from fatcat.fixtures import (
     cyclic_groupoid,
     idempotent_monoid_category,
@@ -31,7 +39,7 @@ from fatcat.fixtures import (
     terminal_category,
     z2_groupoid,
 )
-from fatcat.homology import geometric_chains, homology, quasi_iso_through
+from fatcat.homology import fat_chains, geometric_chains, homology, quasi_iso_through
 from fatcat.simpset import (
     SemiSimplicialSet,
     SimplicialMap,
@@ -40,6 +48,7 @@ from fatcat.simpset import (
 )
 
 from oracles import oracle_homology
+from test_simpset import record_builds
 
 
 def test_projection_terminal_is_h0_iso():
@@ -262,6 +271,41 @@ def test_fiber_refuses_a_wrong_target():
             quillen_fiber(c, 3, 2, edge, 1, wrong)
 
 
+FIBER_CORES = {
+    "vertex": (pair_groupoid().base, "a", 0),
+    "edge": (ordinal(1), ((0, 1, "le"),), 1),
+    # the composite s o s is an identity, so equal stages may follow it
+    "z2-ss": (z2_groupoid().base, (("*", "*", "s"), ("*", "*", "s")), 2),
+}
+
+
+def test_fiber_is_refused_before_any_cell_is_built(monkeypatch):
+    built = record_builds(monkeypatch)
+    monkeypatch.delenv("FATCAT_MAX_CELLS", raising=False)
+    c, cell, k = FIBER_CORES["z2-ss"]
+    with pytest.raises(
+        EnumerationLimitError, match="^TruncatedSimplicialSet needs 59422 cells"
+    ):
+        quillen_fiber(c, 10, 4, cell, k)
+    assert built == []
+
+
+@pytest.mark.parametrize("name", sorted(FIBER_CORES))
+def test_fiber_budget_counts_every_cell(monkeypatch, name):
+    c, cell, k = FIBER_CORES[name]
+    target = nerve(unravel(c, 3), 3)
+    fib = quillen_fiber(c, 3, 3, cell, k, target)
+    total = sum(fib.fiber.n_cells(j) for j in range(4))
+    built = record_builds(monkeypatch)
+    monkeypatch.setenv("FATCAT_MAX_CELLS", str(total))
+    quillen_fiber(c, 3, 3, cell, k, target)
+    monkeypatch.setenv("FATCAT_MAX_CELLS", str(total - 1))
+    with pytest.raises(EnumerationLimitError, match=f"needs {total} cells"):
+        quillen_fiber(c, 3, 3, cell, k, target)
+    # the fiber and its simplex, both from the run inside the budget
+    assert len(built) == 2
+
+
 def test_fiber_of_degenerate_simplex_factors():
     c = z2_groupoid().base
     ident = ("*", "*", "e")
@@ -368,3 +412,47 @@ def test_tau_point_hits_stage_one():
     col = tau.matrices[0].column(0)
     hits = {tau.target.basis[0][i]: v for i, v in enumerate(col) if v}
     assert hits == {(0, (1,)): 1}
+
+
+def s3_action_groupoid():
+    """S_3 acting on {0, 1, 2}: 3 objects and 18 arrows (x, g(x), g).  It is
+    connected with stabilizer Z/2, so it is equivalent to Z/2."""
+    perms = list(permutations(range(3)))
+
+    def arrow(g, x):
+        return (x, g[x], g)
+
+    def after(h, g):
+        return tuple(h[g[i]] for i in range(3))
+
+    arrows = [(arrow(g, x), x, g[x]) for g in perms for x in range(3)]
+    identity = {x: arrow(perms[0], x) for x in range(3)}
+    compose = {
+        (arrow(g, x), arrow(h, g[x])): arrow(after(h, g), x)
+        for g in perms
+        for h in perms
+        for x in range(3)
+    }
+    inverse = {
+        arrow(g, x): arrow(h, g[x])
+        for g in perms
+        for h in perms
+        if after(h, g) == perms[0]
+        for x in range(3)
+    }
+    return FinGroupoid(FinCategory(range(3), arrows, identity, compose), inverse)
+
+
+def test_action_groupoid_matches_its_stabilizer():
+    g = s3_action_groupoid()
+    assert check_groupoid(g) == []
+    c = g.base
+    assert (len(c.objects), len(c.morphisms)) == (3, 18)
+    # closed form H_*(BZ/2) through degree 3
+    expected = [(1, ()), (0, (2,)), (0, ()), (0, (2,))]
+    ner = nerve(c, 4)
+    for chains in (fat_chains(ner), geometric_chains(ner)):
+        assert [homology(chains, k).group() for k in range(4)] == expected
+    assert quasi_iso_through(projection_pi(c, 3, 3), 2).ok
+    assert all_fibers_contractible(c, 2, 2, 1)[1] == []
+    assert pi_tau_homology_check(c, 3, 2, 1).ok

@@ -1,4 +1,3 @@
-import json
 from itertools import combinations
 
 import pytest
@@ -16,8 +15,6 @@ from fatcat.simpset import (
     product_with_S,
     s_semisimplicial,
     sd_flags,
-    simplicial_set_from_json,
-    simplicial_set_to_json,
     unravel_nerve_isomorphism,
     unravel_simplicial,
 )
@@ -288,16 +285,6 @@ def test_maximal_flags_signs():
         flags[tuple(sorted(tuple(sorted(p)) for p in f.chain))] = sign
     assert flags[((0,), (0, 1))] == 1
     assert flags[((0, 1), (1,))] == -1
-
-
-def test_simplicial_set_json_roundtrip():
-    for x in (nerve(ordinal(1), 2), s_semisimplicial(2, 2)):
-        doc = json.loads(json.dumps(simplicial_set_to_json(x)))
-        again = simplicial_set_from_json(doc)
-        assert [again.n_cells(k) for k in range(x.D + 1)] == [
-            x.n_cells(k) for k in range(x.D + 1)
-        ]
-        assert again.has_degeneracies == x.has_degeneracies
 
 
 def test_audit_rejects_wrong_face_table():

@@ -8,7 +8,7 @@ from pathlib import Path
 
 from fatcat.comparison import _nondegenerate_factorization, quillen_fiber
 from fatcat.fixtures import z2_groupoid
-from fatcat.simpset import nerve
+from fatcat.simpset import SemiSimplicialSet, nerve, s_semisimplicial
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -44,3 +44,27 @@ def test_fiber_counter_reads_quillen_fiber_by_position():
         for cell in ner.cells[k]:
             core = _nondegenerate_factorization(c, k, cell)
             assert fiber_pre((c, 3, 2, cell, k), {}) == {"core": repr((id(c), 3, 2, core))}
+
+
+def test_cells_counter_reads_the_constructor_by_position(monkeypatch):
+    # the tracer's object counter reads the cell lists as args[2] of
+    # SemiSimplicialSet.__init__, so simplicial_set must pass them positionally
+    params = list(inspect.signature(SemiSimplicialSet.__init__).parameters)
+    assert params[:4] == ["self", "D", "cells", "face"]
+    calls = []
+    original = SemiSimplicialSet.__init__
+
+    def init(*args, **kwargs):
+        calls.append((args, kwargs))
+        original(*args, **kwargs)
+
+    monkeypatch.setattr(SemiSimplicialSet, "__init__", init)
+    cells_pre = load_tracer()._cells_pre
+    # a nerve reaches the constructor through TruncatedSimplicialSet, the
+    # stage complex directly
+    for build in (lambda: nerve(z2_groupoid().base, 3), lambda: s_semisimplicial(3, 3)):
+        calls.clear()
+        x = build()
+        assert len(calls) == 1
+        cells = sum(x.n_cells(k) for k in range(4))
+        assert cells_pre(*calls[0]) == {"cells": cells}
