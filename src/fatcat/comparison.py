@@ -371,7 +371,7 @@ def _nondegenerate_factorization(c: FinCategory, k: int, cell):
 
 
 def quillen_fiber(
-    c: FinCategory, N: int, D: int, y_cell, y_degree: int, target=None
+    c: FinCategory, N: int, D: int, y_cell, y_degree: int, target=None, simplex=None
 ) -> CommaFiber:
     """Comma fiber of a nerve simplex.
 
@@ -382,10 +382,11 @@ def quillen_fiber(
     core arrow to be an identity.
 
     ``target`` is ``nerve(unravel(c, N), D)``, the codomain of the
-    ``to_unraveled`` leg; it is built here when omitted, and a caller that
-    builds many fibers of one category passes it to share it.  A target
-    that misses an image of that leg, or has another D, fails the leg's
-    audit with :class:`StructureError`.
+    ``to_unraveled`` leg, and ``simplex`` is ``nerve(ordinal(m), D)`` for
+    the core degree m, the codomain of the ``to_simplex`` leg.  Each is
+    built here when omitted, and a caller that builds many fibers of one
+    category passes them to share them.  A codomain that misses an image
+    of its leg, or has another D, raises :class:`StructureError`.
     """
     objects, arrows = _nondegenerate_factorization(c, y_degree, y_cell)
     m = len(objects) - 1
@@ -426,7 +427,8 @@ def quillen_fiber(
 
     fiber = simplicial_set(D, cells, face, degeneracy)
 
-    simplex = nerve(ordinal(m), D)
+    if simplex is None:
+        simplex = nerve(ordinal(m), D)
     if target is None:
         target = nerve(unravel(c, N), D)
 
@@ -494,14 +496,16 @@ def all_fibers_contractible(c: FinCategory, N: int, D: int, d: int = None):
     distinct core's fiber is built, audited and checked once, and every
     cell with that core gets the core's violations under its own
     ``(k, cell)`` prefix; only the reports are kept, not the fibers.  All
-    fibers share one ``nerve(unravel(c, N), D)``.  Returns the number of
-    nerve cells checked and the violations in cell order.
+    fibers share one ``nerve(unravel(c, N), D)``, and all fibers over cores
+    of one degree m share one ``nerve(ordinal(m), D)``.  Returns the number
+    of nerve cells checked and the violations in cell order.
     """
     if d is None:
         d = D - 1
     check_degree_range(d, D)
     ner = nerve(c, D)
     target = nerve(unravel(c, N), D)
+    simplices = {}
     reports = {}
     violations = []
     checked = 0
@@ -509,7 +513,9 @@ def all_fibers_contractible(c: FinCategory, N: int, D: int, d: int = None):
         for cell in ner.cells[k]:
             core = _nondegenerate_factorization(c, k, cell)
             if core not in reports:
-                fib = quillen_fiber(c, N, D, cell, k, target)
+                m = len(core[0]) - 1
+                fib = quillen_fiber(c, N, D, cell, k, target, simplices.get(m))
+                simplices[m] = fib.to_simplex.target
                 reports[core] = contractibility_report(fib, d)
             checked += 1
             for v in reports[core].violations:

@@ -8,8 +8,9 @@ partial tables) raise :class:`StructureError` instead.
 """
 
 from dataclasses import dataclass
+from math import comb
 
-from .errors import StructureError, Violation
+from .errors import StructureError, Violation, check_budget
 from .ids import decode_id, encode_id, id_key, sort_key
 
 
@@ -244,11 +245,25 @@ def unravel(c: FinCategory, N: int) -> UnraveledCategory:
     """Unraveled category over stages {0..N}.
 
     Objects are pairs (x, i); a morphism (f, i <= j) survives exactly when
-    i < j or f is an identity, and composition is inherited stagewise.
+    i < j or f is an identity, and composition is inherited stagewise.  The
+    morphisms and their composable pairs are counted and budgeted before
+    any of them is built.
     """
     if N < 0:
         raise StructureError("unravel requires N >= 0")
     stages = range(N + 1)
+    into = dict.fromkeys(c.objects, 0)
+    out = dict.fromkeys(c.objects, 0)
+    for _, s, t in c.morphisms:
+        out[s] += 1
+        into[t] += 1
+    # (x, i) is entered by its identity and by every f into x from a stage
+    # below i, and left by its identity and every f out of x to a stage above
+    pairs = sum(
+        (1 + i * into[x]) * (1 + (N - i) * out[x]) for x in c.objects for i in stages
+    )
+    total = len(c.objects) * (N + 1) + len(c.morphisms) * comb(N + 1, 2) + pairs
+    check_budget(total, UnraveledCategory.__name__)
     objects = [(x, i) for x in c.objects for i in stages]
 
     morphisms = []
@@ -261,13 +276,13 @@ def unravel(c: FinCategory, N: int) -> UnraveledCategory:
                 morphisms.append((mid(c, f, i, j), (c.src[f], i), (c.tgt[f], j)))
 
     identity = {(x, i): mid(c, c.identity[x], i, i) for x in c.objects for i in stages}
+    leaving = {x: [] for x in objects}
+    for m, s, t in morphisms:
+        leaving[s].append((m, t))
     compose = {}
     for m1, s1, t1 in morphisms:
-        for m2, s2, t2 in morphisms:
-            if t1 != s2:
-                continue
-            f1, f2 = m1[2], m2[2]
-            compose[(m1, m2)] = mid(c, c.table[(f1, f2)], s1[1], t2[1])
+        for m2, t2 in leaving[t1]:
+            compose[(m1, m2)] = mid(c, c.table[(m1[2], m2[2])], s1[1], t2[1])
     return UnraveledCategory(objects, morphisms, identity, compose, base=c, stages=N)
 
 

@@ -1,12 +1,17 @@
 """Truncated simplicial and semi-simplicial sets.
 
 Cells are canonical identifiers (objects, morphism chains, index tuples and
-pairs of these), face and degeneracy maps are explicit tables, and the
-simplicial identities are audited exhaustively on construction, scoped to
-the degrees that exist below the truncation cutoff D.  The package builds
-every object with :func:`simplicial_set` and every map with
-:func:`simplicial_map`, which lay out the tables from per-cell rules, so the
-table layout is decided in one place.
+pairs of these), kept in one ordered list per degree with an index from
+each cell to its position.  Face, degeneracy and map tables are per-degree
+lists of positions: ``faces[k][i][p]`` is the position in degree k - 1 of
+d_i of the p-th k-cell.  The simplicial identities are audited exhaustively
+on construction, scoped to the degrees that exist below the truncation
+cutoff D, once per pair of indices by composing whole tables; a mismatch
+is mapped back to its cell, so a violation names the cell that breaks the
+law.  The package builds every object with :func:`simplicial_set` and every
+map with :func:`simplicial_map`, which lay out the tables from per-cell
+rules, so the table layout is decided in one place.  ``face``,
+``degeneracy`` and ``apply`` still take and return cells.
 
 Conventions used throughout:
 
@@ -33,7 +38,13 @@ from .ids import sort_key
 
 
 class SemiSimplicialSet:
-    """Degree-indexed cell lists with face maps d_i only."""
+    """Degree-indexed cell lists with face maps d_i only.
+
+    ``faces[k][i][p]`` is the position in ``cells[k - 1]`` of d_i of the
+    p-th k-cell, and ``index[k]`` maps each k-cell to its position.  The
+    constructor checks each table's length and range, then audits the face
+    identities once per (i, j) pair by composing whole tables.
+    """
 
     has_degeneracies = False
 
@@ -43,7 +54,8 @@ class SemiSimplicialSet:
         if len(self.cells) != D + 1:
             raise StructureError("cell lists must cover degrees 0..D")
         check_budget(sum(len(cs) for cs in self.cells), type(self).__name__)
-        self._face = face
+        self.index = [{cell: p for p, cell in enumerate(cs)} for cs in self.cells]
+        self.faces = face
         seen_violations = self.audit()
         if seen_violations:
             raise StructureError(
@@ -54,32 +66,23 @@ class SemiSimplicialSet:
         return len(self.cells[k])
 
     def face(self, k, i, cell):
-        return self._face[k][i][cell]
+        return self.cells[k - 1][self.faces[k][i][self.index[k][cell]]]
 
     def audit(self):
-        violations = []
+        F = self.faces
         for k in range(1, self.D + 1):
-            if len(self._face[k]) != k + 1:
+            if len(F[k]) != k + 1:
                 raise StructureError(f"degree {k} needs faces d_0..d_{k}")
-            lower = set(self.cells[k - 1])
-            for i in range(k + 1):
-                table = self._face[k][i]
-                for cell in self.cells[k]:
-                    if cell not in table:
-                        raise StructureError(f"face d_{i} undefined on a {k}-cell")
-                    if table[cell] not in lower:
-                        raise StructureError(f"face d_{i} leaves degree {k - 1}")
-        for k in range(2, self.D + 1):
-            for cell in self.cells[k]:
-                for j in range(k + 1):
-                    for i in range(j):
-                        left = self.face(k - 1, i, self.face(k, j, cell))
-                        right = self.face(k - 1, j - 1, self.face(k, i, cell))
-                        if left != right:
-                            violations.append(
-                                Violation("face-face", (k, i, j, cell))
-                            )
-        return violations
+            for i, table in enumerate(F[k]):
+                _check_table(table, self.n_cells(k), self.n_cells(k - 1),
+                             f"face d_{i} undefined on a {k}-cell",
+                             f"face d_{i} leaves degree {k - 1}")
+        # d_i d_j = d_{j-1} d_i for i < j
+        pairs = (
+            (k, (i, j), _compose(F[k - 1][i], F[k][j]), _compose(F[k - 1][j - 1], F[k][i]))
+            for k in range(2, self.D + 1) for j in range(k + 1) for i in range(j)
+        )
+        return _violations("face-face", pairs, self.cells)
 
     def is_degenerate(self, k, cell):
         return False
@@ -89,85 +92,80 @@ class SemiSimplicialSet:
 
 
 class TruncatedSimplicialSet(SemiSimplicialSet):
-    """Semi-simplicial set plus degeneracy maps s_i for degrees below D."""
+    """Semi-simplicial set plus degeneracy maps s_i for degrees below D.
+
+    ``degeneracies[k][i][p]`` is the position in ``cells[k + 1]`` of s_i of
+    the p-th k-cell; it is checked and audited like the face tables.
+    """
 
     has_degeneracies = True
 
     def __init__(self, D, cells, face, degeneracy):
-        self._degeneracy = degeneracy
-        self._degenerate_cells = None
+        self.degeneracies = degeneracy
+        self._degenerate = None
         super().__init__(D, cells, face)
 
     def degeneracy(self, k, i, cell):
-        return self._degeneracy[k][i][cell]
+        return self.cells[k + 1][self.degeneracies[k][i][self.index[k][cell]]]
 
     def audit(self):
         violations = super().audit()
+        S = self.degeneracies
         for k in range(self.D):
-            if len(self._degeneracy[k]) != k + 1:
+            if len(S[k]) != k + 1:
                 raise StructureError(f"degree {k} needs degeneracies s_0..s_{k}")
-            upper = set(self.cells[k + 1])
-            for i in range(k + 1):
-                table = self._degeneracy[k][i]
-                for cell in self.cells[k]:
-                    if cell not in table:
-                        raise StructureError(f"degeneracy s_{i} undefined on a {k}-cell")
-                    if table[cell] not in upper:
-                        raise StructureError(f"degeneracy s_{i} leaves degree {k + 1}")
+            for i, table in enumerate(S[k]):
+                _check_table(table, self.n_cells(k), self.n_cells(k + 1),
+                             f"degeneracy s_{i} undefined on a {k}-cell",
+                             f"degeneracy s_{i} leaves degree {k + 1}")
         # s_i s_j = s_{j+1} s_i for i <= j
-        for k in range(self.D - 1):
-            for cell in self.cells[k]:
-                for j in range(k + 1):
-                    for i in range(j + 1):
-                        left = self.degeneracy(k + 1, i, self.degeneracy(k, j, cell))
-                        right = self.degeneracy(k + 1, j + 1, self.degeneracy(k, i, cell))
-                        if left != right:
-                            violations.append(
-                                Violation("degeneracy-degeneracy", (k, i, j, cell))
-                            )
-        # d_i s_j interchange
-        for k in range(self.D):
-            for cell in self.cells[k]:
-                for j in range(k + 1):
-                    sj = self.degeneracy(k, j, cell)
-                    for i in range(k + 2):
-                        got = self.face(k + 1, i, sj)
-                        if i == j or i == j + 1:
-                            want = cell
-                        elif i < j:
-                            if k == 0:
-                                continue
-                            want = self.degeneracy(k - 1, j - 1, self.face(k, i, cell))
-                        else:
-                            if k == 0:
-                                continue
-                            want = self.degeneracy(k - 1, j, self.face(k, i - 1, cell))
-                        if got != want:
-                            violations.append(
-                                Violation("face-degeneracy", (k, i, j, cell))
-                            )
+        pairs = (
+            (k, (i, j), _compose(S[k + 1][i], S[k][j]), _compose(S[k + 1][j + 1], S[k][i]))
+            for k in range(self.D - 1) for j in range(k + 1) for i in range(j + 1)
+        )
+        violations += _violations("degeneracy-degeneracy", pairs, self.cells)
+        violations += _violations("face-degeneracy", self._face_degeneracy_pairs(), self.cells)
         return violations
 
+    def _face_degeneracy_pairs(self):
+        """d_i s_j is the identity for i in {j, j + 1}, s_{j-1} d_i for
+        i < j and s_j d_{i-1} for i > j + 1."""
+        F, S = self.faces, self.degeneracies
+        for k in range(self.D):
+            identity = list(range(self.n_cells(k)))
+            for j in range(k + 1):
+                for i in range(k + 2):
+                    if i == j or i == j + 1:
+                        want = identity
+                    elif i < j:
+                        want = _compose(S[k - 1][j - 1], F[k][i])
+                    else:
+                        want = _compose(S[k - 1][j], F[k][i - 1])
+                    yield k, (i, j), _compose(F[k + 1][i], S[k][j]), want
+
+    def _degenerate_positions(self, k):
+        if self._degenerate is None:
+            self._degenerate = [set()] + [
+                set().union(*self.degeneracies[deg]) for deg in range(self.D)
+            ]
+        return self._degenerate[k]
+
     def is_degenerate(self, k, cell):
-        if self._degenerate_cells is None:
-            marks = [set() for _ in range(self.D + 1)]
-            for deg in range(self.D):
-                for i in range(deg + 1):
-                    marks[deg + 1].update(self._degeneracy[deg][i].values())
-            self._degenerate_cells = marks
-        return cell in self._degenerate_cells[k]
+        return self.index[k].get(cell) in self._degenerate_positions(k)
 
     def nondegenerate(self, k):
-        return tuple(c for c in self.cells[k] if not self.is_degenerate(k, c))
+        marks = self._degenerate_positions(k)
+        return tuple(c for p, c in enumerate(self.cells[k]) if p not in marks)
 
 
 class SimplicialMap:
     """Per-degree cell map commuting with faces, and with degeneracies when
-    both sides have them.  Audited on construction."""
+    both sides have them.  ``maps[k][p]`` is the position in
+    ``target.cells[k]`` of the image of the p-th k-cell of ``source``.
+    Audited on construction, once per (k, i) by composing whole tables."""
 
     def __init__(self, source, target, maps):
-        if source.D != target.D:
-            raise StructureError("source and target truncation degrees differ")
+        _same_truncation(source, target)
         self.source = source
         self.target = target
         self.maps = maps
@@ -176,35 +174,69 @@ class SimplicialMap:
             raise StructureError(f"structure maps do not commute, e.g. {bad[0]}")
 
     def apply(self, k, cell):
-        return self.maps[k][cell]
+        return self.target.cells[k][self.maps[k][self.source.index[k][cell]]]
 
     def audit(self):
-        violations = []
-        src, tgt = self.source, self.target
+        src, tgt, M = self.source, self.target, self.maps
         for k in range(src.D + 1):
-            table = self.maps[k]
-            allowed = set(tgt.cells[k])
-            for cell in src.cells[k]:
-                if cell not in table:
-                    raise StructureError(f"map undefined on a {k}-cell")
-                if table[cell] not in allowed:
-                    raise StructureError(f"map image leaves target degree {k}")
-        for k in range(1, src.D + 1):
-            for cell in src.cells[k]:
-                img = self.maps[k][cell]
-                for i in range(k + 1):
-                    if self.maps[k - 1][src.face(k, i, cell)] != tgt.face(k, i, img):
-                        violations.append(Violation("map-face", (k, i, cell)))
+            _check_table(M[k], src.n_cells(k), tgt.n_cells(k),
+                         f"map undefined on a {k}-cell",
+                         f"map image leaves target degree {k}")
+        pairs = (
+            (k, (i,), _compose(M[k - 1], src.faces[k][i]), _compose(tgt.faces[k][i], M[k]))
+            for k in range(1, src.D + 1) for i in range(k + 1)
+        )
+        violations = _violations("map-face", pairs, src.cells)
         if src.has_degeneracies and tgt.has_degeneracies:
-            for k in range(src.D):
-                for cell in src.cells[k]:
-                    img = self.maps[k][cell]
-                    for i in range(k + 1):
-                        if self.maps[k + 1][
-                            src.degeneracy(k, i, cell)
-                        ] != tgt.degeneracy(k, i, img):
-                            violations.append(Violation("map-degeneracy", (k, i, cell)))
+            pairs = (
+                (k, (i,), _compose(M[k + 1], src.degeneracies[k][i]),
+                 _compose(tgt.degeneracies[k][i], M[k]))
+                for k in range(src.D) for i in range(k + 1)
+            )
+            violations += _violations("map-degeneracy", pairs, src.cells)
         return violations
+
+
+def _same_truncation(source, target):
+    if source.D != target.D:
+        raise StructureError("source and target truncation degrees differ")
+
+
+def _check_table(table, n, size, undefined, leaves):
+    """A position table over n cells holds n positions in range(size)."""
+    if table and (min(table) < 0 or max(table) >= size):
+        raise StructureError(leaves)
+    if len(table) != n:
+        raise StructureError(undefined)
+
+
+def _compose(outer, inner):
+    """The position table of ``outer`` after ``inner``."""
+    return list(map(outer.__getitem__, inner))
+
+
+def _violations(law, pairs, cells):
+    """Violations of one law.  ``pairs`` yields (k, indices, left, right),
+    where left and right are position tables over the k-cells that the law
+    says agree.  Each mismatching position p gives ``Violation(law, (k,
+    *indices, cells[k][p]))``, in cell-major order: by degree, then cell,
+    then the indices from last to first."""
+    found = []
+    for k, indices, left, right in pairs:
+        if left != right:
+            found.extend(
+                (k, p, indices[::-1]) for p, (a, b) in enumerate(zip(left, right)) if a != b
+            )
+    found.sort()
+    return [Violation(law, (k,) + rev[::-1] + (cells[k][p],)) for k, p, rev in found]
+
+
+def _positions(index, images, leaves):
+    """Positions of ``images`` in a degree's ``index``; a miss raises."""
+    positions = list(map(index.get, images))
+    if None in positions:
+        raise StructureError(leaves)
+    return positions
 
 
 def simplicial_set(D, cells, face, degeneracy=None):
@@ -212,17 +244,22 @@ def simplicial_set(D, cells, face, degeneracy=None):
 
     ``cells[k]`` lists the k-cells in order; ``face(k, i, cell)`` is d_i of
     a k-cell (1 <= k <= D) and ``degeneracy(k, i, cell)`` is s_i of a
-    k-cell (k < D).  Without ``degeneracy`` the result is semi-simplicial.
+    k-cell (k < D).  Each result is looked up in the index of its degree,
+    and one that is not a cell there raises :class:`StructureError`.
+    Without ``degeneracy`` the result is semi-simplicial.
     """
+    index = [{cell: p for p, cell in enumerate(cs)} for cs in cells]
     faces = [None] + [
-        [{cell: face(k, i, cell) for cell in cells[k]} for i in range(k + 1)]
+        [_positions(index[k - 1], (face(k, i, cell) for cell in cells[k]),
+                    f"face d_{i} leaves degree {k - 1}") for i in range(k + 1)]
         for k in range(1, D + 1)
     ]
     # cells stays positional: bench/tracer.py reads it as the constructor's args[2]
     if degeneracy is None:
         return SemiSimplicialSet(D, cells, faces)
     degeneracies = [
-        [{cell: degeneracy(k, i, cell) for cell in cells[k]} for i in range(k + 1)]
+        [_positions(index[k + 1], (degeneracy(k, i, cell) for cell in cells[k]),
+                    f"degeneracy s_{i} leaves degree {k + 1}") for i in range(k + 1)]
         for k in range(D)
     ]
     return TruncatedSimplicialSet(D, cells, faces, degeneracies)
@@ -230,9 +267,12 @@ def simplicial_set(D, cells, face, degeneracy=None):
 
 def simplicial_map(source, target, image) -> SimplicialMap:
     """The one place where a simplicial map's tables are laid out:
-    ``image(k, cell)`` is the image of a k-cell of ``source``."""
+    ``image(k, cell)`` is the image of a k-cell of ``source``, looked up in
+    the index of ``target``."""
+    _same_truncation(source, target)
     maps = [
-        {cell: image(k, cell) for cell in source.cells[k]}
+        _positions(target.index[k], (image(k, cell) for cell in source.cells[k]),
+                   f"map image leaves target degree {k}")
         for k in range(source.D + 1)
     ]
     return SimplicialMap(source, target, maps)
@@ -410,11 +450,10 @@ def lemma42_bijection(c: FinCategory, N: int, D: int) -> BijectionReport:
     target = nerve(cN, D)
 
     violations = []
-    maps = []
+    positions = []
     for k in range(D + 1):
-        table = {cell: interleave_cell(c, k, *cell) for cell in prod.cells[k]}
-        maps.append(table)
-        images = list(table.values())
+        images = [interleave_cell(c, k, *cell) for cell in prod.cells[k]]
+        positions.append(list(map(target.index[k].get, images)))
         image_set = set(images)
         if len(image_set) != len(images):
             violations.append(Violation("bijection-injective", (k,)))
@@ -425,12 +464,22 @@ def lemma42_bijection(c: FinCategory, N: int, D: int) -> BijectionReport:
             violations.append(Violation("bijection-image", (k, cell)))
         for cell in sorted(missing, key=sort_key):
             violations.append(Violation("bijection-surjective", (k, cell)))
-    for k in range(1, D + 1):
-        for cell in prod.cells[k]:
-            img = maps[k][cell]
-            for i in range(k + 1):
-                if maps[k - 1][prod.face(k, i, cell)] != target.face(k, i, img):
-                    violations.append(Violation("bijection-face", (k, i, cell)))
+    # an image outside the target is already a bijection-image violation
+    if not any(None in pos for pos in positions):
+        violations += _violations(
+            "bijection-face",
+            (
+                (
+                    k,
+                    (i,),
+                    _compose(positions[k - 1], prod.faces[k][i]),
+                    _compose(target.faces[k][i], positions[k]),
+                )
+                for k in range(1, D + 1)
+                for i in range(k + 1)
+            ),
+            prod.cells,
+        )
     return BijectionReport(
         violations,
         tuple(prod.n_cells(k) for k in range(D + 1)),
@@ -459,7 +508,7 @@ def unravel_nerve_isomorphism(c: FinCategory, N: int, D: int) -> SimplicialMap:
 
     iso = simplicial_map(left, right, image)
     for n in range(D + 1):
-        if len(set(iso.maps[n].values())) != left.n_cells(n) or left.n_cells(
+        if len(set(iso.maps[n])) != left.n_cells(n) or left.n_cells(
             n
         ) != right.n_cells(n):
             raise StructureError(f"cell counts differ in degree {n}")

@@ -1,12 +1,19 @@
-"""Independent homology oracle used by the tests.
+"""Independent oracles used by the tests.
 
-Computes Betti numbers and invariant factors with sympy (rank over the
-rationals plus Smith normal form over the integers), a code path fully
-disjoint from the package's own elimination.
+* Homology: Betti numbers and invariant factors with sympy (rank over the
+  rationals plus Smith normal form over the integers), a code path fully
+  disjoint from the package's own elimination.
+* Simplicial identities: the per-cell audits, over cell lists and per-cell
+  rules, that the package's whole-table audits must reproduce violation
+  for violation.
 """
+
+from collections import namedtuple
 
 from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import smith_normal_form
+
+from fatcat.errors import StructureError, Violation
 
 
 def _to_sympy(mat):
@@ -42,3 +49,104 @@ def oracle_invariant_factors(mat):
     return sorted(
         abs(int(snf[i, i])) for i in range(min(snf.rows, snf.cols)) if snf[i, i] != 0
     )
+
+
+# A simplicial object as cell lists and rules: ``face(k, i, cell)`` is d_i of
+# a k-cell and ``degeneracy(k, i, cell)`` is s_i of one (None when the object
+# is only semi-simplicial).  A rule that raises LookupError is undefined there.
+Rules = namedtuple("Rules", "cells face degeneracy")
+
+
+def _check_rule(rule, k, cells, allowed, undefined, leaves):
+    allowed = set(allowed)
+    for cell in cells:
+        try:
+            image = rule(k, cell)
+        except LookupError:
+            raise StructureError(undefined) from None
+        if image not in allowed:
+            raise StructureError(leaves)
+
+
+def oracle_simplicial_audit(D, x):
+    """Violations of the simplicial identities of ``x`` (a ``Rules``),
+    checked cell by cell."""
+    cells, face, degeneracy = x
+    for k in range(1, D + 1):
+        for i in range(k + 1):
+            _check_rule(
+                lambda k, c: face(k, i, c), k, cells[k], cells[k - 1],
+                f"face d_{i} undefined on a {k}-cell", f"face d_{i} leaves degree {k - 1}",
+            )
+    violations = []
+    for k in range(2, D + 1):
+        for cell in cells[k]:
+            for j in range(k + 1):
+                for i in range(j):
+                    left = face(k - 1, i, face(k, j, cell))
+                    right = face(k - 1, j - 1, face(k, i, cell))
+                    if left != right:
+                        violations.append(Violation("face-face", (k, i, j, cell)))
+    if degeneracy is None:
+        return violations
+    for k in range(D):
+        for i in range(k + 1):
+            _check_rule(
+                lambda k, c: degeneracy(k, i, c), k, cells[k], cells[k + 1],
+                f"degeneracy s_{i} undefined on a {k}-cell",
+                f"degeneracy s_{i} leaves degree {k + 1}",
+            )
+    # s_i s_j = s_{j+1} s_i for i <= j
+    for k in range(D - 1):
+        for cell in cells[k]:
+            for j in range(k + 1):
+                for i in range(j + 1):
+                    left = degeneracy(k + 1, i, degeneracy(k, j, cell))
+                    right = degeneracy(k + 1, j + 1, degeneracy(k, i, cell))
+                    if left != right:
+                        violations.append(
+                            Violation("degeneracy-degeneracy", (k, i, j, cell))
+                        )
+    # d_i s_j interchange
+    for k in range(D):
+        for cell in cells[k]:
+            for j in range(k + 1):
+                sj = degeneracy(k, j, cell)
+                for i in range(k + 2):
+                    got = face(k + 1, i, sj)
+                    if i == j or i == j + 1:
+                        want = cell
+                    elif i < j:
+                        want = degeneracy(k - 1, j - 1, face(k, i, cell))
+                    else:
+                        want = degeneracy(k - 1, j, face(k, i - 1, cell))
+                    if got != want:
+                        violations.append(Violation("face-degeneracy", (k, i, j, cell)))
+    return violations
+
+
+def oracle_map_audit(D, source, target, image):
+    """Violations of a map ``image(k, cell)`` between two ``Rules``
+    commuting with faces, and with degeneracies when both have them,
+    checked cell by cell."""
+    for k in range(D + 1):
+        _check_rule(
+            image, k, source.cells[k], target.cells[k],
+            f"map undefined on a {k}-cell", f"map image leaves target degree {k}",
+        )
+    violations = []
+    for k in range(1, D + 1):
+        for cell in source.cells[k]:
+            img = image(k, cell)
+            for i in range(k + 1):
+                if image(k - 1, source.face(k, i, cell)) != target.face(k, i, img):
+                    violations.append(Violation("map-face", (k, i, cell)))
+    if source.degeneracy and target.degeneracy:
+        for k in range(D):
+            for cell in source.cells[k]:
+                img = image(k, cell)
+                for i in range(k + 1):
+                    left = image(k + 1, source.degeneracy(k, i, cell))
+                    if left != target.degeneracy(k, i, img):
+                        violations.append(Violation("map-degeneracy", (k, i, cell)))
+    return violations

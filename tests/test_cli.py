@@ -238,6 +238,31 @@ def test_dangling_endpoint_exits_2(capsys, tmp_path, argv):
     expect_bad_input(capsys, argv + ["--input", str(bad)])
 
 
+def _drop_identities(doc):
+    doc["identity"] = {}
+
+
+def _dangle_a_source(doc):
+    doc["morphisms"][1]["src"] = "zz"
+
+
+@pytest.mark.parametrize(
+    "break_doc",
+    [None, _drop_identities, _dangle_a_source],
+    ids=["not-json", "no-identities", "dangling-source"],
+)
+def test_verify_tom_dieck_malformed_input_exits_2(capsys, tmp_path, break_doc):
+    doc = groupoid_to_json(z2_groupoid())
+    bad = tmp_path / "bad.json"
+    if break_doc is None:
+        bad.write_text(json.dumps(doc)[:-1])
+    else:
+        break_doc(doc)
+        bad.write_text(json.dumps(doc))
+    argv = ["verify", "tom-dieck", "--input", str(bad), "--N", "4", "--D", "3", "--d", "1"]
+    expect_bad_input(capsys, argv)
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -176,6 +176,7 @@ def test_pi_tau_audits_each_object_once(monkeypatch):
 def test_fiber_sweep_builds_once_per_core(monkeypatch, cat, cells, cores):
     # a core is a nondegenerate cell, and Z/3 has two edges on one object pair
     assert sum(len(nerve(cat, 3).nondegenerate(k)) for k in range(4)) == cores
+    degrees = sum(1 for k in range(4) if nerve(cat, 3).nondegenerate(k))
     audits = count_audits(monkeypatch)
     calls = Counter()
     for name in ("unravel", "quillen_fiber"):
@@ -189,9 +190,9 @@ def test_fiber_sweep_builds_once_per_core(monkeypatch, cat, cells, cores):
     checked, violations = all_fibers_contractible(cat, 3, 3)
     assert (checked, violations) == (cells, [])
     assert calls == {"unravel": 1, "quillen_fiber": cores}
-    # the nerve, the shared target, and per core a fiber, its simplex and
-    # both legs, each audited exactly once
-    assert len({obj for obj, _ in audits}) == 2 + cores * 4
+    # the nerve, the shared target, per core a fiber and both legs, and one
+    # simplex per core degree, each audited exactly once
+    assert len({obj for obj, _ in audits}) == 2 + cores * 3 + degrees
     assert set(audits.values()) == {1}
 
 

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from fatcat.errors import StructureError
+from fatcat import fincat
+from fatcat.errors import EnumerationLimitError, StructureError
 from fatcat.fincat import (
     FinCategory,
     category_from_json,
@@ -152,6 +153,39 @@ def test_unravel_terminal_matches_truncated_nat():
     assert check_functor(f) == []
     assert len(set(omap.values())) == len(t.objects)
     assert len(set(mmap.values())) == len(t.morphisms)
+
+
+def test_unravel_is_refused_before_any_morphism_is_built(monkeypatch):
+    lifts = []
+    mid = fincat.mid
+    monkeypatch.setattr(fincat, "mid", lambda *args: lifts.append(args) or mid(*args))
+    monkeypatch.delenv("FATCAT_MAX_CELLS", raising=False)
+    eight = pair_groupoid(tuple("abcdefgh")).base
+    # 1,400 unraveled morphisms and 20,664 composable pairs
+    with pytest.raises(EnumerationLimitError, match="^UnraveledCategory needs 22064 cells"):
+        unravel(eight, 6)
+    assert lifts == []
+
+
+@pytest.mark.parametrize(
+    "cat, N",
+    [
+        (ordinal(2), 3),
+        (z2_groupoid().base, 3),
+        (pair_groupoid().base, 3),
+        (pair_groupoid(tuple("abcdefgh")).base, 6),
+    ],
+    ids=["ordinal-2", "z2", "pair", "pair-8"],
+)
+def test_unravel_budget_counts_every_morphism_and_composite(monkeypatch, cat, N):
+    monkeypatch.setenv("FATCAT_MAX_CELLS", "100000")
+    u = unravel(cat, N)
+    total = len(u.morphisms) + len(u.table)
+    monkeypatch.setenv("FATCAT_MAX_CELLS", str(total))
+    assert unravel(cat, N).table == u.table
+    monkeypatch.setenv("FATCAT_MAX_CELLS", str(total - 1))
+    with pytest.raises(EnumerationLimitError, match=f"needs {total} cells"):
+        unravel(cat, N)
 
 
 def test_forgetful_functor():

@@ -26,7 +26,7 @@ from fatcat.homology import (
     quasi_iso_through,
 )
 from fatcat.intlinalg import IntMatrix, _dense_smith, kernel_basis, smith
-from fatcat.simpset import SimplicialMap, nerve, product_with_S, s_semisimplicial
+from fatcat.simpset import nerve, product_with_S, s_semisimplicial, simplicial_map
 
 from oracles import oracle_homology, oracle_invariant_factors
 
@@ -189,9 +189,8 @@ def test_projection_is_quasi_iso_flip_group():
     ner = nerve(z2_groupoid().base, 4)
     s = s_semisimplicial(6, 4)
     prod = product_with_S(ner, s)
-    pi = SimplicialMap(prod, ner, [
-        {cell: cell[0] for cell in prod.cells[k]} for k in range(5)
-    ])
+    maps = [{cell: cell[0] for cell in prod.cells[k]} for k in range(5)]
+    pi = simplicial_map(prod, ner, lambda k, cell: maps[k][cell])
     rep = quasi_iso_through(induced_map(pi), 2)
     assert rep.ok
     groups = [c.target.group() for c in rep.degrees]

@@ -1,13 +1,18 @@
+import copy
+import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
+from fatcat.comparison import projection_map
 from fatcat.errors import EnumerationLimitError, StructureError
 from fatcat.fincat import ordinal, unravel
 from fatcat.fixtures import pair_groupoid, terminal_category, z2_groupoid
 from fatcat.simpset import (
     BarycentricFlag,
     SemiSimplicialSet,
+    SimplicialMap,
     TruncatedSimplicialSet,
     lemma42_bijection,
     maximal_flags,
@@ -15,9 +20,13 @@ from fatcat.simpset import (
     product_with_S,
     s_semisimplicial,
     sd_flags,
+    simplicial_map,
+    simplicial_set,
     unravel_nerve_isomorphism,
     unravel_simplicial,
 )
+
+from oracles import Rules, oracle_map_audit, oracle_simplicial_audit
 
 
 def brute_force_chains(c, k):
@@ -288,7 +297,7 @@ def test_maximal_flags_signs():
 
 
 def test_audit_rejects_wrong_face_table():
-    from fatcat.simpset import SemiSimplicialSet
+    from fatcat.simpset import simplicial_set
 
     cells = [[0, 1, 2], [("e", 0), ("e", 1), ("e", 2)]]
     # a triangle with one edge endpoint wired inconsistently with the filling
@@ -310,12 +319,12 @@ def test_audit_rejects_wrong_face_table():
         ],
     ]
     with pytest.raises(StructureError):
-        SemiSimplicialSet(2, cells2, face2)
+        simplicial_set(2, cells2, lambda k, i, c: face2[k][i][c])
 
 
 def test_audit_rejects_swapped_group_rule():
     """Reading the stage groups after deletion breaks the face identities."""
-    from fatcat.simpset import TruncatedSimplicialSet, _group_index, _in_multi_group
+    from fatcat.simpset import _group_index, _in_multi_group, simplicial_set
 
     y = nerve(z2_groupoid().base, 2)
     N = 2
@@ -351,4 +360,169 @@ def test_audit_rejects_swapped_group_rule():
             tables.append({(seq, z): (seq[: i + 1] + seq[i:], z) for seq, z in cells[n]})
         degeneracy.append(tables)
     with pytest.raises(StructureError):
-        TruncatedSimplicialSet(2, cells, face, degeneracy)
+        simplicial_set(
+            2, cells, lambda k, i, c: face[k][i][c], lambda k, i, c: degeneracy[k][i][c]
+        )
+
+
+# --- whole-table audits against the per-cell oracle
+
+AUDITED = {
+    "nerve-z2": lambda: nerve(z2_groupoid().base, 3),
+    "unravel-ordinal-2": lambda: unravel_simplicial(nerve(ordinal(2), 2), 2),
+    "product": lambda: product_with_S(nerve(z2_groupoid().base, 2), s_semisimplicial(3, 2)),
+    "projection": lambda: projection_map(z2_groupoid().base, 3, 2),
+    # a map between two simplicial sets, so map-degeneracy is audited too
+    "unravel-iso": lambda: unravel_nerve_isomorphism(ordinal(1), 2, 2),
+}
+
+
+def table_slots(x):
+    """(attribute, k, i, size) of every position table of x, size being
+    the number of cells its positions index (i is None for a map)."""
+    if isinstance(x, SimplicialMap):
+        return [("maps", k, None, x.target.n_cells(k)) for k in range(x.source.D + 1)]
+    slots = [("faces", k, i, x.n_cells(k - 1)) for k in range(1, x.D + 1) for i in range(k + 1)]
+    if x.has_degeneracies:
+        slots += [
+            ("degeneracies", k, i, x.n_cells(k + 1)) for k in range(x.D) for i in range(k + 1)
+        ]
+    return slots
+
+
+def corrupted(x, rng):
+    """Copies of x's tables with one to three entries changed: mostly to
+    another position in range, sometimes out of range or cut off."""
+    names = [n for n in ("faces", "degeneracies", "maps") if hasattr(x, n)]
+    tables = {n: copy.deepcopy(getattr(x, n)) for n in names}
+    slots = table_slots(x)
+    for _ in range(rng.randint(1, 3)):
+        name, k, i, size = rng.choice(slots)
+        table = tables[name][k] if i is None else tables[name][k][i]
+        if not table:
+            continue
+        roll = rng.random()
+        if roll < 0.1:
+            table.pop()
+        elif roll < 0.2:
+            table[rng.randrange(len(table))] = rng.choice((-1, size))
+        else:
+            table[rng.randrange(len(table))] = rng.randrange(size)
+    return tables
+
+
+def cell_at(cells, p):
+    """cells[p], or something that is no cell for a position out of range."""
+    return cells[p] if 0 <= p < len(cells) else ("outside", p)
+
+
+def rules_of(x, tables):
+    """Per-cell rules reading x's position tables (or their replacements in
+    ``tables``); an entry cut off a table raises IndexError."""
+
+    def rule(name, shift):
+        table = tables.get(name, getattr(x, name, None))
+        return lambda k, i, cell: cell_at(x.cells[k + shift], table[k][i][x.index[k][cell]])
+
+    degeneracy = rule("degeneracies", 1) if x.has_degeneracies else None
+    return Rules(x.cells, rule("faces", -1), degeneracy)
+
+
+def oracle_verdict(x, tables):
+    try:
+        if isinstance(x, SimplicialMap):
+            maps = tables.get("maps", x.maps)
+            return oracle_map_audit(
+                x.source.D,
+                rules_of(x.source, {}),
+                rules_of(x.target, {}),
+                lambda k, cell: cell_at(x.target.cells[k], maps[k][x.source.index[k][cell]]),
+            )
+        return oracle_simplicial_audit(x.D, rules_of(x, tables))
+    except StructureError as e:
+        return str(e)
+
+
+def audit_verdict(x, tables):
+    y = copy.copy(x)
+    vars(y).update(tables)
+    try:
+        return y.audit()
+    except StructureError as e:
+        return str(e)
+
+
+def constructor_verdict(x, tables):
+    try:
+        if isinstance(x, SimplicialMap):
+            SimplicialMap(x.source, x.target, tables["maps"])
+        elif x.has_degeneracies:
+            TruncatedSimplicialSet(x.D, x.cells, tables["faces"], tables["degeneracies"])
+        else:
+            SemiSimplicialSet(x.D, x.cells, tables["faces"])
+    except StructureError as e:
+        return str(e)
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(AUDITED))
+def test_table_audits_match_the_per_cell_oracle(name):
+    x = AUDITED[name]()
+    assert audit_verdict(x, {}) == oracle_verdict(x, {}) == []
+    outcomes = Counter()
+    for seed in range(40):
+        tables = corrupted(x, random.Random(seed))
+        want = oracle_verdict(x, tables)
+        # the same laws, witnesses and order, or the same structural error
+        assert audit_verdict(x, tables) == want, seed
+        if isinstance(want, str):
+            outcomes["error"] += 1
+            message = want
+        elif want:
+            outcomes["several" if len(want) > 1 else "one"] += 1
+            maps = isinstance(x, SimplicialMap)
+            lead = "structure maps do not commute" if maps else "face identities fail"
+            message = f"{lead}, e.g. {want[0]}"
+        else:
+            message = None
+        assert constructor_verdict(x, tables) == message, seed
+    assert outcomes["error"] and outcomes["several"], outcomes
+
+
+# --- builders and constructors refuse malformed tables
+
+
+def test_builder_refuses_a_face_outside_the_degree_below():
+    cells = [[0, 1], [("e",)]]
+    with pytest.raises(StructureError, match="^face d_1 leaves degree 0$"):
+        simplicial_set(1, cells, lambda k, i, c: 1 if i == 0 else 2)
+
+
+def test_builder_refuses_a_degeneracy_outside_the_degree_above():
+    cells = [[0, 1], [("e",), ("id", 0), ("id", 1)]]
+    with pytest.raises(StructureError, match="^degeneracy s_0 leaves degree 1$"):
+        simplicial_set(
+            1, cells, lambda k, i, c: c[1] if c[0] == "id" else 1 - i, lambda k, i, c: ("id", 2)
+        )
+
+
+def test_builder_refuses_a_map_image_outside_the_target():
+    x = nerve(ordinal(1), 2)
+    point = nerve(terminal_category(), 2)
+    with pytest.raises(StructureError, match="^map image leaves target degree 0$"):
+        simplicial_map(x, point, lambda k, cell: cell)
+
+
+def test_constructors_refuse_tables_of_the_wrong_length_or_range():
+    cells = [[0, 1], [("e",)]]
+    with pytest.raises(StructureError, match="^face d_1 undefined on a 1-cell$"):
+        SemiSimplicialSet(1, cells, [None, [[1], []]])
+    with pytest.raises(StructureError, match="^face d_0 leaves degree 0$"):
+        SemiSimplicialSet(1, cells, [None, [[2], [0]]])
+    with pytest.raises(StructureError, match="^degeneracy s_0 undefined on a 0-cell$"):
+        TruncatedSimplicialSet(1, [[0], [("id",)]], [None, [[0], [0]]], [[[]]])
+    x = nerve(ordinal(1), 1)
+    with pytest.raises(StructureError, match="^map undefined on a 1-cell$"):
+        SimplicialMap(x, x, [[0, 1], [0, 1]])
+    with pytest.raises(StructureError, match="^map image leaves target degree 0$"):
+        SimplicialMap(x, x, [[0, -1], [0, 1, 2]])
