@@ -16,7 +16,8 @@ boundary identity holds already for the interval.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, groupby
+from operator import itemgetter
 
 from .errors import StructureError, Violation, check_budget
 from .fincat import FinCategory, mid, ordinal, unravel
@@ -399,23 +400,36 @@ def quillen_fiber(
             return False
         return l0 < l1 or c.is_identity(composite[(a0, a1)])
 
+    # stages[v][a]: the stages l, ascending, with a step from v to (a, l)
+    stages = {
+        v: [[l for l in range(N + 1) if step_ok(v, (a, l))] for a in range(m + 1)]
+        for v in vertices
+    }
     # ends[v]: k-cells ending at vertex v, by recurrence on k
     ends = dict.fromkeys(vertices, 1)
     total = len(ends)
     for _ in range(D):
-        ends = {v: sum(n for u, n in ends.items() if step_ok(u, v)) for v in vertices}
+        after = dict.fromkeys(vertices, 0)
+        for v, n in ends.items():
+            for a, ls in enumerate(stages[v]):
+                for l in ls:
+                    after[(a, l)] += n
+        ends = after
         total += sum(ends.values())
     check_budget(total, TruncatedSimplicialSet.__name__)
+    # Cells are sorted by (vertex tuple, stage tuple).  Extending the cells
+    # of one vertex tuple, in stage order, by one vertex a and then by its
+    # stages in ascending order keeps that order, so no sort is needed.
     cells = [[((a,), (l,)) for a, l in vertices]]
     for k in range(1, D + 1):
-        cells.append(
-            sorted(
-                (avec + (a,), lvec + (l,))
-                for avec, lvec in cells[k - 1]
-                for a, l in vertices
-                if step_ok((avec[-1], lvec[-1]), (a, l))
-            )
-        )
+        level = []
+        for avec, group in groupby(cells[k - 1], key=itemgetter(0)):
+            lvecs = [lvec for _, lvec in group]
+            for a in range(avec[-1], m + 1):
+                for lvec in lvecs:
+                    for l in stages[(avec[-1], lvec[-1])][a]:
+                        level.append((avec + (a,), lvec + (l,)))
+        cells.append(level)
 
     def face(k, i, cell):
         avec, lvec = cell

@@ -134,14 +134,19 @@ def cell_matrix(source_cells, target_cells, terms) -> IntMatrix:
 
     Column j belongs to ``source_cells[j]`` and row i to ``target_cells[i]``;
     ``terms(cell)`` yields ``(target_cell, coeff)`` pairs, and coefficients
-    landing on the same entry add up.
+    landing on the same entry add up; an entry that sums to 0 is not stored.
     """
     row_of = {cell: i for i, cell in enumerate(target_cells)}
     mat = IntMatrix.zeros(len(target_cells), len(source_cells))
-    rows = mat.rows
+    rows = mat.nz
     for j, cell in enumerate(source_cells):
         for target, coeff in terms(cell):
-            rows[row_of[target]][j] += coeff
+            row = rows[row_of[target]]
+            entry = row.get(j, 0) + coeff
+            if entry:
+                row[j] = entry
+            else:
+                row.pop(j, None)
     return mat
 
 
@@ -256,17 +261,6 @@ def induced_map(f, chains="fat") -> ChainMap:
     return cellular_map(
         fat_chains(f.source), fat_chains(f.target), lambda k, cell: ((f.apply(k, cell), 1),)
     )
-
-
-def normalization_projection(x) -> ChainMap:
-    """Projection from fat chains onto geometric chains, killing the
-    degenerate generators.  A classical quasi-isomorphism, used as an
-    internal oracle."""
-
-    def terms(k, cell):
-        return () if x.is_degenerate(k, cell) else ((cell, 1),)
-
-    return cellular_map(fat_chains(x), geometric_chains(x), terms)
 
 
 @dataclass

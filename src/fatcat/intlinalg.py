@@ -1,9 +1,11 @@
 """Exact integer matrix arithmetic.
 
 Everything runs on arbitrary-precision Python integers; there is no floating
-point anywhere.  Smith normal form runs in two stages:
+point anywhere.  A matrix stores only its nonzero entries, row by row, and
+every product, comparison and transform works on those.  Smith normal form
+runs in two stages:
 
-1. Unit pivots are eliminated on a sparse copy of the matrix.  The pivot
+1. Unit pivots are eliminated on a copy of the row dicts.  The pivot
    column is the live column with the fewest nonzeros that holds a +-1
    entry; the pivot row is the row with the fewest nonzeros among those
    holding a unit in that column; ties go to the lower index.
@@ -20,75 +22,63 @@ from dataclasses import dataclass
 from .errors import StructureError
 
 
-def _nonzero_rows(rows, ncols):
-    """Per row, the {column: value} of its nonzero entries."""
-    from itertools import compress
-
-    cols = range(ncols)
-    return [{j: r[j] for j in compress(cols, r)} for r in rows]
-
-
 class IntMatrix:
-    """Dense integer matrix stored as a list of row lists."""
+    """Sparse integer matrix: ``nz[i]`` is the {column: value} dict of the
+    nonzero entries of row i.  No zero is ever stored, so two matrices are
+    equal exactly when their shapes and row dicts are.
 
-    __slots__ = ("rows", "nrows", "ncols")
+    ``IntMatrix(rows, ncols=...)`` builds one from dense row lists; ``rows``
+    is the dense view, built on demand and read-only.
+    """
+
+    __slots__ = ("nz", "nrows", "ncols")
 
     def __init__(self, rows, ncols=None):
-        self.rows = [list(r) for r in rows]
-        self.nrows = len(self.rows)
-        if self.nrows:
-            self.ncols = len(self.rows[0])
-            for r in self.rows:
-                if len(r) != self.ncols:
-                    raise StructureError("ragged matrix rows")
-        else:
-            if ncols is None:
-                raise StructureError("empty matrix needs an explicit column count")
-            self.ncols = ncols
+        rows = [list(r) for r in rows]
+        if rows:
+            ncols = len(rows[0])
+            if any(len(r) != ncols for r in rows):
+                raise StructureError("ragged matrix rows")
+        elif ncols is None:
+            raise StructureError("empty matrix needs an explicit column count")
+        self.nz = [{j: v for j, v in enumerate(r) if v} for r in rows]
+        self.nrows, self.ncols = len(rows), ncols
 
     @classmethod
-    def _wrap(cls, rows, ncols):
-        """Adopt freshly built rows of equal length, without copying."""
+    def _wrap(cls, nz, ncols):
+        """Adopt row dicts that hold no zeros, without copying."""
         m = cls.__new__(cls)
-        m.rows, m.nrows, m.ncols = rows, len(rows), ncols
+        m.nz, m.nrows, m.ncols = nz, len(nz), ncols
         return m
 
     @classmethod
     def zeros(cls, nrows, ncols):
-        return cls._wrap([[0] * ncols for _ in range(nrows)], ncols)
-
-    @classmethod
-    def identity(cls, n):
-        m = cls.zeros(n, n)
-        for i in range(n):
-            m.rows[i][i] = 1
-        return m
-
-    @classmethod
-    def from_columns(cls, columns, nrows):
-        m = cls.zeros(nrows, len(columns))
-        for j, col in enumerate(columns):
-            for i, v in enumerate(col):
-                m.rows[i][j] = v
-        return m
+        return cls._wrap([{} for _ in range(nrows)], ncols)
 
     @property
     def shape(self):
         return (self.nrows, self.ncols)
 
+    @property
+    def rows(self):
+        """Dense view as a tuple of row tuples; writing to it raises."""
+        return tuple(tuple(_dense(r, self.ncols)) for r in self.nz)
+
     def column(self, j):
-        return [r[j] for r in self.rows]
+        return [r.get(j, 0) for r in self.nz]
 
     def submatrix_cols(self, start, stop=None):
         stop = self.ncols if stop is None else stop
-        return IntMatrix([r[start:stop] for r in self.rows], ncols=stop - start)
+        nz = [{j - start: v for j, v in r.items() if start <= j < stop} for r in self.nz]
+        return IntMatrix._wrap(nz, stop - start)
 
     def _product_rows(self, other):
-        """Rows of self * other as {column: value}, one at a time."""
+        """Rows of self * other as {column: value}, one at a time; an entry
+        that cancels may be held as 0."""
         if self.ncols != other.nrows:
             raise StructureError("matrix product: shape mismatch")
-        right = _nonzero_rows(other.rows, other.ncols)
-        for row in _nonzero_rows(self.rows, self.ncols):
+        right = other.nz
+        for row in self.nz:
             acc = {}
             for k, v in row.items():
                 for j, w in right[k].items():
@@ -97,8 +87,8 @@ class IntMatrix:
 
     def mul(self, other):
         """Matrix product, looping over the nonzeros of both factors."""
-        rows = [_dense(acc, other.ncols) for acc in self._product_rows(other)]
-        return IntMatrix._wrap(rows, other.ncols)
+        nz = [{j: v for j, v in acc.items() if v} for acc in self._product_rows(other)]
+        return IntMatrix._wrap(nz, other.ncols)
 
     def annihilates(self, other):
         """Is self * other zero?  Decided without forming the product."""
@@ -107,23 +97,13 @@ class IntMatrix:
     def mulvec(self, vec):
         if len(vec) != self.ncols:
             raise StructureError("matrix-vector product: shape mismatch")
-        out = []
-        for row in self.rows:
-            s = 0
-            for a, b in zip(row, vec):
-                if a and b:
-                    s += a * b
-            out.append(s)
-        return out
-
-    def is_zero(self):
-        return all(not v for r in self.rows for v in r)
+        return [sum(v * vec[j] for j, v in r.items()) for r in self.nz]
 
     def __eq__(self, other):
         return (
             isinstance(other, IntMatrix)
             and self.shape == other.shape
-            and self.rows == other.rows
+            and self.nz == other.nz
         )
 
     def __repr__(self):
@@ -185,7 +165,7 @@ def smith(A, want_u=False, want_uinv=False, want_v=False, want_vinv=False):
     from heapq import heapify, heappop, heappush
 
     nrows, ncols = A.nrows, A.ncols
-    rows = _nonzero_rows(A.rows, ncols)
+    rows = [dict(r) for r in A.nz]
     cols = [set() for _ in range(ncols)]
     for i, row in enumerate(rows):
         for j in row:
@@ -251,9 +231,10 @@ def smith(A, want_u=False, want_uinv=False, want_v=False, want_vinv=False):
     dense_cols = [j for j in range(ncols) if cols[j]]
     dead = set(pivot_cols)
     zero_cols = [j for j in range(ncols) if not cols[j] and j not in dead]
-    residual = IntMatrix(
-        [[rows[i].get(j, 0) for j in dense_cols] for i in dense_rows],
-        ncols=len(dense_cols),
+    position = {j: t for t, j in enumerate(dense_cols)}
+    residual = IntMatrix._wrap(
+        [{position[j]: v for j, v in rows[i].items()} for i in dense_rows],
+        len(dense_cols),
     )
     form = _dense_smith(residual, want_u, want_uinv, want_v, want_vinv)
 
@@ -262,22 +243,22 @@ def smith(A, want_u=False, want_uinv=False, want_v=False, want_vinv=False):
     U = Uinv = V = Vinv = None
     if want_u:
         U = _compose(
-            [urows[p] for p in pivot_rows], form.U.rows,
+            [urows[p] for p in pivot_rows], form.U.nz,
             [urows[i] for i in dense_rows], [urows[i] for i in zero_rows], nrows,
         )
     if want_uinv:
         Uinv = _transposed(_compose(
-            uinv_cols, zip(*form.Uinv.rows),
+            uinv_cols, _transposed(form.Uinv).nz,
             [{i: 1} for i in dense_rows], [{i: 1} for i in zero_rows], nrows,
         ))
     if want_v:
         V = _transposed(_compose(
-            [vcols[q] for q in pivot_cols], zip(*form.V.rows),
+            [vcols[q] for q in pivot_cols], _transposed(form.V).nz,
             [vcols[j] for j in dense_cols], [vcols[j] for j in zero_cols], ncols,
         ))
     if want_vinv:
         Vinv = _compose(
-            vinv_rows, form.Vinv.rows,
+            vinv_rows, form.Vinv.nz,
             [{j: 1} for j in dense_cols], [{j: 1} for j in zero_cols], ncols,
         )
 
@@ -305,21 +286,24 @@ def _axpy(target, q, source):
 
 def _compose(lead, mix, vecs, tail, n):
     """Square matrix whose rows are the sparse vectors of ``lead``, then
-    sum_b m[b] * vecs[b] for each row m of ``mix``, then those of ``tail``."""
-    out = [_dense(v, n) for v in lead]
+    sum_b m[b] * vecs[b] for each sparse row m of ``mix``, then those of
+    ``tail``.  The vectors are adopted, not copied."""
+    out = list(lead)
     for m in mix:
-        acc = [0] * n
-        for s, vec in zip(m, vecs):
-            if s:
-                for k, v in vec.items():
-                    acc[k] += s * v
+        acc = {}
+        for b, s in m.items():
+            _axpy(acc, s, vecs[b])
         out.append(acc)
-    out.extend(_dense(v, n) for v in tail)
+    out.extend(tail)
     return IntMatrix._wrap(out, n)
 
 
 def _transposed(m):
-    return IntMatrix._wrap([list(c) for c in zip(*m.rows)], m.nrows)
+    nz = [{} for _ in range(m.ncols)]
+    for i, row in enumerate(m.nz):
+        for j, v in row.items():
+            nz[j][i] = v
+    return IntMatrix._wrap(nz, m.nrows)
 
 
 def _dense(vec, n):
@@ -327,6 +311,10 @@ def _dense(vec, n):
     for k, v in vec.items():
         out[k] = v
     return out
+
+
+def _identity_rows(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def _dense_smith(A, want_u, want_uinv, want_v, want_vinv):
@@ -337,21 +325,21 @@ def _dense_smith(A, want_u, want_uinv, want_v, want_vinv):
     trailing submatrix before moving on, which yields the divisibility chain
     directly.
     """
-    M = [list(r) for r in A.rows]
     nrows, ncols = A.nrows, A.ncols
-    U = IntMatrix.identity(nrows) if want_u else None
-    Uinv = IntMatrix.identity(nrows) if want_uinv else None
-    V = IntMatrix.identity(ncols) if want_v else None
-    Vinv = IntMatrix.identity(ncols) if want_vinv else None
+    M = [_dense(r, ncols) for r in A.nz]
+    U = _identity_rows(nrows) if want_u else None
+    Uinv = _identity_rows(nrows) if want_uinv else None
+    V = _identity_rows(ncols) if want_v else None
+    Vinv = _identity_rows(ncols) if want_vinv else None
 
     def swap_rows(i, j):
         if i == j:
             return
         M[i], M[j] = M[j], M[i]
         if U is not None:
-            U.rows[i], U.rows[j] = U.rows[j], U.rows[i]
+            U[i], U[j] = U[j], U[i]
         if Uinv is not None:
-            for r in Uinv.rows:
+            for r in Uinv:
                 r[i], r[j] = r[j], r[i]
 
     def swap_cols(i, j):
@@ -360,17 +348,17 @@ def _dense_smith(A, want_u, want_uinv, want_v, want_vinv):
         for r in M:
             r[i], r[j] = r[j], r[i]
         if V is not None:
-            for r in V.rows:
+            for r in V:
                 r[i], r[j] = r[j], r[i]
         if Vinv is not None:
-            Vinv.rows[i], Vinv.rows[j] = Vinv.rows[j], Vinv.rows[i]
+            Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
 
     def negate_row(i):
         M[i] = [-v for v in M[i]]
         if U is not None:
-            U.rows[i] = [-v for v in U.rows[i]]
+            U[i] = [-v for v in U[i]]
         if Uinv is not None:
-            for r in Uinv.rows:
+            for r in Uinv:
                 r[i] = -r[i]
 
     def row_axpy(i, j, q):
@@ -379,9 +367,9 @@ def _dense_smith(A, want_u, want_uinv, want_v, want_vinv):
             return
         M[i] = [a - q * b for a, b in zip(M[i], M[j])]
         if U is not None:
-            U.rows[i] = [a - q * b for a, b in zip(U.rows[i], U.rows[j])]
+            U[i] = [a - q * b for a, b in zip(U[i], U[j])]
         if Uinv is not None:
-            for r in Uinv.rows:
+            for r in Uinv:
                 r[j] += q * r[i]
 
     def col_axpy(i, j, q):
@@ -391,10 +379,10 @@ def _dense_smith(A, want_u, want_uinv, want_v, want_vinv):
         for r in M:
             r[i] -= q * r[j]
         if V is not None:
-            for r in V.rows:
+            for r in V:
                 r[i] -= q * r[j]
         if Vinv is not None:
-            Vinv.rows[j] = [a + q * b for a, b in zip(Vinv.rows[j], Vinv.rows[i])]
+            Vinv[j] = [a + q * b for a, b in zip(Vinv[j], Vinv[i])]
 
     t = 0
     limit = min(nrows, ncols)
@@ -453,30 +441,25 @@ def _dense_smith(A, want_u, want_uinv, want_v, want_vinv):
             row_axpy(t, offender, -1)
         t += 1
 
+    def wrap(T, n):
+        return None if T is None else IntMatrix(T, ncols=n)
+
     factors = [M[i][i] for i in range(t)]
     return SmithForm(
         factors=factors,
         rank=t,
         nrows=nrows,
         ncols=ncols,
-        U=U,
-        Uinv=Uinv,
-        V=V,
-        Vinv=Vinv,
+        U=wrap(U, nrows),
+        Uinv=wrap(Uinv, nrows),
+        V=wrap(V, ncols),
+        Vinv=wrap(Vinv, ncols),
     )
 
 
 def rank_and_factors(A):
     form = smith(A)
     return form.rank, form.factors
-
-
-def kernel_basis(A):
-    """Columns spanning ker(A) as a saturated sublattice (a direct summand)."""
-    form = smith(A, want_v=True)
-    if form.rank == A.ncols:
-        return IntMatrix.zeros(A.ncols, 0)
-    return form.V.submatrix_cols(form.rank)
 
 
 class HomologyPresentation:
@@ -507,10 +490,8 @@ class HomologyPresentation:
         self._rB = formB.rank
         self._dB = formB.factors
         Ares = A.mul(self._Uinv)
-        for row in Ares.rows:
-            for j in range(self._rB):
-                if row[j]:
-                    raise StructureError("B does not map into ker(A)")
+        if any(j < self._rB for row in Ares.nz for j in row):
+            raise StructureError("B does not map into ker(A)")
         M = Ares.submatrix_cols(self._rB)
         formM = smith(M, want_v=True, want_vinv=True)
         self._rM = formM.rank
@@ -523,15 +504,14 @@ class HomologyPresentation:
     @property
     def generators(self):
         """Torsion generators first, then free generators."""
-        gens = [self._Uinv.column(i) for i in self._torsion_index]
+        ucols = _transposed(self._Uinv).nz
+        gens = [_dense(ucols[i], self.n) for i in self._torsion_index]
+        vcols = _transposed(self._VM).nz
         for j in range(self._rM, self._VM.ncols):
-            col = self._VM.column(j)
-            vec = [0] * self.n
-            for idx, v in enumerate(col):
-                if v:
-                    uc = self._Uinv.column(self._rB + idx)
-                    vec = [a + v * b for a, b in zip(vec, uc)]
-            gens.append(vec)
+            vec = {}
+            for idx, v in vcols[j].items():
+                _axpy(vec, v, ucols[self._rB + idx])
+            gens.append(_dense(vec, self.n))
         return gens
 
     def coords(self, vec):
@@ -560,7 +540,8 @@ def surjective_onto(pres_target, image_columns):
 
     ``image_columns`` are (torsion, free) coordinate pairs in the target
     presentation.  Surjectivity is decided by the invariant factors of the
-    stacked matrix [images | torsion relations].
+    stacked matrix [images | torsion relations], read off its transpose,
+    whose rows are those columns.
     """
     t = len(pres_target.torsion)
     b = pres_target.betti
@@ -574,6 +555,5 @@ def surjective_onto(pres_target, image_columns):
         rel = [0] * ngen
         rel[i] = d
         cols.append(rel)
-    m = IntMatrix.from_columns(cols, ngen)
-    rank, factors = rank_and_factors(m)
+    rank, factors = rank_and_factors(IntMatrix(cols, ncols=ngen))
     return rank == ngen and all(d == 1 for d in factors)

@@ -6,6 +6,10 @@
 * Simplicial identities: the per-cell audits, over cell lists and per-cell
   rules, that the package's whole-table audits must reproduce violation
   for violation.
+* Dense matrices: products and transposes of plain row lists, the
+  reference for the package's sparse ``IntMatrix``; and the helpers that
+  only tests need (identity, zero test, kernel basis, the normalization
+  projection).
 """
 
 from collections import namedtuple
@@ -14,6 +18,8 @@ from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import smith_normal_form
 
 from fatcat.errors import StructureError, Violation
+from fatcat.homology import cellular_map, fat_chains, geometric_chains
+from fatcat.intlinalg import IntMatrix, smith
 
 
 def _to_sympy(mat):
@@ -150,3 +156,53 @@ def oracle_map_audit(D, source, target, image):
                     if left != target.degeneracy(k, i, img):
                         violations.append(Violation("map-degeneracy", (k, i, cell)))
     return violations
+
+
+# ---------------------------------------------------------------------------
+# Dense matrices as lists of row lists
+
+
+def dense_mul(a, b, ncols):
+    """a * b for row lists; ``ncols`` is b's column count."""
+    return [
+        [sum(row[k] * b[k][j] for k in range(len(row))) for j in range(ncols)]
+        for row in a
+    ]
+
+
+def dense_mulvec(a, vec):
+    return [sum(x * y for x, y in zip(row, vec)) for row in a]
+
+
+def dense_transposed(a, ncols):
+    return [[row[j] for row in a] for j in range(ncols)]
+
+
+def dense_identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def identity(n):
+    return IntMatrix(dense_identity(n), ncols=n)
+
+
+def is_zero(mat):
+    return all(not v for row in mat.rows for v in row)
+
+
+def kernel_basis(mat):
+    """Columns spanning ker(mat) as a saturated sublattice (a direct summand)."""
+    form = smith(mat, want_v=True)
+    if form.rank == mat.ncols:
+        return IntMatrix.zeros(mat.ncols, 0)
+    return form.V.submatrix_cols(form.rank)
+
+
+def normalization_projection(x):
+    """Projection from fat chains onto geometric chains, killing the
+    degenerate generators.  A classical quasi-isomorphism."""
+
+    def terms(k, cell):
+        return () if x.is_degenerate(k, cell) else ((cell, 1),)
+
+    return cellular_map(fat_chains(x), geometric_chains(x), terms)

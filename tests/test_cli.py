@@ -171,6 +171,20 @@ def test_cell_budget_respected(capsys, inputs, monkeypatch):
     assert code == 2
 
 
+def test_tom_dieck_frontier_rung(capsys, inputs, monkeypatch):
+    # Z/2 at N=10, D=4: the stage product has 10,813 cells and its
+    # boundaries hold 49,720 nonzeros in 21 million entries, so this stays
+    # fast only while matrices store nothing but their nonzeros
+    monkeypatch.setenv("FATCAT_MAX_CELLS", "300000")
+    argv = ["verify", "tom-dieck", "--input", inputs["bz2.json"],
+            "--N", "10", "--D", "4", "--d", "2"]
+    code, payload = run(capsys, argv)
+    assert code == 0 and payload["ok"]
+    for side in ("source", "target"):
+        groups = [(d[side]["betti"], d[side]["torsion"]) for d in payload["degrees"]]
+        assert groups == [(1, []), (0, [2]), (0, [])]
+
+
 def test_report_all_is_deterministic(capsys, tmp_path):
     out = tmp_path / "report.json"
     code = main(["report", "all", "--out", str(out)])

@@ -1,13 +1,14 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
 import fatcat.comparison as comparison
 from fatcat.comparison import (
     BarycentricPoint,
+    _nondegenerate_factorization,
     all_fibers_contractible,
     apply_operator,
     contractibility_report,
@@ -40,10 +41,12 @@ from fatcat.fixtures import (
     z2_groupoid,
 )
 from fatcat.homology import fat_chains, geometric_chains, homology, quasi_iso_through
+from fatcat.intlinalg import IntMatrix
 from fatcat.simpset import (
     SemiSimplicialSet,
     SimplicialMap,
     TruncatedSimplicialSet,
+    chain_composites,
     nerve,
 )
 
@@ -72,7 +75,7 @@ def test_projection_flip_group_quasi_iso():
 
 
 def test_subdivision_point_is_identity():
-    assert subdivision_operator(0).rows == [[1]]
+    assert subdivision_operator(0) == IntMatrix([[1]])
 
 
 def test_subdivision_interval_signs():
@@ -305,6 +308,30 @@ def test_fiber_budget_counts_every_cell(monkeypatch, name):
         quillen_fiber(c, 3, 3, cell, k, target)
     # the fiber and its simplex, both from the run inside the budget
     assert len(built) == 2
+
+
+@pytest.mark.parametrize("name", sorted(FIBER_CORES))
+def test_fiber_cells_are_the_sorted_step_chains(name):
+    """Each degree lists every chain of steps, sorted by (vertex tuple, stage
+    tuple).  A step (a0, l0) -> (a1, l1) lowers neither entry, and keeps the
+    stage only over an identity composite."""
+    c, cell, k = FIBER_CORES[name]
+    fib = quillen_fiber(c, 3, 3, cell, k)
+    objects, arrows = _nondegenerate_factorization(c, k, cell)
+    composite = chain_composites(c, objects, arrows)
+    vertices = [(a, l) for a in range(len(objects)) for l in range(4)]
+
+    def step(v, w):
+        (a0, l0), (a1, l1) = v, w
+        return a0 <= a1 and l0 <= l1 and (l0 < l1 or c.is_identity(composite[(a0, a1)]))
+
+    for j in range(4):
+        chains = [
+            ch for ch in product(vertices, repeat=j + 1)
+            if all(step(v, w) for v, w in zip(ch, ch[1:]))
+        ]
+        expected = sorted((tuple(a for a, _ in ch), tuple(l for _, l in ch)) for ch in chains)
+        assert list(fib.fiber.cells[j]) == expected
 
 
 def test_fiber_of_degenerate_simplex_factors():

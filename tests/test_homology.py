@@ -17,18 +17,29 @@ from fatcat.homology import (
     HomologyClasses,
     HomologyGroup,
     IntegerChainComplex,
+    cell_matrix,
     fat_chains,
     geometric_chains,
     homology,
     identity_on_homology_through,
     induced_map,
-    normalization_projection,
     quasi_iso_through,
 )
-from fatcat.intlinalg import IntMatrix, _dense_smith, kernel_basis, smith
+from fatcat.intlinalg import IntMatrix, _dense_smith, _transposed, smith
 from fatcat.simpset import nerve, product_with_S, s_semisimplicial, simplicial_map
 
-from oracles import oracle_homology, oracle_invariant_factors
+from oracles import (
+    dense_identity,
+    dense_mul,
+    dense_mulvec,
+    dense_transposed,
+    identity,
+    is_zero,
+    kernel_basis,
+    normalization_projection,
+    oracle_homology,
+    oracle_invariant_factors,
+)
 
 
 def reference_flip_complex(D):
@@ -46,15 +57,15 @@ def test_smith_small_matrix():
     form = smith(IntMatrix([[2, 4], [6, 8]]), want_u=True, want_v=True)
     assert form.factors == [2, 4]
     recon = form.U.mul(IntMatrix([[2, 4], [6, 8]])).mul(form.V)
-    assert recon.rows == [[2, 0], [0, 4]]
+    assert recon == IntMatrix([[2, 0], [0, 4]])
 
 
 def test_smith_transforms_are_inverse():
     rng = random.Random(11)
     a = IntMatrix([[rng.randint(-4, 4) for _ in range(5)] for _ in range(4)])
     form = smith(a, want_u=True, want_uinv=True, want_v=True, want_vinv=True)
-    assert form.U.mul(form.Uinv) == IntMatrix.identity(4)
-    assert form.Vinv.mul(form.V) == IntMatrix.identity(5)
+    assert form.U.mul(form.Uinv) == identity(4)
+    assert form.Vinv.mul(form.V) == identity(5)
     prev = None
     for d in form.factors:
         assert d > 0
@@ -67,7 +78,7 @@ def test_kernel_basis_is_a_kernel():
     a = IntMatrix([[1, 2, 3], [2, 4, 6]])
     ker = kernel_basis(a)
     assert ker.ncols == 2
-    assert a.mul(ker).is_zero()
+    assert is_zero(a.mul(ker))
 
 
 def test_fat_chains_stage_complex():
@@ -87,8 +98,8 @@ def test_fat_chains_point():
 
 def test_boundary_squares_to_zero():
     cx = fat_chains(nerve(z2_groupoid().base, 3))
-    assert cx.boundary[1].mul(cx.boundary[2]).is_zero()
-    assert cx.boundary[2].mul(cx.boundary[3]).is_zero()
+    assert is_zero(cx.boundary[1].mul(cx.boundary[2]))
+    assert is_zero(cx.boundary[2].mul(cx.boundary[3]))
 
 
 def test_flip_group_fat_homology_matches_reference_complex():
@@ -160,12 +171,13 @@ def shuffle_complex(cx, seed):
     boundary = {}
     for k in range(1, cx.D + 1):
         old = cx.boundary[k]
-        mat = IntMatrix.zeros(old.nrows, old.ncols)
+        old_rows = old.rows
+        rows = [[0] * old.ncols for _ in range(old.nrows)]
         inv_prev = {old_i: new_i for new_i, old_i in enumerate(perms[k - 1])}
         for j_new, j_old in enumerate(perms[k]):
             for i_old in range(old.nrows):
-                mat.rows[inv_prev[i_old]][j_new] = old.rows[i_old][j_old]
-        boundary[k] = mat
+                rows[inv_prev[i_old]][j_new] = old_rows[i_old][j_old]
+        boundary[k] = IntMatrix(rows, ncols=old.ncols)
     return IntegerChainComplex(cx.D, basis, boundary)
 
 
@@ -178,7 +190,7 @@ def test_homology_independent_of_basis_order():
 
 def test_identity_map_is_quasi_iso():
     cx = fat_chains(nerve(z2_groupoid().base, 4))
-    ident = ChainMap(cx, cx, [IntMatrix.identity(cx.rank(k)) for k in range(5)])
+    ident = ChainMap(cx, cx, [identity(cx.rank(k)) for k in range(5)])
     rep = quasi_iso_through(ident, 3)
     assert rep.ok
     rep = identity_on_homology_through(ident, 3)
@@ -199,7 +211,7 @@ def test_projection_is_quasi_iso_flip_group():
 
 def test_chain_map_must_commute():
     cx = fat_chains(nerve(ordinal(1), 2))
-    bad = [IntMatrix.identity(cx.rank(k)) for k in range(3)]
+    bad = [identity(cx.rank(k)) for k in range(3)]
     bad[1] = IntMatrix.zeros(cx.rank(1), cx.rank(1))
     with pytest.raises(StructureError):
         ChainMap(cx, cx, bad)
@@ -219,10 +231,10 @@ def test_normalized_inclusion_interval():
     mats = []
     for k in range(3):
         idx = fat.index(k)
-        m = IntMatrix.zeros(fat.rank(k), geo.rank(k))
+        rows = [[0] * geo.rank(k) for _ in range(fat.rank(k))]
         for j, cell in enumerate(geo.basis[k]):
-            m.rows[idx[cell]][j] = 1
-        mats.append(m)
+            rows[idx[cell]][j] = 1
+        mats.append(IntMatrix(rows, ncols=geo.rank(k)))
     inclusion = ChainMap(geo, fat, mats)
     assert quasi_iso_through(inclusion, 1).ok
 
@@ -290,6 +302,121 @@ def test_identity_check_rejects_sign_flip():
 
 
 # ---------------------------------------------------------------------------
+# The sparse IntMatrix against the dense oracle
+
+
+def dense_random(rng, nrows, ncols, density=0.4):
+    return [
+        [rng.choice((-2, -1, 1, 2)) if rng.random() < density else 0 for _ in range(ncols)]
+        for _ in range(nrows)
+    ]
+
+
+def assert_stores(m, dense):
+    """m has the shape of ``dense`` and stores exactly its nonzeros."""
+    assert m.nrows == len(dense)
+    assert all(len(row) == m.ncols for row in dense)
+    assert all(v for row in m.nz for v in row.values())
+    assert m.rows == tuple(tuple(row) for row in dense)
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_sparse_operations_match_dense_oracle(seed):
+    rng = random.Random(500 + seed)
+    # every fourth seed has an empty dimension
+    n, k, p = (rng.randint(0 if seed % 4 == 0 else 1, 6) for _ in range(3))
+    a, b = dense_random(rng, n, k), dense_random(rng, k, p)
+    A, B = IntMatrix(a, ncols=k), IntMatrix(b, ncols=p)
+    assert_stores(A, a)
+    product = dense_mul(a, b, p)
+    assert_stores(A.mul(B), product)
+    assert A.annihilates(B) == (not any(v for row in product for v in row))
+    vec = [rng.randint(-3, 3) for _ in range(k)]
+    assert A.mulvec(vec) == dense_mulvec(a, vec)
+    for j in range(k):
+        assert A.column(j) == [row[j] for row in a]
+    start = rng.randint(0, k)
+    stop = rng.randint(start, k)
+    assert_stores(A.submatrix_cols(start), [row[start:] for row in a])
+    assert_stores(A.submatrix_cols(start, stop), [row[start:stop] for row in a])
+    assert_stores(_transposed(A), dense_transposed(a, k))
+    assert A == IntMatrix(a, ncols=k)
+    if n and k:
+        i, j = rng.randrange(n), rng.randrange(k)
+        a[i][j] += 1
+        assert A != IntMatrix(a, ncols=k)
+
+
+def test_sparse_product_drops_cancelled_entries():
+    a = [[1, 1], [2, 0]]
+    b = [[1, 3], [-1, 0]]
+    product = IntMatrix(a).mul(IntMatrix(b))
+    assert product.nz == [{1: 3}, {0: 2, 1: 6}]
+    assert_stores(product, dense_mul(a, b, 2))
+    assert IntMatrix([[1, 1]]).annihilates(IntMatrix([[1], [-1]]))
+    assert not IntMatrix([[1, 1]]).annihilates(IntMatrix([[1], [1]]))
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+def test_sparse_empty_shapes(shape):
+    m = IntMatrix.zeros(*shape)
+    assert m.rows == ((0,) * shape[1],) * shape[0]
+    assert m == IntMatrix([[0] * shape[1] for _ in range(shape[0])], ncols=shape[1])
+    assert m != IntMatrix.zeros(shape[0], shape[1] + 1)
+    assert m.mulvec([0] * shape[1]) == [0] * shape[0]
+    assert _transposed(m).shape == (shape[1], shape[0])
+    assert m.mul(IntMatrix.zeros(shape[1], 2)) == IntMatrix.zeros(shape[0], 2)
+    assert m.annihilates(IntMatrix.zeros(shape[1], 2))
+
+
+def test_dense_view_refuses_writes():
+    m = IntMatrix([[1, 0], [0, 2]])
+    with pytest.raises(TypeError):
+        m.rows[0][1] = 5
+    with pytest.raises(TypeError):
+        m.rows[0] = (1, 5)
+    assert m == IntMatrix([[1, 0], [0, 2]])
+
+
+def test_matrix_shape_is_validated():
+    with pytest.raises(StructureError):
+        IntMatrix([[1, 2], [3]])
+    with pytest.raises(StructureError):
+        IntMatrix([])
+    with pytest.raises(StructureError):
+        IntMatrix([[1, 2]]).mul(IntMatrix([[1, 2]]))
+    with pytest.raises(StructureError):
+        IntMatrix([[1, 2]]).mulvec([1])
+
+
+def test_cell_matrix_drops_cancelled_entries():
+    def terms(cell):
+        if cell == "x":
+            yield from (("p", 1), ("q", 2), ("p", -1), ("r", 0))
+        else:
+            yield from (("q", 3), ("r", 1), ("q", -3))
+
+    m = cell_matrix(["x", "y"], ["p", "q", "r"], terms)
+    assert m.nz == [{}, {0: 2}, {1: 1}]
+    plain = {"x": [("q", 2)], "y": [("r", 1)]}
+    assert m == cell_matrix(["x", "y"], ["p", "q", "r"], plain.get)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_smith_transforms_store_only_nonzeros(seed):
+    rng = random.Random(700 + seed)
+    a = IntMatrix(dense_random(rng, rng.randint(1, 7), rng.randint(1, 7), 0.5))
+    form = smith(a, want_u=True, want_uinv=True, want_v=True, want_vinv=True)
+    for t in (form.U, form.Uinv, form.V, form.Vinv):
+        assert all(v for row in t.nz for v in row.values())
+    # Uinv and V are assembled as columns and then transposed
+    assert dense_mul(form.U.rows, form.Uinv.rows, a.nrows) == dense_identity(a.nrows)
+    assert dense_mul(form.V.rows, form.Vinv.rows, a.ncols) == dense_identity(a.ncols)
+    diag = dense_mul(dense_mul(form.U.rows, a.rows, a.ncols), form.V.rows, a.ncols)
+    assert [diag[i][i] for i in range(form.rank)] == form.factors
+
+
+# ---------------------------------------------------------------------------
 # Two-stage smith against the dense eliminator and sympy
 
 
@@ -297,12 +424,12 @@ def assert_smith_form(a):
     """Full transforms are valid and inverse, partial requests give the same
     matrices, and the factors match the dense eliminator and sympy."""
     form = smith(a, want_u=True, want_uinv=True, want_v=True, want_vinv=True)
-    diag = IntMatrix.zeros(a.nrows, a.ncols)
+    diag = [[0] * a.ncols for _ in range(a.nrows)]
     for i, d in enumerate(form.factors):
-        diag.rows[i][i] = d
-    assert form.U.mul(a).mul(form.V) == diag
-    assert form.U.mul(form.Uinv) == IntMatrix.identity(a.nrows)
-    assert form.V.mul(form.Vinv) == IntMatrix.identity(a.ncols)
+        diag[i][i] = d
+    assert form.U.mul(a).mul(form.V) == IntMatrix(diag, ncols=a.ncols)
+    assert form.U.mul(form.Uinv) == identity(a.nrows)
+    assert form.V.mul(form.Vinv) == identity(a.ncols)
     assert form.rank == len(form.factors)
     assert all(d > 0 for d in form.factors)
     assert all(e % d == 0 for d, e in zip(form.factors, form.factors[1:]))
@@ -355,20 +482,20 @@ def test_smith_differential_unit_block_with_residual(seed):
     k = rng.randint(1, 4)
     res = [[rng.choice((0, 2, 3, 4, 6, -4)) for _ in range(3)] for _ in range(3)]
     n, m = k + 3, k + 4
-    block = IntMatrix.zeros(n, m)
+    block = [[0] * m for _ in range(n)]
     for i in range(k):
-        block.rows[i][i] = 1
+        block[i][i] = 1
     for i in range(3):
-        block.rows[k + i][k : k + 3] = res[i]
-    left = IntMatrix.identity(n)
-    right = IntMatrix.identity(m)
+        block[k + i][k : k + 3] = res[i]
+    left = dense_identity(n)
+    right = dense_identity(m)
     for _ in range(6):
         i, j = rng.sample(range(n), 2)
-        left.rows[i] = [x + rng.choice((-1, 1)) * y for x, y in zip(left.rows[i], left.rows[j])]
+        left[i] = [x + rng.choice((-1, 1)) * y for x, y in zip(left[i], left[j])]
         i, j = rng.sample(range(m), 2)
-        for row in right.rows:
+        for row in right:
             row[i] += row[j]
-    a = left.mul(block).mul(right)
+    a = IntMatrix(left).mul(IntMatrix(block)).mul(IntMatrix(right))
     assert_smith_form(a)
     assert smith(a).factors[:k] == [1] * k
 
@@ -381,8 +508,8 @@ def test_smith_unit_pivot_rule():
     a = IntMatrix([[2, 1, 1], [0, -1, 3], [0, 1, 0]])
     form = smith(a, want_uinv=True, want_vinv=True)
     assert form.factors == [1, 1, 6]
-    assert form.Uinv.rows == [[1, 0, 0], [3, -4, -1], [0, 1, 0]]
-    assert form.Vinv.rows == [[2, 1, 1], [0, 1, 0], [1, 0, 0]]
+    assert form.Uinv == IntMatrix([[1, 0, 0], [3, -4, -1], [0, 1, 0]])
+    assert form.Vinv == IntMatrix([[2, 1, 1], [0, 1, 0], [1, 0, 0]])
     assert_smith_form(a)
 
 
