@@ -18,12 +18,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .errors import StructureError, Violation
-from .intlinalg import (
-    HomologyPresentation,
-    IntMatrix,
-    rank_and_factors,
-    surjective_onto,
-)
+from .intlinalg import HomologyPresentation, IntMatrix, smith, surjective_onto
 
 
 class IntegerChainComplex:
@@ -61,9 +56,9 @@ class IntegerChainComplex:
     __hash__ = None
 
     def boundary_or_zero(self, k):
-        """boundary[k], with empty matrices at both ends of the range."""
-        if k <= 0:
-            return IntMatrix.zeros(0, self.rank(0)) if k == 0 else None
+        """boundary[k] for 0 <= k <= D + 1, with empty matrices at both ends."""
+        if k == 0:
+            return IntMatrix.zeros(0, self.rank(0))
         if k > self.D:
             return IntMatrix.zeros(self.rank(self.D), 0)
         return self.boundary[k]
@@ -206,15 +201,12 @@ def homology(cx: IntegerChainComplex, k: int) -> HomologyGroup:
     """Betti number and invariant factors of ker d_k / im d_{k+1}."""
     if k < 0 or k > cx.D:
         raise StructureError(f"degree {k} out of range 0..{cx.D}")
-    n = cx.rank(k)
-    below = cx.boundary_or_zero(k)
-    rank_below, _ = rank_and_factors(below)
-    above = cx.boundary_or_zero(k + 1)
-    rank_above, factors = rank_and_factors(above)
+    below = smith(cx.boundary_or_zero(k))
+    above = smith(cx.boundary_or_zero(k + 1))
     return HomologyGroup(
         degree=k,
-        betti=n - rank_below - rank_above,
-        torsion=tuple(d for d in factors if d > 1),
+        betti=cx.rank(k) - below.rank - above.rank,
+        torsion=tuple(d for d in above.factors if d > 1),
         reliable=k + 1 <= cx.D,
     )
 

@@ -3,18 +3,21 @@
 Everything runs on arbitrary-precision Python integers; there is no floating
 point anywhere.  A matrix stores only its nonzero entries, row by row, and
 every product, comparison and transform works on those.  Smith normal form
-runs in two stages:
+is one elimination over a copy of the row dicts.  Each step picks a pivot
+among the live rows and columns:
 
-1. Unit pivots are eliminated on a copy of the row dicts.  The pivot
-   column is the live column with the fewest nonzeros that holds a +-1
-   entry; the pivot row is the row with the fewest nonzeros among those
-   holding a unit in that column; ties go to the lower index.
-2. The remaining Schur complement, which holds no unit, is cut down to its
-   nonzero rows and columns and eliminated densely with
-   minimal-absolute-value pivoting and row-major tie breaking.
+* While some live entry is +-1, the pivot column is the live column with
+  the fewest nonzeros that holds a unit, and the pivot row is the row with
+  the fewest nonzeros among those holding a unit in that column; ties go to
+  the lower index.
+* Otherwise the pivot is the live entry of least absolute value, ties
+  row-major.
 
-The transforms of both stages are composed at the end.  Nothing is random,
-so results and transforms are deterministic.
+The pivot's column and then its row are cleared with Euclidean steps,
+re-picking the pivot while a remainder is left, and a row holding an entry
+the pivot does not divide is merged into the pivot row, so the factors come
+out as a divisor chain.  Nothing is random, so results and transforms are
+deterministic.
 """
 
 from dataclasses import dataclass
@@ -36,9 +39,12 @@ class IntMatrix:
     def __init__(self, rows, ncols=None):
         rows = [list(r) for r in rows]
         if rows:
-            ncols = len(rows[0])
-            if any(len(r) != ncols for r in rows):
+            width = len(rows[0])
+            if any(len(r) != width for r in rows):
                 raise StructureError("ragged matrix rows")
+            if ncols is not None and ncols != width:
+                raise StructureError(f"rows have {width} columns, not {ncols}")
+            ncols = width
         elif ncols is None:
             raise StructureError("empty matrix needs an explicit column count")
         self.nz = [{j: v for j, v in enumerate(r) if v} for r in rows]
@@ -129,38 +135,14 @@ class SmithForm:
     Vinv: IntMatrix = None
 
 
-def _find_pivot(rows, t, nrows, ncols):
-    """Minimal-absolute-value nonzero entry of the trailing submatrix.
-
-    Row-major tie break; an entry of absolute value 1 wins immediately.
-    """
-    best = None
-    best_i = best_j = -1
-    for i in range(t, nrows):
-        row = rows[i]
-        for j in range(t, ncols):
-            v = row[j]
-            if v:
-                a = -v if v < 0 else v
-                if a == 1:
-                    return i, j
-                if best is None or a < best:
-                    best, best_i, best_j = a, i, j
-    if best is None:
-        return None
-    return best_i, best_j
-
-
 def smith(A, want_u=False, want_uinv=False, want_v=False, want_vinv=False):
-    """Smith normal form over the integers, in the two stages described in
+    """Smith normal form over the integers, by the elimination described in
     the module docstring.
 
-    Each unit step clears the pivot column with row operations and drops
-    the pivot row and column; the column operations that would clear the
-    pivot row touch only V and Vinv.  The inverses need no accumulation:
-    each step's column of Uinv is the pivot column as it stood at that
-    step, and its row of Vinv is the pivot row with the pivot made +1.
-    What is left goes to :func:`_dense_smith`.
+    Every row operation is mirrored on U's rows and, inverted, on Uinv's
+    columns; every column operation on V's columns and, inverted, on Vinv's
+    rows.  Rows of U and Vinv, and columns of Uinv and V, come in the order
+    (pivots, then the rest by index).
     """
     from heapq import heapify, heappop, heappush
 
@@ -170,101 +152,120 @@ def smith(A, want_u=False, want_uinv=False, want_v=False, want_vinv=False):
     for i, row in enumerate(rows):
         for j in row:
             cols[j].add(i)
+    # U's rows and Uinv's columns are indexed by row, V's columns and
+    # Vinv's rows by column
     urows = [{i: 1} for i in range(nrows)] if want_u else None
+    uinv = [{i: 1} for i in range(nrows)] if want_uinv else None
     vcols = [{j: 1} for j in range(ncols)] if want_v else None
-    pivot_rows, pivot_cols = [], []
-    uinv_cols, vinv_rows = [], []
+    vinv = [{j: 1} for j in range(ncols)] if want_vinv else None
+    pivot_rows, pivot_cols, factors = [], [], []
 
-    # Heap of (column length, column); an entry whose length is stale is
-    # skipped, and every column an elimination touches is pushed afresh.
+    def add_row(i, c, p):
+        # row_i -= c * row_p
+        row = rows[i]
+        for j, v in rows[p].items():
+            new = row.get(j, 0) - c * v
+            if new:
+                if j not in row:
+                    cols[j].add(i)
+                row[j] = new
+            else:
+                del row[j]
+                cols[j].discard(i)
+        if want_u:
+            _axpy(urows[i], -c, urows[p])
+        if want_uinv:
+            _axpy(uinv[p], c, uinv[i])
+
+    def least_entry():
+        entries = ((abs(v), i, j) for i, row in enumerate(rows) if row for j, v in row.items())
+        return min(entries, default=None)
+
+    # Heap of (column length, column) for the unit rule; an entry whose
+    # length is stale is skipped, and every column a step touches is pushed
+    # afresh, so a column holding a unit always has a current entry.
     heap = [(len(c), j) for j, c in enumerate(cols) if c]
     heapify(heap)
-    while heap:
-        size, q = heappop(heap)
-        col = cols[q]
-        if len(col) != size:
-            continue
-        units = [i for i in col if rows[i][q] in (1, -1)]
-        if not units:
-            continue
-        p = min(units, key=lambda i: (len(rows[i]), i))
-        if want_uinv:
-            uinv_cols.append({i: rows[i][q] for i in col})
-        prow = rows[p]
-        if prow[q] == -1:
-            prow = {j: -v for j, v in prow.items()}
-            if want_u:
-                urows[p] = {k: -v for k, v in urows[p].items()}
+    while True:
+        p = None
+        while heap and p is None:
+            size, q = heappop(heap)
+            if len(cols[q]) == size:
+                units = [i for i in cols[q] if rows[i][q] in (1, -1)]
+                if units:
+                    p = min(units, key=lambda i: (len(rows[i]), i))
+        if p is None:
+            least = least_entry()
+            if least is None:
+                break
+            _, p, q = least
+        touched = set()
+        while True:
+            touched.update(rows[p])
+            if rows[p][q] < 0:
+                rows[p] = {j: -v for j, v in rows[p].items()}
+                if want_u:
+                    urows[p] = {k: -v for k, v in urows[p].items()}
+                if want_uinv:
+                    uinv[p] = {k: -v for k, v in uinv[p].items()}
+            prow = rows[p]
+            d = prow[q]
+            for i in [i for i in cols[q] if i != p]:
+                add_row(i, rows[i][q] // d, p)
+            if len(cols[q]) == 1:
+                # col_j -= c * col_q changes only row p, the last in col q
+                for j, v in list(prow.items()):
+                    c, rest = divmod(v, d)
+                    if j == q or not c:
+                        continue
+                    if rest:
+                        prow[j] = rest
+                    else:
+                        del prow[j]
+                        cols[j].discard(p)
+                    if want_v:
+                        _axpy(vcols[j], -c, vcols[q])
+                    if want_vinv:
+                        _axpy(vinv[q], c, vinv[j])
+            if len(cols[q]) > 1 or len(prow) > 1:
+                # a remainder is left: the least entry becomes the pivot
+                _, p, q = least_entry()
+                continue
+            if d == 1:
+                break
+            # the pivot must divide every live entry for the divisor chain;
+            # the first row holding one it does not is merged into row p
+            offender = next(
+                (i for i, row in enumerate(rows) if row and any(v % d for v in row.values())),
+                None,
+            )
+            if offender is None:
+                break
+            add_row(p, -1, offender)
         rows[p] = None
-        for j in prow:
-            cols[j].discard(p)
-        for i in list(col):
-            row = rows[i]
-            c = row[q]
-            for j, v in prow.items():
-                new = row.get(j, 0) - c * v
-                if new:
-                    if j not in row:
-                        cols[j].add(i)
-                    row[j] = new
-                else:
-                    del row[j]
-                    cols[j].discard(i)
-            if want_u:
-                _axpy(urows[i], -c, urows[p])
-        if want_v:
-            vq = vcols[q]
-            for j, v in prow.items():
-                if j != q:
-                    _axpy(vcols[j], -v, vq)
-        for j in prow:
-            if cols[j]:
-                heappush(heap, (len(cols[j]), j))
+        cols[q].discard(p)
         pivot_rows.append(p)
         pivot_cols.append(q)
-        if want_vinv:
-            vinv_rows.append(prow)
+        factors.append(d)
+        for j in touched:
+            if cols[j]:
+                heappush(heap, (len(cols[j]), j))
 
-    live_rows = [i for i in range(nrows) if rows[i] is not None]
-    dense_rows = [i for i in live_rows if rows[i]]
-    zero_rows = [i for i in live_rows if not rows[i]]
-    dense_cols = [j for j in range(ncols) if cols[j]]
     dead = set(pivot_cols)
-    zero_cols = [j for j in range(ncols) if not cols[j] and j not in dead]
-    position = {j: t for t, j in enumerate(dense_cols)}
-    residual = IntMatrix._wrap(
-        [{position[j]: v for j, v in rows[i].items()} for i in dense_rows],
-        len(dense_cols),
-    )
-    form = _dense_smith(residual, want_u, want_uinv, want_v, want_vinv)
-
-    # Rows of U and Vinv, and columns of Uinv and V, come in the order
-    # (unit pivots, dense residual, zero rows or columns).
+    row_order = pivot_rows + [i for i in range(nrows) if rows[i] is not None]
+    col_order = pivot_cols + [j for j in range(ncols) if j not in dead]
     U = Uinv = V = Vinv = None
     if want_u:
-        U = _compose(
-            [urows[p] for p in pivot_rows], form.U.nz,
-            [urows[i] for i in dense_rows], [urows[i] for i in zero_rows], nrows,
-        )
+        U = IntMatrix._wrap([urows[i] for i in row_order], nrows)
     if want_uinv:
-        Uinv = _transposed(_compose(
-            uinv_cols, _transposed(form.Uinv).nz,
-            [{i: 1} for i in dense_rows], [{i: 1} for i in zero_rows], nrows,
-        ))
+        Uinv = _transposed(IntMatrix._wrap([uinv[i] for i in row_order], nrows))
     if want_v:
-        V = _transposed(_compose(
-            [vcols[q] for q in pivot_cols], _transposed(form.V).nz,
-            [vcols[j] for j in dense_cols], [vcols[j] for j in zero_cols], ncols,
-        ))
+        V = _transposed(IntMatrix._wrap([vcols[j] for j in col_order], ncols))
     if want_vinv:
-        Vinv = _compose(
-            vinv_rows, form.Vinv.nz,
-            [{j: 1} for j in dense_cols], [{j: 1} for j in zero_cols], ncols,
-        )
-
+        Vinv = IntMatrix._wrap([vinv[j] for j in col_order], ncols)
     return SmithForm(
-        factors=[1] * len(pivot_rows) + form.factors,
-        rank=len(pivot_rows) + form.rank,
+        factors=factors,
+        rank=len(factors),
         nrows=nrows,
         ncols=ncols,
         U=U,
@@ -284,20 +285,6 @@ def _axpy(target, q, source):
             del target[k]
 
 
-def _compose(lead, mix, vecs, tail, n):
-    """Square matrix whose rows are the sparse vectors of ``lead``, then
-    sum_b m[b] * vecs[b] for each sparse row m of ``mix``, then those of
-    ``tail``.  The vectors are adopted, not copied."""
-    out = list(lead)
-    for m in mix:
-        acc = {}
-        for b, s in m.items():
-            _axpy(acc, s, vecs[b])
-        out.append(acc)
-    out.extend(tail)
-    return IntMatrix._wrap(out, n)
-
-
 def _transposed(m):
     nz = [{} for _ in range(m.ncols)]
     for i, row in enumerate(m.nz):
@@ -311,155 +298,6 @@ def _dense(vec, n):
     for k, v in vec.items():
         out[k] = v
     return out
-
-
-def _identity_rows(n):
-    return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
-def _dense_smith(A, want_u, want_uinv, want_v, want_vinv):
-    """Dense Smith normal form, the second stage of :func:`smith`.
-
-    Elimination picks the minimal-absolute-value pivot, clears its row and
-    column with Euclidean steps, then forces the pivot to divide the whole
-    trailing submatrix before moving on, which yields the divisibility chain
-    directly.
-    """
-    nrows, ncols = A.nrows, A.ncols
-    M = [_dense(r, ncols) for r in A.nz]
-    U = _identity_rows(nrows) if want_u else None
-    Uinv = _identity_rows(nrows) if want_uinv else None
-    V = _identity_rows(ncols) if want_v else None
-    Vinv = _identity_rows(ncols) if want_vinv else None
-
-    def swap_rows(i, j):
-        if i == j:
-            return
-        M[i], M[j] = M[j], M[i]
-        if U is not None:
-            U[i], U[j] = U[j], U[i]
-        if Uinv is not None:
-            for r in Uinv:
-                r[i], r[j] = r[j], r[i]
-
-    def swap_cols(i, j):
-        if i == j:
-            return
-        for r in M:
-            r[i], r[j] = r[j], r[i]
-        if V is not None:
-            for r in V:
-                r[i], r[j] = r[j], r[i]
-        if Vinv is not None:
-            Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
-
-    def negate_row(i):
-        M[i] = [-v for v in M[i]]
-        if U is not None:
-            U[i] = [-v for v in U[i]]
-        if Uinv is not None:
-            for r in Uinv:
-                r[i] = -r[i]
-
-    def row_axpy(i, j, q):
-        # row_i -= q * row_j
-        if not q:
-            return
-        M[i] = [a - q * b for a, b in zip(M[i], M[j])]
-        if U is not None:
-            U[i] = [a - q * b for a, b in zip(U[i], U[j])]
-        if Uinv is not None:
-            for r in Uinv:
-                r[j] += q * r[i]
-
-    def col_axpy(i, j, q):
-        # col_i -= q * col_j
-        if not q:
-            return
-        for r in M:
-            r[i] -= q * r[j]
-        if V is not None:
-            for r in V:
-                r[i] -= q * r[j]
-        if Vinv is not None:
-            Vinv[j] = [a + q * b for a, b in zip(Vinv[j], Vinv[i])]
-
-    t = 0
-    limit = min(nrows, ncols)
-    while t < limit:
-        found = _find_pivot(M, t, nrows, ncols)
-        if found is None:
-            break
-        swap_rows(t, found[0])
-        swap_cols(t, found[1])
-        while True:
-            if M[t][t] < 0:
-                negate_row(t)
-            pivot = M[t][t]
-            # Euclidean reduction of column t below the pivot.
-            dirty = False
-            for i in range(t + 1, nrows):
-                v = M[i][t]
-                if v:
-                    row_axpy(i, t, v // pivot)
-                    if M[i][t]:
-                        dirty = True
-            if dirty:
-                found = _find_pivot(M, t, nrows, ncols)
-                swap_rows(t, found[0])
-                swap_cols(t, found[1])
-                continue
-            # Euclidean reduction of row t right of the pivot.
-            dirty = False
-            for j in range(t + 1, ncols):
-                v = M[t][j]
-                if v:
-                    col_axpy(j, t, v // pivot)
-                    if M[t][j]:
-                        dirty = True
-            if dirty:
-                found = _find_pivot(M, t, nrows, ncols)
-                swap_rows(t, found[0])
-                swap_cols(t, found[1])
-                continue
-            # Pivot must divide the trailing submatrix for the divisibility
-            # chain; merging an offending row restarts the reduction.  A
-            # pivot of 1 divides everything.
-            if pivot == 1:
-                break
-            offender = None
-            for i in range(t + 1, nrows):
-                row = M[i]
-                for j in range(t + 1, ncols):
-                    if row[j] % pivot:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            row_axpy(t, offender, -1)
-        t += 1
-
-    def wrap(T, n):
-        return None if T is None else IntMatrix(T, ncols=n)
-
-    factors = [M[i][i] for i in range(t)]
-    return SmithForm(
-        factors=factors,
-        rank=t,
-        nrows=nrows,
-        ncols=ncols,
-        U=wrap(U, nrows),
-        Uinv=wrap(Uinv, nrows),
-        V=wrap(V, ncols),
-        Vinv=wrap(Vinv, ncols),
-    )
-
-
-def rank_and_factors(A):
-    form = smith(A)
-    return form.rank, form.factors
 
 
 class HomologyPresentation:
@@ -477,10 +315,6 @@ class HomologyPresentation:
 
     def __init__(self, A, B, n):
         self.n = n
-        if B is None:
-            B = IntMatrix.zeros(n, 0)
-        if A is None:
-            A = IntMatrix.zeros(0, n)
         if A.ncols != n or B.nrows != n:
             raise StructureError("homology presentation: shape mismatch")
         self._A = A
@@ -555,5 +389,5 @@ def surjective_onto(pres_target, image_columns):
         rel = [0] * ngen
         rel[i] = d
         cols.append(rel)
-    rank, factors = rank_and_factors(IntMatrix(cols, ncols=ngen))
-    return rank == ngen and all(d == 1 for d in factors)
+    form = smith(IntMatrix(cols, ncols=ngen))
+    return form.rank == ngen and all(d == 1 for d in form.factors)

@@ -7,9 +7,10 @@
   rules, that the package's whole-table audits must reproduce violation
   for violation.
 * Dense matrices: products and transposes of plain row lists, the
-  reference for the package's sparse ``IntMatrix``; and the helpers that
-  only tests need (identity, zero test, kernel basis, the normalization
-  projection).
+  reference for the package's sparse ``IntMatrix``; ``dense_smith``, the
+  dense eliminator that the package's sparse ``smith`` must agree with; and
+  the helpers that only tests need (identity, zero test, kernel basis, the
+  normalization projection).
 """
 
 from collections import namedtuple
@@ -19,7 +20,7 @@ from sympy.matrices.normalforms import smith_normal_form
 
 from fatcat.errors import StructureError, Violation
 from fatcat.homology import cellular_map, fat_chains, geometric_chains
-from fatcat.intlinalg import IntMatrix, smith
+from fatcat.intlinalg import IntMatrix, SmithForm, _dense, smith
 
 
 def _to_sympy(mat):
@@ -180,6 +181,169 @@ def dense_transposed(a, ncols):
 
 def dense_identity(n):
     return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _find_pivot(rows, t, nrows, ncols):
+    """Minimal-absolute-value nonzero entry of the trailing submatrix.
+
+    Row-major tie break; an entry of absolute value 1 wins immediately.
+    """
+    best = None
+    best_i = best_j = -1
+    for i in range(t, nrows):
+        row = rows[i]
+        for j in range(t, ncols):
+            v = row[j]
+            if v:
+                a = -v if v < 0 else v
+                if a == 1:
+                    return i, j
+                if best is None or a < best:
+                    best, best_i, best_j = a, i, j
+    if best is None:
+        return None
+    return best_i, best_j
+
+
+def dense_smith(A, want_u, want_uinv, want_v, want_vinv):
+    """Dense Smith normal form, the reference for :func:`smith`.
+
+    Elimination picks the minimal-absolute-value pivot, clears its row and
+    column with Euclidean steps, then forces the pivot to divide the whole
+    trailing submatrix before moving on, which yields the divisibility chain
+    directly.
+    """
+    nrows, ncols = A.nrows, A.ncols
+    M = [_dense(r, ncols) for r in A.nz]
+    U = dense_identity(nrows) if want_u else None
+    Uinv = dense_identity(nrows) if want_uinv else None
+    V = dense_identity(ncols) if want_v else None
+    Vinv = dense_identity(ncols) if want_vinv else None
+
+    def swap_rows(i, j):
+        if i == j:
+            return
+        M[i], M[j] = M[j], M[i]
+        if U is not None:
+            U[i], U[j] = U[j], U[i]
+        if Uinv is not None:
+            for r in Uinv:
+                r[i], r[j] = r[j], r[i]
+
+    def swap_cols(i, j):
+        if i == j:
+            return
+        for r in M:
+            r[i], r[j] = r[j], r[i]
+        if V is not None:
+            for r in V:
+                r[i], r[j] = r[j], r[i]
+        if Vinv is not None:
+            Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
+
+    def negate_row(i):
+        M[i] = [-v for v in M[i]]
+        if U is not None:
+            U[i] = [-v for v in U[i]]
+        if Uinv is not None:
+            for r in Uinv:
+                r[i] = -r[i]
+
+    def row_axpy(i, j, q):
+        # row_i -= q * row_j
+        if not q:
+            return
+        M[i] = [a - q * b for a, b in zip(M[i], M[j])]
+        if U is not None:
+            U[i] = [a - q * b for a, b in zip(U[i], U[j])]
+        if Uinv is not None:
+            for r in Uinv:
+                r[j] += q * r[i]
+
+    def col_axpy(i, j, q):
+        # col_i -= q * col_j
+        if not q:
+            return
+        for r in M:
+            r[i] -= q * r[j]
+        if V is not None:
+            for r in V:
+                r[i] -= q * r[j]
+        if Vinv is not None:
+            Vinv[j] = [a + q * b for a, b in zip(Vinv[j], Vinv[i])]
+
+    t = 0
+    limit = min(nrows, ncols)
+    while t < limit:
+        found = _find_pivot(M, t, nrows, ncols)
+        if found is None:
+            break
+        swap_rows(t, found[0])
+        swap_cols(t, found[1])
+        while True:
+            if M[t][t] < 0:
+                negate_row(t)
+            pivot = M[t][t]
+            # Euclidean reduction of column t below the pivot.
+            dirty = False
+            for i in range(t + 1, nrows):
+                v = M[i][t]
+                if v:
+                    row_axpy(i, t, v // pivot)
+                    if M[i][t]:
+                        dirty = True
+            if dirty:
+                found = _find_pivot(M, t, nrows, ncols)
+                swap_rows(t, found[0])
+                swap_cols(t, found[1])
+                continue
+            # Euclidean reduction of row t right of the pivot.
+            dirty = False
+            for j in range(t + 1, ncols):
+                v = M[t][j]
+                if v:
+                    col_axpy(j, t, v // pivot)
+                    if M[t][j]:
+                        dirty = True
+            if dirty:
+                found = _find_pivot(M, t, nrows, ncols)
+                swap_rows(t, found[0])
+                swap_cols(t, found[1])
+                continue
+            # Pivot must divide the trailing submatrix for the divisibility
+            # chain; merging an offending row restarts the reduction.  A
+            # pivot of 1 divides everything.
+            if pivot == 1:
+                break
+            offender = None
+            for i in range(t + 1, nrows):
+                row = M[i]
+                for j in range(t + 1, ncols):
+                    if row[j] % pivot:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            row_axpy(t, offender, -1)
+        t += 1
+
+    def wrap(T, n):
+        return None if T is None else IntMatrix(T, ncols=n)
+
+    factors = [M[i][i] for i in range(t)]
+    return SmithForm(
+        factors=factors,
+        rank=t,
+        nrows=nrows,
+        ncols=ncols,
+        U=wrap(U, nrows),
+        Uinv=wrap(Uinv, nrows),
+        V=wrap(V, ncols),
+        Vinv=wrap(Vinv, ncols),
+    )
+
 
 
 def identity(n):

@@ -1,5 +1,6 @@
 import json
 import random
+from functools import partial
 
 import pytest
 
@@ -25,11 +26,12 @@ from fatcat.homology import (
     induced_map,
     quasi_iso_through,
 )
-from fatcat.intlinalg import IntMatrix, _dense_smith, _transposed, smith
+from fatcat.intlinalg import IntMatrix, _transposed, smith
 from fatcat.simpset import nerve, product_with_S, s_semisimplicial, simplicial_map
 
 from oracles import (
     dense_identity,
+    dense_smith,
     dense_mul,
     dense_mulvec,
     dense_transposed,
@@ -259,6 +261,41 @@ def test_homology_classes_expose_generators():
     assert classes.presentation.zero_class(doubled)
 
 
+def assert_generator_classes(cx, expected):
+    """In each degree k < D the group is ``expected(k)``, the j-th generator
+    has the j-th unit class, and every column of d_{k+1} has the zero class."""
+    for k in range(cx.D):
+        classes = HomologyClasses(cx, k)
+        assert (classes.betti, classes.torsion) == expected(k)
+        t = len(classes.torsion)
+        gens = classes.generators()
+        assert len(gens) == t + classes.betti
+        for j, gen in enumerate(gens):
+            tor, free = classes.coords(gen)
+            assert tor == tuple(int(i == j) for i in range(t))
+            assert free == tuple(int(t + i == j) for i in range(classes.betti))
+        above = cx.boundary[k + 1]
+        for j in range(above.ncols):
+            assert classes.presentation.zero_class(above.column(j))
+
+
+def test_homology_classes_of_every_fixture():
+    for cx in fixture_complexes().values():
+        assert_generator_classes(cx, partial(oracle_homology, cx))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_homology_classes_of_cyclic_groups(n):
+    """Against the closed form H_*(BZ/n): sympy's Smith form of the
+    625x3125 boundary of Z/5 would not finish in test time."""
+    cx = fat_chains(nerve(cyclic_groupoid(n).base, 5))
+
+    def closed_form(k):
+        return (1, ()) if k == 0 else (0, (n,) if k % 2 else ())
+
+    assert_generator_classes(cx, closed_form)
+
+
 def test_quasi_iso_rejects_scalar_doubling():
     """Doubling every chain commutes with boundaries and matches betti and
     torsion, but is not surjective on the free part of homology."""
@@ -382,6 +419,9 @@ def test_matrix_shape_is_validated():
     with pytest.raises(StructureError):
         IntMatrix([[1, 2], [3]])
     with pytest.raises(StructureError):
+        IntMatrix([[1, 2]], ncols=3)
+    assert IntMatrix([[1, 2]], ncols=2).shape == (1, 2)
+    with pytest.raises(StructureError):
         IntMatrix([])
     with pytest.raises(StructureError):
         IntMatrix([[1, 2]]).mul(IntMatrix([[1, 2]]))
@@ -417,7 +457,7 @@ def test_smith_transforms_store_only_nonzeros(seed):
 
 
 # ---------------------------------------------------------------------------
-# Two-stage smith against the dense eliminator and sympy
+# The sparse smith against the dense eliminator and sympy
 
 
 def assert_smith_form(a):
@@ -436,7 +476,7 @@ def assert_smith_form(a):
     assert smith(a, want_u=True, want_uinv=True).U == form.U
     assert smith(a, want_v=True, want_vinv=True).Vinv == form.Vinv
     assert smith(a).factors == form.factors
-    dense = _dense_smith(a, False, False, False, False)
+    dense = dense_smith(a, False, False, False, False)
     assert form.factors == dense.factors
     assert form.factors == oracle_invariant_factors(a)
 
@@ -476,8 +516,8 @@ def test_smith_differential_empty_and_zero(shape):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_smith_differential_unit_block_with_residual(seed):
-    """A unimodular mix of I_k and a unit-free residual: the sparse stage
-    must hand the residual's torsion on intact."""
+    """A unimodular mix of I_k and a unit-free residual: the unit pivots
+    must leave the residual's torsion intact."""
     rng = random.Random(300 + seed)
     k = rng.randint(1, 4)
     res = [[rng.choice((0, 2, 3, 4, 6, -4)) for _ in range(3)] for _ in range(3)]
@@ -502,7 +542,7 @@ def test_smith_differential_unit_block_with_residual(seed):
 
 def test_smith_unit_pivot_rule():
     """Column 0 is shortest but holds no unit, so column 2 (length 2) goes
-    first; then column 1 at row 2; the residual -6 goes to the dense stage.
+    first; then column 1 at row 2; the residual -6 is the one non-unit pivot.
     Uinv's columns are the pivot columns as they stood, Vinv's rows the
     pivot rows."""
     a = IntMatrix([[2, 1, 1], [0, -1, 3], [0, 1, 0]])
