@@ -14,6 +14,7 @@ covered complex maps into it by the cellwise classifying rule.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 from .errors import StructureError, Violation, check_budget
@@ -36,6 +37,7 @@ from .simpset import (
     chain_objects,
     nerve,
     unravel_simplicial,
+    unraveled_face,
 )
 
 
@@ -525,87 +527,148 @@ def restrict_to_layer(prism_cocycle: GCocycle, level: int) -> GCocycle:
 class ClassifyingComplex:
     """Stagewise unraveled nerve with its stage cover.
 
-    ``cover[j][k]`` is the set of k-cells whose stage tuple contains j,
-    the combinatorial shadow of the j-th coordinate being positive.
+    ``space`` unravels ``nerve``, the nerve of the groupoid.  ``cover[j][k]``
+    is the set of k-cells whose stage tuple contains j, the combinatorial
+    shadow of the j-th coordinate being positive; it is computed on first
+    use.
     """
 
     groupoid: FinGroupoid
     stages: int
+    nerve: TruncatedSimplicialSet
     space: TruncatedSimplicialSet
-    cover: dict
+
+    @cached_property
+    def cover(self):
+        space = self.space
+        return {
+            j: tuple(
+                frozenset(cell for cell in space.cells[k] if j in cell[0])
+                for k in range(space.D + 1)
+            )
+            for j in range(self.stages + 1)
+        }
 
 
 def bg_complex(g: FinGroupoid, N: int, D: int) -> ClassifyingComplex:
-    space = unravel_simplicial(nerve(g.base, D), N)
-    cover = {}
-    for j in range(N + 1):
-        cover[j] = tuple(
-            frozenset(cell for cell in space.cells[k] if j in cell[0])
-            for k in range(D + 1)
-        )
-    return ClassifyingComplex(g, N, space, cover)
+    ner = nerve(g.base, D)
+    return ClassifyingComplex(g, N, ner, unravel_simplicial(ner, N))
+
+
+def _transition_table(g: FinGroupoid, m, z):
+    """Canonical transitions of a degree-m nerve cell, keyed by vertex
+    pairs: compose forward, identity on the diagonal, invert backward."""
+    cat = g.base
+    table = {}
+    # with two or more vertices z is the chain of arrows between them
+    for (a, b), f in chain_composites(cat, chain_objects(cat, m, z), z).items():
+        table[(a, b)] = f
+        if a < b:
+            table[(b, a)] = g.inverse[f]
+    return table
 
 
 def _gamma_for_cell(g: FinGroupoid, cell):
-    """Canonical transition assignment on one cell, keyed by stage pairs."""
-    cat = g.base
+    """Canonical transition assignment on one cell, keyed by stage pairs:
+    the transitions of its nerve cell, vertex a labelled by the a-th
+    distinct stage."""
     seq, z = cell
     values = sorted(set(seq))
-    objects = chain_objects(cat, len(values) - 1, z)
-    gamma = {}
-    # with two or more stages z is the chain of arrows between them
-    for (a, b), f in chain_composites(cat, objects, z).items():
-        gamma[(values[a], values[b])] = f
-        if a < b:
-            gamma[(values[b], values[a])] = g.inverse[f]
-    return gamma
+    table = _transition_table(g, len(values) - 1, z)
+    return {(values[a], values[b]): f for (a, b), f in table.items()}
 
 
 @dataclass
 class UniversalCocycle:
     classifying: ClassifyingComplex
-    gamma: dict
     report: list
 
     @property
     def ok(self):
         return not self.report
 
+    def gamma(self, k, cell):
+        """Canonical transitions on a k-cell of the classifying complex,
+        keyed by stage pairs."""
+        space = self.classifying.space
+        if not 0 <= k <= space.D or cell not in space.index[k]:
+            raise StructureError(f"not a {k}-cell of the classifying complex: {cell}")
+        return _gamma_for_cell(self.classifying.groupoid, cell)
+
+
+def _law_failures(cat, m, table):
+    """Vertex triples (a, b, c) of a degree-m transition table where the
+    transition a -> b followed by b -> c is not a -> c."""
+    r = range(m + 1)
+    return [
+        (a, b, c) for a in r for b in r for c in r
+        if cat.table.get((table[(a, b)], table[(b, c)])) != table[(a, c)]
+    ]
+
+
+def _face_failures(table, face, v):
+    """Vertex pairs of ``face``, the table of d_v of a cell, whose
+    transition differs from the cell's ``table`` between the matching
+    vertices: vertex a of the face is vertex a, or a + 1 from v on."""
+    return [(a, b) for (a, b), f in face.items() if table[(a + (a >= v), b + (b >= v))] != f]
+
 
 def universal_cocycle(g: FinGroupoid, N: int, D: int) -> UniversalCocycle:
     """Canonical transitions on every cell of the classifying complex,
-    checked for the composition law and face compatibility."""
+    checked for the composition law and face compatibility.
+
+    The transitions of a cell (seq, z) are those of the nerve cell z with
+    vertex a relabelled by the a-th distinct stage of seq, an order-
+    preserving bijection, so each check is made once per nerve simplex
+    on its vertex-indexed table:
+
+    * the composition law on every triple of vertices of z;
+    * compatibility with each face d_v z of the audited nerve, through the
+      coface that skips vertex v.  A face of (seq, z) deleting a stage
+      that shares its value keeps z and the stage set, so it compares a
+      table with itself; one deleting a lone stage is d_v z relabelled by
+      the stages left, v being that stage's value group.
+
+    The verdicts are then spread over the cells of the classifying complex
+    in cell order, with stage-valued witnesses, only if some verdict is
+    not empty, so the report is the one a cell-by-cell check would give.
+    """
     bg = bg_complex(g, N, D)
-    cat = g.base
-    gamma = {}
-    for k in range(D + 1):
-        for cell in bg.space.cells[k]:
-            gamma[(k, cell)] = _gamma_for_cell(g, cell)
+    ner, space, cat = bg.nerve, bg.space, g.base
+    tables = [[_transition_table(g, m, z) for z in ner.cells[m]] for m in range(D + 1)]
+    law = [[_law_failures(cat, m, t) for t in level] for m, level in enumerate(tables)]
+    # compat[m][p][v]: the failures of the p-th m-cell against its face d_v
+    compat = [[]] + [
+        [
+            [_face_failures(t, tables[m - 1][ner.faces[m][v][p]], v) for v in range(m + 1)]
+            for p, t in enumerate(tables[m])
+        ]
+        for m in range(1, D + 1)
+    ]
     report = []
-    for k in range(D + 1):
-        for cell in bg.space.cells[k]:
-            table = gamma[(k, cell)]
-            values = sorted(set(cell[0]))
-            for a in values:
-                for b in values:
-                    for cc in values:
-                        left = cat.table.get((table[(a, b)], table[(b, cc)]))
-                        if left != table[(a, cc)]:
-                            report.append(
-                                Violation("universal-cocycle-law", (k, cell, a, b, cc))
-                            )
-    for k in range(1, D + 1):
-        for cell in bg.space.cells[k]:
-            parent = gamma[(k, cell)]
-            for i in range(k + 1):
-                child_cell = bg.space.face(k, i, cell)
-                child = gamma[(k - 1, child_cell)]
-                for pair, val in child.items():
-                    if parent.get(pair) != val:
-                        report.append(
-                            Violation("universal-face-compat", (k, i, cell, pair))
-                        )
-    return UniversalCocycle(bg, gamma, report)
+    if any(any(level) for level in law):
+        for k in range(D + 1):
+            for cell in space.cells[k]:
+                seq, z = cell
+                values = sorted(set(seq))
+                m = len(values) - 1
+                for a, b, c in law[m][ner.index[m][z]]:
+                    witness = (k, cell, values[a], values[b], values[c])
+                    report.append(Violation("universal-cocycle-law", witness))
+    if any(any(map(any, level)) for level in compat):
+        for k in range(1, D + 1):
+            for cell in space.cells[k]:
+                seq, z = cell
+                m = len(set(seq)) - 1
+                for i in range(k + 1):
+                    v = unraveled_face(seq, i)
+                    if v is None:
+                        continue
+                    values = sorted(set(seq[:i] + seq[i + 1:]))
+                    for a, b in compat[m][ner.index[m][z]][v]:
+                        witness = (k, i, cell, (values[a], values[b]))
+                        report.append(Violation("universal-face-compat", witness))
+    return UniversalCocycle(bg, report)
 
 
 # ---------------------------------------------------------------------------

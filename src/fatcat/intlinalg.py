@@ -21,6 +21,7 @@ deterministic.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import StructureError
 
@@ -285,6 +286,14 @@ def _axpy(target, q, source):
             del target[k]
 
 
+def _combine(columns, vec):
+    """The sum of v * columns[j] over the entries j: v of a sparse vector."""
+    out = {}
+    for j, v in vec.items():
+        _axpy(out, v, columns[j])
+    return out
+
+
 def _transposed(m):
     nz = [{} for _ in range(m.ncols)]
     for i, row in enumerate(m.nz):
@@ -348,20 +357,26 @@ class HomologyPresentation:
             gens.append(_dense(vec, self.n))
         return gens
 
+    @cached_property
+    def _columns(self):
+        """Columns of A, U and VMinv, so that a product visits only the
+        nonzeros of the vector."""
+        return _transposed(self._A).nz, _transposed(self._U).nz, _transposed(self._VMinv).nz
+
     def coords(self, vec):
         """Class of a cycle: (torsion coords mod d_i, exact free coords)."""
-        if any(self._A.mulvec(vec)):
+        if len(vec) != self.n:
+            raise StructureError("matrix-vector product: shape mismatch")
+        acols, ucols, vcols = self._columns
+        x = {j: v for j, v in enumerate(vec) if v}
+        if _combine(acols, x):
             raise StructureError("vector is not a cycle")
-        y = self._U.mulvec(vec)
-        tor = tuple(
-            y[i] % self._dB[i] for i in self._torsion_index
-        )
-        rest = y[self._rB :]
-        z = self._VMinv.mulvec(rest) if rest else []
-        for i in range(self._rM):
-            if z[i]:
-                raise StructureError("cycle has nonzero coordinates on killed summands")
-        free = tuple(z[self._rM :])
+        y = _combine(ucols, x)
+        tor = tuple(y.get(i, 0) % self._dB[i] for i in self._torsion_index)
+        z = _combine(vcols, {i - self._rB: v for i, v in y.items() if i >= self._rB})
+        if any(i < self._rM for i in z):
+            raise StructureError("cycle has nonzero coordinates on killed summands")
+        free = tuple(z.get(i, 0) for i in range(self._rM, self._VMinv.nrows))
         return tor, free
 
     def zero_class(self, vec):

@@ -10,8 +10,9 @@ cutoff D, once per pair of indices by composing whole tables; a mismatch
 is mapped back to its cell, so a violation names the cell that breaks the
 law.  The package builds every object with :func:`simplicial_set` and every
 map with :func:`simplicial_map`, which lay out the tables from per-cell
-rules, so the table layout is decided in one place.  ``face``,
-``degeneracy`` and ``apply`` still take and return cells.
+rules, so the table layout is decided in one place; the one exception is
+:func:`unravel_simplicial`, which composes its tables from its parent's.
+``face``, ``degeneracy`` and ``apply`` still take and return cells.
 
 Conventions used throughout:
 
@@ -378,6 +379,13 @@ def _in_multi_group(seq, pos):
     return before or after
 
 
+def unraveled_face(seq, i):
+    """The face that d_i of an unraveled cell with stage tuple ``seq``
+    applies to its nerve cell: None (the cell is kept) when ``seq[i]``
+    shares its value with a neighbour, else the index of its value group."""
+    return None if _in_multi_group(seq, i) else _group_index(seq, i)
+
+
 def unravel_simplicial(y: TruncatedSimplicialSet, N: int) -> TruncatedSimplicialSet:
     """Stagewise unraveling of a simplicial set.
 
@@ -385,6 +393,11 @@ def unravel_simplicial(y: TruncatedSimplicialSet, N: int) -> TruncatedSimplicial
     l - 1, l the number of distinct stages.  For y a nerve this reproduces
     the nerve of the unraveled category cell for cell.  The cells are
     counted and budgeted before any of them is built.
+
+    The cells come in one block per stage tuple, holding its pairs with
+    y's cells in y's order, so the tables are composed from y's: d_i and
+    s_i send a block onto a block, position for position, except that a
+    d_i deleting a lone stage applies y's face table to the positions.
     """
     if N < 0:
         raise StructureError("N must be >= 0")
@@ -397,27 +410,41 @@ def unravel_simplicial(y: TruncatedSimplicialSet, N: int) -> TruncatedSimplicial
         for l in range(1, n + 2)
     )
     check_budget(total, TruncatedSimplicialSet.__name__)
-    cells = []
+    seqs = [list(combinations_with_replacement(range(N + 1), n + 1)) for n in range(D + 1)]
+    cells, start = [], []
     for n in range(D + 1):
-        level = []
-        for seq in combinations_with_replacement(range(N + 1), n + 1):
-            l = len(set(seq))
-            for z in y.cells[l - 1]:
-                level.append((seq, z))
+        level, first = [], {}
+        for seq in seqs[n]:
+            first[seq] = len(level)
+            level.extend((seq, z) for z in y.cells[len(set(seq)) - 1])
         cells.append(level)
+        start.append(first)
 
-    def face(n, i, cell):
-        seq, z = cell
-        rest = seq[:i] + seq[i + 1:]
-        if _in_multi_group(seq, i):
-            return rest, z
-        return rest, y.face(len(set(seq)) - 1, _group_index(seq, i), z)
+    def block(n, seq):
+        p = start[n][seq]
+        return range(p, p + y.n_cells(len(set(seq)) - 1))
 
-    def degeneracy(n, i, cell):
-        seq, z = cell
-        return seq[: i + 1] + seq[i:], z
-
-    return simplicial_set(D, cells, face, degeneracy)
+    faces = [None]
+    for n in range(1, D + 1):
+        tables = [[] for _ in range(n + 1)]
+        for seq in seqs[n]:
+            m = len(set(seq)) - 1
+            for i, table in enumerate(tables):
+                rest = seq[:i] + seq[i + 1:]
+                g = unraveled_face(seq, i)
+                if g is None:
+                    table.extend(block(n - 1, rest))
+                else:
+                    p = start[n - 1][rest]
+                    table.extend([p + q for q in y.faces[m][g]])
+        faces.append(tables)
+    degeneracies = [
+        [[p for seq in seqs[n] for p in block(n + 1, seq[: i + 1] + seq[i:])]
+         for i in range(n + 1)]
+        for n in range(D)
+    ]
+    # cells stays positional: bench/tracer.py reads it as the constructor's args[2]
+    return TruncatedSimplicialSet(D, cells, faces, degeneracies)
 
 
 def interleave_cell(c: FinCategory, k, chain, seq):

@@ -6,6 +6,11 @@
 * Simplicial identities: the per-cell audits, over cell lists and per-cell
   rules, that the package's whole-table audits must reproduce violation
   for violation.
+* The classifying complex: the stagewise unraveling built from a face rule
+  per cell, and the universal cocycle checked cell by cell over it, which
+  the package's table-composing ``unravel_simplicial`` and its once per
+  nerve simplex ``universal_cocycle`` must reproduce cell for cell and
+  witness for witness.
 * Dense matrices: products and transposes of plain row lists, the
   reference for the package's sparse ``IntMatrix``; ``dense_smith``, the
   dense eliminator that the package's sparse ``smith`` must agree with; and
@@ -14,13 +19,24 @@
 """
 
 from collections import namedtuple
+from itertools import combinations_with_replacement
+from math import comb
 
 from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import smith_normal_form
 
-from fatcat.errors import StructureError, Violation
+from fatcat.errors import StructureError, Violation, check_budget
 from fatcat.homology import cellular_map, fat_chains, geometric_chains
 from fatcat.intlinalg import IntMatrix, SmithForm, _dense, smith
+from fatcat.simpset import (
+    TruncatedSimplicialSet,
+    _group_index,
+    _in_multi_group,
+    chain_composites,
+    chain_objects,
+    nerve,
+    simplicial_set,
+)
 
 
 def _to_sympy(mat):
@@ -157,6 +173,104 @@ def oracle_map_audit(D, source, target, image):
                     if left != target.degeneracy(k, i, img):
                         violations.append(Violation("map-degeneracy", (k, i, cell)))
     return violations
+
+
+# ---------------------------------------------------------------------------
+# The classifying complex, cell by cell
+
+
+def oracle_unravel_simplicial(y: TruncatedSimplicialSet, N: int) -> TruncatedSimplicialSet:
+    """Stagewise unraveling of a simplicial set.
+
+    n-cells are pairs (k_0 <= ... <= k_n, z) with z a cell of y in degree
+    l - 1, l the number of distinct stages.  For y a nerve this reproduces
+    the nerve of the unraveled category cell for cell.  The cells are
+    counted and budgeted before any of them is built.
+    """
+    if N < 0:
+        raise StructureError("N must be >= 0")
+    D = y.D
+    # weakly increasing (n+1)-tuples over N+1 stages with l distinct values:
+    # choose the values, then cut the tuple into l nonempty runs
+    total = sum(
+        comb(N + 1, l) * comb(n, l - 1) * y.n_cells(l - 1)
+        for n in range(D + 1)
+        for l in range(1, n + 2)
+    )
+    check_budget(total, TruncatedSimplicialSet.__name__)
+    cells = []
+    for n in range(D + 1):
+        level = []
+        for seq in combinations_with_replacement(range(N + 1), n + 1):
+            l = len(set(seq))
+            for z in y.cells[l - 1]:
+                level.append((seq, z))
+        cells.append(level)
+
+    def face(n, i, cell):
+        seq, z = cell
+        rest = seq[:i] + seq[i + 1:]
+        if _in_multi_group(seq, i):
+            return rest, z
+        return rest, y.face(len(set(seq)) - 1, _group_index(seq, i), z)
+
+    def degeneracy(n, i, cell):
+        seq, z = cell
+        return seq[: i + 1] + seq[i:], z
+
+    return simplicial_set(D, cells, face, degeneracy)
+
+
+def _gamma_for_cell(g, cell):
+    """Canonical transition assignment on one cell, keyed by stage pairs."""
+    cat = g.base
+    seq, z = cell
+    values = sorted(set(seq))
+    objects = chain_objects(cat, len(values) - 1, z)
+    gamma = {}
+    # with two or more stages z is the chain of arrows between them
+    for (a, b), f in chain_composites(cat, objects, z).items():
+        gamma[(values[a], values[b])] = f
+        if a < b:
+            gamma[(values[b], values[a])] = g.inverse[f]
+    return gamma
+
+
+def oracle_universal_cocycle(g, N, D):
+    """Canonical transitions on every cell of the classifying complex,
+    checked cell by cell for the composition law and face compatibility:
+    the ``{(k, cell): transitions}`` dict and the report."""
+    space = oracle_unravel_simplicial(nerve(g.base, D), N)
+    cat = g.base
+    gamma = {}
+    for k in range(D + 1):
+        for cell in space.cells[k]:
+            gamma[(k, cell)] = _gamma_for_cell(g, cell)
+    report = []
+    for k in range(D + 1):
+        for cell in space.cells[k]:
+            table = gamma[(k, cell)]
+            values = sorted(set(cell[0]))
+            for a in values:
+                for b in values:
+                    for cc in values:
+                        left = cat.table.get((table[(a, b)], table[(b, cc)]))
+                        if left != table[(a, cc)]:
+                            report.append(
+                                Violation("universal-cocycle-law", (k, cell, a, b, cc))
+                            )
+    for k in range(1, D + 1):
+        for cell in space.cells[k]:
+            parent = gamma[(k, cell)]
+            for i in range(k + 1):
+                child_cell = space.face(k, i, cell)
+                child = gamma[(k - 1, child_cell)]
+                for pair, val in child.items():
+                    if parent.get(pair) != val:
+                        report.append(
+                            Violation("universal-face-compat", (k, i, cell, pair))
+                        )
+    return gamma, report
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,16 @@ import pytest
 from fatcat import cli
 from fatcat.cli import build_parser, main
 from fatcat.cocycle import cocycle_to_json, covered_complex_to_json
-from fatcat.fincat import category_to_json, groupoid_to_json
+from fatcat.fincat import (
+    FinCategory,
+    FinGroupoid,
+    category_to_json,
+    groupoid_from_json,
+    groupoid_to_json,
+)
 from fatcat.fixtures import (
     broken_circle_cocycle,
+    broken_groupoid_bad_inverse,
     circle_star_cover,
     hemisphere_cover,
     mobius_cocycle,
@@ -20,6 +27,16 @@ from fatcat.fixtures import (
 )
 from fatcat.intlinalg import IntMatrix
 from fatcat.simpset import BijectionReport
+
+
+def self_inverse_loop():
+    """One object, five morphisms, every one its own inverse, composed by
+    the table of an order-5 loop that is not associative."""
+    rows = ["01234", "10342", "24013", "32401", "43120"]
+    mor = [("*", "*", k) for k in range(5)]
+    compose = {(mor[i], mor[j]): mor[int(rows[i][j])] for i in range(5) for j in range(5)}
+    base = FinCategory(["*"], [(m, "*", "*") for m in mor], {"*": mor[0]}, compose)
+    return FinGroupoid(base, {m: m for m in mor})
 
 
 @pytest.fixture
@@ -35,6 +52,8 @@ def inputs(tmp_path):
     write("ord1.json", category_to_json(standard_categories()["ordinal-1"]))
     write("ord2.json", category_to_json(standard_categories()["ordinal-2"]))
     write("pair.json", groupoid_to_json(pair_groupoid()))
+    write("bad-inverse.json", groupoid_to_json(broken_groupoid_bad_inverse()))
+    write("loop5.json", groupoid_to_json(self_inverse_loop()))
     write("circle.json", covered_complex_to_json(circle_star_cover()))
     write("hemisphere.json", covered_complex_to_json(hemisphere_cover()))
     write("mobius.json", cocycle_to_json(mobius_cocycle()))
@@ -149,6 +168,34 @@ def test_verify_universal(capsys, inputs):
         ["verify", "universal-cocycle", "--input", inputs["bz2.json"], "--N", "3", "--D", "2"],
     )
     assert code == 0 and payload["ok"]
+
+
+def test_verify_universal_fails_on_a_bad_inverse(capsys, inputs):
+    code, payload = run(
+        capsys,
+        ["verify", "universal-cocycle", "--input", inputs["bad-inverse.json"],
+         "--N", "2", "--D", "2"],
+    )
+    assert code == 1 and not payload["ok"]
+    assert {w["law"] for w in payload["witnesses"]} == {"universal-cocycle-law"}
+
+
+def test_non_associative_loop(capsys, inputs):
+    """The loader takes the loop's tables as they are.  Through D=2 the
+    transitions break the law; at D=3 the nerve's face-face audit sees
+    (fg)h != f(gh) and refuses the input before any transition is checked,
+    so universal-face-compat, whose tables differ only where composition
+    does not associate, has no input left to fire on."""
+    with open(inputs["loop5.json"]) as fh:
+        assert groupoid_from_json(json.load(fh)) == self_inverse_loop()
+    argv = ["verify", "universal-cocycle", "--input", inputs["loop5.json"], "--N", "2", "--D"]
+    code, payload = run(capsys, argv + ["2"])
+    assert code == 1 and not payload["ok"]
+    assert {w["law"] for w in payload["witnesses"]} == {"universal-cocycle-law"}
+    code = main(argv + ["3"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "face identities fail" in json.loads(captured.err)["error"]
 
 
 def test_verify_partition(capsys):
@@ -329,6 +376,8 @@ GOLDEN = [
      "33772fdee1771a3f5d18612b9230e599e2931d560d6864c16b85503c76b1652e"),
     ("verify universal-cocycle --input pair.json --N 2 --D 2", 0,
      "33772fdee1771a3f5d18612b9230e599e2931d560d6864c16b85503c76b1652e"),
+    ("verify universal-cocycle --input bad-inverse.json --N 2 --D 2", 1,
+     "65038e169725c8a21d42fbaccc2feba01826db54ebf538f84ebad852944a8d60"),
     ("verify partition", 0,
      "7b0971023ffc0e1b62b9f6712cb734ce362978dc77c6cf8fe2b771086ea4d3ce"),
     ("counterexample rho --n 1", 0,

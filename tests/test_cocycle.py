@@ -31,8 +31,11 @@ from fatcat.cocycle import (
     PartitionPoint,
 )
 from fatcat.errors import StructureError
+from fatcat.fincat import FinGroupoid
 from fatcat.fixtures import (
     broken_circle_cocycle,
+    broken_groupoid_bad_inverse,
+    cyclic_groupoid,
     octahedron_complex,
     bundled_cocycles,
     circle_complex,
@@ -42,14 +45,22 @@ from fatcat.fixtures import (
     mobius_cocycle,
     pair_groupoid,
     random_two_complex,
+    standard_groupoids,
     trivial_cocycle,
     vertex_star_cover,
     z2_groupoid,
 )
 from fatcat.homology import HomologyClasses, homology
+from fatcat.ids import sort_key
 from fatcat.intlinalg import IntMatrix
+from fatcat.simpset import nerve
 
-from oracles import is_zero, oracle_homology
+from oracles import (
+    is_zero,
+    oracle_homology,
+    oracle_universal_cocycle,
+    oracle_unravel_simplicial,
+)
 
 
 def test_closure_and_validation():
@@ -237,12 +248,21 @@ def test_bg_cover_intersection():
         assert 0 in cell[0] and 2 in cell[0]
 
 
+def test_bg_cover_is_computed_on_first_use():
+    g = z2_groupoid()
+    bg = bg_complex(g, 2, 2)
+    assert bg.nerve.cells == nerve(g.base, 2).cells
+    assert "cover" not in vars(bg)
+    assert bg.cover[1][0] == frozenset([((1,), "*")])
+    assert "cover" in vars(bg)
+
+
 def test_universal_cocycle_values():
     uc = universal_cocycle(z2_groupoid(), 2, 2)
     assert uc.ok
     sigma = ("*", "*", "s")
     ident = ("*", "*", "e")
-    gam = uc.gamma[(2, ((0, 1, 2), (sigma, sigma)))]
+    gam = uc.gamma(2, ((0, 1, 2), (sigma, sigma)))
     assert gam[(0, 2)] == ident
     assert gam[(2, 0)] == ident
     assert gam[(0, 1)] == sigma
@@ -255,6 +275,72 @@ def test_universal_cocycle_laws(name):
 
     g = standard_groupoids()[name]
     assert universal_cocycle(g, 3, 2).ok
+
+
+def test_universal_cocycle_reports_a_bad_inverse():
+    for N, D in ((2, 1), (2, 2), (3, 2)):
+        uc = universal_cocycle(broken_groupoid_bad_inverse(), N, D)
+        assert not uc.ok
+        assert {v.law for v in uc.report} == {"universal-cocycle-law"}
+    # the flip s has inverse e, so s after its declared inverse is not e
+    s, e = ("*", "*", "s"), ("*", "*", "e")
+    assert uc.report[0].witness == (1, ((0, 1), (s,)), 0, 1, 0)
+    assert uc.gamma(1, ((0, 1), (s,))) == {(0, 0): e, (0, 1): s, (1, 0): e, (1, 1): e}
+
+
+def test_universal_gamma_refuses_a_non_cell():
+    uc = universal_cocycle(z2_groupoid(), 2, 2)
+    sigma = ("*", "*", "s")
+    assert uc.gamma(1, ((0, 2), (sigma,)))[(2, 0)] == sigma
+    non_cells = [
+        (1, ((0, 3), (sigma,))),  # stage 3 is past N
+        (2, ((0, 2), (sigma,))),  # a 1-cell asked for in degree 2
+        (3, ((0, 1, 1, 2), (sigma, sigma))),  # past D
+        (-1, "*"),
+        (0, ((0,), ("*", "*", "x"))),
+    ]
+    for k, cell in non_cells:
+        with pytest.raises(StructureError):
+            uc.gamma(k, cell)
+
+
+def differential_groupoids():
+    """Every standard groupoid, the bad-inverse one, and seeded Z/n with one
+    inverse entry pointed at a wrong morphism."""
+    out = dict(standard_groupoids())
+    out["bad-inverse"] = broken_groupoid_bad_inverse()
+    for seed in range(3):
+        rng = random.Random(seed)
+        g = cyclic_groupoid(rng.randint(3, 4))
+        mors = sorted(g.inverse, key=sort_key)
+        m = rng.choice(mors)
+        inverse = dict(g.inverse)
+        inverse[m] = rng.choice([f for f in mors if f != g.inverse[m]])
+        out[f"corrupted-seed-{seed}"] = FinGroupoid(g.base, inverse)
+    return out
+
+
+DIFFERENTIAL_GROUPOIDS = differential_groupoids()
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_GROUPOIDS))
+def test_universal_cocycle_matches_the_cell_by_cell_oracle(name):
+    g = DIFFERENTIAL_GROUPOIDS[name]
+    witnesses = 0
+    for N in (2, 3, 4):
+        for D in (1, 2, 3):
+            gamma, report = oracle_universal_cocycle(g, N, D)
+            uc = universal_cocycle(g, N, D)
+            assert [v.to_json() for v in uc.report] == [v.to_json() for v in report], (N, D)
+            witnesses += len(report)
+            for (k, cell), table in gamma.items():
+                assert list(uc.gamma(k, cell).items()) == list(table.items())
+            ours = uc.classifying.space
+            ref = oracle_unravel_simplicial(uc.classifying.nerve, N)
+            assert ours.cells == ref.cells
+            assert ours.faces == ref.faces
+            assert ours.degeneracies == ref.degeneracies
+    assert (witnesses > 0) == (name not in standard_groupoids())
 
 
 def test_partition_point_validation():
@@ -456,7 +542,7 @@ def test_universal_gamma_orientation_on_pair_groupoid():
     # the object at the lower stage to the object at the higher one
     uc = universal_cocycle(pair_groupoid(), 2, 2)
     cell = ((0, 1), (("a", "b", "p"),))
-    gam = uc.gamma[(1, cell)]
+    gam = uc.gamma(1, cell)
     assert gam[(0, 1)] == ("a", "b", "p")
     assert gam[(1, 0)] == ("b", "a", "p")
     assert gam[(0, 0)] == ("a", "a", "p")

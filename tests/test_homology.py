@@ -261,6 +261,33 @@ def test_homology_classes_expose_generators():
     assert classes.presentation.zero_class(doubled)
 
 
+def test_coords_of_combinations_and_refusals():
+    """The class of sum c_j gen_j plus a boundary is c, torsion entries
+    reduced; a non-cycle and a vector of the wrong length are refused."""
+    cx = fat_chains(nerve(cyclic_groupoid(3).base, 4))
+    rng = random.Random(5)
+    for k in range(1, 4):
+        classes = HomologyClasses(cx, k)
+        gens = classes.generators()
+        torsion = classes.torsion + (0,) * classes.betti
+        above = cx.boundary[k + 1]
+        for _ in range(10):
+            c = [rng.randint(-4, 4) for _ in gens]
+            vec = [sum(cj * g[p] for cj, g in zip(c, gens)) for p in range(cx.rank(k))]
+            for j in rng.sample(range(above.ncols), 3):
+                r = rng.randint(-3, 3)
+                vec = [v + r * w for v, w in zip(vec, above.column(j))]
+            want = tuple(cj % d if d else cj for cj, d in zip(c, torsion))
+            tor, free = classes.coords(vec)
+            assert tor + free == want
+    classes = HomologyClasses(cx, 2)
+    p = next(j for j in range(cx.rank(2)) if any(cx.boundary[2].column(j)))
+    with pytest.raises(StructureError, match="not a cycle"):
+        classes.coords([int(j == p) for j in range(cx.rank(2))])
+    with pytest.raises(StructureError, match="shape mismatch"):
+        classes.coords([0] * (cx.rank(2) + 1))
+
+
 def assert_generator_classes(cx, expected):
     """In each degree k < D the group is ``expected(k)``, the j-th generator
     has the j-th unit class, and every column of d_{k+1} has the zero class."""
