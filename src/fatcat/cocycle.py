@@ -14,7 +14,7 @@ covered complex maps into it by the cellwise classifying rule.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import combinations
 
 from .errors import StructureError, Violation, check_budget
@@ -25,9 +25,9 @@ from .homology import (
     QuasiIsoReport,
     cellular_map,
     check_degree_range,
-    complex_from_terms,
     deletion_complex,
     geometric_chains,
+    named_matrix,
     quasi_iso_through,
 )
 from .ids import decode_id, encode_id, sort_key
@@ -833,7 +833,11 @@ def blowup(base: CoveredComplex, D=None) -> BlowupComplex:
         level.sort(key=sort_key)
         basis.append(level)
     check_budget(sum(len(b) for b in basis), "blowup total complex")
-    total = complex_from_terms(D, basis, _blowup_boundary)
+    boundary = {
+        k: named_matrix(basis[k], basis[k - 1], partial(_blowup_boundary, k))
+        for k in range(1, D + 1)
+    }
+    total = IntegerChainComplex(D, basis, boundary)
     projection = cellular_map(total, base_chain_complex(base, D), _collapse)
     return BlowupComplex(base, bigraded, total, projection)
 

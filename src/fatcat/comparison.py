@@ -26,7 +26,6 @@ from .homology import (
     IntegerChainComplex,
     QuasiIsoReport,
     cell_matrix,
-    cellular_map,
     check_degree_range,
     deletion_complex,
     fat_chains,
@@ -34,12 +33,14 @@ from .homology import (
     homology,
     identity_on_homology_through,
     induced_map,
+    named_matrix,
 )
-from .intlinalg import IntMatrix
 from .simpset import (
     SimplicialMap,
     TruncatedSimplicialSet,
+    _compose,
     chain_composites,
+    delete_entry,
     maximal_flags,
     nerve,
     product_with_S,
@@ -55,11 +56,13 @@ from .simpset import (
 
 
 def projection_map(c: FinCategory, N: int, D: int) -> SimplicialMap:
-    """Simplicial map from the stage product onto the nerve, (x, a) -> x."""
+    """Simplicial map from the stage product onto the nerve, (x, a) -> x:
+    the product k-cell at position p lies over the nerve cell at p // |s_k|."""
     ner = nerve(c, D)
     s = s_semisimplicial(N, D)
     prod = product_with_S(ner, s)
-    return simplicial_map(prod, ner, lambda k, cell: cell[0])
+    maps = [[p // s.n_cells(k) for p in range(prod.n_cells(k))] for k in range(D + 1)]
+    return SimplicialMap(prod, ner, maps)
 
 
 def projection_pi(c: FinCategory, N: int, D: int) -> ChainMap:
@@ -110,14 +113,8 @@ def subdivision_chain_operator(n: int):
         for flag, sign in top[len(cell) - 1]:
             yield _flag_id([cell[v] for v in part] for part in flag.chain), sign
 
-    mats = [cell_matrix(simp.basis[k], flags.basis[k], terms) for k in range(n + 1)]
+    mats = [named_matrix(simp.basis[k], flags.basis[k], terms) for k in range(n + 1)]
     return simp, flags, mats
-
-
-def subdivision_operator(n: int) -> IntMatrix:
-    """Top-degree subdivision matrix: the fundamental cell to its flags."""
-    _, _, mats = subdivision_chain_operator(n)
-    return mats[n]
 
 
 def subdivision_commutes(n: int):
@@ -136,26 +133,24 @@ def subdivision_commutes(n: int):
 # The flag section into the stage product
 
 
-def apply_operator(x, k_from: int, cell, u):
-    """Apply a monotone map u: [k_to] -> [k_from] to a cell of degree k_from.
+def apply_operator(x, k_from: int, u):
+    """Position table of a monotone map u: [k_to] -> [k_from] on the
+    k_from-cells of x.
 
     Standard peeling into faces (missed values) followed by degeneracies
-    (repeated values).
+    (repeated values), composed as whole tables; the identity is a range.
     """
     k_to = len(u) - 1
     image = set(u)
     for v in range(k_from + 1):
         if v not in image:
             reduced = tuple(val if val < v else val - 1 for val in u)
-            return apply_operator(
-                x, k_from - 1, x.face(k_from, v, cell), reduced
-            )
+            return _compose(apply_operator(x, k_from - 1, reduced), x.faces[k_from][v])
     for i in range(k_to):
         if u[i] == u[i + 1]:
             dropped = u[: i + 1] + u[i + 2:]
-            lower = apply_operator(x, k_from, cell, dropped)
-            return x.degeneracy(k_to - 1, i, lower)
-    return cell
+            return _compose(x.degeneracies[k_to - 1][i], apply_operator(x, k_from, dropped))
+    return range(x.n_cells(k_from))
 
 
 def tau_chain_map(x: TruncatedSimplicialSet, N: int, D: int) -> ChainMap:
@@ -163,24 +158,30 @@ def tau_chain_map(x: TruncatedSimplicialSet, N: int, D: int) -> ChainMap:
 
     A degree-n generator maps to the signed sum, over maximal flags of
     {0..n}, of its pullback along i -> max(A_i) paired with the stage tuple
-    (1, ..., n+1).
+    (1, ..., n+1).  Flags with one pullback u add their signs, and the
+    product cell at positions (a, b) sits at a * |s_n| + b (see
+    :func:`product_with_S`).
     """
     if D != x.D:
         raise StructureError("D must match the truncation of x")
     if N < D + 1:
         raise StructureError("need N >= D + 1 so stage labels 1..D+1 exist")
-    pullbacks = [
-        [(tuple(max(part) for part in flag.chain), sign) for flag, sign in maximal_flags(n)]
-        for n in range(D + 1)
-    ]
+    s = s_semisimplicial(N, D)
+    prod = product_with_S(x, s)
 
-    def terms(n, cell):
-        stage = tuple(range(1, n + 2))
-        for u, sign in pullbacks[n]:
-            yield (apply_operator(x, n, cell, u), stage), sign
+    def matrix(n):
+        signs = {}
+        for flag, sign in maximal_flags(n):
+            u = tuple(max(part) for part in flag.chain)
+            signs[u] = signs.get(u, 0) + sign
+        pullbacks = [(apply_operator(x, n, u), sign) for u, sign in signs.items() if sign]
+        width, stage = s.n_cells(n), s.index[n][tuple(range(1, n + 2))]
+        return cell_matrix(
+            prod.n_cells(n), x.n_cells(n),
+            lambda j: ((table[j] * width + stage, sign) for table, sign in pullbacks),
+        )
 
-    prod = product_with_S(x, s_semisimplicial(N, D))
-    return cellular_map(fat_chains(x), fat_chains(prod), terms)
+    return ChainMap(fat_chains(x), fat_chains(prod), [matrix(n) for n in range(D + 1)])
 
 
 def pi_tau_homology_check(c: FinCategory, N: int, D: int, d: int) -> QuasiIsoReport:
@@ -328,19 +329,6 @@ def rho_witnesses(n: int, convention: str = "zero-based"):
     return witnesses
 
 
-def rho_face_counterexample(n: int, convention: str = "zero-based") -> RhoWitness:
-    """First ill-definedness witness, preferring a face mismatch."""
-    witnesses = rho_witnesses(n, convention)
-    if not witnesses:
-        raise StructureError(
-            f"no witness found for n={n} under the {convention} reading"
-        )
-    for w in witnesses:
-        if w.kind == "face-mismatch":
-            return w
-    return witnesses[0]
-
-
 # ---------------------------------------------------------------------------
 # Comma fibers over nerve simplices
 
@@ -433,7 +421,7 @@ def quillen_fiber(
 
     def face(k, i, cell):
         avec, lvec = cell
-        return avec[:i] + avec[i + 1:], lvec[:i] + lvec[i + 1:]
+        return delete_entry(k, i, avec), delete_entry(k, i, lvec)
 
     def degeneracy(k, i, cell):
         avec, lvec = cell

@@ -8,10 +8,11 @@ Homology is exact (Smith normal form over the integers); a degree k is
 reliable only when k + 1 is still below the truncation cutoff, since the
 truncation removes boundaries from above.
 
-Every boundary and every cellular chain map in the package is laid out by
-one builder, :func:`cell_matrix`, through :func:`complex_from_terms` and
-:func:`cellular_map`.  Simplicial objects are audited once, when they are
-built, and are immutable, so nothing here audits them again.
+Every matrix is laid out by :func:`cell_matrix` from row positions: chains
+of a simplicial object read its face tables and a simplicial map's chain
+map reads its map tables.  Only complexes and maps with no simplicial
+object hash cells to rows, through :func:`named_matrix`.  Simplicial
+objects are audited once, when built, and nothing here audits them again.
 """
 
 from dataclasses import dataclass
@@ -19,6 +20,7 @@ from functools import partial
 
 from .errors import StructureError, Violation
 from .intlinalg import HomologyPresentation, IntMatrix, smith, surjective_onto
+from .simpset import delete_entry, simplicial_set
 
 
 class IntegerChainComplex:
@@ -62,9 +64,6 @@ class IntegerChainComplex:
         if k > self.D:
             return IntMatrix.zeros(self.rank(self.D), 0)
         return self.boundary[k]
-
-    def index(self, k):
-        return {cell: i for i, cell in enumerate(self.basis[k])}
 
 
 @dataclass(frozen=True)
@@ -124,19 +123,18 @@ class ChainMap:
         return ChainMap(other.source, self.target, mats)
 
 
-def cell_matrix(source_cells, target_cells, terms) -> IntMatrix:
-    """The one place where cells are laid out as an integer matrix.
+def cell_matrix(nrows, ncols, column) -> IntMatrix:
+    """The one place where an integer matrix is laid out.
 
-    Column j belongs to ``source_cells[j]`` and row i to ``target_cells[i]``;
-    ``terms(cell)`` yields ``(target_cell, coeff)`` pairs, and coefficients
-    landing on the same entry add up; an entry that sums to 0 is not stored.
+    ``column(j)`` yields the ``(row, coeff)`` pairs of column j;
+    coefficients landing on the same entry add up, and an entry that sums
+    to 0 is not stored.
     """
-    row_of = {cell: i for i, cell in enumerate(target_cells)}
-    mat = IntMatrix.zeros(len(target_cells), len(source_cells))
+    mat = IntMatrix.zeros(nrows, ncols)
     rows = mat.nz
-    for j, cell in enumerate(source_cells):
-        for target, coeff in terms(cell):
-            row = rows[row_of[target]]
+    for j in range(ncols):
+        for i, coeff in column(j):
+            row = rows[i]
             entry = row.get(j, 0) + coeff
             if entry:
                 row[j] = entry
@@ -145,19 +143,20 @@ def cell_matrix(source_cells, target_cells, terms) -> IntMatrix:
     return mat
 
 
-def complex_from_terms(D, basis, terms) -> IntegerChainComplex:
-    """Chain complex whose boundary of a k-cell is ``terms(k, cell)``."""
-    boundary = {
-        k: cell_matrix(basis[k], basis[k - 1], partial(terms, k))
-        for k in range(1, D + 1)
-    }
-    return IntegerChainComplex(D, basis, boundary)
+def named_matrix(source_cells, target_cells, terms) -> IntMatrix:
+    """:func:`cell_matrix` for complexes and maps that have no simplicial
+    object: column j is ``terms(source_cells[j])``, pairs of a target cell
+    and a coefficient, and each cell is hashed to its row in
+    ``target_cells``."""
+    row_of = {cell: i for i, cell in enumerate(target_cells)}
+    return cell_matrix(len(target_cells), len(source_cells), lambda j: (
+        (row_of[cell], coeff) for cell, coeff in terms(source_cells[j])))
 
 
 def cellular_map(source, target, terms) -> ChainMap:
     """Chain map sending a k-cell of source to ``terms(k, cell)`` in target."""
     matrices = [
-        cell_matrix(source.basis[k], target.basis[k], partial(terms, k))
+        named_matrix(source.basis[k], target.basis[k], partial(terms, k))
         for k in range(min(source.D, target.D) + 1)
     ]
     return ChainMap(source, target, matrices)
@@ -165,36 +164,48 @@ def cellular_map(source, target, terms) -> ChainMap:
 
 def deletion_complex(basis) -> IntegerChainComplex:
     """Chains on tuple cells whose face d_i deletes entry i."""
-
-    def terms(k, cell):
-        for i in range(k + 1):
-            yield cell[:i] + cell[i + 1:], -1 if i % 2 else 1
-
-    return complex_from_terms(len(basis) - 1, basis, terms)
+    return fat_chains(simplicial_set(len(basis) - 1, basis, delete_entry))
 
 
 def fat_chains(x) -> IntegerChainComplex:
     """Unnormalized cellular chains: every simplex contributes a generator."""
-
-    def terms(k, cell):
-        for i in range(k + 1):
-            yield x.face(k, i, cell), -1 if i % 2 else 1
-
-    return complex_from_terms(x.D, x.cells, terms)
+    every = [range(x.n_cells(k)) for k in range(x.D + 1)]
+    return _face_sum_chains(x, every, every)
 
 
 def geometric_chains(x) -> IntegerChainComplex:
     """Normalized chains: nondegenerate cells only, boundary projected."""
     if not x.has_degeneracies:
         raise StructureError("geometric chains need degeneracy maps")
+    kept = [x.nondegenerate_positions(k) for k in range(x.D + 1)]
+    rows = [[None] * x.n_cells(k) for k in range(x.D + 1)]
+    for row, keep in zip(rows, kept):
+        for r, p in enumerate(keep):
+            row[p] = r
+    return _face_sum_chains(x, kept, rows)
 
-    def terms(k, cell):
-        for i in range(k + 1):
-            face = x.face(k, i, cell)
-            if not x.is_degenerate(k - 1, face):
-                yield face, -1 if i % 2 else 1
 
-    return complex_from_terms(x.D, [x.nondegenerate(k) for k in range(x.D + 1)], terms)
+def _face_sum_chains(x, kept, rows):
+    """Chains on the k-cells of x at the ascending positions ``kept[k]``;
+    ``rows[k][p]`` is the row of the cell at position p, None for one left
+    out.  Column j of d_k is the alternating sum of the faces of the cell
+    at ``kept[k][j]``, read off x's face tables, less those left out."""
+
+    def boundary(k):
+        signed = [(table, -1 if i % 2 else 1) for i, table in enumerate(x.faces[k])]
+        row, cols = rows[k - 1], kept[k]
+
+        def column(j):
+            p = cols[j]
+            for table, sign in signed:
+                r = row[table[p]]
+                if r is not None:
+                    yield r, sign
+
+        return cell_matrix(len(kept[k - 1]), len(cols), column)
+
+    basis = [[x.cells[k][p] for p in kept[k]] for k in range(x.D + 1)]
+    return IntegerChainComplex(x.D, basis, {k: boundary(k) for k in range(1, x.D + 1)})
 
 
 def homology(cx: IntegerChainComplex, k: int) -> HomologyGroup:
@@ -246,13 +257,14 @@ class HomologyClasses:
         return self.presentation.coords(vec)
 
 
-def induced_map(f, chains="fat") -> ChainMap:
-    """Chain map induced by a simplicial map on unnormalized chains."""
-    if chains != "fat":
-        raise StructureError("only fat chains are supported here")
-    return cellular_map(
-        fat_chains(f.source), fat_chains(f.target), lambda k, cell: ((f.apply(k, cell), 1),)
-    )
+def induced_map(f) -> ChainMap:
+    """Chain map induced by a simplicial map on unnormalized chains: column
+    p of degree k has a 1 in row ``f.maps[k][p]``."""
+    matrices = [
+        cell_matrix(f.target.n_cells(k), f.source.n_cells(k), lambda j: ((table[j], 1),))
+        for k, table in enumerate(f.maps)
+    ]
+    return ChainMap(fat_chains(f.source), fat_chains(f.target), matrices)
 
 
 @dataclass

@@ -379,10 +379,6 @@ class HomologyPresentation:
         free = tuple(z.get(i, 0) for i in range(self._rM, self._VMinv.nrows))
         return tor, free
 
-    def zero_class(self, vec):
-        tor, free = self.coords(vec)
-        return not any(tor) and not any(free)
-
 
 def surjective_onto(pres_target, image_columns):
     """Do the given classes generate the target group?

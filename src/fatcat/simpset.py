@@ -1,18 +1,16 @@
 """Truncated simplicial and semi-simplicial sets.
 
 Cells are canonical identifiers (objects, morphism chains, index tuples and
-pairs of these), kept in one ordered list per degree with an index from
-each cell to its position.  Face, degeneracy and map tables are per-degree
-lists of positions: ``faces[k][i][p]`` is the position in degree k - 1 of
-d_i of the p-th k-cell.  The simplicial identities are audited exhaustively
-on construction, scoped to the degrees that exist below the truncation
-cutoff D, once per pair of indices by composing whole tables; a mismatch
-is mapped back to its cell, so a violation names the cell that breaks the
-law.  The package builds every object with :func:`simplicial_set` and every
-map with :func:`simplicial_map`, which lay out the tables from per-cell
-rules, so the table layout is decided in one place; the one exception is
-:func:`unravel_simplicial`, which composes its tables from its parent's.
-``face``, ``degeneracy`` and ``apply`` still take and return cells.
+pairs of these), kept in one ordered list per degree; they label bases and
+witnesses.  Face, degeneracy and map tables are per-degree lists of
+positions: ``faces[k][i][p]`` is the position in degree k - 1 of d_i of the
+p-th k-cell, and everything downstream reads these tables.  The simplicial
+identities are audited exhaustively on construction, scoped to the degrees
+that exist below the truncation cutoff D, once per pair of indices by
+composing whole tables; a mismatch is mapped back to its cell, so a
+violation names the cell that breaks the law.  :func:`simplicial_set` and
+:func:`simplicial_map` lay out tables from per-cell rules; the stage
+product and the unraveling compose theirs from their parents' tables.
 
 Conventions used throughout:
 
@@ -30,6 +28,7 @@ Conventions used throughout:
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
@@ -42,9 +41,10 @@ class SemiSimplicialSet:
     """Degree-indexed cell lists with face maps d_i only.
 
     ``faces[k][i][p]`` is the position in ``cells[k - 1]`` of d_i of the
-    p-th k-cell, and ``index[k]`` maps each k-cell to its position.  The
-    constructor checks each table's length and range, then audits the face
-    identities once per (i, j) pair by composing whole tables.
+    p-th k-cell, and ``index[k]``, built on first use, maps each k-cell to
+    its position.  The constructor checks each table's length and range,
+    then audits the face identities once per (i, j) pair by composing whole
+    tables.
     """
 
     has_degeneracies = False
@@ -55,7 +55,6 @@ class SemiSimplicialSet:
         if len(self.cells) != D + 1:
             raise StructureError("cell lists must cover degrees 0..D")
         check_budget(sum(len(cs) for cs in self.cells), type(self).__name__)
-        self.index = [{cell: p for p, cell in enumerate(cs)} for cs in self.cells]
         self.faces = face
         seen_violations = self.audit()
         if seen_violations:
@@ -63,11 +62,12 @@ class SemiSimplicialSet:
                 f"face identities fail, e.g. {seen_violations[0]}"
             )
 
+    @cached_property
+    def index(self):
+        return [{cell: p for p, cell in enumerate(cs)} for cs in self.cells]
+
     def n_cells(self, k):
         return len(self.cells[k])
-
-    def face(self, k, i, cell):
-        return self.cells[k - 1][self.faces[k][i][self.index[k][cell]]]
 
     def audit(self):
         F = self.faces
@@ -85,12 +85,6 @@ class SemiSimplicialSet:
         )
         return _violations("face-face", pairs, self.cells)
 
-    def is_degenerate(self, k, cell):
-        return False
-
-    def nondegenerate(self, k):
-        return self.cells[k]
-
 
 class TruncatedSimplicialSet(SemiSimplicialSet):
     """Semi-simplicial set plus degeneracy maps s_i for degrees below D.
@@ -105,9 +99,6 @@ class TruncatedSimplicialSet(SemiSimplicialSet):
         self.degeneracies = degeneracy
         self._degenerate = None
         super().__init__(D, cells, face)
-
-    def degeneracy(self, k, i, cell):
-        return self.cells[k + 1][self.degeneracies[k][i][self.index[k][cell]]]
 
     def audit(self):
         violations = super().audit()
@@ -144,19 +135,18 @@ class TruncatedSimplicialSet(SemiSimplicialSet):
                         want = _compose(S[k - 1][j], F[k][i - 1])
                     yield k, (i, j), _compose(F[k + 1][i], S[k][j]), want
 
-    def _degenerate_positions(self, k):
+    def nondegenerate_positions(self, k):
+        """Ascending positions of the k-cells outside the images of the s_i."""
         if self._degenerate is None:
             self._degenerate = [set()] + [
                 set().union(*self.degeneracies[deg]) for deg in range(self.D)
             ]
-        return self._degenerate[k]
-
-    def is_degenerate(self, k, cell):
-        return self.index[k].get(cell) in self._degenerate_positions(k)
+        marks = self._degenerate[k]
+        return [p for p in range(self.n_cells(k)) if p not in marks]
 
     def nondegenerate(self, k):
-        marks = self._degenerate_positions(k)
-        return tuple(c for p, c in enumerate(self.cells[k]) if p not in marks)
+        cells = self.cells[k]
+        return tuple(cells[p] for p in self.nondegenerate_positions(k))
 
 
 class SimplicialMap:
@@ -173,9 +163,6 @@ class SimplicialMap:
         bad = self.audit()
         if bad:
             raise StructureError(f"structure maps do not commute, e.g. {bad[0]}")
-
-    def apply(self, k, cell):
-        return self.target.cells[k][self.maps[k][self.source.index[k][cell]]]
 
     def audit(self):
         src, tgt, M = self.source, self.target, self.maps
@@ -241,7 +228,7 @@ def _positions(index, images, leaves):
 
 
 def simplicial_set(D, cells, face, degeneracy=None):
-    """The one place where face and degeneracy tables are laid out.
+    """Face and degeneracy tables laid out from per-cell rules.
 
     ``cells[k]`` lists the k-cells in order; ``face(k, i, cell)`` is d_i of
     a k-cell (1 <= k <= D) and ``degeneracy(k, i, cell)`` is s_i of a
@@ -267,7 +254,7 @@ def simplicial_set(D, cells, face, degeneracy=None):
 
 
 def simplicial_map(source, target, image) -> SimplicialMap:
-    """The one place where a simplicial map's tables are laid out:
+    """A simplicial map's tables laid out from a per-cell rule:
     ``image(k, cell)`` is the image of a k-cell of ``source``, looked up in
     the index of ``target``."""
     _same_truncation(source, target)
@@ -342,12 +329,17 @@ def nerve(c: FinCategory, D: int) -> TruncatedSimplicialSet:
     return simplicial_set(D, cells, face, degeneracy)
 
 
+def delete_entry(k, i, seq):
+    """The face rule of tuple cells: d_i deletes entry i."""
+    return seq[:i] + seq[i + 1:]
+
+
 def s_semisimplicial(N: int, D: int) -> SemiSimplicialSet:
     """Stage complex: k-cells are strictly increasing (k+1)-tuples in {0..N}."""
     if N < 0 or D < 0:
         raise StructureError("N and D must be >= 0")
     cells = [list(combinations(range(N + 1), k + 1)) for k in range(D + 1)]
-    return simplicial_set(D, cells, lambda k, i, seq: seq[:i] + seq[i + 1:])
+    return simplicial_set(D, cells, delete_entry)
 
 
 def product_with_S(x, s: SemiSimplicialSet) -> SemiSimplicialSet:
@@ -355,7 +347,9 @@ def product_with_S(x, s: SemiSimplicialSet) -> SemiSimplicialSet:
 
     Every cell of x appears, degenerate or not; the product forgets x's
     degeneracies and is only semi-simplicial.  The cells are counted and
-    budgeted before any of them is built.
+    budgeted before any of them is built.  The k-cell (a, b), a and b at
+    positions p and q, sits at p * |s_k| + q, so its faces are read off the
+    face tables of both factors.
     """
     if x.D != s.D:
         raise StructureError("truncation degrees differ")
@@ -364,26 +358,21 @@ def product_with_S(x, s: SemiSimplicialSet) -> SemiSimplicialSet:
     cells = [
         [(a, b) for a in x.cells[k] for b in s.cells[k]] for k in range(x.D + 1)
     ]
-    return simplicial_set(
-        x.D, cells, lambda k, i, cell: (x.face(k, i, cell[0]), s.face(k, i, cell[1]))
-    )
-
-
-def _group_index(seq, pos):
-    return len(set(seq[: pos + 1])) - 1
-
-
-def _in_multi_group(seq, pos):
-    before = pos > 0 and seq[pos - 1] == seq[pos]
-    after = pos + 1 < len(seq) and seq[pos] == seq[pos + 1]
-    return before or after
+    faces = [None] + [
+        [[p * s.n_cells(k - 1) + q for p in xf for q in sf]
+         for xf, sf in zip(x.faces[k], s.faces[k])]
+        for k in range(1, x.D + 1)
+    ]
+    # cells stays positional: bench/tracer.py reads it as the constructor's args[2]
+    return SemiSimplicialSet(x.D, cells, faces)
 
 
 def unraveled_face(seq, i):
     """The face that d_i of an unraveled cell with stage tuple ``seq``
     applies to its nerve cell: None (the cell is kept) when ``seq[i]``
     shares its value with a neighbour, else the index of its value group."""
-    return None if _in_multi_group(seq, i) else _group_index(seq, i)
+    neighbours = seq[max(i - 1, 0): i] + seq[i + 1: i + 2]
+    return None if seq[i] in neighbours else len(set(seq[: i + 1])) - 1
 
 
 def unravel_simplicial(y: TruncatedSimplicialSet, N: int) -> TruncatedSimplicialSet:
@@ -512,34 +501,6 @@ def lemma42_bijection(c: FinCategory, N: int, D: int) -> BijectionReport:
         tuple(prod.n_cells(k) for k in range(D + 1)),
         tuple(len(target.nondegenerate(k)) for k in range(D + 1)),
     )
-
-
-def unravel_nerve_isomorphism(c: FinCategory, N: int, D: int) -> SimplicialMap:
-    """The cellwise isomorphism unravel_simplicial(nerve c) -> nerve(unravel c)."""
-    ner = nerve(c, D)
-    left = unravel_simplicial(ner, N)
-    cN = unravel(c, N)
-    right = nerve(cN, D)
-
-    def image(n, cell):
-        seq, z = cell
-        if n == 0:
-            return (z, seq[0])
-        objects = chain_objects(c, len(set(seq)) - 1, z)
-        arrows = []
-        for i in range(1, n + 1):
-            g = _group_index(seq, i)
-            f = c.identity[objects[g]] if seq[i - 1] == seq[i] else z[g - 1]
-            arrows.append(mid(c, f, seq[i - 1], seq[i]))
-        return tuple(arrows)
-
-    iso = simplicial_map(left, right, image)
-    for n in range(D + 1):
-        if len(set(iso.maps[n])) != left.n_cells(n) or left.n_cells(
-            n
-        ) != right.n_cells(n):
-            raise StructureError(f"cell counts differ in degree {n}")
-    return iso
 
 
 @dataclass(frozen=True)

@@ -6,19 +6,28 @@
 * Simplicial identities: the per-cell audits, over cell lists and per-cell
   rules, that the package's whole-table audits must reproduce violation
   for violation.
+* Per-cell lookups (``face``, ``degeneracy``, ``apply``,
+  ``is_degenerate``) through an object's position tables, for tests that
+  name cells.
+* The rule-built chain layer: boundaries, chain maps, the stage product,
+  the projection and the flag section built cell by cell and hashed back
+  into rows, which the package's position-table builders must reproduce
+  matrix for matrix.
 * The classifying complex: the stagewise unraveling built from a face rule
   per cell, and the universal cocycle checked cell by cell over it, which
   the package's table-composing ``unravel_simplicial`` and its once per
   nerve simplex ``universal_cocycle`` must reproduce cell for cell and
-  witness for witness.
+  witness for witness; and the cellwise isomorphism of the unraveled nerve
+  onto the nerve of the unraveled category.
 * Dense matrices: products and transposes of plain row lists, the
   reference for the package's sparse ``IntMatrix``; ``dense_smith``, the
   dense eliminator that the package's sparse ``smith`` must agree with; and
-  the helpers that only tests need (identity, zero test, kernel basis, the
-  normalization projection).
+  the helpers that only tests need (identity, zero test, zero class,
+  kernel basis, the normalization projection).
 """
 
 from collections import namedtuple
+from functools import partial
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -26,16 +35,20 @@ from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import smith_normal_form
 
 from fatcat.errors import StructureError, Violation, check_budget
-from fatcat.homology import cellular_map, fat_chains, geometric_chains
+from fatcat.fincat import FinCategory, mid, unravel
+from fatcat.homology import ChainMap, IntegerChainComplex, fat_chains, geometric_chains
 from fatcat.intlinalg import IntMatrix, SmithForm, _dense, smith
 from fatcat.simpset import (
+    SimplicialMap,
     TruncatedSimplicialSet,
-    _group_index,
-    _in_multi_group,
     chain_composites,
     chain_objects,
+    maximal_flags,
     nerve,
+    s_semisimplicial,
+    simplicial_map,
     simplicial_set,
+    unravel_simplicial,
 )
 
 
@@ -176,7 +189,167 @@ def oracle_map_audit(D, source, target, image):
 
 
 # ---------------------------------------------------------------------------
+# Per-cell lookups through position tables
+
+
+def face(x, k, i, cell):
+    """d_i of a k-cell of x."""
+    return x.cells[k - 1][x.faces[k][i][x.index[k][cell]]]
+
+
+def degeneracy(x, k, i, cell):
+    """s_i of a k-cell of x."""
+    return x.cells[k + 1][x.degeneracies[k][i][x.index[k][cell]]]
+
+
+def apply(f, k, cell):
+    """Image of a k-cell under a simplicial map."""
+    return f.target.cells[k][f.maps[k][f.source.index[k][cell]]]
+
+
+def degenerate_cells(x, k):
+    """The k-cells of x that are some s_i of a (k-1)-cell, found cell by cell."""
+    if k == 0:
+        return set()
+    return {degeneracy(x, k - 1, i, below) for below in x.cells[k - 1] for i in range(k)}
+
+
+def is_degenerate(x, k, cell):
+    return cell in degenerate_cells(x, k)
+
+
+# ---------------------------------------------------------------------------
+# The chain layer, rule by rule: every term named by its cell and hashed
+# back into a row
+
+
+def oracle_cell_matrix(source_cells, target_cells, terms):
+    """Column j belongs to ``source_cells[j]`` and row i to
+    ``target_cells[i]``; ``terms(cell)`` yields ``(target_cell, coeff)``
+    pairs, and coefficients on one entry add up."""
+    row_of = {cell: i for i, cell in enumerate(target_cells)}
+    rows = [[0] * len(source_cells) for _ in target_cells]
+    for j, cell in enumerate(source_cells):
+        for target, coeff in terms(cell):
+            rows[row_of[target]][j] += coeff
+    return IntMatrix(rows, ncols=len(source_cells))
+
+
+def oracle_complex_from_terms(D, basis, terms):
+    """Chain complex whose boundary of a k-cell is ``terms(k, cell)``."""
+    boundary = {
+        k: oracle_cell_matrix(basis[k], basis[k - 1], partial(terms, k))
+        for k in range(1, D + 1)
+    }
+    return IntegerChainComplex(D, basis, boundary)
+
+
+def oracle_cellular_map(source, target, terms):
+    """Chain map sending a k-cell of source to ``terms(k, cell)`` in target."""
+    matrices = [
+        oracle_cell_matrix(source.basis[k], target.basis[k], partial(terms, k))
+        for k in range(min(source.D, target.D) + 1)
+    ]
+    return ChainMap(source, target, matrices)
+
+
+def oracle_deletion_complex(basis):
+    """Chains on tuple cells whose face d_i deletes entry i."""
+
+    def terms(k, cell):
+        for i in range(k + 1):
+            yield cell[:i] + cell[i + 1:], -1 if i % 2 else 1
+
+    return oracle_complex_from_terms(len(basis) - 1, basis, terms)
+
+
+def oracle_fat_chains(x):
+    def terms(k, cell):
+        for i in range(k + 1):
+            yield face(x, k, i, cell), -1 if i % 2 else 1
+
+    return oracle_complex_from_terms(x.D, x.cells, terms)
+
+
+def oracle_geometric_chains(x):
+    marks = [degenerate_cells(x, k) for k in range(x.D + 1)]
+
+    def terms(k, cell):
+        for i in range(k + 1):
+            below = face(x, k, i, cell)
+            if below not in marks[k - 1]:
+                yield below, -1 if i % 2 else 1
+
+    basis = [[c for c in x.cells[k] if c not in marks[k]] for k in range(x.D + 1)]
+    return oracle_complex_from_terms(x.D, basis, terms)
+
+
+def oracle_induced_map(f):
+    return oracle_cellular_map(
+        oracle_fat_chains(f.source), oracle_fat_chains(f.target),
+        lambda k, cell: ((apply(f, k, cell), 1),),
+    )
+
+
+def oracle_product_with_S(x, s):
+    """The stage product with its faces looked up factor by factor."""
+    cells = [[(a, b) for a in x.cells[k] for b in s.cells[k]] for k in range(x.D + 1)]
+    return simplicial_set(
+        x.D, cells, lambda k, i, cell: (face(x, k, i, cell[0]), face(s, k, i, cell[1]))
+    )
+
+
+def oracle_projection_map(c, N, D):
+    ner = nerve(c, D)
+    prod = oracle_product_with_S(ner, s_semisimplicial(N, D))
+    return simplicial_map(prod, ner, lambda k, cell: cell[0])
+
+
+def oracle_apply_operator(x, k_from, cell, u):
+    """A monotone map u: [k_to] -> [k_from] applied to one cell: faces at
+    the missed values, then degeneracies at the repeated ones."""
+    k_to = len(u) - 1
+    for v in range(k_from + 1):
+        if v not in u:
+            reduced = tuple(val if val < v else val - 1 for val in u)
+            return oracle_apply_operator(x, k_from - 1, face(x, k_from, v, cell), reduced)
+    for i in range(k_to):
+        if u[i] == u[i + 1]:
+            lower = oracle_apply_operator(x, k_from, cell, u[: i + 1] + u[i + 2:])
+            return degeneracy(x, k_to - 1, i, lower)
+    return cell
+
+
+def oracle_tau_chain_map(x, N, D):
+    """The flag section, one flag and one cell at a time."""
+    pullbacks = [
+        [(tuple(max(part) for part in flag.chain), sign) for flag, sign in maximal_flags(n)]
+        for n in range(D + 1)
+    ]
+
+    def terms(n, cell):
+        stage = tuple(range(1, n + 2))
+        for u, sign in pullbacks[n]:
+            yield (oracle_apply_operator(x, n, cell, u), stage), sign
+
+    prod = oracle_product_with_S(x, s_semisimplicial(N, D))
+    return oracle_cellular_map(oracle_fat_chains(x), oracle_fat_chains(prod), terms)
+
+
+# ---------------------------------------------------------------------------
 # The classifying complex, cell by cell
+
+
+def _group_index(seq, pos):
+    """Index of the value group of ``seq[pos]``."""
+    return len(set(seq[: pos + 1])) - 1
+
+
+def _in_multi_group(seq, pos):
+    """Does ``seq[pos]`` share its value with a neighbour?"""
+    before = pos > 0 and seq[pos - 1] == seq[pos]
+    after = pos + 1 < len(seq) and seq[pos] == seq[pos + 1]
+    return before or after
 
 
 def oracle_unravel_simplicial(y: TruncatedSimplicialSet, N: int) -> TruncatedSimplicialSet:
@@ -207,18 +380,18 @@ def oracle_unravel_simplicial(y: TruncatedSimplicialSet, N: int) -> TruncatedSim
                 level.append((seq, z))
         cells.append(level)
 
-    def face(n, i, cell):
+    def face_rule(n, i, cell):
         seq, z = cell
         rest = seq[:i] + seq[i + 1:]
         if _in_multi_group(seq, i):
             return rest, z
-        return rest, y.face(len(set(seq)) - 1, _group_index(seq, i), z)
+        return rest, face(y, len(set(seq)) - 1, _group_index(seq, i), z)
 
-    def degeneracy(n, i, cell):
+    def degeneracy_rule(n, i, cell):
         seq, z = cell
         return seq[: i + 1] + seq[i:], z
 
-    return simplicial_set(D, cells, face, degeneracy)
+    return simplicial_set(D, cells, face_rule, degeneracy_rule)
 
 
 def _gamma_for_cell(g, cell):
@@ -263,7 +436,7 @@ def oracle_universal_cocycle(g, N, D):
         for cell in space.cells[k]:
             parent = gamma[(k, cell)]
             for i in range(k + 1):
-                child_cell = space.face(k, i, cell)
+                child_cell = face(space, k, i, cell)
                 child = gamma[(k - 1, child_cell)]
                 for pair, val in child.items():
                     if parent.get(pair) != val:
@@ -271,6 +444,34 @@ def oracle_universal_cocycle(g, N, D):
                             Violation("universal-face-compat", (k, i, cell, pair))
                         )
     return gamma, report
+
+
+def unravel_nerve_isomorphism(c: FinCategory, N: int, D: int) -> SimplicialMap:
+    """The cellwise isomorphism unravel_simplicial(nerve c) -> nerve(unravel c)."""
+    ner = nerve(c, D)
+    left = unravel_simplicial(ner, N)
+    cN = unravel(c, N)
+    right = nerve(cN, D)
+
+    def image(n, cell):
+        seq, z = cell
+        if n == 0:
+            return (z, seq[0])
+        objects = chain_objects(c, len(set(seq)) - 1, z)
+        arrows = []
+        for i in range(1, n + 1):
+            g = _group_index(seq, i)
+            f = c.identity[objects[g]] if seq[i - 1] == seq[i] else z[g - 1]
+            arrows.append(mid(c, f, seq[i - 1], seq[i]))
+        return tuple(arrows)
+
+    iso = simplicial_map(left, right, image)
+    for n in range(D + 1):
+        if len(set(iso.maps[n])) != left.n_cells(n) or left.n_cells(
+            n
+        ) != right.n_cells(n):
+            raise StructureError(f"cell counts differ in degree {n}")
+    return iso
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +669,12 @@ def is_zero(mat):
     return all(not v for row in mat.rows for v in row)
 
 
+def zero_class(presentation, vec):
+    """Is the cycle ``vec`` a boundary?"""
+    tor, free = presentation.coords(vec)
+    return not any(tor) and not any(free)
+
+
 def kernel_basis(mat):
     """Columns spanning ker(mat) as a saturated sublattice (a direct summand)."""
     form = smith(mat, want_v=True)
@@ -480,7 +687,9 @@ def normalization_projection(x):
     """Projection from fat chains onto geometric chains, killing the
     degenerate generators.  A classical quasi-isomorphism."""
 
-    def terms(k, cell):
-        return () if x.is_degenerate(k, cell) else ((cell, 1),)
+    marks = [degenerate_cells(x, k) for k in range(x.D + 1)]
 
-    return cellular_map(fat_chains(x), geometric_chains(x), terms)
+    def terms(k, cell):
+        return () if cell in marks[k] else ((cell, 1),)
+
+    return oracle_cellular_map(fat_chains(x), geometric_chains(x), terms)

@@ -17,11 +17,9 @@ from fatcat.comparison import (
     projection_pi,
     quillen_fiber,
     rho_evaluate,
-    rho_face_counterexample,
     rho_witnesses,
     subdivision_chain_operator,
     subdivision_commutes,
-    subdivision_operator,
     tau_chain_map,
 )
 from fatcat.errors import EnumerationLimitError, StructureError, Violation
@@ -50,7 +48,7 @@ from fatcat.simpset import (
     nerve,
 )
 
-from oracles import oracle_homology
+from oracles import apply, oracle_homology
 from test_simpset import record_builds
 
 
@@ -64,7 +62,7 @@ def test_projection_terminal_is_h0_iso():
 def test_projection_sends_generator_to_first_factor():
     f = projection_map(z2_groupoid().base, 3, 2)
     sigma = ("*", "*", "s")
-    assert f.apply(2, ((sigma, sigma), (0, 1, 2))) == (sigma, sigma)
+    assert apply(f, 2, ((sigma, sigma), (0, 1, 2))) == (sigma, sigma)
 
 
 def test_projection_flip_group_quasi_iso():
@@ -72,6 +70,12 @@ def test_projection_flip_group_quasi_iso():
     rep = quasi_iso_through(pi, 2)
     assert rep.ok
     assert [c.source.group() for c in rep.degrees] == [(1, ()), (0, (2,)), (0, ())]
+
+
+def subdivision_operator(n):
+    """Top-degree subdivision matrix: the fundamental cell to its flags."""
+    _, _, mats = subdivision_chain_operator(n)
+    return mats[n]
 
 
 def test_subdivision_point_is_identity():
@@ -82,7 +86,7 @@ def test_subdivision_interval_signs():
     simp, flags, mats = subdivision_chain_operator(1)
     top = mats[1]
     column = top.column(0)
-    idx = flags.index(1)
+    idx = {cell: i for i, cell in enumerate(flags.basis[1])}
     assert column[idx[((0,), (0, 1))]] == 1
     assert column[idx[((1,), (0, 1))]] == -1
     assert subdivision_commutes(1) == []
@@ -97,9 +101,10 @@ def test_apply_operator_collapse():
     ner = nerve(z2_groupoid().base, 2)
     sigma = ("*", "*", "s")
     ident = ("*", "*", "e")
+    p = ner.index[1][(sigma,)]
     # constant map [1] -> [1] at vertex 1 collapses the flip to s0 d0
-    assert apply_operator(ner, 1, (sigma,), (1, 1)) == (ident,)
-    assert apply_operator(ner, 1, (sigma,), (0, 1)) == (sigma,)
+    assert ner.cells[1][apply_operator(ner, 1, (1, 1))[p]] == (ident,)
+    assert ner.cells[1][apply_operator(ner, 1, (0, 1))[p]] == (sigma,)
 
 
 def test_tau_on_flip_generator():
@@ -211,6 +216,17 @@ def test_rho_vanishes_at_vertices():
     vertex = (Fraction(1), Fraction(0), Fraction(0))
     for j in (1, 2):
         assert rho_evaluate(2, j, vertex) == 0
+
+
+def rho_face_counterexample(n, convention="zero-based"):
+    """First ill-definedness witness, preferring a face mismatch."""
+    witnesses = rho_witnesses(n, convention)
+    if not witnesses:
+        raise StructureError(f"no witness found for n={n} under the {convention} reading")
+    for w in witnesses:
+        if w.kind == "face-mismatch":
+            return w
+    return witnesses[0]
 
 
 def test_rho_counterexample_names_distinct_cells():
