@@ -32,11 +32,13 @@ from .homology import (
     fat_chains,
     geometric_chains,
     homology,
+    induced_map,
     quasi_iso_through,
 )
 from .comparison import (
     all_fibers_contractible,
     pi_tau_homology_check,
+    projection_map,
     projection_pi,
     rho_witnesses,
     subdivision_commutes,
@@ -266,7 +268,8 @@ def _claim_subdivision_boundary(params):
     witnesses = []
     for n in range(params["max_n"] + 1):
         witnesses.extend(_witnesses(subdivision_commutes(n)))
-    tau_chain_map(nerve(fixtures.z2_groupoid().base, 2), params["N"], 2)
+    proj = projection_map(fixtures.z2_groupoid().base, params["N"], 2)
+    tau_chain_map(proj, induced_map(proj), params["N"])
     return witnesses
 
 

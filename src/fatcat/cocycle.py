@@ -632,6 +632,16 @@ def universal_cocycle(g: FinGroupoid, N: int, D: int) -> UniversalCocycle:
     The verdicts are then spread over the cells of the classifying complex
     in cell order, with stage-valued witnesses, only if some verdict is
     not empty, so the report is the one a cell-by-cell check would give.
+
+    The face check cannot fire once the nerve is built.  A forward
+    transition a -> b is the left fold of the arrows from vertex a to b,
+    and a backward one its inverse.  A face's folds are the cell's, except
+    where d_v has composed f_v and f_{v+1} first inside a fold X that starts
+    before vertex v - 1; there they differ only if (X, f_v, f_{v+1}) does not
+    associate.  That triple is a 3-cell, and the nerve's face-face audit
+    (d_1 d_2 = d_1 d_1) refuses the groupoid at D >= 3; below that no cell
+    has such a face.  The check stays, as a check on the tables: a test
+    shows it names the mismatched vertex pair of hand-built ones.
     """
     bg = bg_complex(g, N, D)
     ner, space, cat = bg.nerve, bg.space, g.base

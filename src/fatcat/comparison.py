@@ -4,7 +4,10 @@ This module holds the canonical projection away from the stage factor, the
 barycentric subdivision chain operator, the section built from maximal
 flags and last-vertex collapses, the face-compatibility failure of the
 naive coordinate-sorting assignment, and the comma fibers whose vanishing
-reduced homology backs the projection being an equivalence.
+reduced homology backs the projection being an equivalence.  The nerve
+preserves pullbacks, so each comma fiber is the nerve of a pullback
+category, built by :func:`nerve`, and its legs are nerves of the two
+projection functors.
 
 Stage label convention for the section: a maximal flag A_0 < ... < A_n of
 subsets of {0..n} is sent to the stage tuple (|A_0|, ..., |A_n|) =
@@ -16,8 +19,8 @@ boundary identity holds already for the interval.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, groupby
-from operator import itemgetter
+from itertools import combinations
+from math import comb
 
 from .errors import StructureError, Violation, check_budget
 from .fincat import FinCategory, mid, ordinal, unravel
@@ -28,7 +31,6 @@ from .homology import (
     cell_matrix,
     check_degree_range,
     deletion_complex,
-    fat_chains,
     geometric_chains,
     homology,
     identity_on_homology_through,
@@ -40,14 +42,13 @@ from .simpset import (
     TruncatedSimplicialSet,
     _compose,
     chain_composites,
-    delete_entry,
+    chain_count,
     maximal_flags,
     nerve,
     product_with_S,
     s_semisimplicial,
     sd_flags,
     simplicial_map,
-    simplicial_set,
 )
 
 
@@ -153,21 +154,25 @@ def apply_operator(x, k_from: int, u):
     return range(x.n_cells(k_from))
 
 
-def tau_chain_map(x: TruncatedSimplicialSet, N: int, D: int) -> ChainMap:
+def tau_chain_map(proj: SimplicialMap, pi: ChainMap, N: int) -> ChainMap:
     """Section of the projection on fat chains.
 
-    A degree-n generator maps to the signed sum, over maximal flags of
-    {0..n}, of its pullback along i -> max(A_i) paired with the stage tuple
-    (1, ..., n+1).  Flags with one pullback u add their signs, and the
-    product cell at positions (a, b) sits at a * |s_n| + b (see
-    :func:`product_with_S`).
+    ``proj`` is :func:`projection_map` at N stages and ``pi`` its induced
+    map; the section runs from pi's target, the chains of the nerve x, back
+    to pi's source, the chains of the stage product, so it lands on the
+    complexes pi already holds.  A degree-n generator maps to the signed
+    sum, over maximal flags of {0..n}, of its pullback along i -> max(A_i)
+    paired with the stage tuple (1, ..., n+1).  Flags with one pullback u
+    add their signs.  The product cell at positions (a, b) sits at a *
+    |s_n| + b (see :func:`product_with_S`), where |s_n| = C(N+1, n+1) and
+    (1, ..., n+1) comes right after the C(N, n) stage tuples that start
+    at 0.
     """
-    if D != x.D:
-        raise StructureError("D must match the truncation of x")
-    if N < D + 1:
+    x, prod = proj.target, proj.source
+    if N < x.D + 1:
         raise StructureError("need N >= D + 1 so stage labels 1..D+1 exist")
-    s = s_semisimplicial(N, D)
-    prod = product_with_S(x, s)
+    if any(prod.n_cells(n) != x.n_cells(n) * comb(N + 1, n + 1) for n in range(x.D + 1)):
+        raise StructureError("the projection's stage complex has another N")
 
     def matrix(n):
         signs = {}
@@ -175,13 +180,13 @@ def tau_chain_map(x: TruncatedSimplicialSet, N: int, D: int) -> ChainMap:
             u = tuple(max(part) for part in flag.chain)
             signs[u] = signs.get(u, 0) + sign
         pullbacks = [(apply_operator(x, n, u), sign) for u, sign in signs.items() if sign]
-        width, stage = s.n_cells(n), s.index[n][tuple(range(1, n + 2))]
+        width, stage = comb(N + 1, n + 1), comb(N, n)
         return cell_matrix(
             prod.n_cells(n), x.n_cells(n),
             lambda j: ((table[j] * width + stage, sign) for table, sign in pullbacks),
         )
 
-    return ChainMap(fat_chains(x), fat_chains(prod), [matrix(n) for n in range(D + 1)])
+    return ChainMap(pi.target, pi.source, [matrix(n) for n in range(x.D + 1)])
 
 
 def pi_tau_homology_check(c: FinCategory, N: int, D: int, d: int) -> QuasiIsoReport:
@@ -189,9 +194,8 @@ def pi_tau_homology_check(c: FinCategory, N: int, D: int, d: int) -> QuasiIsoRep
     class of the fat nerve in degrees <= d."""
     check_degree_range(d, D)
     proj = projection_map(c, N, D)
-    tau = tau_chain_map(proj.target, N, D)
-    composite = induced_map(proj).compose(tau)
-    return identity_on_homology_through(composite, d)
+    pi = induced_map(proj)
+    return identity_on_homology_through(pi.compose(tau_chain_map(proj, pi, N)), d)
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +339,10 @@ def rho_witnesses(n: int, convention: str = "zero-based"):
 
 @dataclass
 class CommaFiber:
-    """Degreewise pullback of a nondegenerate simplex against the stage
-    forgetting map, together with both projection legs."""
+    """Pullback of a nondegenerate simplex y: [m] -> C against the stage
+    forgetting map, together with both projection legs.  ``fiber`` is the
+    nerve of the pullback category [m] x_C unravel(C, N), and the legs are
+    the nerves of its projections onto [m] and onto unravel(C, N)."""
 
     category: FinCategory
     stages: int
@@ -362,13 +368,20 @@ def _nondegenerate_factorization(c: FinCategory, k: int, cell):
 def quillen_fiber(
     c: FinCategory, N: int, D: int, y_cell, y_degree: int, target=None, simplex=None
 ) -> CommaFiber:
-    """Comma fiber of a nerve simplex.
+    """Comma fiber of a nerve simplex, as the nerve of a pullback category.
 
     Degenerate simplices are factored through their nondegenerate core
-    first, so the fiber only depends on that core.  A degree-k fiber cell
-    is a pair of weakly increasing tuples (vertices of the core simplex,
-    stage labels) where equal consecutive stages force the corresponding
-    core arrow to be an identity.
+    first, so the fiber only depends on that core.  The nerve preserves
+    pullbacks, so the fiber of the core y: [m] -> C is the nerve of P =
+    [m] x_C unravel(C, N): its objects are the pairs (a, l) of a core vertex
+    and a stage, with one arrow (a0, l0) -> (a1, l1) when a0 <= a1, l0 <= l1
+    and either l0 < l1 or the core composite a0 -> a1 is an identity.  P is
+    determined by m, N and which composites are identities.  Both legs are
+    nerves of the projections of P, (a, l) -> a and (a, l) -> (y(a), l).
+
+    The chains of P are counted from its step lists and budgeted before P
+    is built; the count runs through degree 2 at least, since P's
+    composition table holds one entry per 2-chain.
 
     ``target`` is ``nerve(unravel(c, N), D)``, the codomain of the
     ``to_unraveled`` leg, and ``simplex`` is ``nerve(ordinal(m), D)`` for
@@ -381,73 +394,31 @@ def quillen_fiber(
     m = len(objects) - 1
     composite = chain_composites(c, objects, arrows)
     vertices = [(a, l) for a in range(m + 1) for l in range(N + 1)]
-
-    def step_ok(v0, v1):
-        (a0, l0), (a1, l1) = v0, v1
-        if a0 > a1 or l0 > l1:
-            return False
-        return l0 < l1 or c.is_identity(composite[(a0, a1)])
-
-    # stages[v][a]: the stages l, ascending, with a step from v to (a, l)
-    stages = {
-        v: [[l for l in range(N + 1) if step_ok(v, (a, l))] for a in range(m + 1)]
-        for v in vertices
+    # steps[v]: the targets, ascending, of the arrows of P leaving v
+    steps = {
+        (a0, l0): [
+            (a1, l1) for a1 in range(a0, m + 1) for l1 in range(l0, N + 1)
+            if l0 < l1 or c.is_identity(composite[(a0, a1)])
+        ]
+        for a0, l0 in vertices
     }
-    # ends[v]: k-cells ending at vertex v, by recurrence on k
-    ends = dict.fromkeys(vertices, 1)
-    total = len(ends)
-    for _ in range(D):
-        after = dict.fromkeys(vertices, 0)
-        for v, n in ends.items():
-            for a, ls in enumerate(stages[v]):
-                for l in ls:
-                    after[(a, l)] += n
-        ends = after
-        total += sum(ends.values())
-    check_budget(total, TruncatedSimplicialSet.__name__)
-    # Cells are sorted by (vertex tuple, stage tuple).  Extending the cells
-    # of one vertex tuple, in stage order, by one vertex a and then by its
-    # stages in ascending order keeps that order, so no sort is needed.
-    cells = [[((a,), (l,)) for a, l in vertices]]
-    for k in range(1, D + 1):
-        level = []
-        for avec, group in groupby(cells[k - 1], key=itemgetter(0)):
-            lvecs = [lvec for _, lvec in group]
-            for a in range(avec[-1], m + 1):
-                for lvec in lvecs:
-                    for l in stages[(avec[-1], lvec[-1])][a]:
-                        level.append((avec + (a,), lvec + (l,)))
-        cells.append(level)
-
-    def face(k, i, cell):
-        avec, lvec = cell
-        return delete_entry(k, i, avec), delete_entry(k, i, lvec)
-
-    def degeneracy(k, i, cell):
-        avec, lvec = cell
-        return avec[: i + 1] + avec[i:], lvec[: i + 1] + lvec[i:]
-
-    fiber = simplicial_set(D, cells, face, degeneracy)
-
+    check_budget(chain_count(steps, max(D, 2)), TruncatedSimplicialSet.__name__)
+    pullback = FinCategory(
+        vertices,
+        [((v, w), v, w) for v in vertices for w in steps[v]],
+        {v: (v, v) for v in vertices},
+        {((u, v), (v, w)): (u, w) for u in vertices for v in steps[u] for w in steps[v]},
+    )
+    fiber = nerve(pullback, D)
     if simplex is None:
         simplex = nerve(ordinal(m), D)
     if target is None:
         target = nerve(unravel(c, N), D)
 
-    def to_simplex(k, cell):
-        avec = cell[0]
-        if k == 0:
-            return avec[0]
-        return tuple((a0, a1, "le") for a0, a1 in zip(avec, avec[1:]))
-
-    def to_unraveled(k, cell):
-        avec, lvec = cell
-        if k == 0:
-            return (objects[avec[0]], lvec[0])
-        return tuple(
-            mid(c, composite[(avec[i - 1], avec[i])], lvec[i - 1], lvec[i])
-            for i in range(1, k + 1)
-        )
+    def leg(codomain, obj, arrow):
+        # the nerve of a functor out of P: a vertex by obj, a chain arrow by arrow
+        return simplicial_map(fiber, codomain, lambda k, cell: (
+            obj(cell) if k == 0 else tuple(arrow(*step) for step in cell)))
 
     return CommaFiber(
         category=c,
@@ -455,8 +426,9 @@ def quillen_fiber(
         degree=m,
         vertex_objects=objects,
         fiber=fiber,
-        to_simplex=simplicial_map(fiber, simplex, to_simplex),
-        to_unraveled=simplicial_map(fiber, target, to_unraveled),
+        to_simplex=leg(simplex, lambda v: v[0], lambda v, w: (v[0], w[0], "le")),
+        to_unraveled=leg(target, lambda v: (objects[v[0]], v[1]),
+                         lambda v, w: mid(c, composite[(v[0], w[0])], v[1], w[1])),
     )
 
 

@@ -112,12 +112,18 @@ def _check_ids(c: FinCategory):
             raise StructureError(f"composition entry has dangling id: {(f, g, h)}")
 
 
+def arrows_leaving(c: FinCategory):
+    """The morphisms leaving each object, in morphism order."""
+    leaving = {x: [] for x in c.objects}
+    for m, s, _ in c.morphisms:
+        leaving[s].append(m)
+    return leaving
+
+
 def _composable_pairs(c: FinCategory):
     """Every (f, g) with target(f) = source(g), in morphism order."""
-    starting = {x: [] for x in c.objects}
-    for m, s, _ in c.morphisms:
-        starting[s].append(m)
-    return [(f, g) for f in c.morphism_ids() for g in starting[c.tgt[f]]]
+    leaving = arrows_leaving(c)
+    return [(f, g) for f in c.morphism_ids() for g in leaving[c.tgt[f]]]
 
 
 def check_category(c: FinCategory):
@@ -166,13 +172,12 @@ def check_category(c: FinCategory):
         if i_tgt is not None and comp(f, i_tgt) is not None and comp(f, i_tgt) != f:
             violations.append(Violation("identity-law", (f, i_tgt), "id o f != f"))
 
+    leaving = arrows_leaving(c)
     for f, g in composable:
         gf = comp(f, g)
         if gf is None:
             continue
-        for h in mids:
-            if c.src[h] != c.tgt[g]:
-                continue
+        for h in leaving[c.tgt[g]]:
             hg = comp(g, h)
             left = comp(f, hg) if hg is not None else None
             right = comp(gf, h)

@@ -33,7 +33,7 @@ from itertools import combinations, combinations_with_replacement
 from math import comb
 
 from .errors import StructureError, Violation, check_budget
-from .fincat import FinCategory, mid, unravel
+from .fincat import FinCategory, arrows_leaving, mid, unravel
 from .ids import sort_key
 
 
@@ -287,6 +287,19 @@ def chain_composites(c: FinCategory, objects, arrows) -> dict:
     return out
 
 
+def chain_count(ends, D: int) -> int:
+    """Composable chains of at most D arrows in a category whose arrows
+    leaving each object x end at the objects ``ends[x]``, one entry per
+    arrow; the 0-chains are the objects."""
+    # chains[x]: the k-chains starting at x, by recurrence on k
+    chains = dict.fromkeys(ends, 1)
+    total = len(chains)
+    for _ in range(D):
+        chains = {x: sum(map(chains.__getitem__, ys)) for x, ys in ends.items()}
+        total += sum(chains.values())
+    return total
+
+
 def nerve(c: FinCategory, D: int) -> TruncatedSimplicialSet:
     """Nerve of a finite category, truncated at degree D.
 
@@ -295,16 +308,9 @@ def nerve(c: FinCategory, D: int) -> TruncatedSimplicialSet:
     """
     if D < 0:
         raise StructureError("truncation degree must be >= 0")
-    from_obj = {x: [] for x in c.objects}
-    for m, s, _ in c.morphisms:
-        from_obj[s].append(m)
-    # chains[x]: composable k-chains starting at x, by recurrence on k
-    chains = {x: 1 for x in c.objects}
-    total = len(chains)
-    for _ in range(D):
-        chains = {x: sum(chains[c.tgt[m]] for m in from_obj[x]) for x in c.objects}
-        total += sum(chains.values())
-    check_budget(total, TruncatedSimplicialSet.__name__)
+    from_obj = arrows_leaving(c)
+    ends = {x: [c.tgt[m] for m in ms] for x, ms in from_obj.items()}
+    check_budget(chain_count(ends, D), TruncatedSimplicialSet.__name__)
     cells = [list(c.objects)]
     if D:
         cells.append([(m,) for x in c.objects for m in from_obj[x]])

@@ -19,6 +19,10 @@
   nerve simplex ``universal_cocycle`` must reproduce cell for cell and
   witness for witness; and the cellwise isomorphism of the unraveled nerve
   onto the nerve of the unraveled category.
+* Comma fibers: the step-chain simplicial set of (vertex tuple, stage
+  tuple) pairs with its own face, degeneracy and leg rules, which the
+  package's nerve of the pullback category must match through the
+  vertex sequence of each chain.
 * Dense matrices: products and transposes of plain row lists, the
   reference for the package's sparse ``IntMatrix``; ``dense_smith``, the
   dense eliminator that the package's sparse ``smith`` must agree with; and
@@ -28,12 +32,14 @@
 
 from collections import namedtuple
 from functools import partial
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, groupby
 from math import comb
+from operator import itemgetter
 
 from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import smith_normal_form
 
+from fatcat.comparison import CommaFiber, _nondegenerate_factorization
 from fatcat.errors import StructureError, Violation, check_budget
 from fatcat.fincat import FinCategory, mid, unravel
 from fatcat.homology import ChainMap, IntegerChainComplex, fat_chains, geometric_chains
@@ -43,6 +49,7 @@ from fatcat.simpset import (
     TruncatedSimplicialSet,
     chain_composites,
     chain_objects,
+    delete_entry,
     maximal_flags,
     nerve,
     s_semisimplicial,
@@ -472,6 +479,82 @@ def unravel_nerve_isomorphism(c: FinCategory, N: int, D: int) -> SimplicialMap:
         ) != right.n_cells(n):
             raise StructureError(f"cell counts differ in degree {n}")
     return iso
+
+
+# ---------------------------------------------------------------------------
+# Comma fibers as step-chain simplicial sets
+
+
+def oracle_quillen_fiber(c, N, D, y_cell, y_degree, target, simplex) -> CommaFiber:
+    """The comma fiber of a nerve simplex built cell by cell: a degree-k
+    cell is a pair (vertex tuple, stage tuple) of weakly increasing tuples
+    where equal consecutive stages force the core arrow between the two
+    vertices to be an identity, the cells sorted by that pair; faces delete
+    an entry of both tuples and degeneracies repeat one.  ``target`` and
+    ``simplex`` are the codomains of the two legs."""
+    objects, arrows = _nondegenerate_factorization(c, y_degree, y_cell)
+    m = len(objects) - 1
+    composite = chain_composites(c, objects, arrows)
+    vertices = [(a, l) for a in range(m + 1) for l in range(N + 1)]
+
+    def step_ok(v0, v1):
+        (a0, l0), (a1, l1) = v0, v1
+        if a0 > a1 or l0 > l1:
+            return False
+        return l0 < l1 or c.is_identity(composite[(a0, a1)])
+
+    # stages[v][a]: the stages l, ascending, with a step from v to (a, l)
+    stages = {
+        v: [[l for l in range(N + 1) if step_ok(v, (a, l))] for a in range(m + 1)]
+        for v in vertices
+    }
+    # Extending the cells of one vertex tuple, in stage order, by one vertex
+    # a and then by its stages in ascending order keeps the sort order.
+    cells = [[((a,), (l,)) for a, l in vertices]]
+    for k in range(1, D + 1):
+        level = []
+        for avec, group in groupby(cells[k - 1], key=itemgetter(0)):
+            lvecs = [lvec for _, lvec in group]
+            for a in range(avec[-1], m + 1):
+                for lvec in lvecs:
+                    for l in stages[(avec[-1], lvec[-1])][a]:
+                        level.append((avec + (a,), lvec + (l,)))
+        cells.append(level)
+
+    def face(k, i, cell):
+        avec, lvec = cell
+        return delete_entry(k, i, avec), delete_entry(k, i, lvec)
+
+    def degeneracy(k, i, cell):
+        avec, lvec = cell
+        return avec[: i + 1] + avec[i:], lvec[: i + 1] + lvec[i:]
+
+    fiber = simplicial_set(D, cells, face, degeneracy)
+
+    def to_simplex(k, cell):
+        avec = cell[0]
+        if k == 0:
+            return avec[0]
+        return tuple((a0, a1, "le") for a0, a1 in zip(avec, avec[1:]))
+
+    def to_unraveled(k, cell):
+        avec, lvec = cell
+        if k == 0:
+            return (objects[avec[0]], lvec[0])
+        return tuple(
+            mid(c, composite[(avec[i - 1], avec[i])], lvec[i - 1], lvec[i])
+            for i in range(1, k + 1)
+        )
+
+    return CommaFiber(
+        category=c,
+        stages=N,
+        degree=m,
+        vertex_objects=objects,
+        fiber=fiber,
+        to_simplex=simplicial_map(fiber, simplex, to_simplex),
+        to_unraveled=simplicial_map(fiber, target, to_unraveled),
+    )
 
 
 # ---------------------------------------------------------------------------

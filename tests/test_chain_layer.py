@@ -33,7 +33,14 @@ from fatcat.fixtures import (
     z2_groupoid,
 )
 from fatcat.homology import deletion_complex, fat_chains, geometric_chains, homology, induced_map
-from fatcat.simpset import nerve, product_with_S, s_semisimplicial, unravel_simplicial
+from fatcat.simpset import (
+    _compose,
+    nerve,
+    product_with_S,
+    s_semisimplicial,
+    simplicial_map,
+    unravel_simplicial,
+)
 
 from oracles import (
     oracle_deletion_complex,
@@ -41,6 +48,7 @@ from oracles import (
     oracle_geometric_chains,
     oracle_induced_map,
     oracle_projection_map,
+    oracle_quillen_fiber,
     oracle_tau_chain_map,
     unravel_nerve_isomorphism,
 )
@@ -68,17 +76,23 @@ def simplicial_objects(c):
     }
 
 
-def fibers(c, N=2, D=3):
-    """One comma fiber per nondegenerate core of the nerve of c."""
+def core_cells(c, D=3):
+    """The first (k, cell) of the nerve of c with each nondegenerate core."""
     ner = nerve(c, D)
-    target = nerve(unravel(c, N), D)
     seen = set()
     for k in range(D + 1):
         for cell in ner.cells[k]:
             core = _nondegenerate_factorization(c, k, cell)
             if core not in seen:
                 seen.add(core)
-                yield quillen_fiber(c, N, D, cell, k, target)
+                yield k, cell
+
+
+def fibers(c, N=2, D=3):
+    """One comma fiber per nondegenerate core of the nerve of c."""
+    target = nerve(unravel(c, N), D)
+    for k, cell in core_cells(c, D):
+        yield quillen_fiber(c, N, D, cell, k, target)
 
 
 def deletion_bases():
@@ -119,9 +133,10 @@ def test_chain_maps_match_the_rule_built_oracle(name):
     f = projection_map(c, N, D)
     assert_same_map(induced_map(f), oracle_induced_map(f))
     assert_same_map(projection_pi(c, N, D), oracle_induced_map(oracle_projection_map(c, N, D)))
-    ner = nerve(c, D)
-    assert_same_map(tau_chain_map(ner, N, D), oracle_tau_chain_map(ner, N, D))
-    assert_same_map(tau_chain_map(ner, N + 1, D), oracle_tau_chain_map(ner, N + 1, D))
+    for stages in (N, N + 1):
+        g = projection_map(c, stages, D)
+        tau = tau_chain_map(g, induced_map(g), stages)
+        assert_same_map(tau, oracle_tau_chain_map(g.target, stages, D))
 
 
 @pytest.mark.parametrize("name", ["ordinal-1", "z2", "pair"])
@@ -139,6 +154,32 @@ def test_fiber_chains_match_the_rule_built_oracle(name):
         assert_same_map(induced_map(fib.to_simplex), oracle_induced_map(fib.to_simplex))
     # the unraveled leg of the last fiber: its target is the large nerve
     assert_same_map(induced_map(fib.to_unraveled), oracle_induced_map(fib.to_unraveled))
+
+
+def vertex_pair(k, cell):
+    """The oracle's name for a fiber cell: the core vertices and the stages
+    along the cell's vertex sequence, a chain of arrows (v, w) of the
+    pullback category listing its vertices in order."""
+    seq = (cell,) if k == 0 else (cell[0][0],) + tuple(w for _, w in cell)
+    return tuple(a for a, _ in seq), tuple(l for _, l in seq)
+
+
+@pytest.mark.parametrize("name", sorted({*FIBER_CATEGORIES, "poset-seed-1", "poset-seed-2"}))
+def test_fiber_is_the_step_chain_oracle_cell_for_cell(name):
+    """The vertex sequence is an audited simplicial map from the pullback
+    nerve onto the step-chain fiber, bijective in every degree, and both
+    legs factor through it."""
+    c, N, D = CATEGORIES[name], 2, 3
+    target = nerve(unravel(c, N), D)
+    for k, cell in core_cells(c, D):
+        fib = quillen_fiber(c, N, D, cell, k, target)
+        want = oracle_quillen_fiber(c, N, D, cell, k, target, fib.to_simplex.target)
+        iso = simplicial_map(fib.fiber, want.fiber, vertex_pair)
+        for j in range(D + 1):
+            assert sorted(iso.maps[j]) == list(range(want.fiber.n_cells(j))), (cell, j)
+            for leg, oracle_leg in ((fib.to_simplex, want.to_simplex),
+                                    (fib.to_unraveled, want.to_unraveled)):
+                assert leg.maps[j] == _compose(oracle_leg.maps[j], iso.maps[j]), (cell, j)
 
 
 def test_deletion_complexes_match_the_rule_built_oracle():
@@ -206,7 +247,8 @@ def test_tom_dieck_path_reads_only_position_tables(monkeypatch):
     assert pi.source.basis == [tuple(level) for level in prod.cells]
     geo = geometric_chains(ner)
     assert [geo.rank(k) for k in range(D + 1)] == [1, 1, 1, 1]
-    tau = tau_chain_map(ner, N, D)
+    proj = projection_map(c, N, D)
+    tau = tau_chain_map(proj, induced_map(proj), N)
     assert tau.target.basis == pi.source.basis
 
 

@@ -51,6 +51,7 @@ def inputs(tmp_path):
     write("bz2.json", groupoid_to_json(z2_groupoid()))
     write("ord1.json", category_to_json(standard_categories()["ordinal-1"]))
     write("ord2.json", category_to_json(standard_categories()["ordinal-2"]))
+    write("idem.json", category_to_json(standard_categories()["idempotent-monoid"]))
     write("pair.json", groupoid_to_json(pair_groupoid()))
     write("bad-inverse.json", groupoid_to_json(broken_groupoid_bad_inverse()))
     write("loop5.json", groupoid_to_json(self_inverse_loop()))
@@ -361,6 +362,9 @@ GOLDEN = [
     ("verify quillen-a --input ord1.json --N 3 --D 3", 0,
      "17aa98ed13886b724fa3afdf89f6fd4237aeaca30374eb4c933e08e108f69861"),
     ("verify quillen-a --input bz2.json --N 3 --D 3 --d 1", 0,
+     "6d483553856d75d9a3e0319b4db4f6af51a423cadf0637a1730d5b105f3450b2"),
+    # s o s = s: cores whose composites are idempotents but not identities
+    ("verify quillen-a --input idem.json --N 3 --D 3", 0,
      "6d483553856d75d9a3e0319b4db4f6af51a423cadf0637a1730d5b105f3450b2"),
     ("verify tau --input bz2.json --N 4 --D 3 --d 1", 0,
      "3a1322fc1b9a0621558fa0da4037ddc9d129472718ffe9054c58f0da4eaad852"),

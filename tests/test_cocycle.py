@@ -29,6 +29,7 @@ from fatcat.cocycle import (
     restrict_to_layer,
     universal_cocycle,
     PartitionPoint,
+    _face_failures,
 )
 from fatcat.errors import StructureError
 from fatcat.fincat import FinGroupoid
@@ -286,6 +287,30 @@ def test_universal_cocycle_reports_a_bad_inverse():
     s, e = ("*", "*", "s"), ("*", "*", "e")
     assert uc.report[0].witness == (1, ((0, 1), (s,)), 0, 1, 0)
     assert uc.gamma(1, ((0, 1), (s,))) == {(0, 0): e, (0, 1): s, (1, 0): e, (1, 1): e}
+
+
+def transitions(m, forward):
+    """A hand-built transition table on vertices 0..m from its forward
+    entries: identities on the diagonal, formal inverses backward."""
+    return {
+        (a, b): "id" if a == b else forward[(a, b)] if a < b else ("inv", forward[(b, a)])
+        for a in range(m + 1) for b in range(m + 1)
+    }
+
+
+def test_face_compat_names_the_mismatched_vertex_pair():
+    """The face check can fire.  Over a 3-cell (f, g, h) of a table where
+    h(gf) is not (hg)f, the face d_2 = (f, hg) runs from vertex 0 to its
+    vertex 2 (the cell's vertex 3) by (hg)f, and the cell by the left fold
+    h(gf).  An audited nerve at D >= 3 refuses such a table, so both are
+    built by hand."""
+    cell = transitions(3, {(0, 1): "f", (1, 2): "g", (2, 3): "h",
+                           (0, 2): "gf", (1, 3): "hg", (0, 3): "h(gf)"})
+    d2 = transitions(2, {(0, 1): "f", (1, 2): "hg", (0, 2): "(hg)f"})
+    assert _face_failures(cell, d2, 2) == [(0, 2), (2, 0)]
+    # d_1 = (gf, h) folds the way the cell does, so it agrees
+    d1 = transitions(2, {(0, 1): "gf", (1, 2): "h", (0, 2): "h(gf)"})
+    assert _face_failures(cell, d1, 1) == []
 
 
 def test_universal_gamma_refuses_a_non_cell():

@@ -38,7 +38,13 @@ from fatcat.fixtures import (
     terminal_category,
     z2_groupoid,
 )
-from fatcat.homology import fat_chains, geometric_chains, homology, quasi_iso_through
+from fatcat.homology import (
+    fat_chains,
+    geometric_chains,
+    homology,
+    induced_map,
+    quasi_iso_through,
+)
 from fatcat.intlinalg import IntMatrix
 from fatcat.simpset import (
     SemiSimplicialSet,
@@ -107,9 +113,14 @@ def test_apply_operator_collapse():
     assert ner.cells[1][apply_operator(ner, 1, (0, 1))[p]] == (sigma,)
 
 
+def flag_section(c, N, D):
+    """The flag section of the stage projection of c's nerve."""
+    proj = projection_map(c, N, D)
+    return tau_chain_map(proj, induced_map(proj), N)
+
+
 def test_tau_on_flip_generator():
-    ner = nerve(z2_groupoid().base, 3)
-    tau = tau_chain_map(ner, 4, 3)
+    tau = flag_section(z2_groupoid().base, 4, 3)
     sigma = ("*", "*", "s")
     ident = ("*", "*", "e")
     src = tau.source
@@ -122,8 +133,7 @@ def test_tau_on_flip_generator():
 
 
 def test_tau_boundary_identity_is_exact():
-    ner = nerve(ordinal(1), 2)
-    tau = tau_chain_map(ner, 3, 2)
+    tau = flag_section(ordinal(1), 3, 2)
     for k in range(1, 3):
         left = tau.target.boundary[k].mul(tau.matrices[k])
         right = tau.matrices[k - 1].mul(tau.source.boundary[k])
@@ -131,8 +141,19 @@ def test_tau_boundary_identity_is_exact():
 
 
 def test_tau_needs_enough_stages():
-    with pytest.raises(StructureError):
-        tau_chain_map(nerve(ordinal(1), 2), 2, 2)
+    with pytest.raises(StructureError, match="need N >= D"):
+        flag_section(ordinal(1), 2, 2)
+
+
+def test_tau_lands_on_the_projection_complexes():
+    proj = projection_map(ordinal(1), 3, 2)
+    pi = induced_map(proj)
+    tau = tau_chain_map(proj, pi, 3)
+    assert tau.source is pi.target
+    assert tau.target is pi.source
+    # the stage count must be the projection's
+    with pytest.raises(StructureError, match="another N"):
+        tau_chain_map(proj, pi, 4)
 
 
 def test_pi_tau_fixes_homology_terminal():
@@ -301,6 +322,8 @@ FIBER_CORES = {
 
 def test_fiber_is_refused_before_any_cell_is_built(monkeypatch):
     built = record_builds(monkeypatch)
+    # the pullback category, whose composition table is as large as the 2-cells
+    categories = record_builds(monkeypatch, FinCategory)
     monkeypatch.delenv("FATCAT_MAX_CELLS", raising=False)
     c, cell, k = FIBER_CORES["z2-ss"]
     with pytest.raises(
@@ -308,6 +331,7 @@ def test_fiber_is_refused_before_any_cell_is_built(monkeypatch):
     ):
         quillen_fiber(c, 10, 4, cell, k)
     assert built == []
+    assert categories == []
 
 
 @pytest.mark.parametrize("name", sorted(FIBER_CORES))
@@ -328,8 +352,9 @@ def test_fiber_budget_counts_every_cell(monkeypatch, name):
 
 @pytest.mark.parametrize("name", sorted(FIBER_CORES))
 def test_fiber_cells_are_the_sorted_step_chains(name):
-    """Each degree lists every chain of steps, sorted by (vertex tuple, stage
-    tuple).  A step (a0, l0) -> (a1, l1) lowers neither entry, and keeps the
+    """Each degree lists every chain of steps, sorted by its vertex
+    sequence; a 0-cell is its vertex and a longer chain the tuple of its
+    steps.  A step (a0, l0) -> (a1, l1) lowers neither entry, and keeps the
     stage only over an identity composite."""
     c, cell, k = FIBER_CORES[name]
     fib = quillen_fiber(c, 3, 3, cell, k)
@@ -346,7 +371,7 @@ def test_fiber_cells_are_the_sorted_step_chains(name):
             ch for ch in product(vertices, repeat=j + 1)
             if all(step(v, w) for v, w in zip(ch, ch[1:]))
         ]
-        expected = sorted((tuple(a for a, _ in ch), tuple(l for _, l in ch)) for ch in chains)
+        expected = [ch[0] if j == 0 else tuple(zip(ch, ch[1:])) for ch in sorted(chains)]
         assert list(fib.fiber.cells[j]) == expected
 
 
@@ -451,8 +476,7 @@ def test_fiber_sweep_repeats_core_witness_on_every_cell(monkeypatch, name):
 
 
 def test_tau_point_hits_stage_one():
-    ner = nerve(terminal_category(), 1)
-    tau = tau_chain_map(ner, 2, 1)
+    tau = flag_section(terminal_category(), 2, 1)
     col = tau.matrices[0].column(0)
     hits = {tau.target.basis[0][i]: v for i, v in enumerate(col) if v}
     assert hits == {(0, (1,)): 1}

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from fatcat import fincat
-from fatcat.errors import EnumerationLimitError, StructureError
+from fatcat.errors import EnumerationLimitError, StructureError, Violation
 from fatcat.fincat import (
     FinCategory,
     category_from_json,
@@ -73,6 +73,22 @@ def test_check_category_names_the_rewired_pair():
     assert report
     laws = {(v.law, v.witness) for v in report}
     assert ("identity-law", ((0, 1, "le"), (0, 0, "le"))) in laws
+
+
+def test_check_category_names_the_non_associative_triple():
+    """f: 0 -> 1, g: 1 -> 2, h: 2 -> 3 compose to p as h(gf) but to q as
+    (hg)f; every other law holds, so the triple is the only violation."""
+    f, g, h = (0, 1, "f"), (1, 2, "g"), (2, 3, "h")
+    gf, hg, p, q = (0, 2, "gf"), (1, 3, "hg"), (0, 3, "p"), (0, 3, "q")
+    arrows = [f, g, h, gf, hg, p, q]
+    identity = {x: (x, x, "id") for x in range(4)}
+    compose = {(f, g): gf, (g, h): hg, (gf, h): p, (f, hg): q}
+    for m in arrows + list(identity.values()):
+        compose[(identity[m[0]], m)] = m
+        compose[(m, identity[m[1]])] = m
+    c = FinCategory(range(4), [(m, m[0], m[1]) for m in arrows + list(identity.values())],
+                    identity, compose)
+    assert check_category(c) == [Violation("associativity", (f, g, h), "h(gf) != (hg)f")]
 
 
 def test_check_category_structural_error_on_dangling_ids():
