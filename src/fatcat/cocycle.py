@@ -568,16 +568,6 @@ def _transition_table(g: FinGroupoid, m, z):
     return table
 
 
-def _gamma_for_cell(g: FinGroupoid, cell):
-    """Canonical transition assignment on one cell, keyed by stage pairs:
-    the transitions of its nerve cell, vertex a labelled by the a-th
-    distinct stage."""
-    seq, z = cell
-    values = sorted(set(seq))
-    table = _transition_table(g, len(values) - 1, z)
-    return {(values[a], values[b]): f for (a, b), f in table.items()}
-
-
 @dataclass
 class UniversalCocycle:
     classifying: ClassifyingComplex
@@ -593,7 +583,11 @@ class UniversalCocycle:
         space = self.classifying.space
         if not 0 <= k <= space.D or cell not in space.index[k]:
             raise StructureError(f"not a {k}-cell of the classifying complex: {cell}")
-        return _gamma_for_cell(self.classifying.groupoid, cell)
+        # the nerve cell's transitions, vertex a at the a-th distinct stage
+        seq, z = cell
+        values = sorted(set(seq))
+        table = _transition_table(self.classifying.groupoid, len(values) - 1, z)
+        return {(values[a], values[b]): f for (a, b), f in table.items()}
 
 
 def _law_failures(cat, m, table):
@@ -916,16 +910,17 @@ def pullback_is_restriction(u: GCocycle, N: int, D: int):
                 continue
             for comp in u.base.components_of_overlap(seq):
                 face = comp[:1]
-                gamma = _gamma_for_cell(g, _classifying_cell(u, seq, face))
-                for a in seq:
-                    for b in seq:
+                # the transitions of the classifying cell, vertex i at seq[i]
+                table = _transition_table(g, p, _classifying_cell(u, seq, face)[1])
+                for i, a in enumerate(seq):
+                    for j, b in enumerate(seq):
                         expected = u.transition(a, b, face)
-                        if gamma[(a, b)] != expected:
+                        if table[(i, j)] != expected:
                             violations.append(
                                 Violation(
                                     "pullback-restriction",
                                     (seq, comp, a, b),
-                                    f"gamma {gamma[(a, b)]} vs {expected}",
+                                    f"gamma {table[(i, j)]} vs {expected}",
                                 )
                             )
     return violations

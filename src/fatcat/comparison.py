@@ -45,10 +45,10 @@ from .simpset import (
     chain_count,
     maximal_flags,
     nerve,
+    nerve_map,
     product_with_S,
     s_semisimplicial,
     sd_flags,
-    simplicial_map,
 )
 
 
@@ -377,7 +377,8 @@ def quillen_fiber(
     and a stage, with one arrow (a0, l0) -> (a1, l1) when a0 <= a1, l0 <= l1
     and either l0 < l1 or the core composite a0 -> a1 is an identity.  P is
     determined by m, N and which composites are identities.  Both legs are
-    nerves of the projections of P, (a, l) -> a and (a, l) -> (y(a), l).
+    the nerves of the projections of P, (a, l) -> a and (a, l) -> (y(a), l),
+    built by :func:`nerve_map`.
 
     The chains of P are counted from its step lists and budgeted before P
     is built; the count runs through degree 2 at least, since P's
@@ -415,10 +416,9 @@ def quillen_fiber(
     if target is None:
         target = nerve(unravel(c, N), D)
 
-    def leg(codomain, obj, arrow):
-        # the nerve of a functor out of P: a vertex by obj, a chain arrow by arrow
-        return simplicial_map(fiber, codomain, lambda k, cell: (
-            obj(cell) if k == 0 else tuple(arrow(*step) for step in cell)))
+    def lift(step):
+        (a0, l0), (a1, l1) = step
+        return mid(c, composite[(a0, a1)], l0, l1)
 
     return CommaFiber(
         category=c,
@@ -426,9 +426,8 @@ def quillen_fiber(
         degree=m,
         vertex_objects=objects,
         fiber=fiber,
-        to_simplex=leg(simplex, lambda v: v[0], lambda v, w: (v[0], w[0], "le")),
-        to_unraveled=leg(target, lambda v: (objects[v[0]], v[1]),
-                         lambda v, w: mid(c, composite[(v[0], w[0])], v[1], w[1])),
+        to_simplex=nerve_map(fiber, simplex, lambda v: v[0], lambda vw: (vw[0][0], vw[1][0], "le")),
+        to_unraveled=nerve_map(fiber, target, lambda v: (objects[v[0]], v[1]), lift),
     )
 
 

@@ -8,9 +8,9 @@ p-th k-cell, and everything downstream reads these tables.  The simplicial
 identities are audited exhaustively on construction, scoped to the degrees
 that exist below the truncation cutoff D, once per pair of indices by
 composing whole tables; a mismatch is mapped back to its cell, so a
-violation names the cell that breaks the law.  :func:`simplicial_set` and
-:func:`simplicial_map` lay out tables from per-cell rules; the stage
-product and the unraveling compose theirs from their parents' tables.
+violation names the cell that breaks the law.  Only the sets whose faces
+delete an entry of a tuple cell are laid out from a per-cell rule, by
+:func:`simplicial_set`; every other object composes its tables.
 
 Conventions used throughout:
 
@@ -29,7 +29,7 @@ Conventions used throughout:
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, combinations_with_replacement
+from itertools import accumulate, combinations, combinations_with_replacement, pairwise
 from math import comb
 
 from .errors import StructureError, Violation, check_budget
@@ -203,6 +203,11 @@ def _compose(outer, inner):
     return list(map(outer.__getitem__, inner))
 
 
+def _shifted(base, table, inner, shifts):
+    """``base`` after ``table`` after ``inner``, each entry plus its shift."""
+    return [base[table[p]] + shift for p, shift in zip(inner, shifts)]
+
+
 def _violations(law, pairs, cells):
     """Violations of one law.  ``pairs`` yields (k, indices, left, right),
     where left and right are position tables over the k-cells that the law
@@ -227,15 +232,10 @@ def _positions(index, images, leaves):
     return positions
 
 
-def simplicial_set(D, cells, face, degeneracy=None):
-    """Face and degeneracy tables laid out from per-cell rules.
-
-    ``cells[k]`` lists the k-cells in order; ``face(k, i, cell)`` is d_i of
-    a k-cell (1 <= k <= D) and ``degeneracy(k, i, cell)`` is s_i of a
-    k-cell (k < D).  Each result is looked up in the index of its degree,
-    and one that is not a cell there raises :class:`StructureError`.
-    Without ``degeneracy`` the result is semi-simplicial.
-    """
+def simplicial_set(D, cells, face) -> SemiSimplicialSet:
+    """Face tables laid out from a per-cell rule: ``face(k, i, cell)`` is
+    d_i of a k-cell of ``cells[k]``, looked up in the index of degree k - 1;
+    one that is not a cell there raises :class:`StructureError`."""
     index = [{cell: p for p, cell in enumerate(cs)} for cs in cells]
     faces = [None] + [
         [_positions(index[k - 1], (face(k, i, cell) for cell in cells[k]),
@@ -243,27 +243,7 @@ def simplicial_set(D, cells, face, degeneracy=None):
         for k in range(1, D + 1)
     ]
     # cells stays positional: bench/tracer.py reads it as the constructor's args[2]
-    if degeneracy is None:
-        return SemiSimplicialSet(D, cells, faces)
-    degeneracies = [
-        [_positions(index[k + 1], (degeneracy(k, i, cell) for cell in cells[k]),
-                    f"degeneracy s_{i} leaves degree {k + 1}") for i in range(k + 1)]
-        for k in range(D)
-    ]
-    return TruncatedSimplicialSet(D, cells, faces, degeneracies)
-
-
-def simplicial_map(source, target, image) -> SimplicialMap:
-    """A simplicial map's tables laid out from a per-cell rule:
-    ``image(k, cell)`` is the image of a k-cell of ``source``, looked up in
-    the index of ``target``."""
-    _same_truncation(source, target)
-    maps = [
-        _positions(target.index[k], (image(k, cell) for cell in source.cells[k]),
-                   f"map image leaves target degree {k}")
-        for k in range(source.D + 1)
-    ]
-    return SimplicialMap(source, target, maps)
+    return SemiSimplicialSet(D, cells, faces)
 
 
 def chain_objects(c: FinCategory, k: int, chain) -> tuple:
@@ -303,8 +283,12 @@ def chain_count(ends, D: int) -> int:
 def nerve(c: FinCategory, D: int) -> TruncatedSimplicialSet:
     """Nerve of a finite category, truncated at degree D.
 
-    k-cells are composable chains; the 0-cells are the objects themselves.
-    The cells are counted and budgeted before any of them is built.
+    k-cells are composable chains, 0-cells the objects, all counted and
+    budgeted before any is built.  The (k+1)-cell q + m sits at s_k(q) plus
+    the offset of m from the identity among the arrows leaving its source,
+    so each table is composed from the degree below: d_{k+1} drops m, d_k
+    extends d_k(q) by q's last arrow composed with m, and every other d_i
+    and s_i extends its image of q by m.
     """
     if D < 0:
         raise StructureError("truncation degree must be >= 0")
@@ -312,27 +296,65 @@ def nerve(c: FinCategory, D: int) -> TruncatedSimplicialSet:
     ends = {x: [c.tgt[m] for m in ms] for x, ms in from_obj.items()}
     check_budget(chain_count(ends, D), TruncatedSimplicialSet.__name__)
     cells = [list(c.objects)]
-    if D:
-        cells.append([(m,) for x in c.objects for m in from_obj[x]])
-    for k in range(2, D + 1):
-        cells.append(
-            [chain + (m,) for chain in cells[k - 1] for m in from_obj[c.tgt[chain[-1]]]]
-        )
-
-    def face(k, i, chain):
+    if D == 0:
+        return TruncatedSimplicialSet(D, cells, [None], [])
+    # the arrows numbered as the 1-cells, those leaving object y by leaving[y]
+    vertex = {x: p for p, x in enumerate(c.objects)}
+    arrows = [m for x in c.objects for m in from_obj[x]]
+    number = {m: e for e, m in enumerate(arrows)}
+    leaving = [range(*ab) for ab in pairwise(accumulate(map(len, from_obj.values()), initial=0))]
+    unit = [number.get(c.identity[x], -1) for x in c.objects]
+    if any(e not in block for e, block in zip(unit, leaving)):
+        raise StructureError("an identity does not leave its object")
+    source, target = ([vertex[end[m]] for m in arrows] for end in (c.src, c.tgt))
+    offset = [e - unit[y] for e, y in enumerate(source)]
+    cells.append([(m,) for m in arrows])
+    faces, degeneracies = [None, [target, source]], [[unit]]
+    # the p-th k-cell extends the parent[p]-th by arrow last[p], shift[p] its offset
+    parent, last, shift, s_below = source, range(len(arrows)), offset, unit
+    for k in range(1, D):
+        ends_at = _compose(target, last)
+        start = accumulate((len(leaving[y]) for y in ends_at), initial=0)
+        s_k = [p + unit[y] - leaving[y].start for p, y in zip(start, ends_at)]
+        degeneracies.append([_shifted(s_k, s, parent, shift) for s in degeneracies[-1]] + [s_k])
+        before = last
+        parent = [p for p, y in enumerate(ends_at) for _ in leaving[y]]
+        last = [e for y in ends_at for e in leaving[y]]
+        shift = _compose(offset, last)
+        cells.append([cells[k][p] + (arrows[e],) for p, e in zip(parent, last)])
         if k == 1:
-            return c.tgt[chain[0]] if i == 0 else c.src[chain[0]]
-        if i == 0:
-            return chain[1:]
-        if i == k:
-            return chain[:-1]
-        return chain[: i - 1] + (c.table[(chain[i - 1], chain[i])],) + chain[i + 1:]
+            # the composite of each 2-cell (f, m), as an offset from s_0 of f's source
+            composite = [number[c.table[(arrows[f], arrows[e])]] - unit[source[f]]
+                         for f, e in zip(parent, last)]
+        # the composite of each cell's last two arrows, read at their 2-cell
+        joint = _compose(composite, _shifted(degeneracies[1][1], before, parent, shift))
+        faces.append([_shifted(s_below, d, parent, shift) for d in faces[k][:-1]]
+                     + [_shifted(s_below, faces[k][-1], parent, joint), parent])
+        s_below = s_k
+    # cells stays positional: bench/tracer.py reads it as the constructor's args[2]
+    return TruncatedSimplicialSet(D, cells, faces, degeneracies)
 
-    def degeneracy(k, i, chain):
-        ident = c.identity[chain_objects(c, k, chain)[i]]
-        return (ident,) if k == 0 else chain[:i] + (ident,) + chain[i:]
 
-    return simplicial_set(D, cells, face, degeneracy)
+def nerve_map(source, target, obj, arrow) -> SimplicialMap:
+    """The nerve of a functor, x -> obj(x) and m -> arrow(m), between the
+    categories of two nerves.  Objects and arrows are looked up in target's
+    degrees 0 and 1; above, q + m goes to s_{k-1} of q's image plus the
+    offset of arrow(m) from the identity (see :func:`nerve`)."""
+    _same_truncation(source, target)
+    vertex = {x: p for p, x in enumerate(target.cells[0])}
+    maps = [_positions(vertex, map(obj, source.cells[0]), "map image leaves target degree 0")]
+    if source.D:
+        edge = {m: p for p, (m,) in enumerate(target.cells[1])}
+        images = (arrow(m) for m, in source.cells[1])
+        maps.append(_positions(edge, images, "map image leaves target degree 1"))
+        unit = _compose(target.degeneracies[0][0], _compose(maps[0], source.faces[1][1]))
+        offset = [p - u for p, u in zip(maps[1], unit)]
+        last = range(source.n_cells(1))
+    for k in range(2, source.D + 1):
+        last = _compose(last, source.faces[k][0])  # d_0 keeps the last arrow
+        maps.append(_shifted(target.degeneracies[k - 1][k - 1], maps[k - 1],
+                             source.faces[k][k], _compose(offset, last)))
+    return SimplicialMap(source, target, maps)
 
 
 def delete_entry(k, i, seq):
@@ -536,25 +558,15 @@ def sd_flags(n: int, k: int):
     """All k-cells of the barycentric subdivision of the n-simplex."""
     if n < 0 or k < 0:
         raise StructureError("n and k must be >= 0")
-    subsets = []
-    universe = list(range(n + 1))
-    for size in range(1, n + 2):
-        subsets.extend(frozenset(c) for c in combinations(universe, size))
-
-    flags = []
-
-    def grow(chain):
-        if len(chain) == k + 1:
-            flags.append(BarycentricFlag(n, tuple(chain)))
-            return
-        for cand in subsets:
-            if chain[-1] < cand:
-                chain.append(cand)
-                grow(chain)
-                chain.pop()
-
-    for first in subsets:
-        grow([first])
+    # listed by size, so every strictly nested chain comes out in order
+    subsets = [
+        frozenset(c) for size in range(1, n + 2) for c in combinations(range(n + 1), size)
+    ]
+    flags = [
+        BarycentricFlag(n, chain)
+        for chain in combinations(subsets, k + 1)
+        if all(a < b for a, b in zip(chain, chain[1:]))
+    ]
     flags.sort(key=lambda fl: sort_key(tuple(tuple(sorted(p)) for p in fl.chain)))
     return flags
 

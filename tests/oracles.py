@@ -6,6 +6,10 @@
 * Simplicial identities: the per-cell audits, over cell lists and per-cell
   rules, that the package's whole-table audits must reproduce violation
   for violation.
+* Per-cell builders: simplicial sets and maps laid out from rules, each
+  image hashed back into the index of its degree, and the nerve from its
+  chain rules (``oracle_nerve``), whose tables the package's composed
+  ``nerve`` and ``nerve_map`` must reproduce entry for entry.
 * Per-cell lookups (``face``, ``degeneracy``, ``apply``,
   ``is_degenerate``) through an object's position tables, for tests that
   name cells.
@@ -22,7 +26,8 @@
 * Comma fibers: the step-chain simplicial set of (vertex tuple, stage
   tuple) pairs with its own face, degeneracy and leg rules, which the
   package's nerve of the pullback category must match through the
-  vertex sequence of each chain.
+  vertex sequence of each chain; and both legs of a fiber from the
+  per-cell rule that maps a chain arrow by arrow.
 * Dense matrices: products and transposes of plain row lists, the
   reference for the package's sparse ``IntMatrix``; ``dense_smith``, the
   dense eliminator that the package's sparse ``smith`` must agree with; and
@@ -41,20 +46,20 @@ from sympy.matrices.normalforms import smith_normal_form
 
 from fatcat.comparison import CommaFiber, _nondegenerate_factorization
 from fatcat.errors import StructureError, Violation, check_budget
-from fatcat.fincat import FinCategory, mid, unravel
+from fatcat.fincat import FinCategory, arrows_leaving, mid, unravel
 from fatcat.homology import ChainMap, IntegerChainComplex, fat_chains, geometric_chains
 from fatcat.intlinalg import IntMatrix, SmithForm, _dense, smith
 from fatcat.simpset import (
+    SemiSimplicialSet,
     SimplicialMap,
     TruncatedSimplicialSet,
     chain_composites,
+    chain_count,
     chain_objects,
     delete_entry,
     maximal_flags,
     nerve,
     s_semisimplicial,
-    simplicial_map,
-    simplicial_set,
     unravel_simplicial,
 )
 
@@ -196,6 +201,86 @@ def oracle_map_audit(D, source, target, image):
 
 
 # ---------------------------------------------------------------------------
+# Per-cell builders: tables laid out from rules, each image hashed back into
+# the index of its degree
+
+
+def _lookup(index, images, leaves):
+    positions = [index.get(image) for image in images]
+    if None in positions:
+        raise StructureError(leaves)
+    return positions
+
+
+def oracle_simplicial_set(D, cells, face, degeneracy=None):
+    """Face and degeneracy tables laid out from per-cell rules:
+    ``face(k, i, cell)`` is d_i of a k-cell (1 <= k <= D) and
+    ``degeneracy(k, i, cell)`` is s_i of a k-cell (k < D).  A result that
+    is not a cell of its degree raises :class:`StructureError`.  Without
+    ``degeneracy`` the result is semi-simplicial."""
+    index = [{cell: p for p, cell in enumerate(cs)} for cs in cells]
+    faces = [None] + [
+        [_lookup(index[k - 1], (face(k, i, cell) for cell in cells[k]),
+                 f"face d_{i} leaves degree {k - 1}") for i in range(k + 1)]
+        for k in range(1, D + 1)
+    ]
+    if degeneracy is None:
+        return SemiSimplicialSet(D, cells, faces)
+    degeneracies = [
+        [_lookup(index[k + 1], (degeneracy(k, i, cell) for cell in cells[k]),
+                 f"degeneracy s_{i} leaves degree {k + 1}") for i in range(k + 1)]
+        for k in range(D)
+    ]
+    return TruncatedSimplicialSet(D, cells, faces, degeneracies)
+
+
+def oracle_simplicial_map(source, target, image) -> SimplicialMap:
+    """A simplicial map laid out from a per-cell rule: ``image(k, cell)``
+    is the image of a k-cell of ``source``, looked up in ``target``."""
+    if source.D != target.D:
+        raise StructureError("source and target truncation degrees differ")
+    maps = [
+        _lookup(target.index[k], (image(k, cell) for cell in source.cells[k]),
+                f"map image leaves target degree {k}")
+        for k in range(source.D + 1)
+    ]
+    return SimplicialMap(source, target, maps)
+
+
+def oracle_nerve(c: FinCategory, D: int) -> TruncatedSimplicialSet:
+    """The nerve of c from its per-cell rules: d_0 drops the first arrow,
+    d_k the last, an inner d_i composes two neighbours, and s_i inserts the
+    identity at vertex i."""
+    if D < 0:
+        raise StructureError("truncation degree must be >= 0")
+    from_obj = arrows_leaving(c)
+    ends = {x: [c.tgt[m] for m in ms] for x, ms in from_obj.items()}
+    check_budget(chain_count(ends, D), TruncatedSimplicialSet.__name__)
+    cells = [list(c.objects)]
+    if D:
+        cells.append([(m,) for x in c.objects for m in from_obj[x]])
+    for k in range(2, D + 1):
+        cells.append(
+            [chain + (m,) for chain in cells[k - 1] for m in from_obj[c.tgt[chain[-1]]]]
+        )
+
+    def face(k, i, chain):
+        if k == 1:
+            return c.tgt[chain[0]] if i == 0 else c.src[chain[0]]
+        if i == 0:
+            return chain[1:]
+        if i == k:
+            return chain[:-1]
+        return chain[: i - 1] + (c.table[(chain[i - 1], chain[i])],) + chain[i + 1:]
+
+    def degeneracy(k, i, chain):
+        ident = c.identity[chain_objects(c, k, chain)[i]]
+        return (ident,) if k == 0 else chain[:i] + (ident,) + chain[i:]
+
+    return oracle_simplicial_set(D, cells, face, degeneracy)
+
+
+# ---------------------------------------------------------------------------
 # Per-cell lookups through position tables
 
 
@@ -301,7 +386,7 @@ def oracle_induced_map(f):
 def oracle_product_with_S(x, s):
     """The stage product with its faces looked up factor by factor."""
     cells = [[(a, b) for a in x.cells[k] for b in s.cells[k]] for k in range(x.D + 1)]
-    return simplicial_set(
+    return oracle_simplicial_set(
         x.D, cells, lambda k, i, cell: (face(x, k, i, cell[0]), face(s, k, i, cell[1]))
     )
 
@@ -309,7 +394,7 @@ def oracle_product_with_S(x, s):
 def oracle_projection_map(c, N, D):
     ner = nerve(c, D)
     prod = oracle_product_with_S(ner, s_semisimplicial(N, D))
-    return simplicial_map(prod, ner, lambda k, cell: cell[0])
+    return oracle_simplicial_map(prod, ner, lambda k, cell: cell[0])
 
 
 def oracle_apply_operator(x, k_from, cell, u):
@@ -398,7 +483,7 @@ def oracle_unravel_simplicial(y: TruncatedSimplicialSet, N: int) -> TruncatedSim
         seq, z = cell
         return seq[: i + 1] + seq[i:], z
 
-    return simplicial_set(D, cells, face_rule, degeneracy_rule)
+    return oracle_simplicial_set(D, cells, face_rule, degeneracy_rule)
 
 
 def _gamma_for_cell(g, cell):
@@ -472,7 +557,7 @@ def unravel_nerve_isomorphism(c: FinCategory, N: int, D: int) -> SimplicialMap:
             arrows.append(mid(c, f, seq[i - 1], seq[i]))
         return tuple(arrows)
 
-    iso = simplicial_map(left, right, image)
+    iso = oracle_simplicial_map(left, right, image)
     for n in range(D + 1):
         if len(set(iso.maps[n])) != left.n_cells(n) or left.n_cells(
             n
@@ -529,7 +614,7 @@ def oracle_quillen_fiber(c, N, D, y_cell, y_degree, target, simplex) -> CommaFib
         avec, lvec = cell
         return avec[: i + 1] + avec[i:], lvec[: i + 1] + lvec[i:]
 
-    fiber = simplicial_set(D, cells, face, degeneracy)
+    fiber = oracle_simplicial_set(D, cells, face, degeneracy)
 
     def to_simplex(k, cell):
         avec = cell[0]
@@ -552,8 +637,26 @@ def oracle_quillen_fiber(c, N, D, y_cell, y_degree, target, simplex) -> CommaFib
         degree=m,
         vertex_objects=objects,
         fiber=fiber,
-        to_simplex=simplicial_map(fiber, simplex, to_simplex),
-        to_unraveled=simplicial_map(fiber, target, to_unraveled),
+        to_simplex=oracle_simplicial_map(fiber, simplex, to_simplex),
+        to_unraveled=oracle_simplicial_map(fiber, target, to_unraveled),
+    )
+
+
+def oracle_fiber_legs(c, y_cell, y_degree, fib):
+    """Both legs of the comma fiber ``fib`` of a nerve simplex from per-cell
+    rules: a chain of arrows (v, w) of the pullback category goes to the
+    chain of the images of its arrows, a vertex to the image of its object."""
+    objects, arrows = _nondegenerate_factorization(c, y_degree, y_cell)
+    composite = chain_composites(c, objects, arrows)
+
+    def leg(codomain, obj, arrow):
+        return oracle_simplicial_map(fib.fiber, codomain, lambda k, cell: (
+            obj(cell) if k == 0 else tuple(arrow(*step) for step in cell)))
+
+    return (
+        leg(fib.to_simplex.target, lambda v: v[0], lambda v, w: (v[0], w[0], "le")),
+        leg(fib.to_unraveled.target, lambda v: (objects[v[0]], v[1]),
+            lambda v, w: mid(c, composite[(v[0], w[0])], v[1], w[1])),
     )
 
 

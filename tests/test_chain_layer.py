@@ -2,9 +2,11 @@
 
 Every boundary and chain map built from face, degeneracy and map tables
 must equal the rule-built one of ``tests/oracles.py``, which names each
-term by its cell and hashes it back into a row.  Every fully computed
-truncated complex satisfies the Euler-characteristic identity, and the tom
-Dieck path never falls back to a cell-keyed lookup.
+term by its cell and hashes it back into a row; nerves and fiber legs,
+which compose their tables, must equal the per-cell oracle's table for
+table.  Every fully computed truncated complex satisfies the
+Euler-characteristic identity, and the tom Dieck path never falls back to
+a cell-keyed lookup.
 """
 
 import pytest
@@ -38,7 +40,6 @@ from fatcat.simpset import (
     nerve,
     product_with_S,
     s_semisimplicial,
-    simplicial_map,
     unravel_simplicial,
 )
 
@@ -46,9 +47,12 @@ from oracles import (
     oracle_deletion_complex,
     oracle_fat_chains,
     oracle_geometric_chains,
+    oracle_fiber_legs,
     oracle_induced_map,
+    oracle_nerve,
     oracle_projection_map,
     oracle_quillen_fiber,
+    oracle_simplicial_map,
     oracle_tau_chain_map,
     unravel_nerve_isomorphism,
 )
@@ -174,12 +178,33 @@ def test_fiber_is_the_step_chain_oracle_cell_for_cell(name):
     for k, cell in core_cells(c, D):
         fib = quillen_fiber(c, N, D, cell, k, target)
         want = oracle_quillen_fiber(c, N, D, cell, k, target, fib.to_simplex.target)
-        iso = simplicial_map(fib.fiber, want.fiber, vertex_pair)
+        iso = oracle_simplicial_map(fib.fiber, want.fiber, vertex_pair)
         for j in range(D + 1):
             assert sorted(iso.maps[j]) == list(range(want.fiber.n_cells(j))), (cell, j)
             for leg, oracle_leg in ((fib.to_simplex, want.to_simplex),
                                     (fib.to_unraveled, want.to_unraveled)):
                 assert leg.maps[j] == _compose(oracle_leg.maps[j], iso.maps[j]), (cell, j)
+
+
+@pytest.mark.parametrize("name", sorted(CATEGORIES) + ["unravel-z2-3"])
+def test_nerve_tables_match_the_per_cell_oracle(name):
+    c = CATEGORIES[name] if name in CATEGORIES else unravel(z2_groupoid().base, 3)
+    for D in range(5):
+        got, want = nerve(c, D), oracle_nerve(c, D)
+        assert got.cells == want.cells, D
+        assert got.faces == want.faces, D
+        assert got.degeneracies == want.degeneracies, D
+
+
+@pytest.mark.parametrize("name", sorted({*FIBER_CATEGORIES, "poset-seed-1", "poset-seed-2"}))
+def test_fiber_legs_match_the_per_cell_oracle(name):
+    c, N, D = CATEGORIES[name], 2, 3
+    target = nerve(unravel(c, N), D)
+    for k, cell in core_cells(c, D):
+        fib = quillen_fiber(c, N, D, cell, k, target)
+        legs = (fib.to_simplex, fib.to_unraveled)
+        for leg, want in zip(legs, oracle_fiber_legs(c, cell, k, fib)):
+            assert leg.maps == want.maps, cell
 
 
 def test_deletion_complexes_match_the_rule_built_oracle():
@@ -223,7 +248,7 @@ def test_euler_characteristic_of_deletion_complexes():
 def test_tom_dieck_path_reads_only_position_tables(monkeypatch):
     c = z2_groupoid().base
     N, D = 5, 3
-    ner, s = nerve(c, D), s_semisimplicial(N, D)
+    s = s_semisimplicial(N, D)
 
     def refuse(*args, **kwargs):
         raise AssertionError("cell-keyed lookup on the position-table path")
@@ -234,10 +259,10 @@ def test_tom_dieck_path_reads_only_position_tables(monkeypatch):
         for attr, value in list(vars(module).items()):
             if value is original:
                 monkeypatch.setattr(module, attr, refuse)
-    # the nerve and the stage complex come from per-cell rules, so the
-    # projection reuses the ones built above
-    monkeypatch.setattr(comparison, "nerve", lambda cat, D_: ner)
+    # the stage complex comes from its per-cell rule, so the projection
+    # reuses the one built above; the nerve composes its tables
     monkeypatch.setattr(comparison, "s_semisimplicial", lambda N_, D_: s)
+    ner = nerve(c, D)
 
     prod = product_with_S(ner, s)
     assert [prod.n_cells(k) for k in range(D + 1)] == [
@@ -264,5 +289,5 @@ def test_guard_sees_a_rule_lookup(monkeypatch):
     with pytest.raises(AssertionError, match="cell-keyed lookup"):
         simpset.simplicial_set(2, ner.cells, lambda k, i, cell: cell)
     with pytest.raises(AssertionError, match="cell-keyed lookup"):
-        simpset.simplicial_map(ner, ner, lambda k, cell: cell)
+        simpset.nerve_map(ner, ner, lambda v: v, lambda m: m)
     assert product_with_S(ner, s).n_cells(0) == 8

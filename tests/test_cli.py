@@ -304,6 +304,25 @@ def test_dangling_endpoint_exits_2(capsys, tmp_path, argv):
     expect_bad_input(capsys, argv + ["--input", str(bad)])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nerve", "--D", "1"],
+        ["nerve", "--D", "2"],
+        ["homology", "--D", "3", "--k", "1"],
+        ["verify", "tom-dieck", "--N", "4", "--D", "3", "--d", "1"],
+        ["verify", "quillen-a", "--N", "2", "--D", "2"],
+    ],
+)
+def test_identity_leaving_another_object_exits_2(capsys, tmp_path, argv):
+    """The identity of object 0 is the identity arrow of object 1."""
+    doc = category_to_json(standard_categories()["ordinal-1"])
+    doc["identity"]["0"] = doc["identity"]["1"]
+    bad = tmp_path / "stray-identity.json"
+    bad.write_text(json.dumps(doc))
+    expect_bad_input(capsys, argv + ["--input", str(bad)])
+
+
 def _drop_identities(doc):
     doc["identity"] = {}
 

@@ -27,7 +27,7 @@ from fatcat.homology import (
     quasi_iso_through,
 )
 from fatcat.intlinalg import IntMatrix, _transposed, smith
-from fatcat.simpset import nerve, product_with_S, s_semisimplicial, simplicial_map
+from fatcat.simpset import nerve, product_with_S, s_semisimplicial
 
 from oracles import (
     dense_identity,
@@ -42,6 +42,7 @@ from oracles import (
     normalization_projection,
     oracle_homology,
     oracle_invariant_factors,
+    oracle_simplicial_map,
     zero_class,
 )
 
@@ -206,7 +207,7 @@ def test_projection_is_quasi_iso_flip_group():
     s = s_semisimplicial(6, 4)
     prod = product_with_S(ner, s)
     maps = [{cell: cell[0] for cell in prod.cells[k]} for k in range(5)]
-    pi = simplicial_map(prod, ner, lambda k, cell: maps[k][cell])
+    pi = oracle_simplicial_map(prod, ner, lambda k, cell: maps[k][cell])
     rep = quasi_iso_through(induced_map(pi), 2)
     assert rep.ok
     groups = [c.target.group() for c in rep.degrees]

@@ -7,7 +7,7 @@ import pytest
 
 from fatcat.comparison import projection_map
 from fatcat.errors import EnumerationLimitError, StructureError
-from fatcat.fincat import ordinal, unravel
+from fatcat.fincat import FinCategory, ordinal, unravel
 from fatcat.fixtures import pair_groupoid, terminal_category, z2_groupoid
 from fatcat.simpset import (
     BarycentricFlag,
@@ -17,10 +17,10 @@ from fatcat.simpset import (
     lemma42_bijection,
     maximal_flags,
     nerve,
+    nerve_map,
     product_with_S,
     s_semisimplicial,
     sd_flags,
-    simplicial_map,
     simplicial_set,
     unravel_simplicial,
 )
@@ -31,7 +31,10 @@ from oracles import (
     face,
     is_degenerate,
     oracle_map_audit,
+    oracle_nerve,
     oracle_simplicial_audit,
+    oracle_simplicial_map,
+    oracle_simplicial_set,
     unravel_nerve_isomorphism,
 )
 
@@ -132,6 +135,22 @@ def test_product_and_unraveling_budget_count_every_cell(monkeypatch, cat, build)
     with pytest.raises(EnumerationLimitError, match=f"needs {total} cells"):
         make[build]()
     assert len(built) == 1
+
+
+def test_nerve_refuses_a_composite_leaving_another_object():
+    """a: 0 -> 1 then the identity of 1 composed to b: 1 -> 1.  b sits as
+    far from the identity of 1 as a from that of 0, so placed among the
+    arrows leaving 0 it would read as a, and only the check sees it."""
+    a, b = (0, 1, "le"), (1, 1, "x")
+    ids = {0: (0, 0, "le"), 1: (1, 1, "le")}
+    table = {(ids[0], ids[0]): ids[0], (ids[0], a): a, (a, ids[1]): b, (a, b): a,
+             (ids[1], ids[1]): ids[1], (ids[1], b): b, (b, ids[1]): b, (b, b): b}
+    morphisms = [(ids[0], 0, 0), (a, 0, 1), (ids[1], 1, 1), (b, 1, 1)]
+    bad = FinCategory([0, 1], morphisms, ids, table)
+    assert nerve(bad, 1).n_cells(1) == 4
+    for build in (nerve, oracle_nerve):
+        with pytest.raises(StructureError):
+            build(bad, 2)
 
 
 def test_nerve_terminal_is_a_point():
@@ -304,8 +323,6 @@ def test_maximal_flags_signs():
 
 
 def test_audit_rejects_wrong_face_table():
-    from fatcat.simpset import simplicial_set
-
     cells = [[0, 1, 2], [("e", 0), ("e", 1), ("e", 2)]]
     # a triangle with one edge endpoint wired inconsistently with the filling
     face = [
@@ -331,8 +348,6 @@ def test_audit_rejects_wrong_face_table():
 
 def test_audit_rejects_swapped_group_rule():
     """Reading the stage groups after deletion breaks the face identities."""
-    from fatcat.simpset import simplicial_set
-
     y = nerve(z2_groupoid().base, 2)
     N = 2
     from itertools import combinations_with_replacement
@@ -367,7 +382,7 @@ def test_audit_rejects_swapped_group_rule():
             tables.append({(seq, z): (seq[: i + 1] + seq[i:], z) for seq, z in cells[n]})
         degeneracy.append(tables)
     with pytest.raises(StructureError):
-        simplicial_set(
+        oracle_simplicial_set(
             2, cells, lambda k, i, c: faces[k][i][c], lambda k, i, c: degeneracy[k][i][c]
         )
 
@@ -501,14 +516,15 @@ def test_table_audits_match_the_per_cell_oracle(name):
 
 def test_builder_refuses_a_face_outside_the_degree_below():
     cells = [[0, 1], [("e",)]]
-    with pytest.raises(StructureError, match="^face d_1 leaves degree 0$"):
-        simplicial_set(1, cells, lambda k, i, c: 1 if i == 0 else 2)
+    for build in (simplicial_set, oracle_simplicial_set):
+        with pytest.raises(StructureError, match="^face d_1 leaves degree 0$"):
+            build(1, cells, lambda k, i, c: 1 if i == 0 else 2)
 
 
 def test_builder_refuses_a_degeneracy_outside_the_degree_above():
     cells = [[0, 1], [("e",), ("id", 0), ("id", 1)]]
     with pytest.raises(StructureError, match="^degeneracy s_0 leaves degree 1$"):
-        simplicial_set(
+        oracle_simplicial_set(
             1, cells, lambda k, i, c: c[1] if c[0] == "id" else 1 - i, lambda k, i, c: ("id", 2)
         )
 
@@ -517,7 +533,9 @@ def test_builder_refuses_a_map_image_outside_the_target():
     x = nerve(ordinal(1), 2)
     point = nerve(terminal_category(), 2)
     with pytest.raises(StructureError, match="^map image leaves target degree 0$"):
-        simplicial_map(x, point, lambda k, cell: cell)
+        oracle_simplicial_map(x, point, lambda k, cell: cell)
+    with pytest.raises(StructureError, match="^map image leaves target degree 0$"):
+        nerve_map(x, point, lambda v: v, lambda m: m)
 
 
 def test_constructors_refuse_tables_of_the_wrong_length_or_range():
