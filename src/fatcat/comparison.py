@@ -31,6 +31,7 @@ from .homology import (
     cell_matrix,
     check_degree_range,
     deletion_complex,
+    fat_chains,
     geometric_chains,
     homology,
     identity_on_homology_through,
@@ -90,24 +91,18 @@ def flag_chain_complex(n: int) -> IntegerChainComplex:
     )
 
 
-def simplex_chain_complex(n: int) -> IntegerChainComplex:
-    """Simplicial chains of the n-simplex; k-cells are (k+1)-subsets."""
-    return deletion_complex(
-        [list(combinations(range(n + 1), k + 1)) for k in range(n + 1)]
-    )
-
-
 def subdivision_chain_operator(n: int):
     """Per-degree matrices of the subdivision operator Sd on the n-simplex.
 
     Sd sends a k-face to the signed sum of the (k+1)! maximal flags of that
     face, the maximal flags of {0..k} relabelled by the face's vertices;
-    the degree-k matrix maps simplex chains to flag chains.
+    the degree-k matrix maps simplex chains, the chains of the stage
+    complex on n + 1 stages, to flag chains.
     """
     if n < 0:
         raise StructureError("n must be >= 0")
     flags = flag_chain_complex(n)
-    simp = simplex_chain_complex(n)
+    simp = fat_chains(s_semisimplicial(n, n))
     top = [maximal_flags(k) for k in range(n + 1)]
 
     def terms(cell):
@@ -344,10 +339,8 @@ class CommaFiber:
     nerve of the pullback category [m] x_C unravel(C, N), and the legs are
     the nerves of its projections onto [m] and onto unravel(C, N)."""
 
-    category: FinCategory
     stages: int
     degree: int
-    vertex_objects: tuple
     fiber: TruncatedSimplicialSet
     to_simplex: SimplicialMap
     to_unraveled: SimplicialMap
@@ -421,10 +414,8 @@ def quillen_fiber(
         return mid(c, composite[(a0, a1)], l0, l1)
 
     return CommaFiber(
-        category=c,
         stages=N,
         degree=m,
-        vertex_objects=objects,
         fiber=fiber,
         to_simplex=nerve_map(fiber, simplex, lambda v: v[0], lambda vw: (vw[0][0], vw[1][0], "le")),
         to_unraveled=nerve_map(fiber, target, lambda v: (objects[v[0]], v[1]), lift),

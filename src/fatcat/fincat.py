@@ -227,12 +227,6 @@ def ordinal(n: int) -> FinCategory:
     return FinCategory(objects, morphisms, identity, compose)
 
 
-def truncated_nat(N: int) -> FinCategory:
-    """The natural numbers cut off at stage N, as the poset category
-    {0 <= 1 <= ... <= N}."""
-    return ordinal(N)
-
-
 def mid(c: FinCategory, f, i: int, j: int):
     """Identifier of the unraveled arrow that lifts f from stage i to stage j."""
     return ((c.src[f], i), (c.tgt[f], j), f)
@@ -523,7 +517,8 @@ def category_from_json(doc: dict) -> FinCategory:
         compose = {
             (decode_id(f), decode_id(g)): decode_id(h) for f, g, h in doc["compose"]
         }
-    except (KeyError, TypeError) as exc:
+    # a missing field, or one of the wrong type or length
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise StructureError(f"malformed category document: {exc}")
     c = FinCategory(objects, morphisms, identity, compose)
     _check_ids(c)
@@ -547,6 +542,8 @@ def groupoid_from_json(doc: dict) -> FinGroupoid:
     if "inverse" not in doc:
         raise StructureError("groupoid document lacks an inverse table")
     mor_by_key = {id_key(m): m for m in base.morphism_ids()}
+    if not isinstance(doc["inverse"], dict):
+        raise StructureError("inverse table is not a JSON object")
     try:
         inverse = {mor_by_key[k]: decode_id(v) for k, v in doc["inverse"].items()}
     except KeyError as exc:

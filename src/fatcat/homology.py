@@ -222,39 +222,19 @@ def homology(cx: IntegerChainComplex, k: int) -> HomologyGroup:
     )
 
 
-class HomologyClasses:
-    """Homology of one degree with explicit generating cycles."""
+class HomologyClasses(HomologyPresentation):
+    """Homology of one degree of a complex, presented with explicit
+    generating cycles: ker d_k / im d_{k+1}."""
 
     def __init__(self, cx: IntegerChainComplex, k: int):
         if k < 0 or k > cx.D:
             raise StructureError(f"degree {k} out of range 0..{cx.D}")
-        self.complex = cx
+        super().__init__(cx.boundary_or_zero(k), cx.boundary_or_zero(k + 1), cx.rank(k))
         self.degree = k
-        self.presentation = HomologyPresentation(
-            cx.boundary_or_zero(k), cx.boundary_or_zero(k + 1), cx.rank(k)
-        )
-
-    @property
-    def betti(self):
-        return self.presentation.betti
-
-    @property
-    def torsion(self):
-        return self.presentation.torsion
+        self.reliable = k + 1 <= cx.D
 
     def group(self):
-        return HomologyGroup(
-            self.degree,
-            self.presentation.betti,
-            self.presentation.torsion,
-            reliable=self.degree + 1 <= self.complex.D,
-        )
-
-    def generators(self):
-        return self.presentation.generators
-
-    def coords(self, vec):
-        return self.presentation.coords(vec)
+        return HomologyGroup(self.degree, self.betti, self.torsion, self.reliable)
 
 
 def induced_map(f) -> ChainMap:
@@ -277,7 +257,6 @@ class DegreeComparison:
 
 @dataclass
 class QuasiIsoReport:
-    through: int
     degrees: list
     violations: list
 
@@ -314,9 +293,9 @@ def quasi_iso_through(F: ChainMap, d: int) -> QuasiIsoReport:
         if same:
             images = []
             mat = F.matrices[k]
-            for gen in src.generators():
+            for gen in src.generators:
                 images.append(tgt.coords(mat.mulvec(gen)))
-            iso = surjective_onto(tgt.presentation, images)
+            iso = surjective_onto(tgt, images)
         if not iso:
             violations.append(
                 Violation(
@@ -326,7 +305,7 @@ def quasi_iso_through(F: ChainMap, d: int) -> QuasiIsoReport:
                 )
             )
         degrees.append(DegreeComparison(k, src.group(), tgt.group(), iso))
-    return QuasiIsoReport(d, degrees, violations)
+    return QuasiIsoReport(degrees, violations)
 
 
 def identity_on_homology_through(F: ChainMap, d: int) -> QuasiIsoReport:
@@ -339,7 +318,7 @@ def identity_on_homology_through(F: ChainMap, d: int) -> QuasiIsoReport:
     for k in range(d + 1):
         classes = HomologyClasses(F.source, k)
         mat = F.matrices[k]
-        gens = classes.generators()
+        gens = classes.generators
         t = len(classes.torsion)
         ok = True
         for j, gen in enumerate(gens):
@@ -358,4 +337,4 @@ def identity_on_homology_through(F: ChainMap, d: int) -> QuasiIsoReport:
         degrees.append(
             DegreeComparison(k, classes.group(), classes.group(), ok)
         )
-    return QuasiIsoReport(d, degrees, violations)
+    return QuasiIsoReport(degrees, violations)

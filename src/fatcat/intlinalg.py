@@ -122,8 +122,8 @@ class SmithForm:
     """U * A * V = diag(factors), with U, V unimodular.
 
     ``factors`` are the positive invariant factors, each dividing the next;
-    ``rank`` is their count.  Transform matrices are present only when
-    requested from :func:`smith`.
+    ``rank`` is their count.  U and Uinv are present only when :func:`smith`
+    is asked for ``rows``, V and Vinv only when it is asked for ``cols``.
     """
 
     factors: list
@@ -136,65 +136,66 @@ class SmithForm:
     Vinv: IntMatrix = None
 
 
-def smith(A, want_u=False, want_uinv=False, want_v=False, want_vinv=False):
+def smith(A, rows=False, cols=False):
     """Smith normal form over the integers, by the elimination described in
     the module docstring.
 
-    Every row operation is mirrored on U's rows and, inverted, on Uinv's
-    columns; every column operation on V's columns and, inverted, on Vinv's
-    rows.  Rows of U and Vinv, and columns of Uinv and V, come in the order
-    (pivots, then the rest by index).
+    With ``rows``, every row operation is mirrored on U's rows and,
+    inverted, on Uinv's columns; with ``cols``, every column operation on
+    V's columns and, inverted, on Vinv's rows.  Rows of U and Vinv, and
+    columns of Uinv and V, come in the order (pivots, then the rest by
+    index).
     """
     from heapq import heapify, heappop, heappush
 
     nrows, ncols = A.nrows, A.ncols
-    rows = [dict(r) for r in A.nz]
-    cols = [set() for _ in range(ncols)]
-    for i, row in enumerate(rows):
+    # the matrix being reduced, as row dicts and as the row sets of its columns
+    mrows = [dict(r) for r in A.nz]
+    mcols = [set() for _ in range(ncols)]
+    for i, row in enumerate(mrows):
         for j in row:
-            cols[j].add(i)
+            mcols[j].add(i)
     # U's rows and Uinv's columns are indexed by row, V's columns and
     # Vinv's rows by column
-    urows = [{i: 1} for i in range(nrows)] if want_u else None
-    uinv = [{i: 1} for i in range(nrows)] if want_uinv else None
-    vcols = [{j: 1} for j in range(ncols)] if want_v else None
-    vinv = [{j: 1} for j in range(ncols)] if want_vinv else None
+    if rows:
+        urows, uinv = ([{i: 1} for i in range(nrows)] for _ in range(2))
+    if cols:
+        vcols, vinv = ([{j: 1} for j in range(ncols)] for _ in range(2))
     pivot_rows, pivot_cols, factors = [], [], []
 
     def add_row(i, c, p):
         # row_i -= c * row_p
-        row = rows[i]
-        for j, v in rows[p].items():
+        row = mrows[i]
+        for j, v in mrows[p].items():
             new = row.get(j, 0) - c * v
             if new:
                 if j not in row:
-                    cols[j].add(i)
+                    mcols[j].add(i)
                 row[j] = new
             else:
                 del row[j]
-                cols[j].discard(i)
-        if want_u:
+                mcols[j].discard(i)
+        if rows:
             _axpy(urows[i], -c, urows[p])
-        if want_uinv:
             _axpy(uinv[p], c, uinv[i])
 
     def least_entry():
-        entries = ((abs(v), i, j) for i, row in enumerate(rows) if row for j, v in row.items())
+        entries = ((abs(v), i, j) for i, row in enumerate(mrows) if row for j, v in row.items())
         return min(entries, default=None)
 
     # Heap of (column length, column) for the unit rule; an entry whose
     # length is stale is skipped, and every column a step touches is pushed
     # afresh, so a column holding a unit always has a current entry.
-    heap = [(len(c), j) for j, c in enumerate(cols) if c]
+    heap = [(len(c), j) for j, c in enumerate(mcols) if c]
     heapify(heap)
     while True:
         p = None
         while heap and p is None:
             size, q = heappop(heap)
-            if len(cols[q]) == size:
-                units = [i for i in cols[q] if rows[i][q] in (1, -1)]
+            if len(mcols[q]) == size:
+                units = [i for i in mcols[q] if mrows[i][q] in (1, -1)]
                 if units:
-                    p = min(units, key=lambda i: (len(rows[i]), i))
+                    p = min(units, key=lambda i: (len(mrows[i]), i))
         if p is None:
             least = least_entry()
             if least is None:
@@ -202,18 +203,17 @@ def smith(A, want_u=False, want_uinv=False, want_v=False, want_vinv=False):
             _, p, q = least
         touched = set()
         while True:
-            touched.update(rows[p])
-            if rows[p][q] < 0:
-                rows[p] = {j: -v for j, v in rows[p].items()}
-                if want_u:
+            touched.update(mrows[p])
+            if mrows[p][q] < 0:
+                mrows[p] = {j: -v for j, v in mrows[p].items()}
+                if rows:
                     urows[p] = {k: -v for k, v in urows[p].items()}
-                if want_uinv:
                     uinv[p] = {k: -v for k, v in uinv[p].items()}
-            prow = rows[p]
+            prow = mrows[p]
             d = prow[q]
-            for i in [i for i in cols[q] if i != p]:
-                add_row(i, rows[i][q] // d, p)
-            if len(cols[q]) == 1:
+            for i in [i for i in mcols[q] if i != p]:
+                add_row(i, mrows[i][q] // d, p)
+            if len(mcols[q]) == 1:
                 # col_j -= c * col_q changes only row p, the last in col q
                 for j, v in list(prow.items()):
                     c, rest = divmod(v, d)
@@ -223,12 +223,11 @@ def smith(A, want_u=False, want_uinv=False, want_v=False, want_vinv=False):
                         prow[j] = rest
                     else:
                         del prow[j]
-                        cols[j].discard(p)
-                    if want_v:
+                        mcols[j].discard(p)
+                    if cols:
                         _axpy(vcols[j], -c, vcols[q])
-                    if want_vinv:
                         _axpy(vinv[q], c, vinv[j])
-            if len(cols[q]) > 1 or len(prow) > 1:
+            if len(mcols[q]) > 1 or len(prow) > 1:
                 # a remainder is left: the least entry becomes the pivot
                 _, p, q = least_entry()
                 continue
@@ -237,32 +236,30 @@ def smith(A, want_u=False, want_uinv=False, want_v=False, want_vinv=False):
             # the pivot must divide every live entry for the divisor chain;
             # the first row holding one it does not is merged into row p
             offender = next(
-                (i for i, row in enumerate(rows) if row and any(v % d for v in row.values())),
+                (i for i, row in enumerate(mrows) if row and any(v % d for v in row.values())),
                 None,
             )
             if offender is None:
                 break
             add_row(p, -1, offender)
-        rows[p] = None
-        cols[q].discard(p)
+        mrows[p] = None
+        mcols[q].discard(p)
         pivot_rows.append(p)
         pivot_cols.append(q)
         factors.append(d)
         for j in touched:
-            if cols[j]:
-                heappush(heap, (len(cols[j]), j))
+            if mcols[j]:
+                heappush(heap, (len(mcols[j]), j))
 
     dead = set(pivot_cols)
-    row_order = pivot_rows + [i for i in range(nrows) if rows[i] is not None]
+    row_order = pivot_rows + [i for i in range(nrows) if mrows[i] is not None]
     col_order = pivot_cols + [j for j in range(ncols) if j not in dead]
     U = Uinv = V = Vinv = None
-    if want_u:
+    if rows:
         U = IntMatrix._wrap([urows[i] for i in row_order], nrows)
-    if want_uinv:
         Uinv = _transposed(IntMatrix._wrap([uinv[i] for i in row_order], nrows))
-    if want_v:
+    if cols:
         V = _transposed(IntMatrix._wrap([vcols[j] for j in col_order], ncols))
-    if want_vinv:
         Vinv = IntMatrix._wrap([vinv[j] for j in col_order], ncols)
     return SmithForm(
         factors=factors,
@@ -327,7 +324,7 @@ class HomologyPresentation:
         if A.ncols != n or B.nrows != n:
             raise StructureError("homology presentation: shape mismatch")
         self._A = A
-        formB = smith(B, want_u=True, want_uinv=True)
+        formB = smith(B, rows=True)
         self._U = formB.U
         self._Uinv = formB.Uinv
         self._rB = formB.rank
@@ -336,7 +333,7 @@ class HomologyPresentation:
         if any(j < self._rB for row in Ares.nz for j in row):
             raise StructureError("B does not map into ker(A)")
         M = Ares.submatrix_cols(self._rB)
-        formM = smith(M, want_v=True, want_vinv=True)
+        formM = smith(M, cols=True)
         self._rM = formM.rank
         self._VM = formM.V
         self._VMinv = formM.Vinv

@@ -170,11 +170,7 @@ class SimplicialMap:
             _check_table(M[k], src.n_cells(k), tgt.n_cells(k),
                          f"map undefined on a {k}-cell",
                          f"map image leaves target degree {k}")
-        pairs = (
-            (k, (i,), _compose(M[k - 1], src.faces[k][i]), _compose(tgt.faces[k][i], M[k]))
-            for k in range(1, src.D + 1) for i in range(k + 1)
-        )
-        violations = _violations("map-face", pairs, src.cells)
+        violations = _violations("map-face", _map_face_pairs(M, src, tgt), src.cells)
         if src.has_degeneracies and tgt.has_degeneracies:
             pairs = (
                 (k, (i,), _compose(M[k + 1], src.degeneracies[k][i]),
@@ -183,6 +179,15 @@ class SimplicialMap:
             )
             violations += _violations("map-degeneracy", pairs, src.cells)
         return violations
+
+
+def _map_face_pairs(maps, source, target):
+    """The law that a cell map commutes with faces, M d_i = d_i M, as
+    :func:`_violations` pairs."""
+    return (
+        (k, (i,), _compose(maps[k - 1], source.faces[k][i]), _compose(target.faces[k][i], maps[k]))
+        for k in range(1, source.D + 1) for i in range(k + 1)
+    )
 
 
 def _same_truncation(source, target):
@@ -510,20 +515,8 @@ def lemma42_bijection(c: FinCategory, N: int, D: int) -> BijectionReport:
             violations.append(Violation("bijection-surjective", (k, cell)))
     # an image outside the target is already a bijection-image violation
     if not any(None in pos for pos in positions):
-        violations += _violations(
-            "bijection-face",
-            (
-                (
-                    k,
-                    (i,),
-                    _compose(positions[k - 1], prod.faces[k][i]),
-                    _compose(target.faces[k][i], positions[k]),
-                )
-                for k in range(1, D + 1)
-                for i in range(k + 1)
-            ),
-            prod.cells,
-        )
+        violations += _violations("bijection-face", _map_face_pairs(positions, prod, target),
+                                  prod.cells)
     return BijectionReport(
         violations,
         tuple(prod.n_cells(k) for k in range(D + 1)),

@@ -632,10 +632,8 @@ def oracle_quillen_fiber(c, N, D, y_cell, y_degree, target, simplex) -> CommaFib
         )
 
     return CommaFiber(
-        category=c,
         stages=N,
         degree=m,
-        vertex_objects=objects,
         fiber=fiber,
         to_simplex=oracle_simplicial_map(fiber, simplex, to_simplex),
         to_unraveled=oracle_simplicial_map(fiber, target, to_unraveled),
@@ -863,7 +861,7 @@ def zero_class(presentation, vec):
 
 def kernel_basis(mat):
     """Columns spanning ker(mat) as a saturated sublattice (a direct summand)."""
-    form = smith(mat, want_v=True)
+    form = smith(mat, cols=True)
     if form.rank == mat.ncols:
         return IntMatrix.zeros(mat.ncols, 0)
     return form.V.submatrix_cols(form.rank)

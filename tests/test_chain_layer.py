@@ -21,7 +21,6 @@ from fatcat.comparison import (
     projection_map,
     projection_pi,
     quillen_fiber,
-    simplex_chain_complex,
     tau_chain_map,
 )
 from fatcat.fincat import ordinal, unravel
@@ -105,7 +104,7 @@ def deletion_bases():
     out = {}
     for n in range(4):
         out[f"flags-{n}"] = flag_chain_complex(n).basis
-        out[f"simplex-{n}"] = simplex_chain_complex(n).basis
+        out[f"simplex-{n}"] = fat_chains(s_semisimplicial(n, n)).basis
     covers = {
         "circle": circle_star_cover(),
         "hemisphere": hemisphere_cover(),

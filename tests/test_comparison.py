@@ -28,7 +28,6 @@ from fatcat.fincat import (
     FinGroupoid,
     check_groupoid,
     ordinal,
-    truncated_nat,
     unravel,
 )
 from fatcat.fixtures import (
@@ -282,7 +281,7 @@ def test_barycentric_point_validation():
 def test_fiber_over_vertex_is_stage_poset_nerve():
     c = pair_groupoid().base
     fib = quillen_fiber(c, 3, 3, "a", 0)
-    reference = nerve(truncated_nat(3), 3)
+    reference = nerve(ordinal(3), 3)
     counts = [fib.fiber.n_cells(k) for k in range(4)]
     assert counts == [reference.n_cells(k) for k in range(4)]
     assert contractibility_report(fib, 2).ok

@@ -18,7 +18,6 @@ from fatcat.fincat import (
     identity_functor,
     ordinal,
     ordinal_unravel_equivalences,
-    truncated_nat,
     unravel,
 )
 from fatcat.fixtures import (
@@ -52,11 +51,11 @@ def test_ordinal_counts():
 
 
 def test_truncated_nat_counts():
-    assert len(truncated_nat(0).morphisms) == 1
-    assert len(truncated_nat(2).objects) == 3
-    assert len(truncated_nat(2).morphisms) == 6
-    assert len(truncated_nat(4).objects) == 5
-    assert len(truncated_nat(4).morphisms) == 15
+    assert len(ordinal(0).morphisms) == 1
+    assert len(ordinal(2).objects) == 3
+    assert len(ordinal(2).morphisms) == 6
+    assert len(ordinal(4).objects) == 5
+    assert len(ordinal(4).morphisms) == 15
 
 
 def test_check_category_accepts_lawful_fixtures():
@@ -160,7 +159,7 @@ def test_unravel_object_count():
 def test_unravel_terminal_matches_truncated_nat():
     N = 3
     u = unravel(terminal_category(), N)
-    t = truncated_nat(N)
+    t = ordinal(N)
     omap = {(0, i): i for i in range(N + 1)}
     mmap = {m: (m[0][1], m[1][1], "le") for m in u.morphism_ids()}
     from fatcat.fincat import Functor
