@@ -12,7 +12,7 @@ forward, identity on the diagonal, invert backward), and the blowup of a
 covered complex maps into it by the cellwise classifying rule.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import combinations
@@ -20,7 +20,6 @@ from itertools import combinations
 from .errors import StructureError, Violation, check_budget
 from .fincat import FinGroupoid, groupoid_from_json, groupoid_to_json
 from .homology import (
-    ChainMap,
     IntegerChainComplex,
     QuasiIsoReport,
     cellular_map,
@@ -32,7 +31,6 @@ from .homology import (
 )
 from .ids import decode_id, encode_id, sort_key
 from .simpset import (
-    TruncatedSimplicialSet,
     chain_composites,
     chain_objects,
     nerve,
@@ -254,7 +252,6 @@ def check_cocycle(u: GCocycle):
     return violations
 
 
-@dataclass
 class CocycleIsomorphism:
     """Componentwise comparison data between two cocycles on one complex.
 
@@ -263,9 +260,12 @@ class CocycleIsomorphism:
     the overlap of the two cover sets.
     """
 
-    source: GCocycle
-    target: GCocycle
-    phi: dict
+    __slots__ = ("source", "target", "phi")
+
+    def __init__(self, source, target, phi):
+        self.source = source
+        self.target = target
+        self.phi = phi
 
 
 def _cross_overlap(base_u, base_v, alpha, gamma):
@@ -321,7 +321,6 @@ def check_isomorphism(iso: CocycleIsomorphism):
 # The classifying complex, its canonical transitions and the blowup
 
 
-@dataclass
 class ClassifyingComplex:
     """Stagewise unraveled nerve with its stage cover.
 
@@ -331,10 +330,11 @@ class ClassifyingComplex:
     use.
     """
 
-    groupoid: FinGroupoid
-    stages: int
-    nerve: TruncatedSimplicialSet
-    space: TruncatedSimplicialSet
+    def __init__(self, groupoid, stages, nerve, space):
+        self.groupoid = groupoid
+        self.stages = stages
+        self.nerve = nerve
+        self.space = space
 
     @cached_property
     def cover(self):
@@ -366,10 +366,12 @@ def _transition_table(g: FinGroupoid, m, z):
     return table
 
 
-@dataclass
 class UniversalCocycle:
-    classifying: ClassifyingComplex
-    report: list
+    __slots__ = ("classifying", "report")
+
+    def __init__(self, classifying, report):
+        self.classifying = classifying
+        self.report = report
 
     @property
     def ok(self):
@@ -477,15 +479,14 @@ def universal_cocycle(g: FinGroupoid, N: int, D: int) -> UniversalCocycle:
 # Partition-of-unity homotopy
 
 
-@dataclass(frozen=True)
-class PartitionPoint:
+class PartitionPoint(namedtuple("PartitionPoint", "coords")):
     """Finitely supported exact partition values t_0, ..., t_N."""
 
-    coords: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, coords):
         total = Fraction(0)
-        for t in self.coords:
+        for t in coords:
             if not isinstance(t, Fraction):
                 raise StructureError("partition values must be exact rationals")
             if t < 0:
@@ -493,6 +494,7 @@ class PartitionPoint:
             total += t
         if total != 1:
             raise StructureError("partition values must sum to 1 exactly")
+        return super().__new__(cls, coords)
 
 
 def partition_homotopy(t, s):
@@ -567,7 +569,6 @@ def check_partition_grid(points=None, svals=None):
 # Blowup of a covered complex
 
 
-@dataclass
 class BlowupComplex:
     """Total complex of the cover-versus-chains double complex.
 
@@ -577,9 +578,12 @@ class BlowupComplex:
     signed face sum.
     """
 
-    base: CoveredComplex
-    total: IntegerChainComplex
-    projection: ChainMap
+    __slots__ = ("base", "total", "projection")
+
+    def __init__(self, base, total, projection):
+        self.base = base
+        self.total = total
+        self.projection = projection
 
 
 def base_chain_complex(cc: CoveredComplex, D=None) -> IntegerChainComplex:
@@ -655,11 +659,13 @@ def blowup_vs_base(base: CoveredComplex, d: int) -> QuasiIsoReport:
 # The classifying chain map
 
 
-@dataclass
 class ClassifyingMap:
-    cocycle: GCocycle
-    classifying: ClassifyingComplex
-    chain_map: ChainMap
+    __slots__ = ("cocycle", "classifying", "chain_map")
+
+    def __init__(self, cocycle, classifying, chain_map):
+        self.cocycle = cocycle
+        self.classifying = classifying
+        self.chain_map = chain_map
 
 
 def _classifying_cell(u: GCocycle, seq, vertex):
@@ -738,10 +744,14 @@ def covered_complex_from_json(doc: dict) -> CoveredComplex:
     try:
         faces = [tuple(decode_id(f)) for f in doc["faces"]]
         cover = [[tuple(decode_id(f)) for f in part] for part in doc["cover"]]
-        # sorting a face or cover set whose vertices mix types raises TypeError
-        return CoveredComplex(faces, cover)
+        vertices = sorted(decode_id(v) for v in doc["vertices"])
+        # sorting vertices, a face or a cover set that mixes types raises TypeError
+        cc = CoveredComplex(faces, cover)
     except (KeyError, TypeError) as exc:
         raise StructureError(f"malformed covered complex document: {exc}")
+    if vertices != list(cc.vertices):
+        raise StructureError("vertices do not match the vertices of the faces")
+    return cc
 
 
 def cocycle_to_json(u: GCocycle) -> dict:

@@ -17,7 +17,7 @@ A_i = {pi(0), ..., pi(i)}; this is the unique convention under which the
 boundary identity holds already for the interval.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -197,18 +197,16 @@ def pi_tau_homology_check(c: FinCategory, N: int, D: int, d: int) -> QuasiIsoRep
 # The coordinate-sorting assignment and its failure
 
 
-@dataclass(frozen=True)
-class BarycentricPoint:
+class BarycentricPoint(namedtuple("BarycentricPoint", "n coords")):
     """Exact rational point of the n-simplex."""
 
-    n: int
-    coords: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.coords) != self.n + 1:
+    def __new__(cls, n, coords):
+        if len(coords) != n + 1:
             raise StructureError("need n + 1 coordinates")
         total = Fraction(0)
-        for t in self.coords:
+        for t in coords:
             if not isinstance(t, Fraction):
                 raise StructureError("coordinates must be exact rationals")
             if t < 0:
@@ -216,6 +214,7 @@ class BarycentricPoint:
             total += t
         if total != 1:
             raise StructureError("coordinates must sum to 1 exactly")
+        return super().__new__(cls, n, coords)
 
     @classmethod
     def barycenter(cls, n):
@@ -243,18 +242,16 @@ def rho_evaluate(n: int, j: int, t) -> Fraction:
     return (j + 1) * total
 
 
-@dataclass(frozen=True)
-class RhoWitness:
+class RhoWitness(
+    namedtuple(
+        "RhoWitness",
+        "n convention kind face_index point face_of_image image_of_face detail",
+        defaults=("",),
+    )
+):
     """Concrete ill-definedness evidence for one reading of the assignment."""
 
-    n: int
-    convention: str
-    kind: str
-    face_index: int
-    point: tuple
-    face_of_image: tuple
-    image_of_face: tuple
-    detail: str = ""
+    __slots__ = ()
 
     def to_json(self):
         from .ids import encode_id
@@ -332,18 +329,20 @@ def rho_witnesses(n: int, convention: str = "zero-based"):
 # Comma fibers over nerve simplices
 
 
-@dataclass
 class CommaFiber:
     """Pullback of a nondegenerate simplex y: [m] -> C against the stage
     forgetting map, together with both projection legs.  ``fiber`` is the
     nerve of the pullback category [m] x_C unravel(C, N), and the legs are
     the nerves of its projections onto [m] and onto unravel(C, N)."""
 
-    stages: int
-    degree: int
-    fiber: TruncatedSimplicialSet
-    to_simplex: SimplicialMap
-    to_unraveled: SimplicialMap
+    __slots__ = ("stages", "degree", "fiber", "to_simplex", "to_unraveled")
+
+    def __init__(self, stages, degree, fiber, to_simplex, to_unraveled):
+        self.stages = stages
+        self.degree = degree
+        self.fiber = fiber
+        self.to_simplex = to_simplex
+        self.to_unraveled = to_unraveled
 
 
 def _nondegenerate_factorization(c: FinCategory, k: int, cell):
@@ -422,10 +421,12 @@ def quillen_fiber(
     )
 
 
-@dataclass
 class ContractibilityReport:
-    degrees: list
-    violations: list
+    __slots__ = ("degrees", "violations")
+
+    def __init__(self, degrees, violations):
+        self.degrees = degrees
+        self.violations = violations
 
     @property
     def ok(self):

@@ -1,7 +1,7 @@
 """Shared error types, validation records and the global enumeration budget."""
 
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 class StructureError(ValueError):
@@ -41,13 +41,10 @@ def check_budget(count: int, what: str) -> None:
         )
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(namedtuple("Violation", "law witness detail", defaults=("",))):
     """One failed law instance.  ``witness`` names the offending tuple."""
 
-    law: str
-    witness: tuple
-    detail: str = ""
+    __slots__ = ()
 
     def to_json(self):
         from .ids import encode_id

@@ -7,7 +7,7 @@ exhaustive violation lists; structural defects (dangling identifiers,
 partial tables) raise :class:`StructureError` instead.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb
 
 from .errors import StructureError, Violation, check_budget
@@ -69,12 +69,10 @@ class UnraveledCategory(FinCategory):
         self.stages = stages
 
 
-@dataclass(frozen=True)
-class FinGroupoid:
+class FinGroupoid(namedtuple("FinGroupoid", "base inverse")):
     """Finite groupoid: a category plus a total inverse map on morphisms."""
 
-    base: FinCategory
-    inverse: dict
+    __slots__ = ()
 
     @property
     def objects(self):
@@ -277,12 +275,8 @@ def unravel(c: FinCategory, N: int) -> UnraveledCategory:
     return UnraveledCategory(objects, morphisms, identity, compose, base=c, stages=N)
 
 
-@dataclass(frozen=True, eq=True)
-class Functor:
-    source: FinCategory
-    target: FinCategory
-    omap: dict
-    mmap: dict
+class Functor(namedtuple("Functor", "source target omap mmap")):
+    __slots__ = ()
 
     def obj(self, x):
         return self.omap[x]
@@ -333,14 +327,11 @@ def compose_functors(G: Functor, F: Functor) -> Functor:
     )
 
 
-@dataclass(frozen=True)
-class NatTransformation:
+class NatTransformation(namedtuple("NatTransformation", "source target component")):
     """Natural transformation between parallel functors, one component
     morphism of the target category per source object."""
 
-    source: Functor
-    target: Functor
-    component: dict
+    __slots__ = ()
 
     def at(self, x):
         return self.component[x]
@@ -390,7 +381,6 @@ def full_subcategory(c: FinCategory, keep) -> FinCategory:
     return FinCategory(keep, morphisms, identity, compose)
 
 
-@dataclass
 class OrdinalEquivalenceBundle:
     """The retraction data comparing an unraveled ordinal with its base.
 
@@ -399,14 +389,17 @@ class OrdinalEquivalenceBundle:
     phi1, phi2 are the connecting natural transformations.
     """
 
-    pi0: Functor
-    pi1: Functor
-    pi2: Functor
-    iota1: Functor
-    iota2: Functor
-    phi1: NatTransformation
-    phi2: NatTransformation
-    report: list
+    __slots__ = ("pi0", "pi1", "pi2", "iota1", "iota2", "phi1", "phi2", "report")
+
+    def __init__(self, pi0, pi1, pi2, iota1, iota2, phi1, phi2, report):
+        self.pi0 = pi0
+        self.pi1 = pi1
+        self.pi2 = pi2
+        self.iota1 = iota1
+        self.iota2 = iota2
+        self.phi1 = phi1
+        self.phi2 = phi2
+        self.report = report
 
 
 def ordinal_unravel_equivalences(n: int, N: int) -> OrdinalEquivalenceBundle:

@@ -15,7 +15,7 @@ object hash cells to rows, through :func:`named_matrix`.  Simplicial
 objects are audited once, when built, and nothing here audits them again.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
 
 from .errors import StructureError, Violation
@@ -66,23 +66,20 @@ class IntegerChainComplex:
         return self.boundary[k]
 
 
-@dataclass(frozen=True)
-class HomologyGroup:
+class HomologyGroup(namedtuple("HomologyGroup", "degree betti torsion reliable")):
     """Betti number and invariant factors of one homology degree."""
 
-    degree: int
-    betti: int
-    torsion: tuple
-    reliable: bool = True
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, degree, betti, torsion, reliable=True):
         prev = None
-        for d in self.torsion:
+        for d in torsion:
             if d < 2:
                 raise StructureError("torsion coefficients must be >= 2")
             if prev is not None and d % prev:
                 raise StructureError("torsion coefficients must form a divisor chain")
             prev = d
+        return super().__new__(cls, degree, betti, torsion, reliable)
 
     def group(self):
         return (self.betti, self.torsion)
@@ -247,18 +244,22 @@ def induced_map(f) -> ChainMap:
     return ChainMap(fat_chains(f.source), fat_chains(f.target), matrices)
 
 
-@dataclass
 class DegreeComparison:
-    degree: int
-    source: HomologyGroup
-    target: HomologyGroup
-    isomorphism: bool
+    __slots__ = ("degree", "source", "target", "isomorphism")
+
+    def __init__(self, degree, source, target, isomorphism):
+        self.degree = degree
+        self.source = source
+        self.target = target
+        self.isomorphism = isomorphism
 
 
-@dataclass
 class QuasiIsoReport:
-    degrees: list
-    violations: list
+    __slots__ = ("degrees", "violations")
+
+    def __init__(self, degrees, violations):
+        self.degrees = degrees
+        self.violations = violations
 
     @property
     def ok(self):

@@ -20,7 +20,6 @@ out as a divisor chain.  Nothing is random, so results and transforms are
 deterministic.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import StructureError
@@ -117,7 +116,6 @@ class IntMatrix:
         return f"IntMatrix({self.nrows}x{self.ncols})"
 
 
-@dataclass
 class SmithForm:
     """U * A * V = diag(factors), with U, V unimodular.
 
@@ -126,14 +124,17 @@ class SmithForm:
     is asked for ``rows``, V and Vinv only when it is asked for ``cols``.
     """
 
-    factors: list
-    rank: int
-    nrows: int
-    ncols: int
-    U: IntMatrix = None
-    Uinv: IntMatrix = None
-    V: IntMatrix = None
-    Vinv: IntMatrix = None
+    __slots__ = ("factors", "rank", "nrows", "ncols", "U", "Uinv", "V", "Vinv")
+
+    def __init__(self, factors, rank, nrows, ncols, U=None, Uinv=None, V=None, Vinv=None):
+        self.factors = factors
+        self.rank = rank
+        self.nrows = nrows
+        self.ncols = ncols
+        self.U = U
+        self.Uinv = Uinv
+        self.V = V
+        self.Vinv = Vinv
 
 
 def smith(A, rows=False, cols=False):

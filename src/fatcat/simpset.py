@@ -27,7 +27,7 @@ Conventions used throughout:
   satisfies the simplicial identities (see the audit).
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from itertools import accumulate, combinations, combinations_with_replacement, pairwise
 from math import comb
@@ -477,11 +477,13 @@ def interleave_cell(c: FinCategory, k, chain, seq):
     return tuple(mid(c, f, a, b) for f, a, b in zip(chain, seq, seq[1:]))
 
 
-@dataclass
 class BijectionReport:
-    violations: list
-    product_counts: tuple
-    nondegenerate_counts: tuple
+    __slots__ = ("violations", "product_counts", "nondegenerate_counts")
+
+    def __init__(self, violations, product_counts, nondegenerate_counts):
+        self.violations = violations
+        self.product_counts = product_counts
+        self.nondegenerate_counts = nondegenerate_counts
 
     @property
     def ok(self):
@@ -524,23 +526,22 @@ def lemma42_bijection(c: FinCategory, N: int, D: int) -> BijectionReport:
     )
 
 
-@dataclass(frozen=True)
-class BarycentricFlag:
+class BarycentricFlag(namedtuple("BarycentricFlag", "n chain")):
     """Strictly nested chain of nonempty subsets of {0..n}, a cell of the
     barycentric subdivision of the n-simplex."""
 
-    n: int
-    chain: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        full = set(range(self.n + 1))
+    def __new__(cls, n, chain):
+        full = set(range(n + 1))
         prev = None
-        for part in self.chain:
+        for part in chain:
             if not isinstance(part, frozenset) or not part or not part <= full:
                 raise StructureError("flag parts must be nonempty subsets of {0..n}")
             if prev is not None and not (prev < part):
                 raise StructureError("flag inclusions must be strict")
             prev = part
+        return super().__new__(cls, n, chain)
 
     @property
     def degree(self):

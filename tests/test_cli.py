@@ -264,6 +264,7 @@ def expect_bad_input(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
+    assert len(captured.err.splitlines()) == 1
     assert "error" in json.loads(captured.err)
     assert "Traceback" not in captured.err
 
@@ -319,6 +320,41 @@ def test_identity_leaving_another_object_exits_2(capsys, tmp_path, argv):
     doc = category_to_json(standard_categories()["ordinal-1"])
     doc["identity"]["0"] = doc["identity"]["1"]
     bad = tmp_path / "stray-identity.json"
+    bad.write_text(json.dumps(doc))
+    expect_bad_input(capsys, argv + ["--input", str(bad)])
+
+
+def _drop_vertices(doc):
+    del doc["vertices"]
+
+
+def _drop_a_vertex(doc):
+    doc["vertices"] = doc["vertices"][1:]
+
+
+def _add_a_vertex(doc):
+    doc["vertices"].append(99)
+
+
+def _repeat_a_vertex(doc):
+    doc["vertices"].append(doc["vertices"][0])
+
+
+@pytest.mark.parametrize(
+    "doctor", [_drop_vertices, _drop_a_vertex, _add_a_vertex, _repeat_a_vertex]
+)
+@pytest.mark.parametrize(
+    "argv, document",
+    [
+        (["verify", "blowup", "--d", "1"], lambda: covered_complex_to_json(circle_star_cover())),
+        (["verify", "cocycle"], lambda: cocycle_to_json(mobius_cocycle())),
+    ],
+    ids=["blowup", "cocycle"],
+)
+def test_vertices_that_miss_the_faces_exit_2(capsys, tmp_path, argv, document, doctor):
+    doc = document()
+    doctor(doc)
+    bad = tmp_path / "vertices.json"
     bad.write_text(json.dumps(doc))
     expect_bad_input(capsys, argv + ["--input", str(bad)])
 

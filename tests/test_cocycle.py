@@ -477,10 +477,29 @@ def test_bundled_cocycles_pull_back_to_restrictions(name):
     assert pullback_is_restriction(u, 3, 2) == []
 
 
+def bundled_and_generated_covers():
+    """The bundled covers, and vertex-star covers of seeded random
+    complexes, as the benchmark generates them."""
+    covers = {
+        "edge-stars": edge_star_cover(),
+        "circle-stars": circle_star_cover(),
+        "hemispheres": hemisphere_cover(),
+    }
+    for seed in range(20):
+        try:
+            faces = random_two_complex(seed=seed)
+        except StructureError:  # more than 50 faces after closure
+            continue
+        covers[f"random-stars-{seed}"] = vertex_star_cover(faces)
+    return covers
+
+
 def test_covered_complex_json_roundtrip():
-    cc = hemisphere_cover()
-    doc = json.loads(json.dumps(covered_complex_to_json(cc)))
-    assert covered_complex_from_json(doc) == cc
+    covers = bundled_and_generated_covers()
+    assert len(covers) > 10
+    for name, cc in covers.items():
+        doc = json.loads(json.dumps(covered_complex_to_json(cc)))
+        assert covered_complex_from_json(doc) == cc, name
 
 
 def test_cocycle_json_roundtrip():

@@ -26,7 +26,8 @@ from fatcat.homology import (
     induced_map,
     quasi_iso_through,
 )
-from fatcat.intlinalg import IntMatrix, _transposed, smith
+from fatcat import intlinalg
+from fatcat.intlinalg import IntMatrix, _transposed, smith, surjective_onto
 from fatcat.simpset import nerve, product_with_S, s_semisimplicial
 
 from oracles import (
@@ -613,6 +614,34 @@ def test_smith_differential_fixture_boundaries():
     for name, cx in fixture_complexes().items():
         for k in range(1, cx.D + 1):
             assert_smith_form(cx.boundary[k])
+
+
+def test_generator_classes_match_dense_smith(monkeypatch):
+    """A presentation built on ``dense_smith`` gives the same group in each
+    degree through 3, and the sparse presentation's generators, written in
+    the dense one's coordinates, generate it: an invertible change of
+    basis, since a surjection between isomorphic finitely generated
+    abelian groups is an isomorphism."""
+    complexes = fixture_complexes()
+    for n in range(2, 6):
+        complexes[f"bz{n}"] = fat_chains(nerve(cyclic_groupoid(n).base, 4))
+    dense_calls = []
+
+    def by_dense_smith(A, rows=False, cols=False):
+        dense_calls.append(A.shape)
+        return dense_smith(A, rows, rows, cols, cols)
+
+    for name, cx in complexes.items():
+        for k in range(min(cx.D, 3) + 1):
+            sparse = HomologyClasses(cx, k)
+            with monkeypatch.context() as patch:
+                patch.setattr(intlinalg, "smith", by_dense_smith)
+                dense = HomologyClasses(cx, k)
+            assert (dense.betti, dense.torsion) == (sparse.betti, sparse.torsion), (name, k)
+            images = [dense.coords(gen) for gen in sparse.generators]
+            assert len(images) == len(dense.torsion) + dense.betti
+            assert surjective_onto(dense, images), (name, k)
+    assert dense_calls
 
 
 # ---------------------------------------------------------------------------

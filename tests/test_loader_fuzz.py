@@ -101,3 +101,14 @@ def test_malformed_documents_exit_2_without_a_traceback(tmp_path, capsys):
             if len(lines) != 1 or "error" not in json.loads(lines[0]):
                 failures.append((name, path, err))
     assert not failures
+
+
+def test_every_mutation_of_vertices_exits_2(tmp_path, capsys):
+    """``vertices`` must list exactly the vertices of the faces."""
+    cases = [(name, doc) for name, path, doc in mutations() if path[0] == "vertices"]
+    assert len(cases) > 50
+    source = tmp_path / "input.json"
+    for name, doc in cases:
+        source.write_text(json.dumps(doc))
+        assert main(DOCUMENTS[name][1] + ["--input", str(source)]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
