@@ -12,14 +12,14 @@ forward, identity on the diagonal, invert backward), and the blowup of a
 covered complex maps into it by the cellwise classifying rule.
 """
 
-from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import partial
 from itertools import combinations
 
 from .errors import StructureError, Violation, check_budget
 from .fincat import FinGroupoid, groupoid_from_json, groupoid_to_json
 from .homology import (
+    ChainMap,
     IntegerChainComplex,
     QuasiIsoReport,
     cellular_map,
@@ -142,15 +142,6 @@ class CoveredComplex:
                 return comp
         raise StructureError(f"face {face} is not in the overlap of {indices}")
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, CoveredComplex)
-            and self.faces == other.faces
-            and self.cover == other.cover
-        )
-
-    __hash__ = None
-
 
 # ---------------------------------------------------------------------------
 # Cocycles
@@ -181,17 +172,6 @@ class GCocycle:
             return self.groupoid.base.identity[self.object_at(alpha, face)]
         comp = self.base.component_containing((alpha, beta), face)
         return self.transitions[(alpha, beta, comp)]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GCocycle)
-            and self.base == other.base
-            and self.groupoid == other.groupoid
-            and self.objects == other.objects
-            and self.transitions == other.transitions
-        )
-
-    __hash__ = None
 
 
 def check_cocycle(u: GCocycle):
@@ -322,35 +302,20 @@ def check_isomorphism(iso: CocycleIsomorphism):
 
 
 class ClassifyingComplex:
-    """Stagewise unraveled nerve with its stage cover.
+    """Stagewise unraveled nerve of a groupoid: ``space`` unravels
+    ``nerve``, the groupoid's nerve, whose cells :func:`universal_cocycle`
+    checks once each before spreading the verdicts over ``space``."""
 
-    ``space`` unravels ``nerve``, the nerve of the groupoid.  ``cover[j][k]``
-    is the set of k-cells whose stage tuple contains j, the combinatorial
-    shadow of the j-th coordinate being positive; it is computed on first
-    use.
-    """
+    __slots__ = ("nerve", "space")
 
-    def __init__(self, groupoid, stages, nerve, space):
-        self.groupoid = groupoid
-        self.stages = stages
+    def __init__(self, nerve, space):
         self.nerve = nerve
         self.space = space
-
-    @cached_property
-    def cover(self):
-        space = self.space
-        return {
-            j: tuple(
-                frozenset(cell for cell in space.cells[k] if j in cell[0])
-                for k in range(space.D + 1)
-            )
-            for j in range(self.stages + 1)
-        }
 
 
 def bg_complex(g: FinGroupoid, N: int, D: int) -> ClassifyingComplex:
     ner = nerve(g.base, D)
-    return ClassifyingComplex(g, N, ner, unravel_simplicial(ner, N))
+    return ClassifyingComplex(ner, unravel_simplicial(ner, N))
 
 
 def _transition_table(g: FinGroupoid, m, z):
@@ -364,30 +329,6 @@ def _transition_table(g: FinGroupoid, m, z):
         if a < b:
             table[(b, a)] = g.inverse[f]
     return table
-
-
-class UniversalCocycle:
-    __slots__ = ("classifying", "report")
-
-    def __init__(self, classifying, report):
-        self.classifying = classifying
-        self.report = report
-
-    @property
-    def ok(self):
-        return not self.report
-
-    def gamma(self, k, cell):
-        """Canonical transitions on a k-cell of the classifying complex,
-        keyed by stage pairs."""
-        space = self.classifying.space
-        if not 0 <= k <= space.D or cell not in space.index[k]:
-            raise StructureError(f"not a {k}-cell of the classifying complex: {cell}")
-        # the nerve cell's transitions, vertex a at the a-th distinct stage
-        seq, z = cell
-        values = sorted(set(seq))
-        table = _transition_table(self.classifying.groupoid, len(values) - 1, z)
-        return {(values[a], values[b]): f for (a, b), f in table.items()}
 
 
 def _law_failures(cat, m, table):
@@ -407,9 +348,10 @@ def _face_failures(table, face, v):
     return [(a, b) for (a, b), f in face.items() if table[(a + (a >= v), b + (b >= v))] != f]
 
 
-def universal_cocycle(g: FinGroupoid, N: int, D: int) -> UniversalCocycle:
+def universal_cocycle(g: FinGroupoid, N: int, D: int):
     """Canonical transitions on every cell of the classifying complex,
-    checked for the composition law and face compatibility.
+    checked for the composition law and face compatibility: the
+    violations, empty when both hold.
 
     The transitions of a cell (seq, z) are those of the nerve cell z with
     vertex a relabelled by the a-th distinct stage of seq, an order-
@@ -472,29 +414,11 @@ def universal_cocycle(g: FinGroupoid, N: int, D: int) -> UniversalCocycle:
                     for a, b in compat[m][ner.index[m][z]][v]:
                         witness = (k, i, cell, (values[a], values[b]))
                         report.append(Violation("universal-face-compat", witness))
-    return UniversalCocycle(bg, report)
+    return report
 
 
 # ---------------------------------------------------------------------------
 # Partition-of-unity homotopy
-
-
-class PartitionPoint(namedtuple("PartitionPoint", "coords")):
-    """Finitely supported exact partition values t_0, ..., t_N."""
-
-    __slots__ = ()
-
-    def __new__(cls, coords):
-        total = Fraction(0)
-        for t in coords:
-            if not isinstance(t, Fraction):
-                raise StructureError("partition values must be exact rationals")
-            if t < 0:
-                raise StructureError("partition values must be nonnegative")
-            total += t
-        if total != 1:
-            raise StructureError("partition values must sum to 1 exactly")
-        return super().__new__(cls, coords)
 
 
 def partition_homotopy(t, s):
@@ -504,13 +428,12 @@ def partition_homotopy(t, s):
     this returns t itself, and at s = 1 entry i dies as soon as the mass
     before it reaches t_i.
     """
-    coords = t.coords if isinstance(t, PartitionPoint) else tuple(t)
     s = Fraction(s)
     if not 0 <= s <= 1:
         raise StructureError("s must lie in [0, 1]")
     w = []
     before = Fraction(0)
-    for ti in coords:
+    for ti in t:
         wi = ti - s * before
         w.append(wi if wi > 0 else Fraction(0))
         before += ti
@@ -569,23 +492,6 @@ def check_partition_grid(points=None, svals=None):
 # Blowup of a covered complex
 
 
-class BlowupComplex:
-    """Total complex of the cover-versus-chains double complex.
-
-    A generator in bidegree (p, q) is a strictly increasing (p+1)-tuple of
-    cover indices with nonempty overlap, together with a q-face of that
-    overlap.  The total differential is the index-deleting sum plus the
-    signed face sum.
-    """
-
-    __slots__ = ("base", "total", "projection")
-
-    def __init__(self, base, total, projection):
-        self.base = base
-        self.total = total
-        self.projection = projection
-
-
 def base_chain_complex(cc: CoveredComplex, D=None) -> IntegerChainComplex:
     """Ordered simplicial chains of the underlying complex, padded to D."""
     D = cc.dimension() if D is None else D
@@ -611,8 +517,16 @@ def _collapse(k, cell):
     return ((face, 1),) if len(idx) == 1 else ()
 
 
-def blowup(base: CoveredComplex, D=None) -> BlowupComplex:
-    """Build the blowup and its collapse onto the underlying complex."""
+def blowup(base: CoveredComplex, D=None) -> ChainMap:
+    """The collapse of the blowup onto the underlying complex, whose source
+    is the blowup: the total complex of the cover-versus-chains double
+    complex.
+
+    A generator in bidegree (p, q) is a strictly increasing (p+1)-tuple of
+    cover indices with nonempty overlap, together with a q-face of that
+    overlap.  The total differential is the index-deleting sum plus the
+    signed face sum.
+    """
     n = len(base.cover)
     tuples = []
     for p in range(n):
@@ -643,29 +557,18 @@ def blowup(base: CoveredComplex, D=None) -> BlowupComplex:
         for k in range(1, D + 1)
     }
     total = IntegerChainComplex(D, basis, boundary)
-    projection = cellular_map(total, base_chain_complex(base, D), _collapse)
-    return BlowupComplex(base, total, projection)
+    return cellular_map(total, base_chain_complex(base, D), _collapse)
 
 
 def blowup_vs_base(base: CoveredComplex, d: int) -> QuasiIsoReport:
     """The collapse must be a homology isomorphism in degrees <= d."""
     D = max(d + 1, base.dimension())
     check_degree_range(d, D)
-    blow = blowup(base, D=D)
-    return quasi_iso_through(blow.projection, d)
+    return quasi_iso_through(blowup(base, D=D), d)
 
 
 # ---------------------------------------------------------------------------
 # The classifying chain map
-
-
-class ClassifyingMap:
-    __slots__ = ("cocycle", "classifying", "chain_map")
-
-    def __init__(self, cocycle, classifying, chain_map):
-        self.cocycle = cocycle
-        self.classifying = classifying
-        self.chain_map = chain_map
 
 
 def _classifying_cell(u: GCocycle, seq, vertex):
@@ -676,7 +579,7 @@ def _classifying_cell(u: GCocycle, seq, vertex):
     return (seq, tuple(u.transition(a, b, vertex) for a, b in zip(seq, seq[1:])))
 
 
-def classifying_chain_map(u: GCocycle, N: int, D: int) -> ClassifyingMap:
+def classifying_chain_map(u: GCocycle, N: int, D: int) -> ChainMap:
     """Chain map from the blowup into the normalized classifying chains.
 
     A generator carried by a vertex of a (p+1)-fold overlap maps to the
@@ -686,16 +589,14 @@ def classifying_chain_map(u: GCocycle, N: int, D: int) -> ClassifyingMap:
     """
     if len(u.base.cover) > N + 1:
         raise StructureError("cover does not embed into the stages: need len(cover) <= N + 1")
-    bg = bg_complex(u.groupoid, N, D)
-    target = geometric_chains(bg.space)
+    target = geometric_chains(bg_complex(u.groupoid, N, D).space)
     blow = blowup(u.base, D=max(D, u.base.dimension()))
 
     def terms(k, cell):
         seq, face = cell
         return ((_classifying_cell(u, seq, face), 1),) if len(face) == 1 else ()
 
-    chain_map = cellular_map(blow.total, target, terms)
-    return ClassifyingMap(u, bg, chain_map)
+    return cellular_map(blow.source, target, terms)
 
 
 def pullback_is_restriction(u: GCocycle, N: int, D: int):

@@ -335,10 +335,9 @@ class CommaFiber:
     nerve of the pullback category [m] x_C unravel(C, N), and the legs are
     the nerves of its projections onto [m] and onto unravel(C, N)."""
 
-    __slots__ = ("stages", "degree", "fiber", "to_simplex", "to_unraveled")
+    __slots__ = ("degree", "fiber", "to_simplex", "to_unraveled")
 
-    def __init__(self, stages, degree, fiber, to_simplex, to_unraveled):
-        self.stages = stages
+    def __init__(self, degree, fiber, to_simplex, to_unraveled):
         self.degree = degree
         self.fiber = fiber
         self.to_simplex = to_simplex
@@ -413,7 +412,6 @@ def quillen_fiber(
         return mid(c, composite[(a0, a1)], l0, l1)
 
     return CommaFiber(
-        stages=N,
         degree=m,
         fiber=fiber,
         to_simplex=nerve_map(fiber, simplex, lambda v: v[0], lambda vw: (vw[0][0], vw[1][0], "le")),
@@ -421,27 +419,14 @@ def quillen_fiber(
     )
 
 
-class ContractibilityReport:
-    __slots__ = ("degrees", "violations")
-
-    def __init__(self, degrees, violations):
-        self.degrees = degrees
-        self.violations = violations
-
-    @property
-    def ok(self):
-        return not self.violations
-
-
-def contractibility_report(fiber: CommaFiber, d: int) -> ContractibilityReport:
-    """Reduced homology of the fiber must vanish in degrees <= d."""
+def contractibility_report(fiber: CommaFiber, d: int):
+    """Reduced homology of the fiber must vanish in degrees <= d: the
+    violations, empty when it does."""
     check_degree_range(d, fiber.fiber.D)
     chains = geometric_chains(fiber.fiber)
-    degrees = []
     violations = []
     for k in range(d + 1):
         h = homology(chains, k)
-        degrees.append(h)
         expected = (1, ()) if k == 0 else (0, ())
         if h.group() != expected:
             violations.append(
@@ -451,7 +436,7 @@ def contractibility_report(fiber: CommaFiber, d: int) -> ContractibilityReport:
                     f"H_{k} = {h.group()}, expected {expected}",
                 )
             )
-    return ContractibilityReport(degrees, violations)
+    return violations
 
 
 def all_fibers_contractible(c: FinCategory, N: int, D: int, d: int = None):
@@ -483,7 +468,7 @@ def all_fibers_contractible(c: FinCategory, N: int, D: int, d: int = None):
                 simplices[m] = fib.to_simplex.target
                 reports[core] = contractibility_report(fib, d)
             checked += 1
-            for v in reports[core].violations:
+            for v in reports[core]:
                 violations.append(
                     Violation(v.law, (k, cell) + v.witness, v.detail)
                 )

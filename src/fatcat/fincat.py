@@ -60,13 +60,12 @@ class FinCategory:
 
 
 class UnraveledCategory(FinCategory):
-    """Category produced by :func:`unravel`, remembering its base and stage
-    cutoff so the forgetful functor can be reconstructed."""
+    """Category produced by :func:`unravel`, remembering its base so the
+    forgetful functor can be reconstructed."""
 
-    def __init__(self, objects, morphisms, identity, compose, base, stages):
+    def __init__(self, objects, morphisms, identity, compose, base):
         super().__init__(objects, morphisms, identity, compose)
         self.base = base
-        self.stages = stages
 
 
 class FinGroupoid(namedtuple("FinGroupoid", "base inverse")):
@@ -77,9 +76,6 @@ class FinGroupoid(namedtuple("FinGroupoid", "base inverse")):
     @property
     def objects(self):
         return self.base.objects
-
-    def morphism_ids(self):
-        return self.base.morphism_ids()
 
 
 def _check_ids(c: FinCategory):
@@ -272,17 +268,10 @@ def unravel(c: FinCategory, N: int) -> UnraveledCategory:
     for m1, s1, t1 in morphisms:
         for m2, t2 in leaving[t1]:
             compose[(m1, m2)] = mid(c, c.table[(m1[2], m2[2])], s1[1], t2[1])
-    return UnraveledCategory(objects, morphisms, identity, compose, base=c, stages=N)
+    return UnraveledCategory(objects, morphisms, identity, compose, base=c)
 
 
-class Functor(namedtuple("Functor", "source target omap mmap")):
-    __slots__ = ()
-
-    def obj(self, x):
-        return self.omap[x]
-
-    def mor(self, m):
-        return self.mmap[m]
+Functor = namedtuple("Functor", "source target omap mmap")
 
 
 def check_functor(F: Functor):
@@ -327,14 +316,9 @@ def compose_functors(G: Functor, F: Functor) -> Functor:
     )
 
 
-class NatTransformation(namedtuple("NatTransformation", "source target component")):
-    """Natural transformation between parallel functors, one component
-    morphism of the target category per source object."""
-
-    __slots__ = ()
-
-    def at(self, x):
-        return self.component[x]
+# a natural transformation between parallel functors, one component
+# morphism of the target category per source object
+NatTransformation = namedtuple("NatTransformation", "source target component")
 
 
 def check_natural(t: NatTransformation):

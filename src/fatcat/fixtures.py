@@ -105,7 +105,7 @@ def standard_groupoids():
 
 def circle_complex():
     """Triangle boundary: three vertices, three edges, no filling."""
-    from .cocycle import CoveredComplex, closure
+    from .cocycle import closure
 
     faces = closure([(0, 1), (1, 2), (0, 2)])
     return faces
@@ -176,25 +176,26 @@ def random_two_complex(seed=7, n_vertices=7, n_triangles=9):
     return faces
 
 
-def trivial_cocycle(base, groupoid=None, at=None):
-    """All transitions are the identity at a single object."""
+def _cocycle(base, g, obj, flipped=()):
+    """Every cover component at one object and every transition its
+    identity, except the Z/2 flip over each overlap of the flipped pair."""
     from .cocycle import GCocycle
 
-    g = groupoid if groupoid is not None else z2_groupoid()
-    obj = at if at is not None else g.objects[0]
     ident = g.base.identity[obj]
-    objects = {}
-    for alpha in range(len(base.cover)):
-        for comp in base.components_of_set(alpha):
-            objects[(alpha, comp)] = obj
-    transitions = {}
-    for alpha in range(len(base.cover)):
-        for beta in range(len(base.cover)):
-            if alpha == beta:
-                continue
-            for comp in base.components_of_overlap((alpha, beta)):
-                transitions[(alpha, beta, comp)] = ident
+    n = len(base.cover)
+    objects = {(alpha, comp): obj for alpha in range(n) for comp in base.components_of_set(alpha)}
+    transitions = {
+        (alpha, beta, comp): ("*", "*", "s") if {alpha, beta} == set(flipped) else ident
+        for alpha in range(n) for beta in range(n) if alpha != beta
+        for comp in base.components_of_overlap((alpha, beta))
+    }
     return GCocycle(base, g, objects, transitions)
+
+
+def trivial_cocycle(base, groupoid=None, at=None):
+    """All transitions are the identity at a single object."""
+    g = groupoid if groupoid is not None else z2_groupoid()
+    return _cocycle(base, g, at if at is not None else g.objects[0])
 
 
 def mobius_cocycle():
@@ -203,49 +204,13 @@ def mobius_cocycle():
     The triple overlap is empty, so the cocycle law is vacuous and a single
     flipped overlap is allowed; this is the combinatorial Moebius class.
     """
-    from .cocycle import GCocycle
-
-    base = edge_star_cover()
-    g = z2_groupoid()
-    e = ("*", "*", "e")
-    s = ("*", "*", "s")
-    objects = {}
-    for alpha in range(3):
-        for comp in base.components_of_set(alpha):
-            objects[(alpha, comp)] = "*"
-    transitions = {}
-    for alpha in range(3):
-        for beta in range(3):
-            if alpha == beta:
-                continue
-            for comp in base.components_of_overlap((alpha, beta)):
-                flip = {alpha, beta} == {0, 2}
-                transitions[(alpha, beta, comp)] = s if flip else e
-    return GCocycle(base, g, objects, transitions)
+    return _cocycle(edge_star_cover(), z2_groupoid(), "*", (0, 2))
 
 
 def broken_circle_cocycle():
     """Star-covered circle with two incompatible flips on a nonempty triple
     overlap, violating the composition law."""
-    from .cocycle import GCocycle
-
-    base = circle_star_cover()
-    g = z2_groupoid()
-    e = ("*", "*", "e")
-    s = ("*", "*", "s")
-    objects = {}
-    for alpha in range(3):
-        for comp in base.components_of_set(alpha):
-            objects[(alpha, comp)] = "*"
-    transitions = {}
-    for alpha in range(3):
-        for beta in range(3):
-            if alpha == beta:
-                continue
-            for comp in base.components_of_overlap((alpha, beta)):
-                flip = {alpha, beta} == {0, 1}
-                transitions[(alpha, beta, comp)] = s if flip else e
-    return GCocycle(base, g, objects, transitions)
+    return _cocycle(circle_star_cover(), z2_groupoid(), "*", (0, 1))
 
 
 def bundled_cocycles():

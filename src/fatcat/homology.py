@@ -47,16 +47,6 @@ class IntegerChainComplex:
     def rank(self, k):
         return len(self.basis[k])
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, IntegerChainComplex)
-            and self.D == other.D
-            and self.basis == other.basis
-            and all(self.boundary[k] == other.boundary[k] for k in range(1, self.D + 1))
-        )
-
-    __hash__ = None
-
     def boundary_or_zero(self, k):
         """boundary[k] for 0 <= k <= D + 1, with empty matrices at both ends."""
         if k == 0:
@@ -113,7 +103,7 @@ class ChainMap:
 
     def compose(self, other):
         """self after other."""
-        if other.target is not self.source and other.target != self.source:
+        if other.target is not self.source:
             raise StructureError("chain maps are not composable")
         D = min(self.target.D, other.source.D)
         mats = [self.matrices[k].mul(other.matrices[k]) for k in range(D + 1)]

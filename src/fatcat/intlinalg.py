@@ -70,9 +70,6 @@ class IntMatrix:
         """Dense view as a tuple of row tuples; writing to it raises."""
         return tuple(tuple(_dense(r, self.ncols)) for r in self.nz)
 
-    def column(self, j):
-        return [r.get(j, 0) for r in self.nz]
-
     def submatrix_cols(self, start, stop=None):
         stop = self.ncols if stop is None else stop
         nz = [{j - start: v for j, v in r.items() if start <= j < stop} for r in self.nz]

@@ -30,7 +30,7 @@ Conventions used throughout:
 from collections import namedtuple
 from functools import cached_property
 from itertools import accumulate, combinations, combinations_with_replacement, pairwise
-from math import comb
+from math import comb, factorial
 
 from .errors import StructureError, Violation, check_budget
 from .fincat import FinCategory, arrows_leaving, mid, unravel
@@ -368,9 +368,13 @@ def delete_entry(k, i, seq):
 
 
 def s_semisimplicial(N: int, D: int) -> SemiSimplicialSet:
-    """Stage complex: k-cells are strictly increasing (k+1)-tuples in {0..N}."""
+    """Stage complex: k-cells are strictly increasing (k+1)-tuples in {0..N},
+    counted and budgeted before any of them is built."""
     if N < 0 or D < 0:
         raise StructureError("N and D must be >= 0")
+    # no degree above N has a cell
+    total = sum(comb(N + 1, k + 1) for k in range(min(N, D) + 1))
+    check_budget(total, SemiSimplicialSet.__name__)
     cells = [list(combinations(range(N + 1), k + 1)) for k in range(D + 1)]
     return simplicial_set(D, cells, delete_entry)
 
@@ -543,10 +547,6 @@ class BarycentricFlag(namedtuple("BarycentricFlag", "n chain")):
             prev = part
         return super().__new__(cls, n, chain)
 
-    @property
-    def degree(self):
-        return len(self.chain) - 1
-
 
 def sd_flags(n: int, k: int):
     """All k-cells of the barycentric subdivision of the n-simplex."""
@@ -569,10 +569,12 @@ def maximal_flags(n: int):
     """Top cells of the subdivided n-simplex with their orientation signs.
 
     A maximal flag corresponds to a permutation pi with A_i = {pi(0..i)};
-    the sign is the permutation's parity.
+    the sign is the permutation's parity.  The (n+1)! flags are budgeted
+    before any of them is built.
     """
     from itertools import permutations
 
+    check_budget(factorial(n + 1), "maximal flag set")
     out = []
     for pi in permutations(range(n + 1)):
         chain = tuple(frozenset(pi[: i + 1]) for i in range(n + 1))

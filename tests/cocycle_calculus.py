@@ -1,13 +1,22 @@
-"""The cocycle isomorphism calculus: identity and composite comparisons
-between cocycles on one complex, and their concatenation over a prism.
+"""What the tests need of ``fatcat.cocycle`` beyond what its commands run.
+
+* The cocycle isomorphism calculus: identity and composite comparisons
+  between cocycles on one complex, and their concatenation over a prism.
+  ``fatcat.cocycle`` keeps :class:`CocycleIsomorphism` and
+  :func:`check_isomorphism`, which validates a comparison as a cocycle on
+  the joint cover.
+* Field-wise equality of covered complexes and cocycles.
+* The stage cover and the canonical transitions of one cell of the
+  classifying complex.
+* Validated partition points.
 
 No command or claim of the package runs these, so they live with the tests
-that exercise them.  ``fatcat.cocycle`` keeps :class:`CocycleIsomorphism`
-and :func:`check_isomorphism`, which validates a comparison as a cocycle on
-the joint cover.
+that exercise them.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
+from fractions import Fraction
 
 from fatcat.cocycle import (
     CocycleIsomorphism,
@@ -15,9 +24,23 @@ from fatcat.cocycle import (
     GCocycle,
     _components,
     _cross_overlap,
+    _transition_table,
 )
 from fatcat.errors import StructureError, Violation, check_budget
 from fatcat.ids import sort_key
+
+
+def same_covered_complex(a: CoveredComplex, b: CoveredComplex) -> bool:
+    return a.faces == b.faces and a.cover == b.cover
+
+
+def same_cocycle(u: GCocycle, v: GCocycle) -> bool:
+    return (
+        same_covered_complex(u.base, v.base)
+        and u.groupoid == v.groupoid
+        and u.objects == v.objects
+        and u.transitions == v.transitions
+    )
 
 
 def _cross_component(base_u, base_v, alpha, gamma, face):
@@ -64,7 +87,7 @@ def compose_isomorphisms(phi: CocycleIsomorphism, psi: CocycleIsomorphism) -> Is
     u = phi.source
     v = phi.target
     w = psi.target
-    if psi.source is not v and psi.source != v:
+    if not same_cocycle(psi.source, v):
         raise StructureError("isomorphisms are not composable")
     cat = u.groupoid.base
     rho = {}
@@ -140,7 +163,7 @@ def _layer_levels(side):
 def concat_cocycle(u: GCocycle, v: GCocycle, iso: CocycleIsomorphism) -> GCocycle:
     """Cocycle on the prism joining u on the top band to v on the bottom,
     glued over the middle band by the isomorphism."""
-    if iso.source != u or iso.target != v:
+    if not (same_cocycle(iso.source, u) and same_cocycle(iso.target, v)):
         raise StructureError("isomorphism does not join u to v")
     faces = u.base.faces
     prism_faces = prism_complex(faces)
@@ -223,3 +246,56 @@ def restrict_to_layer(prism_cocycle: GCocycle, level: int) -> GCocycle:
                 lifted = ((comp[0], level),)
                 transitions[(ia, ib, comp)] = prism_cocycle.transition(alpha, beta, lifted)
     return GCocycle(restricted, prism_cocycle.groupoid, objects, transitions)
+
+
+# ---------------------------------------------------------------------------
+# The classifying complex
+
+
+def stage_cover(bg, N):
+    """``cover[j][k]``: the k-cells of the classifying complex ``bg`` on
+    stages 0..N whose stage tuple contains j, the combinatorial shadow of
+    the j-th coordinate being positive."""
+    space = bg.space
+    return {
+        j: tuple(
+            frozenset(cell for cell in space.cells[k] if j in cell[0])
+            for k in range(space.D + 1)
+        )
+        for j in range(N + 1)
+    }
+
+
+def gamma(g, bg, k, cell):
+    """Canonical transitions of the groupoid g on a k-cell of its
+    classifying complex ``bg``, keyed by stage pairs."""
+    space = bg.space
+    if not 0 <= k <= space.D or cell not in space.index[k]:
+        raise StructureError(f"not a {k}-cell of the classifying complex: {cell}")
+    # the nerve cell's transitions, vertex a at the a-th distinct stage
+    seq, z = cell
+    values = sorted(set(seq))
+    table = _transition_table(g, len(values) - 1, z)
+    return {(values[a], values[b]): f for (a, b), f in table.items()}
+
+
+# ---------------------------------------------------------------------------
+# Partition points
+
+
+class PartitionPoint(namedtuple("PartitionPoint", "coords")):
+    """Finitely supported exact partition values t_0, ..., t_N."""
+
+    __slots__ = ()
+
+    def __new__(cls, coords):
+        total = Fraction(0)
+        for t in coords:
+            if not isinstance(t, Fraction):
+                raise StructureError("partition values must be exact rationals")
+            if t < 0:
+                raise StructureError("partition values must be nonnegative")
+            total += t
+        if total != 1:
+            raise StructureError("partition values must sum to 1 exactly")
+        return super().__new__(cls, coords)

@@ -31,8 +31,9 @@
 * Dense matrices: products and transposes of plain row lists, the
   reference for the package's sparse ``IntMatrix``; ``dense_smith``, the
   dense eliminator that the package's sparse ``smith`` must agree with; and
-  the helpers that only tests need (identity, zero test, zero class,
-  kernel basis, the normalization projection).
+  the helpers that only tests need (identity, a column, equality of chain
+  complexes, zero test, zero class, kernel basis, the normalization
+  projection).
 """
 
 from collections import namedtuple
@@ -632,7 +633,6 @@ def oracle_quillen_fiber(c, N, D, y_cell, y_degree, target, simplex) -> CommaFib
         )
 
     return CommaFiber(
-        stages=N,
         degree=m,
         fiber=fiber,
         to_simplex=oracle_simplicial_map(fiber, simplex, to_simplex),
@@ -847,6 +847,20 @@ def dense_smith(A, want_u, want_uinv, want_v, want_vinv):
 
 def identity(n):
     return IntMatrix(dense_identity(n), ncols=n)
+
+
+def column(mat, j):
+    """Column j of an IntMatrix as a dense list."""
+    return [row.get(j, 0) for row in mat.nz]
+
+
+def same_chain_complex(a: IntegerChainComplex, b: IntegerChainComplex) -> bool:
+    """Same degree, bases and boundary matrices."""
+    return (
+        a.D == b.D
+        and a.basis == b.basis
+        and all(a.boundary[k] == b.boundary[k] for k in range(1, a.D + 1))
+    )
 
 
 def is_zero(mat):

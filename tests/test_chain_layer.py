@@ -53,6 +53,7 @@ from oracles import (
     oracle_quillen_fiber,
     oracle_simplicial_map,
     oracle_tau_chain_map,
+    same_chain_complex,
     unravel_nerve_isomorphism,
 )
 from test_comparison import random_poset, s3_action_groupoid
@@ -116,17 +117,17 @@ def deletion_bases():
 
 
 def assert_same_map(got, want):
-    assert got.source == want.source
-    assert got.target == want.target
+    assert same_chain_complex(got.source, want.source)
+    assert same_chain_complex(got.target, want.target)
     assert got.matrices == want.matrices
 
 
 @pytest.mark.parametrize("name", sorted(CATEGORIES))
 def test_chains_match_the_rule_built_oracle(name):
     for kind, x in simplicial_objects(CATEGORIES[name]).items():
-        assert fat_chains(x) == oracle_fat_chains(x), kind
+        assert same_chain_complex(fat_chains(x), oracle_fat_chains(x)), kind
         if x.has_degeneracies:
-            assert geometric_chains(x) == oracle_geometric_chains(x), kind
+            assert same_chain_complex(geometric_chains(x), oracle_geometric_chains(x)), kind
 
 
 @pytest.mark.parametrize("name", sorted(CATEGORIES))
@@ -152,8 +153,8 @@ def test_unraveled_isomorphism_matches_the_rule_built_oracle(name):
 def test_fiber_chains_match_the_rule_built_oracle(name):
     for fib in fibers(CATEGORIES[name]):
         x = fib.fiber
-        assert fat_chains(x) == oracle_fat_chains(x)
-        assert geometric_chains(x) == oracle_geometric_chains(x)
+        assert same_chain_complex(fat_chains(x), oracle_fat_chains(x))
+        assert same_chain_complex(geometric_chains(x), oracle_geometric_chains(x))
         assert_same_map(induced_map(fib.to_simplex), oracle_induced_map(fib.to_simplex))
     # the unraveled leg of the last fiber: its target is the large nerve
     assert_same_map(induced_map(fib.to_unraveled), oracle_induced_map(fib.to_unraveled))
@@ -208,7 +209,7 @@ def test_fiber_legs_match_the_per_cell_oracle(name):
 
 def test_deletion_complexes_match_the_rule_built_oracle():
     for name, basis in deletion_bases().items():
-        assert deletion_complex(basis) == oracle_deletion_complex(basis), name
+        assert same_chain_complex(deletion_complex(basis), oracle_deletion_complex(basis)), name
 
 
 # --- Euler characteristic: sum (-1)^k rank C_k = sum (-1)^k beta_k, H_D = ker d_D

@@ -220,6 +220,17 @@ def test_cell_budget_respected(capsys, inputs, monkeypatch):
     assert code == 2
 
 
+def test_maximal_flags_are_budgeted(capsys, tmp_path, monkeypatch):
+    # on the terminal category the nerve has 6 cells, the stage complex and
+    # the product 126 each, and the section's top degree 6! = 720 flags
+    terminal = tmp_path / "terminal.json"
+    terminal.write_text(json.dumps(category_to_json(standard_categories()["terminal"])))
+    monkeypatch.setenv("FATCAT_MAX_CELLS", "200")
+    argv = ["verify", "tau", "--input", str(terminal), "--N", "6", "--D", "5", "--d", "1"]
+    assert main(argv) == 2
+    assert "maximal flag set needs 720 cells" in capsys.readouterr().err
+
+
 def test_tom_dieck_frontier_rung(capsys, inputs, monkeypatch):
     # Z/2 at N=10, D=4: the stage product has 10,813 cells and its
     # boundaries hold 49,720 nonzeros in 21 million entries, so this stays
@@ -382,6 +393,27 @@ def test_verify_tom_dieck_malformed_input_exits_2(capsys, tmp_path, break_doc):
         bad.write_text(json.dumps(doc))
     argv = ["verify", "tom-dieck", "--input", str(bad), "--N", "4", "--D", "3", "--d", "1"]
     expect_bad_input(capsys, argv)
+
+
+def _not_utf8(path):
+    path.write_bytes(b"\xff\xfe")
+
+
+def _deep_json(path):
+    path.write_text("[" * 100000)
+
+
+def _deep_object_id(path):
+    # json parses 700 levels, but freezing the identifier recurses past the limit
+    nested = "[" * 700 + "0" + "]" * 700
+    path.write_text(f'{{"objects": [{nested}], "morphisms": [], "identity": {{}}, "compose": []}}')
+
+
+@pytest.mark.parametrize("write", [_not_utf8, _deep_json, _deep_object_id])
+def test_unreadable_input_exits_2(capsys, tmp_path, write):
+    bad = tmp_path / "bad.json"
+    write(bad)
+    expect_bad_input(capsys, ["nerve", "--input", str(bad), "--D", "1"])
 
 
 @pytest.mark.parametrize(

@@ -24,7 +24,6 @@ from fatcat.cocycle import (
     partition_homotopy,
     pullback_is_restriction,
     universal_cocycle,
-    PartitionPoint,
     _face_failures,
 )
 from fatcat.errors import StructureError
@@ -53,12 +52,18 @@ from fatcat.intlinalg import IntMatrix
 from fatcat.simpset import nerve
 
 from cocycle_calculus import (
+    PartitionPoint,
     compose_isomorphisms,
     concat_cocycle,
+    gamma,
     identity_isomorphism,
     restrict_to_layer,
+    same_cocycle,
+    same_covered_complex,
+    stage_cover,
 )
 from oracles import (
+    column,
     is_zero,
     oracle_homology,
     oracle_universal_cocycle,
@@ -209,8 +214,8 @@ def test_concat_trivial_prism():
     iso = identity_isomorphism(u)
     prism = concat_cocycle(u, u, iso)
     assert check_cocycle(prism) == []
-    assert restrict_to_layer(prism, 3) == u
-    assert restrict_to_layer(prism, 0) == u
+    assert same_cocycle(restrict_to_layer(prism, 3), u)
+    assert same_cocycle(restrict_to_layer(prism, 0), u)
 
 
 def test_concat_conjugated_prism():
@@ -220,8 +225,8 @@ def test_concat_conjugated_prism():
     iso = conjugation_iso(ua, ub, ("a", "b", "p"))
     prism = concat_cocycle(ua, ub, iso)
     assert check_cocycle(prism) == []
-    assert restrict_to_layer(prism, 3) == ua
-    assert restrict_to_layer(prism, 0) == ub
+    assert same_cocycle(restrict_to_layer(prism, 3), ua)
+    assert same_cocycle(restrict_to_layer(prism, 0), ub)
 
 
 def test_bg_complex_terminal_and_cover():
@@ -232,9 +237,10 @@ def test_bg_complex_terminal_and_cover():
     g = FinGroupoid(term, {m: m for m in term.morphism_ids()})
     bg = bg_complex(g, 2, 2)
     assert [len(bg.space.nondegenerate(k)) for k in range(3)] == [3, 3, 1]
+    cover = stage_cover(bg, 2)
     for j in range(3):
         for k in range(3):
-            for cell in bg.cover[j][k]:
+            for cell in cover[j][k]:
                 assert j in cell[0]
 
 
@@ -244,8 +250,8 @@ def test_bg_flip_group_nondegenerate_count():
 
 
 def test_bg_cover_intersection():
-    bg = bg_complex(z2_groupoid(), 2, 2)
-    both = bg.cover[0][1] & bg.cover[2][1]
+    cover = stage_cover(bg_complex(z2_groupoid(), 2, 2), 2)
+    both = cover[0][1] & cover[2][1]
     assert both
     for cell in both:
         assert 0 in cell[0] and 2 in cell[0]
@@ -255,17 +261,17 @@ def test_bg_cover_is_computed_on_first_use():
     g = z2_groupoid()
     bg = bg_complex(g, 2, 2)
     assert bg.nerve.cells == nerve(g.base, 2).cells
-    assert "cover" not in vars(bg)
-    assert bg.cover[1][0] == frozenset([((1,), "*")])
-    assert "cover" in vars(bg)
+    # the complex holds its nerve and space only; the cover is the tests'
+    assert not hasattr(bg, "__dict__") and not hasattr(bg, "cover")
+    assert stage_cover(bg, 2)[1][0] == frozenset([((1,), "*")])
 
 
 def test_universal_cocycle_values():
-    uc = universal_cocycle(z2_groupoid(), 2, 2)
-    assert uc.ok
+    g = z2_groupoid()
+    assert universal_cocycle(g, 2, 2) == []
     sigma = ("*", "*", "s")
     ident = ("*", "*", "e")
-    gam = uc.gamma(2, ((0, 1, 2), (sigma, sigma)))
+    gam = gamma(g, bg_complex(g, 2, 2), 2, ((0, 1, 2), (sigma, sigma)))
     assert gam[(0, 2)] == ident
     assert gam[(2, 0)] == ident
     assert gam[(0, 1)] == sigma
@@ -277,18 +283,20 @@ def test_universal_cocycle_laws(name):
     from fatcat.fixtures import standard_groupoids
 
     g = standard_groupoids()[name]
-    assert universal_cocycle(g, 3, 2).ok
+    assert universal_cocycle(g, 3, 2) == []
 
 
 def test_universal_cocycle_reports_a_bad_inverse():
+    g = broken_groupoid_bad_inverse()
     for N, D in ((2, 1), (2, 2), (3, 2)):
-        uc = universal_cocycle(broken_groupoid_bad_inverse(), N, D)
-        assert not uc.ok
-        assert {v.law for v in uc.report} == {"universal-cocycle-law"}
+        report = universal_cocycle(g, N, D)
+        assert report
+        assert {v.law for v in report} == {"universal-cocycle-law"}
     # the flip s has inverse e, so s after its declared inverse is not e
     s, e = ("*", "*", "s"), ("*", "*", "e")
-    assert uc.report[0].witness == (1, ((0, 1), (s,)), 0, 1, 0)
-    assert uc.gamma(1, ((0, 1), (s,))) == {(0, 0): e, (0, 1): s, (1, 0): e, (1, 1): e}
+    assert report[0].witness == (1, ((0, 1), (s,)), 0, 1, 0)
+    cell = ((0, 1), (s,))
+    assert gamma(g, bg_complex(g, N, D), 1, cell) == {(0, 0): e, (0, 1): s, (1, 0): e, (1, 1): e}
 
 
 def transitions(m, forward):
@@ -316,9 +324,10 @@ def test_face_compat_names_the_mismatched_vertex_pair():
 
 
 def test_universal_gamma_refuses_a_non_cell():
-    uc = universal_cocycle(z2_groupoid(), 2, 2)
+    g = z2_groupoid()
+    bg = bg_complex(g, 2, 2)
     sigma = ("*", "*", "s")
-    assert uc.gamma(1, ((0, 2), (sigma,)))[(2, 0)] == sigma
+    assert gamma(g, bg, 1, ((0, 2), (sigma,)))[(2, 0)] == sigma
     non_cells = [
         (1, ((0, 3), (sigma,))),  # stage 3 is past N
         (2, ((0, 2), (sigma,))),  # a 1-cell asked for in degree 2
@@ -328,7 +337,7 @@ def test_universal_gamma_refuses_a_non_cell():
     ]
     for k, cell in non_cells:
         with pytest.raises(StructureError):
-            uc.gamma(k, cell)
+            gamma(g, bg, k, cell)
 
 
 def differential_groupoids():
@@ -356,14 +365,15 @@ def test_universal_cocycle_matches_the_cell_by_cell_oracle(name):
     witnesses = 0
     for N in (2, 3, 4):
         for D in (1, 2, 3):
-            gamma, report = oracle_universal_cocycle(g, N, D)
-            uc = universal_cocycle(g, N, D)
-            assert [v.to_json() for v in uc.report] == [v.to_json() for v in report], (N, D)
+            tables, report = oracle_universal_cocycle(g, N, D)
+            found = universal_cocycle(g, N, D)
+            assert [v.to_json() for v in found] == [v.to_json() for v in report], (N, D)
             witnesses += len(report)
-            for (k, cell), table in gamma.items():
-                assert list(uc.gamma(k, cell).items()) == list(table.items())
-            ours = uc.classifying.space
-            ref = oracle_unravel_simplicial(uc.classifying.nerve, N)
+            bg = bg_complex(g, N, D)
+            for (k, cell), table in tables.items():
+                assert list(gamma(g, bg, k, cell).items()) == list(table.items())
+            ours = bg.space
+            ref = oracle_unravel_simplicial(bg.nerve, N)
             assert ours.cells == ref.cells
             assert ours.faces == ref.faces
             assert ours.degeneracies == ref.degeneracies
@@ -399,17 +409,17 @@ def test_blowup_circle_star_cover():
     rep = blowup_vs_base(circle_star_cover(), 1)
     assert rep.ok
     assert [c.target.group() for c in rep.degrees] == [(1, ()), (1, ())]
-    blow = blowup(circle_star_cover())
+    blow = blowup(circle_star_cover()).source
     for k in range(2):
-        assert oracle_homology(blow.total, k) == homology(blow.total, k).group()
+        assert oracle_homology(blow, k) == homology(blow, k).group()
 
 
 def test_blowup_single_set_cover():
     single = CoveredComplex(circle_complex(), [circle_complex()])
     rep = blowup_vs_base(single, 1)
     assert rep.ok
-    blow = blowup(single)
-    assert blow.projection.matrices[1].ncols == blow.projection.matrices[1].nrows
+    collapse = blowup(single)
+    assert collapse.matrices[1].ncols == collapse.matrices[1].nrows
 
 
 def test_blowup_octahedron_hemispheres():
@@ -428,8 +438,7 @@ def test_blowup_random_star_cover():
 def test_classifying_map_trivial_single_set():
     single = CoveredComplex(circle_complex(), [circle_complex()])
     u = trivial_cocycle(single)
-    cm = classifying_chain_map(u, 2, 2)
-    mat = cm.chain_map.matrices[0]
+    mat = classifying_chain_map(u, 2, 2).matrices[0]
     hit_rows = {i for i in range(mat.nrows) for j in range(mat.ncols) if mat.rows[i][j]}
     assert len(hit_rows) == 1
     assert pullback_is_restriction(u, 2, 2) == []
@@ -439,10 +448,10 @@ def test_classifying_map_mobius_hits_flips():
     u = mobius_cocycle()
     cm = classifying_chain_map(u, 2, 2)
     sigma = ("*", "*", "s")
-    mat = cm.chain_map.matrices[1]
+    mat = cm.matrices[1]
     flip_rows = [
         i
-        for i, cell in enumerate(cm.chain_map.target.basis[1])
+        for i, cell in enumerate(cm.target.basis[1])
         if cell[1] == (sigma,)
     ]
     hits = sum(mat.rows[i][j] for i in flip_rows for j in range(mat.ncols))
@@ -456,10 +465,10 @@ def test_classifying_map_induced_h1():
              "mobius": (mobius_cocycle(), (1,))}
     for name, (u, expected) in cases.items():
         cm = classifying_chain_map(u, 2, 2)
-        src = HomologyClasses(cm.chain_map.source, 1)
-        tgt = HomologyClasses(cm.chain_map.target, 1)
+        src = HomologyClasses(cm.source, 1)
+        tgt = HomologyClasses(cm.target, 1)
         assert src.betti == 1 and tgt.torsion == (2,)
-        tor, free = tgt.coords(cm.chain_map.matrices[1].mulvec(src.generators[0]))
+        tor, free = tgt.coords(cm.matrices[1].mulvec(src.generators[0]))
         assert tor == expected and free == ()
 
 
@@ -499,24 +508,23 @@ def test_covered_complex_json_roundtrip():
     assert len(covers) > 10
     for name, cc in covers.items():
         doc = json.loads(json.dumps(covered_complex_to_json(cc)))
-        assert covered_complex_from_json(doc) == cc, name
+        assert same_covered_complex(covered_complex_from_json(doc), cc), name
 
 
 def test_cocycle_json_roundtrip():
     for name, u in bundled_cocycles().items():
         doc = json.loads(json.dumps(cocycle_to_json(u)))
         again = cocycle_from_json(doc)
-        assert again == u, name
+        assert same_cocycle(again, u), name
 
 
-def split_blowup_differential(blow, k):
+def split_blowup_differential(total, k):
     """Separate the index-deleting and face parts of one total boundary."""
-    total = blow.total
     idx_map = {cell: i for i, cell in enumerate(total.basis[k - 1])}
     cech = [[0] * total.rank(k) for _ in range(total.rank(k - 1))]
     simp = [[0] * total.rank(k) for _ in range(total.rank(k - 1))]
     for j, (indices, face) in enumerate(total.basis[k]):
-        for i, v in enumerate(total.boundary[k].column(j)):
+        for i, v in enumerate(column(total.boundary[k], j)):
             if not v:
                 continue
             child = total.basis[k - 1][i]
@@ -531,11 +539,11 @@ def split_blowup_differential(blow, k):
 
 
 def test_blowup_differentials_square_to_zero_and_anticommute():
-    blow = blowup(circle_star_cover())
-    pieces = {k: split_blowup_differential(blow, k) for k in range(1, blow.total.D + 1)}
+    blow = blowup(circle_star_cover()).source
+    pieces = {k: split_blowup_differential(blow, k) for k in range(1, blow.D + 1)}
     # both parts are present, so the identities below cannot hold vacuously
     assert not any(is_zero(part) for parts in pieces.values() for part in parts)
-    for k in range(2, blow.total.D + 1):
+    for k in range(2, blow.D + 1):
         cech_hi, simp_hi = pieces[k]
         cech_lo, simp_lo = pieces[k - 1]
         assert is_zero(cech_lo.mul(cech_hi))
@@ -572,23 +580,23 @@ def test_concat_mobius_prism():
     assert check_isomorphism(iso) == []
     prism = concat_cocycle(u, u, iso)
     assert check_cocycle(prism) == []
-    assert restrict_to_layer(prism, 3) == u
-    assert restrict_to_layer(prism, 0) == u
+    assert same_cocycle(restrict_to_layer(prism, 3), u)
+    assert same_cocycle(restrict_to_layer(prism, 0), u)
 
 
 def test_universal_cocycle_all_small_parameters():
     for g in (z2_groupoid(), pair_groupoid()):
         for N in (2, 3, 4):
             for D in (2, 3):
-                assert universal_cocycle(g, N, D).ok, (N, D)
+                assert universal_cocycle(g, N, D) == [], (N, D)
 
 
 def test_universal_gamma_orientation_on_pair_groupoid():
     # on a groupoid with distinct objects the forward value must run from
     # the object at the lower stage to the object at the higher one
-    uc = universal_cocycle(pair_groupoid(), 2, 2)
+    g = pair_groupoid()
     cell = ((0, 1), (("a", "b", "p"),))
-    gam = uc.gamma(1, cell)
+    gam = gamma(g, bg_complex(g, 2, 2), 1, cell)
     assert gam[(0, 1)] == ("a", "b", "p")
     assert gam[(1, 0)] == ("b", "a", "p")
     assert gam[(0, 0)] == ("a", "a", "p")

@@ -53,7 +53,7 @@ from fatcat.simpset import (
     nerve,
 )
 
-from oracles import apply, oracle_homology
+from oracles import apply, column, oracle_homology
 from test_simpset import record_builds
 
 
@@ -90,10 +90,10 @@ def test_subdivision_point_is_identity():
 def test_subdivision_interval_signs():
     simp, flags, mats = subdivision_chain_operator(1)
     top = mats[1]
-    column = top.column(0)
+    col = column(top, 0)
     idx = {cell: i for i, cell in enumerate(flags.basis[1])}
-    assert column[idx[((0,), (0, 1))]] == 1
-    assert column[idx[((1,), (0, 1))]] == -1
+    assert col[idx[((0,), (0, 1))]] == 1
+    assert col[idx[((1,), (0, 1))]] == -1
     assert subdivision_commutes(1) == []
 
 
@@ -124,7 +124,7 @@ def test_tau_on_flip_generator():
     ident = ("*", "*", "e")
     src = tau.source
     j = src.basis[1].index((sigma,))
-    col = tau.matrices[1].column(j)
+    col = column(tau.matrices[1], j)
     hits = {
         tau.target.basis[1][i]: v for i, v in enumerate(col) if v
     }
@@ -284,7 +284,7 @@ def test_fiber_over_vertex_is_stage_poset_nerve():
     reference = nerve(ordinal(3), 3)
     counts = [fib.fiber.n_cells(k) for k in range(4)]
     assert counts == [reference.n_cells(k) for k in range(4)]
-    assert contractibility_report(fib, 2).ok
+    assert contractibility_report(fib, 2) == []
 
 
 def test_fiber_over_interval_simplex():
@@ -294,8 +294,7 @@ def test_fiber_over_interval_simplex():
     assert [fib.fiber.n_cells(k) for k in range(4)] == [
         reference.n_cells(k) for k in range(4)
     ]
-    rep = contractibility_report(fib, 2)
-    assert rep.ok
+    assert contractibility_report(fib, 2) == []
     chains = geometric_chains(fib.fiber)
     for k in range(3):
         assert oracle_homology(chains, k) == homology(chains, k).group()
@@ -389,7 +388,7 @@ def test_fiber_with_identity_composite():
     c = z2_groupoid().base
     sigma = ("*", "*", "s")
     fib = quillen_fiber(c, 3, 3, (sigma, sigma), 2)
-    assert contractibility_report(fib, 2).ok
+    assert contractibility_report(fib, 2) == []
 
 
 def test_all_fibers_interval():
@@ -406,9 +405,8 @@ def per_cell_sweep(c, N, D, d):
     for k in range(D + 1):
         for cell in ner.cells[k]:
             fib = comparison.quillen_fiber(c, N, D, cell, k)
-            rep = comparison.contractibility_report(fib, d)
             checked += 1
-            for v in rep.violations:
+            for v in comparison.contractibility_report(fib, d):
                 violations.append(Violation(v.law, (k, cell) + v.witness, v.detail))
     return checked, violations
 
@@ -453,10 +451,10 @@ def test_fiber_sweep_repeats_core_witness_on_every_cell(monkeypatch, name):
     original = comparison.contractibility_report
 
     def fails_on_edges(fiber, d):
-        rep = original(fiber, d)
+        violations = original(fiber, d)
         if fiber.degree == 1:
-            rep.violations.append(Violation("fiber-contractible", (1,), "forced"))
-        return rep
+            violations.append(Violation("fiber-contractible", (1,), "forced"))
+        return violations
 
     monkeypatch.setattr(comparison, "contractibility_report", fails_on_edges)
     ner = nerve(cat, 3)
@@ -476,7 +474,7 @@ def test_fiber_sweep_repeats_core_witness_on_every_cell(monkeypatch, name):
 
 def test_tau_point_hits_stage_one():
     tau = flag_section(terminal_category(), 2, 1)
-    col = tau.matrices[0].column(0)
+    col = column(tau.matrices[0], 0)
     hits = {tau.target.basis[0][i]: v for i, v in enumerate(col) if v}
     assert hits == {(0, (1,)): 1}
 

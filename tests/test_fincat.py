@@ -207,7 +207,7 @@ def test_forgetful_functor():
     u = unravel(ordinal(1), 2)
     f = forgetful(u)
     assert check_functor(f) == []
-    assert f.mor(((0, 0), (1, 2), (0, 1, "le"))) == (0, 1, "le")
+    assert f.mmap[((0, 0), (1, 2), (0, 1, "le"))] == (0, 1, "le")
     assert set(f.omap.values()) == set(ordinal(1).objects)
     assert set(f.mmap.values()) == set(ordinal(1).morphism_ids())
 

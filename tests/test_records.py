@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import pytest
 
-from fatcat.cocycle import PartitionPoint
 from fatcat.comparison import BarycentricPoint, RhoWitness
 from fatcat.errors import StructureError, Violation
 from fatcat.fincat import NatTransformation, identity_functor, ordinal
@@ -14,6 +13,8 @@ from fatcat.fixtures import z2_groupoid
 from fatcat.homology import HomologyGroup
 from fatcat.intlinalg import IntMatrix, SmithForm, smith
 from fatcat.simpset import BarycentricFlag, sd_flags
+
+from cocycle_calculus import PartitionPoint
 
 HALF = Fraction(1, 2)
 
@@ -74,11 +75,6 @@ def test_homology_group_accepts_a_divisor_chain():
 def test_barycentric_flag_refuses_non_strict_chains(chain, message):
     with pytest.raises(StructureError, match=message):
         BarycentricFlag(2, chain)
-
-
-def test_barycentric_flag_degree():
-    assert BarycentricFlag(2, (frozenset({1}), frozenset({0, 1, 2}))).degree == 1
-    assert BarycentricFlag(2, ()).degree == -1
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+import fatcat.simpset as simpset
 from fatcat.comparison import projection_map
 from fatcat.errors import EnumerationLimitError, StructureError
 from fatcat.fincat import FinCategory, ordinal, unravel
@@ -116,6 +117,21 @@ def test_product_and_unraveling_are_refused_before_any_cell_is_built(monkeypatch
     ):
         unravel_simplicial(y, 20)
     assert built == []
+
+
+def test_stage_complex_is_refused_before_any_cell_is_built(monkeypatch):
+    def build(*args):
+        raise AssertionError("stage complex built before its budget was checked")
+
+    monkeypatch.setattr(simpset, "simplicial_set", build)
+    monkeypatch.setenv("FATCAT_MAX_CELLS", "100")
+    # 7 + 21 + 35 + 35 + 21 tuples of 1 to 5 stages out of 7
+    with pytest.raises(EnumerationLimitError, match="^SemiSimplicialSet needs 119 cells"):
+        s_semisimplicial(6, 4)
+    # no degree above N has a cell: 3 + 3 + 1
+    monkeypatch.setenv("FATCAT_MAX_CELLS", "6")
+    with pytest.raises(EnumerationLimitError, match="^SemiSimplicialSet needs 7 cells"):
+        s_semisimplicial(2, 10**9)
 
 
 @pytest.mark.parametrize("cat", [ordinal(2), z2_groupoid().base, pair_groupoid().base])
