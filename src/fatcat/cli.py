@@ -17,7 +17,7 @@ import time
 from collections import namedtuple
 from functools import partial
 
-from .errors import EnumerationLimitError, StructureError
+from .errors import EnumerationLimitError, StructureError, check_units
 from .fincat import (
     category_from_json,
     check_category,
@@ -167,6 +167,9 @@ def suite_partition(_):
 
 def suite_rho(_, n, convention="both"):
     conventions = ["zero-based", "literal"] if convention == "both" else [convention]
+    # each reading finds n witnesses, and each repeats the n + 1
+    # coordinates of the barycenter
+    check_units(len(conventions) * max(n, 0) * (n + 1), "the rho payload", "coordinate strings")
     found = {c: [w.to_json() for w in rho_witnesses(n, c)] for c in conventions}
     return all(found.values()), {"n": n, "witnesses": found}
 
@@ -211,25 +214,16 @@ def _claim_witnesses(result, **tags):
     return witnesses
 
 
-def _claim_category_laws(params):
-    witnesses = []
-    for name, cat in fixtures.standard_categories().items():
-        for v in check_category(cat):
-            witnesses.append({"fixture": name, **v.to_json()})
-    broken = check_category(fixtures.broken_category_rewired_identity())
-    if not any(v.law == "identity-law" for v in broken):
-        witnesses.append({"fixture": "broken-category", "missing": "identity-law"})
-    return witnesses
-
-
-def _claim_groupoid_laws(params):
-    witnesses = []
-    for name, g in fixtures.standard_groupoids().items():
-        for v in check_groupoid(g):
-            witnesses.append({"fixture": name, **v.to_json()})
-    broken = check_groupoid(fixtures.broken_groupoid_bad_inverse())
-    if not any(v.law in ("left-inverse", "right-inverse") for v in broken):
-        witnesses.append({"fixture": "broken-groupoid", "missing": "inverse-law"})
+def _claim_laws(params, check, bundled, broken, caught_by, missing):
+    """Witnesses of a law check: every violation it finds on the
+    ``bundled()`` fixtures, and ``missing`` when none of the laws
+    ``caught_by`` catches the broken fixture, ``broken = (name, build)``."""
+    witnesses = [
+        {"fixture": name, **v.to_json()} for name, x in bundled().items() for v in check(x)
+    ]
+    name, build = broken
+    if not any(v.law in caught_by for v in check(build())):
+        witnesses.append({"fixture": name, "missing": missing})
     return witnesses
 
 
@@ -291,16 +285,6 @@ def _claim_sorting_ill_defined(params):
     return witnesses
 
 
-def _claim_cocycle_laws(params):
-    witnesses = []
-    for name, coc in fixtures.bundled_cocycles().items():
-        witnesses += _claim_witnesses(suite_cocycle(coc), fixture=name)
-    _, broken = suite_cocycle(fixtures.broken_circle_cocycle())
-    if not any(w["law"] == "cocycle-law" for w in broken["witnesses"]):
-        witnesses.append({"fixture": "broken-cocycle", "missing": "cocycle-law"})
-    return witnesses
-
-
 def _claim_blowup_collapse(params):
     witnesses = _claim_witnesses(suite_blowup(fixtures.circle_star_cover(), 1))
     return witnesses + _claim_witnesses(suite_blowup(fixtures.hemisphere_cover(), 2))
@@ -331,13 +315,17 @@ CLAIMS = [
         "id": "category-laws",
         "statement": "bundled categories satisfy the category laws; broken fixtures are caught",
         "parameters": {},
-        "run": _claim_category_laws,
+        "run": partial(_claim_laws, check=check_category, bundled=fixtures.standard_categories,
+                       broken=("broken-category", fixtures.broken_category_rewired_identity),
+                       caught_by=("identity-law",), missing="identity-law"),
     },
     {
         "id": "groupoid-laws",
         "statement": "bundled groupoids satisfy the inverse laws; broken fixtures are caught",
         "parameters": {},
-        "run": _claim_groupoid_laws,
+        "run": partial(_claim_laws, check=check_groupoid, bundled=fixtures.standard_groupoids,
+                       broken=("broken-groupoid", fixtures.broken_groupoid_bad_inverse),
+                       caught_by=("left-inverse", "right-inverse"), missing="inverse-law"),
     },
     {
         "id": "unraveled-category-laws",
@@ -391,7 +379,9 @@ CLAIMS = [
         "id": "cocycle-laws",
         "statement": "bundled cocycles satisfy the composition law; broken fixtures are caught",
         "parameters": {},
-        "run": _claim_cocycle_laws,
+        "run": partial(_claim_laws, check=check_cocycle, bundled=fixtures.bundled_cocycles,
+                       broken=("broken-cocycle", fixtures.broken_circle_cocycle),
+                       caught_by=("cocycle-law",), missing="cocycle-law"),
     },
     {
         "id": "blowup-collapse",

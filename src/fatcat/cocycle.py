@@ -31,8 +31,10 @@ from .homology import (
 )
 from .ids import decode_id, encode_id, sort_key
 from .simpset import (
+    SemiSimplicialSet,
     chain_composites,
     chain_objects,
+    check_size,
     nerve,
     unravel_simplicial,
     unraveled_face,
@@ -443,36 +445,32 @@ def partition_homotopy(t, s):
     return tuple(w), v
 
 
-def partition_grid(denominator=4, length=5):
-    """Deterministic grid of partition points: all length-part compositions
-    of the denominator, scaled; vertices are included."""
+def partition_grid():
+    """Deterministic grid of partition points: all 5-part compositions of 4,
+    scaled by 1/4; vertices are included."""
     points = []
 
     def compose_rest(remaining, parts, acc):
         if parts == 1:
-            points.append(tuple(acc + [Fraction(remaining, denominator)]))
+            points.append(tuple(acc + [Fraction(remaining, 4)]))
             return
         for take in range(remaining + 1):
-            compose_rest(remaining - take, parts - 1, acc + [Fraction(take, denominator)])
+            compose_rest(remaining - take, parts - 1, acc + [Fraction(take, 4)])
 
-    compose_rest(denominator, length, [])
+    compose_rest(4, 5, [])
     return points
 
 
-def check_partition_grid(points=None, svals=None):
-    """Exact partition identities over a parameter grid.
+def check_partition_grid():
+    """Exact partition identities over the grid, at times s = 0, 1/4, ..., 1.
 
     Checks that v sums to one, that s = 0 returns the input, and that at
     s = 1 an entry dies exactly when the mass before it reaches it.
     """
-    if points is None:
-        points = partition_grid()
-    if svals is None:
-        svals = [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)]
     violations = []
     pairs = 0
-    for t in points:
-        for s in svals:
+    for t in partition_grid():
+        for s in (Fraction(k, 4) for k in range(5)):
             pairs += 1
             _, v = partition_homotopy(t, s)
             if sum(v) != 1:
@@ -492,12 +490,14 @@ def check_partition_grid(points=None, svals=None):
 # Blowup of a covered complex
 
 
-def base_chain_complex(cc: CoveredComplex, D=None) -> IntegerChainComplex:
-    """Ordered simplicial chains of the underlying complex, padded to D."""
-    D = cc.dimension() if D is None else D
-    return deletion_complex(
-        [sorted((f for f in cc.faces if len(f) == k + 1), key=sort_key) for k in range(D + 1)]
-    )
+def base_chain_complex(cc: CoveredComplex, D: int) -> IntegerChainComplex:
+    """Ordered simplicial chains of the underlying complex, truncated or
+    padded to D, which is budgeted before the padding is built."""
+    dim = cc.dimension()
+    faces = [sorted((f for f in cc.faces if len(f) == k + 1), key=sort_key)
+             for k in range(min(D, dim) + 1)]
+    check_size(SemiSimplicialSet, D, list(map(len, faces)))
+    return deletion_complex(faces + [[]] * (D - dim))
 
 
 def _blowup_boundary(k, cell):
@@ -517,7 +517,7 @@ def _collapse(k, cell):
     return ((face, 1),) if len(idx) == 1 else ()
 
 
-def blowup(base: CoveredComplex, D=None) -> ChainMap:
+def blowup(base: CoveredComplex, D: int) -> ChainMap:
     """The collapse of the blowup onto the underlying complex, whose source
     is the blowup: the total complex of the cover-versus-chains double
     complex.
@@ -525,46 +525,34 @@ def blowup(base: CoveredComplex, D=None) -> ChainMap:
     A generator in bidegree (p, q) is a strictly increasing (p+1)-tuple of
     cover indices with nonempty overlap, together with a q-face of that
     overlap.  The total differential is the index-deleting sum plus the
-    signed face sum.
+    signed face sum.  The underlying complex, the target, is built first,
+    so that D is budgeted before any degree of the blowup is laid out.
     """
+    chains = base_chain_complex(base, D)
     n = len(base.cover)
-    tuples = []
-    for p in range(n):
+    basis = [[] for _ in range(D + 1)]
+    for p in range(min(n, D + 1)):
         for idx in combinations(range(n), p + 1):
-            if base.overlap(idx):
-                tuples.append(idx)
-    bigraded = {}
-    for idx in tuples:
-        p = len(idx) - 1
-        for face in sorted(base.overlap(idx), key=sort_key):
-            q = len(face) - 1
-            bigraded.setdefault((p, q), []).append((idx, face))
-    if not bigraded:
-        raise StructureError("empty blowup")
-    natural = max(p + q for p, q in bigraded)
-    D = natural if D is None else D
-    basis = []
-    for total_deg in range(D + 1):
-        level = []
-        for (p, q), gens in sorted(bigraded.items()):
-            if p + q == total_deg:
-                level.extend(gens)
+            for face in base.overlap(idx):
+                k = p + len(face) - 1
+                if k <= D:
+                    basis[k].append((idx, face))
+    for level in basis:
         level.sort(key=sort_key)
-        basis.append(level)
     check_budget(sum(len(b) for b in basis), "blowup total complex")
     boundary = {
         k: named_matrix(basis[k], basis[k - 1], partial(_blowup_boundary, k))
         for k in range(1, D + 1)
     }
     total = IntegerChainComplex(D, basis, boundary)
-    return cellular_map(total, base_chain_complex(base, D), _collapse)
+    return cellular_map(total, chains, _collapse)
 
 
 def blowup_vs_base(base: CoveredComplex, d: int) -> QuasiIsoReport:
     """The collapse must be a homology isomorphism in degrees <= d."""
     D = max(d + 1, base.dimension())
     check_degree_range(d, D)
-    return quasi_iso_through(blowup(base, D=D), d)
+    return quasi_iso_through(blowup(base, D), d)
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +578,7 @@ def classifying_chain_map(u: GCocycle, N: int, D: int) -> ChainMap:
     if len(u.base.cover) > N + 1:
         raise StructureError("cover does not embed into the stages: need len(cover) <= N + 1")
     target = geometric_chains(bg_complex(u.groupoid, N, D).space)
-    blow = blowup(u.base, D=max(D, u.base.dimension()))
+    blow = blowup(u.base, max(D, u.base.dimension()))
 
     def terms(k, cell):
         seq, face = cell

@@ -276,7 +276,7 @@ def _stage_tuple(convention, degree):
     raise StructureError(f"unknown convention: {convention}")
 
 
-def rho_witnesses(n: int, convention: str = "zero-based"):
+def rho_witnesses(n: int, convention: str):
     """Search one reading of the assignment for ill-definedness witnesses.
 
     The cell component attached to a degree-q generator is the fixed stage
@@ -357,7 +357,7 @@ def _nondegenerate_factorization(c: FinCategory, k: int, cell):
 
 
 def quillen_fiber(
-    c: FinCategory, N: int, D: int, y_cell, y_degree: int, target=None, simplex=None
+    c: FinCategory, N: int, D: int, y_cell, y_degree: int, target, simplex
 ) -> CommaFiber:
     """Comma fiber of a nerve simplex, as the nerve of a pullback category.
 
@@ -377,10 +377,10 @@ def quillen_fiber(
 
     ``target`` is ``nerve(unravel(c, N), D)``, the codomain of the
     ``to_unraveled`` leg, and ``simplex`` is ``nerve(ordinal(m), D)`` for
-    the core degree m, the codomain of the ``to_simplex`` leg.  Each is
-    built here when omitted, and a caller that builds many fibers of one
-    category passes them to share them.  A codomain that misses an image
-    of its leg, or has another D, raises :class:`StructureError`.
+    the core degree m, the codomain of the ``to_simplex`` leg; the caller
+    builds them, so that the fibers of one category share them.  A
+    codomain that misses an image of its leg, or has another D, raises
+    :class:`StructureError`.
     """
     objects, arrows = _nondegenerate_factorization(c, y_degree, y_cell)
     m = len(objects) - 1
@@ -394,7 +394,7 @@ def quillen_fiber(
         ]
         for a0, l0 in vertices
     }
-    check_budget(chain_count(steps, max(D, 2)), TruncatedSimplicialSet.__name__)
+    check_budget(sum(chain_count(steps, max(D, 2))), TruncatedSimplicialSet.__name__)
     pullback = FinCategory(
         vertices,
         [((v, w), v, w) for v in vertices for w in steps[v]],
@@ -402,10 +402,6 @@ def quillen_fiber(
         {((u, v), (v, w)): (u, w) for u in vertices for v in steps[u] for w in steps[v]},
     )
     fiber = nerve(pullback, D)
-    if simplex is None:
-        simplex = nerve(ordinal(m), D)
-    if target is None:
-        target = nerve(unravel(c, N), D)
 
     def lift(step):
         (a0, l0), (a1, l1) = step
@@ -439,7 +435,7 @@ def contractibility_report(fiber: CommaFiber, d: int):
     return violations
 
 
-def all_fibers_contractible(c: FinCategory, N: int, D: int, d: int = None):
+def all_fibers_contractible(c: FinCategory, N: int, D: int, d: int):
     """Run the fiber check over every simplex of the truncated nerve.
 
     The fiber of a cell depends only on its nondegenerate core, so each
@@ -450,8 +446,6 @@ def all_fibers_contractible(c: FinCategory, N: int, D: int, d: int = None):
     of one degree m share one ``nerve(ordinal(m), D)``.  Returns the number
     of nerve cells checked and the violations in cell order.
     """
-    if d is None:
-        d = D - 1
     check_degree_range(d, D)
     ner = nerve(c, D)
     target = nerve(unravel(c, N), D)
@@ -464,8 +458,9 @@ def all_fibers_contractible(c: FinCategory, N: int, D: int, d: int = None):
             core = _nondegenerate_factorization(c, k, cell)
             if core not in reports:
                 m = len(core[0]) - 1
-                fib = quillen_fiber(c, N, D, cell, k, target, simplices.get(m))
-                simplices[m] = fib.to_simplex.target
+                if m not in simplices:
+                    simplices[m] = nerve(ordinal(m), D)
+                fib = quillen_fiber(c, N, D, cell, k, target, simplices[m])
                 reports[core] = contractibility_report(fib, d)
             checked += 1
             for v in reports[core]:

@@ -21,9 +21,9 @@ DEFAULT_MAX_CELLS = 20000
 
 
 def cell_budget() -> int:
-    """Maximum number of cells any single enumeration may produce.
-
-    Controlled by the FATCAT_MAX_CELLS environment variable.
+    """Maximum number of cells, or of any other budgeted count, that one
+    construction may need.  Controlled by the FATCAT_MAX_CELLS environment
+    variable.
     """
     raw = os.environ.get("FATCAT_MAX_CELLS", "")
     try:
@@ -34,10 +34,15 @@ def cell_budget() -> int:
 
 
 def check_budget(count: int, what: str) -> None:
+    check_units(count, what, "cells")
+
+
+def check_units(count: int, what: str, units: str) -> None:
+    """Refuse ``what`` when it needs more ``units`` than the budget allows."""
     budget = cell_budget()
     if count > budget:
         raise EnumerationLimitError(
-            f"{what} needs {count} cells, exceeding FATCAT_MAX_CELLS={budget}"
+            f"{what} needs {count} {units}, exceeding FATCAT_MAX_CELLS={budget}"
         )
 
 

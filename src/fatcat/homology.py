@@ -61,7 +61,7 @@ class HomologyGroup(namedtuple("HomologyGroup", "degree betti torsion reliable")
 
     __slots__ = ()
 
-    def __new__(cls, degree, betti, torsion, reliable=True):
+    def __new__(cls, degree, betti, torsion, reliable):
         prev = None
         for d in torsion:
             if d < 2:

@@ -30,23 +30,16 @@ class IntMatrix:
     nonzero entries of row i.  No zero is ever stored, so two matrices are
     equal exactly when their shapes and row dicts are.
 
-    ``IntMatrix(rows, ncols=...)`` builds one from dense row lists; ``rows``
-    is the dense view, built on demand and read-only.
+    ``IntMatrix(rows, ncols)`` builds one from dense row lists of ``ncols``
+    entries each; ``rows`` is the dense view, built on demand and read-only.
     """
 
     __slots__ = ("nz", "nrows", "ncols")
 
-    def __init__(self, rows, ncols=None):
+    def __init__(self, rows, ncols):
         rows = [list(r) for r in rows]
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise StructureError("ragged matrix rows")
-            if ncols is not None and ncols != width:
-                raise StructureError(f"rows have {width} columns, not {ncols}")
-            ncols = width
-        elif ncols is None:
-            raise StructureError("empty matrix needs an explicit column count")
+        if any(len(r) != ncols for r in rows):
+            raise StructureError(f"matrix rows must have {ncols} columns")
         self.nz = [{j: v for j, v in enumerate(r) if v} for r in rows]
         self.nrows, self.ncols = len(rows), ncols
 
@@ -70,10 +63,10 @@ class IntMatrix:
         """Dense view as a tuple of row tuples; writing to it raises."""
         return tuple(tuple(_dense(r, self.ncols)) for r in self.nz)
 
-    def submatrix_cols(self, start, stop=None):
-        stop = self.ncols if stop is None else stop
-        nz = [{j - start: v for j, v in r.items() if start <= j < stop} for r in self.nz]
-        return IntMatrix._wrap(nz, stop - start)
+    def submatrix_cols(self, start):
+        """The columns from ``start`` on."""
+        nz = [{j - start: v for j, v in r.items() if j >= start} for r in self.nz]
+        return IntMatrix._wrap(nz, self.ncols - start)
 
     def _product_rows(self, other):
         """Rows of self * other as {column: value}, one at a time; an entry
@@ -118,12 +111,13 @@ class SmithForm:
 
     ``factors`` are the positive invariant factors, each dividing the next;
     ``rank`` is their count.  U and Uinv are present only when :func:`smith`
-    is asked for ``rows``, V and Vinv only when it is asked for ``cols``.
+    is asked for ``rows``, V and Vinv only when it is asked for ``cols``;
+    the ones it is not asked for are None.
     """
 
     __slots__ = ("factors", "rank", "nrows", "ncols", "U", "Uinv", "V", "Vinv")
 
-    def __init__(self, factors, rank, nrows, ncols, U=None, Uinv=None, V=None, Vinv=None):
+    def __init__(self, factors, rank, nrows, ncols, U, Uinv, V, Vinv):
         self.factors = factors
         self.rank = rank
         self.nrows = nrows
@@ -395,5 +389,5 @@ def surjective_onto(pres_target, image_columns):
         rel = [0] * ngen
         rel[i] = d
         cols.append(rel)
-    form = smith(IntMatrix(cols, ncols=ngen))
+    form = smith(IntMatrix(cols, ngen))
     return form.rank == ngen and all(d == 1 for d in form.factors)

@@ -5,8 +5,8 @@ pairs of these), kept in one ordered list per degree; they label bases and
 witnesses.  Face, degeneracy and map tables are per-degree lists of
 positions: ``faces[k][i][p]`` is the position in degree k - 1 of d_i of the
 p-th k-cell, and everything downstream reads these tables.  The simplicial
-identities are audited exhaustively on construction, scoped to the degrees
-that exist below the truncation cutoff D, once per pair of indices by
+identities are audited exhaustively on construction, in the degrees below
+the truncation cutoff D that hold cells, once per pair of indices by
 composing whole tables; a mismatch is mapped back to its cell, so a
 violation names the cell that breaks the law.  Only the sets whose faces
 delete an entry of a tuple cell are laid out from a per-cell rule, by
@@ -32,7 +32,7 @@ from functools import cached_property
 from itertools import accumulate, combinations, combinations_with_replacement, pairwise
 from math import comb, factorial
 
-from .errors import StructureError, Violation, check_budget
+from .errors import StructureError, Violation, check_budget, check_units
 from .fincat import FinCategory, arrows_leaving, mid, unravel
 from .ids import sort_key
 
@@ -42,9 +42,9 @@ class SemiSimplicialSet:
 
     ``faces[k][i][p]`` is the position in ``cells[k - 1]`` of d_i of the
     p-th k-cell, and ``index[k]``, built on first use, maps each k-cell to
-    its position.  The constructor checks each table's length and range,
-    then audits the face identities once per (i, j) pair by composing whole
-    tables.
+    its position.  The constructor budgets the object (see
+    :func:`check_size`), checks each table's length and range, then audits
+    the face identities once per (i, j) pair by composing whole tables.
     """
 
     has_degeneracies = False
@@ -54,7 +54,7 @@ class SemiSimplicialSet:
         self.cells = [tuple(cs) for cs in cells]
         if len(self.cells) != D + 1:
             raise StructureError("cell lists must cover degrees 0..D")
-        check_budget(sum(len(cs) for cs in self.cells), type(self).__name__)
+        check_size(type(self), D, list(map(len, self.cells)))
         self.faces = face
         seen_violations = self.audit()
         if seen_violations:
@@ -69,6 +69,11 @@ class SemiSimplicialSet:
     def n_cells(self, k):
         return len(self.cells[k])
 
+    def _occupied(self, start, stop):
+        """The degrees in range(start, stop) that hold cells: a law over no
+        cells holds, so the audits skip the rest."""
+        return [k for k in range(start, stop) if self.cells[k]]
+
     def audit(self):
         F = self.faces
         for k in range(1, self.D + 1):
@@ -81,7 +86,7 @@ class SemiSimplicialSet:
         # d_i d_j = d_{j-1} d_i for i < j
         pairs = (
             (k, (i, j), _compose(F[k - 1][i], F[k][j]), _compose(F[k - 1][j - 1], F[k][i]))
-            for k in range(2, self.D + 1) for j in range(k + 1) for i in range(j)
+            for k in self._occupied(2, self.D + 1) for j in range(k + 1) for i in range(j)
         )
         return _violations("face-face", pairs, self.cells)
 
@@ -113,7 +118,7 @@ class TruncatedSimplicialSet(SemiSimplicialSet):
         # s_i s_j = s_{j+1} s_i for i <= j
         pairs = (
             (k, (i, j), _compose(S[k + 1][i], S[k][j]), _compose(S[k + 1][j + 1], S[k][i]))
-            for k in range(self.D - 1) for j in range(k + 1) for i in range(j + 1)
+            for k in self._occupied(0, self.D - 1) for j in range(k + 1) for i in range(j + 1)
         )
         violations += _violations("degeneracy-degeneracy", pairs, self.cells)
         violations += _violations("face-degeneracy", self._face_degeneracy_pairs(), self.cells)
@@ -123,7 +128,7 @@ class TruncatedSimplicialSet(SemiSimplicialSet):
         """d_i s_j is the identity for i in {j, j + 1}, s_{j-1} d_i for
         i < j and s_j d_{i-1} for i > j + 1."""
         F, S = self.faces, self.degeneracies
-        for k in range(self.D):
+        for k in self._occupied(0, self.D):
             identity = list(range(self.n_cells(k)))
             for j in range(k + 1):
                 for i in range(k + 2):
@@ -175,7 +180,7 @@ class SimplicialMap:
             pairs = (
                 (k, (i,), _compose(M[k + 1], src.degeneracies[k][i]),
                  _compose(tgt.degeneracies[k][i], M[k]))
-                for k in range(src.D) for i in range(k + 1)
+                for k in src._occupied(0, src.D) for i in range(k + 1)
             )
             violations += _violations("map-degeneracy", pairs, src.cells)
         return violations
@@ -186,8 +191,22 @@ def _map_face_pairs(maps, source, target):
     :func:`_violations` pairs."""
     return (
         (k, (i,), _compose(maps[k - 1], source.faces[k][i]), _compose(target.faces[k][i], maps[k]))
-        for k in range(1, source.D + 1) for i in range(k + 1)
+        for k in source._occupied(1, source.D + 1) for i in range(k + 1)
     )
+
+
+def check_size(cls, D, counts):
+    """Budget a ``cls`` truncated at D, whose k-cells number ``counts[k]``
+    (none past the list), before it is built: its cells, its position
+    tables (k + 1 faces in each degree k >= 1, k + 1 degeneracies in each
+    k < D if it has them) and the face identities its audit composes
+    (C(k + 1, 2) in each degree k >= 2 with cells) each count."""
+    what = cls.__name__
+    check_budget(sum(counts), what)
+    tables = D * (D + 3) // 2 + (D * (D + 1) // 2 if cls.has_degeneracies else 0)
+    check_units(tables, what, "position tables")
+    identities = sum(comb(k + 1, 2) for k, n in enumerate(counts) if n and k >= 2)
+    check_units(identities, what, "face identities")
 
 
 def _same_truncation(source, target):
@@ -272,17 +291,17 @@ def chain_composites(c: FinCategory, objects, arrows) -> dict:
     return out
 
 
-def chain_count(ends, D: int) -> int:
-    """Composable chains of at most D arrows in a category whose arrows
-    leaving each object x end at the objects ``ends[x]``, one entry per
-    arrow; the 0-chains are the objects."""
+def chain_count(ends, D: int) -> list:
+    """Composable chains of k arrows, for k = 0..D, in a category whose
+    arrows leaving each object x end at the objects ``ends[x]``, one entry
+    per arrow; the 0-chains are the objects."""
     # chains[x]: the k-chains starting at x, by recurrence on k
     chains = dict.fromkeys(ends, 1)
-    total = len(chains)
+    counts = [len(chains)]
     for _ in range(D):
         chains = {x: sum(map(chains.__getitem__, ys)) for x, ys in ends.items()}
-        total += sum(chains.values())
-    return total
+        counts.append(sum(chains.values()))
+    return counts
 
 
 def nerve(c: FinCategory, D: int) -> TruncatedSimplicialSet:
@@ -299,7 +318,7 @@ def nerve(c: FinCategory, D: int) -> TruncatedSimplicialSet:
         raise StructureError("truncation degree must be >= 0")
     from_obj = arrows_leaving(c)
     ends = {x: [c.tgt[m] for m in ms] for x, ms in from_obj.items()}
-    check_budget(chain_count(ends, D), TruncatedSimplicialSet.__name__)
+    check_size(TruncatedSimplicialSet, D, chain_count(ends, D))
     cells = [list(c.objects)]
     if D == 0:
         return TruncatedSimplicialSet(D, cells, [None], [])
@@ -373,8 +392,7 @@ def s_semisimplicial(N: int, D: int) -> SemiSimplicialSet:
     if N < 0 or D < 0:
         raise StructureError("N and D must be >= 0")
     # no degree above N has a cell
-    total = sum(comb(N + 1, k + 1) for k in range(min(N, D) + 1))
-    check_budget(total, SemiSimplicialSet.__name__)
+    check_size(SemiSimplicialSet, D, [comb(N + 1, k + 1) for k in range(min(N, D) + 1)])
     cells = [list(combinations(range(N + 1), k + 1)) for k in range(D + 1)]
     return simplicial_set(D, cells, delete_entry)
 
@@ -390,8 +408,7 @@ def product_with_S(x, s: SemiSimplicialSet) -> SemiSimplicialSet:
     """
     if x.D != s.D:
         raise StructureError("truncation degrees differ")
-    total = sum(x.n_cells(k) * s.n_cells(k) for k in range(x.D + 1))
-    check_budget(total, SemiSimplicialSet.__name__)
+    check_size(SemiSimplicialSet, x.D, [x.n_cells(k) * s.n_cells(k) for k in range(x.D + 1)])
     cells = [
         [(a, b) for a in x.cells[k] for b in s.cells[k]] for k in range(x.D + 1)
     ]
@@ -430,12 +447,11 @@ def unravel_simplicial(y: TruncatedSimplicialSet, N: int) -> TruncatedSimplicial
     D = y.D
     # weakly increasing (n+1)-tuples over N+1 stages with l distinct values:
     # choose the values, then cut the tuple into l nonempty runs
-    total = sum(
-        comb(N + 1, l) * comb(n, l - 1) * y.n_cells(l - 1)
+    counts = [
+        sum(comb(N + 1, l) * comb(n, l - 1) * y.n_cells(l - 1) for l in range(1, n + 2))
         for n in range(D + 1)
-        for l in range(1, n + 2)
-    )
-    check_budget(total, TruncatedSimplicialSet.__name__)
+    ]
+    check_size(TruncatedSimplicialSet, D, counts)
     seqs = [list(combinations_with_replacement(range(N + 1), n + 1)) for n in range(D + 1)]
     cells, start = [], []
     for n in range(D + 1):

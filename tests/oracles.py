@@ -256,7 +256,7 @@ def oracle_nerve(c: FinCategory, D: int) -> TruncatedSimplicialSet:
         raise StructureError("truncation degree must be >= 0")
     from_obj = arrows_leaving(c)
     ends = {x: [c.tgt[m] for m in ms] for x, ms in from_obj.items()}
-    check_budget(chain_count(ends, D), TruncatedSimplicialSet.__name__)
+    check_budget(sum(chain_count(ends, D)), TruncatedSimplicialSet.__name__)
     cells = [list(c.objects)]
     if D:
         cells.append([(m,) for x in c.objects for m in from_obj[x]])

@@ -131,7 +131,7 @@ def test_criterion_3_projection_quasi_iso():
                 ref = IntegerChainComplex(
                     4,
                     [[("c", k)] for k in range(5)],
-                    {k: IntMatrix([[2 if k % 2 == 0 else 0]]) for k in range(1, 5)},
+                    {k: IntMatrix([[2 if k % 2 == 0 else 0]], 1) for k in range(1, 5)},
                 )
                 assert [homology(ref, k).group() for k in range(3)] == groups
             else:
@@ -146,7 +146,7 @@ def test_criterion_3_projection_quasi_iso():
 def test_criterion_4_comma_fibers():
     with Stopwatch(4, "all comma fibers have vanishing reduced homology through 2", 60.0):
         for cat in (ordinal(1), ordinal(2), z2_groupoid().base):
-            checked, violations = all_fibers_contractible(cat, 4, 3)
+            checked, violations = all_fibers_contractible(cat, 4, 3, 2)
             assert violations == []
             assert checked == sum(nerve(cat, 3).n_cells(k) for k in range(4))
 
@@ -184,7 +184,7 @@ def test_criterion_7_partition_formulas():
         points = partition_grid()
         assert len(points) * 5 >= 100
         assert any(max(t) == 1 for t in points)
-        pairs, violations = check_partition_grid(points)
+        pairs, violations = check_partition_grid()
         assert violations == []
         for t in points:
             _, v = partition_homotopy(t, Fraction(0))

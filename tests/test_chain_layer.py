@@ -56,7 +56,7 @@ from oracles import (
     same_chain_complex,
     unravel_nerve_isomorphism,
 )
-from test_comparison import random_poset, s3_action_groupoid
+from test_comparison import core_simplex, random_poset, s3_action_groupoid
 
 CATEGORIES = dict(standard_categories())
 CATEGORIES["z3"] = cyclic_groupoid(3).base
@@ -96,7 +96,7 @@ def fibers(c, N=2, D=3):
     """One comma fiber per nondegenerate core of the nerve of c."""
     target = nerve(unravel(c, N), D)
     for k, cell in core_cells(c, D):
-        yield quillen_fiber(c, N, D, cell, k, target)
+        yield quillen_fiber(c, N, D, cell, k, target, core_simplex(c, D, cell, k))
 
 
 def deletion_bases():
@@ -176,8 +176,9 @@ def test_fiber_is_the_step_chain_oracle_cell_for_cell(name):
     c, N, D = CATEGORIES[name], 2, 3
     target = nerve(unravel(c, N), D)
     for k, cell in core_cells(c, D):
-        fib = quillen_fiber(c, N, D, cell, k, target)
-        want = oracle_quillen_fiber(c, N, D, cell, k, target, fib.to_simplex.target)
+        simplex = core_simplex(c, D, cell, k)
+        fib = quillen_fiber(c, N, D, cell, k, target, simplex)
+        want = oracle_quillen_fiber(c, N, D, cell, k, target, simplex)
         iso = oracle_simplicial_map(fib.fiber, want.fiber, vertex_pair)
         for j in range(D + 1):
             assert sorted(iso.maps[j]) == list(range(want.fiber.n_cells(j))), (cell, j)
@@ -201,7 +202,7 @@ def test_fiber_legs_match_the_per_cell_oracle(name):
     c, N, D = CATEGORIES[name], 2, 3
     target = nerve(unravel(c, N), D)
     for k, cell in core_cells(c, D):
-        fib = quillen_fiber(c, N, D, cell, k, target)
+        fib = quillen_fiber(c, N, D, cell, k, target, core_simplex(c, D, cell, k))
         legs = (fib.to_simplex, fib.to_unraveled)
         for leg, want in zip(legs, oracle_fiber_legs(c, cell, k, fib)):
             assert leg.maps == want.maps, cell

@@ -39,12 +39,13 @@ def self_inverse_loop():
     return FinGroupoid(base, {m: m for m in mor})
 
 
-@pytest.fixture
-def inputs(tmp_path):
+def write_inputs(directory):
+    """Write the input documents of the command tests into ``directory``;
+    returns their paths by file name."""
     paths = {}
 
     def write(name, doc):
-        p = tmp_path / name
+        p = directory / name
         p.write_text(json.dumps(doc))
         paths[name] = str(p)
 
@@ -60,6 +61,11 @@ def inputs(tmp_path):
     write("mobius.json", cocycle_to_json(mobius_cocycle()))
     write("broken.json", cocycle_to_json(broken_circle_cocycle()))
     return paths
+
+
+@pytest.fixture
+def inputs(tmp_path):
+    return write_inputs(tmp_path)
 
 
 def run(capsys, argv):
@@ -229,6 +235,35 @@ def test_maximal_flags_are_budgeted(capsys, tmp_path, monkeypatch):
     argv = ["verify", "tau", "--input", str(terminal), "--N", "6", "--D", "5", "--d", "1"]
     assert main(argv) == 2
     assert "maximal flag set needs 720 cells" in capsys.readouterr().err
+
+
+def test_truncation_degree_is_budgeted(capsys, inputs, tmp_path, monkeypatch):
+    monkeypatch.delenv("FATCAT_MAX_CELLS", raising=False)
+    terminal = tmp_path / "terminal.json"
+    terminal.write_text(json.dumps(category_to_json(standard_categories()["terminal"])))
+    assert main(["nerve", "--input", str(terminal), "--D", "400"]) == 2
+    assert "needs 160800 position tables" in capsys.readouterr().err
+    circle = inputs["circle.json"]
+    assert main(["verify", "blowup", "--input", circle, "--d", "1000000000"]) == 2
+    assert "position tables" in capsys.readouterr().err
+    # the base complex is padded with 100 empty degrees, which its audit skips
+    assert main(["verify", "blowup", "--input", circle, "--d", "100"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "47f179cee314122c2ea35ee8b488192167e47801e5e9b4ae2cfd19bb7bdcd028"
+
+
+def test_rho_payload_is_budgeted(capsys, monkeypatch):
+    monkeypatch.delenv("FATCAT_MAX_CELLS", raising=False)
+    # every witness repeats the n + 1 coordinates of the barycenter, and
+    # each reading finds n witnesses
+    code, payload = run(capsys, ["counterexample", "rho", "--n", "99"])
+    assert code == 0
+    points = [w["point"] for found in payload["witnesses"].values() for w in found]
+    assert sum(map(len, points)) == 2 * 99 * 100
+    assert main(["counterexample", "rho", "--n", "100"]) == 2
+    assert "the rho payload needs 20200 coordinate strings" in capsys.readouterr().err
+    assert main(["counterexample", "rho", "--n", "141", "--convention", "literal"]) == 2
+    assert "needs 20022 coordinate strings" in capsys.readouterr().err
 
 
 def test_tom_dieck_frontier_rung(capsys, inputs, monkeypatch):

@@ -409,7 +409,7 @@ def test_blowup_circle_star_cover():
     rep = blowup_vs_base(circle_star_cover(), 1)
     assert rep.ok
     assert [c.target.group() for c in rep.degrees] == [(1, ()), (1, ())]
-    blow = blowup(circle_star_cover()).source
+    blow = blowup(circle_star_cover(), 2).source
     for k in range(2):
         assert oracle_homology(blow, k) == homology(blow, k).group()
 
@@ -418,7 +418,7 @@ def test_blowup_single_set_cover():
     single = CoveredComplex(circle_complex(), [circle_complex()])
     rep = blowup_vs_base(single, 1)
     assert rep.ok
-    collapse = blowup(single)
+    collapse = blowup(single, 1)
     assert collapse.matrices[1].ncols == collapse.matrices[1].nrows
 
 
@@ -539,7 +539,7 @@ def split_blowup_differential(total, k):
 
 
 def test_blowup_differentials_square_to_zero_and_anticommute():
-    blow = blowup(circle_star_cover()).source
+    blow = blowup(circle_star_cover(), 2).source
     pieces = {k: split_blowup_differential(blow, k) for k in range(1, blow.D + 1)}
     # both parts are present, so the identities below cannot hold vacuously
     assert not any(is_zero(part) for parts in pieces.values() for part in parts)

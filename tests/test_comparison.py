@@ -84,7 +84,7 @@ def subdivision_operator(n):
 
 
 def test_subdivision_point_is_identity():
-    assert subdivision_operator(0) == IntMatrix([[1]])
+    assert subdivision_operator(0) == IntMatrix([[1]], 1)
 
 
 def test_subdivision_interval_signs():
@@ -215,7 +215,7 @@ def test_fiber_sweep_builds_once_per_core(monkeypatch, cat, cells, cores):
             return original(*args)
 
         monkeypatch.setattr(comparison, name, counted)
-    checked, violations = all_fibers_contractible(cat, 3, 3)
+    checked, violations = all_fibers_contractible(cat, 3, 3, 2)
     assert (checked, violations) == (cells, [])
     assert calls == {"unravel": 1, "quillen_fiber": cores}
     # the nerve, the shared target, per core a fiber and both legs, and one
@@ -278,9 +278,22 @@ def test_barycentric_point_validation():
         BarycentricPoint(1, (Fraction(3, 2), Fraction(-1, 2)))
 
 
+def core_simplex(c, D, cell, k):
+    """``nerve(ordinal(m), D)`` for the core degree m of a nerve cell, the
+    codomain of its fiber's ``to_simplex`` leg."""
+    objects, _ = _nondegenerate_factorization(c, k, cell)
+    return nerve(ordinal(len(objects) - 1), D)
+
+
+def fiber(c, N, D, cell, k):
+    """The comma fiber of a nerve cell, with both codomains built for it."""
+    target = nerve(unravel(c, N), D)
+    return comparison.quillen_fiber(c, N, D, cell, k, target, core_simplex(c, D, cell, k))
+
+
 def test_fiber_over_vertex_is_stage_poset_nerve():
     c = pair_groupoid().base
-    fib = quillen_fiber(c, 3, 3, "a", 0)
+    fib = fiber(c, 3, 3, "a", 0)
     reference = nerve(ordinal(3), 3)
     counts = [fib.fiber.n_cells(k) for k in range(4)]
     assert counts == [reference.n_cells(k) for k in range(4)]
@@ -289,7 +302,7 @@ def test_fiber_over_vertex_is_stage_poset_nerve():
 
 def test_fiber_over_interval_simplex():
     c = ordinal(1)
-    fib = quillen_fiber(c, 3, 3, ((0, 1, "le"),), 1)
+    fib = fiber(c, 3, 3, ((0, 1, "le"),), 1)
     reference = nerve(unravel(c, 3), 3)
     assert [fib.fiber.n_cells(k) for k in range(4)] == [
         reference.n_cells(k) for k in range(4)
@@ -304,10 +317,11 @@ def test_fiber_refuses_a_wrong_target():
     c = ordinal(1)
     edge = ((0, 1, "le"),)
     shared = nerve(unravel(c, 3), 2)
-    assert quillen_fiber(c, 3, 2, edge, 1, shared).to_unraveled.target is shared
+    simplex = nerve(ordinal(1), 2)
+    assert quillen_fiber(c, 3, 2, edge, 1, shared, simplex).to_unraveled.target is shared
     for wrong in (nerve(unravel(c, 2), 2), nerve(unravel(c, 3), 3)):
         with pytest.raises(StructureError):
-            quillen_fiber(c, 3, 2, edge, 1, wrong)
+            quillen_fiber(c, 3, 2, edge, 1, wrong, simplex)
 
 
 FIBER_CORES = {
@@ -327,7 +341,8 @@ def test_fiber_is_refused_before_any_cell_is_built(monkeypatch):
     with pytest.raises(
         EnumerationLimitError, match="^TruncatedSimplicialSet needs 59422 cells"
     ):
-        quillen_fiber(c, 10, 4, cell, k)
+        # refused before either codomain is read
+        quillen_fiber(c, 10, 4, cell, k, None, None)
     assert built == []
     assert categories == []
 
@@ -335,17 +350,17 @@ def test_fiber_is_refused_before_any_cell_is_built(monkeypatch):
 @pytest.mark.parametrize("name", sorted(FIBER_CORES))
 def test_fiber_budget_counts_every_cell(monkeypatch, name):
     c, cell, k = FIBER_CORES[name]
-    target = nerve(unravel(c, 3), 3)
-    fib = quillen_fiber(c, 3, 3, cell, k, target)
+    target, simplex = nerve(unravel(c, 3), 3), core_simplex(c, 3, cell, k)
+    fib = quillen_fiber(c, 3, 3, cell, k, target, simplex)
     total = sum(fib.fiber.n_cells(j) for j in range(4))
     built = record_builds(monkeypatch)
     monkeypatch.setenv("FATCAT_MAX_CELLS", str(total))
-    quillen_fiber(c, 3, 3, cell, k, target)
+    quillen_fiber(c, 3, 3, cell, k, target, simplex)
     monkeypatch.setenv("FATCAT_MAX_CELLS", str(total - 1))
     with pytest.raises(EnumerationLimitError, match=f"needs {total} cells"):
-        quillen_fiber(c, 3, 3, cell, k, target)
-    # the fiber and its simplex, both from the run inside the budget
-    assert len(built) == 2
+        quillen_fiber(c, 3, 3, cell, k, target, simplex)
+    # the fiber, from the run inside the budget
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("name", sorted(FIBER_CORES))
@@ -355,7 +370,7 @@ def test_fiber_cells_are_the_sorted_step_chains(name):
     steps.  A step (a0, l0) -> (a1, l1) lowers neither entry, and keeps the
     stage only over an identity composite."""
     c, cell, k = FIBER_CORES[name]
-    fib = quillen_fiber(c, 3, 3, cell, k)
+    fib = fiber(c, 3, 3, cell, k)
     objects, arrows = _nondegenerate_factorization(c, k, cell)
     composite = chain_composites(c, objects, arrows)
     vertices = [(a, l) for a in range(len(objects)) for l in range(4)]
@@ -376,8 +391,8 @@ def test_fiber_cells_are_the_sorted_step_chains(name):
 def test_fiber_of_degenerate_simplex_factors():
     c = z2_groupoid().base
     ident = ("*", "*", "e")
-    degenerate = quillen_fiber(c, 3, 3, (ident,), 1)
-    vertex = quillen_fiber(c, 3, 3, "*", 0)
+    degenerate = fiber(c, 3, 3, (ident,), 1)
+    vertex = fiber(c, 3, 3, "*", 0)
     assert degenerate.fiber.cells == vertex.fiber.cells
     assert degenerate.degree == 0
 
@@ -387,12 +402,12 @@ def test_fiber_with_identity_composite():
     # leave it contractible
     c = z2_groupoid().base
     sigma = ("*", "*", "s")
-    fib = quillen_fiber(c, 3, 3, (sigma, sigma), 2)
+    fib = fiber(c, 3, 3, (sigma, sigma), 2)
     assert contractibility_report(fib, 2) == []
 
 
 def test_all_fibers_interval():
-    checked, violations = all_fibers_contractible(ordinal(1), 3, 3)
+    checked, violations = all_fibers_contractible(ordinal(1), 3, 3, 2)
     assert checked == 14
     assert violations == []
 
@@ -404,7 +419,7 @@ def per_cell_sweep(c, N, D, d):
     checked = 0
     for k in range(D + 1):
         for cell in ner.cells[k]:
-            fib = comparison.quillen_fiber(c, N, D, cell, k)
+            fib = fiber(c, N, D, cell, k)
             checked += 1
             for v in comparison.contractibility_report(fib, d):
                 violations.append(Violation(v.law, (k, cell) + v.witness, v.detail))
@@ -442,7 +457,7 @@ SWEEP_CASES = {
 @pytest.mark.parametrize("name", sorted(SWEEP_CASES))
 def test_fiber_sweep_matches_per_cell_reference(name):
     cat = SWEEP_CASES[name]
-    assert all_fibers_contractible(cat, 2, 3) == per_cell_sweep(cat, 2, 3, 2)
+    assert all_fibers_contractible(cat, 2, 3, 2) == per_cell_sweep(cat, 2, 3, 2)
 
 
 @pytest.mark.parametrize("name", ["ordinal-2", "z2", "idempotent-monoid"])
@@ -464,7 +479,7 @@ def test_fiber_sweep_repeats_core_witness_on_every_cell(monkeypatch, name):
         for cell in ner.cells[k]
         if k > 0 and sum(not cat.is_identity(f) for f in cell) == 1
     ]
-    checked, violations = all_fibers_contractible(cat, 2, 3)
+    checked, violations = all_fibers_contractible(cat, 2, 3, 2)
     assert edge_cells
     assert [v for v in violations if v.detail == "forced"] == [
         Violation("fiber-contractible", (k, cell, 1), "forced") for k, cell in edge_cells

@@ -56,20 +56,20 @@ def reference_flip_complex(D):
     basis = [[("cell", k)] for k in range(D + 1)]
     boundary = {}
     for k in range(1, D + 1):
-        boundary[k] = IntMatrix([[2 if k % 2 == 0 else 0]])
+        boundary[k] = IntMatrix([[2 if k % 2 == 0 else 0]], 1)
     return IntegerChainComplex(D, basis, boundary)
 
 
 def test_smith_small_matrix():
-    form = smith(IntMatrix([[2, 4], [6, 8]]), rows=True, cols=True)
+    form = smith(IntMatrix([[2, 4], [6, 8]], 2), rows=True, cols=True)
     assert form.factors == [2, 4]
-    recon = form.U.mul(IntMatrix([[2, 4], [6, 8]])).mul(form.V)
-    assert recon == IntMatrix([[2, 0], [0, 4]])
+    recon = form.U.mul(IntMatrix([[2, 4], [6, 8]], 2)).mul(form.V)
+    assert recon == IntMatrix([[2, 0], [0, 4]], 2)
 
 
 def test_smith_transforms_are_inverse():
     rng = random.Random(11)
-    a = IntMatrix([[rng.randint(-4, 4) for _ in range(5)] for _ in range(4)])
+    a = IntMatrix([[rng.randint(-4, 4) for _ in range(5)] for _ in range(4)], 5)
     form = smith(a, rows=True, cols=True)
     assert form.U.mul(form.Uinv) == identity(4)
     assert form.Vinv.mul(form.V) == identity(5)
@@ -82,7 +82,7 @@ def test_smith_transforms_are_inverse():
 
 
 def test_kernel_basis_is_a_kernel():
-    a = IntMatrix([[1, 2, 3], [2, 4, 6]])
+    a = IntMatrix([[1, 2, 3], [2, 4, 6]], 3)
     ker = kernel_basis(a)
     assert ker.ncols == 2
     assert is_zero(a.mul(ker))
@@ -160,9 +160,9 @@ def test_homology_edge_degree_flagged_unreliable():
 
 def test_homology_group_validates_divisor_chain():
     with pytest.raises(StructureError):
-        HomologyGroup(1, 0, (3, 2))
+        HomologyGroup(1, 0, (3, 2), True)
     with pytest.raises(StructureError):
-        HomologyGroup(1, 0, (1,))
+        HomologyGroup(1, 0, (1,), True)
 
 
 def shuffle_complex(cx, seed):
@@ -335,7 +335,7 @@ def test_quasi_iso_rejects_scalar_doubling():
     from fatcat.cocycle import CoveredComplex, base_chain_complex
 
     cc = CoveredComplex(circle_complex(), [circle_complex()])
-    cx = base_chain_complex(cc, D=2)
+    cx = base_chain_complex(cc, 2)
     doubling = ChainMap(
         cx,
         cx,
@@ -355,7 +355,7 @@ def test_identity_check_rejects_sign_flip():
     from fatcat.cocycle import CoveredComplex, base_chain_complex
 
     cc = CoveredComplex(circle_complex(), [circle_complex()])
-    cx = base_chain_complex(cc, D=2)
+    cx = base_chain_complex(cc, 2)
     negation = ChainMap(
         cx,
         cx,
@@ -405,9 +405,7 @@ def test_sparse_operations_match_dense_oracle(seed):
     for j in range(k):
         assert column(A, j) == [row[j] for row in a]
     start = rng.randint(0, k)
-    stop = rng.randint(start, k)
     assert_stores(A.submatrix_cols(start), [row[start:] for row in a])
-    assert_stores(A.submatrix_cols(start, stop), [row[start:stop] for row in a])
     assert_stores(_transposed(A), dense_transposed(a, k))
     assert A == IntMatrix(a, ncols=k)
     if n and k:
@@ -419,11 +417,11 @@ def test_sparse_operations_match_dense_oracle(seed):
 def test_sparse_product_drops_cancelled_entries():
     a = [[1, 1], [2, 0]]
     b = [[1, 3], [-1, 0]]
-    product = IntMatrix(a).mul(IntMatrix(b))
+    product = IntMatrix(a, 2).mul(IntMatrix(b, 2))
     assert product.nz == [{1: 3}, {0: 2, 1: 6}]
     assert_stores(product, dense_mul(a, b, 2))
-    assert IntMatrix([[1, 1]]).annihilates(IntMatrix([[1], [-1]]))
-    assert not IntMatrix([[1, 1]]).annihilates(IntMatrix([[1], [1]]))
+    assert IntMatrix([[1, 1]], 2).annihilates(IntMatrix([[1], [-1]], 1))
+    assert not IntMatrix([[1, 1]], 2).annihilates(IntMatrix([[1], [1]], 1))
 
 
 @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
@@ -439,26 +437,24 @@ def test_sparse_empty_shapes(shape):
 
 
 def test_dense_view_refuses_writes():
-    m = IntMatrix([[1, 0], [0, 2]])
+    m = IntMatrix([[1, 0], [0, 2]], 2)
     with pytest.raises(TypeError):
         m.rows[0][1] = 5
     with pytest.raises(TypeError):
         m.rows[0] = (1, 5)
-    assert m == IntMatrix([[1, 0], [0, 2]])
+    assert m == IntMatrix([[1, 0], [0, 2]], 2)
 
 
 def test_matrix_shape_is_validated():
     with pytest.raises(StructureError):
-        IntMatrix([[1, 2], [3]])
+        IntMatrix([[1, 2], [3]], 2)
     with pytest.raises(StructureError):
         IntMatrix([[1, 2]], ncols=3)
     assert IntMatrix([[1, 2]], ncols=2).shape == (1, 2)
     with pytest.raises(StructureError):
-        IntMatrix([])
+        IntMatrix([[1, 2]], 2).mul(IntMatrix([[1, 2]], 2))
     with pytest.raises(StructureError):
-        IntMatrix([[1, 2]]).mul(IntMatrix([[1, 2]]))
-    with pytest.raises(StructureError):
-        IntMatrix([[1, 2]]).mulvec([1])
+        IntMatrix([[1, 2]], 2).mulvec([1])
 
 
 def test_cell_matrix_drops_cancelled_entries():
@@ -477,7 +473,8 @@ def test_cell_matrix_drops_cancelled_entries():
 @pytest.mark.parametrize("seed", range(6))
 def test_smith_transforms_store_only_nonzeros(seed):
     rng = random.Random(700 + seed)
-    a = IntMatrix(dense_random(rng, rng.randint(1, 7), rng.randint(1, 7), 0.5))
+    nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+    a = IntMatrix(dense_random(rng, nrows, ncols, 0.5), ncols)
     form = smith(a, rows=True, cols=True)
     for t in (form.U, form.Uinv, form.V, form.Vinv):
         assert all(v for row in t.nz for v in row.values())
@@ -535,7 +532,7 @@ def test_smith_matches_oracle_on_random_matrices(seed):
     rng = random.Random(seed)
     rows = rng.randint(1, 6)
     cols = rng.randint(1, 6)
-    a = IntMatrix([[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)])
+    a = IntMatrix([[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)], cols)
     assert_smith_form(a)
 
 
@@ -567,7 +564,7 @@ def test_smith_differential_unit_block_with_residual(seed):
         i, j = rng.sample(range(m), 2)
         for row in right:
             row[i] += row[j]
-    a = IntMatrix(left).mul(IntMatrix(block)).mul(IntMatrix(right))
+    a = IntMatrix(left, n).mul(IntMatrix(block, m)).mul(IntMatrix(right, m))
     assert_smith_form(a)
     assert smith(a).factors[:k] == [1] * k
 
@@ -577,11 +574,11 @@ def test_smith_unit_pivot_rule():
     first; then column 1 at row 2; the residual -6 is the one non-unit pivot.
     Uinv's columns are the pivot columns as they stood, Vinv's rows the
     pivot rows."""
-    a = IntMatrix([[2, 1, 1], [0, -1, 3], [0, 1, 0]])
+    a = IntMatrix([[2, 1, 1], [0, -1, 3], [0, 1, 0]], 3)
     form = smith(a, rows=True, cols=True)
     assert form.factors == [1, 1, 6]
-    assert form.Uinv == IntMatrix([[1, 0, 0], [3, -4, -1], [0, 1, 0]])
-    assert form.Vinv == IntMatrix([[2, 1, 1], [0, 1, 0], [1, 0, 0]])
+    assert form.Uinv == IntMatrix([[1, 0, 0], [3, -4, -1], [0, 1, 0]], 3)
+    assert form.Vinv == IntMatrix([[2, 1, 1], [0, 1, 0], [1, 0, 0]], 3)
     assert_smith_form(a)
 
 
@@ -601,11 +598,12 @@ def fixture_complexes():
         out[f"geometric-{name}"] = geometric_chains(nerve(cat, 3))
     out["fat-z3"] = fat_chains(nerve(cyclic_groupoid(3).base, 3))
     out["stage-product"] = fat_chains(product_with_S(nerve(z2_groupoid().base, 2), s_semisimplicial(3, 2)))
-    out["blowup-edge-stars"] = blowup(edge_star_cover()).source
-    out["blowup-vertex-stars"] = blowup(circle_star_cover()).source
-    out["blowup-hemispheres"] = blowup(hemisphere_cover()).source
+    out["blowup-edge-stars"] = blowup(edge_star_cover(), 1).source
+    out["blowup-vertex-stars"] = blowup(circle_star_cover(), 2).source
+    out["blowup-hemispheres"] = blowup(hemisphere_cover(), 2).source
     faces = random_two_complex()
-    out["random-two-complex"] = base_chain_complex(CoveredComplex(faces, [faces]))
+    cc = CoveredComplex(faces, [faces])
+    out["random-two-complex"] = base_chain_complex(cc, cc.dimension())
     out["flags-2"] = flag_chain_complex(2)
     out["simplex-3"] = fat_chains(s_semisimplicial(3, 3))
     return out

@@ -1,6 +1,7 @@
 """What callers rely on from the package's record types: equality and
 hashing of value records, the validation their constructors run, that the
-immutable ones refuse assignment, and the optional fields of SmithForm."""
+immutable ones refuse assignment, and the transforms a SmithForm leaves
+out."""
 
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from fatcat.errors import StructureError, Violation
 from fatcat.fincat import NatTransformation, identity_functor, ordinal
 from fatcat.fixtures import z2_groupoid
 from fatcat.homology import HomologyGroup
-from fatcat.intlinalg import IntMatrix, SmithForm, smith
+from fatcat.intlinalg import IntMatrix, smith
 from fatcat.simpset import BarycentricFlag, sd_flags
 
 from cocycle_calculus import PartitionPoint
@@ -33,9 +34,8 @@ def test_violation_equality_and_hashing():
 
 
 def test_value_records_compare_by_fields():
-    assert HomologyGroup(1, 0, (2,)) == HomologyGroup(1, 0, (2,), True)
-    assert HomologyGroup(1, 0, (2,)) != HomologyGroup(1, 0, (2,), False)
-    assert HomologyGroup(1, 0, (2,)).reliable is True
+    assert HomologyGroup(1, 0, (2,), True) == HomologyGroup(1, 0, (2,), True)
+    assert HomologyGroup(1, 0, (2,), True) != HomologyGroup(1, 0, (2,), False)
     assert z2_groupoid() == z2_groupoid()
     assert identity_functor(ordinal(2)) == identity_functor(ordinal(2))
     flag = BarycentricFlag(1, (frozenset({0}), frozenset({0, 1})))
@@ -53,11 +53,11 @@ def test_value_records_compare_by_fields():
 )
 def test_homology_group_refuses_bad_torsion(torsion, message):
     with pytest.raises(StructureError, match=message):
-        HomologyGroup(1, 0, torsion)
+        HomologyGroup(1, 0, torsion, True)
 
 
 def test_homology_group_accepts_a_divisor_chain():
-    group = HomologyGroup(degree=3, betti=1, torsion=(2, 4, 12))
+    group = HomologyGroup(degree=3, betti=1, torsion=(2, 4, 12), reliable=True)
     assert group.group() == (1, (2, 4, 12))
     assert group.to_json() == {"degree": 3, "betti": 1, "torsion": [2, 4, 12], "reliable": True}
 
@@ -119,7 +119,7 @@ def frozen_records():
         (functor, "omap"),
         (NatTransformation(functor, functor, dict(g.base.identity)), "component"),
         (BarycentricFlag(1, (frozenset({0}),)), "n"),
-        (HomologyGroup(0, 1, ()), "betti"),
+        (HomologyGroup(0, 1, (), True), "betti"),
         (BarycentricPoint.barycenter(1), "coords"),
         (RhoWitness(1, "literal", "kind", 0, (), (), ()), "detail"),
         (PartitionPoint((Fraction(1),)), "coords"),
@@ -140,9 +140,7 @@ def test_frozen_records_refuse_assignment(record, field):
 
 
 def test_smith_form_transforms_default_to_none():
-    form = SmithForm(factors=[], rank=0, nrows=0, ncols=0)
-    assert (form.U, form.Uinv, form.V, form.Vinv) == (None,) * 4
-    a = IntMatrix([[2, 1], [0, 3]])
+    a = IntMatrix([[2, 1], [0, 3]], 2)
     plain = smith(a)
     assert (plain.U, plain.Uinv, plain.V, plain.Vinv) == (None,) * 4
     assert (plain.factors, plain.rank, plain.nrows, plain.ncols) == ([1, 6], 2, 2, 2)

@@ -134,6 +134,37 @@ def test_stage_complex_is_refused_before_any_cell_is_built(monkeypatch):
         s_semisimplicial(2, 10**9)
 
 
+def test_truncation_degree_is_budgeted_before_any_cell_is_built(monkeypatch):
+    built = record_builds(monkeypatch, SemiSimplicialSet)
+    monkeypatch.delenv("FATCAT_MAX_CELLS", raising=False)
+    terminal = terminal_category()
+    # one cell per degree: D(D + 3)/2 face and D(D + 1)/2 degeneracy tables
+    with pytest.raises(
+        EnumerationLimitError, match="^TruncatedSimplicialSet needs 160800 position tables"
+    ):
+        nerve(terminal, 400)
+    # and C(D + 2, 3) - 1 face identities, 20,824 at D = 49
+    with pytest.raises(
+        EnumerationLimitError, match="^TruncatedSimplicialSet needs 20824 face identities"
+    ):
+        nerve(terminal, 49)
+    with pytest.raises(EnumerationLimitError, match="^SemiSimplicialSet needs 20099 position tables"):
+        s_semisimplicial(2, 199)
+    assert built == []
+    assert nerve(terminal, 48).D == 48
+
+
+def test_audit_skips_degrees_without_cells(monkeypatch):
+    # above N the stage complex has no cells, and a law over none holds
+    composed = []
+    compose = simpset._compose
+    monkeypatch.setattr(simpset, "_compose", lambda *args: composed.append(args) or compose(*args))
+    s = s_semisimplicial(2, 150)
+    assert [s.n_cells(k) for k in range(4)] == [3, 3, 1, 0]
+    # d_i d_j = d_{j-1} d_i for the three pairs i < j of degree 2, two tables each
+    assert len(composed) == 6
+
+
 @pytest.mark.parametrize("cat", [ordinal(2), z2_groupoid().base, pair_groupoid().base])
 @pytest.mark.parametrize("build", ["product", "unravel"])
 def test_product_and_unraveling_budget_count_every_cell(monkeypatch, cat, build):
