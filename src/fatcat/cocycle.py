@@ -422,67 +422,80 @@ def universal_cocycle(g: FinGroupoid, N: int, D: int):
 # ---------------------------------------------------------------------------
 # Partition-of-unity homotopy
 
+# the grid's points and times are numerators over this denominator
+GRID_DENOMINATOR = 4
 
-def partition_homotopy(t, s):
-    """Deformation from raw coordinates to a locally finite partition.
+
+def partition_homotopy(a, b, q):
+    """Deformation from raw coordinates to a locally finite partition, in
+    integers: the point t = a / q at time s = b / q.
 
     w_i = max(0, t_i - s * sum_{j<i} t_j) and v = w normalized; at s = 0
     this returns t itself, and at s = 1 entry i dies as soon as the mass
-    before it reaches t_i.
+    before it reaches t_i.  Returns w scaled by q * q, as the numerators
+    max(0, q * a_i - b * sum_{j<i} a_j), and v as (numerators, T): the
+    same numerators over their sum T.
     """
-    s = Fraction(s)
-    if not 0 <= s <= 1:
+    if not 0 <= b <= q:
         raise StructureError("s must lie in [0, 1]")
     w = []
-    before = Fraction(0)
-    for ti in t:
-        wi = ti - s * before
-        w.append(wi if wi > 0 else Fraction(0))
-        before += ti
+    before = 0
+    for ai in a:
+        wi = q * ai - b * before
+        w.append(wi if wi > 0 else 0)
+        before += ai
+    w = tuple(w)
     total = sum(w)
     assert total > 0, "a valid partition point always keeps positive mass"
-    v = tuple(wi / total for wi in w)
-    return tuple(w), v
+    return w, (w, total)
 
 
 def partition_grid():
-    """Deterministic grid of partition points: all 5-part compositions of 4,
-    scaled by 1/4; vertices are included."""
+    """Deterministic grid of partition points: all 5-part compositions of
+    GRID_DENOMINATOR, as numerators over it; vertices are included."""
     points = []
 
     def compose_rest(remaining, parts, acc):
         if parts == 1:
-            points.append(tuple(acc + [Fraction(remaining, 4)]))
+            points.append(tuple(acc + [remaining]))
             return
         for take in range(remaining + 1):
-            compose_rest(remaining - take, parts - 1, acc + [Fraction(take, 4)])
+            compose_rest(remaining - take, parts - 1, acc + [take])
 
-    compose_rest(4, 5, [])
+    compose_rest(GRID_DENOMINATOR, 5, [])
     return points
 
 
 def check_partition_grid():
-    """Exact partition identities over the grid, at times s = 0, 1/4, ..., 1.
+    """Exact partition identities over the grid, at times s = 0, 1/q, ..., 1
+    for q = GRID_DENOMINATOR.
 
     Checks that v sums to one, that s = 0 returns the input, and that at
-    s = 1 an entry dies exactly when the mass before it reaches it.
+    s = 1 an entry dies exactly when the mass before it reaches it, all in
+    integers.  A witness names t, and s where it matters, as exact-rational
+    strings.
     """
+    q = GRID_DENOMINATOR
     violations = []
     pairs = 0
-    for t in partition_grid():
-        for s in (Fraction(k, 4) for k in range(5)):
+    for a in partition_grid():
+        failed = []
+        for b in range(q + 1):
             pairs += 1
-            _, v = partition_homotopy(t, s)
-            if sum(v) != 1:
-                violations.append(Violation("partition-sum", (t, s)))
-            if s == 0 and v != tuple(t):
-                violations.append(Violation("partition-start", (t,)))
-            if s == 1:
-                before = Fraction(0)
-                for i, ti in enumerate(t):
-                    if before >= ti and v[i] != 0:
-                        violations.append(Violation("partition-truncation", (t, i)))
-                    before += ti
+            _, (v, total) = partition_homotopy(a, b, q)
+            if sum(v) != total:
+                failed.append(("partition-sum", str(Fraction(b, q))))
+            if b == 0 and [q * vi for vi in v] != [ai * total for ai in a]:
+                failed.append(("partition-start",))
+            if b == q:
+                before = 0
+                for i, ai in enumerate(a):
+                    if before >= ai and v[i] != 0:
+                        failed.append(("partition-truncation", i))
+                    before += ai
+        if failed:
+            t = tuple(str(Fraction(ai, q)) for ai in a)
+            violations += [Violation(law, (t, *rest)) for law, *rest in failed]
     return pairs, violations
 
 

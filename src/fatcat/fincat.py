@@ -114,63 +114,74 @@ def check_category(c: FinCategory):
     """Exhaustive law audit.  Empty report means c is a category.
 
     Raises StructureError on dangling identifiers or missing identity
-    entries; equational failures are reported, not raised.
+    entries; equational failures are reported, not raised.  The audit runs
+    on the positions of the objects and morphisms, in their order, and
+    names ids only in the violations it records.
     """
     _check_ids(c)
     violations = []
-
-    for x in c.objects:
-        m = c.identity[x]
-        if c.src[m] != x or c.tgt[m] != x:
-            violations.append(
-                Violation("identity-endpoints", (x, m), "identity is not an endomorphism")
-            )
-
     mids = c.morphism_ids()
-    composable = _composable_pairs(c)
-    comp_set = set(composable)
-    for pair in composable:
-        if pair not in c.table:
+    place = {x: p for p, x in enumerate(c.objects)}
+    number = {m: e for e, m in enumerate(mids)}
+    src = [place[s] for _, s, _ in c.morphisms]
+    tgt = [place[t] for _, _, t in c.morphisms]
+    unit = [number[c.identity[x]] for x in c.objects]
+    leaving = [[] for _ in c.objects]
+    for f, x in enumerate(src):
+        leaving[x].append(f)
+    # after[f][g] = h records h = g after f
+    after = [{} for _ in mids]
+    for (f, g), h in c.table.items():
+        after[number[f]][number[g]] = number[h]
+
+    for x, m in enumerate(unit):
+        if src[m] != x or tgt[m] != x:
+            witness = (c.objects[x], mids[m])
             violations.append(
-                Violation("compose-total", pair, "composable pair missing from table")
+                Violation("identity-endpoints", witness, "identity is not an endomorphism")
             )
+
+    for f, row in enumerate(after):
+        for g in leaving[tgt[f]]:
+            if g not in row:
+                pair = (mids[f], mids[g])
+                violations.append(
+                    Violation("compose-total", pair, "composable pair missing from table")
+                )
     # each entry misfits at most once, so only the misfits are put in order
-    misfits = [(pair, h) for pair, h in c.table.items() if pair not in comp_set
-               or c.src[h] != c.src[pair[0]] or c.tgt[h] != c.tgt[pair[1]]]
-    for (f, g), h in sorted(misfits, key=lambda kv: sort_key(kv[0])):
-        if (f, g) not in comp_set:
+    misfits = sorted((f, g, h) for f, row in enumerate(after) for g, h in row.items()
+                     if src[g] != tgt[f] or src[h] != src[f] or tgt[h] != tgt[g])
+    for f, g, h in misfits:
+        pair = (mids[f], mids[g])
+        if src[g] != tgt[f]:
             violations.append(
-                Violation("compose-domain", (f, g), "table entry on non-composable pair")
+                Violation("compose-domain", pair, "table entry on non-composable pair")
             )
         else:
             violations.append(
-                Violation("compose-endpoints", (f, g, h), "composite has wrong endpoints")
+                Violation("compose-endpoints", (*pair, mids[h]), "composite has wrong endpoints")
             )
 
-    def comp(f, g):
-        return c.table.get((f, g))
+    for f, row in enumerate(after):
+        i_src, i_tgt = unit[src[f]], unit[tgt[f]]
+        if after[i_src].get(f, f) != f:
+            violations.append(Violation("identity-law", (mids[f], mids[i_src]), "f o id != f"))
+        if row.get(i_tgt, f) != f:
+            violations.append(Violation("identity-law", (mids[f], mids[i_tgt]), "id o f != f"))
 
-    for f in mids:
-        i_src = c.identity.get(c.src[f])
-        i_tgt = c.identity.get(c.tgt[f])
-        if i_src is not None and comp(i_src, f) is not None and comp(i_src, f) != f:
-            violations.append(Violation("identity-law", (f, i_src), "f o id != f"))
-        if i_tgt is not None and comp(f, i_tgt) is not None and comp(f, i_tgt) != f:
-            violations.append(Violation("identity-law", (f, i_tgt), "id o f != f"))
-
-    leaving = arrows_leaving(c)
-    for f, g in composable:
-        gf = comp(f, g)
-        if gf is None:
-            continue
-        for h in leaving[c.tgt[g]]:
-            hg = comp(g, h)
-            left = comp(f, hg) if hg is not None else None
-            right = comp(gf, h)
-            if left is not None and right is not None and left != right:
-                violations.append(
-                    Violation("associativity", (f, g, h), "h(gf) != (hg)f")
-                )
+    for f, row in enumerate(after):
+        for g in leaving[tgt[f]]:
+            gf = row.get(g)
+            if gf is None:
+                continue
+            g_row, gf_row = after[g], after[gf]
+            for h in leaving[tgt[g]]:
+                left = row.get(g_row.get(h))
+                right = gf_row.get(h)
+                if left != right and left is not None and right is not None:
+                    violations.append(
+                        Violation("associativity", (mids[f], mids[g], mids[h]), "h(gf) != (hg)f")
+                    )
     return violations
 
 

@@ -294,11 +294,15 @@ def chain_composites(c: FinCategory, objects, arrows) -> dict:
 def chain_count(ends, D: int) -> list:
     """Composable chains of k arrows, for k = 0..D, in a category whose
     arrows leaving each object x end at the objects ``ends[x]``, one entry
-    per arrow; the 0-chains are the objects."""
-    # chains[x]: the k-chains starting at x, by recurrence on k
+    per arrow; the 0-chains are the objects.  The list stops after the
+    first degree without chains."""
+    # chains[x]: the k-chains starting at x, by recurrence on k; past a
+    # degree without chains there are none, and the list stops there
     chains = dict.fromkeys(ends, 1)
     counts = [len(chains)]
     for _ in range(D):
+        if not counts[-1]:
+            break
         chains = {x: sum(map(chains.__getitem__, ys)) for x, ys in ends.items()}
         counts.append(sum(chains.values()))
     return counts
@@ -316,6 +320,9 @@ def nerve(c: FinCategory, D: int) -> TruncatedSimplicialSet:
     """
     if D < 0:
         raise StructureError("truncation degree must be >= 0")
+    # every object's identity chains alone give it a cell in each degree,
+    # so a D that this bound refuses is refused before any counting
+    check_budget(len(c.objects) * (D + 1), TruncatedSimplicialSet.__name__)
     from_obj = arrows_leaving(c)
     ends = {x: [c.tgt[m] for m in ms] for x, ms in from_obj.items()}
     check_size(TruncatedSimplicialSet, D, chain_count(ends, D))

@@ -23,6 +23,11 @@
   nerve simplex ``universal_cocycle`` must reproduce cell for cell and
   witness for witness; and the cellwise isomorphism of the unraveled nerve
   onto the nerve of the unraveled category.
+* The category-law audit keyed by identifier tuples
+  (``oracle_check_category``), whose violations the package's
+  position-based ``check_category`` must reproduce in order, and the
+  partition homotopy over Fractions (``oracle_partition_homotopy``), which
+  the package's integer ``partition_homotopy`` must match as rationals.
 * Comma fibers: the step-chain simplicial set of (vertex tuple, stage
   tuple) pairs with its own face, degeneracy and leg rules, which the
   package's nerve of the pullback category must match through the
@@ -37,6 +42,7 @@
 """
 
 from collections import namedtuple
+from fractions import Fraction
 from functools import partial
 from itertools import combinations_with_replacement, groupby
 from math import comb
@@ -47,8 +53,16 @@ from sympy.matrices.normalforms import smith_normal_form
 
 from fatcat.comparison import CommaFiber, _nondegenerate_factorization
 from fatcat.errors import StructureError, Violation, check_budget
-from fatcat.fincat import FinCategory, arrows_leaving, mid, unravel
+from fatcat.fincat import (
+    FinCategory,
+    _check_ids,
+    _composable_pairs,
+    arrows_leaving,
+    mid,
+    unravel,
+)
 from fatcat.homology import ChainMap, IntegerChainComplex, fat_chains, geometric_chains
+from fatcat.ids import sort_key
 from fatcat.intlinalg import IntMatrix, SmithForm, _dense, smith
 from fatcat.simpset import (
     SemiSimplicialSet,
@@ -427,6 +441,95 @@ def oracle_tau_chain_map(x, N, D):
 
     prod = oracle_product_with_S(x, s_semisimplicial(N, D))
     return oracle_cellular_map(oracle_fat_chains(x), oracle_fat_chains(prod), terms)
+
+
+# ---------------------------------------------------------------------------
+# The category-law audit over identifiers and the partition formula over
+# Fractions
+
+
+def oracle_check_category(c: FinCategory):
+    """Exhaustive law audit keyed by the identifier tuples themselves; the
+    package's position-based ``check_category`` must return the same list.
+    """
+    _check_ids(c)
+    violations = []
+
+    for x in c.objects:
+        m = c.identity[x]
+        if c.src[m] != x or c.tgt[m] != x:
+            violations.append(
+                Violation("identity-endpoints", (x, m), "identity is not an endomorphism")
+            )
+
+    mids = c.morphism_ids()
+    composable = _composable_pairs(c)
+    comp_set = set(composable)
+    for pair in composable:
+        if pair not in c.table:
+            violations.append(
+                Violation("compose-total", pair, "composable pair missing from table")
+            )
+    # each entry misfits at most once, so only the misfits are put in order
+    misfits = [(pair, h) for pair, h in c.table.items() if pair not in comp_set
+               or c.src[h] != c.src[pair[0]] or c.tgt[h] != c.tgt[pair[1]]]
+    for (f, g), h in sorted(misfits, key=lambda kv: sort_key(kv[0])):
+        if (f, g) not in comp_set:
+            violations.append(
+                Violation("compose-domain", (f, g), "table entry on non-composable pair")
+            )
+        else:
+            violations.append(
+                Violation("compose-endpoints", (f, g, h), "composite has wrong endpoints")
+            )
+
+    def comp(f, g):
+        return c.table.get((f, g))
+
+    for f in mids:
+        i_src = c.identity.get(c.src[f])
+        i_tgt = c.identity.get(c.tgt[f])
+        if i_src is not None and comp(i_src, f) is not None and comp(i_src, f) != f:
+            violations.append(Violation("identity-law", (f, i_src), "f o id != f"))
+        if i_tgt is not None and comp(f, i_tgt) is not None and comp(f, i_tgt) != f:
+            violations.append(Violation("identity-law", (f, i_tgt), "id o f != f"))
+
+    leaving = arrows_leaving(c)
+    for f, g in composable:
+        gf = comp(f, g)
+        if gf is None:
+            continue
+        for h in leaving[c.tgt[g]]:
+            hg = comp(g, h)
+            left = comp(f, hg) if hg is not None else None
+            right = comp(gf, h)
+            if left is not None and right is not None and left != right:
+                violations.append(
+                    Violation("associativity", (f, g, h), "h(gf) != (hg)f")
+                )
+    return violations
+
+
+def oracle_partition_homotopy(t, s):
+    """Deformation from raw coordinates to a locally finite partition.
+
+    w_i = max(0, t_i - s * sum_{j<i} t_j) and v = w normalized, over
+    Fractions; the package's integer ``partition_homotopy`` must give the
+    same w and v as rationals.
+    """
+    s = Fraction(s)
+    if not 0 <= s <= 1:
+        raise StructureError("s must lie in [0, 1]")
+    w = []
+    before = Fraction(0)
+    for ti in t:
+        wi = ti - s * before
+        w.append(wi if wi > 0 else Fraction(0))
+        before += ti
+    total = sum(w)
+    assert total > 0, "a valid partition point always keeps positive mass"
+    v = tuple(wi / total for wi in w)
+    return tuple(w), v
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from fatcat.cli import main as cli_main
 from fatcat.cocycle import (
+    GRID_DENOMINATOR,
     blowup_vs_base,
     check_cocycle,
     check_partition_grid,
@@ -181,20 +182,21 @@ def test_criterion_6_sorting_map_ill_defined():
 
 def test_criterion_7_partition_formulas():
     with Stopwatch(7, "partition deformation identities over the grid", 1.0):
+        q = GRID_DENOMINATOR
         points = partition_grid()
         assert len(points) * 5 >= 100
-        assert any(max(t) == 1 for t in points)
+        assert any(max(a) == q for a in points)
         pairs, violations = check_partition_grid()
         assert violations == []
-        for t in points:
-            _, v = partition_homotopy(t, Fraction(0))
-            assert v == t
-            _, v = partition_homotopy(t, Fraction(1))
-            running = Fraction(0)
-            for i, ti in enumerate(t):
-                if running >= ti:
+        for a in points:
+            _, (v, total) = partition_homotopy(a, 0, q)
+            assert [Fraction(vi, total) for vi in v] == [Fraction(ai, q) for ai in a]
+            _, (v, total) = partition_homotopy(a, q, q)
+            running = 0
+            for i, ai in enumerate(a):
+                if running >= ai:
                     assert v[i] == 0
-                running += ti
+                running += ai
 
 
 def test_criterion_8_blowup():

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from fatcat import cli
+from fatcat import cli, cocycle
 from fatcat.cli import build_parser, main
 from fatcat.cocycle import cocycle_to_json, covered_complex_to_json
 from fatcat.fincat import (
@@ -208,6 +208,40 @@ def test_non_associative_loop(capsys, inputs):
 def test_verify_partition(capsys):
     code, payload = run(capsys, ["verify", "partition"])
     assert code == 0 and payload["pairs"] >= 100
+
+
+def _doctored(law):
+    """A partition homotopy wrong in exactly the way ``law`` catches."""
+    exact = cocycle.partition_homotopy
+
+    def sum_off(a, b, q):
+        w, (v, total) = exact(a, b, q)
+        return w, (v, total + 1 if 0 < b < q else total)
+
+    return {
+        "partition-sum": sum_off,
+        # time zero run as time 1/q, and time one as time zero
+        "partition-start": lambda a, b, q: exact(a, b or 1, q),
+        "partition-truncation": lambda a, b, q: exact(a, 0 if b == q else b, q),
+    }[law]
+
+
+@pytest.mark.parametrize("law, first", [
+    ("partition-sum", [["0", "0", "0", "0", "1"], "1/4"]),
+    ("partition-start", [["0", "0", "0", "1/4", "3/4"]]),
+    ("partition-truncation", [["0", "0", "0", "1/2", "1/2"], 4]),
+])
+def test_partition_witnesses_reach_stdout(capsys, monkeypatch, law, first):
+    monkeypatch.setattr(cocycle, "partition_homotopy", _doctored(law))
+    code, payload = run(capsys, ["verify", "partition"])
+    assert code == 1 and payload["pairs"] == 350
+    assert {w["law"] for w in payload["witnesses"]} == {law}
+    # t, and s where it matters, as exact-rational strings
+    assert payload["witnesses"][0]["witness"] == first
+    assert main(["report", "all"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    failed = [c for c in report["claims"] if c["result"] != "pass"]
+    assert [c["id"] for c in failed] == ["partition-homotopy"]
 
 
 def test_malformed_input_exits_2(capsys, tmp_path):

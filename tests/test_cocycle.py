@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from fatcat import cocycle
 from fatcat.cocycle import (
+    GRID_DENOMINATOR,
     CocycleIsomorphism,
     CoveredComplex,
     GCocycle,
@@ -66,6 +68,7 @@ from oracles import (
     column,
     is_zero,
     oracle_homology,
+    oracle_partition_homotopy,
     oracle_universal_cocycle,
     oracle_unravel_simplicial,
 )
@@ -387,22 +390,63 @@ def test_partition_point_validation():
         PartitionPoint((Fraction(-1, 2), Fraction(3, 2)))
 
 
+def rationals(numerators, q):
+    return tuple(Fraction(n, q) for n in numerators)
+
+
 def test_partition_homotopy_examples():
-    w, v = partition_homotopy((Fraction(1), Fraction(0), Fraction(0)), Fraction(1, 2))
-    assert v == (1, 0, 0)
-    w, v = partition_homotopy((Fraction(1, 2), Fraction(1, 2)), 1)
-    assert w == (Fraction(1, 2), 0)
-    assert v == (1, 0)
-    t = (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
-    _, v = partition_homotopy(t, 0)
-    assert v == t
+    # t = (1, 0, 0) at s = 1/2
+    w, (v, total) = partition_homotopy((2, 0, 0), 1, 2)
+    assert rationals(v, total) == (1, 0, 0)
+    # t = (1/2, 1/2) at s = 1: w comes scaled by q * q
+    w, (v, total) = partition_homotopy((1, 1), 2, 2)
+    assert rationals(w, 4) == (Fraction(1, 2), 0)
+    assert rationals(v, total) == (1, 0)
+    # t = (1/3, 1/3, 1/3) at s = 0
+    _, (v, total) = partition_homotopy((1, 1, 1), 0, 3)
+    assert rationals(v, total) == rationals((1, 1, 1), 3)
+    with pytest.raises(StructureError, match="s must lie in"):
+        partition_homotopy((1, 1), 3, 2)
 
 
 def test_partition_grid_is_exact():
     pairs, violations = check_partition_grid()
     assert pairs >= 100
     assert violations == []
-    assert any(max(t) == 1 for t in partition_grid())
+    assert any(max(a) == GRID_DENOMINATOR for a in partition_grid())
+
+
+def test_partition_homotopy_matches_the_fraction_oracle():
+    """The integer formula against the Fraction one, as rationals: every
+    grid point and seeded random points over q = 1..12, at every b / q."""
+    rng = random.Random(0)
+    cases = [(a, GRID_DENOMINATOR) for a in partition_grid()]
+    for q in range(1, 13):
+        for _ in range(8):
+            cuts = sorted(rng.randint(0, q) for _ in range(rng.randint(0, 5)))
+            cases.append((tuple(hi - lo for lo, hi in zip([0] + cuts, cuts + [q])), q))
+    for a, q in cases:
+        for b in range(q + 1):
+            w, (v, total) = partition_homotopy(a, b, q)
+            expected_w, expected_v = oracle_partition_homotopy(rationals(a, q), Fraction(b, q))
+            assert rationals(w, q * q) == expected_w, (a, b, q)
+            assert rationals(v, total) == expected_v, (a, b, q)
+
+
+def test_passing_partition_grid_builds_no_fraction(monkeypatch):
+    built = []
+
+    class CountedFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(cocycle, "Fraction", CountedFraction)
+    pairs, violations = check_partition_grid()
+    assert (pairs, violations, built) == (350, [], [])
+    # a witness is the one place it builds them
+    monkeypatch.setattr(cocycle, "partition_homotopy", lambda a, b, q: (a, (a, q + 1)))
+    assert check_partition_grid()[1] and built
 
 
 def test_blowup_circle_star_cover():

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -30,6 +31,9 @@ from fatcat.fixtures import (
     terminal_category,
     z2_groupoid,
 )
+from fatcat.ids import sort_key
+
+from oracles import oracle_check_category
 
 
 def brute_force_unravel_morphisms(c, N):
@@ -110,6 +114,67 @@ def test_missing_composite_is_reported_in_memory_and_refused_on_load():
     assert [(v.law, v.witness) for v in check_category(partial)] == [("compose-total", pair)]
     with pytest.raises(StructureError):
         category_from_json(category_to_json(partial))
+
+
+def audit(check, c):
+    """The law report of ``check`` on c, or the message it refuses c with."""
+    try:
+        return check(c)
+    except StructureError as exc:
+        return str(exc)
+
+
+def doctored(c, rng):
+    """c with one to three seeded defects in its tables: a rewired
+    composite, a dropped entry, an entry on a pair that does not compose, an
+    identity moved to another arrow, or a composite moved to a parallel
+    arrow, which breaks associativity or a unit law and nothing else.  The
+    table comes in a shuffled order, so the audit must order what it
+    reports itself."""
+    mids = c.morphism_ids()
+    entries = sorted(c.table.items(), key=lambda kv: sort_key(kv[0]))
+    identity, table = dict(c.identity), dict(rng.sample(entries, len(entries)))
+    for _ in range(rng.randint(1, 3)):
+        pair = rng.choice(sorted(table, key=sort_key))
+        kind = rng.randrange(5)
+        if kind == 0:
+            table[pair] = rng.choice(mids)
+        elif kind == 1:
+            del table[pair]
+        elif kind == 2:
+            table[(rng.choice(mids), rng.choice(mids))] = rng.choice(mids)
+        elif kind == 3:
+            identity[rng.choice(c.objects)] = rng.choice(mids)
+        else:
+            h = table[pair]
+            table[pair] = rng.choice([m for m in mids if c.src[m] == c.src[h]
+                                      and c.tgt[m] == c.tgt[h]])
+    return FinCategory(c.objects, c.morphisms, identity, table)
+
+
+def test_check_category_matches_the_identifier_keyed_oracle():
+    """Same violations, same witnesses, same order, or the same refusal."""
+    cases = list(standard_categories().values())
+    cases += [idempotent_monoid_category(), broken_category_rewired_identity(),
+              broken_groupoid_bad_inverse().base]
+    cases += [unravel(ordinal(n), N) for n in range(4) for N in range(6)]
+    cases += [unravel(g.base, N) for g in standard_groupoids().values() for N in range(4)]
+    rng = random.Random(0)
+    bases = [ordinal(2), z2_groupoid().base, pair_groupoid().base, unravel(ordinal(1), 2),
+             unravel(z2_groupoid().base, 2), idempotent_monoid_category()]
+    cases += [doctored(rng.choice(bases), rng) for _ in range(300)]
+    c = ordinal(1)
+    cases.append(FinCategory(c.objects, c.morphisms, c.identity,
+                             {**c.table, next(iter(c.table)): ("dangling",)}))
+    found = set()
+    for c in cases:
+        expected = audit(oracle_check_category, c)
+        assert audit(check_category, c) == expected, c
+        if isinstance(expected, list):
+            found.update(v.law for v in expected)
+    # the doctored tables reach every law
+    assert found == {"identity-endpoints", "compose-total", "compose-domain",
+                     "compose-endpoints", "identity-law", "associativity"}
 
 
 def test_check_groupoid_fixtures():

@@ -134,6 +134,37 @@ def test_stage_complex_is_refused_before_any_cell_is_built(monkeypatch):
         s_semisimplicial(2, 10**9)
 
 
+def test_huge_truncation_degree_is_refused_before_counting(monkeypatch):
+    counted = []
+    count = simpset.chain_count
+
+    def counting(ends, D):
+        counted.append(D)
+        # counting to 10^9 would run for minutes
+        assert D < 10**6, "chains counted before the bound refused D"
+        return count(ends, D)
+
+    monkeypatch.setattr(simpset, "chain_count", counting)
+    monkeypatch.delenv("FATCAT_MAX_CELLS", raising=False)
+    # every object has a cell in each degree: D + 1 of them on the terminal category
+    with pytest.raises(
+        EnumerationLimitError, match="^TruncatedSimplicialSet needs 1000000001 cells"
+    ):
+        nerve(terminal_category(), 10**9)
+    assert counted == []
+    # below the bound the count still runs, and names the exact number
+    with pytest.raises(EnumerationLimitError, match="needs 111110 cells"):
+        nerve(pair_groupoid(tuple("abcdefghij")).base, 4)
+    assert counted == [4]
+
+
+def test_nerve_of_no_objects_counts_no_degree_past_zero(monkeypatch):
+    monkeypatch.delenv("FATCAT_MAX_CELLS", raising=False)
+    assert simpset.chain_count({}, 10**7) == [0]
+    with pytest.raises(EnumerationLimitError, match="position tables"):
+        nerve(FinCategory([], [], {}, {}), 10**7)
+
+
 def test_truncation_degree_is_budgeted_before_any_cell_is_built(monkeypatch):
     built = record_builds(monkeypatch, SemiSimplicialSet)
     monkeypatch.delenv("FATCAT_MAX_CELLS", raising=False)
