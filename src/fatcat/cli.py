@@ -12,6 +12,7 @@ are kept outside the canonical payload and only written with --out.
 
 import argparse
 import json
+import os
 import sys
 import time
 from collections import namedtuple
@@ -457,65 +458,89 @@ def cmd_homology(args):
     return PASS
 
 
-def build_parser():
+COMMANDS = ("nerve", "homology", "verify", "counterexample", "report")
+
+
+def _selected(action, names, argv):
+    """The names to build under the subparsers ``action``: the one that
+    ``argv`` starts with, or all of them when it starts with none.  The
+    pruned action shows every name as its metavar, so usage and error text
+    read the same as with all of them built."""
+    if argv and argv[0] in names:
+        action.metavar = "{%s}" % ",".join(names)
+        return (argv[0],)
+    return names
+
+
+def build_parser(argv):
+    """The argparse tree for ``argv``: the top level plus only the command,
+    and the suite, that ``argv`` names.  When it names none (no arguments,
+    ``-h``, an unknown name) the whole tree is built, so help lists every
+    command and a bad choice is reported against all of them."""
     parser = argparse.ArgumentParser(
         prog="fatcat",
         description="exact verification of classifying-space comparisons",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = _selected(sub, COMMANDS, argv)
 
-    p = sub.add_parser("nerve", help="cell counts of a truncated nerve")
-    p.add_argument("--input", "--category", dest="input", required=True)
-    p.add_argument("--D", type=int, required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_nerve)
-
-    p = sub.add_parser("homology", help="one homology group of a nerve")
-    p.add_argument("--input", "--category", dest="input", required=True)
-    p.add_argument("--D", type=int, required=True)
-    p.add_argument("--out", default=None)
-    p.add_argument("--k", type=int, required=True)
-    style = p.add_mutually_exclusive_group()
-    style.add_argument("--fat", action="store_true", default=True)
-    style.add_argument("--geometric", action="store_true", default=False)
-    p.set_defaults(func=cmd_homology)
-
-    verify = sub.add_parser("verify", help="run one verification suite")
-    vs = verify.add_subparsers(dest="suite", required=True)
-    for name, suite in SUITES.items():
-        p = vs.add_parser(name)
-        if suite.loader:
-            p.add_argument("--input", "--category", dest="input", required=True)
-        for option in suite.required:
-            p.add_argument(f"--{option}", type=int, required=True)
+    if "nerve" in commands:
+        p = sub.add_parser("nerve", help="cell counts of a truncated nerve")
+        p.add_argument("--input", "--category", dest="input", required=True)
+        p.add_argument("--D", type=int, required=True)
         p.add_argument("--out", default=None)
-        for option in suite.optional:
-            p.add_argument(f"--{option}", type=int, default=None)
-        p.set_defaults(func=partial(run_suite, suite))
+        p.set_defaults(func=cmd_nerve)
 
-    counter = sub.add_parser("counterexample", help="search for a witness")
-    cs = counter.add_subparsers(dest="target", required=True)
-    p = cs.add_parser("rho")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument(
-        "--convention",
-        choices=["zero-based", "literal", "both"],
-        default="both",
-    )
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=partial(run_suite, RHO))
+    if "homology" in commands:
+        p = sub.add_parser("homology", help="one homology group of a nerve")
+        p.add_argument("--input", "--category", dest="input", required=True)
+        p.add_argument("--D", type=int, required=True)
+        p.add_argument("--out", default=None)
+        p.add_argument("--k", type=int, required=True)
+        style = p.add_mutually_exclusive_group()
+        style.add_argument("--fat", action="store_true", default=True)
+        style.add_argument("--geometric", action="store_true", default=False)
+        p.set_defaults(func=cmd_homology)
 
-    p = sub.add_parser("report", help="run the full claim registry")
-    p.add_argument("what", choices=["all"])
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=lambda args: run_report_all(args.out))
+    if "verify" in commands:
+        verify = sub.add_parser("verify", help="run one verification suite")
+        vs = verify.add_subparsers(dest="suite", required=True)
+        for name in _selected(vs, SUITES, argv[1:]):
+            suite = SUITES[name]
+            p = vs.add_parser(name)
+            if suite.loader:
+                p.add_argument("--input", "--category", dest="input", required=True)
+            for option in suite.required:
+                p.add_argument(f"--{option}", type=int, required=True)
+            p.add_argument("--out", default=None)
+            for option in suite.optional:
+                p.add_argument(f"--{option}", type=int, default=None)
+            p.set_defaults(func=partial(run_suite, suite))
+
+    if "counterexample" in commands:
+        counter = sub.add_parser("counterexample", help="search for a witness")
+        cs = counter.add_subparsers(dest="target", required=True)
+        p = cs.add_parser("rho")
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument(
+            "--convention",
+            choices=["zero-based", "literal", "both"],
+            default="both",
+        )
+        p.add_argument("--out", default=None)
+        p.set_defaults(func=partial(run_suite, RHO))
+
+    if "report" in commands:
+        p = sub.add_parser("report", help="run the full claim registry")
+        p.add_argument("what", choices=["all"])
+        p.add_argument("--out", default=None)
+        p.set_defaults(func=lambda args: run_report_all(args.out))
 
     return parser
 
 
-def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def main(argv):
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except (StructureError, EnumerationLimitError) as exc:
@@ -523,5 +548,21 @@ def main(argv=None):
         return BAD_INPUT
 
 
+def run_and_exit():
+    """Entry point of ``python -m fatcat.cli`` and the ``fatcat`` script.
+
+    Runs :func:`main` on the process arguments, flushes stdout and stderr
+    and ends the process with main's exit code, skipping the interpreter's
+    teardown, which would free every object the run left behind.  A
+    ``--out`` file is closed by then.  Usage errors and ``--help`` leave
+    through argparse's ``SystemExit``, and an uncaught exception through
+    the normal path.
+    """
+    code = main(sys.argv[1:])
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run_and_exit()

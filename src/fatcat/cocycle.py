@@ -12,7 +12,6 @@ forward, identity on the diagonal, invert backward), and the blowup of a
 covered complex maps into it by the cellwise classifying rule.
 """
 
-from fractions import Fraction
 from functools import partial
 from itertools import combinations
 
@@ -484,6 +483,8 @@ def check_partition_grid():
             pairs += 1
             _, (v, total) = partition_homotopy(a, b, q)
             if sum(v) != total:
+                from fractions import Fraction
+
                 failed.append(("partition-sum", str(Fraction(b, q))))
             if b == 0 and [q * vi for vi in v] != [ai * total for ai in a]:
                 failed.append(("partition-start",))
@@ -494,6 +495,8 @@ def check_partition_grid():
                         failed.append(("partition-truncation", i))
                     before += ai
         if failed:
+            from fractions import Fraction
+
             t = tuple(str(Fraction(ai, q)) for ai in a)
             violations += [Violation(law, (t, *rest)) for law, *rest in failed]
     return pairs, violations

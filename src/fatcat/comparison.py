@@ -18,7 +18,6 @@ boundary identity holds already for the interval.
 """
 
 from collections import namedtuple
-from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -203,6 +202,8 @@ class BarycentricPoint(namedtuple("BarycentricPoint", "n coords")):
     __slots__ = ()
 
     def __new__(cls, n, coords):
+        from fractions import Fraction
+
         if len(coords) != n + 1:
             raise StructureError("need n + 1 coordinates")
         total = Fraction(0)
@@ -218,11 +219,14 @@ class BarycentricPoint(namedtuple("BarycentricPoint", "n coords")):
 
     @classmethod
     def barycenter(cls, n):
+        from fractions import Fraction
+
         return cls(n, tuple(Fraction(1, n + 1) for _ in range(n + 1)))
 
 
-def rho_evaluate(n: int, j: int, t) -> Fraction:
-    """Coordinate component s_{j,n} of the sorting assignment.
+def rho_evaluate(n: int, j: int, t):
+    """Coordinate component s_{j,n} of the sorting assignment, an exact
+    rational.
 
     (j+1) times the sum over (j+1)-subsets E of max(0, min_E t - max_{not E} t),
     with the max over an empty complement read as 0.
@@ -232,6 +236,8 @@ def rho_evaluate(n: int, j: int, t) -> Fraction:
     coords = t.coords if isinstance(t, BarycentricPoint) else tuple(t)
     if len(coords) != n + 1:
         raise StructureError("point has wrong dimension")
+    from fractions import Fraction
+
     total = Fraction(0)
     for E in combinations(range(n + 1), j + 1):
         inside = min(coords[i] for i in E)

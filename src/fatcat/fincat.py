@@ -118,21 +118,33 @@ def check_category(c: FinCategory):
     on the positions of the objects and morphisms, in their order, and
     names ids only in the violations it records.
     """
-    _check_ids(c)
     violations = []
     mids = c.morphism_ids()
     place = {x: p for p, x in enumerate(c.objects)}
     number = {m: e for e, m in enumerate(mids)}
-    src = [place[s] for _, s, _ in c.morphisms]
-    tgt = [place[t] for _, _, t in c.morphisms]
-    unit = [number[c.identity[x]] for x in c.objects]
+    # numbering finds the dangling ids, raised as _check_ids raises them
+    src = [place.get(s) for _, s, _ in c.morphisms]
+    tgt = [place.get(t) for _, _, t in c.morphisms]
+    if None in src or None in tgt:
+        m = next(m for (m, _, _), s, t in zip(c.morphisms, src, tgt) if s is None or t is None)
+        raise StructureError(f"morphism {m} has dangling endpoint")
+    if len(c.identity) != len(place) or not all(map(place.__contains__, c.identity)):
+        raise StructureError("identity table is not total on objects")
+    unit = [None] * len(place)
+    for x, m in c.identity.items():
+        if m not in number:
+            raise StructureError(f"identity of {x} is not a morphism: {m}")
+        unit[place[x]] = number[m]
     leaving = [[] for _ in c.objects]
     for f, x in enumerate(src):
         leaving[x].append(f)
     # after[f][g] = h records h = g after f
     after = [{} for _ in mids]
     for (f, g), h in c.table.items():
-        after[number[f]][number[g]] = number[h]
+        nf, ng, nh = number.get(f), number.get(g), number.get(h)
+        if nf is None or ng is None or nh is None:
+            raise StructureError(f"composition entry has dangling id: {(f, g, h)}")
+        after[nf][ng] = nh
 
     for x, m in enumerate(unit):
         if src[m] != x or tgt[m] != x:

@@ -1,8 +1,6 @@
 """Bundled desk-scale examples: categories, groupoids, complexes, covers and
 cocycles used by the verification suites and the command line."""
 
-import random
-
 from .errors import StructureError
 from .fincat import FinCategory, FinGroupoid, ordinal
 
@@ -163,6 +161,8 @@ def hemisphere_cover():
 
 def random_two_complex(seed=7, n_vertices=7, n_triangles=9):
     """Seeded random pure-ish 2-complex with at most 50 faces after closure."""
+    import random
+
     from .cocycle import closure
 
     rng = random.Random(seed)

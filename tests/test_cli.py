@@ -1,6 +1,8 @@
+import argparse
 import hashlib
 import json
 import shlex
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -595,8 +597,71 @@ def readme_command_lines():
 def test_readme_command_lines_parse():
     lines = readme_command_lines()
     assert len(lines) >= 12
-    parser = build_parser()
     for line in lines:
         # "[--out report.json]" marks an optional flag
         argv = shlex.split(line.replace("[", "").replace("]", ""))[1:]
-        assert parser.parse_args(argv).func, line
+        assert build_parser(argv).parse_args(argv).func, line
+
+
+def parser_corpus():
+    """Command lines for the parser differential: every README line (with
+    and without its optional flag, and with an unrecognized trailing
+    argument), help at every level, unknown names, missing and malformed
+    options, and arguments placed before the command."""
+    lines = [shlex.split(line.replace("[", "").replace("]", ""))[1:]
+             for line in readme_command_lines()]
+    lines += [shlex.split(line.split(" [")[0])[1:] for line in readme_command_lines()
+              if "[" in line]
+    corpus = [argv + [extra] for argv in lines for extra in ("--bogus", "extra")] + lines
+    corpus += [[], ["-h"], ["--help"], ["--he"], ["verify", "-h"], ["counterexample", "-h"],
+               ["counterexample", "rho", "-h"], ["-h", "nerve"], ["--", "nerve"]]
+    corpus += [[command, "-h"] for command in cli.COMMANDS]
+    corpus += [["verify", suite, "-h"] for suite in cli.SUITES]
+    corpus += [
+        ["bogus"], ["Nerve"], ["verify", "bogus"], ["verify", "--bogus", "tau"],
+        ["counterexample", "sigma"], ["report", "some"], ["--bogus", "report", "all"],
+        ["nerve"], ["verify"], ["counterexample"], ["report"], ["counterexample", "rho"],
+        ["nerve", "--input", "x"], ["verify", "tom-dieck", "--input", "x", "--N", "5"],
+        ["nerve", "--input", "x", "--D", "two"],
+        ["verify", "quillen-a", "--input", "x", "--N", "3", "--D", "3", "--d", "1.5"],
+        ["counterexample", "rho", "--n", "one"],
+        ["homology", "--input", "x", "--D", "3", "--k", "1", "--fat", "--geometric"],
+        ["homology", "--input", "x", "--D", "3", "--k", "1", "--geometric"],
+        ["counterexample", "rho", "--n", "1", "--convention", "sideways"],
+        ["nerve", "--inp", "x", "--D", "1"], ["nerve", "--input", "x", "--D", "1", "-h"],
+        ["verify", "partition", "--input", "x"],
+    ]
+    return corpus
+
+
+def parse_outcome(parser, argv, capsys):
+    """Exit code (None when it parses), stdout, stderr and namespace of one
+    parse; the command function is named by what it runs."""
+    try:
+        args, code = parser.parse_args(argv), None
+    except SystemExit as exc:
+        args, code = None, exc.code
+    out, err = capsys.readouterr()
+    fields = None
+    if args is not None:
+        fields = dict(vars(args))
+        func = fields.pop("func")
+        fields["runs"] = (func.func, func.args) if isinstance(func, partial) else func.__code__
+    return code, out, err, fields
+
+
+def branches(parser):
+    """The command (or suite) parsers that a parser has built, by name."""
+    return next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
+def test_pruned_parser_matches_the_full_tree(capsys):
+    corpus = parser_corpus()
+    assert len(corpus) >= 60
+    for argv in corpus:
+        pruned = parse_outcome(build_parser(argv), argv, capsys)
+        assert pruned == parse_outcome(build_parser([]), argv, capsys), argv
+    # the ones that name a command do build only its branch
+    assert list(branches(build_parser(["report", "all"]))) == ["report"]
+    assert list(branches(branches(build_parser(["verify", "tau"]))["verify"])) == ["tau"]
+    assert list(branches(build_parser(["-h"]))) == list(cli.COMMANDS)

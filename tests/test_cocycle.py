@@ -1,5 +1,7 @@
 import json
 import random
+import sys
+import types
 from fractions import Fraction
 
 import pytest
@@ -436,12 +438,16 @@ def test_partition_homotopy_matches_the_fraction_oracle():
 def test_passing_partition_grid_builds_no_fraction(monkeypatch):
     built = []
 
-    class CountedFraction(Fraction):
-        def __new__(cls, *args, **kwargs):
-            built.append(args)
-            return super().__new__(cls, *args, **kwargs)
+    def counted_fraction(*args):
+        built.append(args)
+        return Fraction(*args)
 
-    monkeypatch.setattr(cocycle, "Fraction", CountedFraction)
+    # The grid imports Fraction where it builds one, so a stand-in
+    # ``fractions`` module counts them.  Patching the real module's
+    # attribute would break Fraction.__new__, which reads it.
+    counting = types.ModuleType("fractions")
+    counting.Fraction = counted_fraction
+    monkeypatch.setitem(sys.modules, "fractions", counting)
     pairs, violations = check_partition_grid()
     assert (pairs, violations, built) == (350, [], [])
     # a witness is the one place it builds them

@@ -163,18 +163,37 @@ def test_check_category_matches_the_identifier_keyed_oracle():
     bases = [ordinal(2), z2_groupoid().base, pair_groupoid().base, unravel(ordinal(1), 2),
              unravel(z2_groupoid().base, 2), idempotent_monoid_category()]
     cases += [doctored(rng.choice(bases), rng) for _ in range(300)]
-    c = ordinal(1)
-    cases.append(FinCategory(c.objects, c.morphisms, c.identity,
-                             {**c.table, next(iter(c.table)): ("dangling",)}))
-    found = set()
+    cases += dangling_ids(ordinal(1))
+    found, refusals = set(), set()
     for c in cases:
         expected = audit(oracle_check_category, c)
         assert audit(check_category, c) == expected, c
         if isinstance(expected, list):
             found.update(v.law for v in expected)
-    # the doctored tables reach every law
+        else:
+            refusals.add(expected.split(" ")[0])
+    # the doctored tables reach every law, and the dangling ids every refusal
     assert found == {"identity-endpoints", "compose-total", "compose-domain",
                      "compose-endpoints", "identity-law", "associativity"}
+    assert refusals == {"morphism", "identity", "composition"}
+
+
+def dangling_ids(c):
+    """c with ids that name nothing, one kind or several at once, so the
+    refusal must be the first one the loader's check meets."""
+    first, *_ = c.table
+    (x, m), stray = next(iter(c.identity.items())), ("dangling",)
+    ident, arrows = c.identity, list(c.morphisms)
+    to_nowhere, from_nowhere = ((0, 9, "x"), 0, 9), ((9, 1, "y"), 9, 1)
+    tables = [{**c.table, first: stray}, {**c.table, (stray, m): m},
+              {**c.table, (m, stray): m, (stray, m): m}]
+    cases = [(arrows, {y: f for y, f in ident.items() if y != x}, c.table),
+             (arrows, {**ident, 9: m}, c.table),
+             (arrows, {**ident, x: stray}, tables[0]),
+             (arrows + [from_nowhere], ident, c.table),
+             (arrows + [to_nowhere, from_nowhere], {**ident, x: stray}, tables[1])]
+    cases += [(arrows, ident, table) for table in tables]
+    return [FinCategory(c.objects, *case) for case in cases]
 
 
 def test_check_groupoid_fixtures():

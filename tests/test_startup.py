@@ -1,24 +1,122 @@
 """Every CLI process imports the whole package, so what that import pulls in
 is paid on every command.  ``dataclasses`` (with ``inspect``, which only it
-loads) cost about 20 ms of each process and stay out of it."""
+loads) cost about 20 ms of each process and stay out of it, and so do
+``fractions`` (with ``decimal``), which only the rho code and the partition
+witnesses import where they build a rational, and ``random``, which only
+the seeded fixture imports.
 
+The two process entry points end the process right after flushing their
+output, without the interpreter's teardown, so they are run here as real
+processes with stdout and stderr redirected to files, where a missing flush
+would lose the block-buffered tail.
+"""
+
+import hashlib
+import json
 import os
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+import pytest
+
+from test_cli import GOLDEN, REPORT_ALL_SHA256, write_inputs
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+# without PYTHONUNBUFFERED, so a process writes its files block-buffered
+ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+ENV["PYTHONPATH"] = str(SRC)
 
 
 def test_cli_import_leaves_out_dataclasses_and_inspect():
     # -S keeps site-packages .pth files from importing modules of their own
+    left_out = ("dataclasses", "inspect", "fractions", "decimal", "random")
     code = (
         "import fatcat.cli, sys; "
-        "print(' '.join(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+        f"print(' '.join(m for m in {left_out!r} if m in sys.modules))"
     )
-    env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run(
-        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-S", "-c", code], env=ENV, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == []
+
+
+def console_script():
+    """The ``fatcat`` console script as pip would generate it, run from the
+    source tree: it calls the ``[project.scripts]`` function and exits."""
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["fatcat"]
+    module, function = target.split(":")
+    code = f"import sys; from {module} import {function}; sys.exit({function}())"
+    return [sys.executable, "-c", code]
+
+
+ENTRIES = {
+    "module": [sys.executable, "-m", "fatcat.cli"],
+    "console-script": console_script(),
+}
+
+
+def run_process(entry, argv, directory):
+    """Exit code, stdout and stderr of one CLI process whose output goes to
+    files."""
+    out, err = directory / "stdout", directory / "stderr"
+    with open(out, "wb") as fo, open(err, "wb") as fe:
+        done = subprocess.run(ENTRIES[entry] + argv, env=ENV, stdout=fo, stderr=fe,
+                              timeout=120)
+    return done.returncode, out.read_text(), err.read_text()
+
+
+@pytest.fixture(params=sorted(ENTRIES))
+def cli_process(request, tmp_path):
+    write_inputs(tmp_path)
+
+    def run(line):
+        # input and output files live in the test's directory
+        argv = [str(tmp_path / a) if a.endswith(".json") else a for a in line.split()]
+        return run_process(request.param, argv, tmp_path)
+
+    return run
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_report_all_prints_its_pinned_bytes(cli_process):
+    code, out, err = cli_process("report all")
+    assert (code, err) == (0, "")
+    assert sha256(out) == REPORT_ALL_SHA256
+
+
+def test_failing_suite_prints_its_whole_payload(cli_process):
+    line = "verify cocycle --input broken.json"
+    code, out, err = cli_process(line)
+    assert (code, err) == (1, "")
+    assert sha256(out) == next(digest for g, _, digest in GOLDEN if g == line)
+    assert json.loads(out)["witnesses"]
+
+
+def test_malformed_input_prints_its_error(cli_process, tmp_path):
+    (tmp_path / "bad.json").write_text("{ not json")
+    code, out, err = cli_process("nerve --input bad.json --D 1")
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and "bad.json" in json.loads(err)["error"]
+
+
+def test_out_file_is_complete(cli_process, tmp_path):
+    code, out, err = cli_process("report all --out report.json")
+    assert (code, err) == (0, "")
+    full = json.loads((tmp_path / "report.json").read_text())
+    assert full.pop("timing_ms").keys() == {c["id"] for c in full["claims"]}
+    assert full == json.loads(out)
+
+
+def test_usage_error_exits_through_argparse(cli_process):
+    code, out, err = cli_process("nerve --input x --D two")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: fatcat nerve ")
+    assert err.endswith("fatcat nerve: error: argument --D: invalid int value: 'two'\n")
