@@ -338,13 +338,16 @@ def rho_witnesses(n: int, convention: str):
 class CommaFiber:
     """Pullback of a nondegenerate simplex y: [m] -> C against the stage
     forgetting map, together with both projection legs.  ``fiber`` is the
-    nerve of the pullback category [m] x_C unravel(C, N), and the legs are
-    the nerves of its projections onto [m] and onto unravel(C, N)."""
+    nerve of the pullback category P = [m] x_C unravel(C, N), and the legs
+    are the nerves of its projections onto [m] and onto unravel(C, N).
+    ``steps[v]`` lists, ascending, the targets of P's arrows leaving v, so
+    it holds the objects w >= v of the poset P."""
 
-    __slots__ = ("degree", "fiber", "to_simplex", "to_unraveled")
+    __slots__ = ("degree", "steps", "fiber", "to_simplex", "to_unraveled")
 
-    def __init__(self, degree, fiber, to_simplex, to_unraveled):
+    def __init__(self, degree, steps, fiber, to_simplex, to_unraveled):
         self.degree = degree
+        self.steps = steps
         self.fiber = fiber
         self.to_simplex = to_simplex
         self.to_unraveled = to_unraveled
@@ -362,41 +365,23 @@ def _nondegenerate_factorization(c: FinCategory, k: int, cell):
     return tuple(objects), arrows
 
 
-def quillen_fiber(
-    c: FinCategory, N: int, D: int, y_cell, y_degree: int, target, simplex
-) -> CommaFiber:
-    """Comma fiber of a nerve simplex, as the nerve of a pullback category.
+def _shape_key(c: FinCategory, composite, m: int):
+    """The core degree m and the identity pattern of a core with these
+    composites: the vertex pairs a0 < a1 whose composite is an identity."""
+    return m, frozenset(
+        pair for pair in combinations(range(m + 1), 2) if c.is_identity(composite[pair])
+    )
 
-    Degenerate simplices are factored through their nondegenerate core
-    first, so the fiber only depends on that core.  The nerve preserves
-    pullbacks, so the fiber of the core y: [m] -> C is the nerve of P =
-    [m] x_C unravel(C, N): its objects are the pairs (a, l) of a core vertex
-    and a stage, with one arrow (a0, l0) -> (a1, l1) when a0 <= a1, l0 <= l1
-    and either l0 < l1 or the core composite a0 -> a1 is an identity.  P is
-    determined by m, N and which composites are identities.  Both legs are
-    the nerves of the projections of P, (a, l) -> a and (a, l) -> (y(a), l),
-    built by :func:`nerve_map`.
 
-    The chains of P are counted from its step lists and budgeted before P
-    is built; the count runs through degree 2 at least, since P's
-    composition table holds one entry per 2-chain.
-
-    ``target`` is ``nerve(unravel(c, N), D)``, the codomain of the
-    ``to_unraveled`` leg, and ``simplex`` is ``nerve(ordinal(m), D)`` for
-    the core degree m, the codomain of the ``to_simplex`` leg; the caller
-    builds them, so that the fibers of one category share them.  A
-    codomain that misses an image of its leg, or has another D, raises
-    :class:`StructureError`.
-    """
-    objects, arrows = _nondegenerate_factorization(c, y_degree, y_cell)
-    m = len(objects) - 1
-    composite = chain_composites(c, objects, arrows)
+def _fiber_shape(m: int, pattern, N: int, D: int, simplex):
+    """The steps of P, its nerve and the ``to_simplex`` leg, all of which
+    depend only on the core degree m, N, D and the identity pattern."""
     vertices = [(a, l) for a in range(m + 1) for l in range(N + 1)]
     # steps[v]: the targets, ascending, of the arrows of P leaving v
     steps = {
         (a0, l0): [
             (a1, l1) for a1 in range(a0, m + 1) for l1 in range(l0, N + 1)
-            if l0 < l1 or c.is_identity(composite[(a0, a1)])
+            if l0 < l1 or a0 == a1 or (a0, a1) in pattern
         ]
         for a0, l0 in vertices
     }
@@ -408,34 +393,142 @@ def quillen_fiber(
         {((u, v), (v, w)): (u, w) for u in vertices for v in steps[u] for w in steps[v]},
     )
     fiber = nerve(pullback, D)
+    to_simplex = nerve_map(fiber, simplex, lambda v: v[0], lambda vw: (vw[0][0], vw[1][0], "le"))
+    return steps, fiber, to_simplex
+
+
+def quillen_fiber(
+    c: FinCategory, N: int, D: int, y_cell, y_degree: int, target, simplex, shapes
+) -> CommaFiber:
+    """Comma fiber of a nerve simplex, as the nerve of a pullback category.
+
+    Degenerate simplices are factored through their nondegenerate core
+    first, so the fiber only depends on that core.  The nerve preserves
+    pullbacks, so the fiber of the core y: [m] -> C is the nerve of P =
+    [m] x_C unravel(C, N): its objects are the pairs (a, l) of a core vertex
+    and a stage, with one arrow (a0, l0) -> (a1, l1) when a0 <= a1, l0 <= l1
+    and either l0 < l1 or the core composite a0 -> a1 is an identity.  Both
+    legs are the nerves of the projections of P, (a, l) -> a and (a, l) ->
+    (y(a), l), built by :func:`nerve_map`.
+
+    P, its nerve and the ``to_simplex`` leg depend only on m, N, D and the
+    identity pattern, the pairs a0 < a1 whose composite is an identity.
+    ``shapes`` maps (m, pattern) to them: a core whose pattern it holds
+    reuses them, and any other core builds them and adds them to it.  Only
+    the ``to_unraveled`` leg is built for every core.  The chains of P are
+    counted from its step lists and budgeted before P is built; the count
+    runs through degree 2 at least, since P's composition table holds one
+    entry per 2-chain.
+
+    ``target`` is ``nerve(unravel(c, N), D)``, the codomain of the
+    ``to_unraveled`` leg, and ``simplex`` is ``nerve(ordinal(m), D)`` for
+    the core degree m, the codomain of the ``to_simplex`` leg; the caller
+    builds them, and ``shapes``, so that the fibers of one category share
+    them.  A codomain that misses an image of its leg, or has another D,
+    raises :class:`StructureError`.
+    """
+    objects, arrows = _nondegenerate_factorization(c, y_degree, y_cell)
+    m = len(objects) - 1
+    composite = chain_composites(c, objects, arrows)
+    key = _shape_key(c, composite, m)
+    if key not in shapes:
+        shapes[key] = _fiber_shape(*key, N, D, simplex)
+    steps, fiber, to_simplex = shapes[key]
 
     def lift(step):
         (a0, l0), (a1, l1) = step
         return mid(c, composite[(a0, a1)], l0, l1)
 
-    return CommaFiber(
-        degree=m,
-        fiber=fiber,
-        to_simplex=nerve_map(fiber, simplex, lambda v: v[0], lambda vw: (vw[0][0], vw[1][0], "le")),
-        to_unraveled=nerve_map(fiber, target, lambda v: (objects[v[0]], v[1]), lift),
-    )
+    to_unraveled = nerve_map(fiber, target, lambda v: (objects[v[0]], v[1]), lift)
+    return CommaFiber(m, steps, fiber, to_simplex, to_unraveled)
+
+
+def dismantle(steps):
+    """Remove beat points from the finite poset with up-sets ``steps``.
+
+    A point x is a beat point when its strict up-set has a minimum or its
+    strict down-set has a maximum, among the points still there; removing
+    it is a strong deformation retraction of the order complex (Stong,
+    "Finite topological spaces", 1966).  Passes over the points in the
+    order of ``steps`` remove each beat point met, until one point is left
+    or a pass removes none.  Returns the removals (x, w) in order, w the
+    minimum or maximum that made x a beat point.
+    """
+    # the live strict up- and down-sets; up[w] lies in up[x] for w in
+    # up[x], so w is its minimum when up[w] misses only w itself
+    up = {v: set(ws) - {v} for v, ws in steps.items()}
+    down = {v: set() for v in steps}
+    for v, ws in up.items():
+        for w in ws:
+            down[w].add(v)
+    removals = []
+    removed = True
+    while removed and len(up) > 1:
+        removed = False
+        for x in steps:
+            if x not in up:
+                continue
+            w = next((w for w in up[x] if len(up[w]) == len(up[x]) - 1), None)
+            if w is None:
+                w = next((w for w in down[x] if len(down[w]) == len(down[x]) - 1), None)
+            if w is None:
+                continue
+            for y in up.pop(x):
+                down[y].discard(x)
+            for y in down.pop(x):
+                up[y].discard(x)
+            removals.append((x, w))
+            removed = True
+            if len(up) == 1:
+                break
+    return removals
+
+
+def replay_dismantling(steps, removals) -> bool:
+    """Check a removal sequence against the order w >= v for w in
+    ``steps[v]``, rebuilt here: each removed x must still be there, with
+    its witness w the minimum of the other points above x or the maximum
+    of those below it, and exactly one point must be left at the end."""
+    le = {(v, w) for v, ws in steps.items() for w in ws}
+    live = set(steps)
+    for x, w in removals:
+        if x not in live or w not in live or w == x:
+            return False
+        live.discard(x)
+        if (x, w) in le:
+            if not all((w, y) in le for y in live if (x, y) in le):
+                return False
+        elif (w, x) in le:
+            if not all((y, w) in le for y in live if (y, x) in le):
+                return False
+        else:
+            return False
+    return len(live) == 1
 
 
 def contractibility_report(fiber: CommaFiber, d: int):
     """Reduced homology of the fiber must vanish in degrees <= d: the
-    violations, empty when it does."""
+    violations, empty when it does.
+
+    The fiber is the nerve of the poset P, so a replayed dismantling of P
+    to one point proves it contractible.  A P with no beat point left
+    before that, which may still be contractible, is decided by its
+    homology."""
     check_degree_range(d, fiber.fiber.D)
+    if replay_dismantling(fiber.steps, dismantle(fiber.steps)):
+        return []
     chains = geometric_chains(fiber.fiber)
     violations = []
     for k in range(d + 1):
         h = homology(chains, k)
+        group = (h.betti, h.torsion)
         expected = (1, ()) if k == 0 else (0, ())
-        if h.group() != expected:
+        if group != expected:
             violations.append(
                 Violation(
                     "fiber-contractible",
                     (k,),
-                    f"H_{k} = {h.group()}, expected {expected}",
+                    f"H_{k} = {group}, expected {expected}",
                 )
             )
     return violations
@@ -444,10 +537,14 @@ def contractibility_report(fiber: CommaFiber, d: int):
 def all_fibers_contractible(c: FinCategory, N: int, D: int, d: int):
     """Run the fiber check over every simplex of the truncated nerve.
 
-    The fiber of a cell depends only on its nondegenerate core, so each
-    distinct core's fiber is built, audited and checked once, and every
-    cell with that core gets the core's violations under its own
-    ``(k, cell)`` prefix; only the reports are kept, not the fibers.  All
+    The fiber of a cell depends only on its nondegenerate core, and its
+    shape (P, the fiber's nerve and the ``to_simplex`` leg) only on the
+    core's degree and identity pattern.  The cores are taken one pattern
+    at a time: the pattern's shape is built, audited and checked once, and
+    each of its cores gets its own ``to_unraveled`` leg.  Each pattern
+    gets its own shape table, dropped with it, so the shapes of earlier
+    patterns are freed rather than held for the whole sweep.  Every cell
+    gets its pattern's violations under its own ``(k, cell)`` prefix.  All
     fibers share one ``nerve(unravel(c, N), D)``, and all fibers over cores
     of one degree m share one ``nerve(ordinal(m), D)``.  Returns the number
     of nerve cells checked and the violations in cell order.
@@ -455,22 +552,29 @@ def all_fibers_contractible(c: FinCategory, N: int, D: int, d: int):
     check_degree_range(d, D)
     ner = nerve(c, D)
     target = nerve(unravel(c, N), D)
+    cells = [(k, cell) for k in range(D + 1) for cell in ner.cells[k]]
+    first = {}
+    for k, cell in cells:
+        first.setdefault(_nondegenerate_factorization(c, k, cell), (k, cell))
+    patterns = {}
+    for core, (k, cell) in first.items():
+        objects, arrows = core
+        key = _shape_key(c, chain_composites(c, objects, arrows), len(objects) - 1)
+        patterns.setdefault(key, []).append((core, k, cell))
     simplices = {}
     reports = {}
-    violations = []
-    checked = 0
-    for k in range(D + 1):
-        for cell in ner.cells[k]:
-            core = _nondegenerate_factorization(c, k, cell)
-            if core not in reports:
-                m = len(core[0]) - 1
-                if m not in simplices:
-                    simplices[m] = nerve(ordinal(m), D)
-                fib = quillen_fiber(c, N, D, cell, k, target, simplices[m])
-                reports[core] = contractibility_report(fib, d)
-            checked += 1
-            for v in reports[core]:
-                violations.append(
-                    Violation(v.law, (k, cell) + v.witness, v.detail)
-                )
-    return checked, violations
+    for (m, _), members in patterns.items():
+        if m not in simplices:
+            simplices[m] = nerve(ordinal(m), D)
+        # this pattern's shape alone, so earlier shapes are freed
+        shapes = {}
+        for i, (core, k, cell) in enumerate(members):
+            fib = quillen_fiber(c, N, D, cell, k, target, simplices[m], shapes)
+            if i == 0:
+                report = contractibility_report(fib, d)
+            reports[core] = report
+    violations = [
+        Violation(v.law, (k, cell) + v.witness, v.detail)
+        for k, cell in cells for v in reports[_nondegenerate_factorization(c, k, cell)]
+    ]
+    return len(cells), violations

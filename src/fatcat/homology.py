@@ -71,9 +71,6 @@ class HomologyGroup(namedtuple("HomologyGroup", "degree betti torsion reliable")
             prev = d
         return super().__new__(cls, degree, betti, torsion, reliable)
 
-    def group(self):
-        return (self.betti, self.torsion)
-
     def to_json(self):
         return {
             "degree": self.degree,

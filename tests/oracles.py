@@ -85,6 +85,12 @@ def _to_sympy(mat):
     return Matrix(mat.rows)
 
 
+def betti_torsion(h):
+    """(betti, torsion tuple) of a HomologyGroup, the form oracle_homology
+    returns."""
+    return h.betti, h.torsion
+
+
 def oracle_homology(cx, k):
     """(betti, torsion tuple) of degree k of an IntegerChainComplex."""
     n = cx.rank(k)
@@ -680,7 +686,8 @@ def oracle_quillen_fiber(c, N, D, y_cell, y_degree, target, simplex) -> CommaFib
     where equal consecutive stages force the core arrow between the two
     vertices to be an identity, the cells sorted by that pair; faces delete
     an entry of both tuples and degeneracies repeat one.  ``target`` and
-    ``simplex`` are the codomains of the two legs."""
+    ``simplex`` are the codomains of the two legs, and the steps are read
+    off the same step rule."""
     objects, arrows = _nondegenerate_factorization(c, y_degree, y_cell)
     m = len(objects) - 1
     composite = chain_composites(c, objects, arrows)
@@ -737,6 +744,7 @@ def oracle_quillen_fiber(c, N, D, y_cell, y_degree, target, simplex) -> CommaFib
 
     return CommaFiber(
         degree=m,
+        steps={v: [w for w in vertices if step_ok(v, w)] for v in vertices},
         fiber=fiber,
         to_simplex=oracle_simplicial_map(fiber, simplex, to_simplex),
         to_unraveled=oracle_simplicial_map(fiber, target, to_unraveled),

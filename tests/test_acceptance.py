@@ -46,7 +46,7 @@ from fatcat.fixtures import (
 from fatcat.homology import induced_map, quasi_iso_through
 from fatcat.simpset import lemma42_bijection, nerve
 
-from oracles import oracle_homology
+from oracles import betti_torsion, oracle_homology
 
 
 class Stopwatch:
@@ -120,8 +120,8 @@ def test_criterion_3_projection_quasi_iso():
             pi = projection_pi(cat, 6, 4)
             report = quasi_iso_through(pi, 2)
             assert report.ok, name
-            groups = [c.target.group() for c in report.degrees]
-            assert groups == [c.source.group() for c in report.degrees]
+            groups = [betti_torsion(c.target) for c in report.degrees]
+            assert groups == [betti_torsion(c.source) for c in report.degrees]
             if name == "z2":
                 assert groups == [(1, ()), (0, (2,)), (0, ())]
                 # independent oracle: the one-generator-per-degree complex
@@ -134,7 +134,7 @@ def test_criterion_3_projection_quasi_iso():
                     [[("c", k)] for k in range(5)],
                     {k: IntMatrix([[2 if k % 2 == 0 else 0]], 1) for k in range(1, 5)},
                 )
-                assert [homology(ref, k).group() for k in range(3)] == groups
+                assert [betti_torsion(homology(ref, k)) for k in range(3)] == groups
             else:
                 assert groups == [(1, ()), (0, ()), (0, ())]
             for c, cx in ((0, pi.source), (1, pi.source)):
@@ -203,10 +203,10 @@ def test_criterion_8_blowup():
     with Stopwatch(8, "blowup collapse preserves integral homology", 30.0):
         rep = blowup_vs_base(circle_star_cover(), 1)
         assert rep.ok
-        assert [c.target.group() for c in rep.degrees] == [(1, ()), (1, ())]
+        assert [betti_torsion(c.target) for c in rep.degrees] == [(1, ()), (1, ())]
         rep = blowup_vs_base(hemisphere_cover(), 2)
         assert rep.ok
-        assert [c.target.group() for c in rep.degrees] == [(1, ()), (0, ()), (1, ())]
+        assert [betti_torsion(c.target) for c in rep.degrees] == [(1, ()), (0, ()), (1, ())]
         faces = random_two_complex(seed=7)
         assert len(faces) <= 50
         rep = blowup_vs_base(vertex_star_cover(faces), 2)

@@ -94,9 +94,9 @@ def core_cells(c, D=3):
 
 def fibers(c, N=2, D=3):
     """One comma fiber per nondegenerate core of the nerve of c."""
-    target = nerve(unravel(c, N), D)
+    target, shapes = nerve(unravel(c, N), D), {}
     for k, cell in core_cells(c, D):
-        yield quillen_fiber(c, N, D, cell, k, target, core_simplex(c, D, cell, k))
+        yield quillen_fiber(c, N, D, cell, k, target, core_simplex(c, D, cell, k), shapes)
 
 
 def deletion_bases():
@@ -174,11 +174,12 @@ def test_fiber_is_the_step_chain_oracle_cell_for_cell(name):
     nerve onto the step-chain fiber, bijective in every degree, and both
     legs factor through it."""
     c, N, D = CATEGORIES[name], 2, 3
-    target = nerve(unravel(c, N), D)
+    target, shapes = nerve(unravel(c, N), D), {}
     for k, cell in core_cells(c, D):
         simplex = core_simplex(c, D, cell, k)
-        fib = quillen_fiber(c, N, D, cell, k, target, simplex)
+        fib = quillen_fiber(c, N, D, cell, k, target, simplex, shapes)
         want = oracle_quillen_fiber(c, N, D, cell, k, target, simplex)
+        assert fib.steps == want.steps, cell
         iso = oracle_simplicial_map(fib.fiber, want.fiber, vertex_pair)
         for j in range(D + 1):
             assert sorted(iso.maps[j]) == list(range(want.fiber.n_cells(j))), (cell, j)
@@ -200,9 +201,9 @@ def test_nerve_tables_match_the_per_cell_oracle(name):
 @pytest.mark.parametrize("name", sorted({*FIBER_CATEGORIES, "poset-seed-1", "poset-seed-2"}))
 def test_fiber_legs_match_the_per_cell_oracle(name):
     c, N, D = CATEGORIES[name], 2, 3
-    target = nerve(unravel(c, N), D)
+    target, shapes = nerve(unravel(c, N), D), {}
     for k, cell in core_cells(c, D):
-        fib = quillen_fiber(c, N, D, cell, k, target, core_simplex(c, D, cell, k))
+        fib = quillen_fiber(c, N, D, cell, k, target, core_simplex(c, D, cell, k), shapes)
         legs = (fib.to_simplex, fib.to_unraveled)
         for leg, want in zip(legs, oracle_fiber_legs(c, cell, k, fib)):
             assert leg.maps == want.maps, cell

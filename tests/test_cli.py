@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import importlib.util
 import json
 import shlex
 from functools import partial
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from fatcat import cli, cocycle
+from fatcat import cli, cocycle, homology, intlinalg
 from fatcat.cli import build_parser, main
 from fatcat.cocycle import cocycle_to_json, covered_complex_to_json
 from fatcat.fincat import (
@@ -21,6 +22,7 @@ from fatcat.fixtures import (
     broken_circle_cocycle,
     broken_groupoid_bad_inverse,
     circle_star_cover,
+    cyclic_groupoid,
     hemisphere_cover,
     mobius_cocycle,
     pair_groupoid,
@@ -56,6 +58,7 @@ def write_inputs(directory):
     write("ord2.json", category_to_json(standard_categories()["ordinal-2"]))
     write("idem.json", category_to_json(standard_categories()["idempotent-monoid"]))
     write("pair.json", groupoid_to_json(pair_groupoid()))
+    write("z3.json", groupoid_to_json(cyclic_groupoid(3)))
     write("bad-inverse.json", groupoid_to_json(broken_groupoid_bad_inverse()))
     write("loop5.json", groupoid_to_json(self_inverse_loop()))
     write("circle.json", covered_complex_to_json(circle_star_cover()))
@@ -524,6 +527,13 @@ GOLDEN = [
     # s o s = s: cores whose composites are idempotents but not identities
     ("verify quillen-a --input idem.json --N 3 --D 3", 0,
      "6d483553856d75d9a3e0319b4db4f6af51a423cadf0637a1730d5b105f3450b2"),
+    # two of the fiber-sweep benchmark's categories at its N, and Z/3
+    ("verify quillen-a --input ord2.json --N 4 --D 3", 0,
+     "8cbfaa7bf0ae6683bee83176db553f954b7d5a67853ddc2bdda83536685a61f4"),
+    ("verify quillen-a --input idem.json --N 4 --D 3", 0,
+     "6d483553856d75d9a3e0319b4db4f6af51a423cadf0637a1730d5b105f3450b2"),
+    ("verify quillen-a --input z3.json --N 4 --D 3", 0,
+     "7e738c29e2b398af2a678e43b75af620288528bdcad796f0df9ca380bcd4d04c"),
     ("verify tau --input bz2.json --N 4 --D 3 --d 1", 0,
      "3a1322fc1b9a0621558fa0da4037ddc9d129472718ffe9054c58f0da4eaad852"),
     ("verify cocycle --input mobius.json", 0,
@@ -556,6 +566,50 @@ def test_suite_stdout_is_pinned(capsys, inputs, line, code, digest):
     argv = [inputs.get(a, a) for a in line.split()]
     assert main(argv) == code
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+# sha256 of the stdout of each fiber-sweep benchmark case at seed 1; the
+# two seeded posets have 44 nerve cells each, so they print the same bytes
+FIBER_SWEEP_DIGESTS = {
+    "quillen-a-ordinal-2-N4": "8cbfaa7bf0ae6683bee83176db553f954b7d5a67853ddc2bdda83536685a61f4",
+    "quillen-a-idempotent-monoid-N4":
+        "6d483553856d75d9a3e0319b4db4f6af51a423cadf0637a1730d5b105f3450b2",
+    "quillen-a-poset-a-N3": "8ac0ee86fa542409015e1f3f079f0bd123b99b8d31d79b53e01caba77dadd3c8",
+    "quillen-a-poset-b-N3": "8ac0ee86fa542409015e1f3f079f0bd123b99b8d31d79b53e01caba77dadd3c8",
+}
+
+
+def fiber_sweep_cases(directory):
+    """The fiber-sweep benchmark's cases at seed 1, inputs written into
+    ``directory`` by ``bench/workloads.py``."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("fatcat_bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.write_workload("fiber-sweep", 1, str(directory))["cases"]
+
+
+def test_quillen_a_certifies_fibers_without_smith(capsys, inputs, monkeypatch, tmp_path):
+    """Every comma fiber of the fiber-sweep benchmark's four categories and
+    of Z/3 dismantles to a point, so ``verify quillen-a`` computes no Smith
+    form, and prints the pinned bytes."""
+    calls = []
+    original = intlinalg.smith
+    for module in (intlinalg, homology):
+        monkeypatch.setattr(module, "smith", lambda *a, **k: calls.append(a) or original(*a, **k))
+    runs = [(case["argv"], 0, FIBER_SWEEP_DIGESTS[case["name"]])
+            for case in fiber_sweep_cases(tmp_path)]
+    line = "verify quillen-a --input z3.json --N 4 --D 3"
+    runs.append(([inputs.get(a, a) for a in line.split()],
+                 *next(g[1:] for g in GOLDEN if g[0] == line)))
+    assert len(runs) == 5
+    for argv, code, digest in runs:
+        assert main(argv) == code
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+    assert calls == []
+    # the counter counts: a homology run does eliminate
+    assert main(["homology", "--input", inputs["z3.json"], "--D", "3", "--k", "1"]) == 0
+    assert calls
 
 
 def test_package_never_reads_the_dense_view(capsys, inputs, monkeypatch):

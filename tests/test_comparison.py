@@ -8,14 +8,17 @@ import pytest
 import fatcat.comparison as comparison
 from fatcat.comparison import (
     BarycentricPoint,
+    CommaFiber,
     _nondegenerate_factorization,
     all_fibers_contractible,
     apply_operator,
     contractibility_report,
+    dismantle,
     pi_tau_homology_check,
     projection_map,
     projection_pi,
     quillen_fiber,
+    replay_dismantling,
     rho_evaluate,
     rho_witnesses,
     subdivision_chain_operator,
@@ -34,6 +37,7 @@ from fatcat.fixtures import (
     cyclic_groupoid,
     idempotent_monoid_category,
     pair_groupoid,
+    standard_categories,
     terminal_category,
     z2_groupoid,
 )
@@ -53,7 +57,7 @@ from fatcat.simpset import (
     nerve,
 )
 
-from oracles import apply, column, oracle_homology
+from oracles import apply, betti_torsion, column, oracle_homology
 from test_simpset import record_builds
 
 
@@ -61,7 +65,7 @@ def test_projection_terminal_is_h0_iso():
     pi = projection_pi(terminal_category(), 3, 2)
     rep = quasi_iso_through(pi, 1)
     assert rep.ok
-    assert rep.degrees[0].target.group() == (1, ())
+    assert betti_torsion(rep.degrees[0].target) == (1, ())
 
 
 def test_projection_sends_generator_to_first_factor():
@@ -74,7 +78,7 @@ def test_projection_flip_group_quasi_iso():
     pi = projection_pi(z2_groupoid().base, 6, 4)
     rep = quasi_iso_through(pi, 2)
     assert rep.ok
-    assert [c.source.group() for c in rep.degrees] == [(1, ()), (0, (2,)), (0, ())]
+    assert [betti_torsion(c.source) for c in rep.degrees] == [(1, ()), (0, (2,)), (0, ())]
 
 
 def subdivision_operator(n):
@@ -163,13 +167,13 @@ def test_pi_tau_fixes_homology_terminal():
 def test_pi_tau_fixes_homology_interval():
     rep = pi_tau_homology_check(ordinal(1), 4, 3, 1)
     assert rep.ok
-    assert [c.source.group() for c in rep.degrees] == [(1, ()), (0, ())]
+    assert [betti_torsion(c.source) for c in rep.degrees] == [(1, ()), (0, ())]
 
 
 def test_pi_tau_fixes_homology_flip_group():
     rep = pi_tau_homology_check(z2_groupoid().base, 6, 4, 2)
     assert rep.ok
-    assert [c.source.group() for c in rep.degrees] == [(1, ()), (0, (2,)), (0, ())]
+    assert [betti_torsion(c.source) for c in rep.degrees] == [(1, ()), (0, (2,)), (0, ())]
 
 
 def count_audits(monkeypatch):
@@ -197,17 +201,17 @@ def test_pi_tau_audits_each_object_once(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "cat, cells, cores",
-    [(ordinal(2), 34, 7), (cyclic_groupoid(3).base, 40, 15)],
+    "cat, cells, cores, patterns",
+    [(ordinal(2), 34, 7, 3), (cyclic_groupoid(3).base, 40, 15, 8)],
     ids=["ordinal-2", "z3"],
 )
-def test_fiber_sweep_builds_once_per_core(monkeypatch, cat, cells, cores):
+def test_fiber_sweep_builds_once_per_core(monkeypatch, cat, cells, cores, patterns):
     # a core is a nondegenerate cell, and Z/3 has two edges on one object pair
     assert sum(len(nerve(cat, 3).nondegenerate(k)) for k in range(4)) == cores
     degrees = sum(1 for k in range(4) if nerve(cat, 3).nondegenerate(k))
     audits = count_audits(monkeypatch)
     calls = Counter()
-    for name in ("unravel", "quillen_fiber"):
+    for name in ("unravel", "quillen_fiber", "_fiber_shape", "contractibility_report"):
         original = getattr(comparison, name)
 
         def counted(*args, original=original, name=name):
@@ -217,10 +221,13 @@ def test_fiber_sweep_builds_once_per_core(monkeypatch, cat, cells, cores):
         monkeypatch.setattr(comparison, name, counted)
     checked, violations = all_fibers_contractible(cat, 3, 3, 2)
     assert (checked, violations) == (cells, [])
-    assert calls == {"unravel": 1, "quillen_fiber": cores}
-    # the nerve, the shared target, per core a fiber and both legs, and one
-    # simplex per core degree, each audited exactly once
-    assert len({obj for obj, _ in audits}) == 2 + cores * 3 + degrees
+    # P, its budget check, its nerve and the to_simplex leg once per pattern
+    assert calls == {"unravel": 1, "quillen_fiber": cores, "_fiber_shape": patterns,
+                     "contractibility_report": patterns}
+    # the nerve, the shared target, per pattern a fiber and its to_simplex
+    # leg, per core a to_unraveled leg, and one simplex per core degree,
+    # each audited exactly once
+    assert len({obj for obj, _ in audits}) == 2 + patterns * 2 + cores + degrees
     assert set(audits.values()) == {1}
 
 
@@ -288,7 +295,7 @@ def core_simplex(c, D, cell, k):
 def fiber(c, N, D, cell, k):
     """The comma fiber of a nerve cell, with both codomains built for it."""
     target = nerve(unravel(c, N), D)
-    return comparison.quillen_fiber(c, N, D, cell, k, target, core_simplex(c, D, cell, k))
+    return comparison.quillen_fiber(c, N, D, cell, k, target, core_simplex(c, D, cell, k), {})
 
 
 def test_fiber_over_vertex_is_stage_poset_nerve():
@@ -310,7 +317,7 @@ def test_fiber_over_interval_simplex():
     assert contractibility_report(fib, 2) == []
     chains = geometric_chains(fib.fiber)
     for k in range(3):
-        assert oracle_homology(chains, k) == homology(chains, k).group()
+        assert oracle_homology(chains, k) == betti_torsion(homology(chains, k))
 
 
 def test_fiber_refuses_a_wrong_target():
@@ -318,10 +325,10 @@ def test_fiber_refuses_a_wrong_target():
     edge = ((0, 1, "le"),)
     shared = nerve(unravel(c, 3), 2)
     simplex = nerve(ordinal(1), 2)
-    assert quillen_fiber(c, 3, 2, edge, 1, shared, simplex).to_unraveled.target is shared
+    assert quillen_fiber(c, 3, 2, edge, 1, shared, simplex, {}).to_unraveled.target is shared
     for wrong in (nerve(unravel(c, 2), 2), nerve(unravel(c, 3), 3)):
         with pytest.raises(StructureError):
-            quillen_fiber(c, 3, 2, edge, 1, wrong, simplex)
+            quillen_fiber(c, 3, 2, edge, 1, wrong, simplex, {})
 
 
 FIBER_CORES = {
@@ -342,7 +349,7 @@ def test_fiber_is_refused_before_any_cell_is_built(monkeypatch):
         EnumerationLimitError, match="^TruncatedSimplicialSet needs 59422 cells"
     ):
         # refused before either codomain is read
-        quillen_fiber(c, 10, 4, cell, k, None, None)
+        quillen_fiber(c, 10, 4, cell, k, None, None, {})
     assert built == []
     assert categories == []
 
@@ -351,14 +358,14 @@ def test_fiber_is_refused_before_any_cell_is_built(monkeypatch):
 def test_fiber_budget_counts_every_cell(monkeypatch, name):
     c, cell, k = FIBER_CORES[name]
     target, simplex = nerve(unravel(c, 3), 3), core_simplex(c, 3, cell, k)
-    fib = quillen_fiber(c, 3, 3, cell, k, target, simplex)
+    fib = quillen_fiber(c, 3, 3, cell, k, target, simplex, {})
     total = sum(fib.fiber.n_cells(j) for j in range(4))
     built = record_builds(monkeypatch)
     monkeypatch.setenv("FATCAT_MAX_CELLS", str(total))
-    quillen_fiber(c, 3, 3, cell, k, target, simplex)
+    quillen_fiber(c, 3, 3, cell, k, target, simplex, {})
     monkeypatch.setenv("FATCAT_MAX_CELLS", str(total - 1))
     with pytest.raises(EnumerationLimitError, match=f"needs {total} cells"):
-        quillen_fiber(c, 3, 3, cell, k, target, simplex)
+        quillen_fiber(c, 3, 3, cell, k, target, simplex, {})
     # the fiber, from the run inside the budget
     assert len(built) == 1
 
@@ -532,7 +539,143 @@ def test_action_groupoid_matches_its_stabilizer():
     expected = [(1, ()), (0, (2,)), (0, ()), (0, (2,))]
     ner = nerve(c, 4)
     for chains in (fat_chains(ner), geometric_chains(ner)):
-        assert [homology(chains, k).group() for k in range(4)] == expected
+        assert [betti_torsion(homology(chains, k)) for k in range(4)] == expected
     assert quasi_iso_through(projection_pi(c, 3, 3), 2).ok
     assert all_fibers_contractible(c, 2, 2, 1)[1] == []
     assert pi_tau_homology_check(c, 3, 2, 1).ok
+
+
+# ---------------------------------------------------------------------------
+# The beat-point certificate
+
+
+def poset_steps(c):
+    """The up-sets of a category with at most one arrow between two
+    objects: steps[x] lists the targets of the arrows leaving x."""
+    return {x: sorted(c.tgt[m] for m, s, _ in c.morphisms if s == x) for x in c.objects}
+
+
+def poset_fiber(c):
+    """A fiber record around the nerve of a poset, for the certificate and
+    its fallback; neither reads the legs."""
+    return CommaFiber(0, poset_steps(c), nerve(c, 3), None, None)
+
+
+def crown():
+    """The crown a, b < c, d, whose order complex is a circle: no point is
+    a beat point, yet removing any point leaves a contractible poset."""
+    le = [(x, x) for x in "abcd"] + [(x, y) for x in "ab" for y in "cd"]
+    mor = {p: (*p, "le") for p in le}
+    compose = {(mor[(x, y)], mor[(v, z)]): mor[(x, z)] for x, y in le for v, z in le if v == y}
+    return FinCategory("abcd", [(m, x, y) for (x, y), m in mor.items()],
+                       {x: mor[(x, x)] for x in "abcd"}, compose)
+
+
+def is_beat_point(steps, live, x):
+    """By brute force: the live points strictly above x have a minimum, or
+    those strictly below it a maximum."""
+    above = [y for y in live if y != x and y in steps[x]]
+    below = [y for y in live if y != x and x in steps[y]]
+    return (any(all(z in steps[w] for z in above) for w in above)
+            or any(all(w in steps[z] for z in below) for w in below))
+
+
+CERTIFIED = {
+    **standard_categories(),
+    **{f"z{n}": cyclic_groupoid(n).base for n in range(2, 6)},
+    "s3-on-3": s3_action_groupoid().base,
+    **{f"poset-seed-{seed}": random_poset(seed, 4) for seed in range(3)},
+}
+CONTRACTIBLE = [(1, ()), (0, ()), (0, ())]
+
+
+def test_certificate_agrees_with_the_homology_oracle(monkeypatch):
+    """Every fiber the sweep checks over the bundled categories and
+    groupoids, Z/n for n = 2..5, S_3 on {0, 1, 2} and seeded posets, at
+    D = 3 and N = 1, 2, 3: it dismantles to a point exactly when the sympy
+    oracle finds its reduced homology zero through degree 2, and its report
+    agrees.  Below N = 3 the stage cutoff cuts some fibers short, so both
+    verdicts occur.  Fibers with the same steps are compared once."""
+    verdicts = {}
+    for name, c in CERTIFIED.items():
+        for N in (1, 2, 3):
+            fibers = []
+            with monkeypatch.context() as m:
+                m.setattr(comparison, "contractibility_report",
+                          lambda fib, d: fibers.append(fib) or [])
+                all_fibers_contractible(c, N, 3, 2)
+            for fib in fibers:
+                key = tuple((v, tuple(ws)) for v, ws in fib.steps.items())
+                if key not in verdicts:
+                    chains = geometric_chains(fib.fiber)
+                    verdicts[key] = [oracle_homology(chains, k) for k in range(3)] == CONTRACTIBLE
+                certified = replay_dismantling(fib.steps, dismantle(fib.steps))
+                assert certified == verdicts[key], (name, N, fib.degree)
+                assert (contractibility_report(fib, 2) == []) == verdicts[key]
+    assert set(verdicts.values()) == {True, False}
+
+
+def test_certificate_is_sound_on_random_posets():
+    """A random poset that dismantles to a point has the reduced homology
+    of a point, and the report, certificate or homology, matches the
+    oracle on every poset."""
+    outcomes = Counter()
+    for seed in range(40):
+        fib = poset_fiber(random_poset(seed, 6))
+        chains = geometric_chains(fib.fiber)
+        contractible = [oracle_homology(chains, k) for k in range(3)] == CONTRACTIBLE
+        certified = replay_dismantling(fib.steps, dismantle(fib.steps))
+        assert contractible or not certified, seed
+        assert (contractibility_report(fib, 2) == []) == contractible, seed
+        outcomes[certified, contractible] += 1
+    assert outcomes[True, True] and outcomes[False, False]
+
+
+def test_crown_reaches_the_homology_fallback(monkeypatch):
+    fib = poset_fiber(crown())
+    assert not any(is_beat_point(fib.steps, fib.steps, x) for x in fib.steps)
+    assert dismantle(fib.steps) == []
+    assert not replay_dismantling(fib.steps, [])
+    built = []
+    original = comparison.geometric_chains
+    monkeypatch.setattr(comparison, "geometric_chains", lambda x: built.append(x) or original(x))
+    assert contractibility_report(fib, 2) == [
+        Violation("fiber-contractible", (1,), "H_1 = (1, ()), expected (0, ())")
+    ]
+    assert built == [fib.fiber]
+
+
+def test_replay_rejects_doctored_removals(monkeypatch):
+    fib = fiber(ordinal(1), 2, 3, ((0, 1, "le"),), 1)
+    steps = fib.steps
+    removals = dismantle(steps)
+    assert replay_dismantling(steps, removals)
+    assert len(removals) == len(steps) - 1
+    # every genuine removal is a beat point when it is made
+    live = set(steps)
+    for x, _ in removals:
+        assert is_beat_point(steps, live, x)
+        live.remove(x)
+    # two points left
+    assert not replay_dismantling(steps, removals[:-1])
+    # a first removal that is not a beat point, whatever its witness, even
+    # when the rest of the sequence dismantles what is left to a point
+    doctored = Counter()
+    for name, poset in (("fiber", steps), ("crown", poset_steps(crown()))):
+        for x in poset:
+            if is_beat_point(poset, poset, x):
+                continue
+            rest = {v: [u for u in ws if u != x] for v, ws in poset.items() if v != x}
+            tail = dismantle(rest)
+            if replay_dismantling(rest, tail):
+                for w in poset:
+                    assert not replay_dismantling(poset, [(x, w)] + tail)
+                doctored[name] += 1
+    assert doctored["fiber"] and doctored["crown"] == 4
+    # a rejected sequence sends the report to the homology fallback
+    built = []
+    original = comparison.geometric_chains
+    monkeypatch.setattr(comparison, "geometric_chains", lambda x: built.append(x) or original(x))
+    monkeypatch.setattr(comparison, "dismantle", lambda s: removals[:-1])
+    assert contractibility_report(fib, 2) == []
+    assert built == [fib.fiber]
