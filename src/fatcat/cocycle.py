@@ -399,7 +399,7 @@ def universal_cocycle(g: FinGroupoid, N: int, D: int):
                 seq, z = cell
                 values = sorted(set(seq))
                 m = len(values) - 1
-                for a, b, c in law[m][ner.index[m][z]]:
+                for a, b, c in law[m][ner.index(m)[z]]:
                     witness = (k, cell, values[a], values[b], values[c])
                     report.append(Violation("universal-cocycle-law", witness))
     if any(any(map(any, level)) for level in compat):
@@ -412,7 +412,7 @@ def universal_cocycle(g: FinGroupoid, N: int, D: int):
                     if v is None:
                         continue
                     values = sorted(set(seq[:i] + seq[i + 1:]))
-                    for a, b in compat[m][ner.index[m][z]][v]:
+                    for a, b in compat[m][ner.index(m)[z]][v]:
                         witness = (k, i, cell, (values[a], values[b]))
                         report.append(Violation("universal-face-compat", witness))
     return report

@@ -9,9 +9,10 @@ partial tables) raise :class:`StructureError` instead.
 
 from collections import namedtuple
 from math import comb
+from operator import itemgetter
 
 from .errors import StructureError, Violation, check_budget
-from .ids import decode_id, encode_id, id_key, sort_key
+from .ids import decode_id, encode_id, id_key, sort_ids, sort_key
 
 
 class FinCategory:
@@ -23,10 +24,10 @@ class FinCategory:
     """
 
     def __init__(self, objects, morphisms, identity, compose):
-        self.objects = tuple(sorted(objects, key=sort_key))
+        self.objects = tuple(sort_ids(objects))
         if len(set(self.objects)) != len(self.objects):
             raise StructureError("duplicate object identifiers")
-        morphs = sorted(morphisms, key=lambda m: sort_key(m[0]))
+        morphs = sort_ids(morphisms, key=itemgetter(0))
         self.morphisms = tuple((m, s, t) for m, s, t in morphs)
         self.src = {m: s for m, s, t in self.morphisms}
         self.tgt = {m: t for m, s, t in self.morphisms}

@@ -208,12 +208,15 @@ def homology(cx: IntegerChainComplex, k: int) -> HomologyGroup:
 
 class HomologyClasses(HomologyPresentation):
     """Homology of one degree of a complex, presented with explicit
-    generating cycles: ker d_k / im d_{k+1}."""
+    generating cycles: ker d_k / im d_{k+1}.  ``generators`` and ``coords``
+    say which of the two the caller reads (see
+    :class:`~fatcat.intlinalg.HomologyPresentation`)."""
 
-    def __init__(self, cx: IntegerChainComplex, k: int):
+    def __init__(self, cx: IntegerChainComplex, k: int, *, generators, coords):
         if k < 0 or k > cx.D:
             raise StructureError(f"degree {k} out of range 0..{cx.D}")
-        super().__init__(cx.boundary_or_zero(k), cx.boundary_or_zero(k + 1), cx.rank(k))
+        super().__init__(cx.boundary_or_zero(k), cx.boundary_or_zero(k + 1), cx.rank(k),
+                         generators=generators, coords=coords)
         self.degree = k
         self.reliable = k + 1 <= cx.D
 
@@ -268,14 +271,16 @@ def quasi_iso_through(F: ChainMap, d: int) -> QuasiIsoReport:
 
     Betti numbers and invariant factors must match, and the induced matrix
     on homology generators must be invertible; for finitely generated
-    groups with equal invariants this is equivalent to surjectivity.
+    groups with equal invariants this is equivalent to surjectivity.  The
+    source is read only through its generators and the target only through
+    coordinates, so neither builds the transforms of the other.
     """
     check_degree_range(d, min(F.source.D, F.target.D))
     degrees = []
     violations = []
     for k in range(d + 1):
-        src = HomologyClasses(F.source, k)
-        tgt = HomologyClasses(F.target, k)
+        src = HomologyClasses(F.source, k, generators=True, coords=False)
+        tgt = HomologyClasses(F.target, k, generators=False, coords=True)
         same = src.betti == tgt.betti and src.torsion == tgt.torsion
         iso = same
         if same:
@@ -304,7 +309,7 @@ def identity_on_homology_through(F: ChainMap, d: int) -> QuasiIsoReport:
     degrees = []
     violations = []
     for k in range(d + 1):
-        classes = HomologyClasses(F.source, k)
+        classes = HomologyClasses(F.source, k, generators=True, coords=True)
         mat = F.matrices[k]
         gens = classes.generators
         t = len(classes.torsion)

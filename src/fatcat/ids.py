@@ -46,3 +46,26 @@ def sort_key(value):
     if isinstance(value, str):
         return (1, value)
     return (0, value)
+
+
+def sort_ids(values, key=None):
+    """``values`` in the order of ``sort_key`` (of ``key(value)`` when a key
+    is given), found by native comparison where it can be.
+
+    Native comparison of two identifiers succeeds only where every pair of
+    components it orders has one type: an int against a string, or a tuple
+    against either, raises TypeError.  Where it succeeds it agrees with
+    ``sort_key``.  Ints order as ints and strings as strings under both.
+    Two tuples are ordered by their first unequal components, or by length
+    when one is a prefix of the other; ``sort_key`` gives equal keys to
+    equal identifiers and only to them, so both find the same first
+    unequal components.  A sort that meets no TypeError has therefore seen
+    the outcome a sort by ``sort_key`` sees at every comparison, and it
+    returns the same list.  A sort that meets one starts again by
+    ``sort_key``.
+    """
+    values = list(values)
+    try:
+        return sorted(values, key=key)
+    except TypeError:
+        return sorted(values, key=sort_key if key is None else lambda v: sort_key(key(v)))

@@ -110,9 +110,8 @@ class SmithForm:
     """U * A * V = diag(factors), with U, V unimodular.
 
     ``factors`` are the positive invariant factors, each dividing the next;
-    ``rank`` is their count.  U and Uinv are present only when :func:`smith`
-    is asked for ``rows``, V and Vinv only when it is asked for ``cols``;
-    the ones it is not asked for are None.
+    ``rank`` is their count.  A transform is present only when :func:`smith`
+    is asked for it; the others are None.
     """
 
     __slots__ = ("factors", "rank", "nrows", "ncols", "U", "Uinv", "V", "Vinv")
@@ -132,27 +131,34 @@ def smith(A, rows=False, cols=False):
     """Smith normal form over the integers, by the elimination described in
     the module docstring.
 
-    With ``rows``, every row operation is mirrored on U's rows and,
-    inverted, on Uinv's columns; with ``cols``, every column operation on
-    V's columns and, inverted, on Vinv's rows.  Rows of U and Vinv, and
-    columns of Uinv and V, come in the order (pivots, then the rest by
-    index).
+    ``rows`` asks for the row transforms: True for U and Uinv, or the name
+    of one of them, "U" or "Uinv"; ``cols`` likewise for V and Vinv.  Each
+    transform asked for mirrors every operation of its side: a row
+    operation on U's rows and, inverted, on Uinv's columns; a column
+    operation on V's columns and, inverted, on Vinv's rows.  One left out
+    is never built, and the others do not depend on it.  Rows of U and
+    Vinv, and columns of Uinv and V, come in the order (pivots, then the
+    rest by index).
     """
     from heapq import heapify, heappop, heappush
 
+    want_u, want_uinv = rows in (True, "U"), rows in (True, "Uinv")
+    want_v, want_vinv = cols in (True, "V"), cols in (True, "Vinv")
     nrows, ncols = A.nrows, A.ncols
-    # the matrix being reduced, as row dicts and as the row sets of its columns
+    # the matrix being reduced, as row dicts and, per column, the list of
+    # rows holding an entry there: a row joins a column's list when its
+    # entry appears and leaves it when the entry cancels
     mrows = [dict(r) for r in A.nz]
-    mcols = [set() for _ in range(ncols)]
+    mcols = [[] for _ in range(ncols)]
     for i, row in enumerate(mrows):
         for j in row:
-            mcols[j].add(i)
+            mcols[j].append(i)
     # U's rows and Uinv's columns are indexed by row, V's columns and
     # Vinv's rows by column
-    if rows:
-        urows, uinv = ([{i: 1} for i in range(nrows)] for _ in range(2))
-    if cols:
-        vcols, vinv = ([{j: 1} for j in range(ncols)] for _ in range(2))
+    urows = [{i: 1} for i in range(nrows)] if want_u else None
+    uinv = [{i: 1} for i in range(nrows)] if want_uinv else None
+    vcols = [{j: 1} for j in range(ncols)] if want_v else None
+    vinv = [{j: 1} for j in range(ncols)] if want_vinv else None
     pivot_rows, pivot_cols, factors = [], [], []
 
     def add_row(i, c, p):
@@ -162,13 +168,14 @@ def smith(A, rows=False, cols=False):
             new = row.get(j, 0) - c * v
             if new:
                 if j not in row:
-                    mcols[j].add(i)
+                    mcols[j].append(i)
                 row[j] = new
             else:
                 del row[j]
-                mcols[j].discard(i)
-        if rows:
+                mcols[j].remove(i)
+        if want_u:
             _axpy(urows[i], -c, urows[p])
+        if want_uinv:
             _axpy(uinv[p], c, uinv[i])
 
     def least_entry():
@@ -198,11 +205,14 @@ def smith(A, rows=False, cols=False):
             touched.update(mrows[p])
             if mrows[p][q] < 0:
                 mrows[p] = {j: -v for j, v in mrows[p].items()}
-                if rows:
+                if want_u:
                     urows[p] = {k: -v for k, v in urows[p].items()}
+                if want_uinv:
                     uinv[p] = {k: -v for k, v in uinv[p].items()}
             prow = mrows[p]
             d = prow[q]
+            # row operations on different rows commute, so the order of
+            # the column's list does not matter
             for i in [i for i in mcols[q] if i != p]:
                 add_row(i, mrows[i][q] // d, p)
             if len(mcols[q]) == 1:
@@ -215,9 +225,10 @@ def smith(A, rows=False, cols=False):
                         prow[j] = rest
                     else:
                         del prow[j]
-                        mcols[j].discard(p)
-                    if cols:
+                        mcols[j].remove(p)
+                    if want_v:
                         _axpy(vcols[j], -c, vcols[q])
+                    if want_vinv:
                         _axpy(vinv[q], c, vinv[j])
             if len(mcols[q]) > 1 or len(prow) > 1:
                 # a remainder is left: the least entry becomes the pivot
@@ -235,7 +246,7 @@ def smith(A, rows=False, cols=False):
                 break
             add_row(p, -1, offender)
         mrows[p] = None
-        mcols[q].discard(p)
+        mcols[q].remove(p)
         pivot_rows.append(p)
         pivot_cols.append(q)
         factors.append(d)
@@ -247,11 +258,13 @@ def smith(A, rows=False, cols=False):
     row_order = pivot_rows + [i for i in range(nrows) if mrows[i] is not None]
     col_order = pivot_cols + [j for j in range(ncols) if j not in dead]
     U = Uinv = V = Vinv = None
-    if rows:
+    if want_u:
         U = IntMatrix._wrap([urows[i] for i in row_order], nrows)
+    if want_uinv:
         Uinv = _transposed(IntMatrix._wrap([uinv[i] for i in row_order], nrows))
-    if cols:
+    if want_v:
         V = _transposed(IntMatrix._wrap([vcols[j] for j in col_order], ncols))
+    if want_vinv:
         Vinv = IntMatrix._wrap([vinv[j] for j in col_order], ncols)
     return SmithForm(
         factors=factors,
@@ -309,14 +322,20 @@ class HomologyPresentation:
     with ``d_i`` the invariant factors of B that exceed 1.  ``generators``
     are integer vectors in the ambient basis; ``coords`` writes any cycle
     in the generator basis (torsion coordinates already reduced mod d_i).
+
+    The caller says which of the two it reads, and only their transforms
+    are built, all in the same two eliminations.  The group itself needs
+    Uinv, the inverse row transform of B, which splits off im(B).
+    Generators also need VM, the column transform of the rest of A, and
+    coordinates need U and VMinv.
     """
 
-    def __init__(self, A, B, n):
+    def __init__(self, A, B, n, *, generators, coords):
         self.n = n
         if A.ncols != n or B.nrows != n:
             raise StructureError("homology presentation: shape mismatch")
         self._A = A
-        formB = smith(B, rows=True)
+        formB = smith(B, rows=True if coords else "Uinv")
         self._U = formB.U
         self._Uinv = formB.Uinv
         self._rB = formB.rank
@@ -325,7 +344,7 @@ class HomologyPresentation:
         if any(j < self._rB for row in Ares.nz for j in row):
             raise StructureError("B does not map into ker(A)")
         M = Ares.submatrix_cols(self._rB)
-        formM = smith(M, cols=True)
+        formM = smith(M, cols=True if generators and coords else "V" if generators else "Vinv")
         self._rM = formM.rank
         self._VM = formM.V
         self._VMinv = formM.Vinv

@@ -28,7 +28,6 @@ Conventions used throughout:
 """
 
 from collections import namedtuple
-from functools import cached_property
 from itertools import accumulate, combinations, combinations_with_replacement, pairwise
 from math import comb, factorial
 
@@ -41,10 +40,11 @@ class SemiSimplicialSet:
     """Degree-indexed cell lists with face maps d_i only.
 
     ``faces[k][i][p]`` is the position in ``cells[k - 1]`` of d_i of the
-    p-th k-cell, and ``index[k]``, built on first use, maps each k-cell to
-    its position.  The constructor budgets the object (see
-    :func:`check_size`), checks each table's length and range, then audits
-    the face identities once per (i, j) pair by composing whole tables.
+    p-th k-cell, and ``index(k)``, built on the first call for degree k
+    and kept, maps each k-cell to its position.  The constructor budgets
+    the object (see :func:`check_size`), checks each table's length and
+    range, then audits the face identities once per (i, j) pair by
+    composing whole tables.
     """
 
     has_degeneracies = False
@@ -56,15 +56,18 @@ class SemiSimplicialSet:
             raise StructureError("cell lists must cover degrees 0..D")
         check_size(type(self), D, list(map(len, self.cells)))
         self.faces = face
+        self._index = {}
         seen_violations = self.audit()
         if seen_violations:
             raise StructureError(
                 f"face identities fail, e.g. {seen_violations[0]}"
             )
 
-    @cached_property
-    def index(self):
-        return [{cell: p for p, cell in enumerate(cs)} for cs in self.cells]
+    def index(self, k):
+        index = self._index.get(k)
+        if index is None:
+            index = self._index[k] = {cell: p for p, cell in enumerate(self.cells[k])}
+        return index
 
     def n_cells(self, k):
         return len(self.cells[k])
@@ -369,15 +372,15 @@ def nerve(c: FinCategory, D: int) -> TruncatedSimplicialSet:
 def nerve_map(source, target, obj, arrow) -> SimplicialMap:
     """The nerve of a functor, x -> obj(x) and m -> arrow(m), between the
     categories of two nerves.  Objects and arrows are looked up in target's
-    degrees 0 and 1; above, q + m goes to s_{k-1} of q's image plus the
-    offset of arrow(m) from the identity (see :func:`nerve`)."""
+    degrees 0 and 1, through its kept indexes, so the maps into one target
+    share them; above, q + m goes to s_{k-1} of q's image plus the offset
+    of arrow(m) from the identity (see :func:`nerve`)."""
     _same_truncation(source, target)
-    vertex = {x: p for p, x in enumerate(target.cells[0])}
-    maps = [_positions(vertex, map(obj, source.cells[0]), "map image leaves target degree 0")]
+    images = map(obj, source.cells[0])
+    maps = [_positions(target.index(0), images, "map image leaves target degree 0")]
     if source.D:
-        edge = {m: p for p, (m,) in enumerate(target.cells[1])}
-        images = (arrow(m) for m, in source.cells[1])
-        maps.append(_positions(edge, images, "map image leaves target degree 1"))
+        images = ((arrow(m),) for m, in source.cells[1])
+        maps.append(_positions(target.index(1), images, "map image leaves target degree 1"))
         unit = _compose(target.degeneracies[0][0], _compose(maps[0], source.faces[1][1]))
         offset = [p - u for p, u in zip(maps[1], unit)]
         last = range(source.n_cells(1))
@@ -531,7 +534,7 @@ def lemma42_bijection(c: FinCategory, N: int, D: int) -> BijectionReport:
     positions = []
     for k in range(D + 1):
         images = [interleave_cell(c, k, *cell) for cell in prod.cells[k]]
-        positions.append(list(map(target.index[k].get, images)))
+        positions.append(list(map(target.index(k).get, images)))
         image_set = set(images)
         if len(image_set) != len(images):
             violations.append(Violation("bijection-injective", (k,)))
@@ -572,19 +575,27 @@ class BarycentricFlag(namedtuple("BarycentricFlag", "n chain")):
 
 
 def sd_flags(n: int, k: int):
-    """All k-cells of the barycentric subdivision of the n-simplex."""
+    """All k-cells of the barycentric subdivision of the n-simplex, in the
+    order of their chains of sorted tuples.
+
+    The nonempty subsets are taken in tuple order, and a depth-first walk
+    extends each chain by every strict superset of its last part in that
+    order, so the chains come out already sorted."""
     if n < 0 or k < 0:
         raise StructureError("n and k must be >= 0")
-    # listed by size, so every strictly nested chain comes out in order
-    subsets = [
-        frozenset(c) for size in range(1, n + 2) for c in combinations(range(n + 1), size)
-    ]
-    flags = [
-        BarycentricFlag(n, chain)
-        for chain in combinations(subsets, k + 1)
-        if all(a < b for a, b in zip(chain, chain[1:]))
-    ]
-    flags.sort(key=lambda fl: sort_key(tuple(tuple(sorted(p)) for p in fl.chain)))
+    parts = [frozenset(c) for c in sorted(
+        c for size in range(1, n + 2) for c in combinations(range(n + 1), size))]
+    flags = []
+
+    def walk(chain):
+        if len(chain) == k + 1:
+            flags.append(BarycentricFlag(n, chain))
+            return
+        for part in parts:
+            if not chain or chain[-1] < part:
+                walk(chain + (part,))
+
+    walk(())
     return flags
 
 

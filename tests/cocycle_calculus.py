@@ -270,7 +270,7 @@ def gamma(g, bg, k, cell):
     """Canonical transitions of the groupoid g on a k-cell of its
     classifying complex ``bg``, keyed by stage pairs."""
     space = bg.space
-    if not 0 <= k <= space.D or cell not in space.index[k]:
+    if not 0 <= k <= space.D or cell not in space.index(k):
         raise StructureError(f"not a {k}-cell of the classifying complex: {cell}")
     # the nerve cell's transitions, vertex a at the a-th distinct stage
     seq, z = cell

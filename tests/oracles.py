@@ -44,7 +44,7 @@
 from collections import namedtuple
 from fractions import Fraction
 from functools import partial
-from itertools import combinations_with_replacement, groupby
+from itertools import combinations, combinations_with_replacement, groupby
 from math import comb
 from operator import itemgetter
 
@@ -65,6 +65,7 @@ from fatcat.homology import ChainMap, IntegerChainComplex, fat_chains, geometric
 from fatcat.ids import sort_key
 from fatcat.intlinalg import IntMatrix, SmithForm, _dense, smith
 from fatcat.simpset import (
+    BarycentricFlag,
     SemiSimplicialSet,
     SimplicialMap,
     TruncatedSimplicialSet,
@@ -261,7 +262,7 @@ def oracle_simplicial_map(source, target, image) -> SimplicialMap:
     if source.D != target.D:
         raise StructureError("source and target truncation degrees differ")
     maps = [
-        _lookup(target.index[k], (image(k, cell) for cell in source.cells[k]),
+        _lookup(target.index(k), (image(k, cell) for cell in source.cells[k]),
                 f"map image leaves target degree {k}")
         for k in range(source.D + 1)
     ]
@@ -307,17 +308,17 @@ def oracle_nerve(c: FinCategory, D: int) -> TruncatedSimplicialSet:
 
 def face(x, k, i, cell):
     """d_i of a k-cell of x."""
-    return x.cells[k - 1][x.faces[k][i][x.index[k][cell]]]
+    return x.cells[k - 1][x.faces[k][i][x.index(k)[cell]]]
 
 
 def degeneracy(x, k, i, cell):
     """s_i of a k-cell of x."""
-    return x.cells[k + 1][x.degeneracies[k][i][x.index[k][cell]]]
+    return x.cells[k + 1][x.degeneracies[k][i][x.index(k)[cell]]]
 
 
 def apply(f, k, cell):
     """Image of a k-cell under a simplicial map."""
-    return f.target.cells[k][f.maps[k][f.source.index[k][cell]]]
+    return f.target.cells[k][f.maps[k][f.source.index(k)[cell]]]
 
 
 def degenerate_cells(x, k):
@@ -1002,3 +1003,20 @@ def normalization_projection(x):
         return () if cell in marks[k] else ((cell, 1),)
 
     return oracle_cellular_map(fat_chains(x), geometric_chains(x), terms)
+
+
+def oracle_sd_flags(n, k):
+    """The k-cells of the barycentric subdivision of the n-simplex by
+    filtering every (k + 1)-combination of nonempty subsets for strictly
+    nested chains and sorting them: the reference for ``sd_flags``."""
+    # listed by size, so every strictly nested chain comes out in order
+    subsets = [
+        frozenset(c) for size in range(1, n + 2) for c in combinations(range(n + 1), size)
+    ]
+    flags = [
+        BarycentricFlag(n, chain)
+        for chain in combinations(subsets, k + 1)
+        if all(a < b for a, b in zip(chain, chain[1:]))
+    ]
+    flags.sort(key=lambda fl: sort_key(tuple(tuple(sorted(p)) for p in fl.chain)))
+    return flags

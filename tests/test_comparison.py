@@ -110,7 +110,7 @@ def test_apply_operator_collapse():
     ner = nerve(z2_groupoid().base, 2)
     sigma = ("*", "*", "s")
     ident = ("*", "*", "e")
-    p = ner.index[1][(sigma,)]
+    p = ner.index(1)[(sigma,)]
     # constant map [1] -> [1] at vertex 1 collapses the flip to s0 d0
     assert ner.cells[1][apply_operator(ner, 1, (1, 1))[p]] == (ident,)
     assert ner.cells[1][apply_operator(ner, 1, (0, 1))[p]] == (sigma,)

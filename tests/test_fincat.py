@@ -24,6 +24,7 @@ from fatcat.fincat import (
 from fatcat.fixtures import (
     broken_category_rewired_identity,
     broken_groupoid_bad_inverse,
+    cyclic_groupoid,
     idempotent_monoid_category,
     pair_groupoid,
     standard_categories,
@@ -31,9 +32,43 @@ from fatcat.fixtures import (
     terminal_category,
     z2_groupoid,
 )
-from fatcat.ids import sort_key
+from fatcat.ids import sort_ids, sort_key
 
 from oracles import oracle_check_category
+
+
+def sort_differential_categories():
+    """Every fixture category, their unravelings at N = 2 and 3, ordinal(m)
+    for m <= 4, and a pair groupoid on mixed identifiers."""
+    cats = dict(standard_categories())
+    cats["rewired"] = broken_category_rewired_identity()
+    cats["bad-inverse"] = broken_groupoid_bad_inverse().base
+    cats.update({f"z{n}": cyclic_groupoid(n).base for n in range(2, 6)})
+    for name, c in list(cats.items()):
+        for N in (2, 3):
+            cats[f"{name}-unravel-{N}"] = unravel(c, N)
+    cats.update({f"ordinal-{m}": ordinal(m) for m in range(5)})
+    cats["mixed-pair"] = pair_groupoid((2, "b", (1, "a"), (1, 2), ("a",), ((0,), "x"))).base
+    return cats
+
+
+def test_sort_ids_matches_sort_key():
+    """Native comparison, with its fallback, orders every identifier set
+    the way ``sort_key`` does, from a shuffled start; the mixed pair
+    groupoid reaches the fallback."""
+    rng = random.Random(3)
+    fallbacks = 0
+    for name, c in sort_differential_categories().items():
+        for ids, key in ((c.objects, None), (c.morphisms, lambda m: m[0])):
+            ids = rng.sample(ids, len(ids))
+            by_key = sorted(ids, key=lambda v: sort_key(v if key is None else key(v)))
+            assert sort_ids(ids, key=key) == by_key, name
+            try:
+                sorted(ids, key=key)
+            except TypeError:
+                fallbacks += 1
+        assert sort_ids(c.objects) == list(c.objects)
+    assert fallbacks == 2
 
 
 def brute_force_unravel_morphisms(c, N):

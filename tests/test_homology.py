@@ -258,7 +258,7 @@ def test_geometric_equals_fat_homology():
 
 def test_homology_classes_expose_generators():
     cx = fat_chains(nerve(z2_groupoid().base, 4))
-    classes = HomologyClasses(cx, 1)
+    classes = HomologyClasses(cx, 1, generators=True, coords=True)
     assert classes.betti == 0 and classes.torsion == (2,)
     gen = classes.generators[0]
     tor, free = classes.coords(gen)
@@ -273,7 +273,7 @@ def test_coords_of_combinations_and_refusals():
     cx = fat_chains(nerve(cyclic_groupoid(3).base, 4))
     rng = random.Random(5)
     for k in range(1, 4):
-        classes = HomologyClasses(cx, k)
+        classes = HomologyClasses(cx, k, generators=True, coords=True)
         gens = classes.generators
         torsion = classes.torsion + (0,) * classes.betti
         above = cx.boundary[k + 1]
@@ -286,7 +286,7 @@ def test_coords_of_combinations_and_refusals():
             want = tuple(cj % d if d else cj for cj, d in zip(c, torsion))
             tor, free = classes.coords(vec)
             assert tor + free == want
-    classes = HomologyClasses(cx, 2)
+    classes = HomologyClasses(cx, 2, generators=True, coords=True)
     p = next(j for j in range(cx.rank(2)) if any(column(cx.boundary[2], j)))
     with pytest.raises(StructureError, match="not a cycle"):
         classes.coords([int(j == p) for j in range(cx.rank(2))])
@@ -298,7 +298,7 @@ def assert_generator_classes(cx, expected):
     """In each degree k < D the group is ``expected(k)``, the j-th generator
     has the j-th unit class, and every column of d_{k+1} has the zero class."""
     for k in range(cx.D):
-        classes = HomologyClasses(cx, k)
+        classes = HomologyClasses(cx, k, generators=True, coords=True)
         assert (classes.betti, classes.torsion) == expected(k)
         t = len(classes.torsion)
         gens = classes.generators
@@ -570,6 +570,57 @@ def test_smith_differential_unit_block_with_residual(seed):
     assert smith(a).factors[:k] == [1] * k
 
 
+def fill_in_matrix(rng, nrows, ncols):
+    """One row of units among half-filled rows of non-units.  The first pivot
+    is a unit of that row, and clearing its column subtracts the row from
+    every row meeting the column, so columns grow long before later pivots
+    shrink them again."""
+    rows = [[rng.choice((1, -1)) for _ in range(ncols)]]
+    rows += [
+        [rng.choice((2, -2, 3, 4, -6)) if rng.random() < 0.5 else 0 for _ in range(ncols)]
+        for _ in range(nrows - 1)
+    ]
+    rng.shuffle(rows)
+    return IntMatrix(rows, ncols)
+
+
+TRANSFORMS = ("U", "Uinv", "V", "Vinv")
+
+
+def built(form):
+    return {name for name in TRANSFORMS if getattr(form, name) is not None}
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_smith_differential_fill_in(seed):
+    """Every choice of transforms on a matrix that fills in: the factors
+    match the dense eliminator, only the transforms asked for are built,
+    each equals the one built with all four, and U * A * V = diag and
+    U * Uinv = I, V * Vinv = I wherever both sides are built."""
+    rng = random.Random(900 + seed)
+    a = fill_in_matrix(rng, rng.randint(5, 10), rng.randint(5, 10))
+    assert_smith_form(a)
+    full = smith(a, rows=True, cols=True)
+    assert full.factors == dense_smith(a, True, True, True, True).factors
+    diag = IntMatrix([[full.factors[i] if i == j and i < full.rank else 0
+                       for j in range(a.ncols)] for i in range(a.nrows)], a.ncols)
+    for rows in (False, True, "U", "Uinv"):
+        for cols in (False, True, "V", "Vinv"):
+            form = smith(a, rows=rows, cols=cols)
+            want = ({"U", "Uinv"} if rows is True else {rows} - {False}) | (
+                {"V", "Vinv"} if cols is True else {cols} - {False})
+            assert built(form) == want, (rows, cols)
+            assert form.factors == full.factors
+            for name in want:
+                assert getattr(form, name) == getattr(full, name), (rows, cols, name)
+            if {"U", "V"} <= want:
+                assert form.U.mul(a).mul(form.V) == diag
+            if {"U", "Uinv"} <= want:
+                assert form.U.mul(form.Uinv) == identity(a.nrows)
+            if {"V", "Vinv"} <= want:
+                assert form.V.mul(form.Vinv) == identity(a.ncols)
+
+
 def test_smith_unit_pivot_rule():
     """Column 0 is shortest but holds no unit, so column 2 (length 2) goes
     first; then column 1 at row 2; the residual -6 is the one non-unit pivot.
@@ -633,10 +684,10 @@ def test_generator_classes_match_dense_smith(monkeypatch):
 
     for name, cx in complexes.items():
         for k in range(min(cx.D, 3) + 1):
-            sparse = HomologyClasses(cx, k)
+            sparse = HomologyClasses(cx, k, generators=True, coords=False)
             with monkeypatch.context() as patch:
                 patch.setattr(intlinalg, "smith", by_dense_smith)
-                dense = HomologyClasses(cx, k)
+                dense = HomologyClasses(cx, k, generators=False, coords=True)
             assert (dense.betti, dense.torsion) == (sparse.betti, sparse.torsion), (name, k)
             images = [dense.coords(gen) for gen in sparse.generators]
             assert len(images) == len(dense.torsion) + dense.betti
@@ -666,3 +717,71 @@ def test_tom_dieck_on_z3(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert code == 0 and payload["ok"]
     assert [d["target"]["torsion"] for d in payload["degrees"]] == [[], [3], []]
+
+
+def recorded_smith(monkeypatch):
+    """Wrap ``smith`` where the package calls it; returns the list that
+    gets the input and the form of every call."""
+    import fatcat.homology as homology_module
+
+    calls = []
+    original = intlinalg.smith
+
+    def record(A, *args, **kwargs):
+        form = original(A, *args, **kwargs)
+        calls.append((A, form))
+        return form
+
+    for module in (intlinalg, homology_module):
+        monkeypatch.setattr(module, "smith", record)
+    return calls
+
+
+def test_tom_dieck_builds_no_row_transform_on_the_product(tmp_path, capsys, monkeypatch):
+    """``quasi_iso_through`` reads generators on the stage product and
+    coordinates on the nerve: every product-side elimination builds Uinv
+    and then VM only, every nerve-side one U and Uinv and then VMinv, and
+    the surjectivity checks build nothing."""
+    from fatcat.cli import main
+    from fatcat.comparison import projection_map
+    from fatcat.fincat import groupoid_to_json
+
+    path = tmp_path / "z2.json"
+    path.write_text(json.dumps(groupoid_to_json(z2_groupoid())))
+    calls = recorded_smith(monkeypatch)
+    argv = ["verify", "tom-dieck", "--input", str(path), "--N", "6", "--D", "4", "--d", "2"]
+    assert main(argv) == 0 and json.loads(capsys.readouterr().out)["ok"]
+    proj = projection_map(z2_groupoid().base, 6, 4)
+    sides = {"product": fat_chains(proj.source), "nerve": fat_chains(proj.target)}
+    wants = {"product": ({"Uinv"}, {"V"}), "nerve": ({"U", "Uinv"}, {"Vinv"})}
+    seen = {"product": 0, "nerve": 0}
+    rest = []
+    i = 0
+    while i < len(calls):
+        side = next((side for side, cx in sides.items()
+                     if any(calls[i][0] == cx.boundary[k] for k in range(1, cx.D + 1))), None)
+        if side is None:
+            rest.append(built(calls[i][1]))
+            i += 1
+            continue
+        # the elimination of d_{k+1}, then that of the rest of d_k
+        assert (built(calls[i][1]), built(calls[i + 1][1])) == wants[side], (side, i)
+        seen[side] += 1
+        i += 2
+    assert seen == {"product": 3, "nerve": 3}
+    assert rest and all(b == set() for b in rest)
+
+
+def test_tau_builds_the_transforms_coords_and_generators_read(tmp_path, capsys, monkeypatch):
+    """``identity_on_homology_through`` reads both generators and
+    coordinates of one presentation per degree, so each builds all four
+    transforms: U and Uinv of d_{k+1}, then V and Vinv of the rest of d_k."""
+    from fatcat.cli import main
+    from fatcat.fincat import groupoid_to_json
+
+    path = tmp_path / "z2.json"
+    path.write_text(json.dumps(groupoid_to_json(z2_groupoid())))
+    calls = recorded_smith(monkeypatch)
+    argv = ["verify", "tau", "--input", str(path), "--N", "4", "--D", "3", "--d", "1"]
+    assert main(argv) == 0 and json.loads(capsys.readouterr().out)["ok"]
+    assert [built(form) for _, form in calls] == [{"U", "Uinv"}, {"V", "Vinv"}] * 2

@@ -33,6 +33,7 @@ from oracles import (
     is_degenerate,
     oracle_map_audit,
     oracle_nerve,
+    oracle_sd_flags,
     oracle_simplicial_audit,
     oracle_simplicial_map,
     oracle_simplicial_set,
@@ -372,6 +373,12 @@ def brute_force_flag_count(n, k):
     return count
 
 
+@pytest.mark.parametrize("n", range(5))
+def test_sd_flags_match_the_filtered_enumeration(n):
+    for k in range(n + 2):
+        assert sd_flags(n, k) == oracle_sd_flags(n, k), k
+
+
 def test_sd_flags_counts():
     assert len(sd_flags(0, 0)) == 1
     assert len(sd_flags(1, 1)) == 2 == brute_force_flag_count(1, 1)
@@ -522,7 +529,7 @@ def rules_of(x, tables):
 
     def rule(name, shift):
         table = tables.get(name, getattr(x, name, None))
-        return lambda k, i, cell: cell_at(x.cells[k + shift], table[k][i][x.index[k][cell]])
+        return lambda k, i, cell: cell_at(x.cells[k + shift], table[k][i][x.index(k)[cell]])
 
     degeneracy = rule("degeneracies", 1) if x.has_degeneracies else None
     return Rules(x.cells, rule("faces", -1), degeneracy)
@@ -536,7 +543,7 @@ def oracle_verdict(x, tables):
                 x.source.D,
                 rules_of(x.source, {}),
                 rules_of(x.target, {}),
-                lambda k, cell: cell_at(x.target.cells[k], maps[k][x.source.index[k][cell]]),
+                lambda k, cell: cell_at(x.target.cells[k], maps[k][x.source.index(k)[cell]]),
             )
         return oracle_simplicial_audit(x.D, rules_of(x, tables))
     except StructureError as e:
@@ -614,6 +621,21 @@ def test_builder_refuses_a_map_image_outside_the_target():
         oracle_simplicial_map(x, point, lambda k, cell: cell)
     with pytest.raises(StructureError, match="^map image leaves target degree 0$"):
         nerve_map(x, point, lambda v: v, lambda m: m)
+
+
+def test_nerve_map_keeps_the_target_indexes_it_reads():
+    """A nerve map looks its images up in the target's degree 0 and 1
+    indexes, built on first use and kept for the next map; no other degree
+    is indexed until asked for."""
+    x = nerve(ordinal(2), 3)
+    assert x._index == {}
+    ident = nerve_map(x, x, lambda v: v, lambda m: m)
+    assert ident.maps == [list(range(x.n_cells(k))) for k in range(4)]
+    assert sorted(x._index) == [0, 1]
+    kept = [x.index(0), x.index(1)]
+    nerve_map(x, x, lambda v: v, lambda m: m)
+    assert all(x.index(k) is index for k, index in enumerate(kept))
+    assert x.index(3) == {cell: p for p, cell in enumerate(x.cells[3])}
 
 
 def test_constructors_refuse_tables_of_the_wrong_length_or_range():
