@@ -79,24 +79,6 @@ class FinGroupoid(namedtuple("FinGroupoid", "base inverse")):
         return self.base.objects
 
 
-def _check_ids(c: FinCategory):
-    """Raise StructureError on dangling identifiers or missing identity
-    entries."""
-    objset = set(c.objects)
-    morset = set(c.src)
-    for m, s, t in c.morphisms:
-        if s not in objset or t not in objset:
-            raise StructureError(f"morphism {m} has dangling endpoint")
-    if set(c.identity) != objset:
-        raise StructureError("identity table is not total on objects")
-    for x, m in c.identity.items():
-        if m not in morset:
-            raise StructureError(f"identity of {x} is not a morphism: {m}")
-    for (f, g), h in c.table.items():
-        if f not in morset or g not in morset or h not in morset:
-            raise StructureError(f"composition entry has dangling id: {(f, g, h)}")
-
-
 def arrows_leaving(c: FinCategory):
     """The morphisms leaving each object, in morphism order."""
     leaving = {x: [] for x in c.objects}
@@ -105,25 +87,18 @@ def arrows_leaving(c: FinCategory):
     return leaving
 
 
-def _composable_pairs(c: FinCategory):
-    """Every (f, g) with target(f) = source(g), in morphism order."""
-    leaving = arrows_leaving(c)
-    return [(f, g) for f in c.morphism_ids() for g in leaving[c.tgt[f]]]
+def _numbered(c: FinCategory):
+    """The category on the positions of its objects and morphisms, in their
+    order: (mids, src, tgt, unit, leaving, after), where ``unit[x]`` is the
+    identity of object x, ``leaving[x]`` lists the morphisms leaving x and
+    ``after[f][g] = h`` records h = g after f.
 
-
-def check_category(c: FinCategory):
-    """Exhaustive law audit.  Empty report means c is a category.
-
-    Raises StructureError on dangling identifiers or missing identity
-    entries; equational failures are reported, not raised.  The audit runs
-    on the positions of the objects and morphisms, in their order, and
-    names ids only in the violations it records.
+    Numbering finds the dangling identifiers and missing identity entries,
+    raised as StructureError.
     """
-    violations = []
     mids = c.morphism_ids()
     place = {x: p for p, x in enumerate(c.objects)}
     number = {m: e for e, m in enumerate(mids)}
-    # numbering finds the dangling ids, raised as _check_ids raises them
     src = [place.get(s) for _, s, _ in c.morphisms]
     tgt = [place.get(t) for _, _, t in c.morphisms]
     if None in src or None in tgt:
@@ -139,14 +114,25 @@ def check_category(c: FinCategory):
     leaving = [[] for _ in c.objects]
     for f, x in enumerate(src):
         leaving[x].append(f)
-    # after[f][g] = h records h = g after f
     after = [{} for _ in mids]
     for (f, g), h in c.table.items():
         nf, ng, nh = number.get(f), number.get(g), number.get(h)
         if nf is None or ng is None or nh is None:
             raise StructureError(f"composition entry has dangling id: {(f, g, h)}")
         after[nf][ng] = nh
+    return mids, src, tgt, unit, leaving, after
 
+
+def check_category(c: FinCategory):
+    """Exhaustive law audit.  Empty report means c is a category.
+
+    Raises StructureError on dangling identifiers or missing identity
+    entries; equational failures are reported, not raised.  The audit runs
+    on the positions of the objects and morphisms, in their order, and
+    names ids only in the violations it records.
+    """
+    violations = []
+    mids, src, tgt, unit, leaving, after = _numbered(c)
     for x, m in enumerate(unit):
         if src[m] != x or tgt[m] != x:
             witness = (c.objects[x], mids[m])
@@ -522,10 +508,12 @@ def category_from_json(doc: dict) -> FinCategory:
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise StructureError(f"malformed category document: {exc}")
     c = FinCategory(objects, morphisms, identity, compose)
-    _check_ids(c)
-    for pair in _composable_pairs(c):
-        if pair not in c.table:
-            raise StructureError(f"composable pair missing from the composition table: {pair}")
+    mids, _, tgt, _, leaving, after = _numbered(c)
+    for f, row in enumerate(after):
+        for g in leaving[tgt[f]]:
+            if g not in row:
+                pair = (mids[f], mids[g])
+                raise StructureError(f"composable pair missing from the composition table: {pair}")
     return c
 
 

@@ -208,15 +208,12 @@ def homology(cx: IntegerChainComplex, k: int) -> HomologyGroup:
 
 class HomologyClasses(HomologyPresentation):
     """Homology of one degree of a complex, presented with explicit
-    generating cycles: ker d_k / im d_{k+1}.  ``generators`` and ``coords``
-    say which of the two the caller reads (see
-    :class:`~fatcat.intlinalg.HomologyPresentation`)."""
+    generating cycles: ker d_k / im d_{k+1}."""
 
-    def __init__(self, cx: IntegerChainComplex, k: int, *, generators, coords):
+    def __init__(self, cx: IntegerChainComplex, k: int):
         if k < 0 or k > cx.D:
             raise StructureError(f"degree {k} out of range 0..{cx.D}")
-        super().__init__(cx.boundary_or_zero(k), cx.boundary_or_zero(k + 1), cx.rank(k),
-                         generators=generators, coords=coords)
+        super().__init__(cx.boundary_or_zero(k), cx.boundary_or_zero(k + 1), cx.rank(k))
         self.degree = k
         self.reliable = k + 1 <= cx.D
 
@@ -273,14 +270,14 @@ def quasi_iso_through(F: ChainMap, d: int) -> QuasiIsoReport:
     on homology generators must be invertible; for finitely generated
     groups with equal invariants this is equivalent to surjectivity.  The
     source is read only through its generators and the target only through
-    coordinates, so neither builds the transforms of the other.
+    coordinates, each computed from the recorded eliminations when read.
     """
     check_degree_range(d, min(F.source.D, F.target.D))
     degrees = []
     violations = []
     for k in range(d + 1):
-        src = HomologyClasses(F.source, k, generators=True, coords=False)
-        tgt = HomologyClasses(F.target, k, generators=False, coords=True)
+        src = HomologyClasses(F.source, k)
+        tgt = HomologyClasses(F.target, k)
         same = src.betti == tgt.betti and src.torsion == tgt.torsion
         iso = same
         if same:
@@ -309,7 +306,7 @@ def identity_on_homology_through(F: ChainMap, d: int) -> QuasiIsoReport:
     degrees = []
     violations = []
     for k in range(d + 1):
-        classes = HomologyClasses(F.source, k, generators=True, coords=True)
+        classes = HomologyClasses(F.source, k)
         mat = F.matrices[k]
         gens = classes.generators
         t = len(classes.torsion)

@@ -2,7 +2,7 @@
 
 Everything runs on arbitrary-precision Python integers; there is no floating
 point anywhere.  A matrix stores only its nonzero entries, row by row, and
-every product, comparison and transform works on those.  Smith normal form
+every product and comparison works on those.  Smith normal form
 is one elimination over a copy of the row dicts.  Each step picks a pivot
 among the live rows and columns:
 
@@ -16,11 +16,12 @@ among the live rows and columns:
 The pivot's column and then its row are cleared with Euclidean steps,
 re-picking the pivot while a remainder is left, and a row holding an entry
 the pivot does not divide is merged into the pivot row, so the factors come
-out as a divisor chain.  Nothing is random, so results and transforms are
-deterministic.
-"""
+out as a divisor chain.  Nothing is random, so results are deterministic.
 
-from functools import cached_property
+No transform is ever built as a matrix.  An elimination asked to record a
+side keeps the list of its operations on that side, and U, Uinv, V and
+Vinv are applied to a vector by replaying the list.
+"""
 
 from .errors import StructureError
 
@@ -61,12 +62,7 @@ class IntMatrix:
     @property
     def rows(self):
         """Dense view as a tuple of row tuples; writing to it raises."""
-        return tuple(tuple(_dense(r, self.ncols)) for r in self.nz)
-
-    def submatrix_cols(self, start):
-        """The columns from ``start`` on."""
-        nz = [{j - start: v for j, v in r.items() if j >= start} for r in self.nz]
-        return IntMatrix._wrap(nz, self.ncols - start)
+        return tuple(tuple(r.get(j, 0) for j in range(self.ncols)) for r in self.nz)
 
     def _product_rows(self, other):
         """Rows of self * other as {column: value}, one at a time; an entry
@@ -110,40 +106,76 @@ class SmithForm:
     """U * A * V = diag(factors), with U, V unimodular.
 
     ``factors`` are the positive invariant factors, each dividing the next;
-    ``rank`` is their count.  A transform is present only when :func:`smith`
-    is asked for it; the others are None.
+    ``rank`` is their count.  No transform is built: :meth:`U`, :meth:`Uinv`,
+    :meth:`V` and :meth:`Vinv` apply one to a dense vector by replaying the
+    operations that :func:`smith` recorded, in the order they ran.
+    ``row_ops`` holds (i, c, p) for row_i -= c * row_p and (p, 2, p) for the
+    negation of row p, ``col_ops`` holds (j, c, q) for col_j -= c * col_q,
+    and a side not recorded is None.  Row r of U * A * V is row
+    ``row_order[r]`` of the reduced matrix and column r is column
+    ``col_order[r]``: pivots first, then the rest by index.
     """
 
-    __slots__ = ("factors", "rank", "nrows", "ncols", "U", "Uinv", "V", "Vinv")
+    __slots__ = ("factors", "rank", "nrows", "ncols", "row_ops", "col_ops",
+                 "row_order", "col_order")
 
-    def __init__(self, factors, rank, nrows, ncols, U, Uinv, V, Vinv):
+    def __init__(self, factors, nrows, ncols, row_ops, col_ops, row_order, col_order):
         self.factors = factors
-        self.rank = rank
+        self.rank = len(factors)
         self.nrows = nrows
         self.ncols = ncols
-        self.U = U
-        self.Uinv = Uinv
-        self.V = V
-        self.Vinv = Vinv
+        self.row_ops = row_ops
+        self.col_ops = col_ops
+        self.row_order = row_order
+        self.col_order = col_order
+
+    def U(self, vec):
+        """U * vec: the row operations in order, then the row order."""
+        y = list(vec)
+        for i, c, p in self.row_ops:
+            y[i] -= c * y[p]
+        return [y[i] for i in self.row_order]
+
+    def Uinv(self, vec):
+        """Uinv * vec: U's steps undone in reverse."""
+        y = [0] * self.nrows
+        for r, i in enumerate(self.row_order):
+            y[i] = vec[r]
+        for i, c, p in reversed(self.row_ops):
+            if i == p:
+                y[p] = -y[p]
+            else:
+                y[i] += c * y[p]
+        return y
+
+    def V(self, vec):
+        """V * vec: the column order undone, then the column operations in
+        reverse."""
+        z = [0] * self.ncols
+        for r, j in enumerate(self.col_order):
+            z[j] = vec[r]
+        for j, c, q in reversed(self.col_ops):
+            z[q] -= c * z[j]
+        return z
+
+    def Vinv(self, vec):
+        """Vinv * vec: V's steps undone in reverse."""
+        z = list(vec)
+        for j, c, q in self.col_ops:
+            z[q] += c * z[j]
+        return [z[j] for j in self.col_order]
 
 
 def smith(A, rows=False, cols=False):
     """Smith normal form over the integers, by the elimination described in
     the module docstring.
 
-    ``rows`` asks for the row transforms: True for U and Uinv, or the name
-    of one of them, "U" or "Uinv"; ``cols`` likewise for V and Vinv.  Each
-    transform asked for mirrors every operation of its side: a row
-    operation on U's rows and, inverted, on Uinv's columns; a column
-    operation on V's columns and, inverted, on Vinv's rows.  One left out
-    is never built, and the others do not depend on it.  Rows of U and
-    Vinv, and columns of Uinv and V, come in the order (pivots, then the
-    rest by index).
+    ``rows`` records the row operations, so that U and Uinv can be applied,
+    and ``cols`` the column operations, for V and Vinv.  A side left out
+    records nothing.
     """
     from heapq import heapify, heappop, heappush
 
-    want_u, want_uinv = rows in (True, "U"), rows in (True, "Uinv")
-    want_v, want_vinv = cols in (True, "V"), cols in (True, "Vinv")
     nrows, ncols = A.nrows, A.ncols
     # the matrix being reduced, as row dicts and, per column, the list of
     # rows holding an entry there: a row joins a column's list when its
@@ -153,12 +185,8 @@ def smith(A, rows=False, cols=False):
     for i, row in enumerate(mrows):
         for j in row:
             mcols[j].append(i)
-    # U's rows and Uinv's columns are indexed by row, V's columns and
-    # Vinv's rows by column
-    urows = [{i: 1} for i in range(nrows)] if want_u else None
-    uinv = [{i: 1} for i in range(nrows)] if want_uinv else None
-    vcols = [{j: 1} for j in range(ncols)] if want_v else None
-    vinv = [{j: 1} for j in range(ncols)] if want_vinv else None
+    row_ops = [] if rows else None
+    col_ops = [] if cols else None
     pivot_rows, pivot_cols, factors = [], [], []
 
     def add_row(i, c, p):
@@ -173,10 +201,8 @@ def smith(A, rows=False, cols=False):
             else:
                 del row[j]
                 mcols[j].remove(i)
-        if want_u:
-            _axpy(urows[i], -c, urows[p])
-        if want_uinv:
-            _axpy(uinv[p], c, uinv[i])
+        if rows:
+            row_ops.append((i, c, p))
 
     def least_entry():
         entries = ((abs(v), i, j) for i, row in enumerate(mrows) if row for j, v in row.items())
@@ -205,10 +231,8 @@ def smith(A, rows=False, cols=False):
             touched.update(mrows[p])
             if mrows[p][q] < 0:
                 mrows[p] = {j: -v for j, v in mrows[p].items()}
-                if want_u:
-                    urows[p] = {k: -v for k, v in urows[p].items()}
-                if want_uinv:
-                    uinv[p] = {k: -v for k, v in uinv[p].items()}
+                if rows:
+                    row_ops.append((p, 2, p))
             prow = mrows[p]
             d = prow[q]
             # row operations on different rows commute, so the order of
@@ -226,10 +250,8 @@ def smith(A, rows=False, cols=False):
                     else:
                         del prow[j]
                         mcols[j].remove(p)
-                    if want_v:
-                        _axpy(vcols[j], -c, vcols[q])
-                    if want_vinv:
-                        _axpy(vinv[q], c, vinv[j])
+                    if cols:
+                        col_ops.append((j, c, q))
             if len(mcols[q]) > 1 or len(prow) > 1:
                 # a remainder is left: the least entry becomes the pivot
                 _, p, q = least_entry()
@@ -255,26 +277,14 @@ def smith(A, rows=False, cols=False):
                 heappush(heap, (len(mcols[j]), j))
 
     dead = set(pivot_cols)
-    row_order = pivot_rows + [i for i in range(nrows) if mrows[i] is not None]
-    col_order = pivot_cols + [j for j in range(ncols) if j not in dead]
-    U = Uinv = V = Vinv = None
-    if want_u:
-        U = IntMatrix._wrap([urows[i] for i in row_order], nrows)
-    if want_uinv:
-        Uinv = _transposed(IntMatrix._wrap([uinv[i] for i in row_order], nrows))
-    if want_v:
-        V = _transposed(IntMatrix._wrap([vcols[j] for j in col_order], ncols))
-    if want_vinv:
-        Vinv = IntMatrix._wrap([vinv[j] for j in col_order], ncols)
     return SmithForm(
         factors=factors,
-        rank=len(factors),
         nrows=nrows,
         ncols=ncols,
-        U=U,
-        Uinv=Uinv,
-        V=V,
-        Vinv=Vinv,
+        row_ops=row_ops,
+        col_ops=col_ops,
+        row_order=pivot_rows + [i for i in range(nrows) if mrows[i] is not None],
+        col_order=pivot_cols + [j for j in range(ncols) if j not in dead],
     )
 
 
@@ -288,14 +298,6 @@ def _axpy(target, q, source):
             del target[k]
 
 
-def _combine(columns, vec):
-    """The sum of v * columns[j] over the entries j: v of a sparse vector."""
-    out = {}
-    for j, v in vec.items():
-        _axpy(out, v, columns[j])
-    return out
-
-
 def _transposed(m):
     nz = [{} for _ in range(m.ncols)]
     for i, row in enumerate(m.nz):
@@ -304,11 +306,26 @@ def _transposed(m):
     return IntMatrix._wrap(nz, m.nrows)
 
 
-def _dense(vec, n):
-    out = [0] * n
-    for k, v in vec.items():
-        out[k] = v
-    return out
+def _unit(n, i):
+    return [int(k == i) for k in range(n)]
+
+
+def _rest_after(A, formB):
+    """A * Uinv of B's elimination, without its first rank(B) columns.
+
+    Uinv is never built: B's row operations are replayed as column
+    operations on A's columns, col_p += c * col_i for row_i -= c * row_p,
+    in the order they ran.  Those first columns must come out zero."""
+    acols = _transposed(A).nz
+    for i, c, p in formB.row_ops:
+        if i == p:
+            acols[p] = {k: -v for k, v in acols[p].items()}
+        else:
+            _axpy(acols[p], c, acols[i])
+    order = formB.row_order
+    if any(acols[i] for i in order[: formB.rank]):
+        raise StructureError("B does not map into ker(A)")
+    return _transposed(IntMatrix._wrap([acols[i] for i in order[formB.rank:]], A.nrows))
 
 
 class HomologyPresentation:
@@ -323,69 +340,45 @@ class HomologyPresentation:
     are integer vectors in the ambient basis; ``coords`` writes any cycle
     in the generator basis (torsion coordinates already reduced mod d_i).
 
-    The caller says which of the two it reads, and only their transforms
-    are built, all in the same two eliminations.  The group itself needs
-    Uinv, the inverse row transform of B, which splits off im(B).
-    Generators also need VM, the column transform of the rest of A, and
-    coordinates need U and VMinv.
+    Two eliminations make it: B's, recording its row operations, whose
+    Uinv splits off im(B), and M's, the rest of A in that basis, recording
+    its column operations, whose V picks the free cycles.  Generators and
+    coordinates are computed only when read: generators apply Uinv and V,
+    coordinates U and Vinv.
     """
 
-    def __init__(self, A, B, n, *, generators, coords):
+    def __init__(self, A, B, n):
         self.n = n
         if A.ncols != n or B.nrows != n:
             raise StructureError("homology presentation: shape mismatch")
         self._A = A
-        formB = smith(B, rows=True if coords else "Uinv")
-        self._U = formB.U
-        self._Uinv = formB.Uinv
-        self._rB = formB.rank
-        self._dB = formB.factors
-        Ares = A.mul(self._Uinv)
-        if any(j < self._rB for row in Ares.nz for j in row):
-            raise StructureError("B does not map into ker(A)")
-        M = Ares.submatrix_cols(self._rB)
-        formM = smith(M, cols=True if generators and coords else "V" if generators else "Vinv")
-        self._rM = formM.rank
-        self._VM = formM.V
-        self._VMinv = formM.Vinv
-        self.betti = (n - self._rB) - self._rM
-        self._torsion_index = [i for i, d in enumerate(self._dB) if d > 1]
-        self.torsion = tuple(self._dB[i] for i in self._torsion_index)
+        self._B = smith(B, rows=True)
+        self._M = smith(_rest_after(A, self._B), cols=True)
+        self.betti = (n - self._B.rank) - self._M.rank
+        dB = self._B.factors
+        self._torsion_index = [i for i, d in enumerate(dB) if d > 1]
+        self.torsion = tuple(dB[i] for i in self._torsion_index)
 
     @property
     def generators(self):
         """Torsion generators first, then free generators."""
-        ucols = _transposed(self._Uinv).nz
-        gens = [_dense(ucols[i], self.n) for i in self._torsion_index]
-        vcols = _transposed(self._VM).nz
-        for j in range(self._rM, self._VM.ncols):
-            vec = {}
-            for idx, v in vcols[j].items():
-                _axpy(vec, v, ucols[self._rB + idx])
-            gens.append(_dense(vec, self.n))
+        B, M = self._B, self._M
+        gens = [B.Uinv(_unit(self.n, i)) for i in self._torsion_index]
+        for j in range(M.rank, M.ncols):
+            gens.append(B.Uinv([0] * B.rank + M.V(_unit(M.ncols, j))))
         return gens
-
-    @cached_property
-    def _columns(self):
-        """Columns of A, U and VMinv, so that a product visits only the
-        nonzeros of the vector."""
-        return _transposed(self._A).nz, _transposed(self._U).nz, _transposed(self._VMinv).nz
 
     def coords(self, vec):
         """Class of a cycle: (torsion coords mod d_i, exact free coords)."""
-        if len(vec) != self.n:
-            raise StructureError("matrix-vector product: shape mismatch")
-        acols, ucols, vcols = self._columns
-        x = {j: v for j, v in enumerate(vec) if v}
-        if _combine(acols, x):
+        if any(self._A.mulvec(vec)):
             raise StructureError("vector is not a cycle")
-        y = _combine(ucols, x)
-        tor = tuple(y.get(i, 0) % self._dB[i] for i in self._torsion_index)
-        z = _combine(vcols, {i - self._rB: v for i, v in y.items() if i >= self._rB})
-        if any(i < self._rM for i in z):
+        B, M = self._B, self._M
+        y = B.U(vec)
+        tor = tuple(y[i] % B.factors[i] for i in self._torsion_index)
+        z = M.Vinv(y[B.rank:])
+        if any(z[: M.rank]):
             raise StructureError("cycle has nonzero coordinates on killed summands")
-        free = tuple(z.get(i, 0) for i in range(self._rM, self._VMinv.nrows))
-        return tor, free
+        return tor, tuple(z[M.rank:])
 
 
 def surjective_onto(pres_target, image_columns):

@@ -35,7 +35,9 @@
   per-cell rule that maps a chain arrow by arrow.
 * Dense matrices: products and transposes of plain row lists, the
   reference for the package's sparse ``IntMatrix``; ``dense_smith``, the
-  dense eliminator that the package's sparse ``smith`` must agree with; and
+  dense eliminator that the package's sparse ``smith`` must agree with, and
+  the presentation read off its matrices (``DensePresentation``); the
+  transforms of a ``smith`` record built as matrices (``transforms``); and
   the helpers that only tests need (identity, a column, equality of chain
   complexes, zero test, zero class, kernel basis, the normalization
   projection).
@@ -53,17 +55,10 @@ from sympy.matrices.normalforms import smith_normal_form
 
 from fatcat.comparison import CommaFiber, _nondegenerate_factorization
 from fatcat.errors import StructureError, Violation, check_budget
-from fatcat.fincat import (
-    FinCategory,
-    _check_ids,
-    _composable_pairs,
-    arrows_leaving,
-    mid,
-    unravel,
-)
+from fatcat.fincat import FinCategory, arrows_leaving, mid, unravel
 from fatcat.homology import ChainMap, IntegerChainComplex, fat_chains, geometric_chains
 from fatcat.ids import sort_key
-from fatcat.intlinalg import IntMatrix, SmithForm, _dense, smith
+from fatcat.intlinalg import IntMatrix, smith
 from fatcat.simpset import (
     BarycentricFlag,
     SemiSimplicialSet,
@@ -455,6 +450,30 @@ def oracle_tau_chain_map(x, N, D):
 # Fractions
 
 
+def _check_ids(c: FinCategory):
+    """Raise StructureError on dangling identifiers or missing identity
+    entries."""
+    objset = set(c.objects)
+    morset = set(c.src)
+    for m, s, t in c.morphisms:
+        if s not in objset or t not in objset:
+            raise StructureError(f"morphism {m} has dangling endpoint")
+    if set(c.identity) != objset:
+        raise StructureError("identity table is not total on objects")
+    for x, m in c.identity.items():
+        if m not in morset:
+            raise StructureError(f"identity of {x} is not a morphism: {m}")
+    for (f, g), h in c.table.items():
+        if f not in morset or g not in morset or h not in morset:
+            raise StructureError(f"composition entry has dangling id: {(f, g, h)}")
+
+
+def _composable_pairs(c: FinCategory):
+    """Every (f, g) with target(f) = source(g), in morphism order."""
+    leaving = arrows_leaving(c)
+    return [(f, g) for f in c.morphism_ids() for g in leaving[c.tgt[f]]]
+
+
 def oracle_check_category(c: FinCategory):
     """Exhaustive law audit keyed by the identifier tuples themselves; the
     package's position-based ``check_category`` must return the same list.
@@ -816,8 +835,12 @@ def _find_pivot(rows, t, nrows, ncols):
     return best_i, best_j
 
 
-def dense_smith(A, want_u, want_uinv, want_v, want_vinv):
-    """Dense Smith normal form, the reference for :func:`smith`.
+DenseSmith = namedtuple("DenseSmith", "factors rank U Uinv V Vinv")
+
+
+def dense_smith(A):
+    """Dense Smith normal form, the reference for :func:`smith`, with all
+    four transforms built as matrices.
 
     Elimination picks the minimal-absolute-value pivot, clears its row and
     column with Euclidean steps, then forces the pivot to divide the whole
@@ -825,51 +848,43 @@ def dense_smith(A, want_u, want_uinv, want_v, want_vinv):
     directly.
     """
     nrows, ncols = A.nrows, A.ncols
-    M = [_dense(r, ncols) for r in A.nz]
-    U = dense_identity(nrows) if want_u else None
-    Uinv = dense_identity(nrows) if want_uinv else None
-    V = dense_identity(ncols) if want_v else None
-    Vinv = dense_identity(ncols) if want_vinv else None
+    M = [list(r) for r in A.rows]
+    U = dense_identity(nrows)
+    Uinv = dense_identity(nrows)
+    V = dense_identity(ncols)
+    Vinv = dense_identity(ncols)
 
     def swap_rows(i, j):
         if i == j:
             return
         M[i], M[j] = M[j], M[i]
-        if U is not None:
-            U[i], U[j] = U[j], U[i]
-        if Uinv is not None:
-            for r in Uinv:
-                r[i], r[j] = r[j], r[i]
+        U[i], U[j] = U[j], U[i]
+        for r in Uinv:
+            r[i], r[j] = r[j], r[i]
 
     def swap_cols(i, j):
         if i == j:
             return
         for r in M:
             r[i], r[j] = r[j], r[i]
-        if V is not None:
-            for r in V:
-                r[i], r[j] = r[j], r[i]
-        if Vinv is not None:
-            Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
+        for r in V:
+            r[i], r[j] = r[j], r[i]
+        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
 
     def negate_row(i):
         M[i] = [-v for v in M[i]]
-        if U is not None:
-            U[i] = [-v for v in U[i]]
-        if Uinv is not None:
-            for r in Uinv:
-                r[i] = -r[i]
+        U[i] = [-v for v in U[i]]
+        for r in Uinv:
+            r[i] = -r[i]
 
     def row_axpy(i, j, q):
         # row_i -= q * row_j
         if not q:
             return
         M[i] = [a - q * b for a, b in zip(M[i], M[j])]
-        if U is not None:
-            U[i] = [a - q * b for a, b in zip(U[i], U[j])]
-        if Uinv is not None:
-            for r in Uinv:
-                r[j] += q * r[i]
+        U[i] = [a - q * b for a, b in zip(U[i], U[j])]
+        for r in Uinv:
+            r[j] += q * r[i]
 
     def col_axpy(i, j, q):
         # col_i -= q * col_j
@@ -877,11 +892,9 @@ def dense_smith(A, want_u, want_uinv, want_v, want_vinv):
             return
         for r in M:
             r[i] -= q * r[j]
-        if V is not None:
-            for r in V:
-                r[i] -= q * r[j]
-        if Vinv is not None:
-            Vinv[j] = [a + q * b for a, b in zip(Vinv[j], Vinv[i])]
+        for r in V:
+            r[i] -= q * r[j]
+        Vinv[j] = [a + q * b for a, b in zip(Vinv[j], Vinv[i])]
 
     t = 0
     limit = min(nrows, ncols)
@@ -940,21 +953,72 @@ def dense_smith(A, want_u, want_uinv, want_v, want_vinv):
             row_axpy(t, offender, -1)
         t += 1
 
-    def wrap(T, n):
-        return None if T is None else IntMatrix(T, ncols=n)
-
     factors = [M[i][i] for i in range(t)]
-    return SmithForm(
-        factors=factors,
-        rank=t,
-        nrows=nrows,
-        ncols=ncols,
-        U=wrap(U, nrows),
-        Uinv=wrap(Uinv, nrows),
-        V=wrap(V, ncols),
-        Vinv=wrap(Vinv, ncols),
-    )
+    return DenseSmith(factors, t, IntMatrix(U, nrows), IntMatrix(Uinv, nrows),
+                      IntMatrix(V, ncols), IntMatrix(Vinv, ncols))
 
+
+class DensePresentation:
+    """ker(A)/im(B) read off ``dense_smith``'s matrices, the reference for
+    the package's ``HomologyPresentation``: Uinv of B splits off im(B), V
+    of the rest M of A in that basis picks the free cycles, generators are
+    columns of Uinv and of Uinv * V, and coordinates are U and then Vinv
+    applied to a cycle."""
+
+    def __init__(self, A, B, n):
+        self._A = A
+        self._B = dense_smith(B)
+        rB = self._B.rank
+        rest = A.mul(self._B.Uinv).rows
+        if any(any(row[:rB]) for row in rest):
+            raise StructureError("B does not map into ker(A)")
+        self._M = dense_smith(IntMatrix([row[rB:] for row in rest], n - rB))
+        self.betti = n - rB - self._M.rank
+        self._torsion_index = [i for i, d in enumerate(self._B.factors) if d > 1]
+        self.torsion = tuple(self._B.factors[i] for i in self._torsion_index)
+
+    @property
+    def generators(self):
+        """Torsion generators first, then free generators."""
+        uinv, rB = self._B.Uinv, self._B.rank
+        gens = [column(uinv, i) for i in self._torsion_index]
+        for j in range(self._M.rank, self._M.V.ncols):
+            free = column(self._M.V, j)
+            gens.append([sum(row.get(rB + i, 0) * v for i, v in enumerate(free))
+                         for row in uinv.nz])
+        return gens
+
+    def coords(self, vec):
+        if any(self._A.mulvec(vec)):
+            raise StructureError("vector is not a cycle")
+        rB, rM = self._B.rank, self._M.rank
+        y = self._B.U.mulvec(vec)
+        tor = tuple(y[i] % self._B.factors[i] for i in self._torsion_index)
+        z = self._M.Vinv.mulvec(y[rB:])
+        if any(z[:rM]):
+            raise StructureError("cycle has nonzero coordinates on killed summands")
+        return tor, tuple(z[rM:])
+
+
+Transforms = namedtuple("Transforms", "U Uinv V Vinv")
+
+
+def transforms(form):
+    """U, Uinv, V and Vinv of an elimination by the package's ``smith``,
+    built by applying its record to the unit vectors; a side it did not
+    record gives None."""
+
+    def build(apply, n):
+        columns = [apply(unit) for unit in dense_identity(n)]
+        return IntMatrix(dense_transposed(columns, n), n)
+
+    rows, cols = form.row_ops is not None, form.col_ops is not None
+    return Transforms(
+        build(form.U, form.nrows) if rows else None,
+        build(form.Uinv, form.nrows) if rows else None,
+        build(form.V, form.ncols) if cols else None,
+        build(form.Vinv, form.ncols) if cols else None,
+    )
 
 
 def identity(n):
@@ -988,9 +1052,8 @@ def zero_class(presentation, vec):
 def kernel_basis(mat):
     """Columns spanning ker(mat) as a saturated sublattice (a direct summand)."""
     form = smith(mat, cols=True)
-    if form.rank == mat.ncols:
-        return IntMatrix.zeros(mat.ncols, 0)
-    return form.V.submatrix_cols(form.rank)
+    V = transforms(form).V
+    return IntMatrix([row[form.rank:] for row in V.rows], mat.ncols - form.rank)
 
 
 def normalization_projection(x):

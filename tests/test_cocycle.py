@@ -516,8 +516,8 @@ def test_classifying_map_induced_h1():
              "mobius": (mobius_cocycle(), (1,))}
     for name, (u, expected) in cases.items():
         cm = classifying_chain_map(u, 2, 2)
-        src = HomologyClasses(cm.source, 1, generators=True, coords=False)
-        tgt = HomologyClasses(cm.target, 1, generators=False, coords=True)
+        src = HomologyClasses(cm.source, 1)
+        tgt = HomologyClasses(cm.target, 1)
         assert src.betti == 1 and tgt.torsion == (2,)
         tor, free = tgt.coords(cm.matrices[1].mulvec(src.generators[0]))
         assert tor == expected and free == ()

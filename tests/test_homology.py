@@ -27,10 +27,11 @@ from fatcat.homology import (
     quasi_iso_through,
 )
 from fatcat import intlinalg
-from fatcat.intlinalg import IntMatrix, _transposed, smith, surjective_onto
+from fatcat.intlinalg import HomologyPresentation, IntMatrix, _transposed, smith, surjective_onto
 from fatcat.simpset import nerve, product_with_S, s_semisimplicial
 
 from oracles import (
+    DensePresentation,
     betti_torsion,
     dense_identity,
     dense_smith,
@@ -46,6 +47,7 @@ from oracles import (
     oracle_homology,
     oracle_invariant_factors,
     oracle_simplicial_map,
+    transforms,
     zero_class,
 )
 
@@ -64,7 +66,8 @@ def reference_flip_complex(D):
 def test_smith_small_matrix():
     form = smith(IntMatrix([[2, 4], [6, 8]], 2), rows=True, cols=True)
     assert form.factors == [2, 4]
-    recon = form.U.mul(IntMatrix([[2, 4], [6, 8]], 2)).mul(form.V)
+    t = transforms(form)
+    recon = t.U.mul(IntMatrix([[2, 4], [6, 8]], 2)).mul(t.V)
     assert recon == IntMatrix([[2, 0], [0, 4]], 2)
 
 
@@ -72,8 +75,9 @@ def test_smith_transforms_are_inverse():
     rng = random.Random(11)
     a = IntMatrix([[rng.randint(-4, 4) for _ in range(5)] for _ in range(4)], 5)
     form = smith(a, rows=True, cols=True)
-    assert form.U.mul(form.Uinv) == identity(4)
-    assert form.Vinv.mul(form.V) == identity(5)
+    t = transforms(form)
+    assert t.U.mul(t.Uinv) == identity(4)
+    assert t.Vinv.mul(t.V) == identity(5)
     prev = None
     for d in form.factors:
         assert d > 0
@@ -258,7 +262,7 @@ def test_geometric_equals_fat_homology():
 
 def test_homology_classes_expose_generators():
     cx = fat_chains(nerve(z2_groupoid().base, 4))
-    classes = HomologyClasses(cx, 1, generators=True, coords=True)
+    classes = HomologyClasses(cx, 1)
     assert classes.betti == 0 and classes.torsion == (2,)
     gen = classes.generators[0]
     tor, free = classes.coords(gen)
@@ -273,7 +277,7 @@ def test_coords_of_combinations_and_refusals():
     cx = fat_chains(nerve(cyclic_groupoid(3).base, 4))
     rng = random.Random(5)
     for k in range(1, 4):
-        classes = HomologyClasses(cx, k, generators=True, coords=True)
+        classes = HomologyClasses(cx, k)
         gens = classes.generators
         torsion = classes.torsion + (0,) * classes.betti
         above = cx.boundary[k + 1]
@@ -286,7 +290,7 @@ def test_coords_of_combinations_and_refusals():
             want = tuple(cj % d if d else cj for cj, d in zip(c, torsion))
             tor, free = classes.coords(vec)
             assert tor + free == want
-    classes = HomologyClasses(cx, 2, generators=True, coords=True)
+    classes = HomologyClasses(cx, 2)
     p = next(j for j in range(cx.rank(2)) if any(column(cx.boundary[2], j)))
     with pytest.raises(StructureError, match="not a cycle"):
         classes.coords([int(j == p) for j in range(cx.rank(2))])
@@ -298,7 +302,7 @@ def assert_generator_classes(cx, expected):
     """In each degree k < D the group is ``expected(k)``, the j-th generator
     has the j-th unit class, and every column of d_{k+1} has the zero class."""
     for k in range(cx.D):
-        classes = HomologyClasses(cx, k, generators=True, coords=True)
+        classes = HomologyClasses(cx, k)
         assert (classes.betti, classes.torsion) == expected(k)
         t = len(classes.torsion)
         gens = classes.generators
@@ -405,8 +409,6 @@ def test_sparse_operations_match_dense_oracle(seed):
     assert A.mulvec(vec) == dense_mulvec(a, vec)
     for j in range(k):
         assert column(A, j) == [row[j] for row in a]
-    start = rng.randint(0, k)
-    assert_stores(A.submatrix_cols(start), [row[start:] for row in a])
     assert_stores(_transposed(A), dense_transposed(a, k))
     assert A == IntMatrix(a, ncols=k)
     if n and k:
@@ -473,16 +475,21 @@ def test_cell_matrix_drops_cancelled_entries():
 
 @pytest.mark.parametrize("seed", range(6))
 def test_smith_transforms_store_only_nonzeros(seed):
+    """The record holds only operations that change the matrix: no zero
+    multiplier, and a row meets itself only in a negation, (p, 2, p).
+    The transforms it applies are inverse and diagonalize."""
     rng = random.Random(700 + seed)
     nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
     a = IntMatrix(dense_random(rng, nrows, ncols, 0.5), ncols)
     form = smith(a, rows=True, cols=True)
-    for t in (form.U, form.Uinv, form.V, form.Vinv):
-        assert all(v for row in t.nz for v in row.values())
-    # Uinv and V are assembled as columns and then transposed
-    assert dense_mul(form.U.rows, form.Uinv.rows, a.nrows) == dense_identity(a.nrows)
-    assert dense_mul(form.V.rows, form.Vinv.rows, a.ncols) == dense_identity(a.ncols)
-    diag = dense_mul(dense_mul(form.U.rows, a.rows, a.ncols), form.V.rows, a.ncols)
+    assert all(c and (i != p or c == 2) for i, c, p in form.row_ops)
+    assert all(c and j != q for j, c, q in form.col_ops)
+    assert sorted(form.row_order) == list(range(nrows))
+    assert sorted(form.col_order) == list(range(ncols))
+    t = transforms(form)
+    assert dense_mul(t.U.rows, t.Uinv.rows, a.nrows) == dense_identity(a.nrows)
+    assert dense_mul(t.V.rows, t.Vinv.rows, a.ncols) == dense_identity(a.ncols)
+    diag = dense_mul(dense_mul(t.U.rows, a.rows, a.ncols), t.V.rows, a.ncols)
     assert [diag[i][i] for i in range(form.rank)] == form.factors
 
 
@@ -491,22 +498,24 @@ def test_smith_transforms_store_only_nonzeros(seed):
 
 
 def assert_smith_form(a):
-    """Full transforms are valid and inverse, partial requests give the same
-    matrices, and the factors match the dense eliminator and sympy."""
+    """The transforms the record applies are valid and inverse, one side
+    alone records the same operations, and the factors match the dense
+    eliminator and sympy."""
     form = smith(a, rows=True, cols=True)
     diag = [[0] * a.ncols for _ in range(a.nrows)]
     for i, d in enumerate(form.factors):
         diag[i][i] = d
-    assert form.U.mul(a).mul(form.V) == IntMatrix(diag, ncols=a.ncols)
-    assert form.U.mul(form.Uinv) == identity(a.nrows)
-    assert form.V.mul(form.Vinv) == identity(a.ncols)
+    t = transforms(form)
+    assert t.U.mul(a).mul(t.V) == IntMatrix(diag, ncols=a.ncols)
+    assert t.U.mul(t.Uinv) == identity(a.nrows)
+    assert t.V.mul(t.Vinv) == identity(a.ncols)
     assert form.rank == len(form.factors)
     assert all(d > 0 for d in form.factors)
     assert all(e % d == 0 for d, e in zip(form.factors, form.factors[1:]))
-    assert smith(a, rows=True).U == form.U
-    assert smith(a, cols=True).Vinv == form.Vinv
+    assert smith(a, rows=True).row_ops == form.row_ops
+    assert smith(a, cols=True).col_ops == form.col_ops
     assert smith(a).factors == form.factors
-    dense = dense_smith(a, False, False, False, False)
+    dense = dense_smith(a)
     assert form.factors == dense.factors
     assert form.factors == oracle_invariant_factors(a)
 
@@ -584,41 +593,30 @@ def fill_in_matrix(rng, nrows, ncols):
     return IntMatrix(rows, ncols)
 
 
-TRANSFORMS = ("U", "Uinv", "V", "Vinv")
-
-
-def built(form):
-    return {name for name in TRANSFORMS if getattr(form, name) is not None}
-
-
 @pytest.mark.parametrize("seed", range(10))
 def test_smith_differential_fill_in(seed):
-    """Every choice of transforms on a matrix that fills in: the factors
-    match the dense eliminator, only the transforms asked for are built,
-    each equals the one built with all four, and U * A * V = diag and
-    U * Uinv = I, V * Vinv = I wherever both sides are built."""
+    """Each of the four settings on a matrix that fills in: the factors
+    match the dense eliminator, only the sides asked for are recorded, each
+    as recorded with both, and the transforms the record applies give
+    U * A * V = diag, U * Uinv = I and V * Vinv = I."""
     rng = random.Random(900 + seed)
     a = fill_in_matrix(rng, rng.randint(5, 10), rng.randint(5, 10))
     assert_smith_form(a)
     full = smith(a, rows=True, cols=True)
-    assert full.factors == dense_smith(a, True, True, True, True).factors
+    assert full.factors == dense_smith(a).factors
     diag = IntMatrix([[full.factors[i] if i == j and i < full.rank else 0
                        for j in range(a.ncols)] for i in range(a.nrows)], a.ncols)
-    for rows in (False, True, "U", "Uinv"):
-        for cols in (False, True, "V", "Vinv"):
+    t = transforms(full)
+    assert t.U.mul(a).mul(t.V) == diag
+    assert t.U.mul(t.Uinv) == identity(a.nrows)
+    assert t.V.mul(t.Vinv) == identity(a.ncols)
+    for rows in (False, True):
+        for cols in (False, True):
             form = smith(a, rows=rows, cols=cols)
-            want = ({"U", "Uinv"} if rows is True else {rows} - {False}) | (
-                {"V", "Vinv"} if cols is True else {cols} - {False})
-            assert built(form) == want, (rows, cols)
             assert form.factors == full.factors
-            for name in want:
-                assert getattr(form, name) == getattr(full, name), (rows, cols, name)
-            if {"U", "V"} <= want:
-                assert form.U.mul(a).mul(form.V) == diag
-            if {"U", "Uinv"} <= want:
-                assert form.U.mul(form.Uinv) == identity(a.nrows)
-            if {"V", "Vinv"} <= want:
-                assert form.V.mul(form.Vinv) == identity(a.ncols)
+            assert form.row_ops == (full.row_ops if rows else None), (rows, cols)
+            assert form.col_ops == (full.col_ops if cols else None), (rows, cols)
+            assert (form.row_order, form.col_order) == (full.row_order, full.col_order)
 
 
 def test_smith_unit_pivot_rule():
@@ -629,8 +627,9 @@ def test_smith_unit_pivot_rule():
     a = IntMatrix([[2, 1, 1], [0, -1, 3], [0, 1, 0]], 3)
     form = smith(a, rows=True, cols=True)
     assert form.factors == [1, 1, 6]
-    assert form.Uinv == IntMatrix([[1, 0, 0], [3, -4, -1], [0, 1, 0]], 3)
-    assert form.Vinv == IntMatrix([[2, 1, 1], [0, 1, 0], [1, 0, 0]], 3)
+    t = transforms(form)
+    assert t.Uinv == IntMatrix([[1, 0, 0], [3, -4, -1], [0, 1, 0]], 3)
+    assert t.Vinv == IntMatrix([[2, 1, 1], [0, 1, 0], [1, 0, 0]], 3)
     assert_smith_form(a)
 
 
@@ -667,32 +666,26 @@ def test_smith_differential_fixture_boundaries():
             assert_smith_form(cx.boundary[k])
 
 
-def test_generator_classes_match_dense_smith(monkeypatch):
-    """A presentation built on ``dense_smith`` gives the same group in each
-    degree through 3, and the sparse presentation's generators, written in
-    the dense one's coordinates, generate it: an invertible change of
-    basis, since a surjection between isomorphic finitely generated
-    abelian groups is an isomorphism."""
+def test_generator_classes_match_dense_smith():
+    """The presentation read off ``dense_smith``'s matrices gives the same
+    group in each degree through 3, and the generators of each, written in
+    the other's coordinates, generate it: an invertible change of basis,
+    since a surjection between isomorphic finitely generated abelian
+    groups is an isomorphism."""
     complexes = fixture_complexes()
     for n in range(2, 6):
         complexes[f"bz{n}"] = fat_chains(nerve(cyclic_groupoid(n).base, 4))
-    dense_calls = []
-
-    def by_dense_smith(A, rows=False, cols=False):
-        dense_calls.append(A.shape)
-        return dense_smith(A, rows, rows, cols, cols)
-
     for name, cx in complexes.items():
         for k in range(min(cx.D, 3) + 1):
-            sparse = HomologyClasses(cx, k, generators=True, coords=False)
-            with monkeypatch.context() as patch:
-                patch.setattr(intlinalg, "smith", by_dense_smith)
-                dense = HomologyClasses(cx, k, generators=False, coords=True)
+            sparse = HomologyClasses(cx, k)
+            dense = DensePresentation(cx.boundary_or_zero(k), cx.boundary_or_zero(k + 1),
+                                      cx.rank(k))
             assert (dense.betti, dense.torsion) == (sparse.betti, sparse.torsion), (name, k)
             images = [dense.coords(gen) for gen in sparse.generators]
             assert len(images) == len(dense.torsion) + dense.betti
             assert surjective_onto(dense, images), (name, k)
-    assert dense_calls
+            images = [sparse.coords(gen) for gen in dense.generators]
+            assert surjective_onto(sparse, images), (name, k)
 
 
 # ---------------------------------------------------------------------------
@@ -737,11 +730,16 @@ def recorded_smith(monkeypatch):
     return calls
 
 
-def test_tom_dieck_builds_no_row_transform_on_the_product(tmp_path, capsys, monkeypatch):
-    """``quasi_iso_through`` reads generators on the stage product and
-    coordinates on the nerve: every product-side elimination builds Uinv
-    and then VM only, every nerve-side one U and Uinv and then VMinv, and
-    the surjectivity checks build nothing."""
+def recorded_sides(form):
+    """(rows recorded?, columns recorded?) of one elimination."""
+    return form.row_ops is not None, form.col_ops is not None
+
+
+def test_tom_dieck_records_one_side_per_elimination(tmp_path, capsys, monkeypatch):
+    """Each presentation of ``quasi_iso_through``, on the stage product and
+    on the nerve alike, eliminates d_{k+1} recording its row operations
+    only and then the rest of d_k recording its column operations only;
+    the surjectivity checks record nothing."""
     from fatcat.cli import main
     from fatcat.comparison import projection_map
     from fatcat.fincat import groupoid_to_json
@@ -752,30 +750,27 @@ def test_tom_dieck_builds_no_row_transform_on_the_product(tmp_path, capsys, monk
     argv = ["verify", "tom-dieck", "--input", str(path), "--N", "6", "--D", "4", "--d", "2"]
     assert main(argv) == 0 and json.loads(capsys.readouterr().out)["ok"]
     proj = projection_map(z2_groupoid().base, 6, 4)
-    sides = {"product": fat_chains(proj.source), "nerve": fat_chains(proj.target)}
-    wants = {"product": ({"Uinv"}, {"V"}), "nerve": ({"U", "Uinv"}, {"Vinv"})}
-    seen = {"product": 0, "nerve": 0}
-    rest = []
+    boundaries = [cx.boundary[k] for cx in (fat_chains(proj.source), fat_chains(proj.target))
+                  for k in range(1, cx.D + 1)]
+    presentations, rest = [], []
     i = 0
     while i < len(calls):
-        side = next((side for side, cx in sides.items()
-                     if any(calls[i][0] == cx.boundary[k] for k in range(1, cx.D + 1))), None)
-        if side is None:
-            rest.append(built(calls[i][1]))
+        if any(calls[i][0] == b for b in boundaries):
+            # the elimination of d_{k+1}, then that of the rest of d_k
+            presentations.append((recorded_sides(calls[i][1]), recorded_sides(calls[i + 1][1])))
+            i += 2
+        else:
+            rest.append(recorded_sides(calls[i][1]))
             i += 1
-            continue
-        # the elimination of d_{k+1}, then that of the rest of d_k
-        assert (built(calls[i][1]), built(calls[i + 1][1])) == wants[side], (side, i)
-        seen[side] += 1
-        i += 2
-    assert seen == {"product": 3, "nerve": 3}
-    assert rest and all(b == set() for b in rest)
+    assert presentations == [((True, False), (False, True))] * 6
+    assert rest and all(sides == (False, False) for sides in rest)
 
 
-def test_tau_builds_the_transforms_coords_and_generators_read(tmp_path, capsys, monkeypatch):
+def test_tau_records_one_side_per_elimination(tmp_path, capsys, monkeypatch):
     """``identity_on_homology_through`` reads both generators and
-    coordinates of one presentation per degree, so each builds all four
-    transforms: U and Uinv of d_{k+1}, then V and Vinv of the rest of d_k."""
+    coordinates of one presentation per degree, from the same two records:
+    the row operations of d_{k+1}, then the column operations of the rest
+    of d_k."""
     from fatcat.cli import main
     from fatcat.fincat import groupoid_to_json
 
@@ -784,4 +779,28 @@ def test_tau_builds_the_transforms_coords_and_generators_read(tmp_path, capsys, 
     calls = recorded_smith(monkeypatch)
     argv = ["verify", "tau", "--input", str(path), "--N", "4", "--D", "3", "--d", "1"]
     assert main(argv) == 0 and json.loads(capsys.readouterr().out)["ok"]
-    assert [built(form) for _, form in calls] == [{"U", "Uinv"}, {"V", "Vinv"}] * 2
+    assert [recorded_sides(form) for _, form in calls] == [(True, False), (False, True)] * 2
+
+
+def test_homology_and_surjectivity_record_nothing(monkeypatch):
+    calls = recorded_smith(monkeypatch)
+    cx = fat_chains(nerve(cyclic_groupoid(3).base, 3))
+    for k in range(3):
+        homology(cx, k)
+    assert len(calls) == 6
+    classes = HomologyClasses(cx, 1)
+    del calls[:]
+    assert surjective_onto(classes, [classes.coords(gen) for gen in classes.generators])
+    assert len(calls) == 1
+    assert all(recorded_sides(form) == (False, False) for _, form in calls)
+
+
+def test_presentation_refuses_b_outside_the_kernel_and_bad_shapes():
+    A = IntMatrix([[1, 1, 0], [0, 1, 1]], 3)
+    with pytest.raises(StructureError, match="B does not map into ker"):
+        HomologyPresentation(A, IntMatrix([[1], [-1], [0]], 1), 3)
+    # ker(A) is spanned by (1, -1, 1), so this B kills all of it
+    pres = HomologyPresentation(A, IntMatrix([[1], [-1], [1]], 1), 3)
+    assert (pres.betti, pres.torsion, pres.generators) == (0, (), [])
+    with pytest.raises(StructureError, match="shape mismatch"):
+        HomologyPresentation(A, IntMatrix([[1], [-1]], 1), 3)

@@ -142,11 +142,9 @@ def test_frozen_records_refuse_assignment(record, field):
 def test_smith_form_transforms_default_to_none():
     a = IntMatrix([[2, 1], [0, 3]], 2)
     plain = smith(a)
-    assert (plain.U, plain.Uinv, plain.V, plain.Vinv) == (None,) * 4
+    assert (plain.row_ops, plain.col_ops) == (None, None)
     assert (plain.factors, plain.rank, plain.nrows, plain.ncols) == ([1, 6], 2, 2, 2)
     rows = smith(a, rows=True)
-    assert rows.U is not None and rows.Uinv is not None
-    assert rows.V is None and rows.Vinv is None
+    assert rows.row_ops and rows.col_ops is None
     cols = smith(a, cols=True)
-    assert cols.U is None and cols.Uinv is None
-    assert cols.V is not None and cols.Vinv is not None
+    assert cols.row_ops is None and cols.col_ops

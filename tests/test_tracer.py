@@ -6,8 +6,12 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+from fatcat import homology, intlinalg
 from fatcat.comparison import _nondegenerate_factorization, quillen_fiber
+from fatcat.errors import EnumerationLimitError
 from fatcat.fixtures import z2_groupoid
+from fatcat.homology import HomologyClasses, fat_chains
+from fatcat.intlinalg import IntMatrix, smith
 from fatcat.simpset import SemiSimplicialSet, nerve, s_semisimplicial
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
@@ -68,3 +72,31 @@ def test_cells_counter_reads_the_constructor_by_position(monkeypatch):
         assert len(calls) == 1
         cells = sum(x.n_cells(k) for k in range(4))
         assert cells_pre(*calls[0]) == {"cells": cells}
+
+
+def test_smith_counters_read_the_recording_flags():
+    # the tracer counts a call as a transform call when any argument after
+    # the matrix is truthy, and reads rank and unit pivots off the form
+    tracer = load_tracer()
+    a = IntMatrix([[2, 1], [0, 3]], 2)
+    for kwargs, transform in (({}, 0), ({"rows": True}, 1), ({"cols": True}, 1)):
+        attrs = tracer._smith_pre((a,), kwargs)
+        assert attrs["transform"] == transform
+        tracer._smith_post(smith(a, **kwargs), attrs)
+        assert (attrs["rank"], attrs["unit"], attrs["bits"]) == (2, 1, 3)
+
+
+def test_smith_transform_calls_count_recording_calls(monkeypatch):
+    tracer = load_tracer()
+    entry = next(e for e in tracer.TRACED if e.span == "intlinalg.smith")
+    recorder = tracer.Recorder(EnumerationLimitError)
+    traced = recorder.wrap(intlinalg.smith, entry)
+    for module in (intlinalg, homology):
+        monkeypatch.setattr(module, "smith", traced)
+    cx = fat_chains(nerve(z2_groupoid().base, 3))
+    HomologyClasses(cx, 1)  # d_2 with rows, then the rest of d_1 with columns
+    homology.homology(cx, 1)  # d_1 and d_2, rank only
+    totals = tracer.child_totals({"install_s": 0.0, "dump_s": 0.0}, recorder.spans, 1.0)
+    metrics = tracer.layer_metrics([(totals, 1.0, 1.0, 1.0)])
+    assert metrics["intlinalg.smith_calls"] == 4
+    assert metrics["intlinalg.smith_transform_calls"] == 2
