@@ -6,8 +6,11 @@ flags and last-vertex collapses, the face-compatibility failure of the
 naive coordinate-sorting assignment, and the comma fibers whose vanishing
 reduced homology backs the projection being an equivalence.  The nerve
 preserves pullbacks, so each comma fiber is the nerve of a pullback
-category, built by :func:`nerve`, and its legs are nerves of the two
-projection functors.
+category P, and its legs are the nerves of P's two projection functors.
+The nerve of a functor is a simplicial map exactly when the functor
+preserves endpoints, identities and composites, so the fibers are checked
+on P itself: P is audited as a category and each projection is checked as
+a functor.  The nerve of P is built only when P's dismantling gets stuck.
 
 Stage label convention for the section: a maximal flag A_0 < ... < A_n of
 subsets of {0..n} is sent to the stage tuple (|A_0|, ..., |A_n|) =
@@ -22,7 +25,7 @@ from itertools import combinations
 from math import comb
 
 from .errors import StructureError, Violation, check_budget
-from .fincat import FinCategory, mid, ordinal, unravel
+from .fincat import FinCategory, Functor, check_category, check_functor, mid, ordinal, unravel
 from .homology import (
     ChainMap,
     IntegerChainComplex,
@@ -39,13 +42,11 @@ from .homology import (
 )
 from .simpset import (
     SimplicialMap,
-    TruncatedSimplicialSet,
     _compose,
     chain_composites,
     chain_count,
     maximal_flags,
     nerve,
-    nerve_map,
     product_with_S,
     s_semisimplicial,
     sd_flags,
@@ -337,20 +338,17 @@ def rho_witnesses(n: int, convention: str):
 
 class CommaFiber:
     """Pullback of a nondegenerate simplex y: [m] -> C against the stage
-    forgetting map, together with both projection legs.  ``fiber`` is the
-    nerve of the pullback category P = [m] x_C unravel(C, N), and the legs
-    are the nerves of its projections onto [m] and onto unravel(C, N).
-    ``steps[v]`` lists, ascending, the targets of P's arrows leaving v, so
-    it holds the objects w >= v of the poset P."""
+    forgetting functor, P = [m] x_C unravel(C, N), whose nerve truncated at
+    D is the comma fiber.  ``steps[v]`` lists, ascending, the targets of
+    P's arrows leaving v, so it holds the objects w >= v of the poset P."""
 
-    __slots__ = ("degree", "steps", "fiber", "to_simplex", "to_unraveled")
+    __slots__ = ("degree", "steps", "pullback", "D")
 
-    def __init__(self, degree, steps, fiber, to_simplex, to_unraveled):
+    def __init__(self, degree, steps, pullback, D):
         self.degree = degree
         self.steps = steps
-        self.fiber = fiber
-        self.to_simplex = to_simplex
-        self.to_unraveled = to_unraveled
+        self.pullback = pullback
+        self.D = D
 
 
 def _nondegenerate_factorization(c: FinCategory, k: int, cell):
@@ -373,9 +371,16 @@ def _shape_key(c: FinCategory, composite, m: int):
     )
 
 
-def _fiber_shape(m: int, pattern, N: int, D: int, simplex):
-    """The steps of P, its nerve and the ``to_simplex`` leg, all of which
-    depend only on the core degree m, N, D and the identity pattern."""
+def _require(violations, what):
+    """Raise :class:`StructureError` naming the first violation, if any."""
+    if violations:
+        raise StructureError(f"{what}, e.g. {violations[0]}")
+
+
+def _fiber_shape(m: int, pattern, N: int):
+    """The steps of P and P itself, audited as a category, with its
+    projection onto [m] checked as a functor; all of them depend only on
+    the core degree m, N and the identity pattern."""
     vertices = [(a, l) for a in range(m + 1) for l in range(N + 1)]
     # steps[v]: the targets, ascending, of the arrows of P leaving v
     steps = {
@@ -385,62 +390,62 @@ def _fiber_shape(m: int, pattern, N: int, D: int, simplex):
         ]
         for a0, l0 in vertices
     }
-    check_budget(sum(chain_count(steps, max(D, 2))), TruncatedSimplicialSet.__name__)
+    # the objects, the arrows and the composition table, one entry per 2-chain
+    check_budget(sum(chain_count(steps, 2)), "pullback category")
     pullback = FinCategory(
         vertices,
         [((v, w), v, w) for v in vertices for w in steps[v]],
         {v: (v, v) for v in vertices},
         {((u, v), (v, w)): (u, w) for u in vertices for v in steps[u] for w in steps[v]},
     )
-    fiber = nerve(pullback, D)
-    to_simplex = nerve_map(fiber, simplex, lambda v: v[0], lambda vw: (vw[0][0], vw[1][0], "le"))
-    return steps, fiber, to_simplex
+    _require(check_category(pullback), "the pullback category breaks a law")
+    to_simplex = Functor(
+        pullback, ordinal(m), {v: v[0] for v in vertices},
+        {(v, w): (v[0], w[0], "le") for v, w in pullback.src},
+    )
+    _require(check_functor(to_simplex), "the projection onto [m] is not a functor")
+    return steps, pullback
 
 
 def quillen_fiber(
-    c: FinCategory, N: int, D: int, y_cell, y_degree: int, target, simplex, shapes
+    c: FinCategory, N: int, D: int, y_cell, y_degree: int, target, shapes
 ) -> CommaFiber:
-    """Comma fiber of a nerve simplex, as the nerve of a pullback category.
+    """Comma fiber of a nerve simplex, as a pullback category.
 
     Degenerate simplices are factored through their nondegenerate core
     first, so the fiber only depends on that core.  The nerve preserves
     pullbacks, so the fiber of the core y: [m] -> C is the nerve of P =
     [m] x_C unravel(C, N): its objects are the pairs (a, l) of a core vertex
     and a stage, with one arrow (a0, l0) -> (a1, l1) when a0 <= a1, l0 <= l1
-    and either l0 < l1 or the core composite a0 -> a1 is an identity.  Both
-    legs are the nerves of the projections of P, (a, l) -> a and (a, l) ->
-    (y(a), l), built by :func:`nerve_map`.
+    and either l0 < l1 or the core composite a0 -> a1 is an identity.  The
+    legs of the fiber are the nerves of the projections of P, (a, l) -> a
+    and (a, l) -> (y(a), l).  A map of nerves given on objects and arrows
+    is simplicial exactly when it preserves endpoints, identities and
+    composites, so P is audited as a category and both projections are
+    checked as functors, and no nerve is built; a failed check raises
+    :class:`StructureError`.
 
-    P, its nerve and the ``to_simplex`` leg depend only on m, N, D and the
-    identity pattern, the pairs a0 < a1 whose composite is an identity.
-    ``shapes`` maps (m, pattern) to them: a core whose pattern it holds
+    P and its projection onto [m] depend only on m, N and the identity
+    pattern, the pairs a0 < a1 whose composite is an identity.  ``shapes``
+    maps (m, pattern) to P and its steps: a core whose pattern it holds
     reuses them, and any other core builds them and adds them to it.  Only
-    the ``to_unraveled`` leg is built for every core.  The chains of P are
-    counted from its step lists and budgeted before P is built; the count
-    runs through degree 2 at least, since P's composition table holds one
-    entry per 2-chain.
-
-    ``target`` is ``nerve(unravel(c, N), D)``, the codomain of the
-    ``to_unraveled`` leg, and ``simplex`` is ``nerve(ordinal(m), D)`` for
-    the core degree m, the codomain of the ``to_simplex`` leg; the caller
-    builds them, and ``shapes``, so that the fibers of one category share
-    them.  A codomain that misses an image of its leg, or has another D,
-    raises :class:`StructureError`.
+    the projection onto ``target``, which is ``unravel(c, N)``, is checked
+    for every core.  P's objects, arrows and composition table are counted
+    from its step lists and budgeted before P is built.
     """
     objects, arrows = _nondegenerate_factorization(c, y_degree, y_cell)
     m = len(objects) - 1
     composite = chain_composites(c, objects, arrows)
     key = _shape_key(c, composite, m)
     if key not in shapes:
-        shapes[key] = _fiber_shape(*key, N, D, simplex)
-    steps, fiber, to_simplex = shapes[key]
-
-    def lift(step):
-        (a0, l0), (a1, l1) = step
-        return mid(c, composite[(a0, a1)], l0, l1)
-
-    to_unraveled = nerve_map(fiber, target, lambda v: (objects[v[0]], v[1]), lift)
-    return CommaFiber(m, steps, fiber, to_simplex, to_unraveled)
+        shapes[key] = _fiber_shape(*key, N)
+    steps, pullback = shapes[key]
+    to_unraveled = Functor(
+        pullback, target, {v: (objects[v[0]], v[1]) for v in pullback.objects},
+        {(v, w): mid(c, composite[(v[0], w[0])], v[1], w[1]) for v, w in pullback.src},
+    )
+    _require(check_functor(to_unraveled), "the projection onto unravel(C, N) is not a functor")
+    return CommaFiber(m, steps, pullback, D)
 
 
 def dismantle(steps):
@@ -512,12 +517,12 @@ def contractibility_report(fiber: CommaFiber, d: int):
 
     The fiber is the nerve of the poset P, so a replayed dismantling of P
     to one point proves it contractible.  A P with no beat point left
-    before that, which may still be contractible, is decided by its
-    homology."""
-    check_degree_range(d, fiber.fiber.D)
+    before that, which may still be contractible, is decided by the
+    homology of its nerve, built only then."""
+    check_degree_range(d, fiber.D)
     if replay_dismantling(fiber.steps, dismantle(fiber.steps)):
         return []
-    chains = geometric_chains(fiber.fiber)
+    chains = geometric_chains(nerve(fiber.pullback, fiber.D))
     violations = []
     for k in range(d + 1):
         h = homology(chains, k)
@@ -537,21 +542,22 @@ def contractibility_report(fiber: CommaFiber, d: int):
 def all_fibers_contractible(c: FinCategory, N: int, D: int, d: int):
     """Run the fiber check over every simplex of the truncated nerve.
 
-    The fiber of a cell depends only on its nondegenerate core, and its
-    shape (P, the fiber's nerve and the ``to_simplex`` leg) only on the
-    core's degree and identity pattern.  The cores are taken one pattern
-    at a time: the pattern's shape is built, audited and checked once, and
-    each of its cores gets its own ``to_unraveled`` leg.  Each pattern
-    gets its own shape table, dropped with it, so the shapes of earlier
-    patterns are freed rather than held for the whole sweep.  Every cell
-    gets its pattern's violations under its own ``(k, cell)`` prefix.  All
-    fibers share one ``nerve(unravel(c, N), D)``, and all fibers over cores
-    of one degree m share one ``nerve(ordinal(m), D)``.  Returns the number
-    of nerve cells checked and the violations in cell order.
+    The fiber of a cell depends only on its nondegenerate core, and P with
+    its projection onto [m] only on the core's degree and identity
+    pattern.  ``unravel(c, N)`` is built and audited as a category once.
+    The cores are taken one pattern at a time: the pattern's P is built,
+    checked and dismantled once, and each of its cores gets its own
+    projection onto ``unravel(c, N)``, checked as a functor.  Each pattern
+    gets its own shape table, dropped with it, so the categories of
+    earlier patterns are freed rather than held for the whole sweep.  Every
+    cell gets its pattern's violations under its own ``(k, cell)`` prefix.
+    Returns the number of nerve cells checked and the violations in cell
+    order.
     """
     check_degree_range(d, D)
     ner = nerve(c, D)
-    target = nerve(unravel(c, N), D)
+    target = unravel(c, N)
+    _require(check_category(target), "unravel(C, N) breaks a law")
     cells = [(k, cell) for k in range(D + 1) for cell in ner.cells[k]]
     first = {}
     for k, cell in cells:
@@ -561,15 +567,12 @@ def all_fibers_contractible(c: FinCategory, N: int, D: int, d: int):
         objects, arrows = core
         key = _shape_key(c, chain_composites(c, objects, arrows), len(objects) - 1)
         patterns.setdefault(key, []).append((core, k, cell))
-    simplices = {}
     reports = {}
-    for (m, _), members in patterns.items():
-        if m not in simplices:
-            simplices[m] = nerve(ordinal(m), D)
+    for members in patterns.values():
         # this pattern's shape alone, so earlier shapes are freed
         shapes = {}
         for i, (core, k, cell) in enumerate(members):
-            fib = quillen_fiber(c, N, D, cell, k, target, simplices[m], shapes)
+            fib = quillen_fiber(c, N, D, cell, k, target, shapes)
             if i == 0:
                 report = contractibility_report(fib, d)
             reports[core] = report

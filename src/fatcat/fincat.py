@@ -290,8 +290,9 @@ def check_functor(F: Functor):
         raise StructureError("object map is not total")
     if set(F.mmap) != set(src.src):
         raise StructureError("morphism map is not total")
-    for x, y in F.omap.items():
-        if y not in set(tgt.objects):
+    objects = set(tgt.objects)
+    for y in F.omap.values():
+        if y not in objects:
             raise StructureError(f"object image {y} not in target")
     violations = []
     for m in src.morphism_ids():

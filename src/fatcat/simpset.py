@@ -164,7 +164,8 @@ class SimplicialMap:
     Audited on construction, once per (k, i) by composing whole tables."""
 
     def __init__(self, source, target, maps):
-        _same_truncation(source, target)
+        if source.D != target.D:
+            raise StructureError("source and target truncation degrees differ")
         self.source = source
         self.target = target
         self.maps = maps
@@ -210,11 +211,6 @@ def check_size(cls, D, counts):
     check_units(tables, what, "position tables")
     identities = sum(comb(k + 1, 2) for k, n in enumerate(counts) if n and k >= 2)
     check_units(identities, what, "face identities")
-
-
-def _same_truncation(source, target):
-    if source.D != target.D:
-        raise StructureError("source and target truncation degrees differ")
 
 
 def _check_table(table, n, size, undefined, leaves):
@@ -367,28 +363,6 @@ def nerve(c: FinCategory, D: int) -> TruncatedSimplicialSet:
         s_below = s_k
     # cells stays positional: bench/tracer.py reads it as the constructor's args[2]
     return TruncatedSimplicialSet(D, cells, faces, degeneracies)
-
-
-def nerve_map(source, target, obj, arrow) -> SimplicialMap:
-    """The nerve of a functor, x -> obj(x) and m -> arrow(m), between the
-    categories of two nerves.  Objects and arrows are looked up in target's
-    degrees 0 and 1, through its kept indexes, so the maps into one target
-    share them; above, q + m goes to s_{k-1} of q's image plus the offset
-    of arrow(m) from the identity (see :func:`nerve`)."""
-    _same_truncation(source, target)
-    images = map(obj, source.cells[0])
-    maps = [_positions(target.index(0), images, "map image leaves target degree 0")]
-    if source.D:
-        images = ((arrow(m),) for m, in source.cells[1])
-        maps.append(_positions(target.index(1), images, "map image leaves target degree 1"))
-        unit = _compose(target.degeneracies[0][0], _compose(maps[0], source.faces[1][1]))
-        offset = [p - u for p, u in zip(maps[1], unit)]
-        last = range(source.n_cells(1))
-    for k in range(2, source.D + 1):
-        last = _compose(last, source.faces[k][0])  # d_0 keeps the last arrow
-        maps.append(_shifted(target.degeneracies[k - 1][k - 1], maps[k - 1],
-                             source.faces[k][k], _compose(offset, last)))
-    return SimplicialMap(source, target, maps)
 
 
 def delete_entry(k, i, seq):

@@ -9,7 +9,8 @@
 * Per-cell builders: simplicial sets and maps laid out from rules, each
   image hashed back into the index of its degree, and the nerve from its
   chain rules (``oracle_nerve``), whose tables the package's composed
-  ``nerve`` and ``nerve_map`` must reproduce entry for entry.
+  ``nerve`` and the composed ``nerve_map`` below must reproduce entry for
+  entry.
 * Per-cell lookups (``face``, ``degeneracy``, ``apply``,
   ``is_degenerate``) through an object's position tables, for tests that
   name cells.
@@ -28,11 +29,14 @@
   position-based ``check_category`` must reproduce in order, and the
   partition homotopy over Fractions (``oracle_partition_homotopy``), which
   the package's integer ``partition_homotopy`` must match as rationals.
-* Comma fibers: the step-chain simplicial set of (vertex tuple, stage
-  tuple) pairs with its own face, degeneracy and leg rules, which the
-  package's nerve of the pullback category must match through the
-  vertex sequence of each chain; and both legs of a fiber from the
-  per-cell rule that maps a chain arrow by arrow.
+* Comma fibers: the nerve-level reference (``nerve_level_fiber``), the
+  audited nerve of the pullback category P with both legs as audited
+  ``nerve_map``s, which the package replaces by a category audit of P and
+  two functor checks, and whose fiber ``nerve(P, D)`` must equal; the
+  step-chain simplicial set of (vertex tuple, stage tuple) pairs with its
+  own face, degeneracy and leg rules, which the reference must match
+  through the vertex sequence of each chain; and both legs of a fiber
+  from the per-cell rule that maps a chain arrow by arrow.
 * Dense matrices: products and transposes of plain row lists, the
   reference for the package's sparse ``IntMatrix``; ``dense_smith``, the
   dense eliminator that the package's sparse ``smith`` must agree with, and
@@ -50,10 +54,12 @@ from itertools import combinations, combinations_with_replacement, groupby
 from math import comb
 from operator import itemgetter
 
-from sympy import Matrix, ZZ
+from sympy import QQ, Matrix, ZZ
 from sympy.matrices.normalforms import smith_normal_form
+from sympy.polys.matrices import DomainMatrix
 
-from fatcat.comparison import CommaFiber, _nondegenerate_factorization
+from fatcat import simpset
+from fatcat.comparison import _nondegenerate_factorization, _shape_key
 from fatcat.errors import StructureError, Violation, check_budget
 from fatcat.fincat import FinCategory, arrows_leaving, mid, unravel
 from fatcat.homology import ChainMap, IntegerChainComplex, fat_chains, geometric_chains
@@ -64,6 +70,8 @@ from fatcat.simpset import (
     SemiSimplicialSet,
     SimplicialMap,
     TruncatedSimplicialSet,
+    _compose,
+    _shifted,
     chain_composites,
     chain_count,
     chain_objects,
@@ -87,13 +95,20 @@ def betti_torsion(h):
     return h.betti, h.torsion
 
 
+def _rank(mat):
+    """Rank over the rationals, by sympy's DomainMatrix over QQ."""
+    if not (mat.rows and mat.cols):
+        return 0
+    return DomainMatrix.from_Matrix(mat).convert_to(QQ).rank()
+
+
 def oracle_homology(cx, k):
     """(betti, torsion tuple) of degree k of an IntegerChainComplex."""
     n = cx.rank(k)
     below = _to_sympy(cx.boundary_or_zero(k))
     above = _to_sympy(cx.boundary_or_zero(k + 1))
-    rank_below = below.rank() if below.rows and below.cols else 0
-    rank_above = above.rank() if above.rows and above.cols else 0
+    rank_below = _rank(below)
+    rank_above = _rank(above)
     betti = n - rank_below - rank_above
     torsion = []
     if above.rows and above.cols:
@@ -697,10 +712,89 @@ def unravel_nerve_isomorphism(c: FinCategory, N: int, D: int) -> SimplicialMap:
 
 
 # ---------------------------------------------------------------------------
+# Comma fibers as nerves: the reference for the package's category-level check
+
+# the nerve of the pullback category P and the nerves of its projections
+# onto [m] and onto unravel(c, N)
+NerveFiber = namedtuple("NerveFiber", "degree steps fiber to_simplex to_unraveled")
+
+
+def nerve_map(source, target, obj, arrow) -> SimplicialMap:
+    """The nerve of a functor, x -> obj(x) and m -> arrow(m), between the
+    categories of two nerves.  Objects and arrows are looked up in target's
+    degrees 0 and 1, through its kept indexes, so the maps into one target
+    share them; above, q + m goes to s_{k-1} of q's image plus the offset
+    of arrow(m) from the identity (see :func:`fatcat.simpset.nerve`)."""
+    if source.D != target.D:
+        raise StructureError("source and target truncation degrees differ")
+    images = map(obj, source.cells[0])
+    maps = [simpset._positions(target.index(0), images, "map image leaves target degree 0")]
+    if source.D:
+        images = ((arrow(m),) for m, in source.cells[1])
+        maps.append(simpset._positions(target.index(1), images,
+                                       "map image leaves target degree 1"))
+        unit = _compose(target.degeneracies[0][0], _compose(maps[0], source.faces[1][1]))
+        offset = [p - u for p, u in zip(maps[1], unit)]
+        last = range(source.n_cells(1))
+    for k in range(2, source.D + 1):
+        last = _compose(last, source.faces[k][0])  # d_0 keeps the last arrow
+        maps.append(_shifted(target.degeneracies[k - 1][k - 1], maps[k - 1],
+                             source.faces[k][k], _compose(offset, last)))
+    return SimplicialMap(source, target, maps)
+
+
+def _nerve_level_shape(m, pattern, N, D, simplex):
+    """The steps of P, its nerve and the ``to_simplex`` leg, all of which
+    depend only on the core degree m, N, D and the identity pattern."""
+    vertices = [(a, l) for a in range(m + 1) for l in range(N + 1)]
+    steps = {
+        (a0, l0): [
+            (a1, l1) for a1 in range(a0, m + 1) for l1 in range(l0, N + 1)
+            if l0 < l1 or a0 == a1 or (a0, a1) in pattern
+        ]
+        for a0, l0 in vertices
+    }
+    check_budget(sum(chain_count(steps, max(D, 2))), TruncatedSimplicialSet.__name__)
+    pullback = FinCategory(
+        vertices,
+        [((v, w), v, w) for v in vertices for w in steps[v]],
+        {v: (v, v) for v in vertices},
+        {((u, v), (v, w)): (u, w) for u in vertices for v in steps[u] for w in steps[v]},
+    )
+    fiber = nerve(pullback, D)
+    to_simplex = nerve_map(fiber, simplex, lambda v: v[0], lambda vw: (vw[0][0], vw[1][0], "le"))
+    return steps, fiber, to_simplex
+
+
+def nerve_level_fiber(c, N, D, y_cell, y_degree, target, simplex, shapes) -> NerveFiber:
+    """The comma fiber of a nerve simplex as the audited nerve of the
+    pullback category P = [m] x_C unravel(c, N), with both legs as audited
+    nerve maps, the nerves of the projections (a, l) -> a and (a, l) ->
+    (y(a), l).  ``target`` is ``nerve(unravel(c, N), D)`` and ``simplex``
+    is ``nerve(ordinal(m), D)``, the codomains of the legs.  ``shapes``
+    maps (m, pattern) to the steps, the nerve and the ``to_simplex`` leg,
+    which a core with the same identity pattern reuses."""
+    objects, arrows = _nondegenerate_factorization(c, y_degree, y_cell)
+    m = len(objects) - 1
+    composite = chain_composites(c, objects, arrows)
+    key = _shape_key(c, composite, m)
+    if key not in shapes:
+        shapes[key] = _nerve_level_shape(*key, N, D, simplex)
+    steps, fiber, to_simplex = shapes[key]
+
+    def lift(step):
+        (a0, l0), (a1, l1) = step
+        return mid(c, composite[(a0, a1)], l0, l1)
+
+    to_unraveled = nerve_map(fiber, target, lambda v: (objects[v[0]], v[1]), lift)
+    return NerveFiber(m, steps, fiber, to_simplex, to_unraveled)
+
+
+# ---------------------------------------------------------------------------
 # Comma fibers as step-chain simplicial sets
 
 
-def oracle_quillen_fiber(c, N, D, y_cell, y_degree, target, simplex) -> CommaFiber:
+def oracle_quillen_fiber(c, N, D, y_cell, y_degree, target, simplex) -> NerveFiber:
     """The comma fiber of a nerve simplex built cell by cell: a degree-k
     cell is a pair (vertex tuple, stage tuple) of weakly increasing tuples
     where equal consecutive stages force the core arrow between the two
@@ -762,7 +856,7 @@ def oracle_quillen_fiber(c, N, D, y_cell, y_degree, target, simplex) -> CommaFib
             for i in range(1, k + 1)
         )
 
-    return CommaFiber(
+    return NerveFiber(
         degree=m,
         steps={v: [w for w in vertices if step_ok(v, w)] for v in vertices},
         fiber=fiber,

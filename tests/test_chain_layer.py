@@ -2,9 +2,11 @@
 
 Every boundary and chain map built from face, degeneracy and map tables
 must equal the rule-built one of ``tests/oracles.py``, which names each
-term by its cell and hashes it back into a row; nerves and fiber legs,
-which compose their tables, must equal the per-cell oracle's table for
-table.  Every fully computed truncated complex satisfies the
+term by its cell and hashes it back into a row; nerves and the fiber legs
+of the nerve-level reference, which compose their tables, must equal the
+per-cell oracle's table for table, and the reference must equal the nerve
+of the package's pullback category and the nerves of the two functors the
+package checks.  Every fully computed truncated complex satisfies the
 Euler-characteristic identity, and the tom Dieck path never falls back to
 a cell-keyed lookup.
 """
@@ -43,6 +45,8 @@ from fatcat.simpset import (
 )
 
 from oracles import (
+    nerve_level_fiber,
+    nerve_map,
     oracle_deletion_complex,
     oracle_fat_chains,
     oracle_geometric_chains,
@@ -93,10 +97,10 @@ def core_cells(c, D=3):
 
 
 def fibers(c, N=2, D=3):
-    """One comma fiber per nondegenerate core of the nerve of c."""
+    """One nerve-level comma fiber per nondegenerate core of the nerve of c."""
     target, shapes = nerve(unravel(c, N), D), {}
     for k, cell in core_cells(c, D):
-        yield quillen_fiber(c, N, D, cell, k, target, core_simplex(c, D, cell, k), shapes)
+        yield nerve_level_fiber(c, N, D, cell, k, target, core_simplex(c, D, cell, k), shapes)
 
 
 def deletion_bases():
@@ -177,7 +181,7 @@ def test_fiber_is_the_step_chain_oracle_cell_for_cell(name):
     target, shapes = nerve(unravel(c, N), D), {}
     for k, cell in core_cells(c, D):
         simplex = core_simplex(c, D, cell, k)
-        fib = quillen_fiber(c, N, D, cell, k, target, simplex, shapes)
+        fib = nerve_level_fiber(c, N, D, cell, k, target, simplex, shapes)
         want = oracle_quillen_fiber(c, N, D, cell, k, target, simplex)
         assert fib.steps == want.steps, cell
         iso = oracle_simplicial_map(fib.fiber, want.fiber, vertex_pair)
@@ -203,10 +207,40 @@ def test_fiber_legs_match_the_per_cell_oracle(name):
     c, N, D = CATEGORIES[name], 2, 3
     target, shapes = nerve(unravel(c, N), D), {}
     for k, cell in core_cells(c, D):
-        fib = quillen_fiber(c, N, D, cell, k, target, core_simplex(c, D, cell, k), shapes)
+        fib = nerve_level_fiber(c, N, D, cell, k, target, core_simplex(c, D, cell, k), shapes)
         legs = (fib.to_simplex, fib.to_unraveled)
         for leg, want in zip(legs, oracle_fiber_legs(c, cell, k, fib)):
             assert leg.maps == want.maps, cell
+
+
+@pytest.mark.parametrize("name", FIBER_CATEGORIES)
+def test_pullback_category_is_the_nerve_level_reference(monkeypatch, name):
+    """For every core, the nerve of the package's pullback category P is
+    the reference fiber table for table, and the reference legs are the
+    nerves of the two functors the package checks, P -> [m] and P ->
+    unravel(c, N)."""
+    c, N, D = CATEGORIES[name], 2, 3
+    checked = []
+    original = comparison.check_functor
+    monkeypatch.setattr(comparison, "check_functor", lambda F: checked.append(F) or original(F))
+    unraveled = unravel(c, N)
+    target = nerve(unraveled, D)
+    for k, cell in core_cells(c, D):
+        checked.clear()
+        # a fresh shape table, so both functors are checked for this core
+        fib = quillen_fiber(c, N, D, cell, k, unraveled, {})
+        want = nerve_level_fiber(c, N, D, cell, k, target, core_simplex(c, D, cell, k), {})
+        assert (fib.degree, fib.steps, fib.D) == (want.degree, want.steps, D), cell
+        got = nerve(fib.pullback, D)
+        assert (got.cells, got.faces, got.degeneracies) == (
+            want.fiber.cells, want.fiber.faces, want.fiber.degeneracies), cell
+        assert [F.source for F in checked] == [fib.pullback, fib.pullback]
+        assert checked[1].target is unraveled
+        for F, leg in zip(checked, (want.to_simplex, want.to_unraveled)):
+            codomain = nerve(F.target, D)
+            assert codomain.cells == leg.target.cells, cell
+            assert nerve_map(got, codomain, F.omap.__getitem__, F.mmap.__getitem__).maps \
+                == leg.maps, cell
 
 
 def test_deletion_complexes_match_the_rule_built_oracle():
@@ -291,5 +325,5 @@ def test_guard_sees_a_rule_lookup(monkeypatch):
     with pytest.raises(AssertionError, match="cell-keyed lookup"):
         simpset.simplicial_set(2, ner.cells, lambda k, i, cell: cell)
     with pytest.raises(AssertionError, match="cell-keyed lookup"):
-        simpset.nerve_map(ner, ner, lambda v: v, lambda m: m)
+        nerve_map(ner, ner, lambda v: v, lambda m: m)
     assert product_with_S(ner, s).n_cells(0) == 8

@@ -319,6 +319,18 @@ def test_tom_dieck_frontier_rung(capsys, inputs, monkeypatch):
         assert groups == [(1, []), (0, [2]), (0, [])]
 
 
+def test_quillen_a_budgets_the_pullback_category_not_its_nerve(capsys, inputs, monkeypatch):
+    # Z/2 at N=10, D=3: the nerve of the largest fiber's pullback category
+    # would need 31,658 cells, over the default budget, but a fiber that
+    # dismantles builds no nerve, and that category counts 44 objects, 616
+    # arrows and 4,818 composites
+    monkeypatch.delenv("FATCAT_MAX_CELLS", raising=False)
+    argv = ["verify", "quillen-a", "--input", inputs["bz2.json"], "--N", "10", "--D", "3"]
+    code, payload = run(capsys, argv)
+    assert code == 0 and payload["ok"]
+    assert payload["fibers_checked"] == 15
+
+
 def test_report_all_is_deterministic(capsys, tmp_path):
     out = tmp_path / "report.json"
     code = main(["report", "all", "--out", str(out)])

@@ -29,7 +29,9 @@ from fatcat.errors import EnumerationLimitError, StructureError, Violation
 from fatcat.fincat import (
     FinCategory,
     FinGroupoid,
+    UnraveledCategory,
     check_groupoid,
+    mid,
     ordinal,
     unravel,
 )
@@ -54,10 +56,12 @@ from fatcat.simpset import (
     SimplicialMap,
     TruncatedSimplicialSet,
     chain_composites,
+    chain_count,
     nerve,
 )
 
-from oracles import apply, betti_torsion, column, oracle_homology
+import oracles
+from oracles import apply, betti_torsion, column, nerve_level_fiber, oracle_homology
 from test_simpset import record_builds
 
 
@@ -208,10 +212,10 @@ def test_pi_tau_audits_each_object_once(monkeypatch):
 def test_fiber_sweep_builds_once_per_core(monkeypatch, cat, cells, cores, patterns):
     # a core is a nondegenerate cell, and Z/3 has two edges on one object pair
     assert sum(len(nerve(cat, 3).nondegenerate(k)) for k in range(4)) == cores
-    degrees = sum(1 for k in range(4) if nerve(cat, 3).nondegenerate(k))
     audits = count_audits(monkeypatch)
     calls = Counter()
-    for name in ("unravel", "quillen_fiber", "_fiber_shape", "contractibility_report"):
+    for name in ("unravel", "nerve", "quillen_fiber", "_fiber_shape", "check_category",
+                 "check_functor", "contractibility_report"):
         original = getattr(comparison, name)
 
         def counted(*args, original=original, name=name):
@@ -221,13 +225,14 @@ def test_fiber_sweep_builds_once_per_core(monkeypatch, cat, cells, cores, patter
         monkeypatch.setattr(comparison, name, counted)
     checked, violations = all_fibers_contractible(cat, 3, 3, 2)
     assert (checked, violations) == (cells, [])
-    # P, its budget check, its nerve and the to_simplex leg once per pattern
-    assert calls == {"unravel": 1, "quillen_fiber": cores, "_fiber_shape": patterns,
+    # unravel(C, N) and its category audit once; per pattern P, its budget
+    # check, its category audit, its projection onto [m] and its
+    # dismantling; per core the projection onto unravel(C, N)
+    assert calls == {"unravel": 1, "nerve": 1, "quillen_fiber": cores, "_fiber_shape": patterns,
+                     "check_category": 1 + patterns, "check_functor": patterns + cores,
                      "contractibility_report": patterns}
-    # the nerve, the shared target, per pattern a fiber and its to_simplex
-    # leg, per core a to_unraveled leg, and one simplex per core degree,
-    # each audited exactly once
-    assert len({obj for obj, _ in audits}) == 2 + patterns * 2 + cores + degrees
+    # the nerve of C is the one simplicial object, audited exactly once
+    assert len({obj for obj, _ in audits}) == 1
     assert set(audits.values()) == {1}
 
 
@@ -287,22 +292,27 @@ def test_barycentric_point_validation():
 
 def core_simplex(c, D, cell, k):
     """``nerve(ordinal(m), D)`` for the core degree m of a nerve cell, the
-    codomain of its fiber's ``to_simplex`` leg."""
+    codomain of its nerve-level fiber's ``to_simplex`` leg."""
     objects, _ = _nondegenerate_factorization(c, k, cell)
     return nerve(ordinal(len(objects) - 1), D)
 
 
 def fiber(c, N, D, cell, k):
-    """The comma fiber of a nerve cell, with both codomains built for it."""
-    target = nerve(unravel(c, N), D)
-    return comparison.quillen_fiber(c, N, D, cell, k, target, core_simplex(c, D, cell, k), {})
+    """The comma fiber of a nerve cell, with its unraveled target built for
+    it."""
+    return comparison.quillen_fiber(c, N, D, cell, k, unravel(c, N), {})
+
+
+def fiber_nerve(fib):
+    """The comma fiber itself: the nerve of the pullback category."""
+    return nerve(fib.pullback, fib.D)
 
 
 def test_fiber_over_vertex_is_stage_poset_nerve():
     c = pair_groupoid().base
     fib = fiber(c, 3, 3, "a", 0)
     reference = nerve(ordinal(3), 3)
-    counts = [fib.fiber.n_cells(k) for k in range(4)]
+    counts = [fiber_nerve(fib).n_cells(k) for k in range(4)]
     assert counts == [reference.n_cells(k) for k in range(4)]
     assert contractibility_report(fib, 2) == []
 
@@ -311,24 +321,40 @@ def test_fiber_over_interval_simplex():
     c = ordinal(1)
     fib = fiber(c, 3, 3, ((0, 1, "le"),), 1)
     reference = nerve(unravel(c, 3), 3)
-    assert [fib.fiber.n_cells(k) for k in range(4)] == [
+    assert [fiber_nerve(fib).n_cells(k) for k in range(4)] == [
         reference.n_cells(k) for k in range(4)
     ]
     assert contractibility_report(fib, 2) == []
-    chains = geometric_chains(fib.fiber)
+    chains = geometric_chains(fiber_nerve(fib))
     for k in range(3):
         assert oracle_homology(chains, k) == betti_torsion(homology(chains, k))
 
 
-def test_fiber_refuses_a_wrong_target():
+def test_fiber_refuses_a_wrong_target(monkeypatch):
     c = ordinal(1)
     edge = ((0, 1, "le"),)
-    shared = nerve(unravel(c, 3), 2)
+    shared = unravel(c, 3)
+    targets = []
+    check = comparison.check_functor
+    monkeypatch.setattr(comparison, "check_functor", lambda F: targets.append(F.target) or check(F))
+    quillen_fiber(c, 3, 2, edge, 1, shared, {})
+    assert targets[-1] is shared
+    # a target without stage 3, and one with a doctored composite of two
+    # images: (0, 0) -> (0, 1) -> (1, 2) in P goes to the arrow from stage 0
+    # to 2, not 3
+    doctored = unravel(c, 3)
+    f, ident = edge[0], c.identity[0]
+    doctored.table[(mid(c, ident, 0, 1), mid(c, f, 1, 2))] = mid(c, f, 0, 3)
+    for wrong, message in ((unravel(c, 2), "not in target"), (doctored, "is not a functor")):
+        with pytest.raises(StructureError, match=message):
+            quillen_fiber(c, 3, 2, edge, 1, wrong, {})
+    # the nerve-level reference refuses a leg codomain with another N or D
     simplex = nerve(ordinal(1), 2)
-    assert quillen_fiber(c, 3, 2, edge, 1, shared, simplex, {}).to_unraveled.target is shared
+    target = nerve(shared, 2)
+    assert nerve_level_fiber(c, 3, 2, edge, 1, target, simplex, {}).to_unraveled.target is target
     for wrong in (nerve(unravel(c, 2), 2), nerve(unravel(c, 3), 3)):
         with pytest.raises(StructureError):
-            quillen_fiber(c, 3, 2, edge, 1, wrong, simplex, {})
+            nerve_level_fiber(c, 3, 2, edge, 1, wrong, simplex, {})
 
 
 FIBER_CORES = {
@@ -341,15 +367,13 @@ FIBER_CORES = {
 
 def test_fiber_is_refused_before_any_cell_is_built(monkeypatch):
     built = record_builds(monkeypatch)
-    # the pullback category, whose composition table is as large as the 2-cells
+    # the pullback category: 78 objects, 2,054 arrows and 30,680 composites
     categories = record_builds(monkeypatch, FinCategory)
     monkeypatch.delenv("FATCAT_MAX_CELLS", raising=False)
     c, cell, k = FIBER_CORES["z2-ss"]
-    with pytest.raises(
-        EnumerationLimitError, match="^TruncatedSimplicialSet needs 59422 cells"
-    ):
-        # refused before either codomain is read
-        quillen_fiber(c, 10, 4, cell, k, None, None, {})
+    with pytest.raises(EnumerationLimitError, match="^pullback category needs 32812 cells"):
+        # refused before the target is read
+        quillen_fiber(c, 25, 4, cell, k, None, {})
     assert built == []
     assert categories == []
 
@@ -357,17 +381,109 @@ def test_fiber_is_refused_before_any_cell_is_built(monkeypatch):
 @pytest.mark.parametrize("name", sorted(FIBER_CORES))
 def test_fiber_budget_counts_every_cell(monkeypatch, name):
     c, cell, k = FIBER_CORES[name]
-    target, simplex = nerve(unravel(c, 3), 3), core_simplex(c, 3, cell, k)
-    fib = quillen_fiber(c, 3, 3, cell, k, target, simplex, {})
-    total = sum(fib.fiber.n_cells(j) for j in range(4))
+    target = unravel(c, 3)
+    fib = quillen_fiber(c, 3, 3, cell, k, target, {})
+    # P's objects, arrows and composition table, its chains through degree 2
+    pullback = fib.pullback
+    total = len(pullback.objects) + len(pullback.morphisms) + len(pullback.table)
+    assert total == sum(chain_count(fib.steps, 2))
     built = record_builds(monkeypatch)
+    categories = record_builds(monkeypatch, FinCategory)
     monkeypatch.setenv("FATCAT_MAX_CELLS", str(total))
-    quillen_fiber(c, 3, 3, cell, k, target, simplex, {})
+    quillen_fiber(c, 3, 3, cell, k, target, {})
     monkeypatch.setenv("FATCAT_MAX_CELLS", str(total - 1))
     with pytest.raises(EnumerationLimitError, match=f"needs {total} cells"):
-        quillen_fiber(c, 3, 3, cell, k, target, simplex, {})
-    # the fiber, from the run inside the budget
-    assert len(built) == 1
+        quillen_fiber(c, 3, 3, cell, k, target, {})
+    # P and [m], from the run inside the budget, and no nerve
+    assert categories[0] == pullback
+    assert len(categories) == 2
+    assert built == []
+
+
+# ---------------------------------------------------------------------------
+# Mutations: what the nerve audits of the reference catch, the category
+# audit of P and the two functor checks catch
+
+
+def fiber_levels(c, cell, k, N=2, D=3):
+    """The comma fiber of one core built both ways, as two thunks: the
+    package's category-level check, and the nerve-level reference with
+    its audited nerve and legs.  Also returns the reference's simplex."""
+    unraveled, simplex = unravel(c, N), core_simplex(c, D, cell, k)
+    target = nerve(unraveled, D)
+    return (lambda: quillen_fiber(c, N, D, cell, k, unraveled, {}),
+            lambda: nerve_level_fiber(c, N, D, cell, k, target, simplex, {}),
+            simplex)
+
+
+def test_a_doctored_composite_of_P_is_caught_at_both_levels(monkeypatch):
+    c, cell, k = FIBER_CORES["edge"]
+    category_level, nerve_level, _ = fiber_levels(c, cell, k)
+    category_level()
+    nerve_level()
+
+    def doctored(objects, morphisms, identity, compose):
+        # one composite (u, v) then (v, w), u, v, w distinct, becomes (u, v)
+        compose = dict(compose)
+        (u, v), (_, w) = key = next(key for key in compose if len({*key[0], key[1][1]}) == 3)
+        compose[key] = (u, v)
+        return FinCategory(objects, morphisms, identity, compose)
+
+    for module in (comparison, oracles):
+        monkeypatch.setattr(module, "FinCategory", doctored)
+    with pytest.raises(StructureError, match="pullback category breaks a law"):
+        category_level()
+    with pytest.raises(StructureError, match="face identities fail"):
+        nerve_level()
+
+
+def test_a_doctored_unraveled_arrow_is_caught_at_both_levels(monkeypatch):
+    c, cell, k = FIBER_CORES["edge"]
+    category_level, nerve_level, _ = fiber_levels(c, cell, k)
+    category_level()
+    nerve_level()
+
+    def wrong_stage(c, f, i, j):
+        # every step from stage 0 to 1 lands at stage 2
+        return mid(c, f, i, 2 if (i, j) == (0, 1) else j)
+
+    for module in (comparison, oracles):
+        monkeypatch.setattr(module, "mid", wrong_stage)
+    with pytest.raises(StructureError, match="projection onto unravel"):
+        category_level()
+    with pytest.raises(StructureError, match="structure maps do not commute"):
+        nerve_level()
+
+
+def test_a_doctored_simplex_image_is_caught_at_both_levels(monkeypatch):
+    c, cell, k = FIBER_CORES["edge"]
+    category_level, nerve_level, simplex = fiber_levels(c, cell, k)
+    category_level()
+    nerve_level()
+    step = ((0, 0), (1, 1))
+
+    def doctored(image):
+        # the step (0, 0) -> (1, 1) goes to the identity of 0, not to 0 <= 1
+        return lambda vw: (0, 0, "le") if vw == step else image(vw)
+
+    check = comparison.check_functor
+
+    def check_doctored(F):
+        if not isinstance(F.target, UnraveledCategory):
+            F = F._replace(mmap={vw: doctored(F.mmap.__getitem__)(vw) for vw in F.mmap})
+        return check(F)
+
+    leg = oracles.nerve_map
+
+    def leg_doctored(source, target, obj, arrow):
+        return leg(source, target, obj, doctored(arrow) if target is simplex else arrow)
+
+    monkeypatch.setattr(comparison, "check_functor", check_doctored)
+    monkeypatch.setattr(oracles, "nerve_map", leg_doctored)
+    with pytest.raises(StructureError, match="projection onto \\[m\\]"):
+        category_level()
+    with pytest.raises(StructureError, match="structure maps do not commute"):
+        nerve_level()
 
 
 @pytest.mark.parametrize("name", sorted(FIBER_CORES))
@@ -392,7 +508,7 @@ def test_fiber_cells_are_the_sorted_step_chains(name):
             if all(step(v, w) for v, w in zip(ch, ch[1:]))
         ]
         expected = [ch[0] if j == 0 else tuple(zip(ch, ch[1:])) for ch in sorted(chains)]
-        assert list(fib.fiber.cells[j]) == expected
+        assert list(fiber_nerve(fib).cells[j]) == expected
 
 
 def test_fiber_of_degenerate_simplex_factors():
@@ -400,7 +516,8 @@ def test_fiber_of_degenerate_simplex_factors():
     ident = ("*", "*", "e")
     degenerate = fiber(c, 3, 3, (ident,), 1)
     vertex = fiber(c, 3, 3, "*", 0)
-    assert degenerate.fiber.cells == vertex.fiber.cells
+    assert degenerate.pullback == vertex.pullback
+    assert fiber_nerve(degenerate).cells == fiber_nerve(vertex).cells
     assert degenerate.degree == 0
 
 
@@ -556,9 +673,9 @@ def poset_steps(c):
 
 
 def poset_fiber(c):
-    """A fiber record around the nerve of a poset, for the certificate and
-    its fallback; neither reads the legs."""
-    return CommaFiber(0, poset_steps(c), nerve(c, 3), None, None)
+    """A fiber record around a poset, truncated at D = 3, for the
+    certificate and its fallback."""
+    return CommaFiber(0, poset_steps(c), c, 3)
 
 
 def crown():
@@ -607,7 +724,7 @@ def test_certificate_agrees_with_the_homology_oracle(monkeypatch):
             for fib in fibers:
                 key = tuple((v, tuple(ws)) for v, ws in fib.steps.items())
                 if key not in verdicts:
-                    chains = geometric_chains(fib.fiber)
+                    chains = geometric_chains(fiber_nerve(fib))
                     verdicts[key] = [oracle_homology(chains, k) for k in range(3)] == CONTRACTIBLE
                 certified = replay_dismantling(fib.steps, dismantle(fib.steps))
                 assert certified == verdicts[key], (name, N, fib.degree)
@@ -622,7 +739,7 @@ def test_certificate_is_sound_on_random_posets():
     outcomes = Counter()
     for seed in range(40):
         fib = poset_fiber(random_poset(seed, 6))
-        chains = geometric_chains(fib.fiber)
+        chains = geometric_chains(fiber_nerve(fib))
         contractible = [oracle_homology(chains, k) for k in range(3)] == CONTRACTIBLE
         certified = replay_dismantling(fib.steps, dismantle(fib.steps))
         assert contractible or not certified, seed
@@ -631,18 +748,28 @@ def test_certificate_is_sound_on_random_posets():
     assert outcomes[True, True] and outcomes[False, False]
 
 
+def record_fallbacks(monkeypatch):
+    """The nerves that ``contractibility_report`` builds, and those it takes
+    geometric chains of, as two lists."""
+    nerves, chained = [], []
+    build, chains = comparison.nerve, comparison.geometric_chains
+    monkeypatch.setattr(comparison, "nerve", lambda c, D: nerves.append(build(c, D)) or nerves[-1])
+    monkeypatch.setattr(comparison, "geometric_chains", lambda x: chained.append(x) or chains(x))
+    return nerves, chained
+
+
 def test_crown_reaches_the_homology_fallback(monkeypatch):
     fib = poset_fiber(crown())
     assert not any(is_beat_point(fib.steps, fib.steps, x) for x in fib.steps)
     assert dismantle(fib.steps) == []
     assert not replay_dismantling(fib.steps, [])
-    built = []
-    original = comparison.geometric_chains
-    monkeypatch.setattr(comparison, "geometric_chains", lambda x: built.append(x) or original(x))
+    nerves, built = record_fallbacks(monkeypatch)
     assert contractibility_report(fib, 2) == [
         Violation("fiber-contractible", (1,), "H_1 = (1, ()), expected (0, ())")
     ]
-    assert built == [fib.fiber]
+    # nerve(P, D), built only here, and its chains
+    assert built == nerves
+    assert [x.cells for x in built] == [nerve(crown(), 3).cells]
 
 
 def test_replay_rejects_doctored_removals(monkeypatch):
@@ -673,9 +800,8 @@ def test_replay_rejects_doctored_removals(monkeypatch):
                 doctored[name] += 1
     assert doctored["fiber"] and doctored["crown"] == 4
     # a rejected sequence sends the report to the homology fallback
-    built = []
-    original = comparison.geometric_chains
-    monkeypatch.setattr(comparison, "geometric_chains", lambda x: built.append(x) or original(x))
+    nerves, built = record_fallbacks(monkeypatch)
     monkeypatch.setattr(comparison, "dismantle", lambda s: removals[:-1])
     assert contractibility_report(fib, 2) == []
-    assert built == [fib.fiber]
+    assert built == nerves
+    assert [x.cells for x in built] == [fiber_nerve(fib).cells]

@@ -18,7 +18,6 @@ from fatcat.simpset import (
     lemma42_bijection,
     maximal_flags,
     nerve,
-    nerve_map,
     product_with_S,
     s_semisimplicial,
     sd_flags,
@@ -31,6 +30,7 @@ from oracles import (
     _group_index,
     face,
     is_degenerate,
+    nerve_map,
     oracle_map_audit,
     oracle_nerve,
     oracle_sd_flags,
