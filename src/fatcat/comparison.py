@@ -544,10 +544,11 @@ def all_fibers_contractible(c: FinCategory, N: int, D: int, d: int):
 
     The fiber of a cell depends only on its nondegenerate core, and P with
     its projection onto [m] only on the core's degree and identity
-    pattern.  ``unravel(c, N)`` is built and audited as a category once.
-    The cores are taken one pattern at a time: the pattern's P is built,
-    checked and dismantled once, and each of its cores gets its own
-    projection onto ``unravel(c, N)``, checked as a functor.  Each pattern
+    pattern.  ``unravel(c, N)`` is built, numbered and audited once.  The
+    cores are taken one pattern at a time: the pattern's P is built,
+    numbered, checked and dismantled once, and each of its cores gets its
+    own projection onto ``unravel(c, N)``, checked as a functor on the two
+    kept numberings.  Each pattern
     gets its own shape table, dropped with it, so the categories of
     earlier patterns are freed rather than held for the whole sweep.  Every
     cell gets its pattern's violations under its own ``(k, cell)`` prefix.
@@ -558,10 +559,11 @@ def all_fibers_contractible(c: FinCategory, N: int, D: int, d: int):
     ner = nerve(c, D)
     target = unravel(c, N)
     _require(check_category(target), "unravel(C, N) breaks a law")
-    cells = [(k, cell) for k in range(D + 1) for cell in ner.cells[k]]
+    cells = [(k, cell, _nondegenerate_factorization(c, k, cell))
+             for k in range(D + 1) for cell in ner.cells[k]]
     first = {}
-    for k, cell in cells:
-        first.setdefault(_nondegenerate_factorization(c, k, cell), (k, cell))
+    for k, cell, core in cells:
+        first.setdefault(core, (k, cell))
     patterns = {}
     for core, (k, cell) in first.items():
         objects, arrows = core
@@ -578,6 +580,6 @@ def all_fibers_contractible(c: FinCategory, N: int, D: int, d: int):
             reports[core] = report
     violations = [
         Violation(v.law, (k, cell) + v.witness, v.detail)
-        for k, cell in cells for v in reports[_nondegenerate_factorization(c, k, cell)]
+        for k, cell, core in cells for v in reports[core]
     ]
     return len(cells), violations

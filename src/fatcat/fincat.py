@@ -2,12 +2,15 @@
 
 Composition tables are total on composable pairs.  Morphism identifiers are
 canonical ``(source, target, label)`` tuples so that validation reports can
-name offending pairs and triples deterministically.  Law checkers return
-exhaustive violation lists; structural defects (dangling identifiers,
-partial tables) raise :class:`StructureError` instead.
+name offending pairs and triples deterministically.  A category numbers
+itself once, on first use, and keeps it; the law audit, the functor check
+and the nerve read that numbering and name ids only in witnesses.  Law
+checkers return exhaustive violation lists; structural defects (dangling
+identifiers, partial tables) raise :class:`StructureError` instead.
 """
 
 from collections import namedtuple
+from functools import cached_property
 from math import comb
 from operator import itemgetter
 
@@ -15,12 +18,16 @@ from .errors import StructureError, Violation, check_budget
 from .ids import decode_id, encode_id, id_key, sort_ids, sort_key
 
 
+Numbering = namedtuple("Numbering", "mids place number src tgt unit leaving after")
+
+
 class FinCategory:
     """Finite category: objects, morphisms with endpoints, identity and
     composition tables.
 
     ``compose[(f, g)] = h`` records h = g after f, defined exactly when
-    target(f) = source(g).  Instances are immutable after construction.
+    target(f) = source(g).  Instances are immutable after construction,
+    so each keeps its :attr:`numbering` once it is built.
     """
 
     def __init__(self, objects, morphisms, identity, compose):
@@ -38,6 +45,42 @@ class FinCategory:
 
     def morphism_ids(self):
         return tuple(m for m, _, _ in self.morphisms)
+
+    @cached_property
+    def numbering(self) -> Numbering:
+        """The category on the positions of its objects and morphisms, in
+        their order, built on first use and kept: ``mids`` lists the
+        morphisms, ``place`` and ``number`` map ids to positions, ``src``,
+        ``tgt`` and ``unit`` hold endpoints and identities, ``leaving[x]``
+        lists the morphisms leaving x and ``after[f][g] = h`` records h = g
+        after f.  Dangling ids and missing identity entries raise
+        StructureError."""
+        mids = self.morphism_ids()
+        place = {x: p for p, x in enumerate(self.objects)}
+        number = {m: e for e, m in enumerate(mids)}
+        src = [place.get(s) for _, s, _ in self.morphisms]
+        tgt = [place.get(t) for _, _, t in self.morphisms]
+        if None in src or None in tgt:
+            m = next(m for (m, _, _), s, t in zip(self.morphisms, src, tgt)
+                     if s is None or t is None)
+            raise StructureError(f"morphism {m} has dangling endpoint")
+        if len(self.identity) != len(place) or not all(map(place.__contains__, self.identity)):
+            raise StructureError("identity table is not total on objects")
+        unit = [None] * len(place)
+        for x, m in self.identity.items():
+            if m not in number:
+                raise StructureError(f"identity of {x} is not a morphism: {m}")
+            unit[place[x]] = number[m]
+        leaving = [[] for _ in self.objects]
+        for f, x in enumerate(src):
+            leaving[x].append(f)
+        after = [{} for _ in mids]
+        for (f, g), h in self.table.items():
+            nf, ng, nh = number.get(f), number.get(g), number.get(h)
+            if nf is None or ng is None or nh is None:
+                raise StructureError(f"composition entry has dangling id: {(f, g, h)}")
+            after[nf][ng] = nh
+        return Numbering(mids, place, number, src, tgt, unit, leaving, after)
 
     def is_identity(self, m):
         return self.identity.get(self.src.get(m)) == m
@@ -79,48 +122,9 @@ class FinGroupoid(namedtuple("FinGroupoid", "base inverse")):
         return self.base.objects
 
 
-def arrows_leaving(c: FinCategory):
-    """The morphisms leaving each object, in morphism order."""
-    leaving = {x: [] for x in c.objects}
-    for m, s, _ in c.morphisms:
-        leaving[s].append(m)
-    return leaving
-
-
-def _numbered(c: FinCategory):
-    """The category on the positions of its objects and morphisms, in their
-    order: (mids, src, tgt, unit, leaving, after), where ``unit[x]`` is the
-    identity of object x, ``leaving[x]`` lists the morphisms leaving x and
-    ``after[f][g] = h`` records h = g after f.
-
-    Numbering finds the dangling identifiers and missing identity entries,
-    raised as StructureError.
-    """
-    mids = c.morphism_ids()
-    place = {x: p for p, x in enumerate(c.objects)}
-    number = {m: e for e, m in enumerate(mids)}
-    src = [place.get(s) for _, s, _ in c.morphisms]
-    tgt = [place.get(t) for _, _, t in c.morphisms]
-    if None in src or None in tgt:
-        m = next(m for (m, _, _), s, t in zip(c.morphisms, src, tgt) if s is None or t is None)
-        raise StructureError(f"morphism {m} has dangling endpoint")
-    if len(c.identity) != len(place) or not all(map(place.__contains__, c.identity)):
-        raise StructureError("identity table is not total on objects")
-    unit = [None] * len(place)
-    for x, m in c.identity.items():
-        if m not in number:
-            raise StructureError(f"identity of {x} is not a morphism: {m}")
-        unit[place[x]] = number[m]
-    leaving = [[] for _ in c.objects]
-    for f, x in enumerate(src):
-        leaving[x].append(f)
-    after = [{} for _ in mids]
-    for (f, g), h in c.table.items():
-        nf, ng, nh = number.get(f), number.get(g), number.get(h)
-        if nf is None or ng is None or nh is None:
-            raise StructureError(f"composition entry has dangling id: {(f, g, h)}")
-        after[nf][ng] = nh
-    return mids, src, tgt, unit, leaving, after
+def _missing_pairs(n: Numbering):
+    """The composable pairs missing from the composition table, in order."""
+    return ((f, g) for f, row in enumerate(n.after) for g in n.leaving[n.tgt[f]] if g not in row)
 
 
 def check_category(c: FinCategory):
@@ -128,11 +132,11 @@ def check_category(c: FinCategory):
 
     Raises StructureError on dangling identifiers or missing identity
     entries; equational failures are reported, not raised.  The audit runs
-    on the positions of the objects and morphisms, in their order, and
-    names ids only in the violations it records.
+    on the category's numbering and names ids only in the violations it
+    records.
     """
     violations = []
-    mids, src, tgt, unit, leaving, after = _numbered(c)
+    mids, _, _, src, tgt, unit, leaving, after = c.numbering
     for x, m in enumerate(unit):
         if src[m] != x or tgt[m] != x:
             witness = (c.objects[x], mids[m])
@@ -140,13 +144,10 @@ def check_category(c: FinCategory):
                 Violation("identity-endpoints", witness, "identity is not an endomorphism")
             )
 
-    for f, row in enumerate(after):
-        for g in leaving[tgt[f]]:
-            if g not in row:
-                pair = (mids[f], mids[g])
-                violations.append(
-                    Violation("compose-total", pair, "composable pair missing from table")
-                )
+    for f, g in _missing_pairs(c.numbering):
+        violations.append(
+            Violation("compose-total", (mids[f], mids[g]), "composable pair missing from table")
+        )
     # each entry misfits at most once, so only the misfits are put in order
     misfits = sorted((f, g, h) for f, row in enumerate(after) for g, h in row.items()
                      if src[g] != tgt[f] or src[h] != src[f] or tgt[h] != tgt[g])
@@ -285,30 +286,36 @@ Functor = namedtuple("Functor", "source target omap mmap")
 
 
 def check_functor(F: Functor):
-    src, tgt = F.source, F.target
-    if set(F.omap) != set(src.objects):
+    """Functor laws on the numberings of source and target: the maps are
+    put on positions once, and ids are named only in the violations, the
+    composites in (f, g) position order.  Maps that are not total or leave
+    the target raise StructureError."""
+    src, s, t = F.source, F.source.numbering, F.target.numbering
+    omap, mmap = list(map(F.omap.get, src.objects)), list(map(F.mmap.get, s.mids))
+    if len(F.omap) != len(omap) or None in omap:
         raise StructureError("object map is not total")
-    if set(F.mmap) != set(src.src):
+    if len(F.mmap) != len(mmap) or None in mmap:
         raise StructureError("morphism map is not total")
-    objects = set(tgt.objects)
-    for y in F.omap.values():
-        if y not in objects:
-            raise StructureError(f"object image {y} not in target")
-    violations = []
-    for m in src.morphism_ids():
-        fm = F.mmap[m]
-        if fm not in tgt.src:
-            raise StructureError(f"morphism image {fm} not in target")
-        if tgt.src[fm] != F.omap[src.src[m]] or tgt.tgt[fm] != F.omap[src.tgt[m]]:
-            violations.append(Violation("functor-endpoints", (m, fm)))
-    for x in src.objects:
-        if F.mmap[src.identity[x]] != tgt.identity[F.omap[x]]:
-            violations.append(Violation("functor-identity", (x,)))
-    for (f, g), h in src.table.items():
-        expected = tgt.table.get((F.mmap[f], F.mmap[g]))
-        if expected != F.mmap[h]:
-            violations.append(Violation("functor-composition", (f, g)))
-    return violations
+    ob = list(map(t.place.get, omap))
+    if None in ob:
+        y = next(y for y in F.omap.values() if y not in t.place)
+        raise StructureError(f"object image {y} not in target")
+    ar = list(map(t.number.get, mmap))
+    if None in ar:
+        raise StructureError(f"morphism image {mmap[ar.index(None)]} not in target")
+    violations = [Violation("functor-endpoints", (m, fm))
+                  for m, fm, e, x, y in zip(s.mids, mmap, ar, s.src, s.tgt)
+                  if t.src[e] != ob[x] or t.tgt[e] != ob[y]]
+    violations += [Violation("functor-identity", (x,))
+                   for x, u, y in zip(src.objects, s.unit, ob) if ar[u] != t.unit[y]]
+    broken = []
+    for f, row in enumerate(s.after):
+        image_row = t.after[ar[f]]
+        for g, h in row.items():
+            if image_row.get(ar[g]) != ar[h]:
+                broken.append((f, g))
+    return violations + [Violation("functor-composition", (s.mids[f], s.mids[g]))
+                         for f, g in sorted(broken)]
 
 
 def identity_functor(c: FinCategory) -> Functor:
@@ -376,7 +383,8 @@ def full_subcategory(c: FinCategory, keep) -> FinCategory:
     return FinCategory(keep, morphisms, identity, compose)
 
 
-class OrdinalEquivalenceBundle:
+class OrdinalEquivalenceBundle(namedtuple(
+        "OrdinalEquivalenceBundle", "pi0 pi1 pi2 iota1 iota2 phi1 phi2 report")):
     """The retraction data comparing an unraveled ordinal with its base.
 
     pi0 forgets the stage, pi1 retracts onto the full subcategory of objects
@@ -384,17 +392,7 @@ class OrdinalEquivalenceBundle:
     phi1, phi2 are the connecting natural transformations.
     """
 
-    __slots__ = ("pi0", "pi1", "pi2", "iota1", "iota2", "phi1", "phi2", "report")
-
-    def __init__(self, pi0, pi1, pi2, iota1, iota2, phi1, phi2, report):
-        self.pi0 = pi0
-        self.pi1 = pi1
-        self.pi2 = pi2
-        self.iota1 = iota1
-        self.iota2 = iota2
-        self.phi1 = phi1
-        self.phi2 = phi2
-        self.report = report
+    __slots__ = ()
 
 
 def ordinal_unravel_equivalences(n: int, N: int) -> OrdinalEquivalenceBundle:
@@ -509,12 +507,9 @@ def category_from_json(doc: dict) -> FinCategory:
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise StructureError(f"malformed category document: {exc}")
     c = FinCategory(objects, morphisms, identity, compose)
-    mids, _, tgt, _, leaving, after = _numbered(c)
-    for f, row in enumerate(after):
-        for g in leaving[tgt[f]]:
-            if g not in row:
-                pair = (mids[f], mids[g])
-                raise StructureError(f"composable pair missing from the composition table: {pair}")
+    for f, g in _missing_pairs(c.numbering):
+        pair = (c.numbering.mids[f], c.numbering.mids[g])
+        raise StructureError(f"composable pair missing from the composition table: {pair}")
     return c
 
 

@@ -32,7 +32,7 @@ from itertools import accumulate, combinations, combinations_with_replacement, p
 from math import comb, factorial
 
 from .errors import StructureError, Violation, check_budget, check_units
-from .fincat import FinCategory, arrows_leaving, mid, unravel
+from .fincat import FinCategory, mid, unravel
 from .ids import sort_key
 
 
@@ -322,23 +322,25 @@ def nerve(c: FinCategory, D: int) -> TruncatedSimplicialSet:
     # every object's identity chains alone give it a cell in each degree,
     # so a D that this bound refuses is refused before any counting
     check_budget(len(c.objects) * (D + 1), TruncatedSimplicialSet.__name__)
-    from_obj = arrows_leaving(c)
-    ends = {x: [c.tgt[m] for m in ms] for x, ms in from_obj.items()}
+    n = c.numbering
+    ends = {x: [n.tgt[f] for f in fs] for x, fs in enumerate(n.leaving)}
     check_size(TruncatedSimplicialSet, D, chain_count(ends, D))
     cells = [list(c.objects)]
     if D == 0:
         return TruncatedSimplicialSet(D, cells, [None], [])
-    # the arrows numbered as the 1-cells, those leaving object y by leaving[y]
-    vertex = {x: p for p, x in enumerate(c.objects)}
-    arrows = [m for x in c.objects for m in from_obj[x]]
-    number = {m: e for e, m in enumerate(arrows)}
-    leaving = [range(*ab) for ab in pairwise(accumulate(map(len, from_obj.values()), initial=0))]
-    unit = [number.get(c.identity[x], -1) for x in c.objects]
-    if any(e not in block for e, block in zip(unit, leaving)):
+    if any(n.src[u] != x for x, u in enumerate(n.unit)):
         raise StructureError("an identity does not leave its object")
-    source, target = ([vertex[end[m]] for m in arrows] for end in (c.src, c.tgt))
+    # the 1-cells are the arrows by source, arrows[e] the e-th of them and
+    # number[f] the 1-cell of arrow f, the inverse permutation; the 1-cells
+    # leaving object y are leaving[y]
+    arrows = [f for fs in n.leaving for f in fs]
+    number = sorted(range(len(arrows)), key=arrows.__getitem__)
+    leaving = [range(*ab) for ab in pairwise(accumulate(map(len, n.leaving), initial=0))]
+    unit = _compose(number, n.unit)
+    source, target = (_compose(end, arrows) for end in (n.src, n.tgt))
     offset = [e - unit[y] for e, y in enumerate(source)]
-    cells.append([(m,) for m in arrows])
+    labels = _compose(n.mids, arrows)
+    cells.append([(m,) for m in labels])
     faces, degeneracies = [None, [target, source]], [[unit]]
     # the p-th k-cell extends the parent[p]-th by arrow last[p], shift[p] its offset
     parent, last, shift, s_below = source, range(len(arrows)), offset, unit
@@ -351,10 +353,10 @@ def nerve(c: FinCategory, D: int) -> TruncatedSimplicialSet:
         parent = [p for p, y in enumerate(ends_at) for _ in leaving[y]]
         last = [e for y in ends_at for e in leaving[y]]
         shift = _compose(offset, last)
-        cells.append([cells[k][p] + (arrows[e],) for p, e in zip(parent, last)])
+        cells.append([cells[k][p] + (labels[e],) for p, e in zip(parent, last)])
         if k == 1:
             # the composite of each 2-cell (f, m), as an offset from s_0 of f's source
-            composite = [number[c.table[(arrows[f], arrows[e])]] - unit[source[f]]
+            composite = [number[n.after[arrows[f]][arrows[e]]] - unit[source[f]]
                          for f, e in zip(parent, last)]
         # the composite of each cell's last two arrows, read at their 2-cell
         joint = _compose(composite, _shifted(degeneracies[1][1], before, parent, shift))

@@ -24,11 +24,13 @@
   nerve simplex ``universal_cocycle`` must reproduce cell for cell and
   witness for witness; and the cellwise isomorphism of the unraveled nerve
   onto the nerve of the unraveled category.
-* The category-law audit keyed by identifier tuples
-  (``oracle_check_category``), whose violations the package's
-  position-based ``check_category`` must reproduce in order, and the
-  partition homotopy over Fractions (``oracle_partition_homotopy``), which
-  the package's integer ``partition_homotopy`` must match as rationals.
+* The category-law audit and the functor check keyed by identifier
+  tuples (``oracle_check_category``, ``oracle_check_functor``), whose
+  violations the package's checks on the categories' numberings must
+  reproduce, the category audit in order, the functor check up to the
+  order of its composition witnesses, and the partition homotopy over
+  Fractions (``oracle_partition_homotopy``), which the package's integer
+  ``partition_homotopy`` must match as rationals.
 * Comma fibers: the nerve-level reference (``nerve_level_fiber``), the
   audited nerve of the pullback category P with both legs as audited
   ``nerve_map``s, which the package replaces by a category audit of P and
@@ -39,12 +41,12 @@
   from the per-cell rule that maps a chain arrow by arrow.
 * Dense matrices: products and transposes of plain row lists, the
   reference for the package's sparse ``IntMatrix``; ``dense_smith``, the
-  dense eliminator that the package's sparse ``smith`` must agree with, and
-  the presentation read off its matrices (``DensePresentation``); the
-  transforms of a ``smith`` record built as matrices (``transforms``); and
-  the helpers that only tests need (identity, a column, equality of chain
-  complexes, zero test, zero class, kernel basis, the normalization
-  projection).
+  dense eliminator that the package's sparse ``smith`` must agree with,
+  which builds only the transforms asked for, and the presentation read
+  off its matrices (``DensePresentation``); the transforms of a ``smith``
+  record built as matrices (``transforms``); and the helpers that only
+  tests need (identity, a column, equality of chain complexes, zero test,
+  zero class, kernel basis, the normalization projection).
 """
 
 from collections import namedtuple
@@ -61,7 +63,7 @@ from sympy.polys.matrices import DomainMatrix
 from fatcat import simpset
 from fatcat.comparison import _nondegenerate_factorization, _shape_key
 from fatcat.errors import StructureError, Violation, check_budget
-from fatcat.fincat import FinCategory, arrows_leaving, mid, unravel
+from fatcat.fincat import FinCategory, Functor, mid, unravel
 from fatcat.homology import ChainMap, IntegerChainComplex, fat_chains, geometric_chains
 from fatcat.ids import sort_key
 from fatcat.intlinalg import IntMatrix, smith
@@ -461,8 +463,16 @@ def oracle_tau_chain_map(x, N, D):
 
 
 # ---------------------------------------------------------------------------
-# The category-law audit over identifiers and the partition formula over
-# Fractions
+# The category-law and functor checks over identifiers and the partition
+# formula over Fractions
+
+
+def arrows_leaving(c: FinCategory):
+    """The morphisms leaving each object, in morphism order."""
+    leaving = {x: [] for x in c.objects}
+    for m, s, _ in c.morphisms:
+        leaving[s].append(m)
+    return leaving
 
 
 def _check_ids(c: FinCategory):
@@ -548,6 +558,37 @@ def oracle_check_category(c: FinCategory):
                 violations.append(
                     Violation("associativity", (f, g, h), "h(gf) != (hg)f")
                 )
+    return violations
+
+
+def oracle_check_functor(F: Functor):
+    """The functor laws checked on id-keyed maps and tables; the package's
+    position-based ``check_functor`` must return the same violations,
+    up to the order of the composition witnesses, and the same refusals.
+    """
+    src, tgt = F.source, F.target
+    if set(F.omap) != set(src.objects):
+        raise StructureError("object map is not total")
+    if set(F.mmap) != set(src.src):
+        raise StructureError("morphism map is not total")
+    objects = set(tgt.objects)
+    for y in F.omap.values():
+        if y not in objects:
+            raise StructureError(f"object image {y} not in target")
+    violations = []
+    for m in src.morphism_ids():
+        fm = F.mmap[m]
+        if fm not in tgt.src:
+            raise StructureError(f"morphism image {fm} not in target")
+        if tgt.src[fm] != F.omap[src.src[m]] or tgt.tgt[fm] != F.omap[src.tgt[m]]:
+            violations.append(Violation("functor-endpoints", (m, fm)))
+    for x in src.objects:
+        if F.mmap[src.identity[x]] != tgt.identity[F.omap[x]]:
+            violations.append(Violation("functor-identity", (x,)))
+    for (f, g), h in src.table.items():
+        expected = tgt.table.get((F.mmap[f], F.mmap[g]))
+        if expected != F.mmap[h]:
+            violations.append(Violation("functor-composition", (f, g)))
     return violations
 
 
@@ -932,9 +973,10 @@ def _find_pivot(rows, t, nrows, ncols):
 DenseSmith = namedtuple("DenseSmith", "factors rank U Uinv V Vinv")
 
 
-def dense_smith(A):
-    """Dense Smith normal form, the reference for :func:`smith`, with all
-    four transforms built as matrices.
+def dense_smith(A, rows=False, cols=False):
+    """Dense Smith normal form, the reference for :func:`smith`.  U and
+    Uinv are built as matrices when ``rows`` is set, V and Vinv when
+    ``cols`` is, and the others are None.
 
     Elimination picks the minimal-absolute-value pivot, clears its row and
     column with Euclidean steps, then forces the pivot to divide the whole
@@ -943,42 +985,44 @@ def dense_smith(A):
     """
     nrows, ncols = A.nrows, A.ncols
     M = [list(r) for r in A.rows]
-    U = dense_identity(nrows)
-    Uinv = dense_identity(nrows)
-    V = dense_identity(ncols)
-    Vinv = dense_identity(ncols)
+    U, Uinv = (dense_identity(nrows), dense_identity(nrows)) if rows else (None, None)
+    V, Vinv = (dense_identity(ncols), dense_identity(ncols)) if cols else (None, None)
 
     def swap_rows(i, j):
         if i == j:
             return
         M[i], M[j] = M[j], M[i]
-        U[i], U[j] = U[j], U[i]
-        for r in Uinv:
-            r[i], r[j] = r[j], r[i]
+        if rows:
+            U[i], U[j] = U[j], U[i]
+            for r in Uinv:
+                r[i], r[j] = r[j], r[i]
 
     def swap_cols(i, j):
         if i == j:
             return
         for r in M:
             r[i], r[j] = r[j], r[i]
-        for r in V:
-            r[i], r[j] = r[j], r[i]
-        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
+        if cols:
+            for r in V:
+                r[i], r[j] = r[j], r[i]
+            Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
 
     def negate_row(i):
         M[i] = [-v for v in M[i]]
-        U[i] = [-v for v in U[i]]
-        for r in Uinv:
-            r[i] = -r[i]
+        if rows:
+            U[i] = [-v for v in U[i]]
+            for r in Uinv:
+                r[i] = -r[i]
 
     def row_axpy(i, j, q):
         # row_i -= q * row_j
         if not q:
             return
         M[i] = [a - q * b for a, b in zip(M[i], M[j])]
-        U[i] = [a - q * b for a, b in zip(U[i], U[j])]
-        for r in Uinv:
-            r[j] += q * r[i]
+        if rows:
+            U[i] = [a - q * b for a, b in zip(U[i], U[j])]
+            for r in Uinv:
+                r[j] += q * r[i]
 
     def col_axpy(i, j, q):
         # col_i -= q * col_j
@@ -986,9 +1030,10 @@ def dense_smith(A):
             return
         for r in M:
             r[i] -= q * r[j]
-        for r in V:
-            r[i] -= q * r[j]
-        Vinv[j] = [a + q * b for a, b in zip(Vinv[j], Vinv[i])]
+        if cols:
+            for r in V:
+                r[i] -= q * r[j]
+            Vinv[j] = [a + q * b for a, b in zip(Vinv[j], Vinv[i])]
 
     t = 0
     limit = min(nrows, ncols)
@@ -1048,8 +1093,9 @@ def dense_smith(A):
         t += 1
 
     factors = [M[i][i] for i in range(t)]
-    return DenseSmith(factors, t, IntMatrix(U, nrows), IntMatrix(Uinv, nrows),
-                      IntMatrix(V, ncols), IntMatrix(Vinv, ncols))
+    row_side = (IntMatrix(U, nrows), IntMatrix(Uinv, nrows)) if rows else (None, None)
+    col_side = (IntMatrix(V, ncols), IntMatrix(Vinv, ncols)) if cols else (None, None)
+    return DenseSmith(factors, t, *row_side, *col_side)
 
 
 class DensePresentation:
@@ -1061,12 +1107,12 @@ class DensePresentation:
 
     def __init__(self, A, B, n):
         self._A = A
-        self._B = dense_smith(B)
+        self._B = dense_smith(B, rows=True)
         rB = self._B.rank
         rest = A.mul(self._B.Uinv).rows
         if any(any(row[:rB]) for row in rest):
             raise StructureError("B does not map into ker(A)")
-        self._M = dense_smith(IntMatrix([row[rB:] for row in rest], n - rB))
+        self._M = dense_smith(IntMatrix([row[rB:] for row in rest], n - rB), cols=True)
         self.betti = n - rB - self._M.rank
         self._torsion_index = [i for i, d in enumerate(self._B.factors) if d > 1]
         self.torsion = tuple(self._B.factors[i] for i in self._torsion_index)

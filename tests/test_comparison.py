@@ -236,6 +236,46 @@ def test_fiber_sweep_builds_once_per_core(monkeypatch, cat, cells, cores, patter
     assert set(audits.values()) == {1}
 
 
+def count_numberings(monkeypatch):
+    """The categories numbered from now on, one entry per numbering built;
+    the attribute keeps its own caching."""
+    numbered = []
+    attribute = vars(FinCategory)["numbering"]
+    number = attribute.func
+    monkeypatch.setattr(attribute, "func", lambda c: numbered.append(c) or number(c))
+    return numbered
+
+
+@pytest.mark.parametrize(
+    "make, cores, patterns",
+    [(lambda: ordinal(2), 7, 3), (lambda: ordinal(4), 30, 4),
+     (lambda: cyclic_groupoid(3).base, 15, 8)],
+    ids=["ordinal-2", "ordinal-4", "z3"],
+)
+def test_fiber_sweep_numbers_each_category_once(monkeypatch, make, cores, patterns):
+    """C for its nerve, unravel(C, N) once, and per pattern P and [m] once:
+    the per-core functor checks read the kept numberings, so the count
+    does not grow with the cores."""
+    cat = make()
+    built = {"unravel": [], "_fiber_shape": []}
+    for name, kept in built.items():
+        original = getattr(comparison, name)
+        monkeypatch.setattr(comparison, name, lambda *args, original=original, kept=kept:
+                            kept.append(original(*args)) or kept[-1])
+    numbered = count_numberings(monkeypatch)
+    assert all_fibers_contractible(cat, 3, 3, 2)[1] == []
+    (target,), shapes = built["unravel"], built["_fiber_shape"]
+    assert len(shapes) == patterns
+    assert len(numbered) == 2 + 2 * patterns
+    assert numbered[0] is cat and numbered[1] is target
+    pullbacks = [pullback for _, pullback in shapes]
+    assert [c for c in numbered if any(c is p for p in pullbacks)] == pullbacks
+    simplices = [c for c in numbered[2:] if not any(c is p for p in pullbacks)]
+    assert all(c == ordinal(len(c.objects) - 1) for c in simplices)
+    assert len({id(c) for c in numbered}) == len(numbered)
+    assert sum(len(nerve(cat, 3).nondegenerate(k)) for k in range(4)) == cores
+
+
 def test_rho_evaluate_matches_closed_forms():
     half = Fraction(1, 2)
     assert rho_evaluate(1, 1, (half, half)) == 1

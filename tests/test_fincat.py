@@ -1,9 +1,11 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 
-from fatcat import fincat
+from fatcat import comparison, fincat
+from fatcat.comparison import quillen_fiber
 from fatcat.errors import EnumerationLimitError, StructureError, Violation
 from fatcat.fincat import (
     FinCategory,
@@ -34,7 +36,9 @@ from fatcat.fixtures import (
 )
 from fatcat.ids import sort_ids, sort_key
 
-from oracles import oracle_check_category
+from oracles import oracle_check_category, oracle_check_functor
+from test_chain_layer import CATEGORIES as FIBER_CATEGORY_FIXTURES
+from test_chain_layer import FIBER_CATEGORIES, core_cells
 
 
 def sort_differential_categories():
@@ -229,6 +233,76 @@ def dangling_ids(c):
              (arrows + [to_nowhere, from_nowhere], {**ident, x: stray}, tables[1])]
     cases += [(arrows, ident, table) for table in tables]
     return [FinCategory(c.objects, *case) for case in cases]
+
+
+def functor_cases():
+    """Every functor of the ordinal equivalences at (1, 2), (2, 4) and
+    (3, 5), the forgetful functor of each standard groupoid's unraveling
+    at N = 3, and both quillen-a projections of every core of the fiber
+    categories, at N = 2, D = 3."""
+    cases = []
+    for n, N in ((1, 2), (2, 4), (3, 5)):
+        bundle = ordinal_unravel_equivalences(n, N)
+        cases += [bundle.pi0, bundle.pi1, bundle.pi2, bundle.iota1, bundle.iota2]
+        cases += [*bundle.phi1[:2], *bundle.phi2[:2]]
+    cases += [forgetful(unravel(g.base, 3)) for g in standard_groupoids().values()]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(comparison, "check_functor", lambda F: cases.append(F) or [])
+        for name in FIBER_CATEGORIES:
+            c = FIBER_CATEGORY_FIXTURES[name]
+            target = unravel(c, 2)
+            for k, cell in core_cells(c):
+                quillen_fiber(c, 2, 3, cell, k, target, {})
+    return cases
+
+
+def doctored_functors(F, rng):
+    """F with a wrong object image, with a wrong arrow image, with both,
+    and with a stray object or arrow image, each drawn by ``rng``; a
+    target with no other object or arrow gets no wrong image of that
+    kind."""
+    x, m = rng.choice(F.source.objects), rng.choice(F.source.morphism_ids())
+    others = [y for y in F.target.objects if y != F.omap[x]]
+    omap = {**F.omap, x: rng.choice(others)} if others else F.omap
+    others = [f for f in F.target.morphism_ids() if f != F.mmap[m]]
+    mmap = {**F.mmap, m: rng.choice(others)} if others else F.mmap
+    stray = ("stray",)
+    return [F._replace(omap=omap), F._replace(mmap=mmap), F._replace(omap=omap, mmap=mmap),
+            F._replace(omap={**F.omap, x: stray}), F._replace(mmap={**F.mmap, m: stray})]
+
+
+def test_check_functor_matches_the_identifier_keyed_oracle():
+    """The same violations, as a multiset, or the same refusal.  Only the
+    composition witnesses may come in another order: the package's in (f,
+    g) position order, the oracle's in the source table's order."""
+    rng = random.Random(0)
+    cases = []
+    for F in functor_cases():
+        cases += [F, *doctored_functors(F, rng)]
+    found, refusals, reordered = set(), set(), 0
+    for F in cases:
+        expected, got = audit(oracle_check_functor, F), audit(check_functor, F)
+        if isinstance(expected, str):
+            assert got == expected
+            refusals.add(expected.split(" ")[0])
+            continue
+        assert Counter(got) == Counter(expected)
+
+        def others(violations):
+            return [v for v in violations if v.law != "functor-composition"]
+
+        assert others(got) == others(expected)
+        number = F.source.numbering.number
+        pairs = [tuple(map(number.get, v.witness)) for v in got
+                 if v.law == "functor-composition"]
+        assert pairs == sorted(pairs)
+        found.update(v.law for v in expected)
+        reordered += got != expected
+    # the doctored maps reach every law and both refusals, and in some the
+    # table order is not the position order
+    assert found == {"functor-endpoints", "functor-identity", "functor-composition"}
+    assert refusals == {"object", "morphism"}
+    assert reordered
 
 
 def test_check_groupoid_fixtures():

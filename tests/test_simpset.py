@@ -1,4 +1,5 @@
 import copy
+import json
 import random
 from collections import Counter
 from itertools import combinations
@@ -6,9 +7,10 @@ from itertools import combinations
 import pytest
 
 import fatcat.simpset as simpset
+from fatcat.cli import main
 from fatcat.comparison import projection_map
 from fatcat.errors import EnumerationLimitError, StructureError
-from fatcat.fincat import FinCategory, ordinal, unravel
+from fatcat.fincat import FinCategory, category_to_json, ordinal, unravel
 from fatcat.fixtures import pair_groupoid, terminal_category, z2_groupoid
 from fatcat.simpset import (
     BarycentricFlag,
@@ -230,6 +232,22 @@ def test_nerve_refuses_a_composite_leaving_another_object():
     for build in (nerve, oracle_nerve):
         with pytest.raises(StructureError):
             build(bad, 2)
+
+
+def test_nerve_refuses_an_identity_leaving_another_object(capsys, tmp_path):
+    """The identity of 1 is the arrow 0 -> 1.  It is a morphism and the
+    table is total on composable pairs, so the loader takes the category,
+    and only the nerve's check sees that the identity leaves 0."""
+    c = ordinal(1)
+    bad = FinCategory(c.objects, c.morphisms, {**c.identity, 1: (0, 1, "le")}, c.table)
+    message = "an identity does not leave its object"
+    with pytest.raises(StructureError, match=f"^{message}$"):
+        nerve(bad, 1)
+    doc = tmp_path / "identity-leaves.json"
+    doc.write_text(json.dumps(category_to_json(bad)))
+    assert main(["nerve", "--input", str(doc), "--D", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and json.loads(captured.err) == {"error": message}
 
 
 def test_nerve_terminal_is_a_point():
