@@ -87,7 +87,7 @@ def _load(path, loader):
     except StructureError:
         raise
     # bytes that are not UTF-8 or JSON, or nesting past the recursion limit
-    # while parsing or while freezing an identifier
+    # while parsing or while decoding an identifier
     except (OSError, ValueError, RecursionError) as exc:
         raise StructureError(f"cannot read {path}: {exc}")
 

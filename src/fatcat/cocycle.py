@@ -90,6 +90,8 @@ class CoveredComplex:
         if not self.faces:
             raise StructureError("complex must be nonempty")
         for face in self.faces:
+            if not face:
+                raise StructureError("faces must be nonempty")
             if len(set(face)) != len(face):
                 raise StructureError(f"face with repeated vertex: {face}")
             for size in range(1, len(face)):

@@ -12,12 +12,14 @@ preserves endpoints, identities and composites, so the fibers are checked
 on P itself: P is audited as a category and each projection is checked as
 a functor.  The nerve of P is built only when P's dismantling gets stuck.
 
-Stage label convention for the section: a maximal flag A_0 < ... < A_n of
-subsets of {0..n} is sent to the stage tuple (|A_0|, ..., |A_n|) =
-(1, ..., n+1) read verbatim as labels, so the stage bound must satisfy
-N >= D + 1.  The sign of a flag is the parity of the permutation pi with
-A_i = {pi(0), ..., pi(i)}; this is the unique convention under which the
-boundary identity holds already for the interval.
+Flags are the chains of sorted tuples that :func:`fatcat.simpset.sd_flags`
+lists.  Stage label convention for the section: a maximal flag
+A_0 < ... < A_n of subsets of {0..n} is sent to the stage tuple
+(|A_0|, ..., |A_n|) = (1, ..., n+1) read verbatim as labels, so the stage
+bound must satisfy N >= D + 1.  The sign of a flag is the parity of the
+permutation pi with A_i = {pi(0), ..., pi(i)}; this is the unique
+convention under which the boundary identity holds already for the
+interval.
 """
 
 from collections import namedtuple
@@ -76,27 +78,22 @@ def projection_pi(c: FinCategory, N: int, D: int) -> ChainMap:
 # Barycentric subdivision as a chain operator
 
 
-def _flag_id(parts):
-    return tuple(tuple(sorted(p)) for p in parts)
-
-
 def flag_chain_complex(n: int) -> IntegerChainComplex:
     """Chains on the barycentric subdivision of the n-simplex.
 
-    A k-cell is a strict chain of k+1 nonempty subsets of {0..n}; the face
-    d_i deletes the i-th subset.
+    A k-cell is a flag of :func:`sd_flags`, a strict chain of k+1 nonempty
+    subsets of {0..n}; the face d_i deletes the i-th subset.
     """
-    return deletion_complex(
-        [[_flag_id(f.chain) for f in sd_flags(n, k)] for k in range(n + 1)]
-    )
+    return deletion_complex([sd_flags(n, k) for k in range(n + 1)])
 
 
 def subdivision_chain_operator(n: int):
     """Per-degree matrices of the subdivision operator Sd on the n-simplex.
 
     Sd sends a k-face to the signed sum of the (k+1)! maximal flags of that
-    face, the maximal flags of {0..k} relabelled by the face's vertices;
-    the degree-k matrix maps simplex chains, the chains of the stage
+    face, the maximal flags of {0..k} relabelled by the face's vertices.
+    A face is an increasing tuple, so a relabelled part stays sorted.  The
+    degree-k matrix maps simplex chains, the chains of the stage
     complex on n + 1 stages, to flag chains.
     """
     if n < 0:
@@ -107,7 +104,7 @@ def subdivision_chain_operator(n: int):
 
     def terms(cell):
         for flag, sign in top[len(cell) - 1]:
-            yield _flag_id([cell[v] for v in part] for part in flag.chain), sign
+            yield tuple(tuple(cell[v] for v in part) for part in flag), sign
 
     mats = [named_matrix(simp.basis[k], flags.basis[k], terms) for k in range(n + 1)]
     return simp, flags, mats
@@ -156,12 +153,12 @@ def tau_chain_map(proj: SimplicialMap, pi: ChainMap, N: int) -> ChainMap:
     map; the section runs from pi's target, the chains of the nerve x, back
     to pi's source, the chains of the stage product, so it lands on the
     complexes pi already holds.  A degree-n generator maps to the signed
-    sum, over maximal flags of {0..n}, of its pullback along i -> max(A_i)
-    paired with the stage tuple (1, ..., n+1).  Flags with one pullback u
-    add their signs.  The product cell at positions (a, b) sits at a *
-    |s_n| + b (see :func:`product_with_S`), where |s_n| = C(N+1, n+1) and
-    (1, ..., n+1) comes right after the C(N, n) stage tuples that start
-    at 0.
+    sum, over maximal flags of {0..n}, of its pullback along i -> max(A_i),
+    the last entry of the sorted part A_i, paired with the stage tuple
+    (1, ..., n+1).  Flags with one pullback u add their signs.  The
+    product cell at positions (a, b) sits at a * |s_n| + b (see
+    :func:`product_with_S`), where |s_n| = C(N+1, n+1) and (1, ..., n+1)
+    comes right after the C(N, n) stage tuples that start at 0.
     """
     x, prod = proj.target, proj.source
     if N < x.D + 1:
@@ -172,7 +169,7 @@ def tau_chain_map(proj: SimplicialMap, pi: ChainMap, N: int) -> ChainMap:
     def matrix(n):
         signs = {}
         for flag, sign in maximal_flags(n):
-            u = tuple(max(part) for part in flag.chain)
+            u = tuple(part[-1] for part in flag)
             signs[u] = signs.get(u, 0) + sign
         pullbacks = [(apply_operator(x, n, u), sign) for u, sign in signs.items() if sign]
         width, stage = comb(N + 1, n + 1), comb(N, n)

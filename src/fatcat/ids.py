@@ -11,10 +11,11 @@ import json
 from .errors import StructureError
 
 
-def freeze(value):
-    """Normalize JSON-decoded or user-supplied identifiers to hashable form."""
+def decode_id(value):
+    """Normalize JSON-decoded or user-supplied identifiers to hashable form
+    (arrays become tuples); the inverse of :func:`encode_id`."""
     if isinstance(value, (list, tuple)):
-        return tuple(freeze(v) for v in value)
+        return tuple(decode_id(v) for v in value)
     if isinstance(value, bool) or value is None:
         raise StructureError(f"unsupported identifier component: {value!r}")
     if isinstance(value, (int, str)):
@@ -27,11 +28,6 @@ def encode_id(value):
     if isinstance(value, tuple):
         return [encode_id(v) for v in value]
     return value
-
-
-def decode_id(value):
-    """Inverse of :func:`encode_id` (arrays become tuples)."""
-    return freeze(value)
 
 
 def id_key(value) -> str:

@@ -24,10 +24,12 @@ Conventions used throughout:
   shares its value with a neighbour leaves the nerve cell alone; deleting a
   stage alone in its value group applies the face at that group's index.
   The group is read before deletion, which is the unique reading that
-  satisfies the simplicial identities (see the audit).
+  satisfies the simplicial identities (see the audit);
+* a cell of the barycentric subdivision of the n-simplex is a flag, a
+  strictly nested chain of nonempty subsets of {0..n}, written as a tuple
+  of sorted tuples; :func:`sd_flags` is its one enumeration.
 """
 
-from collections import namedtuple
 from itertools import accumulate, combinations, combinations_with_replacement, pairwise
 from math import comb, factorial
 
@@ -532,65 +534,51 @@ def lemma42_bijection(c: FinCategory, N: int, D: int) -> BijectionReport:
     )
 
 
-class BarycentricFlag(namedtuple("BarycentricFlag", "n chain")):
-    """Strictly nested chain of nonempty subsets of {0..n}, a cell of the
-    barycentric subdivision of the n-simplex."""
-
-    __slots__ = ()
-
-    def __new__(cls, n, chain):
-        full = set(range(n + 1))
-        prev = None
-        for part in chain:
-            if not isinstance(part, frozenset) or not part or not part <= full:
-                raise StructureError("flag parts must be nonempty subsets of {0..n}")
-            if prev is not None and not (prev < part):
-                raise StructureError("flag inclusions must be strict")
-            prev = part
-        return super().__new__(cls, n, chain)
-
-
 def sd_flags(n: int, k: int):
-    """All k-cells of the barycentric subdivision of the n-simplex, in the
-    order of their chains of sorted tuples.
+    """All k-cells of the barycentric subdivision of the n-simplex, each a
+    strictly nested chain of k + 1 nonempty subsets of {0..n} written as
+    sorted tuples, in the order of these chains.
 
-    The nonempty subsets are taken in tuple order, and a depth-first walk
-    extends each chain by every strict superset of its last part in that
-    order, so the chains come out already sorted."""
+    The subsets are taken in tuple order, and a depth-first walk extends
+    each chain by every strict superset of its last part in that order, so
+    the chains come out already sorted.  A part must leave room for the
+    parts still to come, one vertex each, so the walk enters no chain it
+    cannot finish."""
     if n < 0 or k < 0:
         raise StructureError("n and k must be >= 0")
-    parts = [frozenset(c) for c in sorted(
-        c for size in range(1, n + 2) for c in combinations(range(n + 1), size))]
+    parts = sorted(c for size in range(1, n + 2) for c in combinations(range(n + 1), size))
+    sets = {part: set(part) for part in parts}
+    above = {(): parts}
+    for part in parts:
+        above[part] = [q for q in parts if sets[part] < sets[q]]
     flags = []
 
-    def walk(chain):
+    def walk(chain, last):
         if len(chain) == k + 1:
-            flags.append(BarycentricFlag(n, chain))
+            flags.append(chain)
             return
-        for part in parts:
-            if not chain or chain[-1] < part:
-                walk(chain + (part,))
+        room = n + 1 - (k - len(chain))
+        for part in above[last]:
+            if len(part) <= room:
+                walk(chain + (part,), part)
 
-    walk(())
+    walk((), ())
     return flags
 
 
 def maximal_flags(n: int):
-    """Top cells of the subdivided n-simplex with their orientation signs.
+    """Top cells of the subdivided n-simplex with their orientation signs,
+    in the order of :func:`sd_flags`.
 
-    A maximal flag corresponds to a permutation pi with A_i = {pi(0..i)};
-    the sign is the permutation's parity.  The (n+1)! flags are budgeted
+    A maximal flag A_0 < ... < A_n adds one vertex pi(i) at step i; its sign
+    is the parity of the permutation pi.  The (n+1)! flags are budgeted
     before any of them is built.
     """
-    from itertools import permutations
-
     check_budget(factorial(n + 1), "maximal flag set")
     out = []
-    for pi in permutations(range(n + 1)):
-        chain = tuple(frozenset(pi[: i + 1]) for i in range(n + 1))
-        inversions = sum(
-            1 for a in range(n + 1) for b in range(a + 1, n + 1) if pi[a] > pi[b]
-        )
-        out.append((BarycentricFlag(n, chain), -1 if inversions % 2 else 1))
+    for chain in sd_flags(n, n):
+        added = [b - a for a, b in pairwise([0] + [sum(part) for part in chain])]
+        inversions = sum(a > b for a, b in combinations(added, 2))
+        out.append((chain, -1 if inversions % 2 else 1))
     return out
 

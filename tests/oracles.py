@@ -17,7 +17,9 @@
 * The rule-built chain layer: boundaries, chain maps, the stage product,
   the projection and the flag section built cell by cell and hashed back
   into rows, which the package's position-table builders must reproduce
-  matrix for matrix.
+  matrix for matrix.  The flags come from their own enumerations: nested
+  combinations filtered and sorted (``oracle_sd_flags``), and maximal
+  flags from permutations (``oracle_maximal_flags``).
 * The classifying complex: the stagewise unraveling built from a face rule
   per cell, and the universal cocycle checked cell by cell over it, which
   the package's table-composing ``unravel_simplicial`` and its once per
@@ -52,7 +54,7 @@
 from collections import namedtuple
 from fractions import Fraction
 from functools import partial
-from itertools import combinations, combinations_with_replacement, groupby
+from itertools import combinations, combinations_with_replacement, groupby, permutations
 from math import comb
 from operator import itemgetter
 
@@ -68,7 +70,6 @@ from fatcat.homology import ChainMap, IntegerChainComplex, fat_chains, geometric
 from fatcat.ids import sort_key
 from fatcat.intlinalg import IntMatrix, smith
 from fatcat.simpset import (
-    BarycentricFlag,
     SemiSimplicialSet,
     SimplicialMap,
     TruncatedSimplicialSet,
@@ -78,7 +79,6 @@ from fatcat.simpset import (
     chain_count,
     chain_objects,
     delete_entry,
-    maximal_flags,
     nerve,
     s_semisimplicial,
     unravel_simplicial,
@@ -449,7 +449,7 @@ def oracle_apply_operator(x, k_from, cell, u):
 def oracle_tau_chain_map(x, N, D):
     """The flag section, one flag and one cell at a time."""
     pullbacks = [
-        [(tuple(max(part) for part in flag.chain), sign) for flag, sign in maximal_flags(n)]
+        [(tuple(max(part) for part in flag), sign) for flag, sign in oracle_maximal_flags(n)]
         for n in range(D + 1)
     ]
 
@@ -1217,9 +1217,24 @@ def oracle_sd_flags(n, k):
         frozenset(c) for size in range(1, n + 2) for c in combinations(range(n + 1), size)
     ]
     flags = [
-        BarycentricFlag(n, chain)
+        tuple(tuple(sorted(p)) for p in chain)
         for chain in combinations(subsets, k + 1)
         if all(a < b for a, b in zip(chain, chain[1:]))
     ]
-    flags.sort(key=lambda fl: sort_key(tuple(tuple(sorted(p)) for p in fl.chain)))
+    flags.sort(key=sort_key)
     return flags
+
+
+def oracle_maximal_flags(n):
+    """The maximal flags of the n-simplex from the permutations of {0..n}:
+    pi gives A_i = {pi(0), ..., pi(i)}, signed by the parity of its
+    inversions.  The reference for ``maximal_flags``, as (chain of sorted
+    tuples, sign) pairs in the permutations' order."""
+    out = []
+    for pi in permutations(range(n + 1)):
+        chain = tuple(tuple(sorted(pi[: i + 1])) for i in range(n + 1))
+        inversions = sum(
+            1 for a in range(n + 1) for b in range(a + 1, n + 1) if pi[a] > pi[b]
+        )
+        out.append((chain, -1 if inversions % 2 else 1))
+    return out

@@ -364,6 +364,7 @@ def expect_bad_input(capsys, argv):
     assert len(captured.err.splitlines()) == 1
     assert "error" in json.loads(captured.err)
     assert "Traceback" not in captured.err
+    return json.loads(captured.err)["error"]
 
 
 @pytest.mark.parametrize(
@@ -456,6 +457,86 @@ def test_vertices_that_miss_the_faces_exit_2(capsys, tmp_path, argv, document, d
     expect_bad_input(capsys, argv + ["--input", str(bad)])
 
 
+def _category():
+    return category_to_json(standard_categories()["ordinal-1"])
+
+
+def _groupoid():
+    return groupoid_to_json(z2_groupoid())
+
+
+def _complex():
+    return covered_complex_to_json(circle_star_cover())
+
+
+def _cocycle():
+    return cocycle_to_json(mobius_cocycle())
+
+
+def _repeat_first(field):
+    return lambda doc: doc[field].append(doc[field][0])
+
+
+def _unknown_inverse(doc):
+    doc["inverse"]['"zz"'] = "zz"
+
+
+def _empty_face(doc):
+    # in a cover set too, so that no other check refuses it
+    doc["faces"].append([])
+    doc["cover"][0].append([])
+
+
+def _unclosed_cover(doc):
+    doc["cover"][0].remove([1])
+
+
+def _stray_object(doc):
+    doc["objects"][0]["object"] = "zz"
+
+
+def _stray_transition(doc):
+    doc["transitions"][0]["morphism"] = "zz"
+
+
+NERVE = ["nerve", "--D", "1"]
+UNIVERSAL = ["verify", "universal-cocycle", "--N", "3", "--D", "2"]
+BLOWUP = ["verify", "blowup", "--d", "1"]
+COCYCLE = ["verify", "cocycle"]
+
+
+@pytest.mark.parametrize(
+    "argv, document, doctor, message",
+    [
+        (NERVE, _category, _repeat_first("objects"), "duplicate object identifiers"),
+        (NERVE, _category, _repeat_first("morphisms"), "duplicate morphism identifiers"),
+        (UNIVERSAL, _groupoid, lambda doc: doc.pop("inverse"),
+         "groupoid document lacks an inverse table"),
+        (UNIVERSAL, _groupoid, _unknown_inverse,
+         "inverse table names unknown morphism: '\"zz\"'"),
+        (BLOWUP, _complex, _empty_face, "faces must be nonempty"),
+        (BLOWUP, _complex, lambda doc: doc["faces"].append([0, 0]),
+         "face with repeated vertex: (0, 0)"),
+        (BLOWUP, _complex, lambda doc: doc.update(cover=[]), "cover must be nonempty"),
+        (BLOWUP, _complex, _unclosed_cover, "cover set 0 is not downward closed"),
+        (COCYCLE, _cocycle, _stray_object, "object at (0, (0, 1)) is not in the groupoid"),
+        (COCYCLE, _cocycle, _stray_transition, "transition at (0, 1, (1,)) is not a morphism"),
+    ],
+    ids=[
+        "duplicate-object", "duplicate-morphism", "no-inverse", "unknown-inverse",
+        "empty-face", "repeated-vertex", "empty-cover", "unclosed-cover", "stray-object", "stray-transition",
+    ],
+)
+def test_loader_refusals_exit_2_with_their_message(
+    capsys, tmp_path, argv, document, doctor, message
+):
+    doc = document()
+    doctor(doc)
+    bad = tmp_path / "refused.json"
+    bad.write_text(json.dumps(doc))
+    assert expect_bad_input(capsys, argv + ["--input", str(bad)]) == message
+
+
 def _drop_identities(doc):
     doc["identity"] = {}
 
@@ -490,7 +571,7 @@ def _deep_json(path):
 
 
 def _deep_object_id(path):
-    # json parses 700 levels, but freezing the identifier recurses past the limit
+    # json parses 700 levels, but decoding the identifier recurses past the limit
     nested = "[" * 700 + "0" + "]" * 700
     path.write_text(f'{{"objects": [{nested}], "morphisms": [], "identity": {{}}, "compose": []}}')
 

@@ -112,6 +112,14 @@ def test_incompatible_flips_are_reported():
     assert all(v.law == "cocycle-law" for v in report)
 
 
+def test_a_diagonal_flip_is_reported():
+    u = mobius_cocycle()
+    comp = u.base.components_of_set(0)[0]
+    flip = {**u.transitions, (0, 0, comp): ("*", "*", "s")}
+    report = check_cocycle(GCocycle(u.base, u.groupoid, u.objects, flip))
+    assert [(v.law, v.witness) for v in report] == [("diagonal-identity", (0, comp))]
+
+
 def test_endpoint_mismatch_is_structural():
     pg = pair_groupoid()
     u = trivial_cocycle(edge_star_cover(), pg, "a")
@@ -535,6 +543,17 @@ def test_bundled_cocycles_pull_back_to_restrictions(name):
     assert check_cocycle(u) == []
     classifying_chain_map(u, 3, 2)
     assert pullback_is_restriction(u, 3, 2) == []
+
+
+def test_incompatible_flips_do_not_pull_back_to_restrictions():
+    """On the triple overlap, the classifying cell's 0 -> 2 transition
+    composes u's flip from 0 to 1 with its identity from 1 to 2, a flip,
+    where u has the identity."""
+    report = pullback_is_restriction(broken_circle_cocycle(), 3, 2)
+    assert {v.law for v in report} == {"pullback-restriction"}
+    assert [v.witness for v in report] == [
+        ((0, 1, 2), (v,), a, b) for v in range(3) for a, b in ((0, 2), (2, 0))
+    ]
 
 
 def bundled_and_generated_covers():

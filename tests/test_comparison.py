@@ -110,6 +110,22 @@ def test_subdivision_boundary_identity(n):
     assert subdivision_commutes(n) == []
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_subdivision_boundary_fails_on_a_flipped_sign(monkeypatch, n):
+    """One maximal flag of the n-simplex with the wrong sign breaks the
+    boundary identity in degree n only."""
+    original = comparison.maximal_flags
+
+    def flipped(k):
+        flags = original(k)
+        if k == n:
+            flags[0] = (flags[0][0], -flags[0][1])
+        return flags
+
+    monkeypatch.setattr(comparison, "maximal_flags", flipped)
+    assert subdivision_commutes(n) == [Violation("subdivision-boundary", (n, n))]
+
+
 def test_apply_operator_collapse():
     ner = nerve(z2_groupoid().base, 2)
     sigma = ("*", "*", "s")

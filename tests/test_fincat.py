@@ -9,11 +9,15 @@ from fatcat.comparison import quillen_fiber
 from fatcat.errors import EnumerationLimitError, StructureError, Violation
 from fatcat.fincat import (
     FinCategory,
+    FinGroupoid,
+    Functor,
+    NatTransformation,
     category_from_json,
     category_to_json,
     check_category,
     check_functor,
     check_groupoid,
+    check_natural,
     compose_functors,
     forgetful,
     groupoid_from_json,
@@ -316,6 +320,13 @@ def test_check_groupoid_bad_inverse_names_flip():
     assert any(v.law == "right-inverse" and v.witness[0] == flip for v in report)
 
 
+def test_an_inverse_with_wrong_endpoints_is_reported():
+    g = pair_groupoid()
+    f, wrong = ("a", "b", "p"), ("a", "a", "p")
+    report = check_groupoid(FinGroupoid(g.base, {**g.inverse, f: wrong}))
+    assert [(v.law, v.witness) for v in report] == [("inverse-endpoints", (f, wrong))]
+
+
 def test_check_groupoid_partial_inverse_is_structural():
     g = z2_groupoid()
     with pytest.raises(StructureError):
@@ -414,6 +425,59 @@ def test_forgetful_rejects_plain_categories():
 def test_ordinal_unravel_equivalences(n, N):
     bundle = ordinal_unravel_equivalences(n, N)
     assert bundle.report == []
+
+
+def test_equivalences_report_doctored_functors(monkeypatch):
+    """An identity functor that moves one object and a forgetful functor
+    that sends one arrow to an identity break every comparison the bundle
+    makes."""
+    identity, forget = fincat.identity_functor, fincat.forgetful
+
+    def moving_identity(c):
+        F = identity(c)
+        return F._replace(omap={**F.omap, c.objects[0]: c.objects[-1]})
+
+    def collapsing_forgetful(cN):
+        F = forget(cN)
+        m = next(m for m in cN.morphism_ids() if not F.target.is_identity(F.mmap[m]))
+        return F._replace(mmap={**F.mmap, m: F.target.identity[F.target.objects[0]]})
+
+    monkeypatch.setattr(fincat, "identity_functor", moving_identity)
+    monkeypatch.setattr(fincat, "forgetful", collapsing_forgetful)
+    report = ordinal_unravel_equivalences(1, 2).report
+    assert Counter(v.law for v in report) == {
+        "pi0-functor-endpoints": 1,
+        "pi0-functor-composition": 2,
+        "pi1-iota1-identity": 1,
+        "pi2-iota2-identity": 1,
+        "phi1-component-endpoints": 1,
+        "phi2-component-endpoints": 1,
+        "pi0-factorization": 1,
+    }
+
+
+def test_check_natural_reports_wrong_component_endpoints():
+    """A component 0 -> 1 at object 0 of the identity transformation on
+    ordinal(1) has the wrong target, and no square through it commutes."""
+    c = ordinal(1)
+    F = identity_functor(c)
+    up = (0, 1, "le")
+    report = check_natural(NatTransformation(F, F, {0: up, 1: c.identity[1]}))
+    assert [(v.law, v.witness) for v in report] == [
+        ("component-endpoints", (0, up)),
+        ("naturality", ((0, 0, "le"),)),
+        ("naturality", (up,)),
+    ]
+
+
+def test_check_natural_reports_a_square_that_does_not_commute():
+    """From the identity of BZ/2 to the trivial functor, the identity
+    component would need s = e."""
+    c = z2_groupoid().base
+    e, s = c.identity["*"], ("*", "*", "s")
+    trivial = Functor(c, c, {"*": "*"}, {m: e for m in c.morphism_ids()})
+    report = check_natural(NatTransformation(identity_functor(c), trivial, {"*": e}))
+    assert [(v.law, v.witness) for v in report] == [("naturality", (s,))]
 
 
 def test_equivalences_phi1_identity_on_ordered_objects():

@@ -93,6 +93,17 @@ def test_kernel_basis_is_a_kernel():
     assert is_zero(a.mul(ker))
 
 
+def test_chain_complex_refuses_a_wrong_shape():
+    with pytest.raises(StructureError, match="^boundary 1 has wrong shape$"):
+        IntegerChainComplex(1, [("v",), ("e",)], [None, IntMatrix([[1, 0]], 2)])
+
+
+def test_chain_complex_refuses_dd_nonzero():
+    one = IntMatrix([[1]], 1)
+    with pytest.raises(StructureError, match="^dd != 0 between degrees 2 and 0$"):
+        IntegerChainComplex(2, [("v",), ("e",), ("f",)], [None, one, one])
+
+
 def test_fat_chains_stage_complex():
     cx = fat_chains(s_semisimplicial(2, 2))
     assert [cx.rank(k) for k in range(3)] == [3, 3, 1]

@@ -13,7 +13,6 @@ from fatcat.fincat import NatTransformation, identity_functor, ordinal
 from fatcat.fixtures import z2_groupoid
 from fatcat.homology import HomologyGroup
 from fatcat.intlinalg import IntMatrix, smith
-from fatcat.simpset import BarycentricFlag, sd_flags
 
 from cocycle_calculus import PartitionPoint
 
@@ -38,10 +37,6 @@ def test_value_records_compare_by_fields():
     assert HomologyGroup(1, 0, (2,), True) != HomologyGroup(1, 0, (2,), False)
     assert z2_groupoid() == z2_groupoid()
     assert identity_functor(ordinal(2)) == identity_functor(ordinal(2))
-    flag = BarycentricFlag(1, (frozenset({0}), frozenset({0, 1})))
-    same = BarycentricFlag(1, (frozenset({0}), frozenset({0, 1})))
-    assert flag == same and hash(flag) == hash(same)
-    assert len(set(sd_flags(2, 1) + sd_flags(2, 1))) == len(sd_flags(2, 1))
     point = PartitionPoint((HALF, HALF))
     assert point == PartitionPoint((HALF, HALF)) and hash(point) == hash(PartitionPoint((HALF, HALF)))
     assert BarycentricPoint.barycenter(1) == BarycentricPoint(1, (HALF, HALF))
@@ -60,21 +55,6 @@ def test_homology_group_accepts_a_divisor_chain():
     group = HomologyGroup(degree=3, betti=1, torsion=(2, 4, 12), reliable=True)
     assert (group.betti, group.torsion) == (1, (2, 4, 12))
     assert group.to_json() == {"degree": 3, "betti": 1, "torsion": [2, 4, 12], "reliable": True}
-
-
-@pytest.mark.parametrize(
-    "chain, message",
-    [
-        ((frozenset({0}), frozenset({0})), "strict"),
-        ((frozenset({0, 1}), frozenset({0})), "strict"),
-        ((frozenset(),), "nonempty subsets"),
-        ((frozenset({0, 3}),), "nonempty subsets"),
-        (({0},), "nonempty subsets"),
-    ],
-)
-def test_barycentric_flag_refuses_non_strict_chains(chain, message):
-    with pytest.raises(StructureError, match=message):
-        BarycentricFlag(2, chain)
 
 
 @pytest.mark.parametrize(
@@ -118,7 +98,6 @@ def frozen_records():
         (g, "inverse"),
         (functor, "omap"),
         (NatTransformation(functor, functor, dict(g.base.identity)), "component"),
-        (BarycentricFlag(1, (frozenset({0}),)), "n"),
         (HomologyGroup(0, 1, (), True), "betti"),
         (BarycentricPoint.barycenter(1), "coords"),
         (RhoWitness(1, "literal", "kind", 0, (), (), ()), "detail"),

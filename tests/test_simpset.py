@@ -9,11 +9,10 @@ import pytest
 import fatcat.simpset as simpset
 from fatcat.cli import main
 from fatcat.comparison import projection_map
-from fatcat.errors import EnumerationLimitError, StructureError
+from fatcat.errors import EnumerationLimitError, StructureError, Violation
 from fatcat.fincat import FinCategory, category_to_json, ordinal, unravel
 from fatcat.fixtures import pair_groupoid, terminal_category, z2_groupoid
 from fatcat.simpset import (
-    BarycentricFlag,
     SemiSimplicialSet,
     SimplicialMap,
     TruncatedSimplicialSet,
@@ -34,6 +33,7 @@ from oracles import (
     is_degenerate,
     nerve_map,
     oracle_map_audit,
+    oracle_maximal_flags,
     oracle_nerve,
     oracle_sd_flags,
     oracle_simplicial_audit,
@@ -403,26 +403,60 @@ def test_sd_flags_counts():
     maximal = [
         f
         for f in sd_flags(2, 2)
-        if all(len(f.chain[i]) == i + 1 for i in range(3))
-        and f.chain[-1] == frozenset({0, 1, 2})
+        if all(len(f[i]) == i + 1 for i in range(3)) and f[-1] == (0, 1, 2)
     ]
     assert len(maximal) == 6
     assert len(sd_flags(2, 1)) == brute_force_flag_count(2, 1)
 
 
-def test_flag_validation():
-    with pytest.raises(StructureError):
-        BarycentricFlag(1, (frozenset({0, 1}), frozenset({0})))
-    with pytest.raises(StructureError):
-        BarycentricFlag(1, (frozenset(), frozenset({0})))
+@pytest.mark.parametrize("n", range(5))
+def test_sd_flags_are_strictly_nested_chains_of_sorted_subsets(n):
+    vertices = set(range(n + 1))
+    for k in range(n + 1):
+        for flag in sd_flags(n, k):
+            assert type(flag) is tuple and len(flag) == k + 1
+            for part in flag:
+                assert type(part) is tuple and part
+                assert list(part) == sorted(set(part)) and set(part) <= vertices
+            assert all(set(a) < set(b) for a, b in zip(flag, flag[1:])), flag
 
 
 def test_maximal_flags_signs():
-    flags = dict()
-    for f, sign in maximal_flags(1):
-        flags[tuple(sorted(tuple(sorted(p)) for p in f.chain))] = sign
+    flags = dict(maximal_flags(1))
     assert flags[((0,), (0, 1))] == 1
-    assert flags[((0, 1), (1,))] == -1
+    assert flags[((1,), (0, 1))] == -1
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_maximal_flags_match_the_permutation_enumeration(n):
+    assert maximal_flags(n) == oracle_maximal_flags(n)
+    assert [flag for flag, _ in maximal_flags(n)] == sd_flags(n, n)
+
+
+@pytest.mark.parametrize("case", ["collision", "degenerate"])
+def test_lemma42_reports_a_doctored_interleaving(monkeypatch, case):
+    """One 1-cell of the product sent onto another's image, or onto a
+    degenerate cell, is not injective or not onto the nondegenerate cells,
+    and it misses the image it replaced."""
+    c, N, D = ordinal(1), 2, 2
+    prod = product_with_S(nerve(c, D), s_semisimplicial(N, D))
+    original = simpset.interleave_cell
+    images = [original(c, 1, *cell) for cell in prod.cells[1]]
+    cN = unravel(c, N)
+    degenerate = (cN.identity[cN.objects[0]],)
+    lost, found = (images[1], images[0]) if case == "collision" else (images[0], degenerate)
+
+    def doctored(c, k, *cell):
+        image = original(c, k, *cell)
+        return found if k == 1 and image == lost else image
+
+    monkeypatch.setattr(simpset, "interleave_cell", doctored)
+    report = lemma42_bijection(c, N, D)
+    first = (Violation("bijection-injective", (1,)) if case == "collision"
+             else Violation("bijection-image", (1, degenerate)))
+    assert report.violations[:2] == [first, Violation("bijection-surjective", (1, lost))]
+    assert {v.law for v in report.violations[2:]} == {"bijection-face"}
+    assert not report.ok
 
 
 def test_audit_rejects_wrong_face_table():
