@@ -127,17 +127,24 @@ def suite_lemma42(cat, N, D):
     )
 
 
+def _check_stages(N, D, d):
+    """Refuse a check through degree d unless d is in range for D and there
+    are N >= d + 1 stages: below that the stage cutoff removes the cells
+    above degree N, and the homology it leaves through degree d (of the
+    stage product, or of a comma fiber) is an artifact of the cutoff."""
+    check_degree_range(d, D)
+    if N < d + 1:
+        raise StructureError(f"too few stages: need N >= d + 1, got N = {N}, d = {d}")
+
+
 def suite_tom_dieck(cat, N, D, d):
+    _check_stages(N, D, d)
     return _quasi_iso_result(quasi_iso_through(projection_pi(cat, N, D), d))
 
 
 def suite_quillen_a(cat, N, D, d=None):
     d = D - 1 if d is None else d
-    check_degree_range(d, D)
-    # below N = d + 1 the stage cutoff cuts comma fibers short, and they
-    # show homology up to degree d that is an artifact of the cutoff
-    if N < d + 1:
-        raise StructureError(f"too few stages: need N >= d + 1, got N = {N}, d = {d}")
+    _check_stages(N, D, d)
     checked, violations = all_fibers_contractible(cat, N, D, d)
     return _result(not violations, violations, fibers_checked=checked)
 

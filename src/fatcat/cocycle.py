@@ -12,8 +12,10 @@ forward, identity on the diagonal, invert backward), and the blowup of a
 covered complex maps into it by the cellwise classifying rule.
 """
 
+from collections import namedtuple
 from functools import partial
 from itertools import combinations
+from operator import itemgetter
 
 from .errors import StructureError, Violation, check_budget
 from .fincat import FinGroupoid, groupoid_from_json, groupoid_to_json
@@ -28,7 +30,7 @@ from .homology import (
     named_matrix,
     quasi_iso_through,
 )
-from .ids import decode_id, encode_id, sort_key
+from .ids import decode_id, encode_id, sort_ids
 from .simpset import (
     SemiSimplicialSet,
     chain_composites,
@@ -58,7 +60,7 @@ def closure(faces):
 
 def _components(faces):
     """Connected components of a face set, keyed by sorted vertex tuples."""
-    faces = sorted(faces, key=sort_key)
+    faces = sort_ids(faces)
     parent = {}
 
     def find(v):
@@ -77,9 +79,7 @@ def _components(faces):
     groups = {}
     for v in parent:
         groups.setdefault(find(v), set()).add(v)
-    comps = [tuple(sorted(g)) for g in groups.values()]
-    comps.sort(key=sort_key)
-    return tuple(comps)
+    return tuple(sort_ids(tuple(sorted(g)) for g in groups.values()))
 
 
 class CoveredComplex:
@@ -156,7 +156,9 @@ class GCocycle:
     ``objects[(alpha, comp)]`` assigns an object to each component of each
     cover set; ``transitions[(alpha, beta, comp)]`` is the morphism from
     the alpha-side object to the beta-side object over each component of
-    the pairwise overlap, for alpha != beta.
+    the pairwise overlap, for alpha != beta.  A diagonal entry, alpha ==
+    beta over a component of U_alpha, may be given too; it must be the
+    identity of the object there.
     """
 
     def __init__(self, base: CoveredComplex, groupoid: FinGroupoid, objects, transitions):
@@ -191,21 +193,20 @@ def check_cocycle(u: GCocycle):
     for key, obj in u.objects.items():
         if obj not in set(cat.objects):
             raise StructureError(f"object at {key} is not in the groupoid")
-    expected_transitions = {
+    # a diagonal entry may be left out, but one that is given is checked
+    # like the others
+    allowed = {
         (alpha, beta, comp)
         for alpha in range(n)
         for beta in range(n)
-        if alpha != beta
         for comp in base.components_of_overlap((alpha, beta))
     }
-    given = {k for k in u.transitions if k[0] != k[1]}
-    if given != expected_transitions:
+    required = {k for k in allowed if k[0] != k[1]}
+    if not required <= set(u.transitions) <= allowed:
         raise StructureError("transitions do not match the overlap components")
     for (alpha, beta, comp), m in u.transitions.items():
         if m not in cat.src:
             raise StructureError(f"transition at {(alpha, beta, comp)} is not a morphism")
-        if alpha == beta:
-            continue
         src_obj = u.objects[(alpha, base.component_containing((alpha,), comp))]
         tgt_obj = u.objects[(beta, base.component_containing((beta,), comp))]
         if cat.src[m] != src_obj or cat.tgt[m] != tgt_obj:
@@ -214,7 +215,7 @@ def check_cocycle(u: GCocycle):
             )
 
     violations = []
-    for (alpha, beta, comp), m in sorted(u.transitions.items(), key=lambda kv: sort_key(kv[0])):
+    for (alpha, beta, comp), m in sort_ids(u.transitions.items(), key=itemgetter(0)):
         if alpha == beta and not cat.is_identity(m):
             violations.append(Violation("diagonal-identity", (alpha, comp)))
     for alpha in range(n):
@@ -235,7 +236,7 @@ def check_cocycle(u: GCocycle):
     return violations
 
 
-class CocycleIsomorphism:
+class CocycleIsomorphism(namedtuple("CocycleIsomorphism", "source target phi")):
     """Componentwise comparison data between two cocycles on one complex.
 
     ``phi[(alpha, gamma, comp)]`` is the morphism from the source object of
@@ -243,12 +244,7 @@ class CocycleIsomorphism:
     the overlap of the two cover sets.
     """
 
-    __slots__ = ("source", "target", "phi")
-
-    def __init__(self, source, target, phi):
-        self.source = source
-        self.target = target
-        self.phi = phi
+    __slots__ = ()
 
 
 def _cross_overlap(base_u, base_v, alpha, gamma):
@@ -268,7 +264,7 @@ def union_cocycle(iso: CocycleIsomorphism) -> GCocycle:
         raise StructureError("isomorphism needs a common groupoid")
     g = u.groupoid
     nu = len(u.base.cover)
-    joint = CoveredComplex(sorted(u.base.faces, key=sort_key), list(u.base.cover) + list(v.base.cover))
+    joint = CoveredComplex(sort_ids(u.base.faces), list(u.base.cover) + list(v.base.cover))
     objects = {}
     for (alpha, comp), obj in u.objects.items():
         objects[(alpha, comp)] = obj
@@ -304,16 +300,12 @@ def check_isomorphism(iso: CocycleIsomorphism):
 # The classifying complex, its canonical transitions and the blowup
 
 
-class ClassifyingComplex:
+class ClassifyingComplex(namedtuple("ClassifyingComplex", "nerve space")):
     """Stagewise unraveled nerve of a groupoid: ``space`` unravels
     ``nerve``, the groupoid's nerve, whose cells :func:`universal_cocycle`
     checks once each before spreading the verdicts over ``space``."""
 
-    __slots__ = ("nerve", "space")
-
-    def __init__(self, nerve, space):
-        self.nerve = nerve
-        self.space = space
+    __slots__ = ()
 
 
 def bg_complex(g: FinGroupoid, N: int, D: int) -> ClassifyingComplex:
@@ -512,7 +504,7 @@ def base_chain_complex(cc: CoveredComplex, D: int) -> IntegerChainComplex:
     """Ordered simplicial chains of the underlying complex, truncated or
     padded to D, which is budgeted before the padding is built."""
     dim = cc.dimension()
-    faces = [sorted((f for f in cc.faces if len(f) == k + 1), key=sort_key)
+    faces = [sort_ids(f for f in cc.faces if len(f) == k + 1)
              for k in range(min(D, dim) + 1)]
     check_size(SemiSimplicialSet, D, list(map(len, faces)))
     return deletion_complex(faces + [[]] * (D - dim))
@@ -555,8 +547,7 @@ def blowup(base: CoveredComplex, D: int) -> ChainMap:
                 k = p + len(face) - 1
                 if k <= D:
                     basis[k].append((idx, face))
-    for level in basis:
-        level.sort(key=sort_key)
+    basis = [sort_ids(level) for level in basis]
     check_budget(sum(len(b) for b in basis), "blowup total complex")
     boundary = {
         k: named_matrix(basis[k], basis[k - 1], partial(_blowup_boundary, k))
@@ -666,7 +657,7 @@ def cocycle_to_json(u: GCocycle) -> dict:
     doc["groupoid"] = groupoid_to_json(u.groupoid)
     doc["objects"] = [
         {"a": alpha, "component": list(comp), "object": encode_id(obj)}
-        for (alpha, comp), obj in sorted(u.objects.items(), key=lambda kv: sort_key(kv[0]))
+        for (alpha, comp), obj in sort_ids(u.objects.items(), key=itemgetter(0))
     ]
     doc["transitions"] = [
         {
@@ -675,9 +666,7 @@ def cocycle_to_json(u: GCocycle) -> dict:
             "component": list(comp),
             "morphism": encode_id(m),
         }
-        for (alpha, beta, comp), m in sorted(
-            u.transitions.items(), key=lambda kv: sort_key(kv[0])
-        )
+        for (alpha, beta, comp), m in sort_ids(u.transitions.items(), key=itemgetter(0))
     ]
     return doc
 

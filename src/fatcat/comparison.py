@@ -333,19 +333,13 @@ def rho_witnesses(n: int, convention: str):
 # Comma fibers over nerve simplices
 
 
-class CommaFiber:
+class CommaFiber(namedtuple("CommaFiber", "degree steps pullback D")):
     """Pullback of a nondegenerate simplex y: [m] -> C against the stage
     forgetting functor, P = [m] x_C unravel(C, N), whose nerve truncated at
     D is the comma fiber.  ``steps[v]`` lists, ascending, the targets of
     P's arrows leaving v, so it holds the objects w >= v of the poset P."""
 
-    __slots__ = ("degree", "steps", "pullback", "D")
-
-    def __init__(self, degree, steps, pullback, D):
-        self.degree = degree
-        self.steps = steps
-        self.pullback = pullback
-        self.D = D
+    __slots__ = ()
 
 
 def _nondegenerate_factorization(c: FinCategory, k: int, cell):

@@ -15,7 +15,7 @@ from math import comb
 from operator import itemgetter
 
 from .errors import StructureError, Violation, check_budget
-from .ids import decode_id, encode_id, id_key, sort_ids, sort_key
+from .ids import decode_id, encode_id, id_key, sort_ids
 
 
 Numbering = namedtuple("Numbering", "mids place number src tgt unit leaving after")
@@ -478,12 +478,12 @@ def category_to_json(c: FinCategory) -> dict:
             {"id": encode_id(m), "src": encode_id(s), "tgt": encode_id(t)}
             for m, s, t in c.morphisms
         ],
-        "identity": {id_key(x): encode_id(m) for x, m in sorted(
-            c.identity.items(), key=lambda kv: sort_key(kv[0])
-        )},
+        "identity": {
+            id_key(x): encode_id(m) for x, m in sort_ids(c.identity.items(), key=itemgetter(0))
+        },
         "compose": [
             [encode_id(f), encode_id(g), encode_id(h)]
-            for (f, g), h in sorted(c.table.items(), key=lambda kv: sort_key(kv[0]))
+            for (f, g), h in sort_ids(c.table.items(), key=itemgetter(0))
         ],
     }
     return doc
@@ -517,7 +517,7 @@ def groupoid_to_json(g: FinGroupoid) -> dict:
     doc = category_to_json(g.base)
     doc["inverse"] = {
         id_key(m): encode_id(i)
-        for m, i in sorted(g.inverse.items(), key=lambda kv: sort_key(kv[0]))
+        for m, i in sort_ids(g.inverse.items(), key=itemgetter(0))
     }
     return doc
 

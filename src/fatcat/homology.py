@@ -231,22 +231,11 @@ def induced_map(f) -> ChainMap:
     return ChainMap(fat_chains(f.source), fat_chains(f.target), matrices)
 
 
-class DegreeComparison:
-    __slots__ = ("degree", "source", "target", "isomorphism")
-
-    def __init__(self, degree, source, target, isomorphism):
-        self.degree = degree
-        self.source = source
-        self.target = target
-        self.isomorphism = isomorphism
+DegreeComparison = namedtuple("DegreeComparison", "degree source target isomorphism")
 
 
-class QuasiIsoReport:
-    __slots__ = ("degrees", "violations")
-
-    def __init__(self, degrees, violations):
-        self.degrees = degrees
-        self.violations = violations
+class QuasiIsoReport(namedtuple("QuasiIsoReport", "degrees violations")):
+    __slots__ = ()
 
     @property
     def ok(self):

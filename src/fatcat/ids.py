@@ -2,8 +2,9 @@
 
 Objects, morphisms and cells are identified by nested tuples of ints and
 strings.  JSON stores tuples as arrays; dictionary keys use a compact JSON
-encoding.  ``sort_key`` gives one total order over mixed identifiers so
-every enumeration in the package is deterministic.
+encoding.  ``sort_ids`` orders every identifier list in the package, in
+the one total order over mixed identifiers that ``sort_key`` defines, so
+every enumeration is deterministic.
 """
 
 import json

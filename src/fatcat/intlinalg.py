@@ -23,6 +23,8 @@ side keeps the list of its operations on that side, and U, Uinv, V and
 Vinv are applied to a vector by replaying the list.
 """
 
+from collections import namedtuple
+
 from .errors import StructureError
 
 
@@ -102,7 +104,8 @@ class IntMatrix:
         return f"IntMatrix({self.nrows}x{self.ncols})"
 
 
-class SmithForm:
+class SmithForm(namedtuple(
+        "SmithForm", "factors nrows ncols row_ops col_ops row_order col_order")):
     """U * A * V = diag(factors), with U, V unimodular.
 
     ``factors`` are the positive invariant factors, each dividing the next;
@@ -116,18 +119,11 @@ class SmithForm:
     ``col_order[r]``: pivots first, then the rest by index.
     """
 
-    __slots__ = ("factors", "rank", "nrows", "ncols", "row_ops", "col_ops",
-                 "row_order", "col_order")
+    __slots__ = ()
 
-    def __init__(self, factors, nrows, ncols, row_ops, col_ops, row_order, col_order):
-        self.factors = factors
-        self.rank = len(factors)
-        self.nrows = nrows
-        self.ncols = ncols
-        self.row_ops = row_ops
-        self.col_ops = col_ops
-        self.row_order = row_order
-        self.col_order = col_order
+    @property
+    def rank(self):
+        return len(self.factors)
 
     def U(self, vec):
         """U * vec: the row operations in order, then the row order."""

@@ -30,12 +30,13 @@ Conventions used throughout:
   of sorted tuples; :func:`sd_flags` is its one enumeration.
 """
 
+from collections import namedtuple
 from itertools import accumulate, combinations, combinations_with_replacement, pairwise
 from math import comb, factorial
 
 from .errors import StructureError, Violation, check_budget, check_units
 from .fincat import FinCategory, mid, unravel
-from .ids import sort_key
+from .ids import sort_ids
 
 
 class SemiSimplicialSet:
@@ -485,13 +486,9 @@ def interleave_cell(c: FinCategory, k, chain, seq):
     return tuple(mid(c, f, a, b) for f, a, b in zip(chain, seq, seq[1:]))
 
 
-class BijectionReport:
-    __slots__ = ("violations", "product_counts", "nondegenerate_counts")
-
-    def __init__(self, violations, product_counts, nondegenerate_counts):
-        self.violations = violations
-        self.product_counts = product_counts
-        self.nondegenerate_counts = nondegenerate_counts
+class BijectionReport(namedtuple(
+        "BijectionReport", "violations product_counts nondegenerate_counts")):
+    __slots__ = ()
 
     @property
     def ok(self):
@@ -519,9 +516,9 @@ def lemma42_bijection(c: FinCategory, N: int, D: int) -> BijectionReport:
         nondeg = set(target.nondegenerate(k))
         extra = image_set - nondeg
         missing = nondeg - image_set
-        for cell in sorted(extra, key=sort_key):
+        for cell in sort_ids(extra):
             violations.append(Violation("bijection-image", (k, cell)))
-        for cell in sorted(missing, key=sort_key):
+        for cell in sort_ids(missing):
             violations.append(Violation("bijection-surjective", (k, cell)))
     # an image outside the target is already a bijection-image violation
     if not any(None in pos for pos in positions):

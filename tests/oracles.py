@@ -54,7 +54,7 @@
 from collections import namedtuple
 from fractions import Fraction
 from functools import partial
-from itertools import combinations, combinations_with_replacement, groupby, permutations
+from itertools import combinations, combinations_with_replacement, groupby, permutations, product
 from math import comb
 from operator import itemgetter
 
@@ -1210,15 +1210,16 @@ def normalization_projection(x):
 
 def oracle_sd_flags(n, k):
     """The k-cells of the barycentric subdivision of the n-simplex by
-    filtering every (k + 1)-combination of nonempty subsets for strictly
-    nested chains and sorting them: the reference for ``sd_flags``."""
-    # listed by size, so every strictly nested chain comes out in order
-    subsets = [
-        frozenset(c) for size in range(1, n + 2) for c in combinations(range(n + 1), size)
-    ]
+    filtering, for every choice of k + 1 distinct part sizes, each tuple of
+    subsets of those sizes for strictly nested chains, and sorting them:
+    the reference for ``sd_flags``."""
+    # the parts of a strictly nested chain have strictly increasing sizes,
+    # so each chain is one tuple of one choice of sizes
+    by_size = [[frozenset(c) for c in combinations(range(n + 1), size)] for size in range(n + 2)]
     flags = [
         tuple(tuple(sorted(p)) for p in chain)
-        for chain in combinations(subsets, k + 1)
+        for sizes in combinations(range(1, n + 2), k + 1)
+        for chain in product(*(by_size[size] for size in sizes))
         if all(a < b for a, b in zip(chain, chain[1:]))
     ]
     flags.sort(key=sort_key)

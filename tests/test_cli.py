@@ -21,6 +21,7 @@ from fatcat.fincat import (
 from fatcat.fixtures import (
     broken_circle_cocycle,
     broken_groupoid_bad_inverse,
+    bundled_cocycles,
     circle_star_cover,
     cyclic_groupoid,
     hemisphere_cover,
@@ -43,6 +44,16 @@ def self_inverse_loop():
     return FinGroupoid(base, {m: m for m in mor})
 
 
+def mixed_id_category():
+    """The ordinal [1] on the objects 0 and "a".  An int and a string do
+    not compare, so ordering these identifiers takes the ``sort_key``
+    fallback of ``ids.sort_ids``."""
+    up, ids = (0, "a", "le"), {x: (x, x, "le") for x in (0, "a")}
+    compose = {(ids[0], ids[0]): ids[0], (ids[0], up): up, (up, ids["a"]): up,
+               (ids["a"], ids["a"]): ids["a"]}
+    return FinCategory([0, "a"], [(m, m[0], m[1]) for m in (*ids.values(), up)], ids, compose)
+
+
 def write_inputs(directory):
     """Write the input documents of the command tests into ``directory``;
     returns their paths by file name."""
@@ -57,6 +68,7 @@ def write_inputs(directory):
     write("ord1.json", category_to_json(standard_categories()["ordinal-1"]))
     write("ord2.json", category_to_json(standard_categories()["ordinal-2"]))
     write("idem.json", category_to_json(standard_categories()["idempotent-monoid"]))
+    write("mixed.json", category_to_json(mixed_id_category()))
     write("pair.json", groupoid_to_json(pair_groupoid()))
     write("z3.json", groupoid_to_json(cyclic_groupoid(3)))
     write("bad-inverse.json", groupoid_to_json(broken_groupoid_bad_inverse()))
@@ -499,6 +511,20 @@ def _stray_transition(doc):
     doc["transitions"][0]["morphism"] = "zz"
 
 
+def _pair_cocycle():
+    return cocycle_to_json(bundled_cocycles()["trivial-pair"])
+
+
+def _diagonal_at_the_wrong_object(doc):
+    # the identity of b, over a component of U_0 whose object is a
+    doc["transitions"].append({"a": 0, "b": 0, "component": [0, 1], "morphism": ["b", "b", "p"]})
+
+
+def _diagonal_off_the_cover(doc):
+    # an identity, over a component that U_0 does not have
+    doc["transitions"].append({"a": 0, "b": 0, "component": [9], "morphism": ["*", "*", "e"]})
+
+
 NERVE = ["nerve", "--D", "1"]
 UNIVERSAL = ["verify", "universal-cocycle", "--N", "3", "--D", "2"]
 BLOWUP = ["verify", "blowup", "--d", "1"]
@@ -521,10 +547,15 @@ COCYCLE = ["verify", "cocycle"]
         (BLOWUP, _complex, _unclosed_cover, "cover set 0 is not downward closed"),
         (COCYCLE, _cocycle, _stray_object, "object at (0, (0, 1)) is not in the groupoid"),
         (COCYCLE, _cocycle, _stray_transition, "transition at (0, 1, (1,)) is not a morphism"),
+        (COCYCLE, _pair_cocycle, _diagonal_at_the_wrong_object,
+         "transition endpoints at (0, 0, (0, 1)) do not match the objects"),
+        (COCYCLE, _cocycle, _diagonal_off_the_cover,
+         "transitions do not match the overlap components"),
     ],
     ids=[
         "duplicate-object", "duplicate-morphism", "no-inverse", "unknown-inverse",
         "empty-face", "repeated-vertex", "empty-cover", "unclosed-cover", "stray-object", "stray-transition",
+        "diagonal-wrong-object", "diagonal-off-cover",
     ],
 )
 def test_loader_refusals_exit_2_with_their_message(
@@ -594,11 +625,15 @@ def test_unreadable_input_exits_2(capsys, tmp_path, write):
         ["verify", "tau", "--input", "bz2.json", "--N", "4", "--D", "3", "--d", "3"],
         ["verify", "blowup", "--input", "circle.json", "--d", "-1"],
         ["verify", "quillen-a", "--input", "bz2.json", "--N", "2", "--D", "3"],
+        ["verify", "tom-dieck", "--input", "bz2.json", "--N", "1", "--D", "3", "--d", "1"],
+        ["verify", "tom-dieck", "--input", "z3.json", "--N", "1", "--D", "3", "--d", "1"],
+        ["verify", "tom-dieck", "--input", "bz2.json", "--N", "2", "--D", "3", "--d", "2"],
     ],
 )
 def test_degree_out_of_range_exits_2(capsys, inputs, argv):
     # d < 0 checks nothing, H_D of a complex truncated at D is ker d_D, and
-    # fewer than d + 1 stages cut a comma fiber short
+    # with fewer than d + 1 stages there are no cells above degree N, so a
+    # comma fiber is cut short and the stage product's H_d lacks d_{d+1}
     expect_bad_input(capsys, [inputs.get(a, a) for a in argv])
 
 
@@ -609,6 +644,9 @@ GOLDEN = [
      "b895bb16ab52fd9bcb11134cf10c7bf1cb3d88dfe0806856e277a943357a1e3e"),
     ("verify lemma42 --input bz2.json --N 3 --D 3", 0,
      "cefded666986012ca3fe621655e48674c6fc0296c22e58f1be35490cf3715880"),
+    # identifiers that native comparison cannot order
+    ("verify lemma42 --input mixed.json --N 2 --D 2", 0,
+     "b895bb16ab52fd9bcb11134cf10c7bf1cb3d88dfe0806856e277a943357a1e3e"),
     ("verify tom-dieck --input bz2.json --N 5 --D 3 --d 1", 0,
      "067f5b0308d38561f55e27ab7a7a4a68788f40e48ce4c45331620ee4ce943474"),
     ("verify tom-dieck --input ord2.json --N 4 --D 3 --d 2", 0,

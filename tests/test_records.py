@@ -1,18 +1,23 @@
 """What callers rely on from the package's record types: equality and
 hashing of value records, the validation their constructors run, that the
-immutable ones refuse assignment, and the transforms a SmithForm leaves
-out."""
+immutable ones refuse assignment, the transforms a SmithForm leaves out,
+and that a class whose constructor only stores its arguments is a
+record."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from fatcat.comparison import BarycentricPoint, RhoWitness
+from fatcat.cocycle import ClassifyingComplex, CocycleIsomorphism, bg_complex
+from fatcat.comparison import BarycentricPoint, CommaFiber, RhoWitness
 from fatcat.errors import StructureError, Violation
 from fatcat.fincat import NatTransformation, identity_functor, ordinal
-from fatcat.fixtures import z2_groupoid
-from fatcat.homology import HomologyGroup
-from fatcat.intlinalg import IntMatrix, smith
+from fatcat.fixtures import mobius_cocycle, z2_groupoid
+from fatcat.homology import DegreeComparison, HomologyGroup, QuasiIsoReport
+from fatcat.intlinalg import IntMatrix, SmithForm, smith
+from fatcat.simpset import BijectionReport
 
 from cocycle_calculus import PartitionPoint
 
@@ -40,6 +45,29 @@ def test_value_records_compare_by_fields():
     point = PartitionPoint((HALF, HALF))
     assert point == PartitionPoint((HALF, HALF)) and hash(point) == hash(PartitionPoint((HALF, HALF)))
     assert BarycentricPoint.barycenter(1) == BarycentricPoint(1, (HALF, HALF))
+    a = IntMatrix([[2, 1], [0, 3]], 2)
+    assert smith(a, rows=True) == smith(a, rows=True) != smith(a)
+    group = HomologyGroup(1, 0, (2,), True)
+    assert DegreeComparison(1, group, group, True) == DegreeComparison(
+        degree=1, source=group, target=group, isomorphism=True)
+    assert QuasiIsoReport([], []) == QuasiIsoReport(degrees=[], violations=[])
+    assert BijectionReport([], (1, 2), (1, 2)) != BijectionReport([], (1, 2), (1, 3))
+    u = mobius_cocycle()
+    assert CocycleIsomorphism(u, u, {}) == CocycleIsomorphism(source=u, target=u, phi={})
+    c = ordinal(1)
+    assert CommaFiber(0, {}, c, 3) == CommaFiber(degree=0, steps={}, pullback=c, D=3)
+    assert ClassifyingComplex(c, c) == ClassifyingComplex(nerve=c, space=c)
+
+
+def test_report_properties_read_their_fields():
+    assert QuasiIsoReport([], []).ok
+    assert not QuasiIsoReport([], [Violation("quasi-iso", (1,))]).ok
+    assert BijectionReport([], (1, 2), (1, 2)).ok
+    assert not BijectionReport([], (1, 2), (1, 3)).ok
+    assert not BijectionReport([Violation("bijection-face", (1,))], (1,), (1,)).ok
+    assert SmithForm([1, 6], 2, 2, None, None, [0, 1], [0, 1]).rank == 2
+    assert SmithForm(factors=[], nrows=1, ncols=1, row_ops=None, col_ops=None,
+                     row_order=[0], col_order=[0]).rank == 0
 
 
 @pytest.mark.parametrize(
@@ -93,6 +121,7 @@ def test_valid_points_keep_their_coordinates():
 def frozen_records():
     g = z2_groupoid()
     functor = identity_functor(g.base)
+    u = mobius_cocycle()
     return [
         (Violation("law", (1,)), "detail"),
         (g, "inverse"),
@@ -102,6 +131,13 @@ def frozen_records():
         (BarycentricPoint.barycenter(1), "coords"),
         (RhoWitness(1, "literal", "kind", 0, (), (), ()), "detail"),
         (PartitionPoint((Fraction(1),)), "coords"),
+        (smith(IntMatrix([[2]], 1)), "factors"),
+        (DegreeComparison(0, None, None, True), "isomorphism"),
+        (QuasiIsoReport([], []), "violations"),
+        (BijectionReport([], (1,), (1,)), "violations"),
+        (CommaFiber(0, {}, g.base, 3), "steps"),
+        (CocycleIsomorphism(u, u, {}), "phi"),
+        (bg_complex(g, 2, 2), "space"),
     ]
 
 
@@ -127,3 +163,57 @@ def test_smith_form_transforms_default_to_none():
     assert rows.row_ops and rows.col_ops is None
     cols = smith(a, cols=True)
     assert cols.row_ops is None and cols.col_ops
+
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fatcat"
+
+
+def _stores_a_parameter(statement, self_name, params):
+    """Whether a statement is ``self.<name> = <parameter>``."""
+    if not (isinstance(statement, ast.Assign) and len(statement.targets) == 1):
+        return False
+    target, value = statement.targets[0], statement.value
+    return (
+        isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name)
+        and target.value.id == self_name
+        and isinstance(value, ast.Name) and value.id in params
+    )
+
+
+def storing_classes(package):
+    """Module-level classes of the modules in ``package`` whose
+    ``__init__`` does nothing but assign its parameters to ``self``."""
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for init in node.body:
+                if not (isinstance(init, ast.FunctionDef) and init.name == "__init__"):
+                    continue
+                self_name, *params = [a.arg for a in init.args.args + init.args.kwonlyargs]
+                body = init.body
+                if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+                    body = body[1:]
+                if body and all(_stores_a_parameter(st, self_name, params) for st in body):
+                    yield f"{path.stem}.{node.name}"
+
+
+def test_a_class_that_only_stores_its_arguments_is_a_record():
+    # a class earns its own constructor by checking, copying or computing
+    # something; one that only stores its arguments is a namedtuple
+    assert list(storing_classes(PACKAGE)) == [], "make these namedtuple records"
+
+
+def test_the_record_guard_sees_a_storing_constructor(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "class Stores:\n"
+        "    def __init__(self, a, b):\n"
+        "        \"Docstring.\"\n"
+        "        self.a = a\n"
+        "        self.b = b\n"
+        "\n"
+        "class Copies:\n"
+        "    def __init__(self, a):\n"
+        "        self.a = dict(a)\n"
+    )
+    assert list(storing_classes(tmp_path)) == ["m.Stores"]
