@@ -13,7 +13,6 @@ covered complex maps into it by the cellwise classifying rule.
 """
 
 from collections import namedtuple
-from functools import partial
 from itertools import combinations
 from operator import itemgetter
 
@@ -114,29 +113,17 @@ class CoveredComplex:
             covered.update(part)
         if covered != self.faces:
             raise StructureError("cover does not cover the complex")
-        self._overlap_cache = {}
         self._component_cache = {}
 
     def dimension(self):
         return max(len(f) for f in self.faces) - 1
 
-    def overlap(self, indices):
-        key = tuple(sorted(set(indices)))
-        if key not in self._overlap_cache:
-            faces = set(self.cover[key[0]])
-            for i in key[1:]:
-                faces &= self.cover[i]
-            self._overlap_cache[key] = frozenset(faces)
-        return self._overlap_cache[key]
-
     def components_of_overlap(self, indices):
         key = tuple(sorted(set(indices)))
         if key not in self._component_cache:
-            self._component_cache[key] = _components(self.overlap(key))
+            faces = frozenset.intersection(*(self.cover[i] for i in key))
+            self._component_cache[key] = _components(faces)
         return self._component_cache[key]
-
-    def components_of_set(self, alpha):
-        return self.components_of_overlap((alpha,))
 
     def component_containing(self, indices, face):
         """Component key of overlap(indices) whose vertex set contains the face."""
@@ -186,7 +173,7 @@ def check_cocycle(u: GCocycle):
     expected_objects = {
         (alpha, comp)
         for alpha in range(n)
-        for comp in base.components_of_set(alpha)
+        for comp in base.components_of_overlap((alpha,))
     }
     if set(u.objects) != expected_objects:
         raise StructureError("object assignment does not match the cover components")
@@ -510,7 +497,26 @@ def base_chain_complex(cc: CoveredComplex, D: int) -> IntegerChainComplex:
     return deletion_complex(faces + [[]] * (D - dim))
 
 
-def _blowup_boundary(k, cell):
+def _cover_nerve(cc: CoveredComplex, top: int):
+    """The nonempty overlaps of at most top + 1 cover sets, as (indices,
+    faces) with increasing indices, by size and then lexicographically.
+
+    Each size extends only the nonempty overlaps of the size below, since
+    adding a set only shrinks an overlap."""
+    cover = cc.cover
+    level = [((i,), part) for i, part in enumerate(cover) if part]
+    for _ in range(top):
+        yield from level
+        level = [
+            (idx + (j,), both)
+            for idx, faces in level
+            for j in range(idx[-1] + 1, len(cover))
+            if (both := faces & cover[j])
+        ]
+    yield from level
+
+
+def _blowup_boundary(cell):
     """Index-deleting sum plus the signed face sum of one generator."""
     idx, face = cell
     p = len(idx) - 1
@@ -522,46 +528,43 @@ def _blowup_boundary(k, cell):
             yield (idx, face[:r] + face[r + 1:]), -1 if (p + r) % 2 else 1
 
 
-def _collapse(k, cell):
+def _collapse(cell):
     idx, face = cell
     return ((face, 1),) if len(idx) == 1 else ()
 
 
-def blowup(base: CoveredComplex, D: int) -> ChainMap:
-    """The collapse of the blowup onto the underlying complex, whose source
-    is the blowup: the total complex of the cover-versus-chains double
-    complex.
+def blowup(base: CoveredComplex, D: int) -> IntegerChainComplex:
+    """The blowup: the total complex of the cover-versus-chains double
+    complex, through degree D.
 
     A generator in bidegree (p, q) is a strictly increasing (p+1)-tuple of
-    cover indices with nonempty overlap, together with a q-face of that
-    overlap.  The total differential is the index-deleting sum plus the
-    signed face sum.  The underlying complex, the target, is built first,
-    so that D is budgeted before any degree of the blowup is laid out.
+    cover indices with nonempty overlap, one of :func:`_cover_nerve`,
+    together with a q-face of that overlap.  The total differential is the
+    index-deleting sum plus the signed face sum.
     """
-    chains = base_chain_complex(base, D)
-    n = len(base.cover)
     basis = [[] for _ in range(D + 1)]
-    for p in range(min(n, D + 1)):
-        for idx in combinations(range(n), p + 1):
-            for face in base.overlap(idx):
-                k = p + len(face) - 1
-                if k <= D:
-                    basis[k].append((idx, face))
+    for idx, faces in _cover_nerve(base, D):
+        for face in faces:
+            k = len(idx) + len(face) - 2
+            if k <= D:
+                basis[k].append((idx, face))
     basis = [sort_ids(level) for level in basis]
     check_budget(sum(len(b) for b in basis), "blowup total complex")
     boundary = {
-        k: named_matrix(basis[k], basis[k - 1], partial(_blowup_boundary, k))
-        for k in range(1, D + 1)
+        k: named_matrix(basis[k], basis[k - 1], _blowup_boundary) for k in range(1, D + 1)
     }
-    total = IntegerChainComplex(D, basis, boundary)
-    return cellular_map(total, chains, _collapse)
+    return IntegerChainComplex(D, basis, boundary)
 
 
 def blowup_vs_base(base: CoveredComplex, d: int) -> QuasiIsoReport:
-    """The collapse must be a homology isomorphism in degrees <= d."""
+    """The collapse of the blowup onto the underlying complex must be a
+    homology isomorphism in degrees <= d.  The underlying complex is built
+    first, so that D is budgeted before any degree of the blowup is laid
+    out."""
     D = max(d + 1, base.dimension())
     check_degree_range(d, D)
-    return quasi_iso_through(blowup(base, D), d)
+    chains = base_chain_complex(base, D)
+    return quasi_iso_through(cellular_map(blowup(base, D), chains, _collapse), d)
 
 
 # ---------------------------------------------------------------------------
@@ -589,11 +592,11 @@ def classifying_chain_map(u: GCocycle, N: int, D: int) -> ChainMap:
     target = geometric_chains(bg_complex(u.groupoid, N, D).space)
     blow = blowup(u.base, max(D, u.base.dimension()))
 
-    def terms(k, cell):
+    def terms(cell):
         seq, face = cell
         return ((_classifying_cell(u, seq, face), 1),) if len(face) == 1 else ()
 
-    return cellular_map(blow.source, target, terms)
+    return cellular_map(blow, target, terms)
 
 
 def pullback_is_restriction(u: GCocycle, N: int, D: int):
@@ -603,26 +606,22 @@ def pullback_is_restriction(u: GCocycle, N: int, D: int):
         raise StructureError("cover does not embed into the stages: need len(cover) <= N + 1")
     g = u.groupoid
     violations = []
-    n = len(u.base.cover)
-    for p in range(min(n, D + 1)):
-        for seq in combinations(range(n), p + 1):
-            if not u.base.overlap(seq):
-                continue
-            for comp in u.base.components_of_overlap(seq):
-                face = comp[:1]
-                # the transitions of the classifying cell, vertex i at seq[i]
-                table = _transition_table(g, p, _classifying_cell(u, seq, face)[1])
-                for i, a in enumerate(seq):
-                    for j, b in enumerate(seq):
-                        expected = u.transition(a, b, face)
-                        if table[(i, j)] != expected:
-                            violations.append(
-                                Violation(
-                                    "pullback-restriction",
-                                    (seq, comp, a, b),
-                                    f"gamma {table[(i, j)]} vs {expected}",
-                                )
+    for seq, faces in _cover_nerve(u.base, D):
+        for comp in _components(faces):
+            face = comp[:1]
+            # the transitions of the classifying cell, vertex i at seq[i]
+            table = _transition_table(g, len(seq) - 1, _classifying_cell(u, seq, face)[1])
+            for i, a in enumerate(seq):
+                for j, b in enumerate(seq):
+                    expected = u.transition(a, b, face)
+                    if table[(i, j)] != expected:
+                        violations.append(
+                            Violation(
+                                "pullback-restriction",
+                                (seq, comp, a, b),
+                                f"gamma {table[(i, j)]} vs {expected}",
                             )
+                        )
     return violations
 
 

@@ -146,6 +146,11 @@ def apply_operator(x, k_from: int, u):
     return range(x.n_cells(k_from))
 
 
+def _check_stage_labels(N: int, D: int) -> None:
+    if N < D + 1:
+        raise StructureError("need N >= D + 1 so stage labels 1..D+1 exist")
+
+
 def tau_chain_map(proj: SimplicialMap, pi: ChainMap, N: int) -> ChainMap:
     """Section of the projection on fat chains.
 
@@ -161,8 +166,7 @@ def tau_chain_map(proj: SimplicialMap, pi: ChainMap, N: int) -> ChainMap:
     comes right after the C(N, n) stage tuples that start at 0.
     """
     x, prod = proj.target, proj.source
-    if N < x.D + 1:
-        raise StructureError("need N >= D + 1 so stage labels 1..D+1 exist")
+    _check_stage_labels(N, x.D)
     if any(prod.n_cells(n) != x.n_cells(n) * comb(N + 1, n + 1) for n in range(x.D + 1)):
         raise StructureError("the projection's stage complex has another N")
 
@@ -185,6 +189,7 @@ def pi_tau_homology_check(c: FinCategory, N: int, D: int, d: int) -> QuasiIsoRep
     """The collapse-after-subdivision composite must fix every homology
     class of the fat nerve in degrees <= d."""
     check_degree_range(d, D)
+    _check_stage_labels(N, D)
     proj = projection_map(c, N, D)
     pi = induced_map(proj)
     return identity_on_homology_through(pi.compose(tau_chain_map(proj, pi, N)), d)

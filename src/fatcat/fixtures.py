@@ -183,7 +183,7 @@ def _cocycle(base, g, obj, flipped=()):
 
     ident = g.base.identity[obj]
     n = len(base.cover)
-    objects = {(alpha, comp): obj for alpha in range(n) for comp in base.components_of_set(alpha)}
+    objects = {(alpha, comp): obj for alpha in range(n) for comp in base.components_of_overlap((alpha,))}
     transitions = {
         (alpha, beta, comp): ("*", "*", "s") if {alpha, beta} == set(flipped) else ident
         for alpha in range(n) for beta in range(n) if alpha != beta

@@ -16,7 +16,6 @@ objects are audited once, when built, and nothing here audits them again.
 """
 
 from collections import namedtuple
-from functools import partial
 
 from .errors import StructureError, Violation
 from .intlinalg import HomologyPresentation, IntMatrix, smith, surjective_onto
@@ -138,9 +137,9 @@ def named_matrix(source_cells, target_cells, terms) -> IntMatrix:
 
 
 def cellular_map(source, target, terms) -> ChainMap:
-    """Chain map sending a k-cell of source to ``terms(k, cell)`` in target."""
+    """Chain map sending a cell of source to ``terms(cell)`` in target."""
     matrices = [
-        named_matrix(source.basis[k], target.basis[k], partial(terms, k))
+        named_matrix(source.basis[k], target.basis[k], terms)
         for k in range(min(source.D, target.D) + 1)
     ]
     return ChainMap(source, target, matrices)

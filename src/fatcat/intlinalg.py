@@ -24,6 +24,7 @@ Vinv are applied to a vector by replaying the list.
 """
 
 from collections import namedtuple
+from functools import cached_property
 
 from .errors import StructureError
 
@@ -364,9 +365,21 @@ class HomologyPresentation:
             gens.append(B.Uinv([0] * B.rank + M.V(_unit(M.ncols, j))))
         return gens
 
+    @cached_property
+    def _A_columns(self):
+        # built by the first coords call, so a side never read there never builds it
+        return _transposed(self._A).nz
+
     def coords(self, vec):
         """Class of a cycle: (torsion coords mod d_i, exact free coords)."""
-        if any(self._A.mulvec(vec)):
+        if len(vec) != self.n:
+            raise StructureError("matrix-vector product: shape mismatch")
+        # A * vec, summing A's columns over the support of vec
+        image = {}
+        for j, x in enumerate(vec):
+            if x:
+                _axpy(image, x, self._A_columns[j])
+        if image:
             raise StructureError("vector is not a cycle")
         B, M = self._B, self._M
         y = B.U(vec)

@@ -188,7 +188,7 @@ def concat_cocycle(u: GCocycle, v: GCocycle, iso: CocycleIsomorphism) -> GCocycl
 
     objects = {}
     for alpha in range(nu + nv):
-        for comp in prism.components_of_set(alpha):
+        for comp in prism.components_of_overlap((alpha,)):
             shadow = project(comp)
             if alpha < nu:
                 objects[(alpha, comp)] = u.object_at(alpha, shadow[:1])
@@ -235,7 +235,7 @@ def restrict_to_layer(prism_cocycle: GCocycle, level: int) -> GCocycle:
     objects = {}
     transitions = {}
     for new_alpha, alpha in enumerate(kept):
-        for comp in restricted.components_of_set(new_alpha):
+        for comp in restricted.components_of_overlap((new_alpha,)):
             lifted = tuple((x, level) for x in comp)
             objects[(new_alpha, comp)] = prism_cocycle.object_at(alpha, lifted[:1])
     for ia, alpha in enumerate(kept):

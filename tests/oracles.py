@@ -20,6 +20,9 @@
   matrix for matrix.  The flags come from their own enumerations: nested
   combinations filtered and sorted (``oracle_sd_flags``), and maximal
   flags from permutations (``oracle_maximal_flags``).
+* The nerve of a cover: every combination of cover indices with a
+  nonempty overlap (``oracle_cover_nerve``), which the package's
+  level-by-level ``_cover_nerve`` must reproduce in order.
 * The classifying complex: the stagewise unraveling built from a face rule
   per cell, and the universal cocycle checked cell by cell over it, which
   the package's table-composing ``unravel_simplicial`` and its once per
@@ -612,6 +615,24 @@ def oracle_partition_homotopy(t, s):
     assert total > 0, "a valid partition point always keeps positive mass"
     v = tuple(wi / total for wi in w)
     return tuple(w), v
+
+
+# ---------------------------------------------------------------------------
+# The nerve of a cover, by every combination
+
+
+def oracle_cover_nerve(cc, top):
+    """Every increasing tuple of at most top + 1 cover indices whose
+    overlap is nonempty, with that overlap, by size and then
+    lexicographically: the reference for ``_cover_nerve``, which extends
+    only the nonempty overlaps."""
+    out = []
+    for size in range(1, top + 2):
+        for idx in combinations(range(len(cc.cover)), size):
+            faces = {f for f in cc.cover[idx[0]] if all(f in cc.cover[i] for i in idx[1:])}
+            if faces:
+                out.append((idx, frozenset(faces)))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from fatcat import cli, cocycle, homology, intlinalg
+from fatcat import cli, cocycle, comparison, homology, intlinalg
 from fatcat.cli import build_parser, main
-from fatcat.cocycle import cocycle_to_json, covered_complex_to_json
+from fatcat.cocycle import CoveredComplex, closure, cocycle_to_json, covered_complex_to_json
+from fatcat.errors import EnumerationLimitError, StructureError
 from fatcat.fincat import (
     FinCategory,
     FinGroupoid,
@@ -54,6 +55,16 @@ def mixed_id_category():
     return FinCategory([0, "a"], [(m, m[0], m[1]) for m in (*ids.values(), up)], ids, compose)
 
 
+def simplex_and_points(points):
+    """A 5-simplex and ``points`` isolated vertices, the simplex one cover
+    set and each vertex another.  No two cover sets meet, so the blowup
+    has one cell per face, though C(points + 1, 6) tuples of six cover
+    indices exist."""
+    simplex = closure([tuple(range(6))])
+    isolated = [(6 + i,) for i in range(points)]
+    return CoveredComplex([*simplex, *isolated], [simplex, *([v] for v in isolated)])
+
+
 def write_inputs(directory):
     """Write the input documents of the command tests into ``directory``;
     returns their paths by file name."""
@@ -75,6 +86,7 @@ def write_inputs(directory):
     write("loop5.json", groupoid_to_json(self_inverse_loop()))
     write("circle.json", covered_complex_to_json(circle_star_cover()))
     write("hemisphere.json", covered_complex_to_json(hemisphere_cover()))
+    write("sparse21.json", covered_complex_to_json(simplex_and_points(20)))
     write("mobius.json", cocycle_to_json(mobius_cocycle()))
     write("broken.json", cocycle_to_json(broken_circle_cocycle()))
     return paths
@@ -369,6 +381,33 @@ def test_report_all_stdout_is_pinned(capsys):
     assert digest == REPORT_ALL_SHA256
 
 
+def test_a_claim_that_refuses_fails_alone(capsys, monkeypatch):
+    """``report all`` reads no input, so a claim that raises StructureError
+    fails with the message as its witness, and the other claims still run."""
+
+    def refuse(*args):
+        raise StructureError("refused")
+
+    monkeypatch.setattr(cli, "tau_chain_map", refuse)
+    assert main(["report", "all"]) == 1
+    claims = {c["id"]: c for c in json.loads(capsys.readouterr().out)["claims"]}
+    assert len(claims) == len(cli.CLAIMS)
+    assert claims["subdivision-boundary"]["result"] == "fail"
+    assert claims["subdivision-boundary"]["witnesses"] == [{"error": "refused"}]
+    assert all(c["result"] == "pass" for i, c in claims.items() if i != "subdivision-boundary")
+
+
+def test_a_claim_over_budget_stops_report_all(capsys, monkeypatch):
+    def refuse(*args):
+        raise EnumerationLimitError("over budget")
+
+    monkeypatch.setattr(cli, "tau_chain_map", refuse)
+    assert main(["report", "all"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "over budget"}
+
+
 def expect_bad_input(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -637,6 +676,18 @@ def test_degree_out_of_range_exits_2(capsys, inputs, argv):
     expect_bad_input(capsys, [inputs.get(a, a) for a in argv])
 
 
+@pytest.mark.parametrize("N,D", [(9, 9), (7, 7)])
+def test_tau_refuses_too_few_stages_before_the_projection(capsys, inputs, monkeypatch, N, D):
+    # the flag section labels stages 1..D+1, so N = D is one stage short;
+    # that is said before the projection, or any complex, is built
+    def refuse(*args):
+        raise AssertionError("projection built before the stage check")
+
+    monkeypatch.setattr(comparison, "projection_map", refuse)
+    argv = ["verify", "tau", "--input", inputs["bz2.json"], "--N", str(N), "--D", str(D), "--d", "1"]
+    assert expect_bad_input(capsys, argv) == "need N >= D + 1 so stage labels 1..D+1 exist"
+
+
 # sha256 of stdout and the exit code of every suite, pinned so that a
 # refactor of the command line cannot change a byte of what it prints
 GOLDEN = [
@@ -675,6 +726,9 @@ GOLDEN = [
      "009a79ef01d6c5b361d60dd0d0d70fb75f7cad98153043e0afeb8a42a6b5c536"),
     ("verify blowup --input hemisphere.json --d 2", 0,
      "38be4f7619b8faf1391be4e654ee545cd39083cd397ef0e89e64afe455289d35"),
+    # 21 cover sets that never meet: the blowup walks only nonempty overlaps
+    ("verify blowup --input sparse21.json --d 1", 0,
+     "772e8c48d9c4c596713ce9b9000812edbae17804c6eed9eb7756d343b884efc6"),
     ("verify universal-cocycle --input bz2.json --N 3 --D 2", 0,
      "33772fdee1771a3f5d18612b9230e599e2931d560d6864c16b85503c76b1652e"),
     ("verify universal-cocycle --input pair.json --N 2 --D 2", 0,

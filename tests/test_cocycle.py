@@ -12,6 +12,7 @@ from fatcat.cocycle import (
     CocycleIsomorphism,
     CoveredComplex,
     GCocycle,
+    base_chain_complex,
     bg_complex,
     blowup,
     blowup_vs_base,
@@ -28,6 +29,7 @@ from fatcat.cocycle import (
     partition_homotopy,
     pullback_is_restriction,
     universal_cocycle,
+    _cover_nerve,
     _face_failures,
 )
 from fatcat.errors import StructureError
@@ -50,7 +52,7 @@ from fatcat.fixtures import (
     vertex_star_cover,
     z2_groupoid,
 )
-from fatcat.homology import HomologyClasses, homology
+from fatcat.homology import HomologyClasses, cellular_map, homology
 from fatcat.ids import sort_key
 from fatcat.intlinalg import IntMatrix
 from fatcat.simpset import nerve
@@ -70,6 +72,7 @@ from oracles import (
     betti_torsion,
     column,
     is_zero,
+    oracle_cover_nerve,
     oracle_homology,
     oracle_partition_homotopy,
     oracle_universal_cocycle,
@@ -94,6 +97,38 @@ def test_overlap_components():
     assert ec.components_of_overlap((0, 1, 2)) == ()
 
 
+def nerve_covers():
+    """The bundled covers, seeded vertex-star covers and a 2-simplex with
+    three isolated points, each point its own cover set."""
+    covers = {
+        "circle-stars": circle_star_cover(),
+        "edge-stars": edge_star_cover(),
+        "hemispheres": hemisphere_cover(),
+        "octahedron-stars": vertex_star_cover(octahedron_complex()),
+        "single-set": CoveredComplex(circle_complex(), [circle_complex()]),
+        "points": CoveredComplex(closure([(0, 1, 2), (3,), (4,), (5,)]),
+                                 [closure([(0, 1, 2)]), [(3,)], [(4,)], [(5,)]]),
+    }
+    for seed in range(4):
+        covers[f"vertex-stars-{seed}"] = vertex_star_cover(random_two_complex(seed=seed))
+    return covers
+
+
+@pytest.mark.parametrize("name", sorted(nerve_covers()))
+def test_cover_nerve_matches_every_combination(name):
+    cc = nerve_covers()[name]
+    for top in range(len(cc.cover) + 1):
+        assert list(_cover_nerve(cc, top)) == oracle_cover_nerve(cc, top)
+
+
+def test_cover_nerve_leaves_out_empty_overlaps():
+    # disjoint cover sets have no overlap, so only the sets themselves are left
+    points = nerve_covers()["points"]
+    assert [idx for idx, _ in _cover_nerve(points, 3)] == [(0,), (1,), (2,), (3,)]
+    assert [idx for idx, _ in _cover_nerve(edge_star_cover(), 2)] == [
+        (0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]
+
+
 def test_trivial_cocycle_passes():
     assert check_cocycle(trivial_cocycle(edge_star_cover())) == []
     single = CoveredComplex(circle_complex(), [circle_complex()])
@@ -114,7 +149,7 @@ def test_incompatible_flips_are_reported():
 
 def test_a_diagonal_flip_is_reported():
     u = mobius_cocycle()
-    comp = u.base.components_of_set(0)[0]
+    comp = u.base.components_of_overlap((0,))[0]
     flip = {**u.transitions, (0, 0, comp): ("*", "*", "s")}
     report = check_cocycle(GCocycle(u.base, u.groupoid, u.objects, flip))
     assert [(v.law, v.witness) for v in report] == [("diagonal-identity", (0, comp))]
@@ -180,7 +215,7 @@ def random_gauge_cocycle(seed):
     base = edge_star_cover()
     gauge = {}
     for alpha in range(len(base.cover)):
-        for comp in base.components_of_set(alpha):
+        for comp in base.components_of_overlap((alpha,)):
             gauge[(alpha, comp)] = rng.choice(["a", "b"])
     objects = dict(gauge)
     transitions = {}
@@ -468,7 +503,7 @@ def test_blowup_circle_star_cover():
     rep = blowup_vs_base(circle_star_cover(), 1)
     assert rep.ok
     assert [betti_torsion(c.target) for c in rep.degrees] == [(1, ()), (1, ())]
-    blow = blowup(circle_star_cover(), 2).source
+    blow = blowup(circle_star_cover(), 2)
     for k in range(2):
         assert oracle_homology(blow, k) == betti_torsion(homology(blow, k))
 
@@ -477,7 +512,9 @@ def test_blowup_single_set_cover():
     single = CoveredComplex(circle_complex(), [circle_complex()])
     rep = blowup_vs_base(single, 1)
     assert rep.ok
-    collapse = blowup(single, 1)
+    # the collapse sends (idx, face) to face when idx names one cover set
+    collapse = cellular_map(blowup(single, 1), base_chain_complex(single, 1),
+                            lambda cell: ((cell[1], 1),) if len(cell[0]) == 1 else ())
     assert collapse.matrices[1].ncols == collapse.matrices[1].nrows
 
 
@@ -609,7 +646,7 @@ def split_blowup_differential(total, k):
 
 
 def test_blowup_differentials_square_to_zero_and_anticommute():
-    blow = blowup(circle_star_cover(), 2).source
+    blow = blowup(circle_star_cover(), 2)
     pieces = {k: split_blowup_differential(blow, k) for k in range(1, blow.D + 1)}
     # both parts are present, so the identities below cannot hold vacuously
     assert not any(is_zero(part) for parts in pieces.values() for part in parts)

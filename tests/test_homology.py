@@ -660,9 +660,9 @@ def fixture_complexes():
         out[f"geometric-{name}"] = geometric_chains(nerve(cat, 3))
     out["fat-z3"] = fat_chains(nerve(cyclic_groupoid(3).base, 3))
     out["stage-product"] = fat_chains(product_with_S(nerve(z2_groupoid().base, 2), s_semisimplicial(3, 2)))
-    out["blowup-edge-stars"] = blowup(edge_star_cover(), 1).source
-    out["blowup-vertex-stars"] = blowup(circle_star_cover(), 2).source
-    out["blowup-hemispheres"] = blowup(hemisphere_cover(), 2).source
+    out["blowup-edge-stars"] = blowup(edge_star_cover(), 1)
+    out["blowup-vertex-stars"] = blowup(circle_star_cover(), 2)
+    out["blowup-hemispheres"] = blowup(hemisphere_cover(), 2)
     faces = random_two_complex()
     cc = CoveredComplex(faces, [faces])
     out["random-two-complex"] = base_chain_complex(cc, cc.dimension())

@@ -14,6 +14,7 @@ would lose the block-buffered tail.
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 import tomllib
@@ -21,7 +22,9 @@ from pathlib import Path
 
 import pytest
 
-from test_cli import GOLDEN, REPORT_ALL_SHA256, write_inputs
+from fatcat.cocycle import covered_complex_to_json
+
+from test_cli import GOLDEN, REPORT_ALL_SHA256, simplex_and_points, write_inputs
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -120,3 +123,24 @@ def test_usage_error_exits_through_argparse(cli_process):
     assert (code, out) == (2, "")
     assert err.startswith("usage: fatcat nerve ")
     assert err.endswith("fatcat nerve: error: argument --D: invalid int value: 'two'\n")
+
+
+# stdout of ``verify blowup --d 1`` on the 5-simplex and 40 isolated points
+SPARSE41_SHA256 = "6aca818de01d56727c9dff49f023a51dd0860b49c2d338b883543b08565dd9bb"
+
+
+def test_sparse_cover_blowup_runs_in_512_mb(tmp_path):
+    """41 cover sets that never meet give a 103-cell blowup, so the command
+    fits in 512 MB of address space; a walk over all 4.5 M tuples of up to
+    six cover indices, with their overlaps kept, needs about 1.9 GB."""
+    path = tmp_path / "sparse41.json"
+    path.write_text(json.dumps(covered_complex_to_json(simplex_and_points(40))))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    argv = ["verify", "blowup", "--input", str(path), "--d", "1"]
+    done = subprocess.run(ENTRIES["module"] + argv, env=ENV, capture_output=True, text=True,
+                          preexec_fn=limit, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert sha256(done.stdout) == SPARSE41_SHA256
