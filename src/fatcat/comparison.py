@@ -9,8 +9,13 @@ preserves pullbacks, so each comma fiber is the nerve of a pullback
 category P, and its legs are the nerves of P's two projection functors.
 The nerve of a functor is a simplicial map exactly when the functor
 preserves endpoints, identities and composites, so the fibers are checked
-on P itself: P is audited as a category and each projection is checked as
-a functor.  The nerve of P is built only when P's dismantling gets stuck.
+on P itself: P is audited as a category and its projection onto the
+simplex is checked as a functor.  The projection onto unravel(C, N) lifts
+C's composites along the core, so it preserves those laws exactly when
+they hold in C there; the audits of the nerve of C and of unravel(C, N)
+that precede the first fiber check composite endpoints, the identity laws
+and associativity, so it needs no check of its own.  The nerve of P is
+built only when P's dismantling gets stuck.
 
 Flags are the chains of sorted tuples that :func:`fatcat.simpset.sd_flags`
 lists.  Stage label convention for the section: a maximal flag
@@ -27,7 +32,7 @@ from itertools import combinations
 from math import comb
 
 from .errors import StructureError, Violation, check_budget
-from .fincat import FinCategory, Functor, check_category, check_functor, mid, ordinal, unravel
+from .fincat import FinCategory, Functor, check_category, check_functor, ordinal, unravel
 from .homology import (
     ChainMap,
     IntegerChainComplex,
@@ -359,9 +364,13 @@ def _nondegenerate_factorization(c: FinCategory, k: int, cell):
     return tuple(objects), arrows
 
 
-def _shape_key(c: FinCategory, composite, m: int):
-    """The core degree m and the identity pattern of a core with these
-    composites: the vertex pairs a0 < a1 whose composite is an identity."""
+def _core_pattern(c: FinCategory, k: int, cell):
+    """The core degree m and the identity pattern of a nerve cell's
+    nondegenerate core: the vertex pairs a0 < a1 whose composite is an
+    identity."""
+    objects, arrows = _nondegenerate_factorization(c, k, cell)
+    m = len(objects) - 1
+    composite = chain_composites(c, objects, arrows)
     return m, frozenset(
         pair for pair in combinations(range(m + 1), 2) if c.is_identity(composite[pair])
     )
@@ -403,9 +412,7 @@ def _fiber_shape(m: int, pattern, N: int):
     return steps, pullback
 
 
-def quillen_fiber(
-    c: FinCategory, N: int, D: int, y_cell, y_degree: int, target, shapes
-) -> CommaFiber:
+def quillen_fiber(c: FinCategory, N: int, D: int, y_cell, y_degree: int) -> CommaFiber:
     """Comma fiber of a nerve simplex, as a pullback category.
 
     Degenerate simplices are factored through their nondegenerate core
@@ -417,30 +424,31 @@ def quillen_fiber(
     legs of the fiber are the nerves of the projections of P, (a, l) -> a
     and (a, l) -> (y(a), l).  A map of nerves given on objects and arrows
     is simplicial exactly when it preserves endpoints, identities and
-    composites, so P is audited as a category and both projections are
-    checked as functors, and no nerve is built; a failed check raises
+    composites, so P is audited as a category and its projection onto [m]
+    is checked as a functor, and no nerve is built; a failed check raises
     :class:`StructureError`.
 
+    The projection onto unravel(C, N) sends the arrow (a0, l0) -> (a1, l1)
+    to the lift of the core composite a0 -> a1 from stage l0 to l1.  It
+    lies in unravel(C, N) and preserves identities by construction, and it
+    preserves endpoints and composites exactly when C's composites along
+    the core have the right endpoints and satisfy the identity laws and
+    associativity.  The audits that :func:`all_fibers_contractible` runs
+    before the first fiber check all of these: the face identities of
+    nerve(C, D) check composite endpoints and the identity laws from D = 2
+    up, and associativity from D = 3 up, the first degree at which a core
+    has a vertex triple whose composite the left fold of
+    :func:`chain_composites` does not define by itself; at D = 1 the audit
+    of unravel(C, N) checks id o f = f on every lift.  So that projection
+    is not checked here.
+
     P and its projection onto [m] depend only on m, N and the identity
-    pattern, the pairs a0 < a1 whose composite is an identity.  ``shapes``
-    maps (m, pattern) to P and its steps: a core whose pattern it holds
-    reuses them, and any other core builds them and adds them to it.  Only
-    the projection onto ``target``, which is ``unravel(c, N)``, is checked
-    for every core.  P's objects, arrows and composition table are counted
-    from its step lists and budgeted before P is built.
+    pattern, the pairs a0 < a1 whose composite is an identity.  P's
+    objects, arrows and composition table are counted from its step lists
+    and budgeted before P is built.
     """
-    objects, arrows = _nondegenerate_factorization(c, y_degree, y_cell)
-    m = len(objects) - 1
-    composite = chain_composites(c, objects, arrows)
-    key = _shape_key(c, composite, m)
-    if key not in shapes:
-        shapes[key] = _fiber_shape(*key, N)
-    steps, pullback = shapes[key]
-    to_unraveled = Functor(
-        pullback, target, {v: (objects[v[0]], v[1]) for v in pullback.objects},
-        {(v, w): mid(c, composite[(v[0], w[0])], v[1], w[1]) for v, w in pullback.src},
-    )
-    _require(check_functor(to_unraveled), "the projection onto unravel(C, N) is not a functor")
+    m, pattern = _core_pattern(c, y_degree, y_cell)
+    steps, pullback = _fiber_shape(m, pattern, N)
     return CommaFiber(m, steps, pullback, D)
 
 
@@ -540,42 +548,26 @@ def all_fibers_contractible(c: FinCategory, N: int, D: int, d: int):
 
     The fiber of a cell depends only on its nondegenerate core, and P with
     its projection onto [m] only on the core's degree and identity
-    pattern.  ``unravel(c, N)`` is built, numbered and audited once.  The
-    cores are taken one pattern at a time: the pattern's P is built,
-    numbered, checked and dismantled once, and each of its cores gets its
-    own projection onto ``unravel(c, N)``, checked as a functor on the two
-    kept numberings.  Each pattern
-    gets its own shape table, dropped with it, so the categories of
-    earlier patterns are freed rather than held for the whole sweep.  Every
-    cell gets its pattern's violations under its own ``(k, cell)`` prefix.
-    Returns the number of nerve cells checked and the violations in cell
-    order.
+    pattern.  The audit of nerve(C, D), which checks composite endpoints
+    and the identity laws from D = 2 up and associativity from D = 3 up,
+    and that of unravel(C, N), which checks id o f = f on every lift, come
+    first; they check everything the projection of a fiber onto
+    unravel(C, N) could break (see :func:`quillen_fiber`), so that
+    projection is never built and unravel(C, N) is let go after its audit.
+    The cells are walked in order: the first cell of each pattern builds,
+    checks and dismantles its P, and every cell gets its pattern's
+    violations under its own ``(k, cell)`` prefix.  Returns the number of
+    nerve cells checked and the violations in cell order.
     """
     check_degree_range(d, D)
     ner = nerve(c, D)
-    target = unravel(c, N)
-    _require(check_category(target), "unravel(C, N) breaks a law")
-    cells = [(k, cell, _nondegenerate_factorization(c, k, cell))
-             for k in range(D + 1) for cell in ner.cells[k]]
-    first = {}
-    for k, cell, core in cells:
-        first.setdefault(core, (k, cell))
-    patterns = {}
-    for core, (k, cell) in first.items():
-        objects, arrows = core
-        key = _shape_key(c, chain_composites(c, objects, arrows), len(objects) - 1)
-        patterns.setdefault(key, []).append((core, k, cell))
+    _require(check_category(unravel(c, N)), "unravel(C, N) breaks a law")
     reports = {}
-    for members in patterns.values():
-        # this pattern's shape alone, so earlier shapes are freed
-        shapes = {}
-        for i, (core, k, cell) in enumerate(members):
-            fib = quillen_fiber(c, N, D, cell, k, target, shapes)
-            if i == 0:
-                report = contractibility_report(fib, d)
-            reports[core] = report
-    violations = [
-        Violation(v.law, (k, cell) + v.witness, v.detail)
-        for k, cell, core in cells for v in reports[core]
-    ]
-    return len(cells), violations
+    violations = []
+    for k in range(D + 1):
+        for cell in ner.cells[k]:
+            key = _core_pattern(c, k, cell)
+            if key not in reports:
+                reports[key] = contractibility_report(quillen_fiber(c, N, D, cell, k), d)
+            violations += [Violation(v.law, (k, cell) + v.witness, v.detail) for v in reports[key]]
+    return sum(map(len, ner.cells)), violations

@@ -22,7 +22,10 @@
   flags from permutations (``oracle_maximal_flags``).
 * The nerve of a cover: every combination of cover indices with a
   nonempty overlap (``oracle_cover_nerve``), which the package's
-  level-by-level ``_cover_nerve`` must reproduce in order.
+  level-by-level ``_cover_nerve`` must reproduce in order, and the cocycle
+  check over every ordered triple of cover indices
+  (``oracle_check_cocycle``), whose refusals and witnesses the package's
+  walk over that nerve must reproduce in order.
 * The classifying complex: the stagewise unraveling built from a face rule
   per cell, and the universal cocycle checked cell by cell over it, which
   the package's table-composing ``unravel_simplicial`` and its once per
@@ -39,7 +42,9 @@
 * Comma fibers: the nerve-level reference (``nerve_level_fiber``), the
   audited nerve of the pullback category P with both legs as audited
   ``nerve_map``s, which the package replaces by a category audit of P and
-  two functor checks, and whose fiber ``nerve(P, D)`` must equal; the
+  a functor check of its projection onto [m], and whose fiber
+  ``nerve(P, D)`` must equal; the projection onto unravel(C, N) as a
+  functor (``unraveled_leg``), which the package leaves unchecked; the
   step-chain simplicial set of (vertex tuple, stage tuple) pairs with its
   own face, degeneracy and leg rules, which the reference must match
   through the vertex sequence of each chain; and both legs of a fiber
@@ -66,11 +71,11 @@ from sympy.matrices.normalforms import smith_normal_form
 from sympy.polys.matrices import DomainMatrix
 
 from fatcat import simpset
-from fatcat.comparison import _nondegenerate_factorization, _shape_key
+from fatcat.comparison import _core_pattern, _nondegenerate_factorization
 from fatcat.errors import StructureError, Violation, check_budget
 from fatcat.fincat import FinCategory, Functor, mid, unravel
 from fatcat.homology import ChainMap, IntegerChainComplex, fat_chains, geometric_chains
-from fatcat.ids import sort_key
+from fatcat.ids import sort_ids, sort_key
 from fatcat.intlinalg import IntMatrix, smith
 from fatcat.simpset import (
     SemiSimplicialSet,
@@ -635,6 +640,55 @@ def oracle_cover_nerve(cc, top):
     return out
 
 
+def oracle_check_cocycle(u):
+    """The cocycle check over every ordered pair and triple of cover
+    indices, empty overlaps included: the reference for ``check_cocycle``,
+    which reads the nerve of the cover, refusal for refusal and witness for
+    witness, in order."""
+    base, cat = u.base, u.groupoid.base
+    n = len(base.cover)
+    expected_objects = {
+        (alpha, comp) for alpha in range(n) for comp in base.components_of_overlap((alpha,))
+    }
+    if set(u.objects) != expected_objects:
+        raise StructureError("object assignment does not match the cover components")
+    for key, obj in u.objects.items():
+        if obj not in set(cat.objects):
+            raise StructureError(f"object at {key} is not in the groupoid")
+    allowed = {
+        (alpha, beta, comp)
+        for alpha in range(n)
+        for beta in range(n)
+        for comp in base.components_of_overlap((alpha, beta))
+    }
+    required = {k for k in allowed if k[0] != k[1]}
+    if not required <= set(u.transitions) <= allowed:
+        raise StructureError("transitions do not match the overlap components")
+    for (alpha, beta, comp), m in u.transitions.items():
+        if m not in cat.src:
+            raise StructureError(f"transition at {(alpha, beta, comp)} is not a morphism")
+        src_obj = u.objects[(alpha, base.component_containing((alpha,), comp))]
+        tgt_obj = u.objects[(beta, base.component_containing((beta,), comp))]
+        if cat.src[m] != src_obj or cat.tgt[m] != tgt_obj:
+            raise StructureError(
+                f"transition endpoints at {(alpha, beta, comp)} do not match the objects"
+            )
+    violations = []
+    for (alpha, beta, comp), m in sort_ids(u.transitions.items(), key=itemgetter(0)):
+        if alpha == beta and not cat.is_identity(m):
+            violations.append(Violation("diagonal-identity", (alpha, comp)))
+    for alpha, beta, gamma in product(range(n), repeat=3):
+        for comp in base.components_of_overlap((alpha, beta, gamma)):
+            f_ba = u.transition(alpha, beta, comp)
+            f_cb = u.transition(beta, gamma, comp)
+            f_ca = u.transition(alpha, gamma, comp)
+            if cat.table.get((f_ba, f_cb)) != f_ca:
+                violations.append(
+                    Violation("cocycle-law", (alpha, beta, gamma, comp), "f_cb o f_ba != f_ca")
+                )
+    return violations
+
+
 # ---------------------------------------------------------------------------
 # The classifying complex, cell by cell
 
@@ -839,7 +893,7 @@ def nerve_level_fiber(c, N, D, y_cell, y_degree, target, simplex, shapes) -> Ner
     objects, arrows = _nondegenerate_factorization(c, y_degree, y_cell)
     m = len(objects) - 1
     composite = chain_composites(c, objects, arrows)
-    key = _shape_key(c, composite, m)
+    key = _core_pattern(c, y_degree, y_cell)
     if key not in shapes:
         shapes[key] = _nerve_level_shape(*key, N, D, simplex)
     steps, fiber, to_simplex = shapes[key]
@@ -850,6 +904,21 @@ def nerve_level_fiber(c, N, D, y_cell, y_degree, target, simplex, shapes) -> Ner
 
     to_unraveled = nerve_map(fiber, target, lambda v: (objects[v[0]], v[1]), lift)
     return NerveFiber(m, steps, fiber, to_simplex, to_unraveled)
+
+
+def unraveled_leg(c, target, y_cell, y_degree, pullback) -> Functor:
+    """The projection (a, l) -> (y(a), l) of the pullback category P of a
+    nerve simplex onto ``target``, which is unravel(c, N): the arrow (a0,
+    l0) -> (a1, l1) goes to the lift of the core composite a0 -> a1 from
+    stage l0 to l1.  The package does not check it, since the audits of
+    nerve(c, D) and unravel(c, N) imply its functor laws; ``check_functor``
+    on it is the leg check the package once ran for every core."""
+    objects, arrows = _nondegenerate_factorization(c, y_degree, y_cell)
+    composite = chain_composites(c, objects, arrows)
+    return Functor(
+        pullback, target, {v: (objects[v[0]], v[1]) for v in pullback.objects},
+        {(v, w): mid(c, composite[(v[0], w[0])], v[1], w[1]) for v, w in pullback.src},
+    )
 
 
 # ---------------------------------------------------------------------------

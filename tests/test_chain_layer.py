@@ -5,11 +5,14 @@ must equal the rule-built one of ``tests/oracles.py``, which names each
 term by its cell and hashes it back into a row; nerves and the fiber legs
 of the nerve-level reference, which compose their tables, must equal the
 per-cell oracle's table for table, and the reference must equal the nerve
-of the package's pullback category and the nerves of the two functors the
-package checks.  Every fully computed truncated complex satisfies the
+of the package's pullback category and the nerves of its two projection
+functors.  Every fully computed truncated complex satisfies the
 Euler-characteristic identity, and the tom Dieck path never falls back to
 a cell-keyed lookup.
 """
+
+import random
+from collections import Counter
 
 import pytest
 
@@ -25,7 +28,8 @@ from fatcat.comparison import (
     quillen_fiber,
     tau_chain_map,
 )
-from fatcat.fincat import ordinal, unravel
+from fatcat.errors import StructureError
+from fatcat.fincat import FinCategory, check_category, check_functor, ordinal, unravel
 from fatcat.fixtures import (
     circle_star_cover,
     cyclic_groupoid,
@@ -59,6 +63,7 @@ from oracles import (
     oracle_tau_chain_map,
     same_chain_complex,
     unravel_nerve_isomorphism,
+    unraveled_leg,
 )
 from test_comparison import core_simplex, random_poset, s3_action_groupoid
 
@@ -217,8 +222,8 @@ def test_fiber_legs_match_the_per_cell_oracle(name):
 def test_pullback_category_is_the_nerve_level_reference(monkeypatch, name):
     """For every core, the nerve of the package's pullback category P is
     the reference fiber table for table, and the reference legs are the
-    nerves of the two functors the package checks, P -> [m] and P ->
-    unravel(c, N)."""
+    nerves of P -> [m], which the package checks, and of P -> unravel(c,
+    N), which the oracle builds and checks here."""
     c, N, D = CATEGORIES[name], 2, 3
     checked = []
     original = comparison.check_functor
@@ -227,20 +232,57 @@ def test_pullback_category_is_the_nerve_level_reference(monkeypatch, name):
     target = nerve(unraveled, D)
     for k, cell in core_cells(c, D):
         checked.clear()
-        # a fresh shape table, so both functors are checked for this core
-        fib = quillen_fiber(c, N, D, cell, k, unraveled, {})
+        fib = quillen_fiber(c, N, D, cell, k)
         want = nerve_level_fiber(c, N, D, cell, k, target, core_simplex(c, D, cell, k), {})
         assert (fib.degree, fib.steps, fib.D) == (want.degree, want.steps, D), cell
         got = nerve(fib.pullback, D)
         assert (got.cells, got.faces, got.degeneracies) == (
             want.fiber.cells, want.fiber.faces, want.fiber.degeneracies), cell
-        assert [F.source for F in checked] == [fib.pullback, fib.pullback]
-        assert checked[1].target is unraveled
-        for F, leg in zip(checked, (want.to_simplex, want.to_unraveled)):
+        assert [F.source for F in checked] == [fib.pullback]
+        leg = unraveled_leg(c, unraveled, cell, k, fib.pullback)
+        assert check_functor(leg) == [], cell
+        for F, reference in zip(checked + [leg], (want.to_simplex, want.to_unraveled)):
             codomain = nerve(F.target, D)
-            assert codomain.cells == leg.target.cells, cell
+            assert codomain.cells == reference.target.cells, cell
             assert nerve_map(got, codomain, F.omap.__getitem__, F.mmap.__getitem__).maps \
-                == leg.maps, cell
+                == reference.maps, cell
+
+
+def mutated_tables(c, rng, count):
+    """``count`` copies of c, each with one or two composition entries
+    rewritten to another arrow of c, drawn by ``rng``."""
+    keys = sorted(c.table, key=repr)
+    for _ in range(count):
+        table = dict(c.table)
+        for key in rng.sample(keys, rng.choice((1, 2))):
+            table[key] = rng.choice([f for f in c.morphism_ids() if f != table[key]])
+        yield FinCategory(c.objects, c.morphisms, c.identity, table)
+
+
+def test_audited_categories_need_no_leg_check():
+    """The package checks no projection onto unravel(C, N): wherever the
+    audits of nerve(C, D) and unravel(C, N) accept a mutated composition
+    table, at D = 1..3 and N = D..3, the projection of every core's fiber
+    onto unravel(C, N) is a functor."""
+    rng = random.Random(0)
+    accepted = Counter()
+    for name in FIBER_CATEGORIES:
+        for c in mutated_tables(CATEGORIES[name], rng, 60):
+            for D in range(1, 4):
+                for N in range(D, 4):
+                    try:
+                        nerve(c, D)
+                        unraveled = unravel(c, N)
+                        if check_category(unraveled):
+                            continue
+                    except StructureError:
+                        continue
+                    accepted[name] += 1
+                    for k, cell in core_cells(c, D):
+                        fib = quillen_fiber(c, N, D, cell, k)
+                        leg = unraveled_leg(c, unraveled, cell, k, fib.pullback)
+                        assert check_functor(leg) == [], (name, D, N, cell)
+    assert accepted["z2"] and accepted["idempotent-monoid"]
 
 
 def test_deletion_complexes_match_the_rule_built_oracle():

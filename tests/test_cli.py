@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import importlib.util
 import json
+import re
 import shlex
 from functools import partial
 from pathlib import Path
@@ -18,6 +19,7 @@ from fatcat.fincat import (
     category_to_json,
     groupoid_from_json,
     groupoid_to_json,
+    ordinal,
 )
 from fatcat.fixtures import (
     broken_circle_cocycle,
@@ -471,6 +473,61 @@ def test_identity_leaving_another_object_exits_2(capsys, tmp_path, argv):
     bad = tmp_path / "stray-identity.json"
     bad.write_text(json.dumps(doc))
     expect_bad_input(capsys, argv + ["--input", str(bad)])
+
+
+def lawless_category(arrows, compose):
+    """Objects, arrows and a total composition table with the identity laws
+    filled in, then ``compose`` written over it, so it may break a law."""
+    objects = sorted({x for _, s, t in arrows for x in (s, t)})
+    identity = {x: ("id", x) for x in objects}
+    morphisms = [(m, x, x) for x, m in identity.items()] + arrows
+    table = {}
+    for m, s, t in morphisms:
+        table[(identity[s], m)] = table[(m, identity[t])] = m
+    return FinCategory(objects, morphisms, identity, {**table, **compose})
+
+
+def lawless_categories():
+    """A composable triple f, g, h whose two composites h(gf) and (hg)f are
+    the distinct arrows x and y; the composite of 0 <= 1 <= 2 read as 0 <= 1,
+    with the wrong target; and f followed by the identity of its target
+    read as g, parallel to f."""
+    triple = lawless_category(
+        [("f", 0, 1), ("g", 1, 2), ("h", 2, 3), ("gf", 0, 2), ("hg", 1, 3),
+         ("x", 0, 3), ("y", 0, 3)],
+        {("f", "g"): "gf", ("g", "h"): "hg", ("gf", "h"): "x", ("f", "hg"): "y"})
+    chain = ordinal(2)
+    endpoint = FinCategory(chain.objects, chain.morphisms, chain.identity,
+                           {**chain.table, ((0, 1, "le"), (1, 2, "le")): (0, 1, "le")})
+    unit = lawless_category([("f", 0, 1), ("g", 0, 1)], {("f", ("id", 1)): "g"})
+    return {"associativity": triple, "endpoint": endpoint, "identity": unit}
+
+
+NERVE_AUDIT, UNRAVEL_AUDIT = "^face identities fail", "^unravel\\(C, N\\) breaks a law"
+
+
+@pytest.mark.parametrize("name, D, message", [
+    # lifts of the triple to stages 0 < 1 < 2 < 3 meet in unravel(C, N) at
+    # any D, and the nerve holds the triple itself from D = 3 up
+    ("associativity", 1, UNRAVEL_AUDIT), ("associativity", 2, UNRAVEL_AUDIT),
+    ("associativity", 3, NERVE_AUDIT),
+    ("endpoint", 1, UNRAVEL_AUDIT), ("endpoint", 2, NERVE_AUDIT), ("endpoint", 3, NERVE_AUDIT),
+    ("identity", 1, UNRAVEL_AUDIT), ("identity", 2, NERVE_AUDIT), ("identity", 3, NERVE_AUDIT),
+])
+def test_quillen_a_refuses_a_broken_law_before_any_fiber(capsys, tmp_path, monkeypatch,
+                                                          name, D, message):
+    """The projection of a fiber onto unravel(C, N) is not checked, since
+    the audits of nerve(C, D) and unravel(C, N) that come first check every
+    law it could break: each doctoring is refused by one of them, and no
+    fiber is built."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(category_to_json(lawless_categories()[name])))
+    fibers = []
+    monkeypatch.setattr(comparison, "quillen_fiber", lambda *args: fibers.append(args))
+    error = expect_bad_input(
+        capsys, ["verify", "quillen-a", "--input", str(path), "--N", "3", "--D", str(D)])
+    assert re.match(message, error), error
+    assert fibers == []
 
 
 def _drop_vertices(doc):

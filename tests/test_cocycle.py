@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import sys
 import types
 from fractions import Fraction
@@ -72,6 +73,7 @@ from oracles import (
     betti_torsion,
     column,
     is_zero,
+    oracle_check_cocycle,
     oracle_cover_nerve,
     oracle_homology,
     oracle_partition_homotopy,
@@ -256,6 +258,58 @@ def test_random_gauge_cocycles_compose(seed):
     back = compose_isomorphisms(inverse_isomorphism(into_u), into_v)
     assert back.ok
     assert check_isomorphism(back.iso) == []
+
+
+def flip_cocycle(seed):
+    """A Z/2 cocycle on a seeded vertex-star cover, every transition and
+    every diagonal entry drawn at random, so the law fails on many triples
+    and some diagonal entries are flips."""
+    rng = random.Random(seed)
+    u = trivial_cocycle(vertex_star_cover(random_two_complex(seed=seed)))
+    flips = [("*", "*", "e"), ("*", "*", "s")]
+    transitions = {key: rng.choice(flips) for key in u.transitions}
+    for alpha, comp in u.objects:
+        transitions[(alpha, alpha, comp)] = rng.choice(flips)
+    return GCocycle(u.base, u.groupoid, u.objects, transitions)
+
+
+def law_cases():
+    cases = {**bundled_cocycles(), "broken-circle": broken_circle_cocycle()}
+    for seed in range(4):
+        cases[f"gauge-{seed}"] = random_gauge_cocycle(seed)[0]
+        cases[f"flips-{seed}"] = flip_cocycle(seed)
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(law_cases()))
+def test_check_cocycle_matches_the_triple_walk(name):
+    u = law_cases()[name]
+    assert check_cocycle(u) == oracle_check_cocycle(u)
+    if name.startswith("flips"):
+        laws = {v.law for v in check_cocycle(u)}
+        assert laws == {"diagonal-identity", "cocycle-law"}
+
+
+def test_check_cocycle_refuses_like_the_triple_walk():
+    u = flip_cocycle(0)
+    (alpha, beta, comp), m = next((k, m) for k, m in u.transitions.items() if k[0] != k[1])
+    missing = {k: f for k, f in u.transitions.items() if k != (alpha, beta, comp)}
+    # cover sets 0 and 1 of the points cover do not meet
+    points = CoveredComplex(closure([(0, 1), (2,)]), [closure([(0, 1)]), [(2,)]])
+    disjoint = trivial_cocycle(points)
+    cases = [
+        GCocycle(u.base, u.groupoid, u.objects, missing),
+        GCocycle(u.base, u.groupoid, {**u.objects, (alpha, comp): "x"}, u.transitions),
+        GCocycle(u.base, u.groupoid, dict(list(u.objects.items())[1:]), u.transitions),
+        GCocycle(u.base, u.groupoid, u.objects, {**u.transitions, (alpha, beta, comp): "x"}),
+        GCocycle(points, disjoint.groupoid, disjoint.objects,
+                 {(0, 1, (0, 1)): m, **disjoint.transitions}),
+    ]
+    for v in cases:
+        with pytest.raises(StructureError) as expected:
+            oracle_check_cocycle(v)
+        with pytest.raises(StructureError, match=f"^{re.escape(str(expected.value))}$"):
+            check_cocycle(v)
 
 
 def test_concat_trivial_prism():

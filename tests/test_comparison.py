@@ -29,7 +29,6 @@ from fatcat.errors import EnumerationLimitError, StructureError, Violation
 from fatcat.fincat import (
     FinCategory,
     FinGroupoid,
-    UnraveledCategory,
     check_groupoid,
     mid,
     ordinal,
@@ -241,12 +240,12 @@ def test_fiber_sweep_builds_once_per_core(monkeypatch, cat, cells, cores, patter
         monkeypatch.setattr(comparison, name, counted)
     checked, violations = all_fibers_contractible(cat, 3, 3, 2)
     assert (checked, violations) == (cells, [])
-    # unravel(C, N) and its category audit once; per pattern P, its budget
-    # check, its category audit, its projection onto [m] and its
-    # dismantling; per core the projection onto unravel(C, N)
-    assert calls == {"unravel": 1, "nerve": 1, "quillen_fiber": cores, "_fiber_shape": patterns,
-                     "check_category": 1 + patterns, "check_functor": patterns + cores,
-                     "contractibility_report": patterns}
+    # unravel(C, N) and its category audit once; per pattern one fiber: P,
+    # its budget check, its category audit, its projection onto [m] and its
+    # dismantling, and nothing per core
+    assert calls == {"unravel": 1, "nerve": 1, "quillen_fiber": patterns,
+                     "_fiber_shape": patterns, "check_category": 1 + patterns,
+                     "check_functor": patterns, "contractibility_report": patterns}
     # the nerve of C is the one simplicial object, audited exactly once
     assert len({obj for obj, _ in audits}) == 1
     assert set(audits.values()) == {1}
@@ -269,9 +268,8 @@ def count_numberings(monkeypatch):
     ids=["ordinal-2", "ordinal-4", "z3"],
 )
 def test_fiber_sweep_numbers_each_category_once(monkeypatch, make, cores, patterns):
-    """C for its nerve, unravel(C, N) once, and per pattern P and [m] once:
-    the per-core functor checks read the kept numberings, so the count
-    does not grow with the cores."""
+    """C for its nerve, unravel(C, N) once, and per pattern P and [m] once,
+    so the count does not grow with the cores."""
     cat = make()
     built = {"unravel": [], "_fiber_shape": []}
     for name, kept in built.items():
@@ -354,9 +352,8 @@ def core_simplex(c, D, cell, k):
 
 
 def fiber(c, N, D, cell, k):
-    """The comma fiber of a nerve cell, with its unraveled target built for
-    it."""
-    return comparison.quillen_fiber(c, N, D, cell, k, unravel(c, N), {})
+    """The comma fiber of a nerve cell."""
+    return comparison.quillen_fiber(c, N, D, cell, k)
 
 
 def fiber_nerve(fib):
@@ -386,27 +383,12 @@ def test_fiber_over_interval_simplex():
         assert oracle_homology(chains, k) == betti_torsion(homology(chains, k))
 
 
-def test_fiber_refuses_a_wrong_target(monkeypatch):
+def test_fiber_refuses_a_wrong_target():
     c = ordinal(1)
     edge = ((0, 1, "le"),)
-    shared = unravel(c, 3)
-    targets = []
-    check = comparison.check_functor
-    monkeypatch.setattr(comparison, "check_functor", lambda F: targets.append(F.target) or check(F))
-    quillen_fiber(c, 3, 2, edge, 1, shared, {})
-    assert targets[-1] is shared
-    # a target without stage 3, and one with a doctored composite of two
-    # images: (0, 0) -> (0, 1) -> (1, 2) in P goes to the arrow from stage 0
-    # to 2, not 3
-    doctored = unravel(c, 3)
-    f, ident = edge[0], c.identity[0]
-    doctored.table[(mid(c, ident, 0, 1), mid(c, f, 1, 2))] = mid(c, f, 0, 3)
-    for wrong, message in ((unravel(c, 2), "not in target"), (doctored, "is not a functor")):
-        with pytest.raises(StructureError, match=message):
-            quillen_fiber(c, 3, 2, edge, 1, wrong, {})
     # the nerve-level reference refuses a leg codomain with another N or D
     simplex = nerve(ordinal(1), 2)
-    target = nerve(shared, 2)
+    target = nerve(unravel(c, 3), 2)
     assert nerve_level_fiber(c, 3, 2, edge, 1, target, simplex, {}).to_unraveled.target is target
     for wrong in (nerve(unravel(c, 2), 2), nerve(unravel(c, 3), 3)):
         with pytest.raises(StructureError):
@@ -428,8 +410,7 @@ def test_fiber_is_refused_before_any_cell_is_built(monkeypatch):
     monkeypatch.delenv("FATCAT_MAX_CELLS", raising=False)
     c, cell, k = FIBER_CORES["z2-ss"]
     with pytest.raises(EnumerationLimitError, match="^pullback category needs 32812 cells"):
-        # refused before the target is read
-        quillen_fiber(c, 25, 4, cell, k, None, {})
+        quillen_fiber(c, 25, 4, cell, k)
     assert built == []
     assert categories == []
 
@@ -437,8 +418,7 @@ def test_fiber_is_refused_before_any_cell_is_built(monkeypatch):
 @pytest.mark.parametrize("name", sorted(FIBER_CORES))
 def test_fiber_budget_counts_every_cell(monkeypatch, name):
     c, cell, k = FIBER_CORES[name]
-    target = unravel(c, 3)
-    fib = quillen_fiber(c, 3, 3, cell, k, target, {})
+    fib = quillen_fiber(c, 3, 3, cell, k)
     # P's objects, arrows and composition table, its chains through degree 2
     pullback = fib.pullback
     total = len(pullback.objects) + len(pullback.morphisms) + len(pullback.table)
@@ -446,10 +426,10 @@ def test_fiber_budget_counts_every_cell(monkeypatch, name):
     built = record_builds(monkeypatch)
     categories = record_builds(monkeypatch, FinCategory)
     monkeypatch.setenv("FATCAT_MAX_CELLS", str(total))
-    quillen_fiber(c, 3, 3, cell, k, target, {})
+    quillen_fiber(c, 3, 3, cell, k)
     monkeypatch.setenv("FATCAT_MAX_CELLS", str(total - 1))
     with pytest.raises(EnumerationLimitError, match=f"needs {total} cells"):
-        quillen_fiber(c, 3, 3, cell, k, target, {})
+        quillen_fiber(c, 3, 3, cell, k)
     # P and [m], from the run inside the budget, and no nerve
     assert categories[0] == pullback
     assert len(categories) == 2
@@ -458,16 +438,16 @@ def test_fiber_budget_counts_every_cell(monkeypatch, name):
 
 # ---------------------------------------------------------------------------
 # Mutations: what the nerve audits of the reference catch, the category
-# audit of P and the two functor checks catch
+# audit of P and the functor check onto [m] catch
 
 
 def fiber_levels(c, cell, k, N=2, D=3):
     """The comma fiber of one core built both ways, as two thunks: the
     package's category-level check, and the nerve-level reference with
     its audited nerve and legs.  Also returns the reference's simplex."""
-    unraveled, simplex = unravel(c, N), core_simplex(c, D, cell, k)
-    target = nerve(unraveled, D)
-    return (lambda: quillen_fiber(c, N, D, cell, k, unraveled, {}),
+    simplex = core_simplex(c, D, cell, k)
+    target = nerve(unravel(c, N), D)
+    return (lambda: quillen_fiber(c, N, D, cell, k),
             lambda: nerve_level_fiber(c, N, D, cell, k, target, simplex, {}),
             simplex)
 
@@ -494,19 +474,17 @@ def test_a_doctored_composite_of_P_is_caught_at_both_levels(monkeypatch):
 
 
 def test_a_doctored_unraveled_arrow_is_caught_at_both_levels(monkeypatch):
+    # the package builds no projection onto unravel(C, N), so only the
+    # nerve-level reference has a lift to doctor
     c, cell, k = FIBER_CORES["edge"]
-    category_level, nerve_level, _ = fiber_levels(c, cell, k)
-    category_level()
+    _, nerve_level, _ = fiber_levels(c, cell, k)
     nerve_level()
 
     def wrong_stage(c, f, i, j):
         # every step from stage 0 to 1 lands at stage 2
         return mid(c, f, i, 2 if (i, j) == (0, 1) else j)
 
-    for module in (comparison, oracles):
-        monkeypatch.setattr(module, "mid", wrong_stage)
-    with pytest.raises(StructureError, match="projection onto unravel"):
-        category_level()
+    monkeypatch.setattr(oracles, "mid", wrong_stage)
     with pytest.raises(StructureError, match="structure maps do not commute"):
         nerve_level()
 
@@ -525,9 +503,7 @@ def test_a_doctored_simplex_image_is_caught_at_both_levels(monkeypatch):
     check = comparison.check_functor
 
     def check_doctored(F):
-        if not isinstance(F.target, UnraveledCategory):
-            F = F._replace(mmap={vw: doctored(F.mmap.__getitem__)(vw) for vw in F.mmap})
-        return check(F)
+        return check(F._replace(mmap={vw: doctored(F.mmap.__getitem__)(vw) for vw in F.mmap}))
 
     leg = oracles.nerve_map
 

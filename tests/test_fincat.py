@@ -40,7 +40,7 @@ from fatcat.fixtures import (
 )
 from fatcat.ids import sort_ids, sort_key
 
-from oracles import oracle_check_category, oracle_check_functor
+from oracles import oracle_check_category, oracle_check_functor, unraveled_leg
 from test_chain_layer import CATEGORIES as FIBER_CATEGORY_FIXTURES
 from test_chain_layer import FIBER_CATEGORIES, core_cells
 
@@ -243,7 +243,8 @@ def functor_cases():
     """Every functor of the ordinal equivalences at (1, 2), (2, 4) and
     (3, 5), the forgetful functor of each standard groupoid's unraveling
     at N = 3, and both quillen-a projections of every core of the fiber
-    categories, at N = 2, D = 3."""
+    categories, at N = 2, D = 3: the package's onto [m] and the oracle's
+    onto unravel(C, N)."""
     cases = []
     for n, N in ((1, 2), (2, 4), (3, 5)):
         bundle = ordinal_unravel_equivalences(n, N)
@@ -256,7 +257,8 @@ def functor_cases():
             c = FIBER_CATEGORY_FIXTURES[name]
             target = unravel(c, 2)
             for k, cell in core_cells(c):
-                quillen_fiber(c, 2, 3, cell, k, target, {})
+                fib = quillen_fiber(c, 2, 3, cell, k)
+                cases.append(unraveled_leg(c, target, cell, k, fib.pullback))
     return cases
 
 

@@ -22,7 +22,8 @@ from pathlib import Path
 
 import pytest
 
-from fatcat.cocycle import covered_complex_to_json
+from fatcat.cocycle import cocycle_to_json, covered_complex_to_json
+from fatcat.fixtures import trivial_cocycle
 
 from test_cli import GOLDEN, REPORT_ALL_SHA256, simplex_and_points, write_inputs
 
@@ -144,3 +145,25 @@ def test_sparse_cover_blowup_runs_in_512_mb(tmp_path):
                           preexec_fn=limit, timeout=60)
     assert (done.returncode, done.stderr) == (0, "")
     assert sha256(done.stdout) == SPARSE41_SHA256
+
+
+# stdout of ``verify cocycle`` on the trivial Z/2 cocycle over the 5-simplex
+# and 240 isolated points
+SPARSE241_COCYCLE_SHA256 = "33772fdee1771a3f5d18612b9230e599e2931d560d6864c16b85503c76b1652e"
+
+
+def test_sparse_cover_cocycle_check_runs_in_10_s(tmp_path):
+    """241 cover sets that never meet have 241 nonempty overlaps, so the
+    check follows those; a walk over all 14 M ordered triples of cover
+    indices, with their overlaps kept, takes about 20 s and 240 MB."""
+    path = tmp_path / "sparse241.json"
+    path.write_text(json.dumps(cocycle_to_json(trivial_cocycle(simplex_and_points(240)))))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    argv = ["verify", "cocycle", "--input", str(path)]
+    done = subprocess.run(ENTRIES["module"] + argv, env=ENV, capture_output=True, text=True,
+                          preexec_fn=limit, timeout=10)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert sha256(done.stdout) == SPARSE241_COCYCLE_SHA256
