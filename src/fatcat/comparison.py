@@ -6,16 +6,11 @@ flags and last-vertex collapses, the face-compatibility failure of the
 naive coordinate-sorting assignment, and the comma fibers whose vanishing
 reduced homology backs the projection being an equivalence.  The nerve
 preserves pullbacks, so each comma fiber is the nerve of a pullback
-category P, and its legs are the nerves of P's two projection functors.
-The nerve of a functor is a simplicial map exactly when the functor
-preserves endpoints, identities and composites, so the fibers are checked
-on P itself: P is audited as a category and its projection onto the
-simplex is checked as a functor.  The projection onto unravel(C, N) lifts
-C's composites along the core, so it preserves those laws exactly when
-they hold in C there; the audits of the nerve of C and of unravel(C, N)
-that precede the first fiber check composite endpoints, the identity laws
-and associativity, so it needs no check of its own.  The nerve of P is
-built only when P's dismantling gets stuck.
+category P, and P has at most one arrow between two points: it is a
+poset.  A fiber is held as P's up-sets and audited as an order, C's own
+law audit stands in for the projection onto unravel(C, N), and no
+category but C is built.  The order complex of P is built only when P's
+dismantling gets stuck.
 
 Flags are the chains of sorted tuples that :func:`fatcat.simpset.sd_flags`
 lists.  Stage label convention for the section: a maximal flag
@@ -32,7 +27,7 @@ from itertools import combinations
 from math import comb
 
 from .errors import StructureError, Violation, check_budget
-from .fincat import FinCategory, Functor, check_category, check_functor, ordinal, unravel
+from .fincat import FinCategory, check_category
 from .homology import (
     ChainMap,
     IntegerChainComplex,
@@ -41,17 +36,18 @@ from .homology import (
     check_degree_range,
     deletion_complex,
     fat_chains,
-    geometric_chains,
     homology,
     identity_on_homology_through,
     induced_map,
     named_matrix,
 )
 from .simpset import (
+    SemiSimplicialSet,
     SimplicialMap,
     _compose,
     chain_composites,
     chain_count,
+    check_size,
     maximal_flags,
     nerve,
     product_with_S,
@@ -232,30 +228,6 @@ class BarycentricPoint(namedtuple("BarycentricPoint", "n coords")):
         return cls(n, tuple(Fraction(1, n + 1) for _ in range(n + 1)))
 
 
-def rho_evaluate(n: int, j: int, t):
-    """Coordinate component s_{j,n} of the sorting assignment, an exact
-    rational.
-
-    (j+1) times the sum over (j+1)-subsets E of max(0, min_E t - max_{not E} t),
-    with the max over an empty complement read as 0.
-    """
-    if not 0 <= j <= n:
-        raise StructureError("need 0 <= j <= n")
-    coords = t.coords if isinstance(t, BarycentricPoint) else tuple(t)
-    if len(coords) != n + 1:
-        raise StructureError("point has wrong dimension")
-    from fractions import Fraction
-
-    total = Fraction(0)
-    for E in combinations(range(n + 1), j + 1):
-        inside = min(coords[i] for i in E)
-        rest = [coords[i] for i in range(n + 1) if i not in E]
-        outside = max(rest) if rest else Fraction(0)
-        if inside > outside:
-            total += inside - outside
-    return (j + 1) * total
-
-
 class RhoWitness(
     namedtuple(
         "RhoWitness",
@@ -343,11 +315,11 @@ def rho_witnesses(n: int, convention: str):
 # Comma fibers over nerve simplices
 
 
-class CommaFiber(namedtuple("CommaFiber", "degree steps pullback D")):
-    """Pullback of a nondegenerate simplex y: [m] -> C against the stage
-    forgetting functor, P = [m] x_C unravel(C, N), whose nerve truncated at
-    D is the comma fiber.  ``steps[v]`` lists, ascending, the targets of
-    P's arrows leaving v, so it holds the objects w >= v of the poset P."""
+class CommaFiber(namedtuple("CommaFiber", "degree steps D")):
+    """Comma fiber of a nondegenerate simplex y: [m] -> C against the stage
+    forgetting functor: the nerve, truncated at D, of the poset P = [m]
+    x_C unravel(C, N).  ``steps[v]`` lists, ascending, the points w >= v
+    of P, the up-set of v."""
 
     __slots__ = ()
 
@@ -383,73 +355,69 @@ def _require(violations, what):
 
 
 def _fiber_shape(m: int, pattern, N: int):
-    """The steps of P and P itself, audited as a category, with its
-    projection onto [m] checked as a functor; all of them depend only on
-    the core degree m, N and the identity pattern."""
-    vertices = [(a, l) for a in range(m + 1) for l in range(N + 1)]
-    # steps[v]: the targets, ascending, of the arrows of P leaving v
+    """The up-sets of P, audited as an order; they depend only on the core
+    degree m, N and the identity pattern."""
+    # steps[v]: the points w >= v, ascending
     steps = {
         (a0, l0): [
             (a1, l1) for a1 in range(a0, m + 1) for l1 in range(l0, N + 1)
             if l0 < l1 or a0 == a1 or (a0, a1) in pattern
         ]
-        for a0, l0 in vertices
+        for a0 in range(m + 1) for l0 in range(N + 1)
     }
-    # the objects, the arrows and the composition table, one entry per 2-chain
+    # P's points, arrows and composable pairs: the transitivity audit walks
+    # each pair once
     check_budget(sum(chain_count(steps, 2)), "pullback category")
-    pullback = FinCategory(
-        vertices,
-        [((v, w), v, w) for v in vertices for w in steps[v]],
-        {v: (v, v) for v in vertices},
-        {((u, v), (v, w)): (u, w) for u in vertices for v in steps[u] for w in steps[v]},
-    )
-    _require(check_category(pullback), "the pullback category breaks a law")
-    to_simplex = Functor(
-        pullback, ordinal(m), {v: v[0] for v in vertices},
-        {(v, w): (v[0], w[0], "le") for v, w in pullback.src},
-    )
-    _require(check_functor(to_simplex), "the projection onto [m] is not a functor")
-    return steps, pullback
+    _check_order(steps)
+    return steps
+
+
+def _check_order(steps):
+    """Raise :class:`StructureError` unless ``steps`` are the up-sets of an
+    order inside the product order of [m] x [N]: every step v -> w ends at
+    a point and lowers neither the core vertex nor the stage, every point
+    lies in its own up-set, and up[w] lies in up[v] for every step v -> w.
+    The product order makes the relation antisymmetric."""
+    up = {v: set(ws) for v, ws in steps.items()}
+    _require([(v, w) for v, ws in steps.items() for w in ws
+              if w not in up or w[0] < v[0] or w[1] < v[1]],
+             "a step of P leaves the product order of [m] x [N]")
+    _require([v for v, ws in up.items() if v not in ws], "P misses a reflexive step")
+    _require([(v, w) for v, ws in up.items() for w in ws if not up[w] <= ws],
+             "P misses a transitive step")
 
 
 def quillen_fiber(c: FinCategory, N: int, D: int, y_cell, y_degree: int) -> CommaFiber:
-    """Comma fiber of a nerve simplex, as a pullback category.
+    """Comma fiber of a nerve simplex, as the up-sets of a poset.
 
     Degenerate simplices are factored through their nondegenerate core
     first, so the fiber only depends on that core.  The nerve preserves
     pullbacks, so the fiber of the core y: [m] -> C is the nerve of P =
-    [m] x_C unravel(C, N): its objects are the pairs (a, l) of a core vertex
+    [m] x_C unravel(C, N): its points are the pairs (a, l) of a core vertex
     and a stage, with one arrow (a0, l0) -> (a1, l1) when a0 <= a1, l0 <= l1
     and either l0 < l1 or the core composite a0 -> a1 is an identity.  The
     legs of the fiber are the nerves of the projections of P, (a, l) -> a
-    and (a, l) -> (y(a), l).  A map of nerves given on objects and arrows
-    is simplicial exactly when it preserves endpoints, identities and
-    composites, so P is audited as a category and its projection onto [m]
-    is checked as a functor, and no nerve is built; a failed check raises
-    :class:`StructureError`.
+    and (a, l) -> (y(a), l).
 
-    The projection onto unravel(C, N) sends the arrow (a0, l0) -> (a1, l1)
-    to the lift of the core composite a0 -> a1 from stage l0 to l1.  It
-    lies in unravel(C, N) and preserves identities by construction, and it
-    preserves endpoints and composites exactly when C's composites along
-    the core have the right endpoints and satisfy the identity laws and
-    associativity.  The audits that :func:`all_fibers_contractible` runs
-    before the first fiber check all of these: the face identities of
-    nerve(C, D) check composite endpoints and the identity laws from D = 2
-    up, and associativity from D = 3 up, the first degree at which a core
-    has a vertex triple whose composite the left fold of
-    :func:`chain_composites` does not define by itself; at D = 1 the audit
-    of unravel(C, N) checks id o f = f on every lift.  So that projection
-    is not checked here.
+    P has at most one arrow between two points, so it is a category
+    exactly when its arrows are reflexive and transitive, and then the
+    identity laws and associativity hold by themselves.  The projection
+    onto [m] is a functor exactly when no arrow lowers a.  The projection
+    onto unravel(C, N) sends (a0, l0) -> (a1, l1) to the lift of the core
+    composite a0 -> a1 from stage l0 to l1, which lies in unravel(C, N)
+    when l0 <= l1 and the stage stays only over an identity; C is a
+    category, so lifting its composites to unravel(C, N) preserves them,
+    and :func:`all_fibers_contractible` audits C before the first fiber.
+    So the up-sets are audited as an order inside the product order of
+    [m] x [N], and neither P nor a projection is built as a category; a
+    failed audit raises :class:`StructureError`.
 
-    P and its projection onto [m] depend only on m, N and the identity
-    pattern, the pairs a0 < a1 whose composite is an identity.  P's
-    objects, arrows and composition table are counted from its step lists
-    and budgeted before P is built.
+    The up-sets depend only on m, N and the identity pattern, the pairs
+    a0 < a1 whose composite is an identity.  P's points, arrows and
+    composable pairs are counted from them and budgeted before the audit.
     """
     m, pattern = _core_pattern(c, y_degree, y_cell)
-    steps, pullback = _fiber_shape(m, pattern, N)
-    return CommaFiber(m, steps, pullback, D)
+    return CommaFiber(m, _fiber_shape(m, pattern, N), D)
 
 
 def dismantle(steps):
@@ -494,21 +462,21 @@ def dismantle(steps):
 
 
 def replay_dismantling(steps, removals) -> bool:
-    """Check a removal sequence against the order w >= v for w in
-    ``steps[v]``, rebuilt here: each removed x must still be there, with
-    its witness w the minimum of the other points above x or the maximum
-    of those below it, and exactly one point must be left at the end."""
-    le = {(v, w) for v, ws in steps.items() for w in ws}
+    """Check a removal sequence against the up-sets ``steps``: each removed
+    x must still be there, with its witness w the minimum of the other
+    points above x or the maximum of those below it, and exactly one point
+    must be left at the end."""
+    up = {v: set(ws) for v, ws in steps.items()}
     live = set(steps)
     for x, w in removals:
         if x not in live or w not in live or w == x:
             return False
         live.discard(x)
-        if (x, w) in le:
-            if not all((w, y) in le for y in live if (x, y) in le):
+        if w in up[x]:
+            if not up[x] & live <= up[w]:
                 return False
-        elif (w, x) in le:
-            if not all((y, w) in le for y in live if (y, x) in le):
+        elif x in up[w]:
+            if not all(w in up[y] for y in live if x in up[y]):
                 return False
         else:
             return False
@@ -522,11 +490,19 @@ def contractibility_report(fiber: CommaFiber, d: int):
     The fiber is the nerve of the poset P, so a replayed dismantling of P
     to one point proves it contractible.  A P with no beat point left
     before that, which may still be contractible, is decided by the
-    homology of its nerve, built only then."""
+    homology of its order complex through degree D: its k-cells are the
+    strict chains v_0 < ... < v_k of P and its face d_i deletes v_i, so its
+    chains are the normalized chains of the nerve of P.  The chains are
+    counted and budgeted before any is listed."""
     check_degree_range(d, fiber.D)
     if replay_dismantling(fiber.steps, dismantle(fiber.steps)):
         return []
-    chains = geometric_chains(nerve(fiber.pullback, fiber.D))
+    above = {v: [w for w in ws if w != v] for v, ws in fiber.steps.items()}
+    check_size(SemiSimplicialSet, fiber.D, chain_count(above, fiber.D))
+    cells = [[(v,) for v in above]]
+    while len(cells) <= fiber.D:
+        cells.append([chain + (w,) for chain in cells[-1] for w in above[chain[-1]]])
+    chains = deletion_complex(cells)
     violations = []
     for k in range(d + 1):
         h = homology(chains, k)
@@ -546,22 +522,20 @@ def contractibility_report(fiber: CommaFiber, d: int):
 def all_fibers_contractible(c: FinCategory, N: int, D: int, d: int):
     """Run the fiber check over every simplex of the truncated nerve.
 
-    The fiber of a cell depends only on its nondegenerate core, and P with
-    its projection onto [m] only on the core's degree and identity
-    pattern.  The audit of nerve(C, D), which checks composite endpoints
-    and the identity laws from D = 2 up and associativity from D = 3 up,
-    and that of unravel(C, N), which checks id o f = f on every lift, come
-    first; they check everything the projection of a fiber onto
-    unravel(C, N) could break (see :func:`quillen_fiber`), so that
-    projection is never built and unravel(C, N) is let go after its audit.
+    The fiber of a cell depends only on its nondegenerate core, and its
+    poset P only on the core's degree and identity pattern.  The audits of
+    nerve(C, D) and of C's laws come first.  C is a category, so lifting
+    its composites to unravel(C, N) preserves them, and the projection of a
+    fiber onto unravel(C, N) needs no check of its own (see
+    :func:`quillen_fiber`); neither it nor unravel(C, N) is built.
     The cells are walked in order: the first cell of each pattern builds,
-    checks and dismantles its P, and every cell gets its pattern's
+    audits and dismantles its P, and every cell gets its pattern's
     violations under its own ``(k, cell)`` prefix.  Returns the number of
     nerve cells checked and the violations in cell order.
     """
     check_degree_range(d, D)
     ner = nerve(c, D)
-    _require(check_category(unravel(c, N)), "unravel(C, N) breaks a law")
+    _require(check_category(c), "C breaks a law")
     reports = {}
     violations = []
     for k in range(D + 1):

@@ -39,16 +39,21 @@
   order of its composition witnesses, and the partition homotopy over
   Fractions (``oracle_partition_homotopy``), which the package's integer
   ``partition_homotopy`` must match as rationals.
-* Comma fibers: the nerve-level reference (``nerve_level_fiber``), the
-  audited nerve of the pullback category P with both legs as audited
-  ``nerve_map``s, which the package replaces by a category audit of P and
-  a functor check of its projection onto [m], and whose fiber
-  ``nerve(P, D)`` must equal; the projection onto unravel(C, N) as a
-  functor (``unraveled_leg``), which the package leaves unchecked; the
+* Comma fibers: the category of a poset built from its up-sets
+  (``poset_category``), the pullback category P that the package holds
+  only as up-sets, with one composite per 2-chain, and its projection onto
+  [m] as a functor (``simplex_leg``); the nerve-level reference
+  (``nerve_level_fiber``), the audited nerve of P with both legs as
+  audited ``nerve_map``s, which the package replaces by an order audit of
+  P's up-sets, and whose fiber ``nerve(P, D)`` has the package's order
+  complex as its normalized chains; the projection onto unravel(C, N) as
+  a functor (``unraveled_leg``), which the package leaves unchecked; the
   step-chain simplicial set of (vertex tuple, stage tuple) pairs with its
   own face, degeneracy and leg rules, which the reference must match
   through the vertex sequence of each chain; and both legs of a fiber
   from the per-cell rule that maps a chain arrow by arrow.
+* The sorting assignment's coordinate components as exact rationals
+  (``rho_evaluate``), checked against closed forms.
 * Dense matrices: products and transposes of plain row lists, the
   reference for the package's sparse ``IntMatrix``; ``dense_smith``, the
   dense eliminator that the package's sparse ``smith`` must agree with,
@@ -71,9 +76,9 @@ from sympy.matrices.normalforms import smith_normal_form
 from sympy.polys.matrices import DomainMatrix
 
 from fatcat import simpset
-from fatcat.comparison import _core_pattern, _nondegenerate_factorization
+from fatcat.comparison import BarycentricPoint, _core_pattern, _nondegenerate_factorization
 from fatcat.errors import StructureError, Violation, check_budget
-from fatcat.fincat import FinCategory, Functor, mid, unravel
+from fatcat.fincat import FinCategory, Functor, mid, ordinal, unravel
 from fatcat.homology import ChainMap, IntegerChainComplex, fat_chains, geometric_chains
 from fatcat.ids import sort_ids, sort_key
 from fatcat.intlinalg import IntMatrix, smith
@@ -859,6 +864,26 @@ def nerve_map(source, target, obj, arrow) -> SimplicialMap:
     return SimplicialMap(source, target, maps)
 
 
+def poset_category(steps) -> FinCategory:
+    """The category of the poset whose up-sets are ``steps``: one arrow
+    (v, w) for each w in steps[v], the identities (v, v), and one
+    composite per 2-chain, with no check that these are well defined."""
+    points = list(steps)
+    return FinCategory(
+        points,
+        [((v, w), v, w) for v in points for w in steps[v]],
+        {v: (v, v) for v in points},
+        {((u, v), (v, w)): (u, w) for u in points for v in steps[u] for w in steps[v]},
+    )
+
+
+def simplex_leg(pullback, m) -> Functor:
+    """The projection (a, l) -> a of a comma fiber's pullback category onto
+    [m], as a functor."""
+    return Functor(pullback, ordinal(m), {v: v[0] for v in pullback.objects},
+                   {(v, w): (v[0], w[0], "le") for v, w in pullback.src})
+
+
 def _nerve_level_shape(m, pattern, N, D, simplex):
     """The steps of P, its nerve and the ``to_simplex`` leg, all of which
     depend only on the core degree m, N, D and the identity pattern."""
@@ -871,13 +896,7 @@ def _nerve_level_shape(m, pattern, N, D, simplex):
         for a0, l0 in vertices
     }
     check_budget(sum(chain_count(steps, max(D, 2))), TruncatedSimplicialSet.__name__)
-    pullback = FinCategory(
-        vertices,
-        [((v, w), v, w) for v in vertices for w in steps[v]],
-        {v: (v, v) for v in vertices},
-        {((u, v), (v, w)): (u, w) for u in vertices for v in steps[u] for w in steps[v]},
-    )
-    fiber = nerve(pullback, D)
+    fiber = nerve(poset_category(steps), D)
     to_simplex = nerve_map(fiber, simplex, lambda v: v[0], lambda vw: (vw[0][0], vw[1][0], "le"))
     return steps, fiber, to_simplex
 
@@ -1329,3 +1348,29 @@ def oracle_maximal_flags(n):
         )
         out.append((chain, -1 if inversions % 2 else 1))
     return out
+
+
+# ---------------------------------------------------------------------------
+# The sorting assignment
+
+
+def rho_evaluate(n: int, j: int, t):
+    """Coordinate component s_{j,n} of the sorting assignment, an exact
+    rational.
+
+    (j+1) times the sum over (j+1)-subsets E of max(0, min_E t - max_{not E} t),
+    with the max over an empty complement read as 0.
+    """
+    if not 0 <= j <= n:
+        raise StructureError("need 0 <= j <= n")
+    coords = t.coords if isinstance(t, BarycentricPoint) else tuple(t)
+    if len(coords) != n + 1:
+        raise StructureError("point has wrong dimension")
+    total = Fraction(0)
+    for E in combinations(range(n + 1), j + 1):
+        inside = min(coords[i] for i in E)
+        rest = [coords[i] for i in range(n + 1) if i not in E]
+        outside = max(rest) if rest else Fraction(0)
+        if inside > outside:
+            total += inside - outside
+    return (j + 1) * total

@@ -348,8 +348,8 @@ def test_tom_dieck_frontier_rung(capsys, inputs, monkeypatch):
 def test_quillen_a_budgets_the_pullback_category_not_its_nerve(capsys, inputs, monkeypatch):
     # Z/2 at N=10, D=3: the nerve of the largest fiber's pullback category
     # would need 31,658 cells, over the default budget, but a fiber that
-    # dismantles builds no nerve, and that category counts 44 objects, 616
-    # arrows and 4,818 composites
+    # dismantles builds no nerve, and that poset counts 44 points, 616
+    # arrows and 4,818 composable pairs
     monkeypatch.delenv("FATCAT_MAX_CELLS", raising=False)
     argv = ["verify", "quillen-a", "--input", inputs["bz2.json"], "--N", "10", "--D", "3"]
     code, payload = run(capsys, argv)
@@ -503,21 +503,21 @@ def lawless_categories():
     return {"associativity": triple, "endpoint": endpoint, "identity": unit}
 
 
-NERVE_AUDIT, UNRAVEL_AUDIT = "^face identities fail", "^unravel\\(C, N\\) breaks a law"
+NERVE_AUDIT, CATEGORY_AUDIT = "^face identities fail", "^C breaks a law"
 
 
 @pytest.mark.parametrize("name, D, message", [
-    # lifts of the triple to stages 0 < 1 < 2 < 3 meet in unravel(C, N) at
-    # any D, and the nerve holds the triple itself from D = 3 up
-    ("associativity", 1, UNRAVEL_AUDIT), ("associativity", 2, UNRAVEL_AUDIT),
+    # the nerve holds the triple itself from D = 3 up, and C's law audit,
+    # which comes after it, refuses every doctoring below that
+    ("associativity", 1, CATEGORY_AUDIT), ("associativity", 2, CATEGORY_AUDIT),
     ("associativity", 3, NERVE_AUDIT),
-    ("endpoint", 1, UNRAVEL_AUDIT), ("endpoint", 2, NERVE_AUDIT), ("endpoint", 3, NERVE_AUDIT),
-    ("identity", 1, UNRAVEL_AUDIT), ("identity", 2, NERVE_AUDIT), ("identity", 3, NERVE_AUDIT),
+    ("endpoint", 1, CATEGORY_AUDIT), ("endpoint", 2, NERVE_AUDIT), ("endpoint", 3, NERVE_AUDIT),
+    ("identity", 1, CATEGORY_AUDIT), ("identity", 2, NERVE_AUDIT), ("identity", 3, NERVE_AUDIT),
 ])
 def test_quillen_a_refuses_a_broken_law_before_any_fiber(capsys, tmp_path, monkeypatch,
                                                           name, D, message):
     """The projection of a fiber onto unravel(C, N) is not checked, since
-    the audits of nerve(C, D) and unravel(C, N) that come first check every
+    the audits of nerve(C, D) and of C's laws that come first check every
     law it could break: each doctoring is refused by one of them, and no
     fiber is built."""
     path = tmp_path / f"{name}.json"
@@ -528,6 +528,41 @@ def test_quillen_a_refuses_a_broken_law_before_any_fiber(capsys, tmp_path, monke
         capsys, ["verify", "quillen-a", "--input", str(path), "--N", "3", "--D", str(D)])
     assert re.match(message, error), error
     assert fibers == []
+
+
+def non_associative_monoid():
+    """One object and the arrows e, a, b, e the identity, composed by aa = b,
+    ab = a, ba = b and bb = a, so (aa)a = ba = b but a(aa) = ab = a."""
+    arrows = "eab"
+    compose = {("e", f): f for f in arrows} | {(f, "e"): f for f in arrows}
+    compose |= {("a", "a"): "b", ("a", "b"): "a", ("b", "a"): "b", ("b", "b"): "a"}
+    return FinCategory(["*"], [(f, "*", "*") for f in arrows], {"*": "e"}, compose)
+
+
+@pytest.mark.parametrize("N, D", [(1, 1), (2, 2)])
+def test_quillen_a_refuses_a_non_associative_table(capsys, tmp_path, N, D):
+    """Below D = 3 the nerve holds no composable triple, and below N = 3 no
+    lift of one to unravel(C, N) meets another, yet C's law audit refuses
+    the table."""
+    path = tmp_path / "non-associative.json"
+    path.write_text(json.dumps(category_to_json(non_associative_monoid())))
+    error = expect_bad_input(
+        capsys, ["verify", "quillen-a", "--input", str(path), "--N", str(N), "--D", str(D)])
+    assert re.match(CATEGORY_AUDIT + ", e.g. Violation\\(law='associativity'", error), error
+
+
+def test_quillen_a_builds_no_category_but_c(capsys, inputs, monkeypatch):
+    """The loaded category is the one ``FinCategory`` that ``verify
+    quillen-a`` builds: neither unravel(C, N) nor any comma fiber's poset
+    is built as a category."""
+    built = []
+    original = FinCategory.__init__
+    monkeypatch.setattr(FinCategory, "__init__",
+                        lambda self, *args: built.append(self) or original(self, *args))
+    code, payload = run(capsys, ["verify", "quillen-a", "--input", inputs["z3.json"],
+                                 "--N", "6", "--D", "4"])
+    assert code == 0 and payload["ok"]
+    assert len(built) == 1 and len(built[0].morphisms) == 3
 
 
 def _drop_vertices(doc):

@@ -55,7 +55,7 @@ def test_value_records_compare_by_fields():
     u = mobius_cocycle()
     assert CocycleIsomorphism(u, u, {}) == CocycleIsomorphism(source=u, target=u, phi={})
     c = ordinal(1)
-    assert CommaFiber(0, {}, c, 3) == CommaFiber(degree=0, steps={}, pullback=c, D=3)
+    assert CommaFiber(0, {}, 3) == CommaFiber(degree=0, steps={}, D=3)
     assert ClassifyingComplex(c, c) == ClassifyingComplex(nerve=c, space=c)
 
 
@@ -135,7 +135,7 @@ def frozen_records():
         (DegreeComparison(0, None, None, True), "isomorphism"),
         (QuasiIsoReport([], []), "violations"),
         (BijectionReport([], (1,), (1,)), "violations"),
-        (CommaFiber(0, {}, g.base, 3), "steps"),
+        (CommaFiber(0, {}, 3), "steps"),
         (CocycleIsomorphism(u, u, {}), "phi"),
         (bg_complex(g, 2, 2), "space"),
     ]
