@@ -13,7 +13,7 @@ covered complex maps into it by the cellwise classifying rule.
 """
 
 from collections import namedtuple
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from operator import itemgetter
 
 from .errors import StructureError, Violation, check_budget
@@ -32,12 +32,13 @@ from .homology import (
 from .ids import decode_id, encode_id, sort_ids
 from .simpset import (
     SemiSimplicialSet,
+    TruncatedSimplicialSet,
     chain_composites,
     chain_objects,
     check_size,
     nerve,
     unravel_simplicial,
-    unraveled_face,
+    unraveled_counts,
 )
 
 
@@ -288,8 +289,8 @@ def check_isomorphism(iso: CocycleIsomorphism):
 
 class ClassifyingComplex(namedtuple("ClassifyingComplex", "nerve space")):
     """Stagewise unraveled nerve of a groupoid: ``space`` unravels
-    ``nerve``, the groupoid's nerve, whose cells :func:`universal_cocycle`
-    checks once each before spreading the verdicts over ``space``."""
+    ``nerve``, the groupoid's nerve, and is the target of
+    :func:`classifying_chain_map`."""
 
     __slots__ = ()
 
@@ -322,79 +323,45 @@ def _law_failures(cat, m, table):
     ]
 
 
-def _face_failures(table, face, v):
-    """Vertex pairs of ``face``, the table of d_v of a cell, whose
-    transition differs from the cell's ``table`` between the matching
-    vertices: vertex a of the face is vertex a, or a + 1 from v on."""
-    return [(a, b) for (a, b), f in face.items() if table[(a + (a >= v), b + (b >= v))] != f]
-
-
 def universal_cocycle(g: FinGroupoid, N: int, D: int):
-    """Canonical transitions on every cell of the classifying complex,
-    checked for the composition law and face compatibility: the
-    violations, empty when both hold.
+    """Canonical transitions on every cell of the classifying complex
+    ``bg_complex(g, N, D).space``, checked for the composition law: the
+    violations, empty when it holds.
 
-    The transitions of a cell (seq, z) are those of the nerve cell z with
-    vertex a relabelled by the a-th distinct stage of seq, an order-
-    preserving bijection, so each check is made once per nerve simplex
-    on its vertex-indexed table:
+    Only the nerve is built: the classifying complex is counted and refused
+    as :func:`unravel_simplicial` would.  The transitions of a cell (seq, z)
+    are those of the nerve cell z with vertex a relabelled by the a-th
+    distinct stage of seq, an order-preserving bijection, so the law is
+    checked once per nerve simplex.  Only after a failure are the cells
+    walked, in the classifying complex's order (stage tuples, then the
+    nerve's cells of their degree), for the witnesses a cell-by-cell check
+    would give.
 
-    * the composition law on every triple of vertices of z;
-    * compatibility with each face d_v z of the audited nerve, through the
-      coface that skips vertex v.  A face of (seq, z) deleting a stage
-      that shares its value keeps z and the stage set, so it compares a
-      table with itself; one deleting a lone stage is d_v z relabelled by
-      the stages left, v being that stage's value group.
-
-    The verdicts are then spread over the cells of the classifying complex
-    in cell order, with stage-valued witnesses, only if some verdict is
-    not empty, so the report is the one a cell-by-cell check would give.
-
-    The face check cannot fire once the nerve is built.  A forward
-    transition a -> b is the left fold of the arrows from vertex a to b,
-    and a backward one its inverse.  A face's folds are the cell's, except
+    A face's transitions are its cell's, so there is no face check.  A face
+    deleting a stage that shares its value keeps z and the stage set; one
+    deleting a lone stage is d_v z relabelled by the stages left.  A forward
+    transition a -> b is the left fold of the arrows from vertex a to b, and
+    a backward one its inverse.  The face's folds are the cell's, except
     where d_v has composed f_v and f_{v+1} first inside a fold X that starts
-    before vertex v - 1; there they differ only if (X, f_v, f_{v+1}) does not
-    associate.  That triple is a 3-cell, and the nerve's face-face audit
+    before vertex v - 1; there they differ only if (X, f_v, f_{v+1}) does
+    not associate.  That triple is a 3-cell, and the nerve's face-face audit
     (d_1 d_2 = d_1 d_1) refuses the groupoid at D >= 3; below that no cell
-    has such a face.  The check stays, as a check on the tables: a test
-    shows it names the mismatched vertex pair of hand-built ones.
+    has such a face.
     """
-    bg = bg_complex(g, N, D)
-    ner, space, cat = bg.nerve, bg.space, g.base
-    tables = [[_transition_table(g, m, z) for z in ner.cells[m]] for m in range(D + 1)]
-    law = [[_law_failures(cat, m, t) for t in level] for m, level in enumerate(tables)]
-    # compat[m][p][v]: the failures of the p-th m-cell against its face d_v
-    compat = [[]] + [
-        [
-            [_face_failures(t, tables[m - 1][ner.faces[m][v][p]], v) for v in range(m + 1)]
-            for p, t in enumerate(tables[m])
-        ]
-        for m in range(1, D + 1)
-    ]
+    ner, cat = nerve(g.base, D), g.base
+    check_size(TruncatedSimplicialSet, D, unraveled_counts(ner, N))
+    law = [[_law_failures(cat, m, _transition_table(g, m, z)) for z in ner.cells[m]]
+           for m in range(D + 1)]
     report = []
     if any(any(level) for level in law):
         for k in range(D + 1):
-            for cell in space.cells[k]:
-                seq, z = cell
+            for seq in combinations_with_replacement(range(N + 1), k + 1):
                 values = sorted(set(seq))
                 m = len(values) - 1
-                for a, b, c in law[m][ner.index(m)[z]]:
-                    witness = (k, cell, values[a], values[b], values[c])
-                    report.append(Violation("universal-cocycle-law", witness))
-    if any(any(map(any, level)) for level in compat):
-        for k in range(1, D + 1):
-            for cell in space.cells[k]:
-                seq, z = cell
-                m = len(set(seq)) - 1
-                for i in range(k + 1):
-                    v = unraveled_face(seq, i)
-                    if v is None:
-                        continue
-                    values = sorted(set(seq[:i] + seq[i + 1:]))
-                    for a, b in compat[m][ner.index(m)[z]][v]:
-                        witness = (k, i, cell, (values[a], values[b]))
-                        report.append(Violation("universal-face-compat", witness))
+                for z, failures in zip(ner.cells[m], law[m]):
+                    for a, b, c in failures:
+                        witness = (k, (seq, z), values[a], values[b], values[c])
+                        report.append(Violation("universal-cocycle-law", witness))
     return report
 
 
@@ -411,9 +378,9 @@ def partition_homotopy(a, b, q):
 
     w_i = max(0, t_i - s * sum_{j<i} t_j) and v = w normalized; at s = 0
     this returns t itself, and at s = 1 entry i dies as soon as the mass
-    before it reaches t_i.  Returns w scaled by q * q, as the numerators
-    max(0, q * a_i - b * sum_{j<i} a_j), and v as (numerators, T): the
-    same numerators over their sum T.
+    before it reaches t_i.  Returns (w, T): w scaled by q * q, as the
+    numerators max(0, q * a_i - b * sum_{j<i} a_j), and their sum T, so
+    that v is w over T.
     """
     if not 0 <= b <= q:
         raise StructureError("s must lie in [0, 1]")
@@ -426,7 +393,7 @@ def partition_homotopy(a, b, q):
     w = tuple(w)
     total = sum(w)
     assert total > 0, "a valid partition point always keeps positive mass"
-    return w, (w, total)
+    return w, total
 
 
 def partition_grid():
@@ -461,7 +428,7 @@ def check_partition_grid():
         failed = []
         for b in range(q + 1):
             pairs += 1
-            _, (v, total) = partition_homotopy(a, b, q)
+            v, total = partition_homotopy(a, b, q)
             if sum(v) != total:
                 from fractions import Fraction
 
@@ -539,8 +506,12 @@ def blowup(base: CoveredComplex, D: int) -> IntegerChainComplex:
     A generator in bidegree (p, q) is a strictly increasing (p+1)-tuple of
     cover indices with nonempty overlap, one of :func:`_cover_nerve`,
     together with a q-face of that overlap.  The total differential is the
-    index-deleting sum plus the signed face sum.
+    index-deleting sum plus the signed face sum.  The generators are
+    counted and budgeted before any of them is listed.
     """
+    count = sum(len(idx) + len(face) <= D + 2
+                for idx, faces in _cover_nerve(base, D) for face in faces)
+    check_budget(count, "blowup total complex")
     basis = [[] for _ in range(D + 1)]
     for idx, faces in _cover_nerve(base, D):
         for face in faces:
@@ -548,7 +519,6 @@ def blowup(base: CoveredComplex, D: int) -> IntegerChainComplex:
             if k <= D:
                 basis[k].append((idx, face))
     basis = [sort_ids(level) for level in basis]
-    check_budget(sum(len(b) for b in basis), "blowup total complex")
     boundary = {
         k: named_matrix(basis[k], basis[k - 1], _blowup_boundary) for k in range(1, D + 1)
     }

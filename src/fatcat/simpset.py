@@ -418,6 +418,18 @@ def unraveled_face(seq, i):
     return None if seq[i] in neighbours else len(set(seq[: i + 1])) - 1
 
 
+def unraveled_counts(y: TruncatedSimplicialSet, N: int) -> list:
+    """Cell counts of :func:`unravel_simplicial` of y at N, by degree."""
+    if N < 0:
+        raise StructureError("N must be >= 0")
+    # weakly increasing (n+1)-tuples over N+1 stages with l distinct values:
+    # choose the values, then cut the tuple into l nonempty runs
+    return [
+        sum(comb(N + 1, l) * comb(n, l - 1) * y.n_cells(l - 1) for l in range(1, n + 2))
+        for n in range(y.D + 1)
+    ]
+
+
 def unravel_simplicial(y: TruncatedSimplicialSet, N: int) -> TruncatedSimplicialSet:
     """Stagewise unraveling of a simplicial set.
 
@@ -431,16 +443,8 @@ def unravel_simplicial(y: TruncatedSimplicialSet, N: int) -> TruncatedSimplicial
     s_i send a block onto a block, position for position, except that a
     d_i deleting a lone stage applies y's face table to the positions.
     """
-    if N < 0:
-        raise StructureError("N must be >= 0")
     D = y.D
-    # weakly increasing (n+1)-tuples over N+1 stages with l distinct values:
-    # choose the values, then cut the tuple into l nonempty runs
-    counts = [
-        sum(comb(N + 1, l) * comb(n, l - 1) * y.n_cells(l - 1) for l in range(1, n + 2))
-        for n in range(D + 1)
-    ]
-    check_size(TruncatedSimplicialSet, D, counts)
+    check_size(TruncatedSimplicialSet, D, unraveled_counts(y, N))
     seqs = [list(combinations_with_replacement(range(N + 1), n + 1)) for n in range(D + 1)]
     cells, start = [], []
     for n in range(D + 1):

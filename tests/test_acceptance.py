@@ -189,9 +189,9 @@ def test_criterion_7_partition_formulas():
         pairs, violations = check_partition_grid()
         assert violations == []
         for a in points:
-            _, (v, total) = partition_homotopy(a, 0, q)
+            v, total = partition_homotopy(a, 0, q)
             assert [Fraction(vi, total) for vi in v] == [Fraction(ai, q) for ai in a]
-            _, (v, total) = partition_homotopy(a, q, q)
+            v, total = partition_homotopy(a, q, q)
             running = 0
             for i, ai in enumerate(a):
                 if running >= ai:

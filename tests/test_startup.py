@@ -22,8 +22,9 @@ from pathlib import Path
 
 import pytest
 
-from fatcat.cocycle import cocycle_to_json, covered_complex_to_json
-from fatcat.fixtures import trivial_cocycle
+from fatcat.cocycle import closure, cocycle_to_json, covered_complex_to_json
+from fatcat.fincat import groupoid_to_json
+from fatcat.fixtures import cyclic_groupoid, trivial_cocycle, vertex_star_cover
 
 from test_cli import GOLDEN, REPORT_ALL_SHA256, simplex_and_points, write_inputs
 
@@ -184,3 +185,40 @@ def test_quillen_a_on_z3_at_n30_runs_in_3_s(tmp_path):
     assert (done.returncode, done.stderr) == (0, "")
     payload = json.loads(done.stdout)
     assert (payload["ok"], payload["fibers_checked"]) == (True, 121)
+
+
+def limit_256_mb():
+    resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+
+def test_universal_cocycle_on_z5_at_n8_runs_in_256_mb(tmp_path):
+    """Z/5 at N = 8, D = 5 has a 1,016,004-cell classifying complex.  The
+    law is checked on the 3,906 cells of the nerve, and the classifying
+    complex is only counted, so the command fits in 256 MB and 3 s; built
+    and audited, the complex took about 390 MB."""
+    path = tmp_path / "z5.json"
+    path.write_text(json.dumps(groupoid_to_json(cyclic_groupoid(5))))
+    argv = ["verify", "universal-cocycle", "--input", str(path), "--N", "8", "--D", "5"]
+    env = {**ENV, "FATCAT_MAX_CELLS": "5000000"}
+    done = subprocess.run(ENTRIES["module"] + argv, env=env, capture_output=True, text=True,
+                          preexec_fn=limit_256_mb, timeout=3)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert json.loads(done.stdout) == {"ok": True, "witnesses": []}
+
+
+def test_blowup_is_refused_before_its_basis_is_listed(tmp_path):
+    """The vertex stars of the 10-simplex give a 3,092,419-cell blowup.
+    Its generators are counted over the cover's nerve and refused before
+    any is listed, within 256 MB; listed and sorted first, they ran out of
+    memory there."""
+    path = tmp_path / "star11.json"
+    cover = vertex_star_cover(closure([tuple(range(11))]))
+    path.write_text(json.dumps(covered_complex_to_json(cover)))
+    argv = ["verify", "blowup", "--input", str(path), "--d", "1"]
+    env = {k: v for k, v in ENV.items() if k != "FATCAT_MAX_CELLS"}
+    done = subprocess.run(ENTRIES["module"] + argv, env=env, capture_output=True, text=True,
+                          preexec_fn=limit_256_mb, timeout=60)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert json.loads(done.stderr) == {
+        "error": "blowup total complex needs 3092419 cells, exceeding FATCAT_MAX_CELLS=20000"
+    }
