@@ -10,10 +10,13 @@ The classifying complex of a finite groupoid is the stagewise unraveling
 of its nerve; its cells carry the canonical transition assignment (compose
 forward, identity on the diagonal, invert backward), and the blowup of a
 covered complex maps into it by the cellwise classifying rule.
+
+The composition law has one checker, :func:`_law_failures`, on a table of
+transitions keyed by vertex pairs, for cocycles and the universal cocycle.
 """
 
 from collections import namedtuple
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement
 from operator import itemgetter
 
 from .errors import StructureError, Violation, check_budget
@@ -172,9 +175,10 @@ def check_cocycle(u: GCocycle):
 
     Only the nonempty overlaps of at most three cover sets carry data, so
     the objects, the transitions and the law are read off the nerve of the
-    cover: the law runs over every ordering, repeated indices included, of
-    each of its tuples, and its violations come in (alpha, beta, gamma)
-    order."""
+    cover.  The law is :func:`_law_failures` on each tuple's transition
+    table, one per component, kept where a triple uses every index of the
+    tuple: every ordering of it, repeated indices included.  Its violations
+    come in (alpha, beta, gamma) order."""
     base, cat = u.base, u.groupoid.base
     overlaps = [(idx, base.components_of_overlap(idx)) for idx, _ in _cover_nerve(base, 2)]
     expected_objects = {(idx[0], comp) for idx, comps in overlaps if len(idx) == 1
@@ -206,21 +210,22 @@ def check_cocycle(u: GCocycle):
     for (alpha, beta, comp), m in sort_ids(u.transitions.items(), key=itemgetter(0)):
         if alpha == beta and not cat.is_identity(m):
             violations.append(Violation("diagonal-identity", (alpha, comp)))
-    failures = []
-    for idx, comps in overlaps:
-        for alpha, beta, gamma in product(idx, repeat=3):
-            if len({alpha, beta, gamma}) < len(idx):
-                continue
-            for comp in comps:
-                f_ba = u.transition(alpha, beta, comp)
-                f_cb = u.transition(beta, gamma, comp)
-                f_ca = u.transition(alpha, gamma, comp)
-                if cat.table.get((f_ba, f_cb)) != f_ca:
-                    failures.append(Violation("cocycle-law", (alpha, beta, gamma, comp),
-                                              "f_cb o f_ba != f_ca"))
-    # each triple comes from one tuple, so a stable sort keeps its
+    failures = [
+        Violation("cocycle-law", (idx[a], idx[b], idx[c], comp), "f_cb o f_ba != f_ca")
+        for idx, comps in overlaps for comp in comps
+        for a, b, c in _law_failures(cat, len(idx) - 1, _cover_table(u, idx, comp))
+        if len({a, b, c}) == len(idx)
+    ]
+    # each triple uses every index of one tuple, so a stable sort keeps its
     # components in order
     return violations + sorted(failures, key=lambda v: v.witness[:3])
+
+
+def _cover_table(u: GCocycle, idx, face):
+    """The transitions of u between the cover sets of a nerve tuple, keyed
+    by position pairs, over the component containing face."""
+    return {(i, j): u.transition(a, b, face)
+            for i, a in enumerate(idx) for j, b in enumerate(idx)}
 
 
 class CocycleIsomorphism(namedtuple("CocycleIsomorphism", "source target phi")):
@@ -380,7 +385,7 @@ def partition_homotopy(a, b, q):
     this returns t itself, and at s = 1 entry i dies as soon as the mass
     before it reaches t_i.  Returns (w, T): w scaled by q * q, as the
     numerators max(0, q * a_i - b * sum_{j<i} a_j), and their sum T, so
-    that v is w over T.
+    that v is w over T.  :func:`check_partition_grid` checks that T > 0.
     """
     if not 0 <= b <= q:
         raise StructureError("s must lie in [0, 1]")
@@ -391,9 +396,7 @@ def partition_homotopy(a, b, q):
         w.append(wi if wi > 0 else 0)
         before += ai
     w = tuple(w)
-    total = sum(w)
-    assert total > 0, "a valid partition point always keeps positive mass"
-    return w, total
+    return w, sum(w)
 
 
 def partition_grid():
@@ -416,10 +419,10 @@ def check_partition_grid():
     """Exact partition identities over the grid, at times s = 0, 1/q, ..., 1
     for q = GRID_DENOMINATOR.
 
-    Checks that v sums to one, that s = 0 returns the input, and that at
-    s = 1 an entry dies exactly when the mass before it reaches it, all in
-    integers.  A witness names t, and s where it matters, as exact-rational
-    strings.
+    Checks that the mass T is positive and v sums to one, that s = 0
+    returns the input, and that at s = 1 an entry dies exactly when the
+    mass before it reaches it, all in integers.  A witness names t, and s
+    where it matters, as exact-rational strings.
     """
     q = GRID_DENOMINATOR
     violations = []
@@ -429,7 +432,7 @@ def check_partition_grid():
         for b in range(q + 1):
             pairs += 1
             v, total = partition_homotopy(a, b, q)
-            if sum(v) != total:
+            if total <= 0 or sum(v) != total:
                 from fractions import Fraction
 
                 failed.append(("partition-sum", str(Fraction(b, q))))
@@ -573,24 +576,19 @@ def pullback_is_restriction(u: GCocycle, N: int, D: int):
     must reproduce u on every component of every multiple overlap."""
     if len(u.base.cover) > N + 1:
         raise StructureError("cover does not embed into the stages: need len(cover) <= N + 1")
-    g = u.groupoid
     violations = []
     for seq, faces in _cover_nerve(u.base, D):
         for comp in _components(faces):
             face = comp[:1]
             # the transitions of the classifying cell, vertex i at seq[i]
-            table = _transition_table(g, len(seq) - 1, _classifying_cell(u, seq, face)[1])
-            for i, a in enumerate(seq):
-                for j, b in enumerate(seq):
-                    expected = u.transition(a, b, face)
-                    if table[(i, j)] != expected:
-                        violations.append(
-                            Violation(
-                                "pullback-restriction",
-                                (seq, comp, a, b),
-                                f"gamma {table[(i, j)]} vs {expected}",
-                            )
-                        )
+            table = _transition_table(u.groupoid, len(seq) - 1,
+                                      _classifying_cell(u, seq, face)[1])
+            violations += [
+                Violation("pullback-restriction", (seq, comp, seq[i], seq[j]),
+                          f"gamma {table[(i, j)]} vs {expected}")
+                for (i, j), expected in _cover_table(u, seq, face).items()
+                if table[(i, j)] != expected
+            ]
     return violations
 
 

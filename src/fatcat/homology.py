@@ -13,6 +13,9 @@ of a simplicial object read its face tables and a simplicial map's chain
 map reads its map tables.  Only complexes and maps with no simplicial
 object hash cells to rows, through :func:`named_matrix`.  Simplicial
 objects are audited once, when built, and nothing here audits them again.
+
+Each law has one checker: :func:`noncommuting_degrees` decides chain-map
+commutation, and both homology comparisons run :func:`_compare_on_homology`.
 """
 
 from collections import namedtuple
@@ -91,11 +94,8 @@ class ChainMap:
             m = matrices[k]
             if m.nrows != target.rank(k) or m.ncols != source.rank(k):
                 raise StructureError(f"chain map has wrong shape in degree {k}")
-        for k in range(1, D + 1):
-            left = self.target.boundary[k].mul(self.matrices[k])
-            right = self.matrices[k - 1].mul(self.source.boundary[k])
-            if left != right:
-                raise StructureError(f"chain map does not commute with boundary {k}")
+        for k in noncommuting_degrees(source, target, matrices):
+            raise StructureError(f"chain map does not commute with boundary {k}")
 
     def compose(self, other):
         """self after other."""
@@ -104,6 +104,15 @@ class ChainMap:
         D = min(self.target.D, other.source.D)
         mats = [self.matrices[k].mul(other.matrices[k]) for k in range(D + 1)]
         return ChainMap(other.source, self.target, mats)
+
+
+def noncommuting_degrees(source, target, matrices):
+    """The one commutation check: yields, ascending, each degree k from 1
+    to the lower truncation where d_k M_k != M_{k-1} d_k, for the
+    degreewise matrices M from source to target."""
+    for k in range(1, min(source.D, target.D) + 1):
+        if target.boundary[k].mul(matrices[k]) != matrices[k - 1].mul(source.boundary[k]):
+            yield k
 
 
 def cell_matrix(nrows, ncols, column) -> IntMatrix:
@@ -251,6 +260,30 @@ def check_degree_range(d: int, D: int) -> None:
         raise StructureError(f"truncation too small: need d + 1 <= D, got d = {d}, D = {D}")
 
 
+def _compare_on_homology(F: ChainMap, d: int, endomap: bool, judge) -> QuasiIsoReport:
+    """The walk both homology checks share, over the degrees k <= d.
+
+    Each degree presents the homology of the source and of the target, with
+    one presentation for both sides of an endomap; when their invariants
+    agree it takes the target coordinates of F applied to each source
+    generator.  ``judge(k, src, tgt, images)``, images None when the
+    invariants differ, returns the degree's violations, and a degree
+    without any compares true.
+    """
+    check_degree_range(d, min(F.source.D, F.target.D))
+    degrees, violations = [], []
+    for k in range(d + 1):
+        src = HomologyClasses(F.source, k)
+        tgt = src if endomap else HomologyClasses(F.target, k)
+        images = None
+        if src.betti == tgt.betti and src.torsion == tgt.torsion:
+            images = [tgt.coords(F.matrices[k].mulvec(gen)) for gen in src.generators]
+        found = judge(k, src, tgt, images)
+        violations += found
+        degrees.append(DegreeComparison(k, src.group(), tgt.group(), not found))
+    return QuasiIsoReport(degrees, violations)
+
+
 def quasi_iso_through(F: ChainMap, d: int) -> QuasiIsoReport:
     """Check that a chain map is a homology isomorphism in degrees <= d.
 
@@ -260,59 +293,26 @@ def quasi_iso_through(F: ChainMap, d: int) -> QuasiIsoReport:
     source is read only through its generators and the target only through
     coordinates, each computed from the recorded eliminations when read.
     """
-    check_degree_range(d, min(F.source.D, F.target.D))
-    degrees = []
-    violations = []
-    for k in range(d + 1):
-        src = HomologyClasses(F.source, k)
-        tgt = HomologyClasses(F.target, k)
-        same = src.betti == tgt.betti and src.torsion == tgt.torsion
-        iso = same
-        if same:
-            images = []
-            mat = F.matrices[k]
-            for gen in src.generators:
-                images.append(tgt.coords(mat.mulvec(gen)))
-            iso = surjective_onto(tgt, images)
-        if not iso:
-            violations.append(
-                Violation(
-                    "quasi-iso",
-                    (k,),
-                    f"H_{k}: {src.betti},{src.torsion} vs {tgt.betti},{tgt.torsion}",
-                )
-            )
-        degrees.append(DegreeComparison(k, src.group(), tgt.group(), iso))
-    return QuasiIsoReport(degrees, violations)
+
+    def judge(k, src, tgt, images):
+        if images is not None and surjective_onto(tgt, images):
+            return []
+        detail = f"H_{k}: {src.betti},{src.torsion} vs {tgt.betti},{tgt.torsion}"
+        return [Violation("quasi-iso", (k,), detail)]
+
+    return _compare_on_homology(F, d, False, judge)
 
 
 def identity_on_homology_through(F: ChainMap, d: int) -> QuasiIsoReport:
-    """Check that a chain endomap induces the identity on H_k for k <= d."""
+    """Check that a chain endomap induces the identity on H_k for k <= d:
+    generator j must land on its own class, coordinate 1 at j and 0
+    elsewhere, as every torsion order is at least 2."""
     if F.source.basis != F.target.basis:
         raise StructureError("identity check needs an endomap")
-    check_degree_range(d, F.source.D)
-    degrees = []
-    violations = []
-    for k in range(d + 1):
-        classes = HomologyClasses(F.source, k)
-        mat = F.matrices[k]
-        gens = classes.generators
-        t = len(classes.torsion)
-        ok = True
-        for j, gen in enumerate(gens):
-            tor, free = classes.coords(mat.mulvec(gen))
-            unit_tor = tuple(
-                1 % classes.torsion[i] if i == j else 0 for i in range(t)
-            )
-            unit_free = tuple(
-                1 if t + i == j else 0 for i in range(classes.betti)
-            )
-            if tor != unit_tor or free != unit_free:
-                ok = False
-                violations.append(
-                    Violation("identity-on-homology", (k, j), f"class moved: {tor}, {free}")
-                )
-        degrees.append(
-            DegreeComparison(k, classes.group(), classes.group(), ok)
-        )
-    return QuasiIsoReport(degrees, violations)
+
+    def judge(k, classes, _, images):
+        return [Violation("identity-on-homology", (k, j), f"class moved: {tor}, {free}")
+                for j, (tor, free) in enumerate(images)
+                if tor + free != tuple(int(i == j) for i in range(len(tor) + len(free)))]
+
+    return _compare_on_homology(F, d, True, judge)

@@ -256,8 +256,8 @@ def test_verify_partition(capsys):
     assert code == 0 and payload["pairs"] >= 100
 
 
-def _doctored(law):
-    """A partition homotopy wrong in exactly the way ``law`` catches."""
+def _doctored(fault):
+    """A partition homotopy with ``fault``, and the law that catches it."""
     exact = cocycle.partition_homotopy
 
     def sum_off(a, b, q):
@@ -265,20 +265,25 @@ def _doctored(law):
         return w, total + 1 if 0 < b < q else total
 
     return {
-        "partition-sum": sum_off,
+        "partition-sum": ("partition-sum", sum_off),
         # time zero run as time 1/q, and time one as time zero
-        "partition-start": lambda a, b, q: exact(a, b or 1, q),
-        "partition-truncation": lambda a, b, q: exact(a, 0 if b == q else b, q),
-    }[law]
+        "partition-start": ("partition-start", lambda a, b, q: exact(a, b or 1, q)),
+        "partition-truncation": ("partition-truncation",
+                                 lambda a, b, q: exact(a, 0 if b == q else b, q)),
+        # every entry and the sum zero: v still sums to T
+        "zero-mass": ("partition-sum", lambda a, b, q: ((0,) * len(a), 0)),
+    }[fault]
 
 
-@pytest.mark.parametrize("law, first", [
+@pytest.mark.parametrize("fault, first", [
     ("partition-sum", [["0", "0", "0", "0", "1"], "1/4"]),
     ("partition-start", [["0", "0", "0", "1/4", "3/4"]]),
     ("partition-truncation", [["0", "0", "0", "1/2", "1/2"], 4]),
+    ("zero-mass", [["0", "0", "0", "0", "1"], "0"]),
 ])
-def test_partition_witnesses_reach_stdout(capsys, monkeypatch, law, first):
-    monkeypatch.setattr(cocycle, "partition_homotopy", _doctored(law))
+def test_partition_witnesses_reach_stdout(capsys, monkeypatch, fault, first):
+    law, homotopy = _doctored(fault)
+    monkeypatch.setattr(cocycle, "partition_homotopy", homotopy)
     code, payload = run(capsys, ["verify", "partition"])
     assert code == 1 and payload["pairs"] == 350
     assert {w["law"] for w in payload["witnesses"]} == {law}

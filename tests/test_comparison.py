@@ -132,6 +132,22 @@ def test_subdivision_boundary_fails_on_a_flipped_sign(monkeypatch, n):
     assert subdivision_commutes(n) == [Violation("subdivision-boundary", (n, n))]
 
 
+def test_subdivision_boundary_names_each_failing_degree(monkeypatch):
+    """Sd doubled in degrees 0 and 3 of the 3-simplex breaks the square
+    of d_1 and that of d_3, and only those."""
+    original = comparison.subdivision_chain_operator
+
+    def doubled(n):
+        simp, flags, mats = original(n)
+        for k in (0, n):
+            mats[k] = IntMatrix([[2 * x for x in row] for row in mats[k].rows], mats[k].ncols)
+        return simp, flags, mats
+
+    monkeypatch.setattr(comparison, "subdivision_chain_operator", doubled)
+    assert subdivision_commutes(3) == [
+        Violation("subdivision-boundary", (3, 1)), Violation("subdivision-boundary", (3, 3))]
+
+
 def test_apply_operator_collapse():
     ner = nerve(z2_groupoid().base, 2)
     sigma = ("*", "*", "s")

@@ -4,7 +4,7 @@ from functools import partial
 
 import pytest
 
-from fatcat.errors import StructureError
+from fatcat.errors import StructureError, Violation
 from fatcat.fincat import ordinal
 from fatcat.fixtures import (
     cyclic_groupoid,
@@ -15,6 +15,7 @@ from fatcat.fixtures import (
 )
 from fatcat.homology import (
     ChainMap,
+    DegreeComparison,
     HomologyClasses,
     HomologyGroup,
     IntegerChainComplex,
@@ -236,7 +237,10 @@ def test_chain_map_must_commute():
     cx = fat_chains(nerve(ordinal(1), 2))
     bad = [identity(cx.rank(k)) for k in range(3)]
     bad[1] = IntMatrix.zeros(cx.rank(1), cx.rank(1))
-    with pytest.raises(StructureError):
+    # a zero in degree 1 breaks both squares it sits in
+    assert [k for k in (1, 2) if cx.boundary[k].mul(bad[k]) != bad[k - 1].mul(cx.boundary[k])] \
+        == [1, 2]
+    with pytest.raises(StructureError, match="^chain map does not commute with boundary 1$"):
         ChainMap(cx, cx, bad)
 
 
@@ -384,6 +388,32 @@ def test_identity_check_rejects_sign_flip():
     assert quasi_iso_through(negation, 1).ok
     rep = identity_on_homology_through(negation, 1)
     assert not rep.ok
+    # the circle's one class in each degree, sent to its negative
+    group = [HomologyGroup(k, 1, (), True) for k in range(2)]
+    assert rep.degrees == [DegreeComparison(k, group[k], group[k], False) for k in range(2)]
+    assert rep.violations == [
+        Violation("identity-on-homology", (k, 0), "class moved: (), (-1,)") for k in range(2)
+    ]
+
+
+def test_identity_check_reads_torsion_classes():
+    """On the nerve of Z/3, H_1 = Z/3: multiplying by 4 fixes its class
+    and multiplying by 2 moves it, while both move the class of H_0 = Z."""
+    cx = fat_chains(nerve(cyclic_groupoid(3).base, 3))
+
+    def times(c):
+        return ChainMap(cx, cx, [
+            IntMatrix([[c if i == j else 0 for j in range(cx.rank(k))]
+                       for i in range(cx.rank(k))], ncols=cx.rank(k))
+            for k in range(cx.D + 1)
+        ])
+
+    law = "identity-on-homology"
+    assert identity_on_homology_through(times(4), 2).violations == [
+        Violation(law, (0, 0), "class moved: (), (4,)")]
+    assert identity_on_homology_through(times(2), 2).violations == [
+        Violation(law, (0, 0), "class moved: (), (2,)"),
+        Violation(law, (1, 0), "class moved: (2,), ()")]
 
 
 # ---------------------------------------------------------------------------

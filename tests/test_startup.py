@@ -9,8 +9,13 @@ The two process entry points end the process right after flushing their
 output, without the interpreter's teardown, so they are run here as real
 processes with stdout and stderr redirected to files, where a missing flush
 would lose the block-buffered tail.
+
+``python -O`` strips assert statements, so the package holds none: every
+check it makes runs under -O too, and ``report all`` prints the same bytes
+there.
 """
 
+import ast
 import hashlib
 import json
 import os
@@ -95,6 +100,38 @@ def test_report_all_prints_its_pinned_bytes(cli_process):
     code, out, err = cli_process("report all")
     assert (code, err) == (0, "")
     assert sha256(out) == REPORT_ALL_SHA256
+
+
+def test_report_all_under_optimize_prints_its_pinned_bytes():
+    done = subprocess.run([sys.executable, "-O", "-m", "fatcat.cli", "report", "all"], env=ENV,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert sha256(done.stdout) == REPORT_ALL_SHA256
+
+
+def assert_statements(package):
+    """``module:line`` of every assert statement in the modules of
+    ``package``, at any depth."""
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Assert):
+                yield f"{path.stem}:{node.lineno}"
+
+
+def test_the_package_holds_no_assert_statement():
+    # a check that python -O strips is a check the package may not make;
+    # raise StructureError or report a violation instead
+    assert list(assert_statements(SRC / "fatcat")) == []
+
+
+def test_the_assert_guard_sees_a_nested_assert(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "def f(x):\n"
+        "    if x:\n"
+        "        assert x > 0, 'positive'\n"
+        "    return x\n"
+    )
+    assert list(assert_statements(tmp_path)) == ["m:3"]
 
 
 def test_failing_suite_prints_its_whole_payload(cli_process):
