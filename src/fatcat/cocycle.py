@@ -177,8 +177,10 @@ def check_cocycle(u: GCocycle):
     the objects, the transitions and the law are read off the nerve of the
     cover.  The law is :func:`_law_failures` on each tuple's transition
     table, one per component, kept where a triple uses every index of the
-    tuple: every ordering of it, repeated indices included.  Its violations
-    come in (alpha, beta, gamma) order."""
+    tuple: every ordering of it, repeated indices included.  The triples
+    that miss an index were checked on a sub-tuple already; running the one
+    checker over them again and dropping them is the price of having one.
+    Its violations come in (alpha, beta, gamma) order."""
     base, cat = u.base, u.groupoid.base
     overlaps = [(idx, base.components_of_overlap(idx)) for idx, _ in _cover_nerve(base, 2)]
     expected_objects = {(idx[0], comp) for idx, comps in overlaps if len(idx) == 1

@@ -178,19 +178,17 @@ def random_two_complex(seed=7, n_vertices=7, n_triangles=9):
 
 def _cocycle(base, g, obj, flipped=()):
     """Every cover component at one object and every transition its
-    identity, except the Z/2 flip over each overlap of the flipped pair;
-    the sets and pairs come from the nerve of the cover."""
-    from .cocycle import GCocycle, _cover_nerve
+    identity, except the Z/2 flip over each overlap of the flipped pair."""
+    from .cocycle import GCocycle
 
     ident = g.base.identity[obj]
-    objects, transitions = {}, {}
-    for idx, _ in _cover_nerve(base, 1):
-        for comp in base.components_of_overlap(idx):
-            if len(idx) == 1:
-                objects[(idx[0], comp)] = obj
-            else:
-                m = ("*", "*", "s") if set(idx) == set(flipped) else ident
-                transitions[(*idx, comp)] = transitions[(*idx[::-1], comp)] = m
+    n = len(base.cover)
+    objects = {(alpha, comp): obj for alpha in range(n) for comp in base.components_of_overlap((alpha,))}
+    transitions = {
+        (alpha, beta, comp): ("*", "*", "s") if {alpha, beta} == set(flipped) else ident
+        for alpha in range(n) for beta in range(n) if alpha != beta
+        for comp in base.components_of_overlap((alpha, beta))
+    }
     return GCocycle(base, g, objects, transitions)
 
 

@@ -14,8 +14,7 @@ map reads its map tables.  Only complexes and maps with no simplicial
 object hash cells to rows, through :func:`named_matrix`.  Simplicial
 objects are audited once, when built, and nothing here audits them again.
 
-Each law has one checker: :func:`noncommuting_degrees` decides chain-map
-commutation, and both homology comparisons run :func:`_compare_on_homology`.
+Chain-map commutation has one checker, :func:`noncommuting_degrees`.
 """
 
 from collections import namedtuple
@@ -260,30 +259,6 @@ def check_degree_range(d: int, D: int) -> None:
         raise StructureError(f"truncation too small: need d + 1 <= D, got d = {d}, D = {D}")
 
 
-def _compare_on_homology(F: ChainMap, d: int, endomap: bool, judge) -> QuasiIsoReport:
-    """The walk both homology checks share, over the degrees k <= d.
-
-    Each degree presents the homology of the source and of the target, with
-    one presentation for both sides of an endomap; when their invariants
-    agree it takes the target coordinates of F applied to each source
-    generator.  ``judge(k, src, tgt, images)``, images None when the
-    invariants differ, returns the degree's violations, and a degree
-    without any compares true.
-    """
-    check_degree_range(d, min(F.source.D, F.target.D))
-    degrees, violations = [], []
-    for k in range(d + 1):
-        src = HomologyClasses(F.source, k)
-        tgt = src if endomap else HomologyClasses(F.target, k)
-        images = None
-        if src.betti == tgt.betti and src.torsion == tgt.torsion:
-            images = [tgt.coords(F.matrices[k].mulvec(gen)) for gen in src.generators]
-        found = judge(k, src, tgt, images)
-        violations += found
-        degrees.append(DegreeComparison(k, src.group(), tgt.group(), not found))
-    return QuasiIsoReport(degrees, violations)
-
-
 def quasi_iso_through(F: ChainMap, d: int) -> QuasiIsoReport:
     """Check that a chain map is a homology isomorphism in degrees <= d.
 
@@ -293,14 +268,18 @@ def quasi_iso_through(F: ChainMap, d: int) -> QuasiIsoReport:
     source is read only through its generators and the target only through
     coordinates, each computed from the recorded eliminations when read.
     """
-
-    def judge(k, src, tgt, images):
-        if images is not None and surjective_onto(tgt, images):
-            return []
-        detail = f"H_{k}: {src.betti},{src.torsion} vs {tgt.betti},{tgt.torsion}"
-        return [Violation("quasi-iso", (k,), detail)]
-
-    return _compare_on_homology(F, d, False, judge)
+    check_degree_range(d, min(F.source.D, F.target.D))
+    degrees, violations = [], []
+    for k in range(d + 1):
+        src = HomologyClasses(F.source, k)
+        tgt = HomologyClasses(F.target, k)
+        iso = src.betti == tgt.betti and src.torsion == tgt.torsion and surjective_onto(
+            tgt, [tgt.coords(F.matrices[k].mulvec(gen)) for gen in src.generators])
+        if not iso:
+            detail = f"H_{k}: {src.betti},{src.torsion} vs {tgt.betti},{tgt.torsion}"
+            violations.append(Violation("quasi-iso", (k,), detail))
+        degrees.append(DegreeComparison(k, src.group(), tgt.group(), iso))
+    return QuasiIsoReport(degrees, violations)
 
 
 def identity_on_homology_through(F: ChainMap, d: int) -> QuasiIsoReport:
@@ -309,10 +288,16 @@ def identity_on_homology_through(F: ChainMap, d: int) -> QuasiIsoReport:
     elsewhere, as every torsion order is at least 2."""
     if F.source.basis != F.target.basis:
         raise StructureError("identity check needs an endomap")
-
-    def judge(k, classes, _, images):
-        return [Violation("identity-on-homology", (k, j), f"class moved: {tor}, {free}")
-                for j, (tor, free) in enumerate(images)
-                if tor + free != tuple(int(i == j) for i in range(len(tor) + len(free)))]
-
-    return _compare_on_homology(F, d, True, judge)
+    check_degree_range(d, F.source.D)
+    degrees, violations = [], []
+    for k in range(d + 1):
+        classes = HomologyClasses(F.source, k)
+        moved = []
+        for j, gen in enumerate(classes.generators):
+            tor, free = classes.coords(F.matrices[k].mulvec(gen))
+            if tor + free != tuple(int(i == j) for i in range(len(tor) + len(free))):
+                detail = f"class moved: {tor}, {free}"
+                moved.append(Violation("identity-on-homology", (k, j), detail))
+        violations += moved
+        degrees.append(DegreeComparison(k, classes.group(), classes.group(), not moved))
+    return QuasiIsoReport(degrees, violations)

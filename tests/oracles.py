@@ -25,10 +25,7 @@
   level-by-level ``_cover_nerve`` must reproduce in order, and the cocycle
   check over every ordered triple of cover indices
   (``oracle_check_cocycle``), whose refusals and witnesses the package's
-  walk over that nerve must reproduce in order, and the bundled fixture
-  cocycles over every ordered pair of cover indices
-  (``oracle_fixture_cocycle``), whose objects and transitions the
-  fixture's walk over that nerve must reproduce.
+  walk over that nerve must reproduce in order.
 * The classifying complex: the stagewise unraveling built from a face rule
   per cell, and the universal cocycle checked cell by cell over it, which
   the package's table-composing ``unravel_simplicial`` and its once per
@@ -646,22 +643,6 @@ def oracle_cover_nerve(cc, top):
             if faces:
                 out.append((idx, frozenset(faces)))
     return out
-
-
-def oracle_fixture_cocycle(base, g, obj, flipped=()):
-    """Objects and transitions of ``fixtures._cocycle`` over every cover
-    index and every ordered pair of them, empty overlaps included: the
-    reference for the fixture, which reads the nerve of the cover."""
-    ident = g.base.identity[obj]
-    n = len(base.cover)
-    objects = {(alpha, comp): obj for alpha in range(n)
-               for comp in base.components_of_overlap((alpha,))}
-    transitions = {
-        (alpha, beta, comp): ("*", "*", "s") if {alpha, beta} == set(flipped) else ident
-        for alpha in range(n) for beta in range(n) if alpha != beta
-        for comp in base.components_of_overlap((alpha, beta))
-    }
-    return objects, transitions
 
 
 def oracle_check_cocycle(u):

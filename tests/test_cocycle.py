@@ -53,7 +53,7 @@ from fatcat.fixtures import (
     z2_groupoid,
 )
 from fatcat.homology import HomologyClasses, cellular_map, homology
-from fatcat.ids import sort_ids, sort_key
+from fatcat.ids import sort_key
 from fatcat.intlinalg import IntMatrix
 from fatcat.simpset import TruncatedSimplicialSet, nerve, unraveled_counts
 
@@ -74,7 +74,6 @@ from oracles import (
     is_zero,
     oracle_check_cocycle,
     oracle_cover_nerve,
-    oracle_fixture_cocycle,
     oracle_homology,
     oracle_partition_homotopy,
     oracle_universal_cocycle,
@@ -267,8 +266,7 @@ def flip_cocycle(seed):
     rng = random.Random(seed)
     u = trivial_cocycle(vertex_star_cover(random_two_complex(seed=seed)))
     flips = [("*", "*", "e"), ("*", "*", "s")]
-    # drawn in key order, whatever order the fixture built them in
-    transitions = {key: rng.choice(flips) for key in sort_ids(u.transitions)}
+    transitions = {key: rng.choice(flips) for key in u.transitions}
     for alpha, comp in u.objects:
         transitions[(alpha, alpha, comp)] = rng.choice(flips)
     return GCocycle(u.base, u.groupoid, u.objects, transitions)
@@ -720,24 +718,6 @@ def bundled_and_generated_covers():
             continue
         covers[f"random-stars-{seed}"] = vertex_star_cover(faces)
     return covers
-
-
-def test_fixture_cocycles_match_the_all_pairs_walk():
-    """The fixture reads the nerve of the cover and gives the objects and
-    transitions of a walk over every cover index and ordered pair, on
-    every cover the package bundles and the tests build."""
-    from fatcat.fixtures import _cocycle
-
-    from test_cli import simplex_and_points
-
-    covers = {**nerve_covers(), **bundled_and_generated_covers(),
-              "simplex-and-40-points": simplex_and_points(40)}
-    z2, pg = z2_groupoid(), pair_groupoid()
-    for name, base in covers.items():
-        for g, obj, flipped in ((z2, "*", ()), (z2, "*", (0, 1)), (z2, "*", (0, 2)),
-                                (pg, "a", ()), (pg, "b", ())):
-            u = _cocycle(base, g, obj, flipped)
-            assert (u.objects, u.transitions) == oracle_fixture_cocycle(base, g, obj, flipped), name
 
 
 def test_covered_complex_json_roundtrip():
