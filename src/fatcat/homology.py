@@ -269,15 +269,27 @@ def quasi_iso_through(F: ChainMap, d: int) -> QuasiIsoReport:
     coordinates, each computed from the recorded eliminations when read.
     """
     check_degree_range(d, min(F.source.D, F.target.D))
-    degrees, violations = [], []
+    degrees = []
+    violations = []
     for k in range(d + 1):
         src = HomologyClasses(F.source, k)
         tgt = HomologyClasses(F.target, k)
-        iso = src.betti == tgt.betti and src.torsion == tgt.torsion and surjective_onto(
-            tgt, [tgt.coords(F.matrices[k].mulvec(gen)) for gen in src.generators])
+        same = src.betti == tgt.betti and src.torsion == tgt.torsion
+        iso = same
+        if same:
+            images = []
+            mat = F.matrices[k]
+            for gen in src.generators:
+                images.append(tgt.coords(mat.mulvec(gen)))
+            iso = surjective_onto(tgt, images)
         if not iso:
-            detail = f"H_{k}: {src.betti},{src.torsion} vs {tgt.betti},{tgt.torsion}"
-            violations.append(Violation("quasi-iso", (k,), detail))
+            violations.append(
+                Violation(
+                    "quasi-iso",
+                    (k,),
+                    f"H_{k}: {src.betti},{src.torsion} vs {tgt.betti},{tgt.torsion}",
+                )
+            )
         degrees.append(DegreeComparison(k, src.group(), tgt.group(), iso))
     return QuasiIsoReport(degrees, violations)
 
