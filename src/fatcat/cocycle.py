@@ -16,7 +16,7 @@ transitions keyed by vertex pairs, for cocycles and the universal cocycle.
 """
 
 from collections import namedtuple
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 from operator import itemgetter
 
 from .errors import StructureError, Violation, check_budget
@@ -294,17 +294,10 @@ def check_isomorphism(iso: CocycleIsomorphism):
 # The classifying complex, its canonical transitions and the blowup
 
 
-class ClassifyingComplex(namedtuple("ClassifyingComplex", "nerve space")):
-    """Stagewise unraveled nerve of a groupoid: ``space`` unravels
-    ``nerve``, the groupoid's nerve, and is the target of
+def bg_complex(g: FinGroupoid, N: int, D: int) -> TruncatedSimplicialSet:
+    """Stagewise unraveled nerve of a groupoid, the target of
     :func:`classifying_chain_map`."""
-
-    __slots__ = ()
-
-
-def bg_complex(g: FinGroupoid, N: int, D: int) -> ClassifyingComplex:
-    ner = nerve(g.base, D)
-    return ClassifyingComplex(ner, unravel_simplicial(ner, N))
+    return unravel_simplicial(nerve(g.base, D), N)
 
 
 def _transition_table(g: FinGroupoid, m, z):
@@ -332,7 +325,7 @@ def _law_failures(cat, m, table):
 
 def universal_cocycle(g: FinGroupoid, N: int, D: int):
     """Canonical transitions on every cell of the classifying complex
-    ``bg_complex(g, N, D).space``, checked for the composition law: the
+    ``bg_complex(g, N, D)``, checked for the composition law: the
     violations, empty when it holds.
 
     Only the nerve is built: the classifying complex is counted and refused
@@ -404,17 +397,8 @@ def partition_homotopy(a, b, q):
 def partition_grid():
     """Deterministic grid of partition points: all 5-part compositions of
     GRID_DENOMINATOR, as numerators over it; vertices are included."""
-    points = []
-
-    def compose_rest(remaining, parts, acc):
-        if parts == 1:
-            points.append(tuple(acc + [remaining]))
-            return
-        for take in range(remaining + 1):
-            compose_rest(remaining - take, parts - 1, acc + [take])
-
-    compose_rest(GRID_DENOMINATOR, 5, [])
-    return points
+    q = GRID_DENOMINATOR
+    return [p for p in product(range(q + 1), repeat=5) if sum(p) == q]
 
 
 def check_partition_grid():
@@ -563,7 +547,7 @@ def classifying_chain_map(u: GCocycle, N: int, D: int) -> ChainMap:
     """
     if len(u.base.cover) > N + 1:
         raise StructureError("cover does not embed into the stages: need len(cover) <= N + 1")
-    target = geometric_chains(bg_complex(u.groupoid, N, D).space)
+    target = geometric_chains(bg_complex(u.groupoid, N, D))
     blow = blowup(u.base, max(D, u.base.dimension()))
 
     def terms(cell):

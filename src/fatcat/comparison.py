@@ -10,7 +10,8 @@ category P, and P has at most one arrow between two points: it is a
 poset.  A fiber is held as P's up-sets and audited as an order, C's own
 law audit stands in for the projection onto unravel(C, N), and no
 category but C is built.  The order complex of P is built only when P's
-dismantling gets stuck.
+dismantling gets stuck, and degenerate cells inherit their core's report
+through the degeneracy tables.
 
 Flags are the chains of sorted tuples that :func:`fatcat.simpset.sd_flags`
 lists.  Stage label convention for the section: a maximal flag
@@ -48,6 +49,7 @@ from .simpset import (
     _compose,
     chain_composites,
     chain_count,
+    chain_objects,
     check_size,
     maximal_flags,
     nerve,
@@ -313,7 +315,7 @@ def rho_witnesses(n: int, convention: str):
 
 
 class CommaFiber(namedtuple("CommaFiber", "degree steps D")):
-    """Comma fiber of a nondegenerate simplex y: [m] -> C against the stage
+    """Comma fiber of a simplex y: [m] -> C against the stage
     forgetting functor: the nerve, truncated at D, of the poset P = [m]
     x_C unravel(C, N).  ``steps[v]`` lists, ascending, the points w >= v
     of P, the up-set of v."""
@@ -321,27 +323,13 @@ class CommaFiber(namedtuple("CommaFiber", "degree steps D")):
     __slots__ = ()
 
 
-def _nondegenerate_factorization(c: FinCategory, k: int, cell):
-    """Vertex objects and arrows of the nondegenerate core of a nerve cell."""
-    if k == 0:
-        return (cell,), ()
-    arrows = tuple(f for f in cell if not c.is_identity(f))
-    objects = [c.src[cell[0]]]
-    for f in cell:
-        if not c.is_identity(f):
-            objects.append(c.tgt[f])
-    return tuple(objects), arrows
-
-
 def _core_pattern(c: FinCategory, k: int, cell):
-    """The core degree m and the identity pattern of a nerve cell's
-    nondegenerate core: the vertex pairs a0 < a1 whose composite is an
-    identity."""
-    objects, arrows = _nondegenerate_factorization(c, k, cell)
-    m = len(objects) - 1
-    composite = chain_composites(c, objects, arrows)
-    return m, frozenset(
-        pair for pair in combinations(range(m + 1), 2) if c.is_identity(composite[pair])
+    """The degree k and the identity pattern of a nerve cell: the vertex
+    pairs a0 < a1 whose composite is an identity.  A nondegenerate cell is
+    its own core."""
+    composite = chain_composites(c, chain_objects(c, k, cell), cell)
+    return k, frozenset(
+        pair for pair in combinations(range(k + 1), 2) if c.is_identity(composite[pair])
     )
 
 
@@ -387,20 +375,21 @@ def _check_order(steps):
 def quillen_fiber(c: FinCategory, N: int, D: int, y_cell, y_degree: int) -> CommaFiber:
     """Comma fiber of a nerve simplex, as the up-sets of a poset.
 
-    Degenerate simplices are factored through their nondegenerate core
-    first, so the fiber only depends on that core.  The nerve preserves
-    pullbacks, so the fiber of the core y: [m] -> C is the nerve of P =
-    [m] x_C unravel(C, N): its points are the pairs (a, l) of a core vertex
-    and a stage, with one arrow (a0, l0) -> (a1, l1) when a0 <= a1, l0 <= l1
-    and either l0 < l1 or the core composite a0 -> a1 is an identity.  The
-    legs of the fiber are the nerves of the projections of P, (a, l) -> a
+    The fiber is built for the simplex as given.  The sweep of
+    :func:`all_fibers_contractible` passes only nondegenerate simplices,
+    and degenerate cells inherit their core's report through the
+    degeneracy tables.  The nerve preserves pullbacks, so the fiber of y:
+    [m] -> C is the nerve of P = [m] x_C unravel(C, N): its points are the
+    pairs (a, l) of a vertex and a stage, with one arrow (a0, l0) -> (a1,
+    l1) when a0 <= a1, l0 <= l1 and either l0 < l1 or the composite a0 ->
+    a1 of y is an identity.  The legs of the fiber are the nerves of the projections of P, (a, l) -> a
     and (a, l) -> (y(a), l).
 
     P has at most one arrow between two points, so it is a category
     exactly when its arrows are reflexive and transitive, and then the
     identity laws and associativity hold by themselves.  The projection
     onto [m] is a functor exactly when no arrow lowers a.  The projection
-    onto unravel(C, N) sends (a0, l0) -> (a1, l1) to the lift of the core
+    onto unravel(C, N) sends (a0, l0) -> (a1, l1) to the lift of the
     composite a0 -> a1 from stage l0 to l1, which lies in unravel(C, N)
     when l0 <= l1 and the stage stays only over an identity; C is a
     category, so lifting its composites to unravel(C, N) preserves them,
@@ -521,7 +510,10 @@ def all_fibers_contractible(c: FinCategory, N: int, D: int, d: int):
 
     The fiber of a cell depends only on its nondegenerate core, and its
     poset P only on the core's degree and identity pattern.  The audits of
-    nerve(C, D) and of C's laws come first.  C is a category, so lifting
+    nerve(C, D) and of C's laws come first.  Degenerate cells inherit their
+    core's report through the degeneracy tables: s_i(q) has q's core, so it
+    takes q's report, and only the cells that no s_i reaches, which are
+    their own cores, have their pattern read.  C is a category, so lifting
     its composites to unravel(C, N) preserves them, and the projection of a
     fiber onto unravel(C, N) needs no check of its own (see
     :func:`quillen_fiber`); neither it nor unravel(C, N) is built.
@@ -533,12 +525,26 @@ def all_fibers_contractible(c: FinCategory, N: int, D: int, d: int):
     check_degree_range(d, D)
     ner = nerve(c, D)
     _require(check_category(c), "C breaks a law")
-    reports = {}
+    # numbers[key]: the pattern's position in reports, from 1
+    numbers, reports = {}, [None]
     violations = []
+    # here[p]: the pattern number of the p-th cell of the current degree, 0
+    # until read.  Four bytes a cell: a list of references to the reports,
+    # at eight, raised the run's peak RSS by the size of its top degree.
+    here = ()
     for k in range(D + 1):
-        for cell in ner.cells[k]:
-            key = _core_pattern(c, k, cell)
-            if key not in reports:
-                reports[key] = contractibility_report(quillen_fiber(c, N, D, cell, k), d)
-            violations += [Violation(v.law, (k, cell) + v.witness, v.detail) for v in reports[key]]
+        inherited = memoryview(bytearray(4 * ner.n_cells(k))).cast("I")
+        for table in ner.degeneracies[k - 1] if k else ():
+            for p, q in enumerate(table):
+                inherited[q] = here[p]
+        here = inherited
+        for p, cell in enumerate(ner.cells[k]):
+            if not here[p]:
+                key = _core_pattern(c, k, cell)
+                if key not in numbers:
+                    numbers[key] = len(reports)
+                    reports.append(contractibility_report(quillen_fiber(c, N, D, cell, k), d))
+                here[p] = numbers[key]
+            violations += [Violation(v.law, (k, cell) + v.witness, v.detail)
+                           for v in reports[here[p]]]
     return sum(map(len, ner.cells)), violations

@@ -252,11 +252,10 @@ def restrict_to_layer(prism_cocycle: GCocycle, level: int) -> GCocycle:
 # The classifying complex
 
 
-def stage_cover(bg, N):
-    """``cover[j][k]``: the k-cells of the classifying complex ``bg`` on
+def stage_cover(space, N):
+    """``cover[j][k]``: the k-cells of the classifying complex ``space`` on
     stages 0..N whose stage tuple contains j, the combinatorial shadow of
     the j-th coordinate being positive."""
-    space = bg.space
     return {
         j: tuple(
             frozenset(cell for cell in space.cells[k] if j in cell[0])
@@ -266,10 +265,9 @@ def stage_cover(bg, N):
     }
 
 
-def gamma(g, bg, k, cell):
+def gamma(g, space, k, cell):
     """Canonical transitions of the groupoid g on a k-cell of its
-    classifying complex ``bg``, keyed by stage pairs."""
-    space = bg.space
+    classifying complex ``space``, keyed by stage pairs."""
     if not 0 <= k <= space.D or cell not in space.index(k):
         raise StructureError(f"not a {k}-cell of the classifying complex: {cell}")
     # the nerve cell's transitions, vertex a at the a-th distinct stage

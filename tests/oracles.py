@@ -39,7 +39,11 @@
   order of its composition witnesses, and the partition homotopy over
   Fractions (``oracle_partition_homotopy``), which the package's integer
   ``partition_homotopy`` must match as rationals.
-* Comma fibers: the category of a poset built from its up-sets
+* Comma fibers: the nondegenerate core of a nerve cell, found by
+  scanning its arrows for identities (``_nondegenerate_factorization``),
+  and the core's identity pattern (``oracle_core_pattern``), where the
+  package reads degeneracy off the nerve's tables and a pattern only on
+  nondegenerate cells; the category of a poset built from its up-sets
   (``poset_category``), the pullback category P that the package holds
   only as up-sets, with one composite per 2-chain, and its projection onto
   [m] as a functor (``simplex_leg``); the nerve-level reference
@@ -76,7 +80,7 @@ from sympy.matrices.normalforms import smith_normal_form
 from sympy.polys.matrices import DomainMatrix
 
 from fatcat import simpset
-from fatcat.comparison import BarycentricPoint, _core_pattern, _nondegenerate_factorization
+from fatcat.comparison import BarycentricPoint
 from fatcat.errors import StructureError, Violation, check_budget
 from fatcat.fincat import FinCategory, Functor, mid, ordinal, unravel
 from fatcat.homology import ChainMap, IntegerChainComplex, fat_chains, geometric_chains
@@ -840,6 +844,27 @@ def unravel_nerve_isomorphism(c: FinCategory, N: int, D: int) -> SimplicialMap:
 NerveFiber = namedtuple("NerveFiber", "degree steps fiber to_simplex to_unraveled")
 
 
+def _nondegenerate_factorization(c: FinCategory, k: int, cell):
+    """Vertex objects and arrows of the nondegenerate core of a nerve cell."""
+    if k == 0:
+        return (cell,), ()
+    arrows = tuple(f for f in cell if not c.is_identity(f))
+    objects = [c.src[cell[0]]]
+    for f in cell:
+        if not c.is_identity(f):
+            objects.append(c.tgt[f])
+    return tuple(objects), arrows
+
+
+def oracle_core_pattern(c: FinCategory, k: int, cell):
+    """The core degree m and the identity pattern of a nerve cell: the
+    vertex pairs a0 < a1 of its core whose composite is an identity."""
+    objects, arrows = _nondegenerate_factorization(c, k, cell)
+    composite = chain_composites(c, objects, arrows)
+    m = len(objects) - 1
+    return m, frozenset(p for p in combinations(range(m + 1), 2) if c.is_identity(composite[p]))
+
+
 def nerve_map(source, target, obj, arrow) -> SimplicialMap:
     """The nerve of a functor, x -> obj(x) and m -> arrow(m), between the
     categories of two nerves.  Objects and arrows are looked up in target's
@@ -912,7 +937,7 @@ def nerve_level_fiber(c, N, D, y_cell, y_degree, target, simplex, shapes) -> Ner
     objects, arrows = _nondegenerate_factorization(c, y_degree, y_cell)
     m = len(objects) - 1
     composite = chain_composites(c, objects, arrows)
-    key = _core_pattern(c, y_degree, y_cell)
+    key = oracle_core_pattern(c, y_degree, y_cell)
     if key not in shapes:
         shapes[key] = _nerve_level_shape(*key, N, D, simplex)
     steps, fiber, to_simplex = shapes[key]

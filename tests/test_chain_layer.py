@@ -21,7 +21,6 @@ import fatcat.homology as homology_module
 import fatcat.simpset as simpset
 from fatcat.cocycle import base_chain_complex
 from fatcat.comparison import (
-    _nondegenerate_factorization,
     flag_chain_complex,
     projection_map,
     projection_pi,
@@ -49,6 +48,7 @@ from fatcat.simpset import (
 )
 
 from oracles import (
+    _nondegenerate_factorization,
     nerve_level_fiber,
     nerve_map,
     oracle_deletion_complex,

@@ -818,6 +818,10 @@ GOLDEN = [
      "17aa98ed13886b724fa3afdf89f6fd4237aeaca30374eb4c933e08e108f69861"),
     ("verify quillen-a --input bz2.json --N 3 --D 3 --d 1", 0,
      "6d483553856d75d9a3e0319b4db4f6af51a423cadf0637a1730d5b105f3450b2"),
+    # N < D: the core s o s o s at N = 2 does not dismantle, so its fiber's
+    # homology is computed from its order complex
+    ("verify quillen-a --input bz2.json --N 2 --D 3 --d 1", 0,
+     "6d483553856d75d9a3e0319b4db4f6af51a423cadf0637a1730d5b105f3450b2"),
     # s o s = s: cores whose composites are idempotents but not identities
     ("verify quillen-a --input idem.json --N 3 --D 3", 0,
      "6d483553856d75d9a3e0319b4db4f6af51a423cadf0637a1730d5b105f3450b2"),

@@ -338,7 +338,7 @@ def test_bg_complex_terminal_and_cover():
     term = terminal_category()
     g = FinGroupoid(term, {m: m for m in term.morphism_ids()})
     bg = bg_complex(g, 2, 2)
-    assert [len(bg.space.nondegenerate(k)) for k in range(3)] == [3, 3, 1]
+    assert [len(bg.nondegenerate(k)) for k in range(3)] == [3, 3, 1]
     cover = stage_cover(bg, 2)
     for j in range(3):
         for k in range(3):
@@ -348,7 +348,7 @@ def test_bg_complex_terminal_and_cover():
 
 def test_bg_flip_group_nondegenerate_count():
     bg = bg_complex(z2_groupoid(), 2, 2)
-    assert len(bg.space.nondegenerate(1)) == 6
+    assert len(bg.nondegenerate(1)) == 6
 
 
 def test_bg_cover_intersection():
@@ -360,11 +360,9 @@ def test_bg_cover_intersection():
 
 
 def test_bg_cover_is_computed_on_first_use():
-    g = z2_groupoid()
-    bg = bg_complex(g, 2, 2)
-    assert bg.nerve.cells == nerve(g.base, 2).cells
-    # the complex holds its nerve and space only; the cover is the tests'
-    assert not hasattr(bg, "__dict__") and not hasattr(bg, "cover")
+    bg = bg_complex(z2_groupoid(), 2, 2)
+    # the cover is the tests', not an attribute of the complex
+    assert not hasattr(bg, "cover")
     assert stage_cover(bg, 2)[1][0] == frozenset([((1,), "*")])
 
 
@@ -461,9 +459,8 @@ def test_universal_cocycle_budgets_the_classifying_complex(monkeypatch):
     short of its count, with only the nerve built, and accepted at its
     count, still with only the nerve built."""
     g, N, D = cyclic_groupoid(3), 3, 3
-    bg = bg_complex(g, N, D)
-    counts = unraveled_counts(bg.nerve, N)
-    assert counts == [len(cells) for cells in bg.space.cells]
+    counts = unraveled_counts(nerve(g.base, D), N)
+    assert counts == [len(cells) for cells in bg_complex(g, N, D).cells]
     built = []
     init = TruncatedSimplicialSet.__init__
 
@@ -530,11 +527,10 @@ def test_universal_cocycle_matches_the_cell_by_cell_oracle(name):
             bg = bg_complex(g, N, D)
             for (k, cell), table in tables.items():
                 assert list(gamma(g, bg, k, cell).items()) == list(table.items())
-            ours = bg.space
-            ref = oracle_unravel_simplicial(bg.nerve, N)
-            assert ours.cells == ref.cells
-            assert ours.faces == ref.faces
-            assert ours.degeneracies == ref.degeneracies
+            ref = oracle_unravel_simplicial(nerve(g.base, D), N)
+            assert bg.cells == ref.cells
+            assert bg.faces == ref.faces
+            assert bg.degeneracies == ref.degeneracies
     assert (witnesses > 0) == (name not in standard_groupoids())
 
 

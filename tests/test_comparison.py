@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -9,7 +10,6 @@ import fatcat.comparison as comparison
 from fatcat.comparison import (
     BarycentricPoint,
     CommaFiber,
-    _nondegenerate_factorization,
     all_fibers_contractible,
     apply_operator,
     contractibility_report,
@@ -28,6 +28,7 @@ from fatcat.errors import EnumerationLimitError, StructureError, Violation
 from fatcat.fincat import (
     FinCategory,
     FinGroupoid,
+    category_from_json,
     check_groupoid,
     mid,
     ordinal,
@@ -60,14 +61,17 @@ from fatcat.simpset import (
 
 import oracles
 from oracles import (
+    _nondegenerate_factorization,
     apply,
     betti_torsion,
     column,
     nerve_level_fiber,
+    oracle_core_pattern,
     oracle_homology,
     poset_category,
     rho_evaluate,
 )
+from test_cli import fiber_sweep_cases
 from test_simpset import record_builds
 
 
@@ -575,16 +579,6 @@ def test_fiber_cells_are_the_sorted_step_chains(name):
         assert list(fiber_nerve(fib).cells[j]) == expected
 
 
-def test_fiber_of_degenerate_simplex_factors():
-    c = z2_groupoid().base
-    ident = ("*", "*", "e")
-    degenerate = fiber(c, 3, 3, (ident,), 1)
-    vertex = fiber(c, 3, 3, "*", 0)
-    assert degenerate.steps == vertex.steps
-    assert fiber_nerve(degenerate).cells == fiber_nerve(vertex).cells
-    assert degenerate.degree == 0
-
-
 def test_fiber_with_identity_composite():
     # chains whose composite collapses to an identity enlarge the fiber but
     # leave it contractible
@@ -600,14 +594,23 @@ def test_all_fibers_interval():
     assert violations == []
 
 
+def core_of(c, k, cell):
+    """The nondegenerate core of a nerve cell as (degree, cell), found by
+    scanning its arrows for identities."""
+    objects, arrows = _nondegenerate_factorization(c, k, cell)
+    return (0, objects[0]) if not arrows else (len(arrows), arrows)
+
+
 def per_cell_sweep(c, N, D, d):
-    """The fiber sweep without reuse: one fiber, target and report per cell."""
+    """The fiber sweep without reuse: one fiber and report per cell, each
+    built from the cell's core as the identity scan finds it."""
     ner = nerve(c, D)
     violations = []
     checked = 0
     for k in range(D + 1):
         for cell in ner.cells[k]:
-            fib = fiber(c, N, D, cell, k)
+            m, core = core_of(c, k, cell)
+            fib = fiber(c, N, D, core, m)
             checked += 1
             for v in comparison.contractibility_report(fib, d):
                 violations.append(Violation(v.law, (k, cell) + v.witness, v.detail))
@@ -673,6 +676,35 @@ def test_fiber_sweep_repeats_core_witness_on_every_cell(monkeypatch, name):
         Violation("fiber-contractible", (k, cell, 1), "forced") for k, cell in edge_cells
     ]
     assert (checked, violations) == per_cell_sweep(cat, 2, 3, 2)
+
+
+def test_sweep_builds_one_fiber_per_pattern_from_a_nondegenerate_cell(monkeypatch, tmp_path):
+    """The sweep passes ``quillen_fiber`` the first cell of each core
+    pattern in cell order, once, and that cell is nondegenerate: on the
+    sweep cases and on the fiber-sweep benchmark's categories."""
+    runs = [(cat, 2, 3) for cat in SWEEP_CASES.values()]
+    for case in fiber_sweep_cases(tmp_path):
+        opts = dict(zip(case["argv"][2::2], case["argv"][3::2]))
+        with open(opts["--input"]) as fh:
+            runs.append((category_from_json(json.load(fh)), int(opts["--N"]), int(opts["--D"])))
+    calls = []
+    original = comparison.quillen_fiber
+
+    def recording(c, N, D, y_cell, y_degree):
+        calls.append((y_degree, y_cell))
+        return original(c, N, D, y_cell, y_degree)
+
+    monkeypatch.setattr(comparison, "quillen_fiber", recording)
+    for cat, N, D in runs:
+        calls.clear()
+        all_fibers_contractible(cat, N, D, 2)
+        ner = nerve(cat, D)
+        first = {}
+        for k in range(D + 1):
+            for cell in ner.cells[k]:
+                first.setdefault(oracle_core_pattern(cat, k, cell), (k, cell))
+        assert calls == list(first.values())
+        assert all(cell in ner.nondegenerate(k) for k, cell in calls)
 
 
 def test_tau_point_hits_stage_one():

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from fatcat.cocycle import ClassifyingComplex, CocycleIsomorphism, bg_complex
+from fatcat.cocycle import CocycleIsomorphism
 from fatcat.comparison import BarycentricPoint, CommaFiber, RhoWitness
 from fatcat.errors import StructureError, Violation
 from fatcat.fincat import NatTransformation, identity_functor, ordinal
@@ -54,9 +54,7 @@ def test_value_records_compare_by_fields():
     assert BijectionReport([], (1, 2), (1, 2)) != BijectionReport([], (1, 2), (1, 3))
     u = mobius_cocycle()
     assert CocycleIsomorphism(u, u, {}) == CocycleIsomorphism(source=u, target=u, phi={})
-    c = ordinal(1)
     assert CommaFiber(0, {}, 3) == CommaFiber(degree=0, steps={}, D=3)
-    assert ClassifyingComplex(c, c) == ClassifyingComplex(nerve=c, space=c)
 
 
 def test_report_properties_read_their_fields():
@@ -137,7 +135,6 @@ def frozen_records():
         (BijectionReport([], (1,), (1,)), "violations"),
         (CommaFiber(0, {}, 3), "steps"),
         (CocycleIsomorphism(u, u, {}), "phi"),
-        (bg_complex(g, 2, 2), "space"),
     ]
 
 

@@ -7,12 +7,14 @@ import inspect
 from pathlib import Path
 
 from fatcat import homology, intlinalg
-from fatcat.comparison import _nondegenerate_factorization, quillen_fiber
+from fatcat.comparison import quillen_fiber
 from fatcat.errors import EnumerationLimitError
 from fatcat.fixtures import z2_groupoid
 from fatcat.homology import HomologyClasses, fat_chains
 from fatcat.intlinalg import IntMatrix, smith
 from fatcat.simpset import SemiSimplicialSet, nerve, s_semisimplicial
+
+from oracles import _nondegenerate_factorization
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
