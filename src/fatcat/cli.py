@@ -34,13 +34,12 @@ from .homology import (
     geometric_chains,
     homology,
     induced_map,
-    quasi_iso_through,
 )
 from .comparison import (
     all_fibers_contractible,
     pi_tau_homology_check,
     projection_map,
-    projection_pi,
+    projection_quasi_iso,
     rho_witnesses,
     subdivision_commutes,
     tau_chain_map,
@@ -139,7 +138,7 @@ def _check_stages(N, D, d):
 
 def suite_tom_dieck(cat, N, D, d):
     _check_stages(N, D, d)
-    return _quasi_iso_result(quasi_iso_through(projection_pi(cat, N, D), d))
+    return _quasi_iso_result(projection_quasi_iso(cat, N, D, d))
 
 
 def suite_quillen_a(cat, N, D, d=None):

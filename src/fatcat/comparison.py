@@ -13,6 +13,11 @@ category but C is built.  The order complex of P is built only when P's
 dismantling gets stuck, and degenerate cells inherit their core's report
 through the degeneracy tables.
 
+The projection's quasi-isomorphism check builds the stage product only
+through degree d + 1 and takes H_k for k <= d off the nerve when the
+projection's mapping cone certifies it; otherwise homology presentations
+of both sides decide.
+
 Flags are the chains of sorted tuples that :func:`fatcat.simpset.sd_flags`
 lists.  Stage label convention for the section: a maximal flag
 A_0 < ... < A_n of subsets of {0..n} is sent to the stage tuple
@@ -27,14 +32,16 @@ from collections import namedtuple
 from itertools import combinations
 from math import comb
 
-from .errors import StructureError, Violation, check_budget
+from .errors import EnumerationLimitError, StructureError, Violation, check_budget
 from .fincat import FinCategory, check_category
 from .homology import (
     ChainMap,
+    DegreeComparison,
     IntegerChainComplex,
     QuasiIsoReport,
     cell_matrix,
     check_degree_range,
+    cone_certifies,
     deletion_complex,
     fat_chains,
     homology,
@@ -42,6 +49,7 @@ from .homology import (
     induced_map,
     named_matrix,
     noncommuting_degrees,
+    quasi_iso_through,
 )
 from .simpset import (
     SemiSimplicialSet,
@@ -56,6 +64,8 @@ from .simpset import (
     product_with_S,
     s_semisimplicial,
     sd_flags,
+    stage_counts,
+    truncation,
 )
 
 
@@ -64,18 +74,54 @@ from .simpset import (
 
 
 def projection_map(c: FinCategory, N: int, D: int) -> SimplicialMap:
-    """Simplicial map from the stage product onto the nerve, (x, a) -> x:
-    the product k-cell at position p lies over the nerve cell at p // |s_k|."""
-    ner = nerve(c, D)
-    s = s_semisimplicial(N, D)
-    prod = product_with_S(ner, s)
-    maps = [[p // s.n_cells(k) for p in range(prod.n_cells(k))] for k in range(D + 1)]
-    return SimplicialMap(prod, ner, maps)
+    """Simplicial map from the stage product onto the nerve, (x, a) -> x."""
+    return stage_projection(nerve(c, D), N)
+
+
+def stage_projection(x, N: int) -> SimplicialMap:
+    """Simplicial map from x times the stage complex on N + 1 stages onto
+    x: the product k-cell at position p * |s_k| + q lies over the cell of x
+    at p."""
+    s = s_semisimplicial(N, x.D)
+    maps = [[p for p in range(x.n_cells(k)) for _ in range(s.n_cells(k))]
+            for k in range(x.D + 1)]
+    return SimplicialMap(product_with_S(x, s), x, maps)
 
 
 def projection_pi(c: FinCategory, N: int, D: int) -> ChainMap:
     """Chain-level projection on fat chains."""
     return induced_map(projection_map(c, N, D))
+
+
+def projection_quasi_iso(c: FinCategory, N: int, D: int, d: int) -> QuasiIsoReport:
+    """Is π a homology isomorphism in degrees <= d?  The verdict, groups
+    and witnesses are those of :func:`quasi_iso_through` on
+    ``projection_pi(c, N, D)``, for N >= d + 1.
+
+    The nerve is built and audited through max(D, d + 2), and C's laws are
+    audited after it.  The stage complex and the stage product are
+    budgeted at D, as :func:`projection_pi` would, but they and π are built
+    only through degree d + 1, the most that H_k for k <= d reads; π lands
+    in the nerve's chains.  When :func:`cone_certifies` π, both sides of
+    each degree take the nerve's group and no presentation is built.
+    Otherwise, and when the nerve's extra degree is over budget,
+    :func:`quasi_iso_through` decides on this π.
+    """
+    check_degree_range(d, D)
+    try:
+        ner = nerve(c, max(D, d + 2))
+    except EnumerationLimitError:
+        # decide without the cone; a refusal at D itself is raised again
+        ner = nerve(c, D)
+    _require(check_category(c), "C breaks a law")
+    stages = stage_counts(N, D)
+    check_size(SemiSimplicialSet, D, stages)
+    check_size(SemiSimplicialSet, D, [ner.n_cells(k) * n for k, n in enumerate(stages)])
+    pi = induced_map(stage_projection(truncation(ner, d + 1), N), fat_chains(ner))
+    if ner.D > d + 1 and cone_certifies(pi, d):
+        groups = (homology(pi.target, k) for k in range(d + 1))
+        return QuasiIsoReport([DegreeComparison(g.degree, g, g, True) for g in groups], [])
+    return quasi_iso_through(pi, d)
 
 
 # ---------------------------------------------------------------------------

@@ -370,18 +370,35 @@ def nerve(c: FinCategory, D: int) -> TruncatedSimplicialSet:
     return TruncatedSimplicialSet(D, cells, faces, degeneracies)
 
 
+def truncation(x: TruncatedSimplicialSet, D: int) -> TruncatedSimplicialSet:
+    """x cut at degree D <= x.D: its cells and tables through D, audited as
+    an object of its own; x itself when D = x.D."""
+    if not 0 <= D <= x.D:
+        raise StructureError(f"cannot truncate a set truncated at {x.D} at {D}")
+    if D == x.D:
+        return x
+    # cells stays positional: bench/tracer.py reads it as the constructor's args[2]
+    return TruncatedSimplicialSet(D, x.cells[:D + 1], x.faces[:D + 1], x.degeneracies[:D])
+
+
 def delete_entry(k, i, seq):
     """The face rule of tuple cells: d_i deletes entry i."""
     return seq[:i] + seq[i + 1:]
 
 
+def stage_counts(N: int, D: int) -> list:
+    """Cells of the stage complex on N + 1 stages truncated at D, by degree:
+    C(N + 1, k + 1) in degree k.  No degree above N has a cell, and the
+    list stops at min(N, D)."""
+    if N < 0 or D < 0:
+        raise StructureError("N and D must be >= 0")
+    return [comb(N + 1, k + 1) for k in range(min(N, D) + 1)]
+
+
 def s_semisimplicial(N: int, D: int) -> SemiSimplicialSet:
     """Stage complex: k-cells are strictly increasing (k+1)-tuples in {0..N},
     counted and budgeted before any of them is built."""
-    if N < 0 or D < 0:
-        raise StructureError("N and D must be >= 0")
-    # no degree above N has a cell
-    check_size(SemiSimplicialSet, D, [comb(N + 1, k + 1) for k in range(min(N, D) + 1)])
+    check_size(SemiSimplicialSet, D, stage_counts(N, D))
     cells = [list(combinations(range(N + 1), k + 1)) for k in range(D + 1)]
     return simplicial_set(D, cells, delete_entry)
 

@@ -56,6 +56,10 @@
   own face, degeneracy and leg rules, which the reference must match
   through the vertex sequence of each chain; and both legs of a fiber
   from the per-cell rule that maps a chain arrow by arrow.
+* The tom Dieck decision on homology presentations
+  (``oracle_tom_dieck``): ``quasi_iso_through`` on the whole projection,
+  built through D, whose payload the package's cone certificate and its
+  fallback must reproduce byte for byte.
 * The sorting assignment's coordinate components as exact rationals
   (``rho_evaluate``), checked against closed forms.
 * Dense matrices: products and transposes of plain row lists, the
@@ -80,10 +84,16 @@ from sympy.matrices.normalforms import smith_normal_form
 from sympy.polys.matrices import DomainMatrix
 
 from fatcat import simpset
-from fatcat.comparison import BarycentricPoint
+from fatcat.comparison import BarycentricPoint, projection_pi
 from fatcat.errors import StructureError, Violation, check_budget
 from fatcat.fincat import FinCategory, Functor, mid, ordinal, unravel
-from fatcat.homology import ChainMap, IntegerChainComplex, fat_chains, geometric_chains
+from fatcat.homology import (
+    ChainMap,
+    IntegerChainComplex,
+    fat_chains,
+    geometric_chains,
+    quasi_iso_through,
+)
 from fatcat.ids import sort_ids, sort_key
 from fatcat.intlinalg import IntMatrix, smith
 from fatcat.simpset import (
@@ -446,6 +456,13 @@ def oracle_projection_map(c, N, D):
     ner = nerve(c, D)
     prod = oracle_product_with_S(ner, s_semisimplicial(N, D))
     return oracle_simplicial_map(prod, ner, lambda k, cell: cell[0])
+
+
+def oracle_tom_dieck(c, N, D, d):
+    """Is π a homology isomorphism in degrees <= d, decided by comparing
+    presentations of both sides' homology, with the stage product and the
+    nerve built through D."""
+    return quasi_iso_through(projection_pi(c, N, D), d)
 
 
 def oracle_apply_operator(x, k_from, cell, u):

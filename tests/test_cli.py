@@ -352,9 +352,10 @@ def test_rho_payload_is_budgeted(capsys, monkeypatch):
 
 
 def test_tom_dieck_frontier_rung(capsys, inputs, monkeypatch):
-    # Z/2 at N=10, D=4: the stage product has 10,813 cells and its
-    # boundaries hold 49,720 nonzeros in 21 million entries, so this stays
-    # fast only while matrices store nothing but their nonzeros
+    # Z/2 at N=10, D=4, d=2: the stage product has 10,813 cells, of which
+    # the 3,421 through d + 1 = 3 are built; their boundaries hold 12,760
+    # nonzeros in 1.8 million entries, so this stays fast only while
+    # matrices store nothing but their nonzeros
     monkeypatch.setenv("FATCAT_MAX_CELLS", "300000")
     argv = ["verify", "tom-dieck", "--input", inputs["bz2.json"],
             "--N", "10", "--D", "4", "--d", "2"]
@@ -569,6 +570,67 @@ def test_quillen_a_refuses_a_non_associative_table(capsys, tmp_path, N, D):
     error = expect_bad_input(
         capsys, ["verify", "quillen-a", "--input", str(path), "--N", str(N), "--D", str(D)])
     assert re.match(CATEGORY_AUDIT + ", e.g. Violation\\(law='associativity'", error), error
+
+
+@pytest.mark.parametrize("D, message", [(2, CATEGORY_AUDIT), (3, NERVE_AUDIT)])
+def test_tom_dieck_refuses_a_non_associative_table(capsys, tmp_path, D, message):
+    """At D = 2 and d = 0 the nerve, built through max(D, d + 2) = 2, holds
+    no composable triple, yet C's law audit after it refuses the table;
+    from D = 3 the nerve's own audit does."""
+    path = tmp_path / "non-associative.json"
+    path.write_text(json.dumps(category_to_json(non_associative_monoid())))
+    error = expect_bad_input(capsys, ["verify", "tom-dieck", "--input", str(path),
+                                      "--N", "2", "--D", str(D), "--d", "0"])
+    assert re.match(message, error), error
+
+
+def test_tom_dieck_budgets_the_stage_product_at_D(capsys, inputs, monkeypatch):
+    """Z/2 at N = 8, D = 4, d = 2: only the 1,425 cells of the stage
+    product through d + 1 = 3 are built, yet its 3,441 cells through D are
+    budgeted, and refused with the message building them would give."""
+    argv = ["verify", "tom-dieck", "--input", inputs["bz2.json"], "--N", "8", "--D", "4", "--d", "2"]
+    monkeypatch.setenv("FATCAT_MAX_CELLS", "3440")
+    assert expect_bad_input(capsys, argv) == (
+        "SemiSimplicialSet needs 3441 cells, exceeding FATCAT_MAX_CELLS=3440")
+    monkeypatch.setenv("FATCAT_MAX_CELLS", "3441")
+    assert main(argv) == 0 and json.loads(capsys.readouterr().out)["ok"]
+
+
+def test_tom_dieck_decides_on_homology_when_the_cone_is_over_budget(capsys, tmp_path,
+                                                                   monkeypatch):
+    """Z/5 at N = 3, D = 3, d = 2: the cone needs the nerve through
+    d + 2 = 4, 781 cells, over a budget of 500 that the nerve through D
+    (156 cells) and the stage product (259) fit.  The presentations then
+    decide, and the command prints what the cone's run prints."""
+    path = tmp_path / "z5.json"
+    path.write_text(json.dumps(groupoid_to_json(cyclic_groupoid(5))))
+    argv = ["verify", "tom-dieck", "--input", str(path), "--N", "3", "--D", "3", "--d", "2"]
+    monkeypatch.delenv("FATCAT_MAX_CELLS", raising=False)
+    assert main(argv) == 0
+    certified = capsys.readouterr().out
+    tried = []
+    monkeypatch.setattr(comparison, "cone_certifies", lambda *args: tried.append(args))
+    monkeypatch.setenv("FATCAT_MAX_CELLS", "500")
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out == certified and tried == []
+    digest = "da966d6a33de81596c5ea3c631eaaa0ee91da91fd70fc9bc3f111ccbb3a66b09"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_tom_dieck_refuses_a_doctored_projection(capsys, inputs, monkeypatch):
+    """A projection that sends one product edge over the wrong nerve edge
+    is refused by its map audit, as malformed input."""
+    original = comparison.SimplicialMap
+
+    def doctored(source, target, maps):
+        maps[1][0] = 1 - maps[1][0]
+        return original(source, target, maps)
+
+    monkeypatch.setattr(comparison, "SimplicialMap", doctored)
+    error = expect_bad_input(capsys, ["verify", "tom-dieck", "--input", inputs["bz2.json"],
+                                      "--N", "5", "--D", "3", "--d", "1"])
+    assert error.startswith("structure maps do not commute, e.g. Violation(law='map-face'")
 
 
 def test_quillen_a_builds_no_category_but_c(capsys, inputs, monkeypatch):

@@ -7,6 +7,7 @@ from itertools import permutations, product
 import pytest
 
 import fatcat.comparison as comparison
+from fatcat.cli import _quasi_iso_result, suite_tom_dieck
 from fatcat.comparison import (
     BarycentricPoint,
     CommaFiber,
@@ -68,6 +69,7 @@ from oracles import (
     nerve_level_fiber,
     oracle_core_pattern,
     oracle_homology,
+    oracle_tom_dieck,
     poset_category,
     rho_evaluate,
 )
@@ -93,6 +95,47 @@ def test_projection_flip_group_quasi_iso():
     rep = quasi_iso_through(pi, 2)
     assert rep.ok
     assert [betti_torsion(c.source) for c in rep.degrees] == [(1, ()), (0, (2,)), (0, ())]
+
+
+TOM_DIECK_CATEGORIES = {**standard_categories(),
+                        **{f"z{n}": cyclic_groupoid(n).base for n in (3, 4, 5)}}
+
+
+def canonical(result):
+    """A suite result as the exit verdict and the bytes its command prints."""
+    ok, payload = result
+    return ok, json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("name", sorted(TOM_DIECK_CATEGORIES))
+def test_tom_dieck_matches_its_presentation_oracle(monkeypatch, name):
+    """Over N <= 5, D <= 4, d < D and N >= d + 1, ``verify tom-dieck``
+    prints what comparing presentations on the projection built through D
+    prints, byte for byte.  Every cone certifies but the idempotent
+    monoid's at d >= 1, so its runs reach the fallback."""
+    c = TOM_DIECK_CATEGORIES[name]
+    verdicts = []
+    certifies = comparison.cone_certifies
+    monkeypatch.setattr(comparison, "cone_certifies",
+                        lambda F, d: verdicts.append(certifies(F, d)) or verdicts[-1])
+    for D in range(1, 5):
+        for d in range(D):
+            for N in range(d + 1, 6):
+                want = canonical(_quasi_iso_result(oracle_tom_dieck(c, N, D, d)))
+                assert canonical(suite_tom_dieck(c, N, D, d)) == want, (N, D, d)
+    assert len(verdicts) == 40
+    assert (False in verdicts) == (name == "idempotent-monoid")
+
+
+def test_tom_dieck_builds_the_product_through_d_plus_one(monkeypatch):
+    """Z/2 at N = 8, D = 4, d = 2: the nerve is built through d + 2 = 4,
+    and the stage complex and the stage product through d + 1 = 3, where
+    the product has 1,425 of its 3,441 cells at D."""
+    built = record_builds(monkeypatch, SemiSimplicialSet)
+    assert suite_tom_dieck(z2_groupoid().base, 8, 4, 2)[0]
+    counts = [[len(level) for level in x.cells] for x in built]
+    assert counts == [[1, 2, 4, 8, 16], [1, 2, 4, 8], [9, 36, 84, 126],
+                      [9, 72, 336, 1008]]
 
 
 def subdivision_operator(n):

@@ -20,6 +20,7 @@ from fatcat.homology import (
     HomologyGroup,
     IntegerChainComplex,
     cell_matrix,
+    cone_certifies,
     fat_chains,
     geometric_chains,
     homology,
@@ -777,22 +778,36 @@ def recorded_sides(form):
 
 
 def test_tom_dieck_records_one_side_per_elimination(tmp_path, capsys, monkeypatch):
-    """Each presentation of ``quasi_iso_through``, on the stage product and
-    on the nerve alike, eliminates d_{k+1} recording its row operations
-    only and then the rest of d_k recording its column operations only;
-    the surjectivity checks record nothing."""
+    """A run whose cone certifies builds no presentation: its only
+    eliminations, two per degree of the nerve's homology, record nothing.
+    On the fallback, where the idempotent monoid's cone leaves a cell at
+    d >= 1, each presentation of ``quasi_iso_through``, on the stage
+    product and on the nerve alike, eliminates d_{k+1} recording its row
+    operations only and then the rest of d_k recording its column
+    operations only; the surjectivity checks record nothing."""
+    from fatcat import comparison
     from fatcat.cli import main
-    from fatcat.comparison import projection_map
-    from fatcat.fincat import groupoid_to_json
+    from fatcat.fincat import category_to_json, groupoid_to_json
 
     path = tmp_path / "z2.json"
     path.write_text(json.dumps(groupoid_to_json(z2_groupoid())))
     calls = recorded_smith(monkeypatch)
     argv = ["verify", "tom-dieck", "--input", str(path), "--N", "6", "--D", "4", "--d", "2"]
     assert main(argv) == 0 and json.loads(capsys.readouterr().out)["ok"]
-    proj = projection_map(z2_groupoid().base, 6, 4)
-    boundaries = [cx.boundary[k] for cx in (fat_chains(proj.source), fat_chains(proj.target))
-                  for k in range(1, cx.D + 1)]
+    assert len(calls) == 2 * 3
+    assert all(recorded_sides(form) == (False, False) for _, form in calls)
+
+    path = tmp_path / "idem.json"
+    path.write_text(json.dumps(category_to_json(standard_categories()["idempotent-monoid"])))
+    decided = []
+    compare = comparison.quasi_iso_through
+    monkeypatch.setattr(comparison, "quasi_iso_through",
+                        lambda F, d: decided.append(F) or compare(F, d))
+    del calls[:]
+    argv = ["verify", "tom-dieck", "--input", str(path), "--N", "4", "--D", "4", "--d", "2"]
+    assert main(argv) == 0 and json.loads(capsys.readouterr().out)["ok"]
+    [pi] = decided
+    boundaries = [cx.boundary[k] for cx in (pi.source, pi.target) for k in range(1, cx.D + 1)]
     presentations, rest = [], []
     i = 0
     while i < len(calls):
@@ -805,6 +820,38 @@ def test_tom_dieck_records_one_side_per_elimination(tmp_path, capsys, monkeypatc
             i += 1
     assert presentations == [((True, False), (False, True))] * 6
     assert rest and all(sides == (False, False) for sides in rest)
+
+
+@pytest.mark.parametrize("n, N, D, d", [(2, 1, 3, 1), (2, 2, 4, 2), (3, 1, 3, 1)])
+def test_cone_refuses_a_projection_cut_short_by_its_stages(n, N, D, d):
+    """With N < d + 1 stages the stage product has no cell above degree N,
+    and the cone has homology in a degree <= d + 1: at N = 1, π_* is no
+    isomorphism on H_1, and for Z/2 at N = 2 it misses H_3 = Z/2 of the
+    nerve, though it is one through d = 2.  The cone must not certify; the
+    command line refuses such N, so the cone is asked directly."""
+    from fatcat.comparison import projection_pi
+
+    pi = projection_pi(cyclic_groupoid(n).base, N, D)
+    assert quasi_iso_through(pi, d).ok == (N == 2)
+    assert not quasi_iso_through(pi, d + 1).ok
+    assert not cone_certifies(pi, d)
+
+
+def test_cone_certifies_negation_but_not_doubling():
+    """On the chains of the nerve of Z/3, -1 is an isomorphism and its
+    cone certifies; 2 is not one on H_0 = Z, and its cone, whose every
+    arrow between the two sides has coefficient 2, does not."""
+    cx = fat_chains(nerve(cyclic_groupoid(3).base, 3))
+
+    def times(c):
+        return ChainMap(cx, cx, [cell_matrix(cx.rank(k), cx.rank(k), lambda j: ((j, c),))
+                                 for k in range(cx.D + 1)])
+
+    assert cone_certifies(times(-1), 1) and quasi_iso_through(times(-1), 1).ok
+    assert not cone_certifies(times(2), 1) and not quasi_iso_through(times(2), 1).ok
+    # the cone through degree d + 2 needs the target through d + 2
+    with pytest.raises(StructureError, match="needs the source through 3 and the target through 4"):
+        cone_certifies(times(-1), 2)
 
 
 def test_tau_records_one_side_per_elimination(tmp_path, capsys, monkeypatch):

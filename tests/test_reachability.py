@@ -48,6 +48,8 @@ ALLOWED = {
     "fatcat.cocycle.check_isomorphism": TRACED_BY_NAME,
     "fatcat.cocycle.union_cocycle": TRACED_BY_NAME,
     "fatcat.cocycle._cross_overlap": TRACED_BY_NAME,
+    "fatcat.comparison.projection_pi": "bench/tracer.py traces it by name, and the tom-dieck "
+                                       "oracle in tests/oracles.py decides through it",
     "fatcat.intlinalg.IntMatrix.rows": "bench/tracer.py counts nonzeros through it",
     "fatcat.fincat.FinCategory.__repr__": "names a category in failure messages and tracebacks",
     "fatcat.intlinalg.IntMatrix.__repr__": "names a matrix in failure messages and tracebacks",

@@ -23,6 +23,7 @@ from fatcat.simpset import (
     s_semisimplicial,
     sd_flags,
     simplicial_set,
+    truncation,
     unravel_simplicial,
 )
 
@@ -297,6 +298,22 @@ def test_product_empty_top_degree():
 def test_product_truncation_mismatch():
     with pytest.raises(StructureError):
         product_with_S(nerve(ordinal(1), 2), s_semisimplicial(3, 3))
+
+
+def test_truncation_is_the_nerve_of_the_lower_degree(monkeypatch):
+    """The nerve through 4 cut at 2 holds the cells and tables of the nerve
+    through 2, and is audited as an object of its own."""
+    c = pair_groupoid().base
+    ner = nerve(c, 4)
+    built = record_builds(monkeypatch)
+    low = truncation(ner, 2)
+    assert built == [low] and low.D == 2
+    want = nerve(c, 2)
+    assert (low.cells, low.faces, low.degeneracies) == (want.cells, want.faces, want.degeneracies)
+    assert truncation(ner, 4) is ner
+    for D in (-1, 5):
+        with pytest.raises(StructureError, match=f"cannot truncate a set truncated at 4 at {D}"):
+            truncation(ner, D)
 
 
 def test_product_face_is_componentwise():

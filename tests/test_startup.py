@@ -225,6 +225,24 @@ def test_universal_cocycle_on_z5_at_n8_runs_in_256_mb(tmp_path):
     assert json.loads(done.stdout) == {"ok": True, "witnesses": []}
 
 
+def test_tom_dieck_on_z7_at_n6_runs_in_256_mb(tmp_path):
+    """Z/7 at N = 6, D = 4, d = 3 has a 64,295-cell stage product.  The
+    cone of π certifies, so no presentation of the product's homology is
+    built and the command fits in 256 MB; building those presentations ran
+    out of memory there after about 5 s."""
+    path = tmp_path / "z7.json"
+    path.write_text(json.dumps(groupoid_to_json(cyclic_groupoid(7))))
+    argv = ["verify", "tom-dieck", "--input", str(path), "--N", "6", "--D", "4", "--d", "3"]
+    env = {**ENV, "FATCAT_MAX_CELLS": "5000000"}
+    done = subprocess.run(ENTRIES["module"] + argv, env=env, capture_output=True, text=True,
+                          preexec_fn=limit_256_mb, timeout=30)
+    assert (done.returncode, done.stderr) == (0, "")
+    payload = json.loads(done.stdout)
+    # closed form H_k(BZ/7): Z, then Z/7 in odd degrees and 0 in even ones
+    groups = [(c["source"]["betti"], c["source"]["torsion"]) for c in payload["degrees"]]
+    assert payload["ok"] and groups == [(1, []), (0, [7]), (0, []), (0, [7])]
+
+
 def test_blowup_is_refused_before_its_basis_is_listed(tmp_path):
     """The vertex stars of the 10-simplex give a 3,092,419-cell blowup.
     Its generators are counted over the cover's nerve and refused before
