@@ -33,7 +33,7 @@ from itertools import combinations
 from math import comb
 
 from .errors import EnumerationLimitError, StructureError, Violation, check_budget
-from .fincat import FinCategory, check_category
+from .fincat import FinCategory, require_category
 from .homology import (
     ChainMap,
     DegreeComparison,
@@ -113,7 +113,7 @@ def projection_quasi_iso(c: FinCategory, N: int, D: int, d: int) -> QuasiIsoRepo
     except EnumerationLimitError:
         # decide without the cone; a refusal at D itself is raised again
         ner = nerve(c, D)
-    _require(check_category(c), "C breaks a law")
+    require_category(c)
     stages = stage_counts(N, D)
     check_size(SemiSimplicialSet, D, stages)
     check_size(SemiSimplicialSet, D, [ner.n_cells(k) * n for k, n in enumerate(stages)])
@@ -233,10 +233,13 @@ def tau_chain_map(proj: SimplicialMap, pi: ChainMap, N: int) -> ChainMap:
 
 def pi_tau_homology_check(c: FinCategory, N: int, D: int, d: int) -> QuasiIsoReport:
     """The collapse-after-subdivision composite must fix every homology
-    class of the fat nerve in degrees <= d."""
+    class of the fat nerve in degrees <= d.  C's laws are audited after
+    its nerve, before the stage product is built."""
     check_degree_range(d, D)
     _check_stage_labels(N, D)
-    proj = projection_map(c, N, D)
+    ner = nerve(c, D)
+    require_category(c)
+    proj = stage_projection(ner, N)
     pi = induced_map(proj)
     return identity_on_homology_through(pi.compose(tau_chain_map(proj, pi, N)), d)
 
@@ -570,7 +573,7 @@ def all_fibers_contractible(c: FinCategory, N: int, D: int, d: int):
     """
     check_degree_range(d, D)
     ner = nerve(c, D)
-    _require(check_category(c), "C breaks a law")
+    require_category(c)
     # numbers[key]: the pattern's position in reports, from 1
     numbers, reports = {}, [None]
     violations = []

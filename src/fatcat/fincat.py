@@ -185,6 +185,15 @@ def check_category(c: FinCategory):
     return violations
 
 
+def require_category(c: FinCategory):
+    """Raise :class:`StructureError` naming the first law c breaks, if
+    any: the suites that read a category run this audit after its nerve's,
+    which refuses most broken tables first and names the broken cell."""
+    violations = check_category(c)
+    if violations:
+        raise StructureError(f"C breaks a law, e.g. {violations[0]}")
+
+
 def _check_inverse_ids(g: FinGroupoid):
     """Raise StructureError unless the inverse map is a total map from
     morphisms to morphisms."""

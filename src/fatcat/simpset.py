@@ -31,11 +31,11 @@ Conventions used throughout:
 """
 
 from collections import namedtuple
-from itertools import accumulate, combinations, combinations_with_replacement, pairwise
+from itertools import accumulate, combinations, combinations_with_replacement, compress, pairwise
 from math import comb, factorial
 
 from .errors import StructureError, Violation, check_budget, check_units
-from .fincat import FinCategory, mid, unravel
+from .fincat import FinCategory, mid, require_category, unravel
 from .ids import sort_ids
 
 
@@ -43,11 +43,9 @@ class SemiSimplicialSet:
     """Degree-indexed cell lists with face maps d_i only.
 
     ``faces[k][i][p]`` is the position in ``cells[k - 1]`` of d_i of the
-    p-th k-cell, and ``index(k)``, built on the first call for degree k
-    and kept, maps each k-cell to its position.  The constructor budgets
-    the object (see :func:`check_size`), checks each table's length and
-    range, then audits the face identities once per (i, j) pair by
-    composing whole tables.
+    p-th k-cell.  The constructor budgets the object (see
+    :func:`check_size`), checks each table's length and range, then audits
+    the face identities once per (i, j) pair by composing whole tables.
     """
 
     has_degeneracies = False
@@ -59,18 +57,11 @@ class SemiSimplicialSet:
             raise StructureError("cell lists must cover degrees 0..D")
         check_size(type(self), D, list(map(len, self.cells)))
         self.faces = face
-        self._index = {}
         seen_violations = self.audit()
         if seen_violations:
             raise StructureError(
                 f"face identities fail, e.g. {seen_violations[0]}"
             )
-
-    def index(self, k):
-        index = self._index.get(k)
-        if index is None:
-            index = self._index[k] = {cell: p for p, cell in enumerate(self.cells[k])}
-        return index
 
     def n_cells(self, k):
         return len(self.cells[k])
@@ -108,7 +99,6 @@ class TruncatedSimplicialSet(SemiSimplicialSet):
 
     def __init__(self, D, cells, face, degeneracy):
         self.degeneracies = degeneracy
-        self._degenerate = None
         super().__init__(D, cells, face)
 
     def audit(self):
@@ -146,14 +136,20 @@ class TruncatedSimplicialSet(SemiSimplicialSet):
                         want = _compose(S[k - 1][j], F[k][i - 1])
                     yield k, (i, j), _compose(F[k + 1][i], S[k][j]), want
 
+    def nondegenerate_mask(self, k):
+        """One byte per k-cell, 0 where some s_i lands and 1 elsewhere,
+        marked through the degeneracy tables; no cell id is read."""
+        mask = bytearray(b"\1") * self.n_cells(k)
+        for table in self.degeneracies[k - 1] if k else ():
+            for p in table:
+                mask[p] = 0
+        return mask
+
     def nondegenerate_positions(self, k):
-        """Ascending positions of the k-cells outside the images of the s_i."""
-        if self._degenerate is None:
-            self._degenerate = [set()] + [
-                set().union(*self.degeneracies[deg]) for deg in range(self.D)
-            ]
-        marks = self._degenerate[k]
-        return [p for p in range(self.n_cells(k)) if p not in marks]
+        """Ascending positions of the k-cells outside the images of the
+        s_i, read off :meth:`nondegenerate_mask`: positions are compared,
+        and no cell id is built or hashed."""
+        return list(compress(range(self.n_cells(k)), self.nondegenerate_mask(k)))
 
     def nondegenerate(self, k):
         cells = self.cells[k]
@@ -418,11 +414,11 @@ def product_with_S(x, s: SemiSimplicialSet) -> SemiSimplicialSet:
     cells = [
         [(a, b) for a in x.cells[k] for b in s.cells[k]] for k in range(x.D + 1)
     ]
-    faces = [None] + [
-        [[p * s.n_cells(k - 1) + q for p in xf for q in sf]
-         for xf, sf in zip(x.faces[k], s.faces[k])]
-        for k in range(1, x.D + 1)
-    ]
+    faces = [None]
+    for k in range(1, x.D + 1):
+        n = s.n_cells(k - 1)
+        faces.append([[p * n + q for p in xf for q in sf]
+                      for xf, sf in zip(x.faces[k], s.faces[k])])
     # cells stays positional: bench/tracer.py reads it as the constructor's args[2]
     return SemiSimplicialSet(x.D, cells, faces)
 
@@ -519,37 +515,95 @@ class BijectionReport(namedtuple(
 def lemma42_bijection(c: FinCategory, N: int, D: int) -> BijectionReport:
     """Check that pairing nerve chains with strict stage tuples is a
     face-respecting bijection onto the nondegenerate cells of the nerve of
-    the unraveled category."""
+    the unraveled category.
+
+    C's laws are audited after its nerve.  The product k-cell (a, b), at
+    a * |s_k| + b, is given the position of its image in the target
+    nerve(unravel(c, N), D): a 0-cell that of the target's object (x, i),
+    and a k-cell the extension of its face d_k's image by a's last arrow
+    lifted from stage b[k - 1] to b[k] (see :func:`_extension`).
+    Injectivity, image inside the nondegenerate cells (read off
+    :meth:`TruncatedSimplicialSet.nondegenerate_mask`), surjectivity and
+    the face check then compare positions, and no image id is built.  Only
+    a degree where an image has no position or a check fails takes the id
+    path: its images are built as ids, by :func:`interleave_cell` where
+    they have no position, and the witnesses named in id order.
+    """
     ner = nerve(c, D)
+    require_category(c)
     s = s_semisimplicial(N, D)
     prod = product_with_S(ner, s)
-    cN = unravel(c, N)
-    target = nerve(cN, D)
+    target = nerve(unravel(c, N), D)
+    place, number = c.numbering.place, c.numbering.number
+    # the target 0-cell of object x at stage i, keyed by (x's position, i),
+    # and the target 1-cell lifting arrow f from stage i to j, keyed by
+    # (f's position, i, j)
+    objects = {(place[x], i): t for t, (x, i) in enumerate(target.cells[0])}
+    arrows = {(number[f], i, j): e
+              for e, (((_, i), (_, j), f),) in enumerate(target.cells[1] if D else ())}
+    # last[p]: the position in c of the last arrow of the p-th nerve k-cell
+    last = [number[f] for f, in ner.cells[1]] if D else ()
 
-    violations = []
-    positions = []
+    violations, positions, nondegenerate = [], [], []
     for k in range(D + 1):
-        images = [interleave_cell(c, k, *cell) for cell in prod.cells[k]]
-        positions.append(list(map(target.index(k).get, images)))
-        image_set = set(images)
-        if len(image_set) != len(images):
-            violations.append(Violation("bijection-injective", (k,)))
-        nondeg = set(target.nondegenerate(k))
-        extra = image_set - nondeg
-        missing = nondeg - image_set
-        for cell in sort_ids(extra):
-            violations.append(Violation("bijection-image", (k, cell)))
-        for cell in sort_ids(missing):
-            violations.append(Violation("bijection-surjective", (k, cell)))
+        if k == 0:
+            images = [objects.get((p, i)) for p in range(ner.n_cells(0)) for (i,) in s.cells[0]]
+        else:
+            if k > 1:
+                last = _compose(last, ner.faces[k][0])
+            prefixes = _compose(positions[k - 1], prod.faces[k][k])
+            edges = map(arrows.get, ((f, b[-2], b[-1]) for f in last for b in s.cells[k]))
+            images = [None if q is None or e is None else _extension(target, k, q, e)
+                      for q, e in zip(prefixes, edges)]
+        mask = target.nondegenerate_mask(k)
+        nondegenerate.append(mask.count(1))
+        if None in images or not _onto(images, mask):
+            # the id path: the witnesses are cells, named by their ids
+            ids = [interleave_cell(c, k, *cell) if t is None else target.cells[k][t]
+                   for cell, t in zip(prod.cells[k], images)]
+            image_set = set(ids)
+            if len(image_set) != len(ids):
+                violations.append(Violation("bijection-injective", (k,)))
+            nondeg = set(compress(target.cells[k], mask))
+            violations += [Violation("bijection-image", (k, cell))
+                           for cell in sort_ids(image_set - nondeg)]
+            violations += [Violation("bijection-surjective", (k, cell))
+                           for cell in sort_ids(nondeg - image_set)]
+            index = {cell: p for p, cell in enumerate(target.cells[k])}
+            images = list(map(index.get, ids))
+        positions.append(images)
     # an image outside the target is already a bijection-image violation
     if not any(None in pos for pos in positions):
         violations += _violations("bijection-face", _map_face_pairs(positions, prod, target),
                                   prod.cells)
     return BijectionReport(
-        violations,
-        tuple(prod.n_cells(k) for k in range(D + 1)),
-        tuple(len(target.nondegenerate(k)) for k in range(D + 1)),
-    )
+        violations, tuple(prod.n_cells(k) for k in range(D + 1)), tuple(nondegenerate))
+
+
+def _extension(target, k, q, e):
+    """Position of the k-cell of the nerve ``target`` that extends its
+    (k - 1)-cell q by the arrow of its 1-cell e, or None when the target's
+    own tables do not confirm it.  :func:`nerve` lays it out at s_{k-1}(q)
+    plus e's offset from the identity 1-cell at e's source; it is taken
+    only when its face d_k is q and its last edge, d_0 applied k - 1
+    times, is e."""
+    F, S = target.faces, target.degeneracies
+    t = S[k - 1][k - 1][q] + e - S[0][0][F[1][1][e]]
+    if not 0 <= t < target.n_cells(k) or F[k][k][t] != q:
+        return None
+    edge = t
+    for j in range(k, 1, -1):
+        edge = F[j][0][edge]
+    return t if edge == e else None
+
+
+def _onto(images, mask):
+    """Do the positions ``images`` hit each cell that ``mask`` marks
+    exactly once, and no other?"""
+    hit = bytearray(len(mask))
+    for t in images:
+        hit[t] = 1
+    return hit.count(1) == len(images) and hit == mask
 
 
 def sd_flags(n: int, k: int):

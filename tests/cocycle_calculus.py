@@ -29,6 +29,8 @@ from fatcat.cocycle import (
 from fatcat.errors import StructureError, Violation, check_budget
 from fatcat.ids import sort_key
 
+from oracles import cell_index
+
 
 def same_covered_complex(a: CoveredComplex, b: CoveredComplex) -> bool:
     return a.faces == b.faces and a.cover == b.cover
@@ -268,7 +270,7 @@ def stage_cover(space, N):
 def gamma(g, space, k, cell):
     """Canonical transitions of the groupoid g on a k-cell of its
     classifying complex ``space``, keyed by stage pairs."""
-    if not 0 <= k <= space.D or cell not in space.index(k):
+    if not 0 <= k <= space.D or cell not in cell_index(space, k):
         raise StructureError(f"not a {k}-cell of the classifying complex: {cell}")
     # the nerve cell's transitions, vertex a at the a-th distinct stage
     seq, z = cell

@@ -12,8 +12,12 @@
   ``nerve`` and the composed ``nerve_map`` below must reproduce entry for
   entry.
 * Per-cell lookups (``face``, ``degeneracy``, ``apply``,
-  ``is_degenerate``) through an object's position tables, for tests that
-  name cells.
+  ``is_degenerate``) through an object's position tables and the index of
+  its cells that ``cell_index`` keeps per degree, for tests that name
+  cells.
+* The cell bijection checked on ids (``oracle_lemma42_bijection``): each
+  image built as a nested id and hashed into the target's index, whose
+  report the package's check on nerve positions must reproduce.
 * The rule-built chain layer: boundaries, chain maps, the stage product,
   the projection and the flag section built cell by cell and hashed back
   into rows, which the package's position-table builders must reproduce
@@ -44,9 +48,10 @@
   and the core's identity pattern (``oracle_core_pattern``), where the
   package reads degeneracy off the nerve's tables and a pattern only on
   nondegenerate cells; the category of a poset built from its up-sets
-  (``poset_category``), the pullback category P that the package holds
-  only as up-sets, with one composite per 2-chain, and its projection onto
-  [m] as a functor (``simplex_leg``); the nerve-level reference
+  (``poset_category``) and of a seeded random one (``random_poset``);
+  the pullback category P that the package holds only as up-sets, with
+  one composite per 2-chain, and its projection onto [m] as a functor
+  (``simplex_leg``); the nerve-level reference
   (``nerve_level_fiber``), the audited nerve of P with both legs as
   audited ``nerve_map``s, which the package replaces by an order audit of
   P's up-sets, and whose fiber ``nerve(P, D)`` has the package's order
@@ -78,6 +83,8 @@ from functools import partial
 from itertools import combinations, combinations_with_replacement, groupby, permutations, product
 from math import comb
 from operator import itemgetter
+from random import Random
+from weakref import WeakKeyDictionary
 
 from sympy import QQ, Matrix, ZZ
 from sympy.matrices.normalforms import smith_normal_form
@@ -265,6 +272,18 @@ def oracle_map_audit(D, source, target, image):
 # Per-cell builders: tables laid out from rules, each image hashed back into
 # the index of its degree
 
+# x -> {k: {cell: position}}, each degree's index built on first use and
+# kept while x lives
+_INDEXES = WeakKeyDictionary()
+
+
+def cell_index(x, k):
+    """The position of each k-cell of x, keyed by the cell."""
+    kept = _INDEXES.setdefault(x, {})
+    if k not in kept:
+        kept[k] = {cell: p for p, cell in enumerate(x.cells[k])}
+    return kept[k]
+
 
 def _lookup(index, images, leaves):
     positions = [index.get(image) for image in images]
@@ -301,7 +320,7 @@ def oracle_simplicial_map(source, target, image) -> SimplicialMap:
     if source.D != target.D:
         raise StructureError("source and target truncation degrees differ")
     maps = [
-        _lookup(target.index(k), (image(k, cell) for cell in source.cells[k]),
+        _lookup(cell_index(target, k), (image(k, cell) for cell in source.cells[k]),
                 f"map image leaves target degree {k}")
         for k in range(source.D + 1)
     ]
@@ -347,17 +366,17 @@ def oracle_nerve(c: FinCategory, D: int) -> TruncatedSimplicialSet:
 
 def face(x, k, i, cell):
     """d_i of a k-cell of x."""
-    return x.cells[k - 1][x.faces[k][i][x.index(k)[cell]]]
+    return x.cells[k - 1][x.faces[k][i][cell_index(x, k)[cell]]]
 
 
 def degeneracy(x, k, i, cell):
     """s_i of a k-cell of x."""
-    return x.cells[k + 1][x.degeneracies[k][i][x.index(k)[cell]]]
+    return x.cells[k + 1][x.degeneracies[k][i][cell_index(x, k)[cell]]]
 
 
 def apply(f, k, cell):
     """Image of a k-cell under a simplicial map."""
-    return f.target.cells[k][f.maps[k][f.source.index(k)[cell]]]
+    return f.target.cells[k][f.maps[k][cell_index(f.source, k)[cell]]]
 
 
 def degenerate_cells(x, k):
@@ -853,6 +872,38 @@ def unravel_nerve_isomorphism(c: FinCategory, N: int, D: int) -> SimplicialMap:
     return iso
 
 
+def oracle_lemma42_bijection(c: FinCategory, N: int, D: int) -> simpset.BijectionReport:
+    """The cell bijection checked on ids: every product cell's image built
+    by ``interleave_cell`` and hashed into the target's index, and the
+    nondegenerate cells compared as sets of ids, degree by degree.  The
+    package's check on positions must return this report."""
+    ner = nerve(c, D)
+    s = s_semisimplicial(N, D)
+    prod = simpset.product_with_S(ner, s)
+    target = nerve(unravel(c, N), D)
+    violations = []
+    positions = []
+    for k in range(D + 1):
+        images = [simpset.interleave_cell(c, k, *cell) for cell in prod.cells[k]]
+        positions.append(list(map(cell_index(target, k).get, images)))
+        image_set = set(images)
+        if len(image_set) != len(images):
+            violations.append(Violation("bijection-injective", (k,)))
+        nondeg = set(target.nondegenerate(k))
+        for cell in sort_ids(image_set - nondeg):
+            violations.append(Violation("bijection-image", (k, cell)))
+        for cell in sort_ids(nondeg - image_set):
+            violations.append(Violation("bijection-surjective", (k, cell)))
+    if not any(None in pos for pos in positions):
+        violations += simpset._violations(
+            "bijection-face", simpset._map_face_pairs(positions, prod, target), prod.cells)
+    return simpset.BijectionReport(
+        violations,
+        tuple(prod.n_cells(k) for k in range(D + 1)),
+        tuple(len(target.nondegenerate(k)) for k in range(D + 1)),
+    )
+
+
 # ---------------------------------------------------------------------------
 # Comma fibers as nerves: the reference for the package's category-level check
 
@@ -885,16 +936,17 @@ def oracle_core_pattern(c: FinCategory, k: int, cell):
 def nerve_map(source, target, obj, arrow) -> SimplicialMap:
     """The nerve of a functor, x -> obj(x) and m -> arrow(m), between the
     categories of two nerves.  Objects and arrows are looked up in target's
-    degrees 0 and 1, through its kept indexes, so the maps into one target
-    share them; above, q + m goes to s_{k-1} of q's image plus the offset
+    degrees 0 and 1, through the indexes :func:`cell_index` keeps, so the
+    maps into one target share them; above, q + m goes to s_{k-1} of q's image plus the offset
     of arrow(m) from the identity (see :func:`fatcat.simpset.nerve`)."""
     if source.D != target.D:
         raise StructureError("source and target truncation degrees differ")
     images = map(obj, source.cells[0])
-    maps = [simpset._positions(target.index(0), images, "map image leaves target degree 0")]
+    maps = [simpset._positions(cell_index(target, 0), images,
+                               "map image leaves target degree 0")]
     if source.D:
         images = ((arrow(m),) for m, in source.cells[1])
-        maps.append(simpset._positions(target.index(1), images,
+        maps.append(simpset._positions(cell_index(target, 1), images,
                                        "map image leaves target degree 1"))
         unit = _compose(target.degeneracies[0][0], _compose(maps[0], source.faces[1][1]))
         offset = [p - u for p, u in zip(maps[1], unit)]
@@ -916,6 +968,24 @@ def poset_category(steps) -> FinCategory:
         [((v, w), v, w) for v in points for w in steps[v]],
         {v: (v, v) for v in points},
         {((u, v), (v, w)): (u, w) for u in points for v in steps[u] for w in steps[v]},
+    )
+
+
+def random_poset(seed, n):
+    """Transitive closure of a seeded random DAG on 0..n-1."""
+    rng = Random(seed)
+    above = {x: {x} | {y for y in range(x + 1, n) if rng.random() < 0.5} for x in range(n)}
+    for y in reversed(range(n)):
+        for x in range(y):
+            if y in above[x]:
+                above[x] |= above[y]
+    mor = {(x, y): (x, y, "le") for x in range(n) for y in above[x]}
+    compose = {(mor[(x, y)], mor[(y, z)]): mor[(x, z)] for (x, y) in mor for z in above[y]}
+    return FinCategory(
+        range(n),
+        [(m, x, y) for (x, y), m in mor.items()],
+        {x: mor[(x, x)] for x in range(n)},
+        compose,
     )
 
 

@@ -62,12 +62,13 @@ from oracles import (
     oracle_simplicial_map,
     oracle_tau_chain_map,
     poset_category,
+    random_poset,
     same_chain_complex,
     simplex_leg,
     unravel_nerve_isomorphism,
     unraveled_leg,
 )
-from test_comparison import core_simplex, random_poset, s3_action_groupoid
+from test_comparison import core_simplex, s3_action_groupoid
 
 CATEGORIES = dict(standard_categories())
 CATEGORIES["z3"] = cyclic_groupoid(3).base

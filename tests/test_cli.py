@@ -584,6 +584,20 @@ def test_tom_dieck_refuses_a_non_associative_table(capsys, tmp_path, D, message)
     assert re.match(message, error), error
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("lemma42 --N 2 --D 2", CATEGORY_AUDIT), ("lemma42 --N 2 --D 3", NERVE_AUDIT),
+    ("tau --N 3 --D 2 --d 1", CATEGORY_AUDIT), ("tau --N 4 --D 3 --d 1", NERVE_AUDIT),
+])
+def test_lemma42_and_tau_refuse_a_non_associative_table(capsys, tmp_path, argv, message):
+    """Below D = 3 the nerve holds no composable triple, yet C's law audit
+    after it refuses the table; from D = 3 the nerve's own audit does."""
+    path = tmp_path / "non-associative.json"
+    path.write_text(json.dumps(category_to_json(non_associative_monoid())))
+    suite, *options = argv.split()
+    error = expect_bad_input(capsys, ["verify", suite, "--input", str(path), *options])
+    assert re.match(message, error), error
+
+
 def test_tom_dieck_budgets_the_stage_product_at_D(capsys, inputs, monkeypatch):
     """Z/2 at N = 8, D = 4, d = 2: only the 1,425 cells of the stage
     product through d + 1 = 3 are built, yet its 3,441 cells through D are
@@ -855,9 +869,9 @@ def test_tau_refuses_too_few_stages_before_the_projection(capsys, inputs, monkey
     # the flag section labels stages 1..D+1, so N = D is one stage short;
     # that is said before the projection, or any complex, is built
     def refuse(*args):
-        raise AssertionError("projection built before the stage check")
+        raise AssertionError("nerve built before the stage check")
 
-    monkeypatch.setattr(comparison, "projection_map", refuse)
+    monkeypatch.setattr(comparison, "nerve", refuse)
     argv = ["verify", "tau", "--input", inputs["bz2.json"], "--N", str(N), "--D", str(D), "--d", "1"]
     assert expect_bad_input(capsys, argv) == "need N >= D + 1 so stage labels 1..D+1 exist"
 

@@ -1,5 +1,4 @@
 import json
-import random
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
@@ -65,12 +64,14 @@ from oracles import (
     _nondegenerate_factorization,
     apply,
     betti_torsion,
+    cell_index,
     column,
     nerve_level_fiber,
     oracle_core_pattern,
     oracle_homology,
     oracle_tom_dieck,
     poset_category,
+    random_poset,
     rho_evaluate,
 )
 from test_cli import fiber_sweep_cases
@@ -199,7 +200,7 @@ def test_apply_operator_collapse():
     ner = nerve(z2_groupoid().base, 2)
     sigma = ("*", "*", "s")
     ident = ("*", "*", "e")
-    p = ner.index(1)[(sigma,)]
+    p = cell_index(ner, 1)[(sigma,)]
     # constant map [1] -> [1] at vertex 1 collapses the flip to s0 d0
     assert ner.cells[1][apply_operator(ner, 1, (1, 1))[p]] == (ident,)
     assert ner.cells[1][apply_operator(ner, 1, (0, 1))[p]] == (sigma,)
@@ -299,7 +300,7 @@ def test_fiber_sweep_builds_once_per_core(monkeypatch, cat, cells, cores, patter
     assert sum(len(nerve(cat, 3).nondegenerate(k)) for k in range(4)) == cores
     audits = count_audits(monkeypatch)
     calls = Counter()
-    for name in ("nerve", "check_category", "quillen_fiber", "_fiber_shape", "_check_order",
+    for name in ("nerve", "require_category", "quillen_fiber", "_fiber_shape", "_check_order",
                  "contractibility_report"):
         original = getattr(comparison, name)
 
@@ -313,7 +314,7 @@ def test_fiber_sweep_builds_once_per_core(monkeypatch, cat, cells, cores, patter
     # C's nerve and law audit once; per pattern one fiber: P's up-sets,
     # their budget check and order audit and their dismantling, and nothing
     # per core
-    assert calls == {"nerve": 1, "check_category": 1, "quillen_fiber": patterns,
+    assert calls == {"nerve": 1, "require_category": 1, "quillen_fiber": patterns,
                      "_fiber_shape": patterns, "_check_order": patterns,
                      "contractibility_report": patterns}
     # the nerve of C is the one simplicial object, audited exactly once
@@ -658,24 +659,6 @@ def per_cell_sweep(c, N, D, d):
             for v in comparison.contractibility_report(fib, d):
                 violations.append(Violation(v.law, (k, cell) + v.witness, v.detail))
     return checked, violations
-
-
-def random_poset(seed, n):
-    """Transitive closure of a seeded random DAG on 0..n-1."""
-    rng = random.Random(seed)
-    above = {x: {x} | {y for y in range(x + 1, n) if rng.random() < 0.5} for x in range(n)}
-    for y in reversed(range(n)):
-        for x in range(y):
-            if y in above[x]:
-                above[x] |= above[y]
-    mor = {(x, y): (x, y, "le") for x in range(n) for y in above[x]}
-    compose = {(mor[(x, y)], mor[(y, z)]): mor[(x, z)] for (x, y) in mor for z in above[y]}
-    return FinCategory(
-        range(n),
-        [(m, x, y) for (x, y), m in mor.items()],
-        {x: mor[(x, x)] for x in range(n)},
-        compose,
-    )
 
 
 SWEEP_CASES = {

@@ -53,6 +53,8 @@ ALLOWED = {
     "fatcat.intlinalg.IntMatrix.rows": "bench/tracer.py counts nonzeros through it",
     "fatcat.fincat.FinCategory.__repr__": "names a category in failure messages and tracebacks",
     "fatcat.intlinalg.IntMatrix.__repr__": "names a matrix in failure messages and tracebacks",
+    "fatcat.simpset.interleave_cell": "builds lemma42's image ids on its id path, which only a "
+                                      "doctored image reaches (tests/test_simpset.py)",
     "fatcat.cli.run_and_exit": "ends the process, so only `python -m fatcat.cli` and the console "
                                "script run it; tests/test_startup.py runs both in a subprocess",
 }

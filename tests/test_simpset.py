@@ -11,7 +11,7 @@ from fatcat.cli import main
 from fatcat.comparison import projection_map
 from fatcat.errors import EnumerationLimitError, StructureError, Violation
 from fatcat.fincat import FinCategory, category_to_json, ordinal, unravel
-from fatcat.fixtures import pair_groupoid, terminal_category, z2_groupoid
+from fatcat.fixtures import pair_groupoid, standard_categories, terminal_category, z2_groupoid
 from fatcat.simpset import (
     SemiSimplicialSet,
     SimplicialMap,
@@ -30,9 +30,11 @@ from fatcat.simpset import (
 from oracles import (
     Rules,
     _group_index,
+    cell_index,
     face,
     is_degenerate,
     nerve_map,
+    oracle_lemma42_bijection,
     oracle_map_audit,
     oracle_maximal_flags,
     oracle_nerve,
@@ -40,6 +42,7 @@ from oracles import (
     oracle_simplicial_audit,
     oracle_simplicial_map,
     oracle_simplicial_set,
+    random_poset,
     unravel_nerve_isomorphism,
 )
 
@@ -450,30 +453,99 @@ def test_maximal_flags_match_the_permutation_enumeration(n):
     assert [flag for flag, _ in maximal_flags(n)] == sd_flags(n, n)
 
 
-@pytest.mark.parametrize("case", ["collision", "degenerate"])
+@pytest.mark.parametrize("case", ["collision", "degenerate", "outside"])
 def test_lemma42_reports_a_doctored_interleaving(monkeypatch, case):
-    """One 1-cell of the product sent onto another's image, or onto a
-    degenerate cell, is not injective or not onto the nondegenerate cells,
-    and it misses the image it replaced."""
+    """One 1-cell of the product given another's image position, or a
+    degenerate cell's, is not injective or not onto the nondegenerate
+    cells, and it misses the image it replaced.  Given no position, its
+    image is built as an id on the id path, and one that is no target cell
+    is outside the nondegenerate cells and leaves the face check unrun.
+    The report is the id-based oracle's with the same image doctored."""
     c, N, D = ordinal(1), 2, 2
     prod = product_with_S(nerve(c, D), s_semisimplicial(N, D))
     original = simpset.interleave_cell
     images = [original(c, 1, *cell) for cell in prod.cells[1]]
     cN = unravel(c, N)
+    at = cell_index(nerve(cN, D), 1)
     degenerate = (cN.identity[cN.objects[0]],)
-    lost, found = (images[1], images[0]) if case == "collision" else (images[0], degenerate)
+    stray = (("no", "such", "arrow"),)
+    lost, found = {"collision": (images[1], images[0]), "degenerate": (images[0], degenerate),
+                   "outside": (images[0], stray)}[case]
+    extension = simpset._extension
+
+    def doctored_position(target, k, q, e):
+        t = extension(target, k, q, e)
+        return at.get(found) if k == 1 and t == at[lost] else t
 
     def doctored(c, k, *cell):
         image = original(c, k, *cell)
         return found if k == 1 and image == lost else image
 
+    monkeypatch.setattr(simpset, "_extension", doctored_position)
     monkeypatch.setattr(simpset, "interleave_cell", doctored)
     report = lemma42_bijection(c, N, D)
-    first = (Violation("bijection-injective", (1,)) if case == "collision"
-             else Violation("bijection-image", (1, degenerate)))
+    first = {"collision": Violation("bijection-injective", (1,)),
+             "degenerate": Violation("bijection-image", (1, degenerate)),
+             "outside": Violation("bijection-image", (1, stray))}[case]
     assert report.violations[:2] == [first, Violation("bijection-surjective", (1, lost))]
-    assert {v.law for v in report.violations[2:]} == {"bijection-face"}
+    faces = set() if case == "outside" else {"bijection-face"}
+    assert {v.law for v in report.violations[2:]} == faces
     assert not report.ok
+    assert report == oracle_lemma42_bijection(c, N, D)
+
+
+def seeded_cyclic_group(seed, n):
+    """Z/n on one object with seeded labels, so its arrows sort in a seeded
+    order."""
+    labels = random.Random(seed).sample(range(1000), n)
+    mor = [("*", "*", label) for label in labels]
+    compose = {(mor[a], mor[b]): mor[(a + b) % n] for a in range(n) for b in range(n)}
+    return FinCategory(["*"], [(m, "*", "*") for m in mor], {"*": mor[0]}, compose)
+
+
+BIJECTION_CASES = {
+    **standard_categories(),
+    **{f"z{n}-seed-{n}": seeded_cyclic_group(n, n) for n in range(2, 6)},
+    **{f"poset-seed-{seed}": random_poset(seed, 4) for seed in range(3)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BIJECTION_CASES))
+def test_lemma42_on_positions_matches_the_id_oracle(monkeypatch, name):
+    """The check on positions returns the id-based check's report, for
+    every N <= 5 and D <= 4 whose target fits the default budget, and on a
+    category it never takes the id path, which alone sorts ids."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the id path ran on a category")
+
+    c = BIJECTION_CASES[name]
+    for N in range(6):
+        for D in range(5):
+            try:
+                want = oracle_lemma42_bijection(c, N, D)
+            except EnumerationLimitError:
+                continue
+            with monkeypatch.context() as m:
+                m.setattr(simpset, "sort_ids", refuse)
+                got = lemma42_bijection(c, N, D)
+            assert got == want, (N, D)
+            assert got.ok, (N, D)
+
+
+def test_extension_is_confirmed_on_the_tables():
+    """For each (k - 1)-cell q and 1-cell e of a nerve, the seam names the
+    k-cell whose face d_k is q and whose last edge is e, and None when no
+    such cell exists: e does not leave q's last vertex."""
+    x = nerve(unravel(z2_groupoid().base, 2), 3)
+    for k in range(1, 4):
+        last = range(x.n_cells(1))
+        for j in range(2, k + 1):
+            last = [last[p] for p in x.faces[j][0]]
+        cells = {(q, e): t for t, (q, e) in enumerate(zip(x.faces[k][k], last))}
+        for q in range(x.n_cells(k - 1)):
+            for e in range(x.n_cells(1)):
+                assert simpset._extension(x, k, q, e) == cells.get((q, e)), (k, q, e)
 
 
 def test_audit_rejects_wrong_face_table():
@@ -598,7 +670,7 @@ def rules_of(x, tables):
 
     def rule(name, shift):
         table = tables.get(name, getattr(x, name, None))
-        return lambda k, i, cell: cell_at(x.cells[k + shift], table[k][i][x.index(k)[cell]])
+        return lambda k, i, cell: cell_at(x.cells[k + shift], table[k][i][cell_index(x, k)[cell]])
 
     degeneracy = rule("degeneracies", 1) if x.has_degeneracies else None
     return Rules(x.cells, rule("faces", -1), degeneracy)
@@ -612,7 +684,7 @@ def oracle_verdict(x, tables):
                 x.source.D,
                 rules_of(x.source, {}),
                 rules_of(x.target, {}),
-                lambda k, cell: cell_at(x.target.cells[k], maps[k][x.source.index(k)[cell]]),
+                lambda k, cell: cell_at(x.target.cells[k], maps[k][cell_index(x.source, k)[cell]]),
             )
         return oracle_simplicial_audit(x.D, rules_of(x, tables))
     except StructureError as e:
@@ -690,21 +762,6 @@ def test_builder_refuses_a_map_image_outside_the_target():
         oracle_simplicial_map(x, point, lambda k, cell: cell)
     with pytest.raises(StructureError, match="^map image leaves target degree 0$"):
         nerve_map(x, point, lambda v: v, lambda m: m)
-
-
-def test_nerve_map_keeps_the_target_indexes_it_reads():
-    """A nerve map looks its images up in the target's degree 0 and 1
-    indexes, built on first use and kept for the next map; no other degree
-    is indexed until asked for."""
-    x = nerve(ordinal(2), 3)
-    assert x._index == {}
-    ident = nerve_map(x, x, lambda v: v, lambda m: m)
-    assert ident.maps == [list(range(x.n_cells(k))) for k in range(4)]
-    assert sorted(x._index) == [0, 1]
-    kept = [x.index(0), x.index(1)]
-    nerve_map(x, x, lambda v: v, lambda m: m)
-    assert all(x.index(k) is index for k, index in enumerate(kept))
-    assert x.index(3) == {cell: p for p, cell in enumerate(x.cells[3])}
 
 
 def test_constructors_refuse_tables_of_the_wrong_length_or_range():

@@ -28,7 +28,7 @@ import pytest
 
 from fatcat.cocycle import closure, cocycle_to_json, covered_complex_to_json
 from fatcat.fincat import groupoid_to_json
-from fatcat.fixtures import cyclic_groupoid, trivial_cocycle, vertex_star_cover
+from fatcat.fixtures import cyclic_groupoid, trivial_cocycle, vertex_star_cover, z2_groupoid
 
 from test_cli import GOLDEN, REPORT_ALL_SHA256, simplex_and_points, write_inputs
 
@@ -241,6 +241,26 @@ def test_tom_dieck_on_z7_at_n6_runs_in_256_mb(tmp_path):
     # closed form H_k(BZ/7): Z, then Z/7 in odd degrees and 0 in even ones
     groups = [(c["source"]["betti"], c["source"]["torsion"]) for c in payload["degrees"]]
     assert payload["ok"] and groups == [(1, []), (0, [7]), (0, []), (0, [7])]
+
+
+# stdout of ``verify lemma42`` on Z/2 at N = 10, D = 6
+LEMMA42_Z2_SHA256 = "89db9c619144b8e49328d9425e45124b5ac42247678c14e1cc96004ccf55488e"
+
+
+def test_lemma42_on_z2_at_n10_runs_in_256_mb(tmp_path):
+    """Z/2 at N = 10, D = 6 pairs 46,717 product cells with the
+    nondegenerate cells of a 397,727-cell nerve of unravel(C, N).  Each
+    image is a position in that nerve, so the command fits in 256 MB;
+    built as nested ids and hashed into an index of the nerve's cells, the
+    images ran out of memory there."""
+    path = tmp_path / "z2.json"
+    path.write_text(json.dumps(groupoid_to_json(z2_groupoid())))
+    argv = ["verify", "lemma42", "--input", str(path), "--N", "10", "--D", "6"]
+    env = {**ENV, "FATCAT_MAX_CELLS": "5000000"}
+    done = subprocess.run(ENTRIES["module"] + argv, env=env, capture_output=True, text=True,
+                          preexec_fn=limit_256_mb, timeout=30)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert sha256(done.stdout) == LEMMA42_Z2_SHA256
 
 
 def test_blowup_is_refused_before_its_basis_is_listed(tmp_path):
