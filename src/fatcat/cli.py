@@ -453,7 +453,7 @@ def cmd_nerve(args):
     ner = nerve(cat, args.D)
     payload = {
         "cells": [ner.n_cells(k) for k in range(args.D + 1)],
-        "nondegenerate": [len(ner.nondegenerate(k)) for k in range(args.D + 1)],
+        "nondegenerate": [ner.nondegenerate_mask(k).count(1) for k in range(args.D + 1)],
     }
     _emit(payload, args.out)
     return PASS

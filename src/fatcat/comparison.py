@@ -65,7 +65,6 @@ from .simpset import (
     s_semisimplicial,
     sd_flags,
     stage_counts,
-    truncation,
 )
 
 
@@ -75,16 +74,17 @@ from .simpset import (
 
 def projection_map(c: FinCategory, N: int, D: int) -> SimplicialMap:
     """Simplicial map from the stage product onto the nerve, (x, a) -> x."""
-    return stage_projection(nerve(c, D), N)
+    return stage_projection(nerve(c, D), N, D)
 
 
-def stage_projection(x, N: int) -> SimplicialMap:
+def stage_projection(x, N: int, top: int) -> SimplicialMap:
     """Simplicial map from x times the stage complex on N + 1 stages onto
-    x: the product k-cell at position p * |s_k| + q lies over the cell of x
-    at p."""
-    s = s_semisimplicial(N, x.D)
+    x itself, with the stage complex and the product built through degree
+    top <= x.D: the product k-cell at position p * |s_k| + q lies over the
+    cell of x at p."""
+    s = s_semisimplicial(N, top)
     maps = [[p for p in range(x.n_cells(k)) for _ in range(s.n_cells(k))]
-            for k in range(x.D + 1)]
+            for k in range(top + 1)]
     return SimplicialMap(product_with_S(x, s), x, maps)
 
 
@@ -101,11 +101,12 @@ def projection_quasi_iso(c: FinCategory, N: int, D: int, d: int) -> QuasiIsoRepo
     The nerve is built and audited through max(D, d + 2), and C's laws are
     audited after it.  The stage complex and the stage product are
     budgeted at D, as :func:`projection_pi` would, but they and π are built
-    only through degree d + 1, the most that H_k for k <= d reads; π lands
-    in the nerve's chains.  When :func:`cone_certifies` π, both sides of
-    each degree take the nerve's group and no presentation is built.
-    Otherwise, and when the nerve's extra degree is over budget,
-    :func:`quasi_iso_through` decides on this π.
+    only through degree d + 1, the most that H_k for k <= d reads; π maps
+    them into the nerve itself, and lands in its chains.  When
+    :func:`cone_certifies` π, both sides of each degree take the nerve's
+    group and no presentation is built.  Otherwise, and when the nerve's
+    extra degree is over budget, :func:`quasi_iso_through` decides on this
+    π.
     """
     check_degree_range(d, D)
     try:
@@ -117,7 +118,7 @@ def projection_quasi_iso(c: FinCategory, N: int, D: int, d: int) -> QuasiIsoRepo
     stages = stage_counts(N, D)
     check_size(SemiSimplicialSet, D, stages)
     check_size(SemiSimplicialSet, D, [ner.n_cells(k) * n for k, n in enumerate(stages)])
-    pi = induced_map(stage_projection(truncation(ner, d + 1), N), fat_chains(ner))
+    pi = induced_map(stage_projection(ner, N, d + 1))
     if ner.D > d + 1 and cone_certifies(pi, d):
         groups = (homology(pi.target, k) for k in range(d + 1))
         return QuasiIsoReport([DegreeComparison(g.degree, g, g, True) for g in groups], [])
@@ -212,8 +213,8 @@ def tau_chain_map(proj: SimplicialMap, pi: ChainMap, N: int) -> ChainMap:
     comes right after the C(N, n) stage tuples that start at 0.
     """
     x, prod = proj.target, proj.source
-    _check_stage_labels(N, x.D)
-    if any(prod.n_cells(n) != x.n_cells(n) * comb(N + 1, n + 1) for n in range(x.D + 1)):
+    _check_stage_labels(N, prod.D)
+    if any(prod.n_cells(n) != x.n_cells(n) * comb(N + 1, n + 1) for n in range(prod.D + 1)):
         raise StructureError("the projection's stage complex has another N")
 
     def matrix(n):
@@ -228,7 +229,7 @@ def tau_chain_map(proj: SimplicialMap, pi: ChainMap, N: int) -> ChainMap:
             lambda j: ((table[j] * width + stage, sign) for table, sign in pullbacks),
         )
 
-    return ChainMap(pi.target, pi.source, [matrix(n) for n in range(x.D + 1)])
+    return ChainMap(pi.target, pi.source, [matrix(n) for n in range(prod.D + 1)])
 
 
 def pi_tau_homology_check(c: FinCategory, N: int, D: int, d: int) -> QuasiIsoReport:
@@ -239,41 +240,13 @@ def pi_tau_homology_check(c: FinCategory, N: int, D: int, d: int) -> QuasiIsoRep
     _check_stage_labels(N, D)
     ner = nerve(c, D)
     require_category(c)
-    proj = stage_projection(ner, N)
+    proj = stage_projection(ner, N, D)
     pi = induced_map(proj)
     return identity_on_homology_through(pi.compose(tau_chain_map(proj, pi, N)), d)
 
 
 # ---------------------------------------------------------------------------
 # The coordinate-sorting assignment and its failure
-
-
-class BarycentricPoint(namedtuple("BarycentricPoint", "n coords")):
-    """Exact rational point of the n-simplex."""
-
-    __slots__ = ()
-
-    def __new__(cls, n, coords):
-        from fractions import Fraction
-
-        if len(coords) != n + 1:
-            raise StructureError("need n + 1 coordinates")
-        total = Fraction(0)
-        for t in coords:
-            if not isinstance(t, Fraction):
-                raise StructureError("coordinates must be exact rationals")
-            if t < 0:
-                raise StructureError("coordinates must be nonnegative")
-            total += t
-        if total != 1:
-            raise StructureError("coordinates must sum to 1 exactly")
-        return super().__new__(cls, n, coords)
-
-    @classmethod
-    def barycenter(cls, n):
-        from fractions import Fraction
-
-        return cls(n, tuple(Fraction(1, n + 1) for _ in range(n + 1)))
 
 
 class RhoWitness(
@@ -295,7 +268,7 @@ class RhoWitness(
             "convention": self.convention,
             "kind": self.kind,
             "face_index": self.face_index,
-            "point": [str(t) for t in self.point],
+            "point": list(self.point),
             "face_of_image": encode_id(self.face_of_image),
             "image_of_face": encode_id(self.image_of_face),
             "detail": self.detail,
@@ -322,7 +295,8 @@ def rho_witnesses(n: int, convention: str):
     if n < 1:
         raise StructureError("witness search needs n >= 1")
     witnesses = []
-    point = BarycentricPoint.barycenter(n)
+    # the barycenter's coordinates, as the strings the witnesses print
+    point = (f"1/{n + 1}",) * (n + 1)
     seq_n = _stage_tuple(convention, n)
     seq_lower = _stage_tuple(convention, n - 1)
     if len(seq_n) != n + 1:
@@ -332,7 +306,7 @@ def rho_witnesses(n: int, convention: str):
                 convention,
                 "dimension-mismatch",
                 -1,
-                point.coords,
+                point,
                 ("y", seq_n),
                 ("y", seq_n),
                 f"a degree-{n} generator is paired with a stage cell of "
@@ -349,7 +323,7 @@ def rho_witnesses(n: int, convention: str):
                     convention,
                     "face-mismatch",
                     i,
-                    point.coords,
+                    point,
                     face_of_image,
                     image_of_face,
                     "deleting the stage entry does not reproduce the "

@@ -235,17 +235,16 @@ class HomologyClasses(HomologyPresentation):
         return HomologyGroup(self.degree, self.betti, self.torsion, self.reliable)
 
 
-def induced_map(f, target=None) -> ChainMap:
+def induced_map(f) -> ChainMap:
     """Chain map induced by a simplicial map on unnormalized chains: column
-    p of degree k has a 1 in row ``f.maps[k][p]``.  It lands in ``target``,
-    the fat chains of f.target by default, or of a set that f.target
-    truncates, which agree with them in f's degrees."""
+    p of degree k has a 1 in row ``f.maps[k][p]``.  It runs from the fat
+    chains of f.source to those of f.target, which may reach higher
+    degrees; the matrices stop at f.source's."""
     matrices = [
         cell_matrix(f.target.n_cells(k), f.source.n_cells(k), lambda j: ((table[j], 1),))
         for k, table in enumerate(f.maps)
     ]
-    target = fat_chains(f.target) if target is None else target
-    return ChainMap(fat_chains(f.source), target, matrices)
+    return ChainMap(fat_chains(f.source), fat_chains(f.target), matrices)
 
 
 DegreeComparison = namedtuple("DegreeComparison", "degree source target isomorphism")

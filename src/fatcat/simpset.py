@@ -151,20 +151,19 @@ class TruncatedSimplicialSet(SemiSimplicialSet):
         and no cell id is built or hashed."""
         return list(compress(range(self.n_cells(k)), self.nondegenerate_mask(k)))
 
-    def nondegenerate(self, k):
-        cells = self.cells[k]
-        return tuple(cells[p] for p in self.nondegenerate_positions(k))
-
 
 class SimplicialMap:
     """Per-degree cell map commuting with faces, and with degeneracies when
     both sides have them.  ``maps[k][p]`` is the position in
-    ``target.cells[k]`` of the image of the p-th k-cell of ``source``.
-    Audited on construction, once per (k, i) by composing whole tables."""
+    ``target.cells[k]`` of the image of the p-th k-cell of ``source``, for
+    k through source.D.  The target may be truncated higher than the
+    source, not lower; the map and its laws are read and audited through
+    source.D only, on construction, once per (k, i) by composing whole
+    tables."""
 
     def __init__(self, source, target, maps):
-        if source.D != target.D:
-            raise StructureError("source and target truncation degrees differ")
+        if target.D < source.D:
+            raise StructureError("target truncated below source")
         self.source = source
         self.target = target
         self.maps = maps
@@ -366,17 +365,6 @@ def nerve(c: FinCategory, D: int) -> TruncatedSimplicialSet:
     return TruncatedSimplicialSet(D, cells, faces, degeneracies)
 
 
-def truncation(x: TruncatedSimplicialSet, D: int) -> TruncatedSimplicialSet:
-    """x cut at degree D <= x.D: its cells and tables through D, audited as
-    an object of its own; x itself when D = x.D."""
-    if not 0 <= D <= x.D:
-        raise StructureError(f"cannot truncate a set truncated at {x.D} at {D}")
-    if D == x.D:
-        return x
-    # cells stays positional: bench/tracer.py reads it as the constructor's args[2]
-    return TruncatedSimplicialSet(D, x.cells[:D + 1], x.faces[:D + 1], x.degeneracies[:D])
-
-
 def delete_entry(k, i, seq):
     """The face rule of tuple cells: d_i deletes entry i."""
     return seq[:i] + seq[i + 1:]
@@ -400,7 +388,9 @@ def s_semisimplicial(N: int, D: int) -> SemiSimplicialSet:
 
 
 def product_with_S(x, s: SemiSimplicialSet) -> SemiSimplicialSet:
-    """Degreewise product with diagonal faces.
+    """Degreewise product with diagonal faces, through s.D: x may be
+    truncated higher than s, not lower, and only its degrees 0..s.D are
+    read.
 
     Every cell of x appears, degenerate or not; the product forgets x's
     degeneracies and is only semi-simplicial.  The cells are counted and
@@ -408,19 +398,18 @@ def product_with_S(x, s: SemiSimplicialSet) -> SemiSimplicialSet:
     positions p and q, sits at p * |s_k| + q, so its faces are read off the
     face tables of both factors.
     """
-    if x.D != s.D:
-        raise StructureError("truncation degrees differ")
-    check_size(SemiSimplicialSet, x.D, [x.n_cells(k) * s.n_cells(k) for k in range(x.D + 1)])
-    cells = [
-        [(a, b) for a in x.cells[k] for b in s.cells[k]] for k in range(x.D + 1)
-    ]
+    D = s.D
+    if x.D < D:
+        raise StructureError("first factor truncated below the stage complex")
+    check_size(SemiSimplicialSet, D, [x.n_cells(k) * s.n_cells(k) for k in range(D + 1)])
+    cells = [[(a, b) for a in x.cells[k] for b in s.cells[k]] for k in range(D + 1)]
     faces = [None]
-    for k in range(1, x.D + 1):
+    for k in range(1, D + 1):
         n = s.n_cells(k - 1)
         faces.append([[p * n + q for p in xf for q in sf]
                       for xf, sf in zip(x.faces[k], s.faces[k])])
     # cells stays positional: bench/tracer.py reads it as the constructor's args[2]
-    return SemiSimplicialSet(x.D, cells, faces)
+    return SemiSimplicialSet(D, cells, faces)
 
 
 def unraveled_face(seq, i):

@@ -12,9 +12,9 @@
   ``nerve`` and the composed ``nerve_map`` below must reproduce entry for
   entry.
 * Per-cell lookups (``face``, ``degeneracy``, ``apply``,
-  ``is_degenerate``) through an object's position tables and the index of
-  its cells that ``cell_index`` keeps per degree, for tests that name
-  cells.
+  ``is_degenerate``, ``nondegenerate``) through an object's position
+  tables and the index of its cells that ``cell_index`` keeps per degree,
+  for tests that name cells.
 * The cell bijection checked on ids (``oracle_lemma42_bijection``): each
   image built as a nested id and hashed into the target's index, whose
   report the package's check on nerve positions must reproduce.
@@ -66,7 +66,9 @@
   built through D, whose payload the package's cone certificate and its
   fallback must reproduce byte for byte.
 * The sorting assignment's coordinate components as exact rationals
-  (``rho_evaluate``), checked against closed forms.
+  (``rho_evaluate``), checked against closed forms, at exact rational
+  points of the simplex (``BarycentricPoint``), which validate their
+  coordinates; the package prints only the barycenter, as strings.
 * Dense matrices: products and transposes of plain row lists, the
   reference for the package's sparse ``IntMatrix``; ``dense_smith``, the
   dense eliminator that the package's sparse ``smith`` must agree with,
@@ -91,7 +93,7 @@ from sympy.matrices.normalforms import smith_normal_form
 from sympy.polys.matrices import DomainMatrix
 
 from fatcat import simpset
-from fatcat.comparison import BarycentricPoint, projection_pi
+from fatcat.comparison import projection_pi
 from fatcat.errors import StructureError, Violation, check_budget
 from fatcat.fincat import FinCategory, Functor, mid, ordinal, unravel
 from fatcat.homology import (
@@ -388,6 +390,12 @@ def degenerate_cells(x, k):
 
 def is_degenerate(x, k, cell):
     return cell in degenerate_cells(x, k)
+
+
+def nondegenerate(x, k):
+    """The k-cells of x that no s_i reaches, in cell order, read off its
+    degeneracy tables."""
+    return tuple(x.cells[k][p] for p in x.nondegenerate_positions(k))
 
 
 # ---------------------------------------------------------------------------
@@ -889,7 +897,7 @@ def oracle_lemma42_bijection(c: FinCategory, N: int, D: int) -> simpset.Bijectio
         image_set = set(images)
         if len(image_set) != len(images):
             violations.append(Violation("bijection-injective", (k,)))
-        nondeg = set(target.nondegenerate(k))
+        nondeg = set(nondegenerate(target, k))
         for cell in sort_ids(image_set - nondeg):
             violations.append(Violation("bijection-image", (k, cell)))
         for cell in sort_ids(nondeg - image_set):
@@ -900,7 +908,7 @@ def oracle_lemma42_bijection(c: FinCategory, N: int, D: int) -> simpset.Bijectio
     return simpset.BijectionReport(
         violations,
         tuple(prod.n_cells(k) for k in range(D + 1)),
-        tuple(len(target.nondegenerate(k)) for k in range(D + 1)),
+        tuple(len(nondegenerate(target, k)) for k in range(D + 1)),
     )
 
 
@@ -1464,6 +1472,30 @@ def oracle_maximal_flags(n):
 
 # ---------------------------------------------------------------------------
 # The sorting assignment
+
+
+class BarycentricPoint(namedtuple("BarycentricPoint", "n coords")):
+    """Exact rational point of the n-simplex."""
+
+    __slots__ = ()
+
+    def __new__(cls, n, coords):
+        if len(coords) != n + 1:
+            raise StructureError("need n + 1 coordinates")
+        total = Fraction(0)
+        for t in coords:
+            if not isinstance(t, Fraction):
+                raise StructureError("coordinates must be exact rationals")
+            if t < 0:
+                raise StructureError("coordinates must be nonnegative")
+            total += t
+        if total != 1:
+            raise StructureError("coordinates must sum to 1 exactly")
+        return super().__new__(cls, n, coords)
+
+    @classmethod
+    def barycenter(cls, n):
+        return cls(n, tuple(Fraction(1, n + 1) for _ in range(n + 1)))
 
 
 def rho_evaluate(n: int, j: int, t):

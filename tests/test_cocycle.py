@@ -72,6 +72,7 @@ from oracles import (
     betti_torsion,
     column,
     is_zero,
+    nondegenerate,
     oracle_check_cocycle,
     oracle_cover_nerve,
     oracle_homology,
@@ -338,7 +339,7 @@ def test_bg_complex_terminal_and_cover():
     term = terminal_category()
     g = FinGroupoid(term, {m: m for m in term.morphism_ids()})
     bg = bg_complex(g, 2, 2)
-    assert [len(bg.nondegenerate(k)) for k in range(3)] == [3, 3, 1]
+    assert [len(nondegenerate(bg, k)) for k in range(3)] == [3, 3, 1]
     cover = stage_cover(bg, 2)
     for j in range(3):
         for k in range(3):
@@ -348,7 +349,7 @@ def test_bg_complex_terminal_and_cover():
 
 def test_bg_flip_group_nondegenerate_count():
     bg = bg_complex(z2_groupoid(), 2, 2)
-    assert len(bg.nondegenerate(1)) == 6
+    assert len(nondegenerate(bg, 1)) == 6
 
 
 def test_bg_cover_intersection():

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from fatcat.cocycle import CocycleIsomorphism
-from fatcat.comparison import BarycentricPoint, CommaFiber, RhoWitness
+from fatcat.comparison import CommaFiber, RhoWitness
 from fatcat.errors import StructureError, Violation
 from fatcat.fincat import NatTransformation, identity_functor, ordinal
 from fatcat.fixtures import mobius_cocycle, z2_groupoid
@@ -20,6 +20,7 @@ from fatcat.intlinalg import IntMatrix, SmithForm, smith
 from fatcat.simpset import BijectionReport
 
 from cocycle_calculus import PartitionPoint
+from oracles import BarycentricPoint
 
 HALF = Fraction(1, 2)
 

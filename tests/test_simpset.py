@@ -23,7 +23,6 @@ from fatcat.simpset import (
     s_semisimplicial,
     sd_flags,
     simplicial_set,
-    truncation,
     unravel_simplicial,
 )
 
@@ -34,6 +33,7 @@ from oracles import (
     face,
     is_degenerate,
     nerve_map,
+    nondegenerate,
     oracle_lemma42_bijection,
     oracle_map_audit,
     oracle_maximal_flags,
@@ -65,7 +65,7 @@ def brute_force_chains(c, k):
 def test_nerve_counts_interval():
     ner = nerve(ordinal(1), 2)
     assert [ner.n_cells(k) for k in range(3)] == [2, 3, 4]
-    assert [len(ner.nondegenerate(k)) for k in range(3)] == [2, 1, 0]
+    assert [len(nondegenerate(ner, k)) for k in range(3)] == [2, 1, 0]
     for k in range(3):
         assert ner.n_cells(k) == len(brute_force_chains(ordinal(1), k))
 
@@ -73,7 +73,7 @@ def test_nerve_counts_interval():
 def test_nerve_counts_flip_group():
     ner = nerve(z2_groupoid().base, 3)
     assert [ner.n_cells(k) for k in range(4)] == [1, 2, 4, 8]
-    assert [len(ner.nondegenerate(k)) for k in range(4)] == [1, 1, 1, 1]
+    assert [len(nondegenerate(ner, k)) for k in range(4)] == [1, 1, 1, 1]
 
 
 def record_builds(monkeypatch, cls=TruncatedSimplicialSet):
@@ -303,20 +303,42 @@ def test_product_truncation_mismatch():
         product_with_S(nerve(ordinal(1), 2), s_semisimplicial(3, 3))
 
 
-def test_truncation_is_the_nerve_of_the_lower_degree(monkeypatch):
-    """The nerve through 4 cut at 2 holds the cells and tables of the nerve
-    through 2, and is audited as an object of its own."""
+def test_truncation_is_the_nerve_of_the_lower_degree():
+    """The nerve through 4 holds, through degree 2, the cells and tables of
+    the nerve through 2."""
     c = pair_groupoid().base
-    ner = nerve(c, 4)
-    built = record_builds(monkeypatch)
-    low = truncation(ner, 2)
-    assert built == [low] and low.D == 2
-    want = nerve(c, 2)
-    assert (low.cells, low.faces, low.degeneracies) == (want.cells, want.faces, want.degeneracies)
-    assert truncation(ner, 4) is ner
-    for D in (-1, 5):
-        with pytest.raises(StructureError, match=f"cannot truncate a set truncated at 4 at {D}"):
-            truncation(ner, D)
+    ner, want = nerve(c, 4), nerve(c, 2)
+    assert ner.cells[:3] == want.cells
+    assert ner.faces[:3] == want.faces
+    assert ner.degeneracies[:2] == want.degeneracies
+
+
+def test_product_reads_its_first_factor_through_the_stage_degree():
+    """A first factor truncated above the stage complex gives the product
+    of its degrees through the stage complex's, cell for cell and table for
+    table; one truncated below it is refused."""
+    c = pair_groupoid().base
+    s = s_semisimplicial(3, 2)
+    high, low = product_with_S(nerve(c, 4), s), product_with_S(nerve(c, 2), s)
+    assert (high.D, high.cells, high.faces) == (low.D, low.cells, low.faces)
+    with pytest.raises(StructureError, match="^first factor truncated below the stage complex$"):
+        product_with_S(nerve(c, 1), s)
+
+
+def test_a_map_into_a_higher_truncation_is_audited_through_its_source():
+    """A map may land in a set truncated above its source.  It is audited
+    through the source's degree, so a doctored table there still raises,
+    and a target truncated below the source is refused."""
+    c = pair_groupoid().base
+    low, high = nerve(c, 2), nerve(c, 4)
+    identity = [list(range(low.n_cells(k))) for k in range(3)]
+    assert SimplicialMap(low, high, identity).audit() == []
+    doctored = copy.deepcopy(identity)
+    doctored[2][0] = 1
+    with pytest.raises(StructureError, match="^structure maps do not commute"):
+        SimplicialMap(low, high, doctored)
+    with pytest.raises(StructureError, match="^target truncated below source$"):
+        SimplicialMap(high, low, identity)
 
 
 def test_product_face_is_componentwise():

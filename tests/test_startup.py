@@ -1,9 +1,9 @@
 """Every CLI process imports the whole package, so what that import pulls in
 is paid on every command.  ``dataclasses`` (with ``inspect``, which only it
 loads) cost about 20 ms of each process and stay out of it, and so do
-``fractions`` (with ``decimal``), which only the rho code and the partition
-witnesses import where they build a rational, and ``random``, which only
-the seeded fixture imports.
+``fractions`` (with ``decimal``), which only the partition witnesses import
+where they build a rational, so ``report all`` runs without them, and
+``random``, which only the seeded fixture imports.
 
 The two process entry points end the process right after flushing their
 output, without the interpreter's teardown, so they are run here as real
@@ -51,6 +51,20 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == []
+
+
+def test_report_all_leaves_out_fractions_and_decimal():
+    # the rho witnesses print the barycenter from ints, and no claim of
+    # report all fails, so none builds a rational
+    code = (
+        "import sys; from fatcat.cli import main; code = main(['report', 'all']); "
+        "print(code, *(m for m in ('fractions', 'decimal') if m in sys.modules), "
+        "file=sys.stderr)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=ENV, capture_output=True, text=True, timeout=120
+    )
+    assert done.stderr.split() == ["0"]
 
 
 def console_script():
