@@ -19,7 +19,7 @@ from collections import namedtuple
 from itertools import combinations, combinations_with_replacement, product
 from operator import itemgetter
 
-from .errors import StructureError, Violation, check_budget
+from .errors import EnumerationLimitError, StructureError, Violation, check_budget
 from .fincat import FinGroupoid, groupoid_from_json, groupoid_to_json
 from .homology import (
     ChainMap,
@@ -517,12 +517,24 @@ def blowup(base: CoveredComplex, D: int) -> IntegerChainComplex:
 def blowup_vs_base(base: CoveredComplex, d: int) -> QuasiIsoReport:
     """The collapse of the blowup onto the underlying complex must be a
     homology isomorphism in degrees <= d.  The underlying complex is built
-    first, so that D is budgeted before any degree of the blowup is laid
-    out."""
+    first, through max(D, d + 2), so that D is budgeted before any degree of
+    the blowup is laid out.  When :func:`fatcat.cone.cone_certifies` the
+    collapse, both sides of each degree take the underlying complex's
+    group.  Otherwise, and when the extra degree is over budget,
+    :func:`quasi_iso_through` decides."""
+    from .cone import certified_report, cone_certifies
+
     D = max(d + 1, base.dimension())
     check_degree_range(d, D)
-    chains = base_chain_complex(base, D)
-    return quasi_iso_through(cellular_map(blowup(base, D), chains, _collapse), d)
+    try:
+        chains = base_chain_complex(base, max(D, d + 2))
+    except EnumerationLimitError:
+        # decide without the cone; a refusal at D itself is raised again
+        chains = base_chain_complex(base, D)
+    collapse = cellular_map(blowup(base, D), chains, _collapse)
+    if chains.D > d + 1 and cone_certifies(collapse, d):
+        return certified_report(chains, d)
+    return quasi_iso_through(collapse, d)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,9 @@ through the degeneracy tables.
 The projection's quasi-isomorphism check builds the stage product only
 through degree d + 1 and takes H_k for k <= d off the nerve when the
 projection's mapping cone certifies it; otherwise homology presentations
-of both sides decide.
+of both sides decide.  The cone is read off the position tables of the
+nerve, the stage complex, the product and π (:mod:`fatcat.cone`), so a
+certified run lays out no matrix of the product or of π.
 
 Flags are the chains of sorted tuples that :func:`fatcat.simpset.sd_flags`
 lists.  Stage label convention for the section: a maximal flag
@@ -36,12 +38,10 @@ from .errors import EnumerationLimitError, StructureError, Violation, check_budg
 from .fincat import FinCategory, require_category
 from .homology import (
     ChainMap,
-    DegreeComparison,
     IntegerChainComplex,
     QuasiIsoReport,
     cell_matrix,
     check_degree_range,
-    cone_certifies,
     deletion_complex,
     fat_chains,
     homology,
@@ -74,18 +74,18 @@ from .simpset import (
 
 def projection_map(c: FinCategory, N: int, D: int) -> SimplicialMap:
     """Simplicial map from the stage product onto the nerve, (x, a) -> x."""
-    return stage_projection(nerve(c, D), N, D)
+    return stage_projection(nerve(c, D), N, D)[0]
 
 
-def stage_projection(x, N: int, top: int) -> SimplicialMap:
+def stage_projection(x, N: int, top: int):
     """Simplicial map from x times the stage complex on N + 1 stages onto
     x itself, with the stage complex and the product built through degree
     top <= x.D: the product k-cell at position p * |s_k| + q lies over the
-    cell of x at p."""
+    cell of x at p.  Returns the map and the stage complex."""
     s = s_semisimplicial(N, top)
     maps = [[p for p in range(x.n_cells(k)) for _ in range(s.n_cells(k))]
             for k in range(top + 1)]
-    return SimplicialMap(product_with_S(x, s), x, maps)
+    return SimplicialMap(product_with_S(x, s), x, maps), s
 
 
 def projection_pi(c: FinCategory, N: int, D: int) -> ChainMap:
@@ -102,12 +102,15 @@ def projection_quasi_iso(c: FinCategory, N: int, D: int, d: int) -> QuasiIsoRepo
     audited after it.  The stage complex and the stage product are
     budgeted at D, as :func:`projection_pi` would, but they and π are built
     only through degree d + 1, the most that H_k for k <= d reads; π maps
-    them into the nerve itself, and lands in its chains.  When
-    :func:`cone_certifies` π, both sides of each degree take the nerve's
-    group and no presentation is built.  Otherwise, and when the nerve's
-    extra degree is over budget, :func:`quasi_iso_through` decides on this
-    π.
+    them into the nerve itself.  When
+    :func:`fatcat.cone.projection_cone_certifies` π, both sides of each
+    degree take the nerve's group, and only the nerve's chains are built as
+    matrices.  Otherwise, and when the nerve's extra
+    degree is over budget, :func:`quasi_iso_through` decides on the chain
+    map of this π.
     """
+    from .cone import certified_report, projection_cone_certifies
+
     check_degree_range(d, D)
     try:
         ner = nerve(c, max(D, d + 2))
@@ -118,11 +121,10 @@ def projection_quasi_iso(c: FinCategory, N: int, D: int, d: int) -> QuasiIsoRepo
     stages = stage_counts(N, D)
     check_size(SemiSimplicialSet, D, stages)
     check_size(SemiSimplicialSet, D, [ner.n_cells(k) * n for k, n in enumerate(stages)])
-    pi = induced_map(stage_projection(ner, N, d + 1))
-    if ner.D > d + 1 and cone_certifies(pi, d):
-        groups = (homology(pi.target, k) for k in range(d + 1))
-        return QuasiIsoReport([DegreeComparison(g.degree, g, g, True) for g in groups], [])
-    return quasi_iso_through(pi, d)
+    proj, s = stage_projection(ner, N, d + 1)
+    if ner.D > d + 1 and projection_cone_certifies(proj, s, d):
+        return certified_report(fat_chains(ner), d)
+    return quasi_iso_through(induced_map(proj), d)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +242,7 @@ def pi_tau_homology_check(c: FinCategory, N: int, D: int, d: int) -> QuasiIsoRep
     _check_stage_labels(N, D)
     ner = nerve(c, D)
     require_category(c)
-    proj = stage_projection(ner, N, D)
+    proj, _ = stage_projection(ner, N, D)
     pi = induced_map(proj)
     return identity_on_homology_through(pi.compose(tau_chain_map(proj, pi, N)), d)
 

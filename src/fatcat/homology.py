@@ -14,14 +14,16 @@ map reads its map tables.  Only complexes and maps with no simplicial
 object hash cells to rows, through :func:`named_matrix`.  Simplicial
 objects are audited once, when built, and nothing here audits them again.
 
-Chain-map commutation has one checker, :func:`noncommuting_degrees`.
+Chain-map commutation has one checker on matrices,
+:func:`noncommuting_degrees`; :mod:`fatcat.cone` checks dd = 0 and
+commutation on position tables, with the same messages.
 
-A chain map is compared on homology two ways.  :func:`cone_certifies`
-runs a coreduction on its mapping cone, in about linear time, and can
-only certify an isomorphism.  :func:`quasi_iso_through` presents both
-sides' homology with Smith eliminations and decides either way, with
-witnesses; ``verify tom-dieck`` runs it only when the cone does not
-certify, and ``verify blowup`` always.
+A chain map is compared on homology two ways.  :mod:`fatcat.cone` runs a
+coreduction on its mapping cone, in about linear time, and can only
+certify an isomorphism.  :func:`quasi_iso_through` presents both sides'
+homology with Smith eliminations and decides either way, with witnesses;
+``verify tom-dieck`` and ``verify blowup`` run it only when the cone does
+not certify.
 """
 
 from collections import namedtuple
@@ -301,85 +303,6 @@ def quasi_iso_through(F: ChainMap, d: int) -> QuasiIsoReport:
             )
         degrees.append(DegreeComparison(k, src.group(), tgt.group(), iso))
     return QuasiIsoReport(degrees, violations)
-
-
-def cone_certifies(F: ChainMap, d: int) -> bool:
-    """Does a greedy coreduction clear the mapping cone of F in degrees
-    <= d + 1?  If so, F is a homology isomorphism in degrees <= d.
-
-    For F from A to B the cone has cone_n = A_{n-1} + B_n and
-    boundary(a, b) = (-da, Fa + db); it is read in degrees 0..d + 2 off A's
-    boundaries and F's matrices through d + 1 and B's boundaries through
-    d + 2, in cell order: in each degree the cells of A_{n-1}, then those
-    of B_n.  The coreduction (Mrozek and Batko, Discrete Comput. Geom. 41,
-    2009) takes cells first in, first out, and removes a cell whose one
-    live face has coefficient +-1 together with that face.  That face is
-    the cell's whole boundary, so the step keeps the homology and leaves
-    the restricted boundary on the live cells.  A cell enters the queue
-    when its live faces drop to one; it knows that face as the sum of the
-    positions of its live faces.
-
-    When no live cell of degree <= d + 1 is left, H_n(cone) = 0 for
-    n <= d + 1, and the exact sequence H_{k+1}(cone) -> H_k(A) -> H_k(B)
-    -> H_k(cone) (Weibel, An Introduction to Homological Algebra, 1.5)
-    makes F_* an isomorphism for k <= d.  A cell left there would have to
-    be made critical, and then nothing is certified: F may still be a
-    quasi-isomorphism, which :func:`quasi_iso_through` decides.
-    """
-    A, B = F.source, F.target
-    if d < 0 or A.D < d + 1 or B.D < d + 2:
-        raise StructureError(
-            f"the cone through degree {d + 2} needs the source through {d + 1} "
-            f"and the target through {d + 2}")
-    # block 2k holds B_k and block 2k + 1 holds A_k, so the blocks come in
-    # cell order; start[i] is the position of block i's first cell
-    sizes = [cx.rank(k) for k in range(d + 2) for cx in (B, A)] + [B.rank(d + 2)]
-    start = [sum(sizes[:i]) for i in range(len(sizes) + 1)]
-    block = [i for i, size in enumerate(sizes) for _ in range(size)]
-    # between[face block, cell block]: the matrix whose entry (i, j) is, up
-    # to sign, the coefficient of the face block's i-th cell in the boundary
-    # of the cell block's j-th cell
-    between = {(2 * k - 1, 2 * k + 1): A.boundary[k] for k in range(1, d + 2)}
-    between |= {(2 * k, 2 * k + 1): F.matrices[k] for k in range(d + 2)}
-    between |= {(2 * k - 2, 2 * k): B.boundary[k] for k in range(1, d + 3)}
-    above = [[] for _ in sizes]
-    # live[p], count[p], face_sum[p]: is cell p live, how many live faces
-    # it has and the sum of their positions
-    total = start[-1]
-    count, face_sum = [0] * total, [0] * total
-    for (fb, cb), mat in between.items():
-        above[fb].append((mat, start[cb]))
-        for t, row in enumerate(mat.nz, start[fb]):
-            for j in row:
-                count[start[cb] + j] += 1
-                face_sum[start[cb] + j] += t
-    live = bytearray(b"\1") * total
-    # the cells of degree <= d + 1 come before A_{d+1}'s block
-    top = start[2 * d + 3]
-    left = top
-    queue = [p for p in range(total) if count[p] == 1]
-    # the queue grows while it is walked, so cells leave in the order they came
-    for b in queue:
-        if count[b] != 1 or not live[b]:
-            continue
-        t = face_sum[b]
-        fb, cb = block[t], block[b]
-        if abs(between[fb, cb].nz[t - start[fb]][b - start[cb]]) != 1:
-            continue
-        live[t] = live[b] = 0
-        left -= (t < top) + (b < top)
-        if not left:
-            return True
-        for p, pb in ((t, fb), (b, cb)):
-            for mat, first in above[pb]:
-                for j in mat.nz[p - start[pb]]:
-                    q = first + j
-                    if live[q]:
-                        count[q] -= 1
-                        face_sum[q] -= p
-                        if count[q] == 1:
-                            queue.append(q)
-    return not left
 
 
 def identity_on_homology_through(F: ChainMap, d: int) -> QuasiIsoReport:

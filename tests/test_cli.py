@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from fatcat import cli, cocycle, comparison, homology, intlinalg, simpset
+from fatcat import cli, cocycle, comparison, cone, homology, intlinalg, simpset
 from fatcat.cli import build_parser, main
 from fatcat.cocycle import CoveredComplex, closure, cocycle_to_json, covered_complex_to_json
 from fatcat.errors import EnumerationLimitError, StructureError
@@ -623,13 +623,33 @@ def test_tom_dieck_decides_on_homology_when_the_cone_is_over_budget(capsys, tmp_
     assert main(argv) == 0
     certified = capsys.readouterr().out
     tried = []
-    monkeypatch.setattr(comparison, "cone_certifies", lambda *args: tried.append(args))
+    monkeypatch.setattr(cone, "projection_cone_certifies",
+                        lambda *args: tried.append(args))
     monkeypatch.setenv("FATCAT_MAX_CELLS", "500")
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert out == certified and tried == []
     digest = "da966d6a33de81596c5ea3c631eaaa0ee91da91fd70fc9bc3f111ccbb3a66b09"
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_blowup_asks_the_cone_within_budget(capsys, inputs, monkeypatch):
+    """``verify blowup`` asks the cone first, which needs the base complex
+    one degree higher, through d + 2.  At d = 196 it certifies.  At d = 197
+    that degree takes 20,099 position tables, over the default budget of
+    20,000 that the base through d + 1 (19,899) fits, so the presentations
+    decide and print what they printed before the cone."""
+    monkeypatch.delenv("FATCAT_MAX_CELLS", raising=False)
+    verdicts = []
+    certifies = cone.cone_certifies
+    monkeypatch.setattr(cone, "cone_certifies",
+                        lambda F, d: verdicts.append(certifies(F, d)) or verdicts[-1])
+    argv = ["verify", "blowup", "--input", inputs["circle.json"], "--d"]
+    assert main(argv + ["196"]) == 0 and json.loads(capsys.readouterr().out)["ok"]
+    assert verdicts == [True]
+    assert main(argv + ["197"]) == 0 and verdicts == [True]
+    digest = "156d5c9b1124050ab5e278cb3813a5e0d58c57fa0316541c0261b36b075deb3e"
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_tom_dieck_refuses_a_doctored_projection(capsys, inputs, monkeypatch):
@@ -890,6 +910,9 @@ GOLDEN = [
      "067f5b0308d38561f55e27ab7a7a4a68788f40e48ce4c45331620ee4ce943474"),
     ("verify tom-dieck --input ord2.json --N 4 --D 3 --d 2", 0,
      "e3d2d37db86d69f4121a3b51acb33ead1303d1c229f9f9f15d66636bf3bbcfd2"),
+    # the idempotent monoid's cone keeps cells at d >= 1: the presentations decide
+    ("verify tom-dieck --input idem.json --N 3 --D 3 --d 1", 0,
+     "1782e0ea72b898a1899f1db66d85ca7d3cf7f748c16b25b4aeceac6583688d4d"),
     ("verify quillen-a --input ord1.json --N 3 --D 3", 0,
      "17aa98ed13886b724fa3afdf89f6fd4237aeaca30374eb4c933e08e108f69861"),
     ("verify quillen-a --input bz2.json --N 3 --D 3 --d 1", 0,

@@ -4,6 +4,7 @@ from functools import partial
 
 import pytest
 
+from fatcat.cone import cone_certifies
 from fatcat.errors import StructureError, Violation
 from fatcat.fincat import ordinal
 from fatcat.fixtures import (
@@ -20,7 +21,6 @@ from fatcat.homology import (
     HomologyGroup,
     IntegerChainComplex,
     cell_matrix,
-    cone_certifies,
     fat_chains,
     geometric_chains,
     homology,

@@ -2,8 +2,11 @@
 is paid on every command.  ``dataclasses`` (with ``inspect``, which only it
 loads) cost about 20 ms of each process and stay out of it, and so do
 ``fractions`` (with ``decimal``), which only the partition witnesses import
-where they build a rational, so ``report all`` runs without them, and
-``random``, which only the seeded fixture imports.
+where they build a rational, so ``report all`` runs without them,
+``random``, which only the seeded fixture imports, and ``fatcat.cone``,
+which only ``verify tom-dieck`` and ``verify blowup`` import, when they
+run: loaded by every command, its code raised the peak RSS of a refused
+``nerve`` run by about 0.13 MB.
 
 The two process entry points end the process right after flushing their
 output, without the interpreter's teardown, so they are run here as real
@@ -26,6 +29,8 @@ from pathlib import Path
 
 import pytest
 
+from fatcat import comparison, homology
+from fatcat.cli import suite_tom_dieck
 from fatcat.cocycle import closure, cocycle_to_json, covered_complex_to_json
 from fatcat.fincat import groupoid_to_json
 from fatcat.fixtures import cyclic_groupoid, trivial_cocycle, vertex_star_cover, z2_groupoid
@@ -41,7 +46,7 @@ ENV["PYTHONPATH"] = str(SRC)
 
 def test_cli_import_leaves_out_dataclasses_and_inspect():
     # -S keeps site-packages .pth files from importing modules of their own
-    left_out = ("dataclasses", "inspect", "fractions", "decimal", "random")
+    left_out = ("dataclasses", "inspect", "fractions", "decimal", "random", "fatcat.cone")
     code = (
         "import fatcat.cli, sys; "
         f"print(' '.join(m for m in {left_out!r} if m in sys.modules))"
@@ -255,6 +260,47 @@ def test_tom_dieck_on_z7_at_n6_runs_in_256_mb(tmp_path):
     # closed form H_k(BZ/7): Z, then Z/7 in odd degrees and 0 in even ones
     groups = [(c["source"]["betti"], c["source"]["torsion"]) for c in payload["degrees"]]
     assert payload["ok"] and groups == [(1, []), (0, [7]), (0, []), (0, [7])]
+
+
+def limit_64_mb():
+    resource.setrlimit(resource.RLIMIT_AS, (64 << 20, 64 << 20))
+
+
+def test_tom_dieck_on_z2_at_n12_runs_in_64_mb(tmp_path):
+    """Z/2 at N = 12, D = 6, d = 4 builds a 82,537-cell stage product
+    through d + 1 = 5.  Its cone is read off the position tables, so the
+    command fits in 64 MB of address space; with the product's boundaries
+    and π laid out as matrices it needed 80 MB."""
+    path = tmp_path / "z2.json"
+    path.write_text(json.dumps(groupoid_to_json(z2_groupoid())))
+    argv = ["verify", "tom-dieck", "--input", str(path), "--N", "12", "--D", "6", "--d", "4"]
+    env = {**ENV, "FATCAT_MAX_CELLS": "5000000"}
+    done = subprocess.run(ENTRIES["module"] + argv, env=env, capture_output=True, text=True,
+                          preexec_fn=limit_64_mb, timeout=30)
+    assert (done.returncode, done.stderr) == (0, "")
+    payload = json.loads(done.stdout)
+    # closed form H_k(BZ/2): Z, then Z/2 in odd degrees and 0 in even ones
+    groups = [(c["source"]["betti"], c["source"]["torsion"]) for c in payload["degrees"]]
+    assert payload["ok"] and groups == [(1, []), (0, [2]), (0, []), (0, [2]), (0, [])]
+
+
+def test_certified_tom_dieck_lays_out_only_the_nerve(monkeypatch):
+    """A certified run reads π's cone off position tables, so the only
+    matrices it lays out are the boundaries of the nerve's chains, whose
+    homology it reports: Z/2 at N = 8, D = 4, d = 2 has 1, 2, 4, 8 and 16
+    nerve cells, and 1,425 product cells through d + 1 = 3."""
+    shapes = []
+    layout = homology.cell_matrix
+
+    def recorded(nrows, ncols, column):
+        shapes.append((nrows, ncols))
+        return layout(nrows, ncols, column)
+
+    for module in (homology, comparison):
+        monkeypatch.setattr(module, "cell_matrix", recorded)
+    ok, payload = suite_tom_dieck(z2_groupoid().base, 8, 4, 2)
+    assert ok and len(payload["degrees"]) == 3
+    assert shapes == [(1, 2), (2, 4), (4, 8), (8, 16)]
 
 
 # stdout of ``verify lemma42`` on Z/2 at N = 10, D = 6
