@@ -16,9 +16,11 @@ through the degeneracy tables.
 The projection's quasi-isomorphism check builds the stage product only
 through degree d + 1 and takes H_k for k <= d off the nerve when the
 projection's mapping cone certifies it; otherwise homology presentations
-of both sides decide.  The cone is read off the position tables of the
-nerve, the stage complex, the product and π (:mod:`fatcat.cone`), so a
-certified run lays out no matrix of the product or of π.
+of both sides decide.  The nerve's fat chains are built once, and serve
+both the cone and the nerve's homology; the product's side of the cone is
+read off the position tables of the stage complex, the product and π
+(:mod:`fatcat.cone`), so a certified run lays out no matrix of the product
+or of π.
 
 Flags are the chains of sorted tuples that :func:`fatcat.simpset.sd_flags`
 lists.  Stage label convention for the section: a maximal flag
@@ -102,12 +104,11 @@ def projection_quasi_iso(c: FinCategory, N: int, D: int, d: int) -> QuasiIsoRepo
     audited after it.  The stage complex and the stage product are
     budgeted at D, as :func:`projection_pi` would, but they and π are built
     only through degree d + 1, the most that H_k for k <= d reads; π maps
-    them into the nerve itself.  When
-    :func:`fatcat.cone.projection_cone_certifies` π, both sides of each
-    degree take the nerve's group, and only the nerve's chains are built as
-    matrices.  Otherwise, and when the nerve's extra
-    degree is over budget, :func:`quasi_iso_through` decides on the chain
-    map of this π.
+    them into the nerve itself.  The nerve's fat chains are built once;
+    when :func:`fatcat.cone.projection_cone_certifies` π on them, both
+    sides of each degree take their group, and they are the only matrices
+    built.  Otherwise, and when the nerve's extra degree is over budget,
+    :func:`quasi_iso_through` decides on the chain map of this π.
     """
     from .cone import certified_report, projection_cone_certifies
 
@@ -122,8 +123,10 @@ def projection_quasi_iso(c: FinCategory, N: int, D: int, d: int) -> QuasiIsoRepo
     check_size(SemiSimplicialSet, D, stages)
     check_size(SemiSimplicialSet, D, [ner.n_cells(k) * n for k, n in enumerate(stages)])
     proj, s = stage_projection(ner, N, d + 1)
-    if ner.D > d + 1 and projection_cone_certifies(proj, s, d):
-        return certified_report(fat_chains(ner), d)
+    if ner.D > d + 1:
+        chains = fat_chains(ner)
+        if projection_cone_certifies(proj, s, chains, d):
+            return certified_report(chains, d)
     return quasi_iso_through(induced_map(proj), d)
 
 

@@ -4,15 +4,18 @@ A chain map F from A to B is a homology isomorphism in degrees <= d when
 its mapping cone, cone_n = A_{n-1} + B_n with boundary (-da, Fa + db), has
 no homology in degrees <= d + 1.  :func:`coreduction_clears` runs a
 first-in, first-out coreduction on a cone, in about linear time, and can
-only certify that.  Two readers feed it: :func:`cone_certifies` reads a
-chain map's matrices, and :func:`projection_cone_certifies` reads the
-stage projection π off the position tables of the nerve, the stage
-complex, the product and π, so no matrix of the product or of π is built.
-That reader first checks dd = 0 and π's commutation on those tables, one
-cell at a time (:func:`check_face_tables`, :func:`check_map_tables`), with
-the messages of the matrix checks in :mod:`fatcat.homology`, and the layout
-that its cofaces assume.  A certified map reports each degree with the
-target's group on both sides (:func:`certified_report`); otherwise
+only certify that.  One assembler, :func:`_cone_clears`, lays the cone out
+for it, and reads B's side off B's boundary matrices, which B's
+constructor checked for dd = 0.  A's side and F come from matrices too in
+:func:`cone_certifies`; :func:`projection_cone_certifies` reads them for
+the stage projection π off the position tables of the product and π, so
+no matrix of the product or of π is built, and takes the nerve's fat
+chains as B.  That reader first checks dd = 0 on the product and π's
+commutation on those tables, one cell at a time (:func:`check_face_tables`,
+:func:`check_map_tables`), with the messages of the matrix checks in
+:mod:`fatcat.homology`, and the layout that its cofaces assume.  A
+certified map reports each degree with the target's group on both sides
+(:func:`certified_report`); otherwise
 :func:`fatcat.homology.quasi_iso_through` decides, with witnesses.
 
 ``verify tom-dieck`` and ``verify blowup`` import this module when they
@@ -42,8 +45,7 @@ def cone_certifies(F: ChainMap, d: int) -> bool:
     For F from A to B the cone has cone_n = A_{n-1} + B_n and
     boundary(a, b) = (-da, Fa + db); it is read in degrees 0..d + 2 off A's
     boundaries and F's matrices through d + 1 and B's boundaries through
-    d + 2, in cell order: in each degree the cells of A_{n-1}, then those
-    of B_n.  :func:`coreduction_clears` runs on it.
+    d + 2 (:func:`_cone_clears`).
 
     When no live cell of degree <= d + 1 is left, H_n(cone) = 0 for
     n <= d + 1, and the exact sequence H_{k+1}(cone) -> H_k(A) -> H_k(B)
@@ -53,21 +55,89 @@ def cone_certifies(F: ChainMap, d: int) -> bool:
     quasi-isomorphism, which :func:`fatcat.homology.quasi_iso_through`
     decides.
     """
-    A, B = F.source, F.target
-    if d < 0 or A.D < d + 1 or B.D < d + 2:
-        raise StructureError(
-            f"the cone through degree {d + 2} needs the source through {d + 1} "
-            f"and the target through {d + 2}")
-    # block 2k holds B_k and block 2k + 1 holds A_k, so the blocks come in
-    # cell order; start[i] is the position of block i's first cell
-    sizes = [cx.rank(k) for k in range(d + 2) for cx in (B, A)] + [B.rank(d + 2)]
-    start, block = list(accumulate(sizes, initial=0)), _blocks(sizes)
-    # between[face block, cell block]: the matrix whose entry (i, j) is, up
-    # to sign, the coefficient of the face block's i-th cell in the boundary
-    # of the cell block's j-th cell
+    A = F.source
+    _check_degrees(A, F.target, d)
     between = {(2 * k - 1, 2 * k + 1): A.boundary[k] for k in range(1, d + 2)}
     between |= {(2 * k, 2 * k + 1): F.matrices[k] for k in range(d + 2)}
-    between |= {(2 * k - 2, 2 * k): B.boundary[k] for k in range(1, d + 3)}
+    return _cone_clears(list(map(len, A.basis)), F.target, d, between)
+
+
+def projection_cone_certifies(proj: SimplicialMap, s, chains: IntegerChainComplex,
+                              d: int) -> bool:
+    """:func:`cone_certifies` on the chain map of π = ``proj``, from x
+    times the stage complex s onto x, with the product's side read off
+    position tables: no matrix of the product or of π is built, and the
+    verdict is the same.  ``chains`` is the fat chains of x, audited for
+    dd = 0 when they were built; x's side of the cone is read off them.
+
+    The checks come first, one cell at a time: dd = 0 on the product
+    through d + 1 (:func:`check_face_tables`), π's commutation through
+    d + 1 (:func:`check_map_tables`), and then :func:`_check_layout`, that
+    the product's faces and π's map are those laid out from x and s.  In
+    the cone, the product k-cell (a, b) at a * |s_k| + b has the product's
+    faces and, through π, the cell a of x, each with coefficient +-1.  The
+    cofaces of (a, b) under d_i are the (a', b') with d_i a' = a and
+    d_i b' = b, read off x's and s's coface lists; those of a cell t of x
+    under π are the product cells over it, at t * |s_k| to
+    (t + 1) * |s_k| - 1.
+    """
+    x, prod = proj.target, proj.source
+    _check_degrees(prod, chains, d)
+    check_face_tables(prod, d + 1)
+    check_map_tables(proj, d + 1)
+    _check_layout(proj, s, d + 1)
+    width = [s.n_cells(k) for k in range(d + 2)]
+    x_up, s_up = _coface_lists(x, d + 1), _coface_lists(s, d + 1)
+
+    def tables(start, count, face_sum):
+        # over[k - 1][i][a]: the first product k-cell over each k-cell of x
+        # whose face d_i is a
+        over = [[[[start[2 * k + 1] + q * width[k] for q in up] for up in lists]
+                 for lists in x_up[k]] for k in range(1, d + 2)]
+        for k in range(d + 2):
+            # the product's k + 1 faces, then the cell of x under it
+            lo, hi = start[2 * k + 1], start[2 * k + 2]
+            count[lo:hi] = repeat(k + 2 if k else 1, hi - lo)
+            sums = map(sum, zip(*prod.faces[k])) if k else repeat(0)
+            first = start[2 * k] + ((k + 1) * start[2 * k - 1] if k else 0)
+            face_sum[lo:hi] = (first + a + f for a in range(x.n_cells(k))
+                               for f in islice(sums, width[k]))
+
+        def cofaces(i, local):
+            # the product's (d + 1)-cells and x's (d + 2)-cells have none
+            if i > 2 * d + 2:
+                return ()
+            k = i // 2
+            if i % 2:
+                a, b = divmod(local, width[k])
+                return [u + v for xs, ss in zip(over[k], s_up[k + 1])
+                        for u in xs[a] for v in ss[b]]
+            first = start[i + 1] + local * width[k]
+            return range(first, first + width[k])
+
+        return cofaces
+
+    return _cone_clears(list(map(len, prod.cells)), chains, d, {}, tables)
+
+
+def _cone_clears(ranks, B, d: int, between, tables=None) -> bool:
+    """:func:`coreduction_clears` on the mapping cone of a chain map from
+    A, with ``ranks[k]`` k-cells in degree k <= d + 1, to the chain
+    complex B, in degrees 0..d + 2, in cell order: block 2k holds B_k and
+    block 2k + 1 holds A_k.  ``between[face block, cell block]`` is the
+    matrix whose entry (i, j) is, up to sign, the coefficient of the face
+    block's i-th cell in the boundary of the cell block's j-th cell; B's
+    boundaries are added here, so the caller gives A's and the map's.
+    ``tables(start, count, face_sum)``, when given, reads A's blocks
+    instead: it fills their counts and face sums, each face with
+    coefficient +-1, and returns ``cofaces(block, local)``, the cofaces of
+    a cell that no matrix in ``between`` holds, listed before those that
+    one does.
+    """
+    # start[i] is the position of block i's first cell
+    sizes = [n for k in range(d + 2) for n in (B.rank(k), ranks[k])] + [B.rank(d + 2)]
+    start, block = list(accumulate(sizes, initial=0)), _blocks(sizes)
+    between = between | {(2 * k - 2, 2 * k): B.boundary[k] for k in range(1, d + 3)}
     above = [[] for _ in sizes]
     count, face_sum = [0] * start[-1], [0] * start[-1]
     for (fb, cb), mat in between.items():
@@ -76,99 +146,29 @@ def cone_certifies(F: ChainMap, d: int) -> bool:
             for j in row:
                 count[start[cb] + j] += 1
                 face_sum[start[cb] + j] += t
+    read = tables(start, count, face_sum) if tables else lambda i, local: ()
 
     def unit(t, b):
         fb, cb = block[t], block[b]
-        return abs(between[fb, cb].nz[t - start[fb]][b - start[cb]]) == 1
+        mat = between.get((fb, cb))
+        return mat is None or abs(mat.nz[t - start[fb]][b - start[cb]]) == 1
 
     def cofaces(p):
-        pb = block[p]
-        return [first + j for mat, first in above[pb] for j in mat.nz[p - start[pb]]]
+        i = block[p]
+        local = p - start[i]
+        return [*read(i, local), *(first + j for mat, first in above[i] for j in mat.nz[local])]
 
     # the cells of degree <= d + 1 come before A_{d+1}'s block
     return coreduction_clears(count, face_sum, start[2 * d + 3], unit, cofaces)
 
 
-def projection_cone_certifies(proj: SimplicialMap, s, d: int) -> bool:
-    """:func:`cone_certifies` on the chain map of π = ``proj``, from x
-    times the stage complex s onto x, read off position tables: no matrix
-    of the product or of π is built, and the verdict is the same.
-
-    The checks come first, one cell at a time: dd = 0 on the product
-    through d + 1 and on x through d + 2 (:func:`check_face_tables`), π's
-    commutation through d + 1 (:func:`check_map_tables`), and then
-    :func:`_check_layout`, that the product's faces and π's map are those
-    laid out from x and s.  In the cone, the product k-cell (a, b) at
-    a * |s_k| + b has the product's faces and, through π, the cell a of x;
-    an x column sums its faces, since a degenerate cell can repeat one,
-    with a coefficient of 0 or +-2.  The cofaces of (a, b) under d_i are
-    the (a', b') with d_i a' = a and d_i b' = b, read off x's and s's
-    coface lists; those of a cell t of x under π are the product cells
-    over it, at t * |s_k| to (t + 1) * |s_k| - 1.
-    """
-    x, prod = proj.target, proj.source
-    if d < 0 or prod.D < d + 1 or x.D < d + 2:
+def _check_degrees(A, B, d: int) -> None:
+    """Raise :class:`StructureError` unless the cone of a map from A to B
+    can be read through degree d + 2."""
+    if d < 0 or A.D < d + 1 or B.D < d + 2:
         raise StructureError(
             f"the cone through degree {d + 2} needs the source through {d + 1} "
             f"and the target through {d + 2}")
-    check_face_tables(prod, d + 1)
-    check_face_tables(x, d + 2)
-    check_map_tables(proj, d + 1)
-    _check_layout(proj, s, d + 1)
-    width = [s.n_cells(k) for k in range(d + 2)]
-    # block 2k holds the k-cells of x and block 2k + 1 the product's, so the
-    # blocks come in cell order; start[i] is the position of block i's first
-    # cell
-    sizes = [n for k in range(d + 2) for n in (x.n_cells(k), prod.n_cells(k))]
-    sizes.append(x.n_cells(d + 2))
-    start, block = list(accumulate(sizes, initial=0)), _blocks(sizes)
-    x_up, s_up = _coface_lists(x, d + 2), _coface_lists(s, d + 1)
-    # over[k - 1][i][a]: the first product k-cell over each k-cell of x
-    # whose face d_i is a
-    over = [[[[start[2 * k + 1] + q * width[k] for q in up] for up in lists] for lists in x_up[k]]
-            for k in range(1, d + 2)]
-
-    count, face_sum = bytearray(), []
-    for k in range(d + 3):
-        columns = map(_summed, map(enumerate, zip(*x.faces[k]))) if k else [{}] * x.n_cells(0)
-        below = start[2 * k - 2] if k else 0
-        for faces in columns:
-            count.append(len(faces))
-            face_sum.append(sum(faces) + len(faces) * below)
-        if k > d + 1:
-            break
-        # the product's k + 1 faces, then the cell of x under it
-        count += bytes((k + 2 if k else 1,)) * prod.n_cells(k)
-        sums = map(sum, zip(*prod.faces[k])) if k else repeat(0)
-        first = start[2 * k] + ((k + 1) * start[2 * k - 1] if k else 0)
-        for a in range(x.n_cells(k)):
-            face_sum.extend(map((first + a).__add__, islice(sums, width[k])))
-
-    def unit(t, b):
-        i = block[b]
-        if i % 2:
-            # a product cell's faces are distinct, each with coefficient +-1
-            return True
-        b -= start[i]
-        faces = _summed(enumerate(table[b] for table in x.faces[i // 2]))
-        return abs(faces.get(t - start[i - 2], 0)) == 1
-
-    def cofaces(p):
-        i = block[p]
-        k, local = i // 2, p - start[i]
-        if i % 2:
-            if k > d:
-                return []
-            a, b = divmod(local, width[k])
-            return [u + v for xs, ss in zip(over[k], s_up[k + 1]) for u in xs[a] for v in ss[b]]
-        if k > d + 1:
-            return []
-        first = start[i + 1] + local * width[k]
-        above = _summed((j, t) for j, lists in enumerate(x_up[k + 1]) for t in lists[local])
-        return [*range(first, first + width[k]), *sorted(map(start[i + 2].__add__, above))]
-
-    # the cells of degree <= d + 1 come before the product's (d + 1)-cells
-    return coreduction_clears(count, face_sum, start[2 * d + 3], unit, cofaces)
 
 
 def coreduction_clears(count, face_sum, top, unit, cofaces) -> bool:
@@ -257,16 +257,6 @@ def _cancels(plus, minus) -> bool:
     composed position table per term, all over the same cells, so one cell
     is sorted at a time."""
     return all(map(eq, map(sorted, zip(*plus)), map(sorted, zip(*minus))))
-
-
-def _summed(terms):
-    """The terms (i, t), each position t with sign (-1)^i, summed per
-    position, those that sum to 0 left out: the boundary of a cell whose
-    face d_i is t, or the coboundary of a cell that is face d_i of t."""
-    coeffs = {}
-    for i, t in terms:
-        coeffs[t] = coeffs.get(t, 0) + (-1 if i % 2 else 1)
-    return {t: c for t, c in coeffs.items() if c}
 
 
 def _coface_lists(x, top: int):

@@ -15,8 +15,11 @@ object hash cells to rows, through :func:`named_matrix`.  Simplicial
 objects are audited once, when built, and nothing here audits them again.
 
 Chain-map commutation has one checker on matrices,
-:func:`noncommuting_degrees`; :mod:`fatcat.cone` checks dd = 0 and
-commutation on position tables, with the same messages.
+:func:`noncommuting_degrees`, and dd = 0 one, in
+:class:`IntegerChainComplex`.  :mod:`fatcat.cone` checks both on the
+position tables of the stage product and π, which it reads without
+matrices, with the same messages; the nerve's dd = 0 it leaves to the
+nerve's fat chains.
 
 A chain map is compared on homology two ways.  :mod:`fatcat.cone` runs a
 coreduction on its mapping cone, in about linear time, and can only

@@ -667,6 +667,23 @@ def test_tom_dieck_refuses_a_doctored_projection(capsys, inputs, monkeypatch):
     assert error.startswith("structure maps do not commute, e.g. Violation(law='map-face'")
 
 
+def test_tom_dieck_refuses_a_nerve_doctored_after_its_audit(capsys, inputs, monkeypatch):
+    """A face of the nerve changed after its audit, once the stage
+    projection is built, breaks dd = 0 of the nerve's chains; the certified
+    run builds those chains before it reads the cone, and they refuse it."""
+    original = comparison.stage_projection
+
+    def doctored(x, N, top):
+        proj, s = original(x, N, top)
+        x.faces[3][1][0] = 3
+        return proj, s
+
+    monkeypatch.setattr(comparison, "stage_projection", doctored)
+    error = expect_bad_input(capsys, ["verify", "tom-dieck", "--input", inputs["bz2.json"],
+                                      "--N", "3", "--D", "3", "--d", "1"])
+    assert error == "dd != 0 between degrees 3 and 1"
+
+
 def test_quillen_a_builds_no_category_but_c(capsys, inputs, monkeypatch):
     """The loaded category is the one ``FinCategory`` that ``verify
     quillen-a`` builds: neither unravel(C, N) nor any comma fiber's poset

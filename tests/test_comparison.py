@@ -49,6 +49,7 @@ from fatcat.fixtures import (
     z2_groupoid,
 )
 from fatcat.homology import (
+    IntegerChainComplex,
     fat_chains,
     geometric_chains,
     homology,
@@ -125,8 +126,8 @@ def test_tom_dieck_matches_its_presentation_oracle(monkeypatch, name):
     c = TOM_DIECK_CATEGORIES[name]
     verdicts = []
     certifies = cone.projection_cone_certifies
-    monkeypatch.setattr(cone, "projection_cone_certifies",
-                        lambda proj, s, d: verdicts.append(certifies(proj, s, d)) or verdicts[-1])
+    monkeypatch.setattr(cone, "projection_cone_certifies", lambda proj, s, chains, d:
+                        verdicts.append(certifies(proj, s, chains, d)) or verdicts[-1])
     for D in range(1, 5):
         for d in range(D):
             for N in range(d + 1, 6):
@@ -145,6 +146,23 @@ def test_tom_dieck_builds_the_product_through_d_plus_one(monkeypatch):
     assert suite_tom_dieck(z2_groupoid().base, 8, 4, 2)[0]
     counts = [[len(level) for level in x.cells] for x in built]
     assert counts == [[1, 2, 4, 8, 16], [9, 36, 84, 126], [9, 72, 336, 1008]]
+
+
+def test_certified_tom_dieck_audits_the_nerve_once(monkeypatch):
+    """Z/2 at N = 8, D = 4, d = 2: a certified run checks dd = 0 on the
+    tables of the stage product alone.  The nerve's dd = 0 is checked once,
+    when its fat chains are built, and the cone and the report share
+    those chains."""
+    checked, built = [], []
+    check = cone.check_face_tables
+    monkeypatch.setattr(cone, "check_face_tables",
+                        lambda x, top: checked.append((x, top)) or check(x, top))
+    init = IntegerChainComplex.__init__
+    monkeypatch.setattr(IntegerChainComplex, "__init__",
+                        lambda self, *args: built.append(self) or init(self, *args))
+    assert suite_tom_dieck(z2_groupoid().base, 8, 4, 2)[0]
+    assert [(list(map(len, x.cells)), top) for x, top in checked] == [([9, 72, 336, 1008], 3)]
+    assert [list(map(len, cx.basis)) for cx in built] == [[1, 2, 4, 8, 16]]
 
 
 CONE_CATEGORIES = {**standard_categories(),
@@ -166,7 +184,7 @@ def test_projection_cone_reads_tables_as_the_matrix_cone(name):
                     proj, s = comparison.stage_projection(nerve(c, max(D, d + 2)), N, d + 1)
                 except EnumerationLimitError:
                     continue
-                verdict = projection_cone_certifies(proj, s, d)
+                verdict = projection_cone_certifies(proj, s, fat_chains(proj.target), d)
                 assert verdict == cone_certifies(induced_map(proj), d), (N, D, d)
                 verdicts.append(verdict)
     assert len(verdicts) == (89 if name == "z5" else 90)
@@ -190,7 +208,8 @@ def doctor_map(f, k, p, q):
 
 @pytest.mark.parametrize("name, N, d, doctor, message", [
     # a product face, a face of x and π's table, each changed after its
-    # audit, break dd = 0 or commutation for both readers alike
+    # audit, break dd = 0 or commutation for both readers alike; a face of
+    # x is refused when x's fat chains are built, before either cone
     ("z2", 3, 1, lambda proj: doctor_face(proj.source, 2, 0, 0, 1),
      "dd != 0 between degrees 2 and 0"),
     ("z2", 3, 1, lambda proj: doctor_face(proj.target, 3, 1, 0, 3),
@@ -206,7 +225,7 @@ def test_table_checks_raise_the_matrix_messages(name, N, d, doctor, message):
     proj, s = comparison.stage_projection(nerve(c, d + 2), N, d + 1)
     doctor(proj)
     with pytest.raises(StructureError, match=message):
-        projection_cone_certifies(proj, s, d)
+        projection_cone_certifies(proj, s, fat_chains(proj.target), d)
     with pytest.raises(StructureError, match=message):
         cone_certifies(induced_map(proj), d)
 
@@ -230,7 +249,7 @@ def test_table_cone_reads_only_the_layout(N, doctor, message):
     check_face_tables(proj.source, 1)
     check_map_tables(proj, 1)
     with pytest.raises(StructureError, match=message):
-        projection_cone_certifies(proj, s, 0)
+        projection_cone_certifies(proj, s, fat_chains(proj.target), 0)
 
 
 def test_table_cone_sums_each_nerve_column(monkeypatch):
@@ -254,7 +273,7 @@ def test_table_cone_sums_each_nerve_column(monkeypatch):
     monkeypatch.setattr(cone, "coreduction_clears", spy)
     d, ner = 2, nerve(z2_groupoid().base, 4)
     proj, s = comparison.stage_projection(ner, 5, d + 1)
-    assert projection_cone_certifies(proj, s, d)
+    assert projection_cone_certifies(proj, s, fat_chains(ner), d)
     (count, face_sum), *pairs = asked
     # the nerve's k-cells start after the cells of degree < k
     starts = [sum(ner.n_cells(j) + proj.source.n_cells(j) for j in range(k)) for k in range(5)]

@@ -854,6 +854,18 @@ def test_cone_certifies_negation_but_not_doubling():
         cone_certifies(times(-1), 2)
 
 
+def test_cone_counts_more_than_255_faces():
+    """A point sent to the sum of 300 points: the cone's one cell of A
+    has 300 faces, so a face count must hold more than a byte.  H_0 goes
+    from Z to Z^300, so the cone must not certify."""
+    A = IntegerChainComplex(1, [range(1), ()], {1: IntMatrix.zeros(1, 0)})
+    B = IntegerChainComplex(2, [range(300), (), ()],
+                            {1: IntMatrix.zeros(300, 0), 2: IntMatrix.zeros(0, 0)})
+    F = ChainMap(A, B, [IntMatrix([[1]] * 300, 1), IntMatrix.zeros(0, 0)])
+    assert cone_certifies(F, 0) is False
+    assert not quasi_iso_through(F, 0).ok
+
+
 def test_tau_records_one_side_per_elimination(tmp_path, capsys, monkeypatch):
     """``identity_on_homology_through`` reads both generators and
     coordinates of one presentation per degree, from the same two records:
